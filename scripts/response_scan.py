@@ -36,7 +36,7 @@ def main():
     print(f"defocusing condition value eps_g * w-hat(0)_+ = {eps.value * max(w.what0, 0):.4f} "
           f"vs 2|S^{args.d - 1}| = {2 * ht.sphere_area(args.d):.4f}")
 
-    rep = ht.hypothesis_check(f, w, args.d, epsilon_g=eps.value)
+    rep = ht.hypothesis_check(cov, w, args.d, epsilon_g=eps.value)
     for b in rep.bullets:
         status = {True: "pass", False: "FAIL", None: "indeterminate"}[b.passed]
         print(f"  [{status}] {b.name}: value {b.value:.4g}"

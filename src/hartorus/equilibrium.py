@@ -9,6 +9,11 @@ reduced to a radial integral with the exact angular kernel for each
 dimension (cosine for d=1, J0 for d=2, spherical sinc for d=3, J1-type
 for d=4).  One convention is fixed package-wide; the equilibrium residual
 and the response cross-checks validate it operationally.
+
+CovarianceProfile tabulates h with one fixed-node Gauss-Legendre radial
+transform per block of table nodes (panels of a few kernel periods, in the
+spirit of Ogata's Bessel-kernel quadrature); eval_h is the adaptive
+single-point quadrature kept as its oracle.
 """
 
 from __future__ import annotations
@@ -194,10 +199,10 @@ def custom_potential(evaluator) -> InteractionPotential:
 def eval_h(f: DistributionFunction, d: int, x: float, tol: float = 1e-10):
     """Radial transform of |f|^2 at radius |x|; returns (value, error estimate).
 
-    The oscillatory angular kernel is handled analytically per dimension;
-    QUADPACK's weighted rules take the cosine/sine factors, the Bessel
-    kernels go through adaptive panels with a subdivision budget that grows
-    with the number of oscillations.
+    Adaptive single-point quadrature: QUADPACK's weighted rules take the
+    cosine/sine factors, the Bessel kernels go through adaptive panels with a
+    subdivision budget that grows with the number of oscillations.  It gives
+    CovarianceProfile its h(0) and serves as the oracle for its table.
     """
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside 1..4")
@@ -227,12 +232,103 @@ def eval_h(f: DistributionFunction, d: int, x: float, tol: float = 1e-10):
     return c * val, c * err
 
 
+_GAUSS_HI = np.polynomial.legendre.leggauss(32)
+_GAUSS_LO = np.polynomial.legendre.leggauss(16)
+_PERIODS_PER_PANEL = 5.0
+_TABLE_BLOCK = 256          # table nodes per radial transform
+_RADIAL_CHUNK = 4096        # radial nodes per kernel matrix (bounds temporaries)
+_MAX_BISECTIONS = 60
+_PANEL_MASS_TOL = 1e-12     # relative to h(0)
+
+
+def _radial_kernel(d: int, xs, rs):
+    """K_d(x, r) on the (xs, rs) grid, x > 0, with h(x) = int_0^inf K_d f2(r) dr.
+
+    Built in place in one (len(xs), len(rs)) array.
+    """
+    k = np.outer(xs, rs)
+    if d == 1:
+        np.cos(k, out=k)
+        k *= 2.0
+    elif d == 2:
+        j0(k, out=k)
+        k *= 2 * math.pi * rs
+    elif d == 3:
+        np.sin(k, out=k)
+        k *= 4 * math.pi * rs
+        k /= xs[:, None]
+    else:
+        j1(k, out=k)
+        k *= (2 * math.pi) ** 2 * rs * rs
+        k /= xs[:, None]
+    return k
+
+
+def _gauss_nodes(a, b, rule):
+    """Flattened nodes and weights of one Gauss rule on each panel [a_i, b_i]."""
+    nodes, weights = rule
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+
+
+def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int, tol: float):
+    """n uniform panels on [0, rend], bisected until the 32- and 16-point rules
+    agree on each panel's mass |S^{d-1}| int f2 r^{d-1} dr to within tol.
+
+    Smooth profiles keep the uniform panels; a jump inside the interval is
+    bisected down to a sliver whose mass is below tol.
+    """
+    edges = np.linspace(0.0, rend, n + 1)
+    a, b = edges[:-1], edges[1:]
+    area = sphere_area(d)
+    done_a, done_b = [], []
+    for _ in range(_MAX_BISECTIONS):
+        masses = []
+        for rule in (_GAUSS_HI, _GAUSS_LO):
+            r, w = _gauss_nodes(a, b, rule)
+            masses.append((f.f2(r) * r ** (d - 1) * w).reshape(len(a), -1).sum(axis=1))
+        split = area * np.abs(masses[0] - masses[1]) > tol
+        done_a.append(a[~split])
+        done_b.append(b[~split])
+        a, b = a[split], b[split]
+        if not len(a):
+            break
+        mid = 0.5 * (a + b)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    done_a.append(a)
+    done_b.append(b)
+    a, b = np.concatenate(done_a), np.concatenate(done_b)
+    order = np.argsort(a)
+    return a[order], b[order]
+
+
+def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, tol: float):
+    """h at the nodes xs > 0 (ascending) by one fixed-node radial transform.
+
+    Panels hold at most _PERIODS_PER_PANEL kernel periods at xs[-1]; the
+    32-point sum is the value and |GL32 - GL16| the error estimate.
+    """
+    n = max(1, math.ceil(rend * xs[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
+    a, b = _radial_panels(f, d, rend, n, tol)
+    sums = []
+    for rule in (_GAUSS_HI, _GAUSS_LO):
+        r, w = _gauss_nodes(a, b, rule)
+        g = f.f2(r) * w
+        acc = np.zeros(len(xs))
+        for s in range(0, len(r), _RADIAL_CHUNK):
+            acc += _radial_kernel(d, xs, r[s:s + _RADIAL_CHUNK]) @ g[s:s + _RADIAL_CHUNK]
+        sums.append(acc)
+    return sums[0], np.abs(sums[0] - sums[1])
+
+
 class CovarianceProfile:
     """Cached radial evaluator for h with a spline table for bulk lookups.
 
-    The table extends until |h| has fallen below table_tol * |h(0)| (capped),
-    beyond which the profile is treated as zero and the dropped tail enters
-    the stored error estimate.
+    The table holds h at nodes spaced dx from 0, built block by block with
+    the fixed-node radial transform (h(0) comes from eval_h).  It extends
+    until |h| has stayed below table_tol * |h(0)| over a stretch of 4 in x
+    (capped at x_max_cap), beyond which the profile is treated as zero.
+    table_error() is the largest per-node |GL32 - GL16| estimate.
     """
 
     def __init__(self, f: DistributionFunction, d: int, table_tol: float = 1e-13,
@@ -257,24 +353,31 @@ class CovarianceProfile:
             self.x_max = 1.0
             return
         rsup = self.f.support_radius(1e-10)
+        rend = self.f.support_radius()
         dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
         floor = self.table_tol * abs(self.h0)
-        xs = [0.0]
-        hs = [self.h0]
-        errs = [self.h0_err]
+        panel_tol = _PANEL_MASS_TOL * abs(self.h0)
+        quiet_stop = int(4.0 / dx) + 4
+        xs, hs, errs = [np.zeros(1)], [np.array([self.h0])], [np.array([self.h0_err])]
         x = 0.0
         quiet = 0
-        while x < self.x_max_cap and quiet < int(4.0 / dx) + 4:
-            x += dx
-            v, e = eval_h(self.f, self.d, x)
-            xs.append(x)
-            hs.append(v)
-            errs.append(e)
-            quiet = quiet + 1 if abs(v) < floor else 0
-        self.x_max = x
+        while x < self.x_max_cap and quiet < quiet_stop:
+            # the nodes are running sums x += dx; the block ends at the cap
+            xb = np.cumsum(np.r_[x, np.full(_TABLE_BLOCK, dx)])[1:]
+            xb = xb[:np.searchsorted(xb, self.x_max_cap) + 1]
+            vb, eb = _radial_transform(self.f, self.d, xb, rend, panel_tol)
+            n = 0
+            while n < len(xb) and x < self.x_max_cap and quiet < quiet_stop:
+                x = xb[n]
+                quiet = quiet + 1 if abs(vb[n]) < floor else 0
+                n += 1
+            xs.append(xb[:n])
+            hs.append(vb[:n])
+            errs.append(eb[:n])
+        self.x_max = float(x)
         self.table_truncated = x >= self.x_max_cap
-        self._table_err = max(errs)
-        self._spline = CubicSpline(np.array(xs), np.array(hs), bc_type="natural")
+        self._table_err = float(np.max(np.concatenate(errs)))
+        self._spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type="natural")
 
     @property
     def spline(self):
@@ -316,6 +419,17 @@ class CovarianceProfile:
                 xs = np.linspace(0.0, self.x_max, 2048)
                 self._decay_constant = float(np.max((1.0 + xs ** 2) * np.abs(self(xs))))
         return self._decay_constant
+
+
+def as_profile(f, d: Optional[int] = None) -> CovarianceProfile:
+    """f itself if it is a CovarianceProfile, else a new profile of f in dimension d."""
+    if isinstance(f, CovarianceProfile):
+        if d is not None and d != f.d:
+            raise ValueError(f"profile is for dimension {f.d}, not {d}")
+        return f
+    if d is None:
+        raise ValueError("dimension d is required when passing a raw distribution")
+    return CovarianceProfile(f, d)
 
 
 def equilibrium_mass(f: DistributionFunction, w: InteractionPotential, d: int) -> float:
@@ -364,14 +478,18 @@ def _quad_or_none(fn, a, b, **kw):
         return None, None
 
 
-def hypothesis_check(f: DistributionFunction, w: InteractionPotential, d: int,
+def hypothesis_check(f, w: InteractionPotential, d: int,
                      epsilon_g: Optional[float] = None) -> HypothesisReport:
     """Numerically evaluate the admissibility bullets for (f, w) in dimension d.
 
-    Integral bullets are quadratures over the radial variable; derivative
-    bounds on the covariance profile use radial spline derivatives as the
-    computed surrogate.  Quadrature failure marks a bullet indeterminate.
+    f is a DistributionFunction or a CovarianceProfile of one in dimension d;
+    a profile's table is reused.  Integral bullets are quadratures over the
+    radial variable; derivative bounds on the covariance profile use radial
+    spline derivatives as the computed surrogate.  Quadrature failure marks a
+    bullet indeterminate.
     """
+    prof = as_profile(f, d)
+    f = prof.f
     bullets = []
     s_ceil = math.ceil(d / 2 - 1)
     rend = f.support_radius()
@@ -381,7 +499,6 @@ def hypothesis_check(f: DistributionFunction, w: InteractionPotential, d: int,
         for name in ("weighted_l2", "f_gradf_integrable", "monotone_decreasing",
                      "h_derivative_decay", "h_low_frequency_integrable"):
             bullets.append(Bullet(name, True, 0.0, note="zero distribution"))
-        prof = None
     else:
         # <r>^ceil(s) f in L^2
         val, err = _quad_or_none(lambda r: (1 + r * r) ** s_ceil * f.f2(r) * r ** (d - 1), 0, rend, limit=200)
@@ -411,7 +528,6 @@ def hypothesis_check(f: DistributionFunction, w: InteractionPotential, d: int,
                               note="max consecutive increment on a log grid"))
 
         # <x>^2 d^alpha h bounded for |alpha| <= 2*ceil(s): radial surrogate
-        prof = CovarianceProfile(f, d)
         try:
             xs = np.linspace(0.0, prof.spline.x[-1] if hasattr(prof.spline, "x") else 1.0, 1500)
             worst_sup = 0.0

@@ -29,20 +29,12 @@ from typing import Optional
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .equilibrium import CovarianceProfile, InteractionPotential, sphere_area
+from .equilibrium import CovarianceProfile, InteractionPotential, as_profile, sphere_area
 from .grid import TorusGrid
 
 _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
 _PERIODS_PER_PANEL = 5.0
-
-
-def as_profile(f, d: Optional[int] = None) -> CovarianceProfile:
-    if isinstance(f, CovarianceProfile):
-        return f
-    if d is None:
-        raise ValueError("dimension d is required when passing a raw distribution")
-    return CovarianceProfile(f, d)
 
 
 def _oscillation_rate(cov: CovarianceProfile, tau_max: float, xi_abs: float) -> float:
@@ -337,8 +329,9 @@ def decay_slope(f, d: int, xi_abs: float, tau_base: float = 4.0, doublings: int 
 
     At fixed |xi| the slope tends to -2 as tau grows, from the leading form
     2|xi|^2 h(0)/(tau^2 - |xi|^4); the ``tau_slope`` field of
-    ``response_report.ndjson`` reports this slope.  The window must lie well
-    above the resonance tau = |xi|^2: below it |m_f| is nearly flat in tau.
+    ``response_report.ndjson`` reports this slope over tau = 4|xi|^2 ...
+    64|xi|^2.  The window must lie well above the resonance tau = |xi|^2:
+    below it |m_f| is nearly flat in tau.
     """
     cov = as_profile(f, d)
     taus = tau_base * 2.0 ** np.arange(doublings + 1)

@@ -200,7 +200,9 @@ def _exp_linear_response(cfg, out, seed):
     write_csv(cpath, ["tau", "xi_abs", "re_mf", "im_mf", "err_estimate"], rows)
 
     decay = decay_bound_check(table)
-    slope, staus, smags = decay_slope(cov, d, xi_abs=float(table.xis[-1]) / 2.0)
+    # window tau = 4|xi|^2 ... 64|xi|^2, above the resonance tau = |xi|^2
+    xi_slope = float(table.xis[-1]) / 2.0
+    slope, staus, smags = decay_slope(cov, d, xi_abs=xi_slope, tau_base=4.0 * xi_slope ** 2)
     zero_col = float(np.max(np.abs(table.values[:, 0])))
     sym_defect = table.conjugate_symmetry_defect()
     tol = max(2.0 * table.max_error(), 1e-12)
@@ -231,7 +233,7 @@ def _exp_stability_check(cfg, out, seed):
     table = MultiplierTable.build(cov, d, _tau_grid(cfg), _xi_grid(cfg, grid))
     margin = stability_margin(table, w)
     eps = epsilon_g(cov, d)
-    hyp = hypothesis_check(f, w, d, epsilon_g=eps.value)
+    hyp = hypothesis_check(cov, w, d, epsilon_g=eps.value)
     rec = {"margin": margin.margin, "argmin_tau": margin.arg_tau, "argmin_xi": margin.arg_xi,
            "sup_w_mf": margin.sup_wmf, "two_sphere_area": margin.two_sphere_area,
            "epsilon_g": eps.value, "epsilon_g_converged": eps.converged,

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hartorus import (CovarianceProfile, bose, delta_potential, equilibrium_mass, eval_f2,
-                      eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
+from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
+                      eval_f2, eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       zero_distribution, zero_potential, zero_temp_fermi)
+from hartorus.equilibrium import as_profile
 
 
 def test_fermi_value_at_origin():
@@ -72,6 +73,43 @@ def test_h_even_and_real():
         assert abs(direct - cov(x)) < 1e-6  # spline vs direct quadrature
 
 
+TABLE_PROFILES = {
+    "fermi": fermi(1.0, 0.0),
+    "bose": bose(1.0, -0.5),
+    "zero_temp_fermi": zero_temp_fermi(1.0),
+    "gaussian_f2": gaussian_f2(),
+    "zero": zero_distribution(),
+    # jumps at r = 0.6 and 1.4, both inside the quadrature interval [0, 1.5]
+    "shell": custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 1.0) < 0.4)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(TABLE_PROFILES))
+def test_table_matches_eval_h_oracle(name, d):
+    f = TABLE_PROFILES[name]
+    cov = CovarianceProfile(f, d)
+    sp = cov.spline
+    nodes = sp.x if hasattr(sp, "x") else np.linspace(0.0, cov.x_max, 40)
+    picks = nodes[np.unique(np.linspace(0, len(nodes) - 1, 40).astype(int))]
+    # the budget itself stays small: unresolved jumps would inflate it
+    assert cov.table_error() <= 1e-6 * abs(cov.h0)
+    for x in picks:
+        exact, err = eval_h(f, d, float(x))
+        assert abs(float(cov(x)) - exact) <= cov.table_error() + err + 1e-12 * abs(cov.h0), x
+    if hasattr(sp, "c"):
+        assert np.array_equal(CovarianceProfile(f, d).spline.c, sp.c)
+
+
+def test_as_profile_rejects_dimension_mismatch():
+    cov = CovarianceProfile(fermi(1.0, 0.0), 3)
+    assert as_profile(cov, 3) is cov
+    with pytest.raises(ValueError):
+        as_profile(cov, 2)
+    with pytest.raises(ValueError):
+        as_profile(fermi(1.0, 0.0))
+
+
 def test_h0_two_ways():
     # radial quadrature against a plain lattice Riemann sum
     f = fermi(1.0, 0.0)
@@ -125,3 +163,10 @@ def test_hypothesis_defocusing_bullet_uses_epsilon_g():
     assert b.passed is True
     rep2 = hypothesis_check(fermi(1.0, 0.0), delta_potential(0.1), 4)
     assert rep2.bullet("potential_defocusing_part").passed is None
+
+
+def test_hypothesis_accepts_profile():
+    f, w = fermi(1.0, 0.0), delta_potential(0.1)
+    cov = CovarianceProfile(f, 3)
+    assert hypothesis_check(cov, w, 3, epsilon_g=0.17).bullets == \
+        hypothesis_check(f, w, 3, epsilon_g=0.17).bullets

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hartorus import parse_config, run_experiment
+from hartorus import equilibrium, parse_config, run_experiment
 
 CONFIGS = {
     "equilibrium-check": """
@@ -115,3 +115,27 @@ def test_stability_zero_potential_margin_one(tmp_path):
     assert env.all_passed
     rec = json.loads((tmp_path / "stability.ndjson").read_text().splitlines()[0])
     assert rec["margin"] == 1.0
+
+
+def test_linear_response_tau_slope_fixed_xi_rate(tmp_path):
+    # the window tau = 4|xi|^2 ... 64|xi|^2 lies above the resonance, where
+    # |m_f| ~ 2|xi|^2 h(0) / tau^2
+    cfg = parse_config("grid.d = 3\nf.kind = fermi\n", "linear-response")
+    env = run_experiment(cfg, tmp_path)
+    assert env.all_passed
+    rec = json.loads((tmp_path / "response_report.ndjson").read_text().splitlines()[0])
+    assert -2.2 <= rec["tau_slope"] <= -1.8
+
+
+def test_stability_check_builds_one_profile(tmp_path, monkeypatch):
+    calls = []
+    init = equilibrium.CovarianceProfile.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium.CovarianceProfile, "__init__", counting_init)
+    env = run_experiment(parse_config(CONFIGS["stability-check"], "stability-check"), tmp_path)
+    assert env.all_passed
+    assert len(calls) == 1
