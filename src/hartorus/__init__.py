@@ -4,21 +4,21 @@ dynamics on a periodic torus."""
 __version__ = "0.1.0"
 
 from .grid import TorusGrid
-from .field import SpectralField, apply_multiplier, forward_transform, inverse_transform
-from .lpaley import LittlewoodPaley, LPBlock, eta, eta_j
+from .field import SpectralField
+from .lpaley import LittlewoodPaley, eta, eta_j
 from .norms import bernstein_ratio, besov_norm, lebesgue_norm, sobolev_norm
 from .equilibrium import (Bullet, CovarianceProfile, DistributionFunction, HypothesisReport,
                           InteractionPotential, bose, custom_potential, custom_radial,
                           delta_potential, equilibrium_mass, eval_f2, eval_h, fermi,
                           gaussian_f2, gaussian_potential, hypothesis_check, sphere_area,
                           zero_distribution, zero_potential, zero_temp_fermi)
-from .ensemble import (BumpSpec, ModeEnsemble, PerturbationState, Trajectory, add_perturbation,
-                       conserved_energy, critical_exponents, density, deviation_norms, evolve,
-                       init_equilibrium, scattering_probe, step)
+from .ensemble import (BumpSpec, ModeEnsemble, Trajectory, add_perturbation, conserved_energy,
+                       critical_exponents, deviation_norms, evolve, init_equilibrium,
+                       scattering_probe, step)
 from .picard import PicardOperator, PicardResult, picard_solve, reference_trajectory
 from .response import (DecayReport, EpsilonGReport, MarginReport, MultiplierTable,
                        apply_L1_frequency_domain, apply_L1_time_domain, compute_mf,
-                       compute_mf_batch, compute_mf_vec, decay_bound_check, decay_slope,
+                       compute_mf_batch, decay_bound_check, decay_slope,
                        default_tau_grid, default_xi_grid, epsilon_g, stability_margin)
 from .twowave import (BandReport, GrowthFit, SymbolMatrix, TwoWaveParams, build_symbol,
                       char_poly_residual, closed_form_spectrum, eigensolver_spectrum,

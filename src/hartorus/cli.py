@@ -24,8 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=None, help="output directory (default $HARTORUS_OUT or ./out)")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; results are identical for any value")
     return parser
 
 
@@ -35,10 +33,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
-
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

@@ -67,8 +67,6 @@ _SCHEMA = {
     "picard.substeps": (int, lambda v: v >= 1 or "picard.substeps must be >= 1", 5),
     "probe.radius": (float, None, None),
     "norms.fields": (int, lambda v: v >= 1 or "norms.fields must be >= 1", 200),
-    "out.dir": (str, None, None),
-    "out.formats": (str, None, "ndjson,csv,svg"),
 }
 
 _REQUIRED = {
@@ -194,9 +192,9 @@ def parse_config(text: str, kind: str) -> RunConfig:
     if values["f.kind"] == "zero-temp-fermi" and values["f.mu"] <= 0:
         post.append("f.kind = zero-temp-fermi requires f.mu > 0")
     d = values["grid.d"]
-    for vec_key in ("pert.center", "pert.carrier", "twowave.xi"):
+    for vec_key in ("pert.center", "pert.carrier") + (("twowave.xi",) if kind == "instability" else ()):
         v = values[vec_key]
-        if v is not None and len(v) not in (0, d) and not (vec_key == "twowave.xi" and kind != "instability"):
+        if v is not None and len(v) != d:
             post.append(f"{vec_key} needs {d} comma-separated components, got {len(v)}")
     if post:
         raise ConfigError(post)

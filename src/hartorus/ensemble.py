@@ -13,6 +13,10 @@ half-step e^{-i dt/2 (m + |xi|^2)} in frequency, full-step physical phase
 e^{-i dt ((w*rho)(x) - m)}, half-step kinetic.  Equilibria then rotate by
 the exact phases e^{-i t (m + |xi_j|^2)} and the splitting preserves every
 per-mode mass to rounding.
+
+An unperturbed ensemble is its own reference: add_perturbation returns
+(perturbed, eq), and eq.deviations(perturbed) is Z = u - y against the exact
+equilibrium phases of eq at the perturbed ensemble's time.
 """
 
 from __future__ import annotations
@@ -24,14 +28,17 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import DistributionFunction, InteractionPotential
-from .field import SpectralField
 from .grid import TorusGrid
 from .lpaley import LittlewoodPaley, eta_j
 
 
 @dataclass(frozen=True)
 class ModeEnsemble:
-    """Grid, carriers (M, d), weights (M,), stacked fields (M, *grid), time, mass."""
+    """Grid, carriers (M, d), weights (M,), stacked fields (M, *grid), time, mass.
+
+    The carriers, weights and mass fix the equilibrium; the deviation methods
+    measure another ensemble on the same modes against it.
+    """
 
     grid: TorusGrid
     carriers: np.ndarray
@@ -49,9 +56,6 @@ class ModeEnsemble:
     def space_axes(self) -> tuple:
         return tuple(range(1, self.grid.d + 1))
 
-    def mode_field(self, j: int) -> SpectralField:
-        return SpectralField.from_values(self.grid, self.fields[j])
-
     def mode_masses(self) -> np.ndarray:
         """Per-mode squared L2 norm ||u_j||^2."""
         if self.n_modes == 0:
@@ -63,26 +67,29 @@ class ModeEnsemble:
             return np.zeros(self.grid.shape)
         return np.sum(np.abs(self.fields) ** 2, axis=0)
 
-    def density(self) -> SpectralField:
-        return SpectralField.from_values(self.grid, self.density_values().astype(complex))
-
-    def potential_values(self) -> np.ndarray:
-        """(w * rho)(x) through the frequency-side multiplier."""
-        rho = self.density_values()
-        sym = self.w.what(self.grid.xi_norm)
-        return np.fft.ifftn(sym * np.fft.fftn(rho)).real
-
     def equilibrium_fields(self, t: Optional[float] = None) -> np.ndarray:
         """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)}."""
         t = self.t if t is None else t
-        out = np.empty((self.n_modes,) + self.grid.shape, dtype=complex)
-        for j in range(self.n_modes):
-            phase = np.zeros(self.grid.shape)
-            for comp, x in zip(self.carriers[j], self.grid.x_vectors):
-                phase = phase + comp * x
-            freq2 = float(np.dot(self.carriers[j], self.carriers[j]))
-            out[j] = self.weights[j] * np.exp(1j * (phase - t * (self.m + freq2)))
-        return out
+        lead = (-1,) + (1,) * self.grid.d
+        freq2 = np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
+        rotation = (t * (self.m + freq2)).reshape(lead)
+        return self.weights.reshape(lead) * np.exp(1j * (self.grid.phase(self.carriers) - rotation))
+
+    def deviations(self, ens: "ModeEnsemble") -> np.ndarray:
+        """Z = u - y: the modes of ens minus this equilibrium at time ens.t."""
+        return ens.fields - self.equilibrium_fields(ens.t)
+
+    def induced_potential(self, ens: "ModeEnsemble") -> np.ndarray:
+        """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
+        return ens.density_values() - np.sum(self.weights ** 2)
+
+    def reconstructed_potential(self, ens: "ModeEnsemble") -> np.ndarray:
+        """V rebuilt from E|Z|^2 + 2 Re E(Y-bar Z); equals induced_potential
+        by the mode-orthogonality identity."""
+        Y = self.equilibrium_fields(ens.t)
+        Z = ens.fields - Y
+        return (np.sum(np.abs(Z) ** 2, axis=0)
+                + 2.0 * np.sum(np.conj(Y) * Z, axis=0).real)
 
 
 @dataclass
@@ -126,21 +133,11 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
     order = np.lexsort(carriers.T[::-1])  # fixed mode order: lexicographic carriers
     carriers, weights = carriers[order], weights[order]
 
-    fields = np.empty((len(weights),) + grid.shape, dtype=complex)
-    for j in range(len(weights)):
-        phase = np.zeros(grid.shape)
-        for comp, x in zip(carriers[j], grid.x_vectors):
-            phase = phase + comp * x
-        fields[j] = weights[j] * np.exp(1j * phase)
-
     m = w.what0 * retained if m_override is None else m_override
-    ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=fields,
+    ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=None,
                        t=0.0, m=m, w=w)
-    return ens, InitReport(retained_mass=retained, truncated_mass=total - retained)
-
-
-def density(ens: ModeEnsemble) -> SpectralField:
-    return ens.density()
+    return (replace(ens, fields=ens.equilibrium_fields()),
+            InitReport(retained_mass=retained, truncated_mass=total - retained))
 
 
 def step(ens: ModeEnsemble, dt: float) -> ModeEnsemble:
@@ -200,56 +197,13 @@ class BumpSpec:
     coefficients: Optional[np.ndarray] = None  # spread over modes when given
 
     def field_values(self, grid: TorusGrid) -> np.ndarray:
-        center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        carrier = np.atleast_1d(np.asarray(self.carrier, dtype=float))
-        dist2 = np.zeros(grid.shape)
-        phase = np.zeros(grid.shape)
-        for c, kc, x in zip(center, carrier, grid.x_vectors):
-            dx = x - c
-            dx = dx - grid.L * np.round(dx / grid.L)  # minimum image
-            dist2 = dist2 + dx * dx
-            phase = phase + kc * x
-        env = np.exp(-dist2 / (2.0 * self.width ** 2))
-        return self.amplitude * env * np.exp(1j * phase)
-
-
-@dataclass(frozen=True)
-class PerturbationState:
-    """Bookkeeping of the equilibrium the perturbed ensemble deviates from."""
-
-    carriers: np.ndarray
-    weights: np.ndarray
-    m: float
-
-    def equilibrium_at(self, grid: TorusGrid, t: float) -> np.ndarray:
-        out = np.empty((len(self.weights),) + grid.shape, dtype=complex)
-        for j in range(len(self.weights)):
-            phase = np.zeros(grid.shape)
-            for comp, x in zip(self.carriers[j], grid.x_vectors):
-                phase = phase + comp * x
-            freq2 = float(np.dot(self.carriers[j], self.carriers[j]))
-            out[j] = self.weights[j] * np.exp(1j * (phase - t * (self.m + freq2)))
-        return out
-
-    def deviations(self, ens: ModeEnsemble) -> np.ndarray:
-        return ens.fields - self.equilibrium_at(ens.grid, ens.t)
-
-    def induced_potential(self, ens: ModeEnsemble) -> np.ndarray:
-        """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
-        return ens.density_values() - np.sum(self.weights ** 2)
-
-    def reconstructed_potential(self, ens: ModeEnsemble) -> np.ndarray:
-        """V rebuilt from E|Z|^2 + 2 Re E(Y-bar Z); equals induced_potential
-        by the mode-orthogonality identity."""
-        Z = self.deviations(ens)
-        Y = self.equilibrium_at(ens.grid, ens.t)
-        return (np.sum(np.abs(Z) ** 2, axis=0)
-                + 2.0 * np.sum(np.conj(Y) * Z, axis=0).real)
+        env = np.exp(-grid.min_image_dist2(self.center) / (2.0 * self.width ** 2))
+        return self.amplitude * env * np.exp(1j * grid.phase(self.carrier))
 
 
 def add_perturbation(ens: ModeEnsemble, spec: BumpSpec):
-    """Perturb one mode (or spread over modes) and remember the equilibrium."""
-    state = PerturbationState(carriers=ens.carriers.copy(), weights=ens.weights.copy(), m=ens.m)
+    """Perturb one mode (or spread over modes); returns (perturbed, ens), the
+    unperturbed ensemble being the equilibrium reference of the perturbed one."""
     bump = spec.field_values(ens.grid)
     fields = ens.fields.copy()
     if spec.coefficients is not None:
@@ -262,7 +216,7 @@ def add_perturbation(ens: ModeEnsemble, spec: BumpSpec):
         if not 0 <= spec.mode < ens.n_modes:
             raise ValueError(f"mode index {spec.mode} outside 0..{ens.n_modes - 1}")
         fields[spec.mode] = fields[spec.mode] + bump
-    return replace(ens, fields=fields), state
+    return replace(ens, fields=fields), ens
 
 
 # ---------------------------------------------------------------------------
@@ -274,42 +228,57 @@ def critical_exponents(d: int) -> dict:
     return {"s": d / 2 - 1, "p": 2 * (d + 2) / d, "q": 4 * d / (d + 1)}
 
 
-def _pointwise_l2_modes(stack: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(stack) ** 2, axis=0))
+def _lebesgue(vals: np.ndarray, p: float, dx: float, axes: tuple):
+    """L^p over the space axes of lattice values."""
+    return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
 
 
-def _lebesgue_of_values(vals: np.ndarray, p, dx: float) -> float:
-    if p == math.inf:
-        return float(np.max(vals))
-    return float((np.sum(vals ** float(p)) * dx) ** (1.0 / float(p)))
+def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
+    """(j, block j in space) for every resolvable j; hat is a stack of
+    unnormalised FFTs whose trailing axes are the grid's."""
+    lead = hat.ndim - grid.d
+    for j in lp.j_resolvable:
+        yield j, np.fft.ifftn(eta_j(grid.xi_norm, j)[(None,) * lead] * hat,
+                              axes=tuple(range(lead, hat.ndim)))
+
+
+def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley):
+    """Spatial ingredients l2, l_dplus2, w_sp, besov_q of a mode stack
+    (M, *grid), or per time slice of (n_t, M, *grid) as (n_t,) arrays.
+
+    Returns (ingredients, unnormalised FFT of the stack over space).
+    """
+    d, dx = grid.d, grid.dx
+    ex = critical_exponents(d)
+    mode = stack.ndim - d - 1                       # 1 with a leading time axis
+    space = tuple(range(mode + 1, stack.ndim))
+    pointwise = tuple(range(mode, mode + d))        # space axes once modes are summed
+    dens = np.abs(stack) ** 2
+    out = {"l2": np.sqrt(np.sum(dens, axis=(mode,) + space) * dx),
+           "l_dplus2": _lebesgue(np.sqrt(np.sum(dens, axis=mode)), float(d + 2), dx, pointwise)}
+    del dens
+    hat = np.fft.fftn(stack, axes=space)
+    bessel = ((1 + grid.xi_squared) ** (ex["s"] / 2))[(None,) * (mode + 1)]
+    smooth = np.fft.ifftn(bessel * hat, axes=space)
+    out["w_sp"] = _lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=mode)), ex["p"], dx, pointwise)
+    del smooth
+    acc = np.zeros(stack.shape[:mode])
+    for j, block in _dyadic_blocks(grid, hat, lp):
+        nq = _lebesgue(np.sqrt(np.sum(np.abs(block) ** 2, axis=mode)), ex["q"], dx, pointwise)
+        acc += (1.0 if j < 0 else 2.0 ** (j / 2.0)) * nq ** 2
+    out["besov_q"] = np.sqrt(acc)
+    return out, hat
 
 
 def deviation_norms(grid: TorusGrid, stack: np.ndarray, lp: Optional[LittlewoodPaley] = None) -> dict:
-    """Spatial ingredient norms of a deviation stack at one time."""
-    d = grid.d
-    ex = critical_exponents(d)
-    s, p, q = ex["s"], ex["p"], ex["q"]
-    out = {}
+    """Spatial ingredient norms of a deviation stack (M, *grid) at one time."""
     if stack.shape[0] == 0:
         return {k: 0.0 for k in ("l2", "hs", "l_dplus2", "w_sp", "besov_q")}
-    axes = tuple(range(1, d + 1))
-    out["l2"] = float(np.sqrt(np.sum(np.abs(stack) ** 2) * grid.dx))
-    hat = np.fft.fftn(stack, axes=axes) * grid.dx
-    wgt = (2 * math.pi) ** (-d) * grid.dxi
-    out["hs"] = float(np.sqrt(np.sum((1 + grid.xi_squared[None]) ** s * np.abs(hat) ** 2) * wgt))
-    out["l_dplus2"] = _lebesgue_of_values(_pointwise_l2_modes(stack), d + 2, grid.dx)
-    smooth = np.fft.ifftn((1 + grid.xi_squared[None]) ** (s / 2) * np.fft.fftn(stack, axes=axes), axes=axes)
-    out["w_sp"] = _lebesgue_of_values(_pointwise_l2_modes(smooth), p, grid.dx)
-    lp = lp or LittlewoodPaley(grid)
-    acc = 0.0
-    hat_raw = np.fft.fftn(stack, axes=axes)
-    for j in lp.j_resolvable:
-        block = np.fft.ifftn(eta_j(grid.xi_norm, j)[None] * hat_raw, axes=axes)
-        nj = _lebesgue_of_values(_pointwise_l2_modes(block), q, grid.dx)
-        w = 1.0 if j < 0 else 2.0 ** (j / 2.0)
-        acc += w * nj * nj
-    out["besov_q"] = math.sqrt(acc)
-    return out
+    out, hat = _stack_norms(grid, stack, lp or LittlewoodPaley(grid))
+    s = critical_exponents(grid.d)["s"]
+    wgt = (2 * math.pi) ** (-grid.d) * grid.dxi
+    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared[None]) ** s * np.abs(hat * grid.dx) ** 2) * wgt)
+    return {k: float(v) for k, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +295,17 @@ class Trajectory:
     snapshots: Optional[np.ndarray]       # (n_snap, M, *grid) deviation stacks
     density_extrema: np.ndarray    # (n_obs, 2) min/max of the density
     final: ModeEnsemble
-    reference: Optional[PerturbationState]
 
 
 def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
-           reference: Optional[PerturbationState] = None,
+           reference: Optional[ModeEnsemble] = None,
            snapshot_stride: Optional[int] = None,
-           record_norms: bool = False,
-           observers: Optional[list] = None) -> Trajectory:
+           record_norms: bool = False) -> Trajectory:
     """Step to time T recording observables every obs_stride steps.
 
-    Aborts with a diagnostic on non-finite field values.  Extra observer
-    callables receive (step_index, ensemble).
+    With the equilibrium reference, snapshots hold deviations and
+    record_norms records their norms.  Aborts with a diagnostic on non-finite
+    field values.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -367,8 +335,6 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
                 snaps.append(reference.deviations(state))
             else:
                 snaps.append(state.fields.copy())
-        for fn in observers or ():
-            fn(i, state)
 
     state = ens
     observe(0, state)
@@ -387,8 +353,7 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
                       snapshot_times=np.array(snap_times),
                       snapshots=np.array(snaps) if snaps else None,
                       density_extrema=np.array(extrema),
-                      final=state,
-                      reference=reference)
+                      final=state)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +393,9 @@ def scattering_probe(traj: Trajectory, grid: TorusGrid, m: float,
     diffs = unwound[1:] - unwound[:-1]
     cauchy = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=tuple(range(1, 2 + grid.d))) * grid.dx)
 
-    center = np.full(grid.d, grid.L / 2.0) if ball_center is None else np.asarray(ball_center, float)
+    center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
-    dist2 = np.zeros(grid.shape)
-    for c, x in zip(center, grid.x_vectors):
-        dx = x - c
-        dx = dx - grid.L * np.round(dx / grid.L)
-        dist2 = dist2 + dx * dx
-    ball = dist2 <= radius * radius
+    ball = grid.min_image_dist2(center) <= radius * radius
     dens = np.sum(np.abs(Z) ** 2, axis=1)
     local = np.sqrt(np.sum(dens[:, ball], axis=1) * grid.dx)
 

@@ -96,10 +96,10 @@ class DistributionFunction:
         if self.kind == "custom":
             if self.support_hint is not None:
                 return self.support_hint
-            r = 1.0
-            while self.f2(r) > tol and r < 1e4:
-                r *= 1.5
-            return r
+            # one step past the last sample of a fine geometric scan above tol
+            r = np.geomspace(1e-6, 1e4, 10001)
+            above = np.flatnonzero(self.f2(r) > tol)
+            return float(r[min(above[-1] + 1, len(r) - 1)]) if len(above) else 1.0
         return math.sqrt(max(self.mu, 0.0) + self.T * math.log(1.0 / tol))
 
     @property
@@ -272,22 +272,29 @@ def _gauss_nodes(a, b, rule):
 
 
 def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int, tol: float):
-    """n uniform panels on [0, rend], bisected until the 32- and 16-point rules
-    agree on each panel's mass |S^{d-1}| int f2 r^{d-1} dr to within tol.
+    """n uniform panels on [0, rend], bisected until the 32-point rule agrees
+    to within tol on each panel's mass |S^{d-1}| int f2 r^{d-1} dr with the
+    16-point rule, and with the sum of 16-point rules on its first third and
+    its last two thirds.
 
     Smooth profiles keep the uniform panels; a jump inside the interval is
-    bisected down to a sliver whose mass is below tol.
+    bisected down to a sliver whose mass is below tol.  The symmetric rules
+    alone agree on a jump in the gap around the panel midpoint.
     """
     edges = np.linspace(0.0, rend, n + 1)
     a, b = edges[:-1], edges[1:]
     area = sphere_area(d)
+
+    def mass(lo, hi, rule):
+        r, w = _gauss_nodes(lo, hi, rule)
+        return (f.f2(r) * r ** (d - 1) * w).reshape(len(lo), -1).sum(axis=1)
+
     done_a, done_b = [], []
     for _ in range(_MAX_BISECTIONS):
-        masses = []
-        for rule in (_GAUSS_HI, _GAUSS_LO):
-            r, w = _gauss_nodes(a, b, rule)
-            masses.append((f.f2(r) * r ** (d - 1) * w).reshape(len(a), -1).sum(axis=1))
-        split = area * np.abs(masses[0] - masses[1]) > tol
+        third = a + (b - a) / 3.0
+        m32 = mass(a, b, _GAUSS_HI)
+        split = area * np.maximum(np.abs(m32 - mass(a, b, _GAUSS_LO)),
+                                  np.abs(m32 - mass(a, third, _GAUSS_LO) - mass(third, b, _GAUSS_LO))) > tol
         done_a.append(a[~split])
         done_b.append(b[~split])
         a, b = a[split], b[split]

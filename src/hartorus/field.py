@@ -56,15 +56,7 @@ class SpectralField:
     @classmethod
     def plane_wave(cls, grid, xi, amplitude=1.0):
         """amplitude * e^{i xi.x}; xi need not be a lattice point."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        phase = np.zeros(grid.shape)
-        for comp, x in zip(xi, grid.x_vectors):
-            phase = phase + comp * x
-        return cls(grid, values=amplitude * np.exp(1j * phase))
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, values=fn(*grid.x_vectors))
+        return cls(grid, values=amplitude * np.exp(1j * grid.phase(xi)))
 
     @classmethod
     def random(cls, grid, rng, scale=1.0):
@@ -115,9 +107,6 @@ class SpectralField:
         cells = tuple(int(c) for c in np.atleast_1d(cells))
         return SpectralField(self.grid, values=np.roll(self.values, cells, axis=tuple(range(self.grid.d))))
 
-    def real_part(self) -> "SpectralField":
-        return SpectralField(self.grid, values=self.values.real.astype(complex))
-
     def __add__(self, other):
         return SpectralField(self.grid, values=self.values + other.values)
 
@@ -142,16 +131,3 @@ class SpectralField:
         back = np.fft.ifftn(np.fft.fftn(np.asarray(self.values)))
         scale = max(1.0, float(np.max(np.abs(self.values))))
         return float(np.max(np.abs(back - self.values)) / scale)
-
-
-def forward_transform(field: SpectralField) -> np.ndarray:
-    """Frequency coefficients of a field (continuum normalization)."""
-    return field.coefficients
-
-
-def inverse_transform(grid: TorusGrid, coefficients) -> SpectralField:
-    return SpectralField.from_coefficients(grid, coefficients)
-
-
-def apply_multiplier(field: SpectralField, symbol) -> SpectralField:
-    return field.apply_multiplier(symbol)

@@ -104,9 +104,25 @@ class TorusGrid:
         """Free-flow refocusing time scale L^2/(4*pi)."""
         return self.L ** 2 / (4 * np.pi)
 
-    def symbol_from_radial(self, fn) -> np.ndarray:
-        """Sample a radial symbol fn(|xi|) on the frequency lattice."""
-        return np.asarray(fn(self.xi_norm))
+    def phase(self, carriers) -> np.ndarray:
+        """The phase xi.x on the lattice for one carrier (d,) or a stack (M, d),
+        summed axis by axis from zero; shape carriers.shape[:-1] + grid shape."""
+        carriers = np.atleast_1d(np.asarray(carriers, dtype=float))
+        lead = carriers.shape[:-1] + (1,) * self.d
+        out = np.zeros(carriers.shape[:-1] + self.shape)
+        for a, x in enumerate(self.x_vectors):
+            out = out + carriers[..., a].reshape(lead) * x
+        return out
+
+    def min_image_dist2(self, center) -> np.ndarray:
+        """Squared minimum-image distance of every lattice point to center."""
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        out = np.zeros(self.shape)
+        for a, x in enumerate(self.x_vectors):
+            dx = x - center[a]
+            dx = dx - self.L * np.round(dx / self.L)
+            out = out + dx * dx
+        return out
 
     def nearest_lattice_xi(self, target) -> np.ndarray:
         """Snap a frequency vector to the nearest lattice point."""

@@ -43,33 +43,6 @@ def eta_j(r, j: int):
 
 
 @dataclass(frozen=True)
-class LPBlock:
-    """One dyadic block: multiplier eta(2^-j |xi|) on the lattice."""
-
-    j: int
-    grid: TorusGrid
-
-    @property
-    def profile(self) -> np.ndarray:
-        return eta_j(self.grid.xi_norm, self.j)
-
-    @property
-    def annulus(self) -> tuple:
-        return (2.0 ** (self.j - 1), 2.0 ** (self.j + 1))
-
-    @property
-    def covered(self) -> bool:
-        """Whether the annulus contains at least one lattice frequency."""
-        lo, hi = self.annulus
-        r = self.grid.xi_norm
-        return bool(np.any((r > lo) & (r < hi)))
-
-
-def _ilog2(x: float) -> float:
-    return math.log2(x)
-
-
-@dataclass(frozen=True)
 class LittlewoodPaley:
     """Block family adapted to one grid.
 
@@ -85,19 +58,16 @@ class LittlewoodPaley:
     @property
     def j_cover(self) -> range:
         g = self.grid
-        j_lo = math.floor(_ilog2(g.xi_min) + 1e-12)
-        j_hi = math.ceil(_ilog2(g.xi_max_abs) - 1e-12)
+        j_lo = math.floor(math.log2(g.xi_min) + 1e-12)
+        j_hi = math.ceil(math.log2(g.xi_max_abs) - 1e-12)
         return range(j_lo, j_hi + 1)
 
     @property
     def j_resolvable(self) -> range:
         g = self.grid
-        j_min = math.ceil(1.0 + _ilog2(g.xi_min) - 1e-12)
-        j_max = math.floor(_ilog2(g.nyquist) - 1.0 + 1e-12)
+        j_min = math.ceil(1.0 + math.log2(g.xi_min) - 1e-12)
+        j_max = math.floor(math.log2(g.nyquist) - 1.0 + 1e-12)
         return range(j_min, j_max + 1)
-
-    def block(self, j: int) -> LPBlock:
-        return LPBlock(j, self.grid)
 
     def project(self, f: SpectralField, j: int) -> SpectralField:
         """Band-limit a field to block j (zero field if j covers nothing)."""
@@ -105,9 +75,6 @@ class LittlewoodPaley:
 
     def resolvable(self, j: int) -> bool:
         return j in self.j_resolvable
-
-    def decompose(self, f: SpectralField) -> dict:
-        return {j: self.project(f, j) for j in self.j_cover}
 
     def partition_values(self, js=None) -> np.ndarray:
         """sum_j eta_j on the lattice over the given (default cover) range."""

@@ -7,6 +7,8 @@ One application of the map sends (Z, V) to
 
 with S(t) = e^{-i t (m - Lap)} applied spectrally and the time integral by
 trapezoid on the stored lattice.  Expectations are exact mode sums.  The
+equilibrium Y is the unperturbed ensemble eq (the second value of
+add_perturbation), whose exact phases give Y at every sampled time.  The
 iteration starts from (0, 0), so the first iterate is the source term pair.
 """
 
@@ -17,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import (BumpSpec, ModeEnsemble, PerturbationState, add_perturbation,
+from .ensemble import (BumpSpec, ModeEnsemble, _dyadic_blocks, _stack_norms, add_perturbation,
                        critical_exponents, evolve)
 from .equilibrium import InteractionPotential
 from .grid import TorusGrid
-from .lpaley import LittlewoodPaley, eta_j
+from .lpaley import LittlewoodPaley
 
 
 def _cumtrapz0(arr: np.ndarray, dt: float) -> np.ndarray:
@@ -35,18 +37,16 @@ def _cumtrapz0(arr: np.ndarray, dt: float) -> np.ndarray:
 class PicardOperator:
     """The affine-plus-quadratic map on time-sampled (Z, V) pairs."""
 
-    def __init__(self, grid: TorusGrid, state: PerturbationState,
+    def __init__(self, grid: TorusGrid, eq: ModeEnsemble,
                  w: InteractionPotential, z0_stack: np.ndarray,
                  T: float, n_steps: int):
         self.grid = grid
-        self.state = state
-        self.w = w
-        self.m = state.m
+        self.m = eq.m
         self.n_t = n_steps + 1
         self.ts = np.linspace(0.0, T, self.n_t)
         self.dt = T / n_steps
         self.space_axes = tuple(range(2, 2 + grid.d))
-        self.M = len(state.weights)
+        self.M = eq.n_modes
 
         self.what_lattice = w.what(grid.xi_norm)
         self.phase_rate = self.m + grid.xi_squared          # symbol of m - Lap
@@ -54,10 +54,10 @@ class PicardOperator:
         if self.z0.shape != (self.M,) + grid.shape:
             raise ValueError("Z0 must be one field per equilibrium mode")
 
-        # equilibrium modes on the whole time lattice
+        # equilibrium modes on the whole time lattice, one slice at a time
         self.Y = np.empty((self.n_t, self.M) + grid.shape, dtype=complex)
         for i, t in enumerate(self.ts):
-            self.Y[i] = state.equilibrium_at(grid, t)
+            self.Y[i] = eq.equilibrium_fields(t)
 
         # free-flow image of the initial perturbation on the time lattice
         z0_hat = np.fft.fftn(self.z0, axes=tuple(range(1, 1 + grid.d)))
@@ -99,42 +99,27 @@ class PicardOperator:
         return Z.copy(), V
 
     def pair_norms(self, Z: np.ndarray, V: np.ndarray, lp: Optional[LittlewoodPaley] = None) -> dict:
-        """Window norms of a pair, following the solution-space ingredients."""
+        """Window norms of a pair: time norms of the solution-space ingredients."""
         g = self.grid
         d = g.d
-        ex = critical_exponents(d)
-        s, p, q = ex["s"], ex["p"], ex["q"]
         lp = lp or LittlewoodPaley(g)
-        axes_space = tuple(range(2, 2 + d))
-        dt, dx = self.dt, g.dx
+        space = tuple(range(1, 1 + d))
 
         def t_integral(vals, power):
-            return float(np.trapezoid(vals ** power, dx=dt) ** (1.0 / power))
+            return float(np.trapezoid(vals ** power, dx=self.dt) ** (1.0 / power))
 
-        omega_l2 = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1))          # (n_t, *grid)
-        out = {}
-        out["z_sup_l2"] = float(np.max(np.sqrt(np.sum(np.abs(Z) ** 2, axis=tuple(range(1, 2 + d))) * dx)))
-        out["z_l_dplus2"] = t_integral((np.sum(omega_l2 ** (d + 2), axis=tuple(range(1, 1 + d))) * dx) ** (1.0 / (d + 2)), d + 2)
-        hat = np.fft.fftn(Z, axes=axes_space)
-        smooth = np.fft.ifftn((1 + g.xi_squared)[None, None] ** (s / 2) * hat, axes=axes_space)
-        sm = np.sqrt(np.sum(np.abs(smooth) ** 2, axis=1))
-        out["z_lp_wsp"] = t_integral((np.sum(sm ** p, axis=tuple(range(1, 1 + d))) * dx) ** (1.0 / p), p)
-        acc = np.zeros(self.n_t)
-        for j in lp.j_resolvable:
-            blk = np.fft.ifftn(eta_j(g.xi_norm, j)[None, None] * hat, axes=axes_space)
-            bl = np.sqrt(np.sum(np.abs(blk) ** 2, axis=1))
-            nq = (np.sum(bl ** q, axis=tuple(range(1, 1 + d))) * dx) ** (1.0 / q)
-            acc += (1.0 if j < 0 else 2.0 ** (j / 2.0)) * nq ** 2
-        out["z_l4_besov"] = t_integral(np.sqrt(acc), 4)
+        z, _ = _stack_norms(g, Z, lp)
+        out = {"z_sup_l2": float(np.max(z["l2"])),
+               "z_l_dplus2": t_integral(z["l_dplus2"], d + 2),
+               "z_lp_wsp": t_integral(z["w_sp"], critical_exponents(d)["p"]),
+               "z_l4_besov": t_integral(z["besov_q"], 4)}
         vp = (d + 2) / 2.0
-        out["v_l_half"] = t_integral((np.sum(np.abs(V) ** vp, axis=tuple(range(1, 1 + d))) * dx) ** (1.0 / vp), vp)
-        vhat = np.fft.fftn(V.astype(complex), axes=tuple(range(1, 1 + d)))
-        accv = np.zeros(self.n_t)
-        for j in lp.j_resolvable:
-            blk = np.fft.ifftn(eta_j(g.xi_norm, j)[None] * vhat, axes=tuple(range(1, 1 + d)))
-            n2 = np.sqrt(np.sum(np.abs(blk) ** 2, axis=tuple(range(1, 1 + d))) * dx)
-            accv += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
-        out["v_l2_besov"] = t_integral(np.sqrt(accv), 2)
+        out["v_l_half"] = t_integral((np.sum(np.abs(V) ** vp, axis=space) * g.dx) ** (1.0 / vp), vp)
+        acc = np.zeros(self.n_t)
+        for j, block in _dyadic_blocks(g, np.fft.fftn(V.astype(complex), axes=space), lp):
+            n2 = np.sqrt(np.sum(np.abs(block) ** 2, axis=space) * g.dx)
+            acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
+        out["v_l2_besov"] = t_integral(np.sqrt(acc), 2)
         return out
 
 
@@ -188,23 +173,21 @@ def picard_solve(op: PicardOperator, max_iters: int = 12, tol: float = 1e-12) ->
                         converged=converged, diverged=diverged, n_iterations=n_done)
 
 
-def reference_trajectory(ens_eq: ModeEnsemble, state: PerturbationState, spec: BumpSpec,
+def reference_trajectory(ens_eq: ModeEnsemble, spec: BumpSpec,
                          T: float, n_steps: int, substeps: int = 10):
     """Split-step companion run sampled on the same time lattice.
 
-    Returns (Z_stack, V_stack) with shapes matching the fixed-point pair.
+    Returns (ts, Z_stack, V_stack) with shapes matching the fixed-point pair.
     """
-    perturbed, _ = add_perturbation(ens_eq, spec)
+    perturbed, eq = add_perturbation(ens_eq, spec)
     dt = T / (n_steps * substeps)
-    traj = evolve(perturbed, T, dt, obs_stride=substeps, reference=state,
+    traj = evolve(perturbed, T, dt, obs_stride=substeps, reference=eq,
                   snapshot_stride=1)
     Z = traj.snapshots
     ts = traj.snapshot_times
-    rho_eq = float(np.sum(state.weights ** 2))
+    rho_eq = float(np.sum(eq.weights ** 2))
     # V on the same lattice from the stored snapshots plus the equilibrium
-    V = np.empty((len(ts),) + ens_eq.grid.shape)
+    V = np.empty((len(ts),) + eq.grid.shape)
     for i, t in enumerate(ts):
-        Y = state.equilibrium_at(ens_eq.grid, t)
-        dens = np.sum(np.abs(Y + Z[i]) ** 2, axis=0)
-        V[i] = dens - rho_eq
+        V[i] = np.sum(np.abs(eq.equilibrium_fields(t) + Z[i]) ** 2, axis=0) - rho_eq
     return ts, Z, V

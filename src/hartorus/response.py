@@ -98,12 +98,6 @@ def compute_mf(f, d: Optional[int], tau: float, xi_abs: float):
     return complex(vals[0]), float(errs[0])
 
 
-def compute_mf_vec(f, d: Optional[int], tau: float, xi_vec):
-    """Vector-frequency entry point; depends on xi only through its norm."""
-    xi_vec = np.atleast_1d(np.asarray(xi_vec, dtype=float))
-    return compute_mf(f, d, tau, float(np.linalg.norm(xi_vec)))
-
-
 @dataclass
 class MultiplierTable:
     """Sampled m_f(tau, |xi|) with per-entry quadrature error estimates."""
@@ -150,6 +144,7 @@ def default_tau_grid(tau_max: float = 32.0, tau_min: float = 1e-2, n_half: int =
 
 
 def default_xi_grid(grid: TorusGrid, n: int = 16) -> np.ndarray:
+    """n radii from the smallest nonzero lattice frequency to the Nyquist one."""
     return np.linspace(grid.xi_min, grid.nyquist, n)
 
 

@@ -26,7 +26,7 @@ from .lpaley import LittlewoodPaley
 from .norms import bernstein_ratio, besov_norm
 from .picard import PicardOperator, picard_solve, reference_trajectory
 from .response import (MultiplierTable, decay_bound_check, decay_slope, default_tau_grid,
-                       epsilon_g, stability_margin)
+                       default_xi_grid, epsilon_g, stability_margin)
 from .svgplot import emit_plot
 from .twowave import (TwoWaveParams, closed_form_spectrum, eigensolver_spectrum,
                       most_unstable_ray_frequency, multiset_distance, simulate_linearized,
@@ -106,8 +106,14 @@ def _tau_grid(cfg: RunConfig):
     return default_tau_grid(cfg["tau.max"], cfg["tau.min"], cfg["tau.count"])
 
 
-def _xi_grid(cfg: RunConfig, grid):
-    return np.linspace(grid.xi_min, grid.nyquist, cfg["xi.count"])
+def _perturbed_equilibrium(cfg: RunConfig):
+    """(spec, perturbed, eq): the configured equilibrium eq and its bump."""
+    ens, _ = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
+                              cfg["theta"], cfg.get("m.override"))
+    spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
+                    center=cfg["pert.center"], carrier=cfg["pert.carrier"],
+                    mode=min(cfg["pert.mode"], max(ens.n_modes - 1, 0)))
+    return (spec, *add_perturbation(ens, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +159,9 @@ def _exp_equilibrium_check(cfg, out, seed):
 
 
 def _exp_simulate(cfg, out, seed):
-    grid = cfg.make_grid()
-    f, w = cfg.make_distribution(), cfg.make_potential()
-    ens, _ = init_equilibrium(grid, f, w, cfg["theta"], cfg.get("m.override"))
-    spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
-                    center=cfg["pert.center"], carrier=cfg["pert.carrier"],
-                    mode=min(cfg["pert.mode"], max(ens.n_modes - 1, 0)))
-    perturbed, state = add_perturbation(ens, spec)
+    _, perturbed, eq = _perturbed_equilibrium(cfg)
     traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"],
-                  reference=state, record_norms=True)
+                  reference=eq, record_norms=True)
     records = []
     for i, t in enumerate(traj.times):
         rec = {"t": float(t), "energy": float(traj.energies[i]),
@@ -189,7 +189,7 @@ def _exp_linear_response(cfg, out, seed):
     d = cfg["grid.d"]
     cov = CovarianceProfile(f, d)
     taus = _tau_grid(cfg)
-    xis = np.concatenate([[0.0], _xi_grid(cfg, grid)])
+    xis = np.concatenate([[0.0], default_xi_grid(grid, cfg["xi.count"])])
     table = MultiplierTable.build(cov, d, taus, xis)
     rows = []
     for i, tau in enumerate(table.taus):
@@ -230,7 +230,7 @@ def _exp_stability_check(cfg, out, seed):
     f, w = cfg.make_distribution(), cfg.make_potential()
     d = cfg["grid.d"]
     cov = CovarianceProfile(f, d)
-    table = MultiplierTable.build(cov, d, _tau_grid(cfg), _xi_grid(cfg, grid))
+    table = MultiplierTable.build(cov, d, _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"]))
     margin = stability_margin(table, w)
     eps = epsilon_g(cov, d)
     hyp = hypothesis_check(cov, w, d, epsilon_g=eps.value)
@@ -300,18 +300,12 @@ def _exp_instability(cfg, out, seed):
 
 
 def _exp_picard(cfg, out, seed):
-    grid = cfg.make_grid()
-    f, w = cfg.make_distribution(), cfg.make_potential()
-    ens, _ = init_equilibrium(grid, f, w, cfg["theta"], cfg.get("m.override"))
-    spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
-                    center=cfg["pert.center"], carrier=cfg["pert.carrier"],
-                    mode=min(cfg["pert.mode"], max(ens.n_modes - 1, 0)))
-    perturbed, state = add_perturbation(ens, spec)
-    z0 = state.deviations(perturbed)
-    op = PicardOperator(grid, state, w, z0, cfg["T"], cfg["picard.steps"])
+    spec, perturbed, eq = _perturbed_equilibrium(cfg)
+    grid = eq.grid
+    op = PicardOperator(grid, eq, eq.w, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
 
-    ts, Zref, Vref = reference_trajectory(ens, state, spec, cfg["T"], cfg["picard.steps"],
+    ts, Zref, Vref = reference_trajectory(eq, spec, cfg["T"], cfg["picard.steps"],
                                           substeps=cfg["picard.substeps"])
     sup_diff = float(np.max(np.sqrt(np.sum(np.abs(result.Z - Zref) ** 2,
                                            axis=tuple(range(1, 2 + grid.d))) * grid.dx)))
@@ -378,16 +372,10 @@ def _exp_norms(cfg, out, seed):
 
 
 def _exp_scattering_probe(cfg, out, seed):
-    grid = cfg.make_grid()
-    f, w = cfg.make_distribution(), cfg.make_potential()
-    ens, _ = init_equilibrium(grid, f, w, cfg["theta"], cfg.get("m.override"))
-    spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
-                    center=cfg["pert.center"], carrier=cfg["pert.carrier"],
-                    mode=min(cfg["pert.mode"], max(ens.n_modes - 1, 0)))
-    perturbed, state = add_perturbation(ens, spec)
+    _, perturbed, eq = _perturbed_equilibrium(cfg)
     traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"],
-                  reference=state, snapshot_stride=cfg["snap.stride"])
-    report = scattering_probe(traj, grid, state.m, ball_center=cfg["pert.center"],
+                  reference=eq, snapshot_stride=cfg["snap.stride"])
+    report = scattering_probe(traj, eq.grid, eq.m, ball_center=cfg["pert.center"],
                               ball_radius=cfg.get("probe.radius"))
     records = [{"t": float(t), "local_mass": float(mass)}
                for t, mass in zip(report.times, report.local_mass)]
@@ -407,7 +395,7 @@ def _exp_scattering_probe(cfg, out, seed):
     verdicts = {"cauchy_decreasing": report.cauchy_decreasing,
                 "local_mass_decreasing": report.mass_decreasing,
                 "window_within_recurrence": not report.window_warning}
-    if w.kind == "zero":
+    if eq.w.kind == "zero":
         verdicts = {"free_flow_unwound_constant": float(np.max(report.cauchy)) <= 1e-10
                     if len(report.cauchy) else True}
     return [path, spath], verdicts

@@ -251,7 +251,7 @@ def test_c07_picard_contraction():
     res = ht.picard_solve(op, max_iters=8)
     factor = max(res.contraction[1:5])
 
-    ts, Zref, Vref = ht.reference_trajectory(ens, state, spec, 1.0, 200, substeps=5)
+    ts, Zref, Vref = ht.reference_trajectory(ens, spec, 1.0, 200, substeps=5)
     sup = float(np.max(np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx)))
     ok = factor < 0.5 and sup <= 1e-4 and res.converged and not res.diverged
     assert report("C7 fixed-point contraction", ok,

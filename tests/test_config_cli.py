@@ -98,6 +98,21 @@ def test_envelope_exit_code_and_echo(tmp_path):
     assert meta["verdicts"] and all(meta["verdicts"].values())
 
 
+VECTOR_BASE = {"grid.d": "2", "f.kind": "fermi", "w.kind": "delta", "pert.amplitude": "1e-3",
+               "pert.center": "1.0,2.0", "pert.carrier": "1.0,0.0", "twowave.m": "1.0",
+               "twowave.xi": "1.0,0.0"}
+
+
+@pytest.mark.parametrize("key, kind", [("pert.center", "simulate"), ("pert.carrier", "picard"),
+                                       ("twowave.xi", "instability")])
+def test_vector_key_needs_d_components(key, kind):
+    for bad in ("", "1.0", "1.0,2.0,3.0"):
+        text = "".join(f"{k} = {bad if k == key else v}\n" for k, v in VECTOR_BASE.items())
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text, kind)
+        assert any(key in v for v in exc.value.violations), bad
+
+
 def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "hartorus.cli", *args],
                           capture_output=True, text=True)
@@ -142,6 +157,15 @@ def test_cli_config_error_exit_two(tmp_path):
     proc = _run_cli(["equilibrium-check", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_cli_empty_center_exit_two(tmp_path):
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("grid.d = 2\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e-3\n"
+                        "pert.center =\n")
+    proc = _run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert "pert.center" in proc.stderr
 
 
 def test_cli_missing_file_exit_two(tmp_path):

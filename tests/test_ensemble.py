@@ -32,6 +32,20 @@ def test_init_zero_distribution_empty(grid):
     assert rep.truncated_fraction == 0.0
 
 
+def test_equilibrium_fields_match_per_mode_plane_waves():
+    g = TorusGrid(2, 5.0, 16)  # carriers off the integers
+    ens, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
+    for t in (0.0, 0.37):
+        ref = np.empty_like(ens.fields)
+        for j, (xi, a) in enumerate(zip(ens.carriers, ens.weights)):
+            phase = np.zeros(g.shape)
+            for comp, x in zip(xi, g.x_vectors):
+                phase = phase + comp * x
+            ref[j] = a * np.exp(1j * (phase - t * (ens.m + float(np.dot(xi, xi)))))
+        assert np.array_equal(ens.equilibrium_fields(t), ref)
+    assert np.array_equal(ens.fields, ens.equilibrium_fields(0.0))
+
+
 def test_init_threshold_rejects_everything(grid):
     with pytest.raises(ValueError):
         init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), threshold=1e6)

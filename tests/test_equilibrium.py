@@ -170,3 +170,11 @@ def test_hypothesis_accepts_profile():
     cov = CovarianceProfile(f, 3)
     assert hypothesis_check(cov, w, 3, epsilon_g=0.17).bullets == \
         hypothesis_check(f, w, 3, epsilon_g=0.17).bullets
+
+
+def test_custom_support_radius_reaches_shell_beyond_r1():
+    # the profile vanishes at r = 1 but not on (2.6, 3.4)
+    f = custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 3.0) < 0.4))
+    assert 3.4 <= f.support_radius() <= 3.5
+    exact = 4 * math.pi * (3.4 ** 3 - 2.6 ** 3) / 3
+    assert CovarianceProfile(f, 3).h0 == pytest.approx(exact, rel=1e-6)

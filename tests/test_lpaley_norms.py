@@ -56,7 +56,6 @@ def test_disjoint_annuli(grid, lp):
 
 
 def test_uncovered_block_flagged(grid, lp):
-    assert not lp.block(20).covered
     assert not lp.resolvable(20)
     f = SpectralField.random(grid, np.random.default_rng(8))
     assert np.max(np.abs(lp.project(f, 20).values)) == 0.0

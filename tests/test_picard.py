@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hartorus import (BumpSpec, PicardOperator, TorusGrid, add_perturbation, delta_potential,
-                      fermi, init_equilibrium, picard_solve, reference_trajectory)
+from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, TorusGrid, add_perturbation,
+                      critical_exponents, delta_potential, deviation_norms, fermi,
+                      init_equilibrium, picard_solve, reference_trajectory)
+from hartorus.ensemble import _stack_norms
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +49,7 @@ def test_picard_limit_matches_split_step(setup):
     z0 = state.deviations(pert)
     op = PicardOperator(grid, state, w, z0, T=1.0, n_steps=100)
     res = picard_solve(op, max_iters=8)
-    ts, Zref, Vref = reference_trajectory(ens, state, spec, 1.0, 100, substeps=10)
+    ts, Zref, Vref = reference_trajectory(ens, spec, 1.0, 100, substeps=10)
     sup = np.max(np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx))
     assert sup <= 1e-4
     assert np.max(np.abs(res.V - Vref)) <= 1e-4
@@ -62,3 +64,29 @@ def test_divergence_flagged(setup):
     res = picard_solve(op, max_iters=12)
     assert res.diverged
     assert not res.converged
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_pair_norms_are_time_norms_of_stacked_ingredients(d, N):
+    grid = TorusGrid(d, 2 * np.pi, N)
+    w = delta_potential(1.0)
+    eq, _ = init_equilibrium(grid, fermi(1.0, 0.0), w, 1e-8)
+    op = PicardOperator(grid, eq, w, np.zeros_like(eq.fields), T=0.3, n_steps=3)
+    rng = np.random.default_rng(d)
+    shape = (op.n_t, op.M) + grid.shape
+    Z = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    lp = LittlewoodPaley(grid)
+    per_time, _ = _stack_norms(grid, Z, lp)
+    for i in range(op.n_t):
+        one = deviation_norms(grid, Z[i], lp)
+        for k, v in per_time.items():
+            assert v[i] == pytest.approx(one[k], rel=1e-14, abs=0), k
+
+    def time_norm(vals, power):
+        return np.trapezoid(vals ** power, dx=op.dt) ** (1.0 / power)
+
+    got = op.pair_norms(Z, np.zeros((op.n_t,) + grid.shape), lp)
+    assert got["z_sup_l2"] == np.max(per_time["l2"])
+    assert got["z_l_dplus2"] == time_norm(per_time["l_dplus2"], d + 2)
+    assert got["z_lp_wsp"] == time_norm(per_time["w_sp"], critical_exponents(d)["p"])
+    assert got["z_l4_besov"] == time_norm(per_time["besov_q"], 4)

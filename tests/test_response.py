@@ -5,7 +5,7 @@ import pytest
 from scipy.special import dawsn
 
 from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, apply_L1_frequency_domain,
-                      apply_L1_time_domain, compute_mf, compute_mf_vec, decay_bound_check,
+                      apply_L1_time_domain, compute_mf, decay_bound_check,
                       decay_slope, default_tau_grid, delta_potential, epsilon_g, fermi,
                       gaussian_f2, sphere_area, stability_margin, zero_distribution,
                       zero_potential)
@@ -53,13 +53,6 @@ def test_mf_conjugate_symmetry(cov3):
     taus = np.array([-8.0, -1.0, 0.0, 1.0, 8.0])
     table = MultiplierTable.build(cov3, 3, taus, np.array([0.7, 1.9]))
     assert table.conjugate_symmetry_defect() <= 2 * max(table.max_error(), 1e-12)
-
-
-def test_mf_radial_in_xi(cov3):
-    v1, _ = compute_mf_vec(cov3, 3, 1.3, [1.0, 0.0, 0.0])
-    v2, _ = compute_mf_vec(cov3, 3, 1.3, [0.0, -1.0, 0.0])
-    v3, _ = compute_mf_vec(cov3, 3, 1.3, [0.6, 0.8, 0.0])
-    assert v1 == v2 == v3
 
 
 def test_mf_decay_slope_is_quadratic(cov3):

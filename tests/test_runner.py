@@ -1,6 +1,8 @@
 """End-to-end runs of every experiment kind on small configurations."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +141,27 @@ def test_stability_check_builds_one_profile(tmp_path, monkeypatch):
     env = run_experiment(parse_config(CONFIGS["stability-check"], "stability-check"), tmp_path)
     assert env.all_passed
     assert len(calls) == 1
+
+
+def test_bench_tracer_finds_every_patched_name(tmp_path):
+    # bench/tracer.py rebinds hartorus names from outside the package; a
+    # renamed target would drop its spans from a traced bench run silently
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+        tracer.begin_op(0)
+        for kind in ("simulate", "picard"):
+            run_experiment(parse_config(CONFIGS[kind], kind), tmp_path / kind)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    summary = tracer.op_summary(0)
+    for name in ("ensemble.norms", "ensemble.step", "picard.apply", "picard.duhamel",
+                 "picard.pair_norms", "picard.reference"):
+        assert summary[f"{name}.calls"] > 0, name
+    assert all(vars(owner)[attr] is original for owner, attr, original in patched)
