@@ -12,11 +12,17 @@ written in the gauged form with the constant m inside the kinetic factor:
 half-step e^{-i dt/2 (m + |xi|^2)} in frequency, full-step physical phase
 e^{-i dt ((w*rho)(x) - m)}, half-step kinetic.  Equilibria then rotate by
 the exact phases e^{-i t (m + |xi_j|^2)} and the splitting preserves every
-per-mode mass to rounding.
+per-mode mass to rounding.  step(ens, dt, n) runs a window of n steps with
+the adjacent kinetic half-steps fused into one full kinetic step, so a step
+costs one forward and one inverse stack FFT; evolve steps one observation
+window at a time.
 
 An unperturbed ensemble is its own reference: add_perturbation returns
 (perturbed, eq), and eq.deviations(perturbed) is Z = u - y against the exact
-equilibrium phases of eq at the perturbed ensemble's time.
+equilibrium phases of eq at the perturbed ensemble's time.  Y(t) is eq's
+stored plane-wave stack times one phase per mode (equilibrium_at), not an
+exp over the whole stack; equilibrium_fields builds the plane waves from
+scratch and is its oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import DistributionFunction, InteractionPotential
+from .field import fftn, ifftn
 from .grid import TorusGrid
 from .lpaley import LittlewoodPaley, eta_j
 
@@ -67,17 +74,29 @@ class ModeEnsemble:
             return np.zeros(self.grid.shape)
         return np.sum(np.abs(self.fields) ** 2, axis=0)
 
+    def _rates(self) -> np.ndarray:
+        """m + |xi_j|^2 per mode."""
+        return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
+
     def equilibrium_fields(self, t: Optional[float] = None) -> np.ndarray:
         """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)}."""
         t = self.t if t is None else t
         lead = (-1,) + (1,) * self.grid.d
-        freq2 = np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
-        rotation = (t * (self.m + freq2)).reshape(lead)
+        rotation = (t * self._rates()).reshape(lead)
         return self.weights.reshape(lead) * np.exp(1j * (self.grid.phase(self.carriers) - rotation))
+
+    def equilibrium_at(self, t) -> np.ndarray:
+        """Y(t): the stored fields times the (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)},
+        one exp per mode; (n_t, M, *grid) for an array of times.  The stored
+        fields must be the exact equilibrium at self.t, as init_equilibrium and
+        add_perturbation leave them (equilibrium_fields is the oracle)."""
+        rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates()))
+        return self.fields * rot.reshape(rot.shape + (1,) * self.grid.d)
 
     def deviations(self, ens: "ModeEnsemble") -> np.ndarray:
         """Z = u - y: the modes of ens minus this equilibrium at time ens.t."""
-        return ens.fields - self.equilibrium_fields(ens.t)
+        Y = self.equilibrium_at(ens.t)
+        return np.subtract(ens.fields, Y, out=Y)
 
     def induced_potential(self, ens: "ModeEnsemble") -> np.ndarray:
         """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
@@ -86,7 +105,7 @@ class ModeEnsemble:
     def reconstructed_potential(self, ens: "ModeEnsemble") -> np.ndarray:
         """V rebuilt from E|Z|^2 + 2 Re E(Y-bar Z); equals induced_potential
         by the mode-orthogonality identity."""
-        Y = self.equilibrium_fields(ens.t)
+        Y = self.equilibrium_at(ens.t)
         Z = ens.fields - Y
         return (np.sum(np.abs(Z) ** 2, axis=0)
                 + 2.0 * np.sum(np.conj(Y) * Z, axis=0).real)
@@ -140,29 +159,34 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
             InitReport(retained_mass=retained, truncated_mass=total - retained))
 
 
-def step(ens: ModeEnsemble, dt: float) -> ModeEnsemble:
-    """One Strang step; pure (returns the advanced ensemble)."""
+def step(ens: ModeEnsemble, dt: float, n: int = 1) -> ModeEnsemble:
+    """n Strang steps with adjacent kinetic half-steps fused; pure (returns
+    the advanced ensemble, ens.fields is left as it was)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    t = ens.t
+    for _ in range(n):
+        t += dt  # the time of n single steps, to the bit
     if ens.n_modes == 0:
-        return replace(ens, t=ens.t + dt)
+        return replace(ens, t=t)
     g = ens.grid
     axes = ens.space_axes
-    kin = np.exp(-0.5j * dt * (ens.m + g.xi_squared))
-
-    hat = np.fft.fftn(ens.fields, axes=axes)
-    hat *= kin
-    u = np.fft.ifftn(hat, axes=axes)
-
-    rho = np.sum(np.abs(u) ** 2, axis=0)
+    half = np.exp(-0.5j * dt * (ens.m + g.xi_squared))
+    full = half * half
     sym = ens.w.what(g.xi_norm)
-    pot = np.fft.ifftn(sym * np.fft.fftn(rho)).real
-    u *= np.exp(-1j * dt * (pot - ens.m))
 
-    hat = np.fft.fftn(u, axes=axes)
-    hat *= kin
-    u = np.fft.ifftn(hat, axes=axes)
-    return replace(ens, fields=u, t=ens.t + dt)
+    hat = fftn(ens.fields, axes=axes)
+    hat *= half
+    for k in range(n):
+        u = ifftn(hat, axes=axes, overwrite_x=True)
+        rho = np.sum(np.abs(u) ** 2, axis=0)
+        pot = ifftn(sym * fftn(rho), overwrite_x=True).real
+        u *= np.exp(-1j * dt * (pot - ens.m))
+        hat = fftn(u, axes=axes, overwrite_x=True)
+        hat *= full if k < n - 1 else half
+    return replace(ens, fields=ifftn(hat, axes=axes, overwrite_x=True), t=t)
 
 
 def conserved_energy(ens: ModeEnsemble) -> float:
@@ -170,13 +194,13 @@ def conserved_energy(ens: ModeEnsemble) -> float:
     if ens.n_modes == 0:
         return 0.0
     g = ens.grid
-    hat = np.fft.fftn(ens.fields, axes=ens.space_axes) * g.dx
+    hat = fftn(ens.fields, axes=ens.space_axes) * g.dx
     wgt = (2 * math.pi) ** (-g.d) * g.dxi
     kinetic = float(np.sum(g.xi_squared[None] * np.abs(hat) ** 2) * wgt)
     gauge = ens.m * float(np.sum(ens.mode_masses()))
     rho = ens.density_values()
     sym = ens.w.what(g.xi_norm)
-    wrho = np.fft.ifftn(sym * np.fft.fftn(rho)).real
+    wrho = ifftn(sym * fftn(rho), overwrite_x=True).real
     interaction = 0.5 * float(np.sum(wrho * rho) * g.dx)
     return kinetic + gauge + interaction
 
@@ -238,8 +262,8 @@ def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
     unnormalised FFTs whose trailing axes are the grid's."""
     lead = hat.ndim - grid.d
     for j in lp.j_resolvable:
-        yield j, np.fft.ifftn(eta_j(grid.xi_norm, j)[(None,) * lead] * hat,
-                              axes=tuple(range(lead, hat.ndim)))
+        yield j, ifftn(eta_j(grid.xi_norm, j)[(None,) * lead] * hat,
+                       axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
 
 
 def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley):
@@ -257,9 +281,9 @@ def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley):
     out = {"l2": np.sqrt(np.sum(dens, axis=(mode,) + space) * dx),
            "l_dplus2": _lebesgue(np.sqrt(np.sum(dens, axis=mode)), float(d + 2), dx, pointwise)}
     del dens
-    hat = np.fft.fftn(stack, axes=space)
+    hat = fftn(stack, axes=space)
     bessel = ((1 + grid.xi_squared) ** (ex["s"] / 2))[(None,) * (mode + 1)]
-    smooth = np.fft.ifftn(bessel * hat, axes=space)
+    smooth = ifftn(bessel * hat, axes=space, overwrite_x=True)
     out["w_sp"] = _lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=mode)), ex["p"], dx, pointwise)
     del smooth
     acc = np.zeros(stack.shape[:mode])
@@ -338,10 +362,10 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
 
     state = ens
     observe(0, state)
-    for i in range(1, n_steps + 1):
-        state = step(state, dt)
-        if i % obs_stride == 0 or i == n_steps:
-            observe(i, state)
+    for i in range(0, n_steps, obs_stride):
+        n = min(obs_stride, n_steps - i)
+        state = step(state, dt, n)
+        observe(i + n, state)
 
     norms = None
     if norm_rows:
@@ -383,12 +407,12 @@ def scattering_probe(traj: Trajectory, grid: TorusGrid, m: float,
         raise ValueError("trajectory carries no snapshots; evolve with snapshot_stride")
     ts = traj.snapshot_times
     Z = traj.snapshots
-    axes = tuple(range(1, 1 + grid.d))  # space axes within one (M, *grid) stack
+    axes = tuple(range(2, 2 + grid.d))  # space axes of the (n_snap, M, *grid) stack
 
-    unwound = np.empty_like(Z)
-    for i, t in enumerate(ts):
-        phase = np.exp(1j * t * (m + grid.xi_squared))
-        unwound[i] = np.fft.ifftn(phase[None] * np.fft.fftn(Z[i], axes=axes), axes=axes)
+    phase = np.exp(1j * np.multiply.outer(ts, m + grid.xi_squared))[:, None]
+    unwound = fftn(Z, axes=axes)
+    unwound *= phase
+    unwound = ifftn(unwound, axes=axes, overwrite_x=True)
 
     diffs = unwound[1:] - unwound[:-1]
     cauchy = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=tuple(range(1, 2 + grid.d))) * grid.dx)

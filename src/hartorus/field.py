@@ -4,13 +4,35 @@ Convention: forward transform integrates against e^{-i x.xi} (coefficients
 carry the physical cell volume), the inverse carries (2*pi)^-d and the
 frequency cell volume.  Both are realized through the FFT so a round trip
 is exact to rounding.
+
+fftn / ifftn are the package's one FFT pair: unnormalised scipy.fft
+transforms on one worker.  More workers split the batch of 1-D transforms
+statically and do not change the output bits, but then every transform
+waits for its slowest thread: on a shared 2-CPU host, where another
+process's load took the second CPU now and then, two workers made the
+d=3 split-step op vary by about 25% from run to run, while one worker ran
+steadily at a time that tracks the host's single-thread speed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .grid import TorusGrid
+
+_WORKERS = 1
+
+
+def fftn(x, axes=None, s=None, overwrite_x=False):
+    """Unnormalised forward FFT over axes (all by default), zero-padded to s;
+    overwrite_x only on a temporary the caller no longer needs."""
+    return scipy.fft.fftn(x, s=s, axes=axes, overwrite_x=overwrite_x, workers=_WORKERS)
+
+
+def ifftn(x, axes=None, overwrite_x=False):
+    """Inverse of fftn (carries the 1/n)."""
+    return scipy.fft.ifftn(x, axes=axes, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
 class SpectralField:
@@ -69,7 +91,7 @@ class SpectralField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            vals = np.fft.ifftn(np.asarray(self._hat)) / self.grid.dx
+            vals = ifftn(self._hat) / self.grid.dx
             vals.flags.writeable = False
             self._values = vals
         return self._values
@@ -77,7 +99,7 @@ class SpectralField:
     @property
     def coefficients(self) -> np.ndarray:
         if self._hat is None:
-            hat = np.fft.fftn(np.asarray(self._values)) * self.grid.dx
+            hat = fftn(self._values) * self.grid.dx
             hat.flags.writeable = False
             self._hat = hat
         return self._hat
@@ -128,6 +150,6 @@ class SpectralField:
         return float(np.sqrt(np.sum(np.abs(self.coefficients) ** 2) * g.dxi) * (2 * np.pi) ** (-g.d / 2))
 
     def roundtrip_error(self) -> float:
-        back = np.fft.ifftn(np.fft.fftn(np.asarray(self.values)))
+        back = ifftn(fftn(self.values), overwrite_x=True)
         scale = max(1.0, float(np.max(np.abs(self.values))))
         return float(np.max(np.abs(back - self.values)) / scale)

@@ -22,6 +22,7 @@ import numpy as np
 from .ensemble import (BumpSpec, ModeEnsemble, _dyadic_blocks, _stack_norms, add_perturbation,
                        critical_exponents, evolve)
 from .equilibrium import InteractionPotential
+from .field import fftn, ifftn
 from .grid import TorusGrid
 from .lpaley import LittlewoodPaley
 
@@ -54,17 +55,16 @@ class PicardOperator:
         if self.z0.shape != (self.M,) + grid.shape:
             raise ValueError("Z0 must be one field per equilibrium mode")
 
-        # equilibrium modes on the whole time lattice, one slice at a time
-        self.Y = np.empty((self.n_t, self.M) + grid.shape, dtype=complex)
-        for i, t in enumerate(self.ts):
-            self.Y[i] = eq.equilibrium_fields(t)
+        # equilibrium modes on the whole time lattice: eq's stored plane waves
+        # times one (n_t, M) array of phases
+        self.Y = eq.equilibrium_at(self.ts)
 
         # free-flow image of the initial perturbation on the time lattice
-        z0_hat = np.fft.fftn(self.z0, axes=tuple(range(1, 1 + grid.d)))
+        z0_hat = fftn(self.z0, axes=tuple(range(1, 1 + grid.d)))
         self.SZ0 = np.empty_like(self.Y)
         for i, t in enumerate(self.ts):
             ph = np.exp(-1j * t * self.phase_rate)
-            self.SZ0[i] = np.fft.ifftn(ph[None] * z0_hat, axes=tuple(range(1, 1 + grid.d)))
+            self.SZ0[i] = ifftn(ph[None] * z0_hat, axes=tuple(range(1, 1 + grid.d)), overwrite_x=True)
 
     def zero_pair(self):
         Z = np.zeros((self.n_t, self.M) + self.grid.shape, dtype=complex)
@@ -72,16 +72,17 @@ class PicardOperator:
         return Z, V
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
-        hat = np.fft.fftn(V.astype(complex), axes=tuple(range(1, 1 + self.grid.d)))
-        return np.fft.ifftn(self.what_lattice[None] * hat, axes=tuple(range(1, 1 + self.grid.d))).real
+        hat = fftn(V, axes=tuple(range(1, 1 + self.grid.d)))
+        hat *= self.what_lattice
+        return ifftn(hat, axes=tuple(range(1, 1 + self.grid.d)), overwrite_x=True).real
 
     def duhamel(self, F: np.ndarray) -> np.ndarray:
         """-i int_0^t S(t-s) F(s) ds on the stack F (n_t, M, *grid)."""
-        hat = np.fft.fftn(F, axes=self.space_axes)
+        hat = fftn(F, axes=self.space_axes)
         fwd = np.exp(1j * np.multiply.outer(self.ts, self.phase_rate))  # S(-s) symbols
         integ = _cumtrapz0(fwd[:, None] * hat, self.dt)
         out_hat = -1j * np.conj(fwd)[:, None] * integ
-        return np.fft.ifftn(out_hat, axes=self.space_axes)
+        return ifftn(out_hat, axes=self.space_axes, overwrite_x=True)
 
     def apply(self, Z: np.ndarray, V: np.ndarray):
         """One application of the map; returns (Z', V')."""
@@ -116,7 +117,7 @@ class PicardOperator:
         vp = (d + 2) / 2.0
         out["v_l_half"] = t_integral((np.sum(np.abs(V) ** vp, axis=space) * g.dx) ** (1.0 / vp), vp)
         acc = np.zeros(self.n_t)
-        for j, block in _dyadic_blocks(g, np.fft.fftn(V.astype(complex), axes=space), lp):
+        for j, block in _dyadic_blocks(g, fftn(V, axes=space), lp):
             n2 = np.sqrt(np.sum(np.abs(block) ** 2, axis=space) * g.dx)
             acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
         out["v_l2_besov"] = t_integral(np.sqrt(acc), 2)
@@ -189,5 +190,5 @@ def reference_trajectory(ens_eq: ModeEnsemble, spec: BumpSpec,
     # V on the same lattice from the stored snapshots plus the equilibrium
     V = np.empty((len(ts),) + eq.grid.shape)
     for i, t in enumerate(ts):
-        V[i] = np.sum(np.abs(eq.equilibrium_fields(t) + Z[i]) ** 2, axis=0) - rho_eq
+        V[i] = np.sum(np.abs(eq.equilibrium_at(t) + Z[i]) ** 2, axis=0) - rho_eq
     return ts, Z, V

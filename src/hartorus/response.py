@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len
 
 from .equilibrium import CovarianceProfile, InteractionPotential, as_profile, sphere_area
+from .field import fftn, ifftn
 from .grid import TorusGrid
 
 _GAUSS_HI = np.polynomial.legendre.leggauss(32)
@@ -172,19 +173,22 @@ def apply_L1_time_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGri
     dt = ts[1] - ts[0] if n_t > 1 else 0.0
 
     space_axes = tuple(range(1, grid.d + 1))
-    Vhat = np.fft.fftn(V_stack, axes=space_axes).reshape(n_t, -1)
+    Vhat = fftn(V_stack, axes=space_axes).reshape(n_t, -1)
 
     uniq, inv = _radial_lookup(grid)
     lag = ts - ts[0]
     kern_r = -2.0 * np.sin(np.outer(lag, uniq ** 2)) * cov(2.0 * np.outer(lag, uniq))
     kern = kern_r[:, inv] * w.what(uniq)[inv][None, :]
 
-    # trapezoid = full convolution minus half of the s=0 and s=t endpoint
+    # trapezoid = full convolution (zero-padded past 2 n_t - 1, so the
+    # transform does not wrap) minus half of the s=0 and s=t endpoint
     # terms; the kernel vanishes at zero lag so only s=0 remains.
-    conv = fftconvolve(kern, Vhat, axes=0)[:n_t]
+    n_fft = (next_fast_len(2 * n_t - 1),)
+    conv = fftn(kern, axes=(0,), s=n_fft)
+    conv *= fftn(Vhat, axes=(0,), s=n_fft)
+    conv = ifftn(conv, axes=(0,), overwrite_x=True)[:n_t]
     out_hat = dt * (conv - 0.5 * kern * Vhat[0][None, :])
-    out = np.fft.ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes)
-    return out
+    return ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes, overwrite_x=True)
 
 
 def apply_L1_frequency_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGrid,
@@ -202,9 +206,7 @@ def apply_L1_frequency_domain(V_stack, ts, f, w: InteractionPotential, grid: Tor
         n_pad *= 2
 
     space_axes = tuple(range(1, grid.d + 1))
-    Vhat = np.fft.fftn(V_stack, axes=space_axes).reshape(n_t, -1)
-    Vpad = np.zeros((n_pad, Vhat.shape[1]), dtype=complex)
-    Vpad[:n_t] = Vhat
+    Vhat = fftn(V_stack, axes=space_axes).reshape(n_t, -1)
 
     taus = 2.0 * math.pi * np.fft.fftfreq(n_pad, d=dt)
     uniq, inv = _radial_lookup(grid)
@@ -213,10 +215,10 @@ def apply_L1_frequency_domain(V_stack, ts, f, w: InteractionPotential, grid: Tor
         mf_cols[:, i], _ = compute_mf_batch(cov, taus, float(r))
     symbol = mf_cols[:, inv] * w.what(uniq)[inv][None, :]
 
-    out_pad = np.fft.ifft(symbol * np.fft.fft(Vpad, axis=0), axis=0)
-    out_hat = out_pad[:n_t]
-    out = np.fft.ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes)
-    return out
+    out_pad = fftn(Vhat, axes=(0,), s=(n_pad,))
+    out_pad *= symbol
+    out_hat = ifftn(out_pad, axes=(0,), overwrite_x=True)[:n_t]
+    return ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .equilibrium import InteractionPotential
+from .field import fftn
 from .grid import TorusGrid
 
 
@@ -224,7 +225,7 @@ def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float
     carrier = np.cos(grid.phase(k0))
     for i in range(4):
         u0[i] = carrier + noise * rng.standard_normal(shape)
-    uhat0 = np.fft.fftn(u0, axes=tuple(range(1, grid.d + 1))).reshape(4, -1)
+    uhat0 = fftn(u0, axes=tuple(range(1, grid.d + 1))).reshape(4, -1)
 
     # the seeded lattice frequency and its eigendecomposition
     lattice = np.stack([g.ravel() for g in grid.xi_vectors], axis=1)

@@ -236,3 +236,32 @@ def test_scattering_probe_warns_past_recurrence():
     traj = evolve(pert, 4.0, 1e-2, obs_stride=100, reference=state, snapshot_stride=1)
     rpt = scattering_probe(traj, g, state.m)
     assert rpt.window_warning  # recurrence time is pi here
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_fused_window_matches_single_steps(d, N):
+    # the fused window is the product of n single Strang steps with the
+    # adjacent kinetic half-steps merged; single steps are its oracle
+    g = TorusGrid(d, 2 * np.pi, N)
+    ens, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), 1e-6)
+    spec = BumpSpec(0.2, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=ens.n_modes // 2)
+    pert, _ = add_perturbation(ens, spec)
+    before = pert.fields.copy()
+    dt, n = 1e-3, 7
+
+    fused = step(pert, dt, n)
+    single = pert
+    for _ in range(n):
+        single = step(single, dt)
+    assert np.array_equal(pert.fields, before)  # step is pure
+    assert fused.t == single.t
+    assert np.max(np.abs(fused.fields - single.fields)) <= 1e-12
+    m0 = pert.mode_masses()
+    assert np.max(np.abs(fused.mode_masses() - m0) / m0) <= 1e-13
+
+    # windows of 6 steps, the last one of 2, against one observation per step
+    strided = evolve(pert, 0.02, dt, obs_stride=6).final
+    every = evolve(pert, 0.02, dt, obs_stride=1).final
+    assert strided.t == every.t
+    assert np.max(np.abs(strided.fields - every.fields)) <= 1e-12
+    assert np.array_equal(pert.fields, before)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,3 +102,13 @@ def test_values_immutable():
     f = SpectralField.constant(g, 1.0)
     with pytest.raises(ValueError):
         f.values[0] = 0.0
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal costs about 0.65 s and 20 MiB at import (2-CPU host); the package
+    # convolves along time through its own FFT pair instead
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hartorus; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hartorus import equilibrium, parse_config, run_experiment
+from hartorus import equilibrium, field, parse_config, run_experiment
 
 CONFIGS = {
     "equilibrium-check": """
@@ -164,4 +164,21 @@ def test_bench_tracer_finds_every_patched_name(tmp_path):
     for name in ("ensemble.norms", "ensemble.step", "picard.apply", "picard.duhamel",
                  "picard.pair_norms", "picard.reference"):
         assert summary[f"{name}.calls"] > 0, name
+    # stack FFTs reach the tracer only through the scipy.fft module attribute
+    assert summary["field.fft.calls"] > 0
     assert all(vars(owner)[attr] is original for owner, attr, original in patched)
+
+
+def test_payloads_independent_of_fft_workers(tmp_path, monkeypatch):
+    # the FFT pair runs on one worker; payload bytes must not depend on how
+    # many split its transforms
+    def shas(sub):
+        out = {}
+        for kind in ("simulate", "picard"):
+            env = run_experiment(parse_config(CONFIGS[kind], kind), tmp_path / sub / kind)
+            out[kind] = [(p["path"], p["sha256"]) for p in env.payloads]
+        return out
+
+    default = shas("default")
+    monkeypatch.setattr(field, "_WORKERS", 2)
+    assert shas("two") == default
