@@ -201,8 +201,8 @@ def eval_h(f: DistributionFunction, d: int, x: float, tol: float = 1e-10):
 
     Adaptive single-point quadrature: QUADPACK's weighted rules take the
     cosine/sine factors, the Bessel kernels go through adaptive panels with a
-    subdivision budget that grows with the number of oscillations.  It gives
-    CovarianceProfile its h(0) and serves as the oracle for its table.
+    subdivision budget that grows with the number of oscillations.  It serves
+    as the oracle for CovarianceProfile's table and its h(0).
     """
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside 1..4")
@@ -211,34 +211,47 @@ def eval_h(f: DistributionFunction, d: int, x: float, tol: float = 1e-10):
         return 0.0, 0.0
     rend = f.support_radius()
     f2 = f.f2
+    acc = {"epsabs": tol, "epsrel": tol}
     if x == 0.0:
-        val, err = integrate.quad(lambda r: f2(r) * r ** (d - 1), 0.0, rend, limit=200)
+        val, err = integrate.quad(lambda r: f2(r) * r ** (d - 1), 0.0, rend, limit=200, **acc)
         s = sphere_area(d)
         return s * val, s * err
 
     if d == 1:
-        val, err = integrate.quad(f2, 0.0, rend, weight="cos", wvar=x, limit=200)
+        val, err = integrate.quad(f2, 0.0, rend, weight="cos", wvar=x, limit=200, **acc)
         return 2.0 * val, 2.0 * err
     if d == 2:
         lim = max(200, int(60 * (1 + x * rend / math.pi)))
-        val, err = integrate.quad(lambda r: f2(r) * r * j0(r * x), 0.0, rend, limit=lim)
+        val, err = integrate.quad(lambda r: f2(r) * r * j0(r * x), 0.0, rend, limit=lim, **acc)
         return 2 * math.pi * val, 2 * math.pi * err
     if d == 3:
-        val, err = integrate.quad(lambda r: f2(r) * r, 0.0, rend, weight="sin", wvar=x, limit=200)
+        val, err = integrate.quad(lambda r: f2(r) * r, 0.0, rend, weight="sin", wvar=x, limit=200, **acc)
         return 4 * math.pi / x * val, 4 * math.pi / x * err
     lim = max(200, int(60 * (1 + x * rend / math.pi)))
-    val, err = integrate.quad(lambda r: f2(r) * r * r * j1(r * x), 0.0, rend, limit=lim)
+    val, err = integrate.quad(lambda r: f2(r) * r * r * j1(r * x), 0.0, rend, limit=lim, **acc)
     c = (2 * math.pi) ** 2 / x
     return c * val, c * err
 
 
+def _gauss_lobatto(n: int):
+    """n-point Gauss-Lobatto rule on [-1, 1]: the ends and the roots of P'_{n-1}."""
+    p = np.polynomial.legendre.Legendre.basis(n - 1)
+    x = np.r_[-1.0, np.sort(p.deriv().roots()), 1.0]
+    return x, 2.0 / (n * (n - 1) * p(x) ** 2)
+
+
 _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
+_LOBATTO = _gauss_lobatto(16)
 _PERIODS_PER_PANEL = 5.0
 _TABLE_BLOCK = 256          # table nodes per radial transform
 _RADIAL_CHUNK = 4096        # radial nodes per kernel matrix (bounds temporaries)
 _MAX_BISECTIONS = 60
-_PANEL_MASS_TOL = 1e-12     # relative to h(0)
+_PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
+_TABLE_TOL = 1e-13          # |h| below this times h(0) counts as zero
+_X_MAX_CAP = 400.0          # the h table ends here at the latest
+_MARGINAL_PANELS = 8        # uniform radial panels of h(0) and rho1 before bisection
+_CHUNK_ELEMENTS = 1 << 15   # entries per temporary of the rho1 and H passes (256 KiB)
 
 
 def _radial_kernel(d: int, xs, rs):
@@ -271,30 +284,39 @@ def _gauss_nodes(a, b, rule):
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
-def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int, tol: float):
+def _panel_masses(f: DistributionFunction, d: int, a, b, rule):
+    """int f2 r^{d-1} dr on each panel [a_i, b_i] by one Gauss rule."""
+    r, w = _gauss_nodes(a, b, rule)
+    return (f.f2(r) * r ** (d - 1) * w).reshape(len(a), -1).sum(axis=1)
+
+
+def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int):
     """n uniform panels on [0, rend], bisected until the 32-point rule agrees
-    to within tol on each panel's mass |S^{d-1}| int f2 r^{d-1} dr with the
-    16-point rule, and with the sum of 16-point rules on its first third and
-    its last two thirds.
+    on each panel's mass |S^{d-1}| int f2 r^{d-1} dr with the 16-point rule,
+    with the sum of 16-point rules on its first third and its last two
+    thirds, and with the 16-point Lobatto rule, to within _PANEL_MASS_TOL
+    times the mass on the uniform panels.
 
     Smooth profiles keep the uniform panels; a jump inside the interval is
-    bisected down to a sliver whose mass is below tol.  The symmetric rules
-    alone agree on a jump in the gap around the panel midpoint.
+    bisected down to a sliver whose mass is below the tolerance, so the
+    panels grade geometrically toward it.  The symmetric rules alone agree
+    on a jump in the gap around the panel midpoint, and the Gauss rules on
+    a jump between a panel end and its outermost node.
     """
     edges = np.linspace(0.0, rend, n + 1)
     a, b = edges[:-1], edges[1:]
     area = sphere_area(d)
-
-    def mass(lo, hi, rule):
-        r, w = _gauss_nodes(lo, hi, rule)
-        return (f.f2(r) * r ** (d - 1) * w).reshape(len(lo), -1).sum(axis=1)
+    tol = _PANEL_MASS_TOL * area * abs(float(np.sum(_panel_masses(f, d, a, b, _GAUSS_HI))))
 
     done_a, done_b = [], []
     for _ in range(_MAX_BISECTIONS):
         third = a + (b - a) / 3.0
-        m32 = mass(a, b, _GAUSS_HI)
-        split = area * np.maximum(np.abs(m32 - mass(a, b, _GAUSS_LO)),
-                                  np.abs(m32 - mass(a, third, _GAUSS_LO) - mass(third, b, _GAUSS_LO))) > tol
+        m32 = _panel_masses(f, d, a, b, _GAUSS_HI)
+        split = area * np.maximum.reduce([
+            np.abs(m32 - _panel_masses(f, d, a, b, _GAUSS_LO)),
+            np.abs(m32 - _panel_masses(f, d, a, third, _GAUSS_LO)
+                   - _panel_masses(f, d, third, b, _GAUSS_LO)),
+            np.abs(m32 - _panel_masses(f, d, a, b, _LOBATTO))]) > tol
         done_a.append(a[~split])
         done_b.append(b[~split])
         a, b = a[split], b[split]
@@ -309,14 +331,14 @@ def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int, tol: fl
     return a[order], b[order]
 
 
-def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, tol: float):
+def _radial_transform(f: DistributionFunction, d: int, xs, rend: float):
     """h at the nodes xs > 0 (ascending) by one fixed-node radial transform.
 
     Panels hold at most _PERIODS_PER_PANEL kernel periods at xs[-1]; the
     32-point sum is the value and |GL32 - GL16| the error estimate.
     """
     n = max(1, math.ceil(rend * xs[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
-    a, b = _radial_panels(f, d, rend, n, tol)
+    a, b = _radial_panels(f, d, rend, n)
     sums = []
     for rule in (_GAUSS_HI, _GAUSS_LO):
         r, w = _gauss_nodes(a, b, rule)
@@ -328,61 +350,73 @@ def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, tol: flo
     return sums[0], np.abs(sums[0] - sums[1])
 
 
-class CovarianceProfile:
-    """Cached radial evaluator for h with a spline table for bulk lookups.
+def _line_marginal(f: DistributionFunction, d: int, a, b, v):
+    """rho1 at v >= 0, zero from b[-1] on (f2 at d = 1), by the q-integral over
+    the images q = sqrt(r^2 - v^2) of the radial panels (a, b) beyond v."""
+    if d == 1:
+        return np.where(v < b[-1], f.f2(v), 0.0)
+    out = np.empty(len(v))
+    step = max(1, _CHUNK_ELEMENTS // (len(a) * len(_GAUSS_HI[0])))
+    for s in range(0, len(v), step):
+        vs = v[s:s + step, None]
+        lo = np.sqrt(np.maximum(a, vs) ** 2 - vs * vs)
+        hi = np.sqrt(np.maximum(b * b - vs * vs, 0.0))
+        q, wq = (t.reshape(len(vs), -1) for t in _gauss_nodes(lo.ravel(), hi.ravel(), _GAUSS_HI))
+        out[s:s + step] = (f.f2(np.sqrt(vs * vs + q * q)) * q ** (d - 2) * wq).sum(axis=1)
+    return sphere_area(d - 1) * out
 
-    The table holds h at nodes spaced dx from 0, built block by block with
-    the fixed-node radial transform (h(0) comes from eval_h).  It extends
-    until |h| has stayed below table_tol * |h(0)| over a stretch of 4 in x
-    (capped at x_max_cap), beyond which the profile is treated as zero.
-    table_error() is the largest per-node |GL32 - GL16| estimate.
+
+class CovarianceProfile:
+    """Cached radial evaluator for h (a spline table for bulk lookups) and for
+    its half-line transform H (a table of the line marginal rho1).
+
+    h0 (error h0_err) is the mass on the radial panels at whose nodes rho1 is
+    tabulated; they run half a uniform panel past support_radius(), so the
+    bisection grades them toward a jump of f2 there as toward an interior one.
+    The h table holds h at nodes spaced dx from 0 until |h| has stayed below
+    _TABLE_TOL * |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP);
+    beyond it h is zero.  table_error() is the largest per-node |GL32 - GL16|.
     """
 
-    def __init__(self, f: DistributionFunction, d: int, table_tol: float = 1e-13,
-                 x_max_cap: float = 400.0):
+    def __init__(self, f: DistributionFunction, d: int):
         self.f = f
         self.d = d
-        self.table_tol = table_tol
-        self.x_max_cap = x_max_cap
         self._spline = None
         self._table_err = 0.0
-        self._decay_constant = None
-        self.table_truncated = False
-        self.h0, self.h0_err = eval_h(f, d, 0.0)
-
-    # direct quadrature, no table
-    def eval(self, x: float):
-        return eval_h(self.f, self.d, x)
+        self._marginal = None
+        rend = f.support_radius() * (1.0 + 0.5 / _MARGINAL_PANELS)
+        self._panels = _radial_panels(f, d, rend, _MARGINAL_PANELS)
+        m32, m16 = (_panel_masses(f, d, *self._panels, rule) for rule in (_GAUSS_HI, _GAUSS_LO))
+        self.h0 = sphere_area(d) * float(np.sum(m32))
+        self.h0_err = sphere_area(d) * float(np.sum(np.abs(m32 - m16)))
 
     def _build_table(self):
         if self.f.is_zero or self.h0 == 0.0:
             self._spline = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-            self.x_max = 1.0
+            self._x_max = 1.0
             return
         rsup = self.f.support_radius(1e-10)
         rend = self.f.support_radius()
         dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
-        floor = self.table_tol * abs(self.h0)
-        panel_tol = _PANEL_MASS_TOL * abs(self.h0)
+        floor = _TABLE_TOL * abs(self.h0)
         quiet_stop = int(4.0 / dx) + 4
         xs, hs, errs = [np.zeros(1)], [np.array([self.h0])], [np.array([self.h0_err])]
         x = 0.0
         quiet = 0
-        while x < self.x_max_cap and quiet < quiet_stop:
+        while x < _X_MAX_CAP and quiet < quiet_stop:
             # the nodes are running sums x += dx; the block ends at the cap
             xb = np.cumsum(np.r_[x, np.full(_TABLE_BLOCK, dx)])[1:]
-            xb = xb[:np.searchsorted(xb, self.x_max_cap) + 1]
-            vb, eb = _radial_transform(self.f, self.d, xb, rend, panel_tol)
+            xb = xb[:np.searchsorted(xb, _X_MAX_CAP) + 1]
+            vb, eb = _radial_transform(self.f, self.d, xb, rend)
             n = 0
-            while n < len(xb) and x < self.x_max_cap and quiet < quiet_stop:
+            while n < len(xb) and x < _X_MAX_CAP and quiet < quiet_stop:
                 x = xb[n]
                 quiet = quiet + 1 if abs(vb[n]) < floor else 0
                 n += 1
             xs.append(xb[:n])
             hs.append(vb[:n])
             errs.append(eb[:n])
-        self.x_max = float(x)
-        self.table_truncated = x >= self.x_max_cap
+        self._x_max = float(x)
         self._table_err = float(np.max(np.concatenate(errs)))
         self._spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type="natural")
 
@@ -391,6 +425,11 @@ class CovarianceProfile:
         if self._spline is None:
             self._build_table()
         return self._spline
+
+    @property
+    def x_max(self) -> float:
+        _ = self.spline
+        return self._x_max
 
     def table_error(self) -> float:
         _ = self.spline
@@ -416,16 +455,39 @@ class CovarianceProfile:
 
         return dh
 
-    def decay_constant(self) -> float:
-        """sup over the table of <x>^2 |h(x)| (tail-bound constant)."""
-        if self._decay_constant is None:
-            sp = self.spline
-            if callable(sp) and not isinstance(sp, CubicSpline):
-                self._decay_constant = 0.0
-            else:
-                xs = np.linspace(0.0, self.x_max, 2048)
-                self._decay_constant = float(np.max((1.0 + xs ** 2) * np.abs(self(xs))))
-        return self._decay_constant
+    def _line_table(self):
+        """[(nodes, weights, rho1)] on the radial panels, 32- then 16-point."""
+        if self._marginal is None:
+            a, b = self._panels
+            self._marginal = []
+            for rule in (_GAUSS_HI, _GAUSS_LO):
+                v, w = _gauss_nodes(a, b, rule)
+                self._marginal.append((v, w, _line_marginal(self.f, self.d, a, b, v)))
+        return self._marginal
+
+    def half_line_transform(self, w):
+        """H(w) = integral_0^inf e^{-iws} h(s) ds at an array of w; returns (H, error).
+
+        H = pi rho1(w) - i PV integral rho1(v)/(w - v) dv at |w|, Im H taking
+        the sign of w, so H(-w) = conj H(w) exactly.  rho1 is even and zero
+        from the panel end R on: the PV is 2|w| sum_j W_j (rho1(v_j) -
+        rho1(|w|)) / (w^2 - v_j^2) + rho1(|w|) ln((R + |w|)/(R - |w|)) over the
+        tabulated v_j > 0, and the error estimate its |GL32 - GL16|.
+        """
+        w = np.asarray(w, dtype=float)
+        x = np.abs(w).ravel()
+        a, b = self._panels
+        tables = self._line_table()
+        rho = _line_marginal(self.f, self.d, a, b, x)
+        pv = np.empty((2, len(x)))
+        step = max(1, _CHUNK_ELEMENTS // len(tables[0][0]))
+        for s in range(0, len(x), step):
+            xs, rs = x[s:s + step, None], rho[s:s + step, None]
+            for k, (v, wv, rv) in enumerate(tables):
+                pv[k, s:s + step] = 2.0 * xs[:, 0] * (wv * (rv - rs) / ((xs - v) * (xs + v))).sum(axis=1)
+        pv += rho * np.log((b[-1] + x) / np.where(x < b[-1], b[-1] - x, 1.0))
+        H = math.pi * rho - 1j * (np.sign(w.ravel()) * pv[0])
+        return H.reshape(w.shape), np.abs(pv[0] - pv[1]).reshape(w.shape)
 
 
 def as_profile(f, d: Optional[int] = None) -> CovarianceProfile:
@@ -441,8 +503,7 @@ def as_profile(f, d: Optional[int] = None) -> CovarianceProfile:
 
 def equilibrium_mass(f: DistributionFunction, w: InteractionPotential, d: int) -> float:
     """w-hat(0) times the total squared-distribution mass h(0)."""
-    h0, _ = eval_h(f, d, 0.0)
-    return w.what0 * h0
+    return w.what0 * CovarianceProfile(f, d).h0
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +597,7 @@ def hypothesis_check(f, w: InteractionPotential, d: int,
 
         # <x>^2 d^alpha h bounded for |alpha| <= 2*ceil(s): radial surrogate
         try:
-            xs = np.linspace(0.0, prof.spline.x[-1] if hasattr(prof.spline, "x") else 1.0, 1500)
+            xs = np.linspace(0.0, prof.x_max, 1500)
             worst_sup = 0.0
             for n in range(0, 2 * s_ceil + 1):
                 dn = prof(xs) if n == 0 else prof.derivative(n)(xs)

@@ -2,16 +2,17 @@
 
 The multiplier is the half-line transform
 
-    m_f(tau, xi) = -2 * integral_0^inf e^{-i tau t} sin(|xi|^2 t) h(2 xi t) dt,
+    m_f(tau, xi) = -2 * integral_0^inf e^{-i tau t} sin(|xi|^2 t) h(2 xi t) dt.
 
-evaluated by panel Gauss quadrature with panel lengths tied to the total
-oscillation rate and a tail bound drawn from the <x>^-2 decay of the
-covariance profile.  A whole tau-batch shares one set of panels, which is
-what makes dense tables affordable.
+With the sine as two exponentials and h along xi as the transform of the
+line marginal rho1 of |f|^2, this is the Lindhard-type form of Lewin and
+Sabin's stability condition: with r = |xi| and w-+ = tau/(2r) -+ r/2,
 
-Writing the sine as two exponentials, each half-line transform of
-h(2|xi|t) starts as h(0)/(i(tau -+ |xi|^2)), so to leading order, wherever
-|tau -+ |xi|^2| >> |xi|,
+    m_f(tau, xi) = (i/(2r)) [H(w-) - H(w+)],
+
+H from CovarianceProfile.half_line_transform, one batched call per grid;
+m_f(-tau) = conj m_f(tau) exactly.  Each half-line transform starts as
+h(0)/(i(tau -+ |xi|^2)), so to leading order, wherever |tau -+ |xi|^2| >> |xi|,
 
     m_f(tau, xi) ~ 2 |xi|^2 h(0) / (tau^2 - |xi|^4).
 
@@ -33,70 +34,27 @@ from .equilibrium import CovarianceProfile, InteractionPotential, as_profile, sp
 from .field import fftn, ifftn
 from .grid import TorusGrid
 
-_GAUSS_HI = np.polynomial.legendre.leggauss(32)
-_GAUSS_LO = np.polynomial.legendre.leggauss(16)
-_PERIODS_PER_PANEL = 5.0
+_SHELL_REL_TOL = 0.05       # epsilon_g: last two shell minima agree to this
 
 
-def _oscillation_rate(cov: CovarianceProfile, tau_max: float, xi_abs: float) -> float:
-    r_sup = 1.0 if cov.f.is_zero else cov.f.support_radius(1e-10)
-    return tau_max + xi_abs * xi_abs + 2.0 * xi_abs * r_sup
-
-
-def compute_mf_batch(cov: CovarianceProfile, taus, xi_abs: float, rel_tail: float = 1e-10):
-    """m_f at one radius for a whole batch of taus; returns (values, errors)."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if xi_abs == 0.0 or cov.f.is_zero or cov.h0 == 0.0:
-        return np.zeros(len(taus), dtype=complex), np.zeros(len(taus))
-
-    _ = cov.spline  # force the table
-    t_end = cov.x_max / (2.0 * xi_abs)
-    omega = _oscillation_rate(cov, float(np.max(np.abs(taus))), xi_abs)
-    panel = 2.0 * math.pi * _PERIODS_PER_PANEL / max(omega, 1e-12)
-    panel = min(panel, max(t_end / 8.0, 1e-12))
-
-    c2 = cov.decay_constant()
-    b = xi_abs * xi_abs
-
-    xh, wh = _GAUSS_HI
-    xl, wl = _GAUSS_LO
-    vals = np.zeros(len(taus), dtype=complex)
-    errs = np.zeros(len(taus))
-
-    def panel_sum(t0, t1, nodes, weights):
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        ts = mid + half * nodes
-        g = -2.0 * np.sin(b * ts) * cov(2.0 * xi_abs * ts)
-        return half * (np.exp(-1j * np.outer(taus, ts)) * (weights * g)).sum(axis=1)
-
-    t0 = 0.0
-    while t0 < t_end:
-        t1 = min(t0 + panel, t_end)
-        hi = panel_sum(t0, t1, xh, wh)
-        lo = panel_sum(t0, t1, xl, wl)
-        vals += hi
-        errs += np.abs(hi - lo)
-        t0 = t1
-        # tail bound from |h(x)| <= C <x>^-2
-        if c2 > 0.0:
-            tail = c2 / (2.0 * xi_abs) * (math.pi / 2.0 - math.atan(2.0 * xi_abs * t0))
-            acc = float(np.min(np.abs(vals)))
-            if tail < rel_tail * max(acc, 1e-300) and t0 > 4.0 * panel:
-                errs += tail
-                break
-    else:
-        if cov.table_truncated and c2 > 0.0:
-            # the profile never fell below the table floor; charge the cut tail
-            errs += c2 / (2.0 * xi_abs) * (math.pi / 2.0 - math.atan(2.0 * xi_abs * t_end))
-
+def compute_mf_batch(cov: CovarianceProfile, taus, xis):
+    """m_f on the grid taus x xis, exactly 0 at r = 0; returns (values, errors),
+    each (len(taus), len(xis)), the errors (err(w-) + err(w+)) / (2r)."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))[:, None]
+    r = np.atleast_1d(np.asarray(xis, dtype=float))[None, :]
+    live = r > 0.0
+    r = np.where(live, r, 1.0)
+    shift = taus / (2.0 * r)
+    H, err = cov.half_line_transform(np.stack([shift - 0.5 * r, shift + 0.5 * r]))
+    vals = np.where(live, (0.5j / r) * (H[0] - H[1]), 0.0)
+    errs = np.where(live, (err[0] + err[1]) / (2.0 * r), 0.0)
     return vals, errs
 
 
 def compute_mf(f, d: Optional[int], tau: float, xi_abs: float):
     """m_f(tau, |xi|) with an error estimate; exactly 0 at |xi| = 0."""
-    cov = as_profile(f, d)
-    vals, errs = compute_mf_batch(cov, [tau], xi_abs)
-    return complex(vals[0]), float(errs[0])
+    vals, errs = compute_mf_batch(as_profile(f, d), [tau], [xi_abs])
+    return complex(vals[0, 0]), float(errs[0, 0])
 
 
 @dataclass
@@ -111,25 +69,15 @@ class MultiplierTable:
 
     @classmethod
     def build(cls, f, d: int, taus, xis) -> "MultiplierTable":
-        cov = as_profile(f, d)
         taus = np.asarray(taus, dtype=float)
         xis = np.asarray(xis, dtype=float)
-        vals = np.zeros((len(taus), len(xis)), dtype=complex)
-        errs = np.zeros((len(taus), len(xis)))
-        for i, r in enumerate(xis):
-            vals[:, i], errs[:, i] = compute_mf_batch(cov, taus, float(r))
+        vals, errs = compute_mf_batch(as_profile(f, d), taus, xis)
         return cls(d=d, taus=taus, xis=xis, values=vals, errors=errs)
 
     def conjugate_symmetry_defect(self) -> float:
         """max |m_f(-tau) - conj m_f(tau)| over grid pairs."""
-        order = np.argsort(self.taus)
-        ts, vs = self.taus[order], self.values[order]
-        defect = 0.0
-        for i, t in enumerate(ts):
-            jmatch = np.where(np.isclose(ts, -t, rtol=0, atol=1e-12))[0]
-            if len(jmatch):
-                defect = max(defect, float(np.max(np.abs(vs[jmatch[0]] - np.conj(vs[i])))))
-        return defect
+        i, j = np.nonzero(np.isclose(self.taus[:, None], -self.taus, rtol=0, atol=1e-12))
+        return float(np.max(np.abs(self.values[j] - np.conj(self.values[i])), initial=0.0))
 
     def max_error(self) -> float:
         return float(np.max(self.errors)) if self.errors.size else 0.0
@@ -192,27 +140,23 @@ def apply_L1_time_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGri
 
 
 def apply_L1_frequency_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGrid,
-                              d: Optional[int] = None, pad_factor: int = 2):
-    """Same operator through multiplication by w-hat * m_f on a padded
-    windowed time transform; the quadrature-backed multiplier makes this an
-    independent representation."""
+                              d: Optional[int] = None):
+    """Same operator through multiplication by w-hat * m_f on the time transform
+    zero-padded to a power of 2 >= 2 n_t; m_f comes from rho1, not from the h
+    table of the time-domain form, which makes this an independent representation."""
     cov = as_profile(f, d)
     V_stack = np.asarray(V_stack, dtype=complex)
     ts = np.asarray(ts, dtype=float)
     n_t = len(ts)
     dt = ts[1] - ts[0]
-    n_pad = 1
-    while n_pad < pad_factor * n_t:
-        n_pad *= 2
+    n_pad = 1 << (2 * n_t - 1).bit_length()
 
     space_axes = tuple(range(1, grid.d + 1))
     Vhat = fftn(V_stack, axes=space_axes).reshape(n_t, -1)
 
     taus = 2.0 * math.pi * np.fft.fftfreq(n_pad, d=dt)
     uniq, inv = _radial_lookup(grid)
-    mf_cols = np.zeros((n_pad, len(uniq)), dtype=complex)
-    for i, r in enumerate(uniq):
-        mf_cols[:, i], _ = compute_mf_batch(cov, taus, float(r))
+    mf_cols, _ = compute_mf_batch(cov, taus, uniq)
     symbol = mf_cols[:, inv] * w.what(uniq)[inv][None, :]
 
     out_pad = fftn(Vhat, axes=(0,), s=(n_pad,))
@@ -267,36 +211,29 @@ class EpsilonGReport:
         return not self.converged
 
 
-def epsilon_g(f, d: int, rho0: float = 1.0, n_shells: int = 8, rel_tol: float = 0.05) -> EpsilonGReport:
+def epsilon_g(f, d: int, n_shells: int = 8) -> EpsilonGReport:
     """Dyadic-shell estimator of the low-frequency threshold.
 
-    Each shell refines (tau, |xi|) toward the origin by a factor 2; the
-    reported value is the sign-flipped running minimum of Re m_f over the
+    Each shell refines (tau, |xi|) toward the origin by a factor 2, from 1;
+    the reported value is the sign-flipped running minimum of Re m_f over the
     last shell, normalized by 2|S^{d-1}|, with the full shell trace kept
     for convergence inspection.
     """
     cov = as_profile(f, d)
     two_area = 2.0 * sphere_area(d)
+    radii = [2.0 ** (-k) for k in range(n_shells)]
     if cov.f.is_zero or cov.h0 == 0.0:
-        return EpsilonGReport(0.0, [0.0] * n_shells, [rho0 * 2.0 ** (-k) for k in range(n_shells)],
-                              True, (0.0, 0.0))
+        return EpsilonGReport(0.0, [0.0] * n_shells, radii, True, (0.0, 0.0))
     r_fracs = np.array([1.0, 0.75, 0.5, 0.375, 0.25])
     tau_fracs = np.array([0.0, 0.25, 0.5, 1.0])
     minima = []
-    radii = []
-    for k in range(n_shells):
-        rho = rho0 * 2.0 ** (-k)
-        shell_min = math.inf
-        for rf in r_fracs:
-            r = rho * rf
-            taus = np.concatenate([tau_fracs * rho, -tau_fracs[1:] * rho])
-            vals, _ = compute_mf_batch(cov, taus, r)
-            shell_min = min(shell_min, float(np.min(vals.real)))
-        minima.append(shell_min)
-        radii.append(rho)
+    for rho in radii:
+        taus = np.concatenate([tau_fracs * rho, -tau_fracs[1:] * rho])
+        vals, _ = compute_mf_batch(cov, taus, rho * r_fracs)
+        minima.append(float(np.min(vals.real)))
     last, prev = minima[-1], minima[-2]
     scale = max(abs(last), abs(prev), 1e-300)
-    converged = abs(last - prev) <= rel_tol * scale
+    converged = abs(last - prev) <= _SHELL_REL_TOL * scale
     tail = minima[-3:]
     interval = (-max(tail) / two_area, -min(tail) / two_area)
     return EpsilonGReport(value=-last / two_area, shell_minima=minima, shell_radii=radii,
@@ -330,9 +267,8 @@ def decay_slope(f, d: int, xi_abs: float, tau_base: float = 4.0, doublings: int 
     64|xi|^2.  The window must lie well above the resonance tau = |xi|^2:
     below it |m_f| is nearly flat in tau.
     """
-    cov = as_profile(f, d)
     taus = tau_base * 2.0 ** np.arange(doublings + 1)
-    vals, _ = compute_mf_batch(cov, taus, xi_abs)
-    mags = np.abs(vals)
+    vals, _ = compute_mf_batch(as_profile(f, d), taus, [xi_abs])
+    mags = np.abs(vals[:, 0])
     slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0])
     return slope, taus, mags

@@ -198,7 +198,7 @@ def test_c05_response_operator_representations():
                       (c * np.exp(1j * k * grid.x_axis)).real)
     V /= np.max(np.abs(V))
     out_t = ht.apply_L1_time_domain(V.astype(complex), ts, cov, w, grid)
-    out_f = ht.apply_L1_frequency_domain(V.astype(complex), ts, cov, w, grid, pad_factor=2)
+    out_f = ht.apply_L1_frequency_domain(V.astype(complex), ts, cov, w, grid)
     diff = float(np.max(np.abs(out_t - out_f)))
     ok = diff <= 1e-4
     assert report("C5 response operator representations", ok, f"sup diff {diff:.2e}")

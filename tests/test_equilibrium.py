@@ -122,6 +122,14 @@ def test_h0_two_ways():
     assert abs(h0 - lattice) <= 1e-6 * abs(h0) + 1e-4
 
 
+def test_h0_of_shells_from_panel_masses():
+    # h(0) of 1 (|r - c| < 0.4) at d = 3 is the shell volume
+    for c in np.linspace(0.5, 30.0, 300):
+        f = custom_radial(lambda r, c=c: 1.0 * (np.abs(np.asarray(r) - c) < 0.4))
+        exact = 4.0 * math.pi / 3.0 * ((c + 0.4) ** 3 - (c - 0.4) ** 3)
+        assert CovarianceProfile(f, 3).h0 == pytest.approx(exact, rel=1e-9), c
+
+
 def test_equilibrium_mass():
     assert equilibrium_mass(fermi(1.0, 0.0), zero_potential(), 2) == 0.0
     assert equilibrium_mass(gaussian_f2(), delta_potential(1.0), 2) == pytest.approx(math.pi, abs=1e-8)

@@ -5,10 +5,11 @@ import pytest
 from scipy.special import dawsn
 
 from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, apply_L1_frequency_domain,
-                      apply_L1_time_domain, compute_mf, decay_bound_check,
-                      decay_slope, default_tau_grid, delta_potential, epsilon_g, fermi,
-                      gaussian_f2, sphere_area, stability_margin, zero_distribution,
-                      zero_potential)
+                      apply_L1_time_domain, bose, compute_mf, compute_mf_batch, custom_radial,
+                      decay_bound_check, decay_slope, default_tau_grid, delta_potential,
+                      epsilon_g, fermi, gaussian_f2, sphere_area, stability_margin,
+                      zero_distribution, zero_potential, zero_temp_fermi)
+from mf_panel_oracle import panel_mf
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ def test_L1_representations_agree():
                       (c * np.exp(1j * k * g.x_axis)).real)
     V /= np.max(np.abs(V))
     out_t = apply_L1_time_domain(V.astype(complex), ts, cov, w, g)
-    out_f = apply_L1_frequency_domain(V.astype(complex), ts, cov, w, g, pad_factor=2)
+    out_f = apply_L1_frequency_domain(V.astype(complex), ts, cov, w, g)
     assert np.max(np.abs(out_t - out_f)) <= 1e-4
 
 
@@ -187,3 +188,84 @@ def test_epsilon_g_fermi_d4_converges():
     xs = np.linspace(0, cov.x_max, 4000)
     pred = 0.5 * float(np.trapezoid(xs * cov(xs), xs)) / (2 * sphere_area(4))
     assert rep.value == pytest.approx(pred, rel=2e-3)
+
+
+# ---------------------------------------------------------------------------
+# m_f from the line marginal against closed forms and the panel oracle
+
+
+def _shifts(taus, r):
+    """w-+ = tau/(2r) -+ r/2 as compute_mf_batch forms them."""
+    shift = np.asarray(taus, dtype=float) / (2.0 * r)
+    return shift - 0.5 * r, shift + 0.5 * r
+
+
+def _lindhard_H(w, mu):
+    """H(w) of zero-temperature fermi(mu) at d = 3, rho1 = pi (mu - v^2)_+ (Lindhard 1954)."""
+    k = math.sqrt(mu)
+    edge = np.abs(w) == k
+    x = np.where(edge, 0.0, w)
+    log = np.where(edge, 0.0, np.log(np.abs((x + k) / (x - k))))
+    return (math.pi ** 2 * np.maximum(mu - w * w, 0.0)
+            - 1j * math.pi * (2.0 * k * w + (k * k - w * w) * log))
+
+
+def test_mf_lindhard_zero_temperature():
+    mu, k = 4.0, 2.0
+    cov = CovarianceProfile(zero_temp_fermi(mu), 3)
+    for r in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+        # the grid plus the four taus that put w- or w+ on the Fermi edge +-k
+        edge = [2.0 * r * (s * k + t * r / 2.0) for s in (-1, 1) for t in (-1, 1)]
+        taus = np.concatenate([default_tau_grid(64.0, 1e-2, 12), edge])
+        wm, wp = _shifts(taus, r)
+        assert np.count_nonzero(np.abs(np.r_[wm, wp]) == k) >= 4
+        exact = 0.5j / r * (_lindhard_H(wm, mu) - _lindhard_H(wp, mu))
+        vals, _ = compute_mf_batch(cov, taus, [r])
+        assert np.max(np.abs(vals[:, 0] - exact)) <= 1e-8, r
+
+
+def test_mf_fermi_imaginary_part_closed_form():
+    # fermi(T=1, mu=0) at d = 3: rho1 = pi ln(1 + e^{-v^2}) and
+    # Im m_f = (pi/(2r)) (rho1(w-) - rho1(w+))
+    cov = CovarianceProfile(fermi(1.0, 0.0), 3)
+    taus = default_tau_grid(32.0, 1e-2, 12)
+    rho1 = lambda v: math.pi * np.log1p(np.exp(-v * v))
+    for r in (0.25, 0.7, 1.5, 3.0, 5.0, 8.0):
+        wm, wp = _shifts(taus, r)
+        vals, _ = compute_mf_batch(cov, taus, [r])
+        assert np.max(np.abs(vals[:, 0].imag - math.pi / (2 * r) * (rho1(wm) - rho1(wp)))) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [1.0, 4.0])
+def test_epsilon_g_zero_temperature_fermi(mu):
+    # the low-frequency limit of m_f gives epsilon_g = sqrt(mu)/4 exactly at d = 3
+    rep = epsilon_g(CovarianceProfile(zero_temp_fermi(mu), 3), 3)
+    assert rep.value == pytest.approx(math.sqrt(mu) / 4.0, rel=1e-6)
+    assert np.all(np.diff(rep.shell_minima) < 0)
+
+
+ORACLE_PROFILES = {
+    "fermi": fermi(1.0, 0.0),
+    "bose": bose(1.0, -0.5),
+    "gaussian_f2": gaussian_f2(),
+    "zero_temp_fermi": zero_temp_fermi(1.5),
+    # jumps at r = 0.6 and 1.4
+    "shell": custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 1.0) < 0.4)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+def test_mf_matches_panel_oracle(name, d):
+    cov = CovarianceProfile(ORACLE_PROFILES[name], d)
+    taus = np.array([-9.0, -2.5, -0.4, 0.0, 0.7, 3.0, 11.0])
+    xis = np.array([0.3, 1.1, 2.6, 5.0])
+    vals, errs = compute_mf_batch(cov, taus, xis)
+    oracle = [panel_mf(cov, taus, r) for r in xis]
+    gap = np.max(np.abs(vals - np.stack([v for v, _ in oracle], axis=1)))
+    # sup norms: the oracle's per-entry estimate leaves out the interpolation
+    # error of the h spline it integrates
+    assert gap <= max(np.max(e) for _, e in oracle) + np.max(errs) + 1e-12 * cov.h0
+    # H(w) ~ h(0)/(iw) for large w: the tabulated rho1 integrates to h(0)
+    H, _ = cov.half_line_transform(np.array([1e6]))
+    assert -1e6 * H[0].imag == pytest.approx(cov.h0, rel=1e-9)

@@ -143,6 +143,23 @@ def test_stability_check_builds_one_profile(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_linear_response_builds_no_h_table(tmp_path, monkeypatch):
+    # m_f comes from the line marginal alone, with H(-w) = conj H(w) exactly
+    calls = []
+    build = equilibrium.CovarianceProfile._build_table
+
+    def counting_build(self):
+        calls.append(self)
+        build(self)
+
+    monkeypatch.setattr(equilibrium.CovarianceProfile, "_build_table", counting_build)
+    env = run_experiment(parse_config(CONFIGS["linear-response"], "linear-response"), tmp_path)
+    assert env.all_passed
+    assert calls == []
+    report = json.loads((tmp_path / "response_report.ndjson").read_text().splitlines()[0])
+    assert report["conjugate_symmetry_defect"] == 0.0
+
+
 def test_bench_tracer_finds_every_patched_name(tmp_path):
     # bench/tracer.py rebinds hartorus names from outside the package; a
     # renamed target would drop its spans from a traced bench run silently
