@@ -81,10 +81,10 @@ class SpectralField:
         return cls(grid, values=amplitude * np.exp(1j * grid.phase(xi)))
 
     @classmethod
-    def random(cls, grid, rng, scale=1.0):
+    def random(cls, grid, rng):
         re = rng.standard_normal(grid.shape)
         im = rng.standard_normal(grid.shape)
-        return cls(grid, values=scale * (re + 1j * im))
+        return cls(grid, values=re + 1j * im)
 
     # -- representations -------------------------------------------------
 

@@ -2,14 +2,15 @@
 
 One application of the map sends (Z, V) to
 
-    Z' = S(t) Z0 - i int_0^t S(t-s) (w*V)(s) (Y + Z)(s) ds,
+    Z' = S(t) [z0-hat - i int_0^t S(-s) (w*V)(s) (Y + Z)(s) ds],
     V' = E|Z|^2 + 2 Re E( Y-bar Z' ),
 
 with S(t) = e^{-i t (m - Lap)} applied spectrally and the time integral by
 trapezoid on the stored lattice.  Expectations are exact mode sums.  The
 equilibrium Y is the unperturbed ensemble eq (the second value of
 add_perturbation), whose exact phases give Y at every sampled time.  The
-iteration starts from (0, 0), so the first iterate is the source term pair.
+iteration starts at the source pair (S(t) Z0, 2 Re E(Y-bar S(t) Z0)), the
+image of (0, 0).
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import (BumpSpec, ModeEnsemble, _dyadic_blocks, _stack_norms, add_perturbation,
-                       critical_exponents, evolve)
-from .equilibrium import InteractionPotential
+from .ensemble import ModeEnsemble, _dyadic_blocks, _stack_norms, critical_exponents, evolve
 from .field import fftn, ifftn
-from .grid import TorusGrid
 from .lpaley import LittlewoodPaley
+
+_TOL = 1e-12        # a difference below this in every window norm counts as converged
 
 
 def _cumtrapz0(arr: np.ndarray, dt: float) -> np.ndarray:
@@ -36,40 +36,28 @@ def _cumtrapz0(arr: np.ndarray, dt: float) -> np.ndarray:
 
 
 class PicardOperator:
-    """The affine-plus-quadratic map on time-sampled (Z, V) pairs."""
+    """The affine-plus-quadratic map on time-sampled (Z, V) pairs around the
+    equilibrium eq, with initial perturbation z0 (M, *grid)."""
 
-    def __init__(self, grid: TorusGrid, eq: ModeEnsemble,
-                 w: InteractionPotential, z0_stack: np.ndarray,
-                 T: float, n_steps: int):
-        self.grid = grid
-        self.m = eq.m
+    def __init__(self, eq: ModeEnsemble, z0: np.ndarray, T: float, n_steps: int):
+        self.grid = grid = eq.grid
         self.n_t = n_steps + 1
         self.ts = np.linspace(0.0, T, self.n_t)
         self.dt = T / n_steps
         self.space_axes = tuple(range(2, 2 + grid.d))
         self.M = eq.n_modes
 
-        self.what_lattice = w.what(grid.xi_norm)
-        self.phase_rate = self.m + grid.xi_squared          # symbol of m - Lap
-        self.z0 = np.asarray(z0_stack, dtype=complex)
-        if self.z0.shape != (self.M,) + grid.shape:
+        self.what_lattice = eq.w.what(grid.xi_norm)
+        # S(-t) symbols e^{i t (m + |xi|^2)} on the time lattice
+        self.fwd = np.exp(1j * np.multiply.outer(self.ts, eq.m + grid.xi_squared))
+        z0 = np.asarray(z0, dtype=complex)
+        if z0.shape != (self.M,) + grid.shape:
             raise ValueError("Z0 must be one field per equilibrium mode")
+        self.z0_hat = fftn(z0, axes=tuple(range(1, 1 + grid.d)))
 
         # equilibrium modes on the whole time lattice: eq's stored plane waves
         # times one (n_t, M) array of phases
         self.Y = eq.equilibrium_at(self.ts)
-
-        # free-flow image of the initial perturbation on the time lattice
-        z0_hat = fftn(self.z0, axes=tuple(range(1, 1 + grid.d)))
-        self.SZ0 = np.empty_like(self.Y)
-        for i, t in enumerate(self.ts):
-            ph = np.exp(-1j * t * self.phase_rate)
-            self.SZ0[i] = ifftn(ph[None] * z0_hat, axes=tuple(range(1, 1 + grid.d)), overwrite_x=True)
-
-    def zero_pair(self):
-        Z = np.zeros((self.n_t, self.M) + self.grid.shape, dtype=complex)
-        V = np.zeros((self.n_t,) + self.grid.shape)
-        return Z, V
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
         hat = fftn(V, axes=tuple(range(1, 1 + self.grid.d)))
@@ -77,27 +65,27 @@ class PicardOperator:
         return ifftn(hat, axes=tuple(range(1, 1 + self.grid.d)), overwrite_x=True).real
 
     def duhamel(self, F: np.ndarray) -> np.ndarray:
-        """-i int_0^t S(t-s) F(s) ds on the stack F (n_t, M, *grid)."""
+        """S(t) [z0-hat - i int_0^t S(-s) F-hat(s) ds] on the stack F (n_t, M, *grid)."""
         hat = fftn(F, axes=self.space_axes)
-        fwd = np.exp(1j * np.multiply.outer(self.ts, self.phase_rate))  # S(-s) symbols
-        integ = _cumtrapz0(fwd[:, None] * hat, self.dt)
-        out_hat = -1j * np.conj(fwd)[:, None] * integ
-        return ifftn(out_hat, axes=self.space_axes, overwrite_x=True)
+        integ = _cumtrapz0(np.multiply(self.fwd[:, None], hat, out=hat), self.dt)
+        integ *= -1j
+        integ += self.z0_hat
+        # the z0-hat term in source_pair's operand order, so that apply(0, 0)
+        # is source_pair() bit for bit
+        return ifftn(np.multiply(np.conj(self.fwd)[:, None], integ, out=integ),
+                     axes=self.space_axes, overwrite_x=True)
 
     def apply(self, Z: np.ndarray, V: np.ndarray):
         """One application of the map; returns (Z', V')."""
-        wV = self.convolve_potential(V)
-        F = wV[:, None] * (self.Y + Z)
-        Znew = self.SZ0 + self.duhamel(F)
+        Znew = self.duhamel(self.convolve_potential(V)[:, None] * (self.Y + Z))
         Vnew = (np.sum(np.abs(Z) ** 2, axis=1)
                 + 2.0 * np.sum(np.conj(self.Y) * Znew, axis=1).real)
         return Znew, Vnew
 
-    # parts of the decomposition, exposed for the source/linear/quadratic split
     def source_pair(self):
-        Z = self.SZ0
-        V = 2.0 * np.sum(np.conj(self.Y) * Z, axis=1).real
-        return Z.copy(), V
+        """The image of (0, 0): the free flow S(t) Z0 and 2 Re E(Y-bar S(t) Z0)."""
+        Z = ifftn(np.conj(self.fwd)[:, None] * self.z0_hat, axes=self.space_axes, overwrite_x=True)
+        return Z, 2.0 * np.sum(np.conj(self.Y) * Z, axis=1).real
 
     def pair_norms(self, Z: np.ndarray, V: np.ndarray, lp: Optional[LittlewoodPaley] = None) -> dict:
         """Window norms of a pair: time norms of the solution-space ingredients."""
@@ -136,51 +124,39 @@ class PicardResult:
     n_iterations: int
 
 
-def picard_solve(op: PicardOperator, max_iters: int = 12, tol: float = 1e-12) -> PicardResult:
-    """Iterate the map from (0,0) with contraction diagnostics.
+def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
+    """Iterate the map from the source pair with contraction diagnostics.
 
-    Divergence (ratio above 1 three times in a row) halts the iteration
-    with the flag set.
+    The source pair is the first iterate and its norms the first difference.
+    Divergence (ratio above 1 three times in a row) halts the iteration with
+    the flag set; differences below _TOL halt it as converged.
     """
     lp = LittlewoodPaley(op.grid)
-    Z, V = op.zero_pair()
-    diffs, factors = [], []
-    prev_diff = None
-    bad = 0
-    converged = diverged = False
-    n_done = 0
-    for it in range(max_iters):
+    Z, V = op.source_pair()
+    diffs, factors = [op.pair_norms(Z, V, lp)], []
+    while True:
+        diverged = len(factors) >= 3 and all(f > 1.0 for f in factors[-3:])
+        small = max(diffs[-1].values()) < _TOL
+        if diverged or small or len(diffs) >= max_iters:
+            break
         Zn, Vn = op.apply(Z, V)
         dn = op.pair_norms(Zn - Z, Vn - V, lp)
+        ratios = [dn[k] / diffs[-1][k] for k in dn if diffs[-1][k] > 0]
+        factors.append(max(ratios) if ratios else 0.0)
         diffs.append(dn)
-        if prev_diff is not None:
-            ratios = [dn[k] / prev_diff[k] for k in dn if prev_diff[k] > 0]
-            factor = max(ratios) if ratios else 0.0
-            factors.append(factor)
-            bad = bad + 1 if factor > 1.0 else 0
-        prev_diff = dn
         Z, V = Zn, Vn
-        n_done = it + 1
-        size = max(dn.values())
-        if bad >= 3:
-            diverged = True
-            break
-        if size < tol:
-            converged = True
-            break
-    else:
-        converged = bool(factors) and factors[-1] < 1.0
+    converged = not diverged and (small or bool(factors) and factors[-1] < 1.0)
     return PicardResult(Z=Z, V=V, ts=op.ts, diff_norms=diffs, contraction=factors,
-                        converged=converged, diverged=diverged, n_iterations=n_done)
+                        converged=converged, diverged=diverged, n_iterations=len(diffs))
 
 
-def reference_trajectory(ens_eq: ModeEnsemble, spec: BumpSpec,
+def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble,
                          T: float, n_steps: int, substeps: int = 10):
-    """Split-step companion run sampled on the same time lattice.
+    """Split-step run of perturbed against its equilibrium eq, sampled on the
+    Picard time lattice.
 
     Returns (ts, Z_stack, V_stack) with shapes matching the fixed-point pair.
     """
-    perturbed, eq = add_perturbation(ens_eq, spec)
     dt = T / (n_steps * substeps)
     traj = evolve(perturbed, T, dt, obs_stride=substeps, reference=eq,
                   snapshot_stride=1)

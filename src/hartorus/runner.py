@@ -107,13 +107,13 @@ def _tau_grid(cfg: RunConfig):
 
 
 def _perturbed_equilibrium(cfg: RunConfig):
-    """(spec, perturbed, eq): the configured equilibrium eq and its bump."""
+    """(perturbed, eq): the configured equilibrium eq and its bump."""
     ens, _ = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
                               cfg["theta"], cfg.get("m.override"))
     spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
                     center=cfg["pert.center"], carrier=cfg["pert.carrier"],
                     mode=min(cfg["pert.mode"], max(ens.n_modes - 1, 0)))
-    return (spec, *add_perturbation(ens, spec))
+    return add_perturbation(ens, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def _exp_equilibrium_check(cfg, out, seed):
 
 
 def _exp_simulate(cfg, out, seed):
-    _, perturbed, eq = _perturbed_equilibrium(cfg)
+    perturbed, eq = _perturbed_equilibrium(cfg)
     traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"],
                   reference=eq, record_norms=True)
     records = []
@@ -300,13 +300,13 @@ def _exp_instability(cfg, out, seed):
 
 
 def _exp_picard(cfg, out, seed):
-    spec, perturbed, eq = _perturbed_equilibrium(cfg)
+    perturbed, eq = _perturbed_equilibrium(cfg)
     grid = eq.grid
-    op = PicardOperator(grid, eq, eq.w, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
+    op = PicardOperator(eq, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
 
-    ts, Zref, Vref = reference_trajectory(eq, spec, cfg["T"], cfg["picard.steps"],
-                                          substeps=cfg["picard.substeps"])
+    _, Zref, _ = reference_trajectory(perturbed, eq, cfg["T"], cfg["picard.steps"],
+                                      substeps=cfg["picard.substeps"])
     sup_diff = float(np.max(np.sqrt(np.sum(np.abs(result.Z - Zref) ** 2,
                                            axis=tuple(range(1, 2 + grid.d))) * grid.dx)))
     records = [{"iteration": i, **{k: float(v) for k, v in sorted(dn.items())}}
@@ -372,7 +372,7 @@ def _exp_norms(cfg, out, seed):
 
 
 def _exp_scattering_probe(cfg, out, seed):
-    _, perturbed, eq = _perturbed_equilibrium(cfg)
+    perturbed, eq = _perturbed_equilibrium(cfg)
     traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"],
                   reference=eq, snapshot_stride=cfg["snap.stride"])
     report = scattering_probe(traj, eq.grid, eq.m, ball_center=cfg["pert.center"],

@@ -31,6 +31,9 @@ from .equilibrium import InteractionPotential
 from .field import fftn
 from .grid import TorusGrid
 
+_GROWTH_TOL = 1e-11     # growth above this marks a ray point unstable
+_SEED_NOISE = 1e-10     # white noise on each component of the seeded carrier
+
 
 @dataclass(frozen=True)
 class TwoWaveParams:
@@ -151,7 +154,7 @@ class BandReport:
         return self.band is not None
 
 
-def unstable_band(params: TwoWaveParams, r_grid, tol: float = 1e-11) -> BandReport:
+def unstable_band(params: TwoWaveParams, r_grid) -> BandReport:
     """Scan the ray k = r*xi for positive growth.
 
     For the flat potential the predicted endpoints are
@@ -164,7 +167,7 @@ def unstable_band(params: TwoWaveParams, r_grid, tol: float = 1e-11) -> BandRepo
     for i, r in enumerate(r_grid):
         lam = closed_form_spectrum(params, r * xi)
         growth[i] = float(np.max(lam.real))
-    unstable = growth > tol
+    unstable = growth > _GROWTH_TOL
     band = None
     if np.any(unstable):
         idx = np.where(unstable)[0]
@@ -205,7 +208,7 @@ class GrowthFit:
 
 
 def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float,
-                        n_samples: int = 256, noise: float = 1e-10, seed: int = 0) -> GrowthFit:
+                        n_samples: int = 256, seed: int = 0) -> GrowthFit:
     """Evolve the four-component linear system spectrally and fit the growth.
 
     The seeded lattice frequency evolves by the exact matrix exponential
@@ -224,7 +227,7 @@ def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float
     u0 = np.empty((4,) + shape, dtype=float)
     carrier = np.cos(grid.phase(k0))
     for i in range(4):
-        u0[i] = carrier + noise * rng.standard_normal(shape)
+        u0[i] = carrier + _SEED_NOISE * rng.standard_normal(shape)
     uhat0 = fftn(u0, axes=tuple(range(1, grid.d + 1))).reshape(4, -1)
 
     # the seeded lattice frequency and its eigendecomposition

@@ -3,9 +3,10 @@
     m_f(tau, xi) = -2 * integral_0^inf e^{-i tau t} sin(|xi|^2 t) h(2 xi t) dt
 
 by 32-point Gauss panels of a few periods of the total oscillation rate over
-the h table, with |GL32 - GL16| per panel and a tail bound from the <x>^-2
-decay of h as the error estimate.  It shares nothing with the line-marginal
-route of hartorus.response but the h table.
+the h table (or over exact_h), with |GL32 - GL16| per panel and a tail bound
+from the <x>^-2 decay of h as the error estimate.  It shares nothing with the
+line-marginal route of hartorus.response but the h table; exact_h shares only
+the radial panels of the table's transform.
 """
 
 import math
@@ -25,8 +26,29 @@ def _oscillation_rate(cov: CovarianceProfile, tau_max: float, xi_abs: float) -> 
     return tau_max + xi_abs * xi_abs + 2.0 * xi_abs * r_sup
 
 
-def panel_mf(cov: CovarianceProfile, taus, xi_abs: float, rel_tail: float = 1e-10):
-    """m_f at one radius for a whole batch of taus; returns (values, errors)."""
+def exact_h(cov: CovarianceProfile):
+    """h on [0, cov.x_max] by the fixed-node radial transform at each point,
+    without the spline between table nodes; zero beyond, like the table."""
+    f, d, x_max = cov.f, cov.d, cov.x_max
+    rend = f.support_radius()
+    n = max(1, math.ceil(rend * x_max / (2.0 * math.pi * _PERIODS_PER_PANEL)))
+    r, w = equilibrium._gauss_nodes(*equilibrium._radial_panels(f, d, rend, n), _GAUSS_HI)
+    g = f.f2(r) * w
+
+    def h(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.where(x > x_max, 0.0, cov.h0)
+        inside = (x > 0.0) & (x <= x_max)
+        out[inside] = equilibrium._radial_kernel(d, x[inside], r) @ g
+        return out
+
+    return h
+
+
+def panel_mf(cov: CovarianceProfile, taus, xi_abs: float, h=None, rel_tail: float = 1e-10):
+    """m_f at one radius for a whole batch of taus, integrating h (default:
+    the table cov itself); returns (values, errors)."""
+    h = cov if h is None else h
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if xi_abs == 0.0 or cov.f.is_zero or cov.h0 == 0.0:
         return np.zeros(len(taus), dtype=complex), np.zeros(len(taus))
@@ -39,7 +61,7 @@ def panel_mf(cov: CovarianceProfile, taus, xi_abs: float, rel_tail: float = 1e-1
 
     # sup over the table of <x>^2 |h(x)| (tail-bound constant)
     xs = np.linspace(0.0, cov.x_max, 2048)
-    c2 = float(np.max((1.0 + xs ** 2) * np.abs(cov(xs))))
+    c2 = float(np.max((1.0 + xs ** 2) * np.abs(h(xs))))
     b = xi_abs * xi_abs
 
     xh, wh = _GAUSS_HI
@@ -50,7 +72,7 @@ def panel_mf(cov: CovarianceProfile, taus, xi_abs: float, rel_tail: float = 1e-1
     def panel_sum(t0, t1, nodes, weights):
         mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         ts = mid + half * nodes
-        g = -2.0 * np.sin(b * ts) * cov(2.0 * xi_abs * ts)
+        g = -2.0 * np.sin(b * ts) * h(2.0 * xi_abs * ts)
         return half * (np.exp(-1j * np.outer(taus, ts)) * (weights * g)).sum(axis=1)
 
     t0 = 0.0

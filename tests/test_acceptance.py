@@ -247,11 +247,11 @@ def test_c07_picard_contraction():
     z0 = state.deviations(pert)
     z0_norm = float(np.sqrt(np.sum(np.abs(z0) ** 2) * grid.dx))
 
-    op = ht.PicardOperator(grid, state, w, z0, T=1.0, n_steps=200)
+    op = ht.PicardOperator(state, z0, T=1.0, n_steps=200)
     res = ht.picard_solve(op, max_iters=8)
     factor = max(res.contraction[1:5])
 
-    ts, Zref, Vref = ht.reference_trajectory(ens, spec, 1.0, 200, substeps=5)
+    ts, Zref, Vref = ht.reference_trajectory(pert, state, 1.0, 200, substeps=5)
     sup = float(np.max(np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx)))
     ok = factor < 0.5 and sup <= 1e-4 and res.converged and not res.diverged
     assert report("C7 fixed-point contraction", ok,

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hartorus import (BumpSpec, TorusGrid, add_perturbation, conserved_energy,
-                      custom_radial, delta_potential, deviation_norms, evolve, fermi,
-                      init_equilibrium, scattering_probe, step, zero_distribution,
-                      zero_potential)
+from hartorus import (BumpSpec, SpectralField, TorusGrid, add_perturbation, besov_norm,
+                      conserved_energy, critical_exponents, custom_radial, delta_potential,
+                      deviation_norms, evolve, fermi, init_equilibrium, lebesgue_norm,
+                      scattering_probe, sobolev_norm, step, zero_distribution, zero_potential)
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +265,19 @@ def test_fused_window_matches_single_steps(d, N):
     assert strided.t == every.t
     assert np.max(np.abs(strided.fields - every.fields)) <= 1e-12
     assert np.array_equal(pert.fields, before)
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
+def test_deviation_norms_of_one_mode_match_norms_module(d, N):
+    # the stacked production kernel on a one-mode stack against the
+    # one-field norms of the norms module
+    grid = TorusGrid(d, 2 * np.pi, N)
+    fld = SpectralField.random(grid, np.random.default_rng(d))
+    ex = critical_exponents(d)
+    got = deviation_norms(grid, fld.values[None])
+    want = {"l2": lebesgue_norm(fld, 2), "l_dplus2": lebesgue_norm(fld, d + 2),
+            "w_sp": sobolev_norm(fld, ex["s"], ex["p"]),
+            "besov_q": besov_norm(fld, ex["q"], 0.0, 0.25), "hs": sobolev_norm(fld, ex["s"], 2)}
+    assert set(got) == set(want)
+    for k, v in want.items():
+        assert got[k] == pytest.approx(v, rel=1e-13, abs=0), k

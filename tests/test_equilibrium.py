@@ -186,3 +186,41 @@ def test_custom_support_radius_reaches_shell_beyond_r1():
     assert 3.4 <= f.support_radius() <= 3.5
     exact = 4 * math.pi * (3.4 ** 3 - 2.6 ** 3) / 3
     assert CovarianceProfile(f, 3).h0 == pytest.approx(exact, rel=1e-6)
+
+
+SHELL = custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 1.0) < 0.4))
+
+
+@pytest.mark.parametrize("f, exact", [(fermi(1.0, 0.0), math.pi),
+                                      (zero_temp_fermi(4.0), 2 * math.pi),
+                                      (SHELL, 4 * math.pi)],
+                         ids=["fermi", "zero_temp_fermi", "shell"])
+def test_hypothesis_f_gradf_counts_jumps(f, exact):
+    # int |f f'| = TV(f2) / 2 radially: f2 falls by 1/2 for fermi(1, 0), jumps
+    # once by 1 for zero-temperature fermi and twice for the shell; d = 3
+    rep = hypothesis_check(f, delta_potential(0.1), 3)
+    assert rep.bullet("f_gradf_integrable").value == pytest.approx(exact, rel=1e-12)
+
+
+def test_hypothesis_weighted_l2_of_shell_exact():
+    # 4 pi int_0.6^1.4 (1 + r^2) r^2 dr at d = 3, where ceil(s) = 1
+    exact = 4 * math.pi * ((1.4 ** 3 / 3 + 1.4 ** 5 / 5) - (0.6 ** 3 / 3 + 0.6 ** 5 / 5))
+    rep = hypothesis_check(SHELL, delta_potential(0.1), 3)
+    assert rep.bullet("weighted_l2").value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("f, d", [(gaussian_f2(), 3), (fermi(1.0, 0.0), 3),
+                                  (zero_temp_fermi(4.0), 3), (fermi(1.0, 0.0), 4)],
+                         ids=["gaussian-3", "fermi-3", "zero_temp_fermi-3", "fermi-4"])
+def test_table_between_nodes_near_origin(f, d):
+    # h is even: the clamped start h'(0) = 0 keeps the spline on h off the nodes
+    cov = CovarianceProfile(f, d)
+    xs = np.linspace(0.0, 0.05, 12)[1:-1] + 0.0013
+    exact = np.array([eval_h(f, d, float(x))[0] for x in xs])
+    assert np.max(np.abs(cov(xs) - exact)) <= 1e-7 * abs(cov.h0)
+
+
+def test_table_curvature_at_origin():
+    # h = pi^{3/2} exp(-x^2 / 4) for |f|^2 = exp(-r^2) at d = 3
+    h2 = float(CovarianceProfile(gaussian_f2(), 3).derivative(2)(0.0))
+    assert h2 == pytest.approx(-math.pi ** 1.5 / 2, rel=1e-3)

@@ -9,7 +9,7 @@ from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, apply_L1_fr
                       decay_bound_check, decay_slope, default_tau_grid, delta_potential,
                       epsilon_g, fermi, gaussian_f2, sphere_area, stability_margin,
                       zero_distribution, zero_potential, zero_temp_fermi)
-from mf_panel_oracle import panel_mf
+from mf_panel_oracle import exact_h, panel_mf
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_L1_matches_exact_mode_sums():
     w = delta_potential(1.0)
     ens, _ = ht.init_equilibrium(g, f, w, 1e-10)
     _, state = ht.add_perturbation(ens, ht.BumpSpec(0.0, 1.0, (np.pi,), (0.0,), mode=0))
-    op = ht.PicardOperator(g, state, w, np.zeros((ens.n_modes,) + g.shape, complex),
+    op = ht.PicardOperator(state, np.zeros((ens.n_modes,) + g.shape, complex),
                            T=1.0, n_steps=200)
     ts = op.ts
     rng = np.random.default_rng(4)
@@ -261,10 +261,14 @@ def test_mf_matches_panel_oracle(name, d):
     taus = np.array([-9.0, -2.5, -0.4, 0.0, 0.7, 3.0, 11.0])
     xis = np.array([0.3, 1.1, 2.6, 5.0])
     vals, errs = compute_mf_batch(cov, taus, xis)
-    oracle = [panel_mf(cov, taus, r) for r in xis]
+    # where f2 is smooth the oracle integrates the exact h: the h spline's
+    # interpolation error (about 1e-8) is not in the oracle's estimate.  At a
+    # jump of f2 the gap is far above it, and the exact h costs seconds there.
+    h = None if name in ("shell", "zero_temp_fermi") else exact_h(cov)
+    oracle = [panel_mf(cov, taus, r, h) for r in xis]
     gap = np.max(np.abs(vals - np.stack([v for v, _ in oracle], axis=1)))
-    # sup norms: the oracle's per-entry estimate leaves out the interpolation
-    # error of the h spline it integrates
+    # sup norms: at a jump the oracle's per-entry estimate leaves out the
+    # interpolation error of the h spline it integrates
     assert gap <= max(np.max(e) for _, e in oracle) + np.max(errs) + 1e-12 * cov.h0
     # H(w) ~ h(0)/(iw) for large w: the tabulated rho1 integrates to h(0)
     H, _ = cov.half_line_transform(np.array([1e6]))
