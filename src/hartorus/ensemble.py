@@ -14,15 +14,20 @@ e^{-i dt ((w*rho)(x) - m)}, half-step kinetic.  Equilibria then rotate by
 the exact phases e^{-i t (m + |xi_j|^2)} and the splitting preserves every
 per-mode mass to rounding.  step(ens, dt, n) runs a window of n steps with
 the adjacent kinetic half-steps fused into one full kinetic step, so a step
-costs one forward and one inverse stack FFT; evolve steps one observation
-window at a time.
+costs one forward and one inverse stack FFT.  Given the spectrum of its
+input in a buffer, a window starts from it and leaves the spectrum of its
+output there, and then costs one stack FFT less: evolve takes one forward
+stack FFT at t=0 and carries that buffer through every window.
 
 An unperturbed ensemble is its own reference: add_perturbation returns
 (perturbed, eq), and eq.deviations(perturbed) is Z = u - y against the exact
 equilibrium phases of eq at the perturbed ensemble's time.  Y(t) is eq's
 stored plane-wave stack times one phase per mode (equilibrium_at), not an
 exp over the whole stack; equilibrium_fields builds the plane waves from
-scratch and is its oracle.
+scratch and is its oracle.  The carriers are lattice frequencies, so the
+spectrum of y_j has one nonzero entry (equilibrium_spectrum at
+carrier_cells): evolve's observations take the energy and the spectrum of Z
+from the carried buffer, with no forward stack FFT of their own.
 """
 
 from __future__ import annotations
@@ -85,18 +90,34 @@ class ModeEnsemble:
         rotation = (t * self._rates()).reshape(lead)
         return self.weights.reshape(lead) * np.exp(1j * (self.grid.phase(self.carriers) - rotation))
 
-    def equilibrium_at(self, t) -> np.ndarray:
+    def equilibrium_at(self, t, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Y(t): the stored fields times the (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)},
         one exp per mode; (n_t, M, *grid) for an array of times.  The stored
         fields must be the exact equilibrium at self.t, as init_equilibrium and
         add_perturbation leave them (equilibrium_fields is the oracle)."""
         rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates()))
-        return self.fields * rot.reshape(rot.shape + (1,) * self.grid.d)
+        return np.multiply(self.fields, rot.reshape(rot.shape + (1,) * self.grid.d), out=out)
 
-    def deviations(self, ens: "ModeEnsemble") -> np.ndarray:
-        """Z = u - y: the modes of ens minus this equilibrium at time ens.t."""
-        Y = self.equilibrium_at(ens.t)
+    def deviations(self, ens: "ModeEnsemble", out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Z = u - y: the modes of ens minus this equilibrium at time ens.t
+        (written into out when given)."""
+        Y = self.equilibrium_at(ens.t, out=out)
         return np.subtract(ens.fields, Y, out=Y)
+
+    def carrier_cells(self) -> tuple:
+        """Index of each mode's carrier in an (M, *grid) spectrum stack: the one
+        cell where the unnormalised spectrum of y_j is nonzero.  ValueError for
+        a carrier off the frequency lattice, whose y_j has no such cell."""
+        k = self.carriers * (self.grid.L / (2 * math.pi))
+        cells = np.rint(k)
+        if np.any(np.abs(k - cells) > 1e-9 * np.maximum(1.0, np.abs(k))):
+            raise ValueError("a carrier is off the frequency lattice")
+        return (np.arange(self.n_modes),) + tuple((cells.astype(int) % self.grid.N).T)
+
+    def equilibrium_spectrum(self, t: float) -> np.ndarray:
+        """The (M,) entries N^d a_j e^{-i t (m + |xi_j|^2)} of the unnormalised
+        spectrum of Y(t) at carrier_cells(); every other entry is zero."""
+        return self.grid.N ** self.grid.d * self.weights * np.exp(-1j * t * self._rates())
 
     def induced_potential(self, ens: "ModeEnsemble") -> np.ndarray:
         """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
@@ -159,9 +180,14 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
             InitReport(retained_mass=retained, truncated_mass=total - retained))
 
 
-def step(ens: ModeEnsemble, dt: float, n: int = 1) -> ModeEnsemble:
-    """n Strang steps with adjacent kinetic half-steps fused; pure (returns
-    the advanced ensemble, ens.fields is left as it was)."""
+def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = None) -> ModeEnsemble:
+    """n Strang steps with adjacent kinetic half-steps fused.
+
+    Without hat, pure: returns the advanced ensemble and leaves ens.fields as
+    it was.  hat is a buffer holding the unnormalised spectrum of ens.fields:
+    the window starts from it instead of a forward FFT and leaves in it the
+    spectrum of the returned fields (the array before its last inverse FFT).
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n < 1:
@@ -177,28 +203,42 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1) -> ModeEnsemble:
     full = half * half
     sym = ens.w.what(g.xi_norm)
 
-    hat = fftn(ens.fields, axes=axes)
-    hat *= half
+    spec = fftn(ens.fields, axes=axes) if hat is None else hat
+    spec *= half
     for k in range(n):
-        u = ifftn(hat, axes=axes, overwrite_x=True)
+        u = ifftn(spec, axes=axes, overwrite_x=True)
         rho = np.sum(np.abs(u) ** 2, axis=0)
         pot = ifftn(sym * fftn(rho), overwrite_x=True).real
         u *= np.exp(-1j * dt * (pot - ens.m))
-        hat = fftn(u, axes=axes, overwrite_x=True)
-        hat *= full if k < n - 1 else half
-    return replace(ens, fields=ifftn(hat, axes=axes, overwrite_x=True), t=t)
+        spec = fftn(u, axes=axes, overwrite_x=True)
+        spec *= full if k < n - 1 else half
+    del half, full, sym, rho, pot  # grid temporaries go before the output stack comes
+    if hat is None:
+        return replace(ens, fields=ifftn(spec, axes=axes, overwrite_x=True), t=t)
+    if not np.may_share_memory(spec, hat):  # the transforms ran out of place
+        hat[...] = spec
+    return replace(ens, fields=ifftn(hat, axes=axes), t=t)
 
 
-def conserved_energy(ens: ModeEnsemble) -> float:
-    """Kinetic + gauge + interaction energy (constant along the exact flow)."""
+def conserved_energy(ens: ModeEnsemble, hat: Optional[np.ndarray] = None,
+                     rho: Optional[np.ndarray] = None) -> float:
+    """Kinetic + gauge + interaction energy (constant along the exact flow).
+
+    hat is the unnormalised spectrum of ens.fields and rho its density when
+    the caller holds them; the kinetic and gauge terms come from one |hat|^2
+    pass by Parseval, sum_x |u|^2 dx = dx^2 (2 pi)^-d dxi sum_k |hat_k|^2.
+    """
     if ens.n_modes == 0:
         return 0.0
     g = ens.grid
-    hat = fftn(ens.fields, axes=ens.space_axes) * g.dx
-    wgt = (2 * math.pi) ** (-g.d) * g.dxi
-    kinetic = float(np.sum(g.xi_squared[None] * np.abs(hat) ** 2) * wgt)
-    gauge = ens.m * float(np.sum(ens.mode_masses()))
-    rho = ens.density_values()
+    if hat is None:
+        hat = fftn(ens.fields, axes=ens.space_axes)
+    if rho is None:
+        rho = ens.density_values()
+    power = np.sum(np.abs(hat) ** 2, axis=0)
+    wgt = (2 * math.pi) ** (-g.d) * g.dxi * g.dx ** 2
+    kinetic = float(np.sum(g.xi_squared * power)) * wgt
+    gauge = ens.m * float(np.sum(power)) * wgt
     sym = ens.w.what(g.xi_norm)
     wrho = ifftn(sym * fftn(rho), overwrite_x=True).real
     interaction = 0.5 * float(np.sum(wrho * rho) * g.dx)
@@ -266,11 +306,13 @@ def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
                        axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
 
 
-def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley):
+def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley,
+                 hat: Optional[np.ndarray] = None):
     """Spatial ingredients l2, l_dplus2, w_sp, besov_q of a mode stack
     (M, *grid), or per time slice of (n_t, M, *grid) as (n_t,) arrays.
 
-    Returns (ingredients, unnormalised FFT of the stack over space).
+    hat is the unnormalised FFT of the stack over space when the caller holds
+    it (it is only read).  Returns (ingredients, that FFT).
     """
     d, dx = grid.d, grid.dx
     ex = critical_exponents(d)
@@ -281,7 +323,8 @@ def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley):
     out = {"l2": np.sqrt(np.sum(dens, axis=(mode,) + space) * dx),
            "l_dplus2": _lebesgue(np.sqrt(np.sum(dens, axis=mode)), float(d + 2), dx, pointwise)}
     del dens
-    hat = fftn(stack, axes=space)
+    if hat is None:
+        hat = fftn(stack, axes=space)
     bessel = ((1 + grid.xi_squared) ** (ex["s"] / 2))[(None,) * (mode + 1)]
     smooth = ifftn(bessel * hat, axes=space, overwrite_x=True)
     out["w_sp"] = _lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=mode)), ex["p"], dx, pointwise)
@@ -294,14 +337,17 @@ def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley):
     return out, hat
 
 
-def deviation_norms(grid: TorusGrid, stack: np.ndarray, lp: Optional[LittlewoodPaley] = None) -> dict:
-    """Spatial ingredient norms of a deviation stack (M, *grid) at one time."""
+def deviation_norms(grid: TorusGrid, stack: np.ndarray, lp: Optional[LittlewoodPaley] = None,
+                    hat: Optional[np.ndarray] = None) -> dict:
+    """Spatial ingredient norms of a deviation stack (M, *grid) at one time;
+    hat is its unnormalised spectrum when the caller holds it (only read)."""
     if stack.shape[0] == 0:
         return {k: 0.0 for k in ("l2", "hs", "l_dplus2", "w_sp", "besov_q")}
-    out, hat = _stack_norms(grid, stack, lp or LittlewoodPaley(grid))
+    out, hat = _stack_norms(grid, stack, lp or LittlewoodPaley(grid), hat)
     s = critical_exponents(grid.d)["s"]
-    wgt = (2 * math.pi) ** (-grid.d) * grid.dxi
-    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared[None]) ** s * np.abs(hat * grid.dx) ** 2) * wgt)
+    wgt = (2 * math.pi) ** (-grid.d) * grid.dxi * grid.dx ** 2
+    power = np.sum(np.abs(hat) ** 2, axis=0)
+    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power) * wgt)
     return {k: float(v) for k, v in out.items()}
 
 
@@ -328,44 +374,66 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
     """Step to time T recording observables every obs_stride steps.
 
     With the equilibrium reference, snapshots hold deviations and
-    record_norms records their norms.  Aborts with a diagnostic on non-finite
-    field values.
+    record_norms records their norms.  One forward stack FFT at t=0 gives the
+    spectrum that every window and observation then carries.  Aborts with a
+    diagnostic on non-finite field values.
     """
     if T <= 0:
         raise ValueError("T must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if obs_stride < 1:
+        raise ValueError("obs_stride must be at least 1")
+    if snapshot_stride is not None and snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be at least 1")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
 
+    # observations at step 0 and at the end of every window
+    obs_steps = [0] + [min(i + obs_stride, n_steps) for i in range(0, n_steps, obs_stride)]
     lp = LittlewoodPaley(ens.grid) if record_norms else None
     times, masses, energies, extrema = [], [], [], []
     norm_rows = [] if (record_norms and reference is not None) else None
-    snap_times, snaps = [], [] if snapshot_stride else None
+    cells = reference.carrier_cells() if norm_rows is not None else None
+    snap_times, snaps, snap_steps = [], None, ()
+    if snapshot_stride:
+        snap_steps = {i for i in obs_steps if i % (snapshot_stride * obs_stride) == 0 or i == n_steps}
+        snaps = np.empty((len(snap_steps),) + ens.fields.shape, dtype=complex)
+    axes = ens.space_axes
+    hat = fftn(ens.fields, axes=axes)
 
     def observe(i, state):
-        if not np.all(np.isfinite(state.fields.view(float))):
+        dens = np.abs(state.fields) ** 2    # one pass gives the masses and the density
+        mass = np.sum(dens, axis=axes) * state.grid.dx
+        if not np.all(np.isfinite(mass)):
             raise FloatingPointError(f"non-finite field values at step {i}, t={state.t}")
+        rho = np.sum(dens, axis=0)
+        del dens
         times.append(state.t)
-        masses.append(state.mode_masses())
-        energies.append(conserved_energy(state))
-        rho = state.density_values()
-        extrema.append((float(rho.min()) if rho.size else 0.0,
-                        float(rho.max()) if rho.size else 0.0))
+        masses.append(mass)
+        energies.append(conserved_energy(state, hat, rho))
+        extrema.append((float(rho.min()), float(rho.max())))
         if norm_rows is not None:
-            norm_rows.append(deviation_norms(state.grid, reference.deviations(state), lp))
-        if snaps is not None and (i % (snapshot_stride * obs_stride) == 0 or i == n_steps):
+            # Z-hat is the carried spectrum minus y_j's one entry per mode;
+            # the entries go back bit for bit, the next window reads them
+            saved = hat[cells]
+            hat[cells] -= reference.equilibrium_spectrum(state.t)
+            norm_rows.append(deviation_norms(state.grid, reference.deviations(state), lp, hat=hat))
+            hat[cells] = saved
+        if i in snap_steps:
+            k = len(snap_times)
             snap_times.append(state.t)
             if reference is not None:
-                snaps.append(reference.deviations(state))
+                reference.deviations(state, out=snaps[k])
             else:
-                snaps.append(state.fields.copy())
+                snaps[k] = state.fields
 
     state = ens
     observe(0, state)
-    for i in range(0, n_steps, obs_stride):
-        n = min(obs_stride, n_steps - i)
-        state = step(state, dt, n)
-        observe(i + n, state)
+    for i, end in zip(obs_steps, obs_steps[1:]):
+        state = step(state, dt, end - i, hat=hat)
+        observe(end, state)
 
     norms = None
     if norm_rows:
@@ -375,7 +443,7 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
                       energies=np.array(energies),
                       norms=norms,
                       snapshot_times=np.array(snap_times),
-                      snapshots=np.array(snaps) if snaps else None,
+                      snapshots=snaps,
                       density_extrema=np.array(extrema),
                       final=state)
 

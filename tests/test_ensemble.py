@@ -7,6 +7,7 @@ from hartorus import (BumpSpec, SpectralField, TorusGrid, add_perturbation, beso
                       conserved_energy, critical_exponents, custom_radial, delta_potential,
                       deviation_norms, evolve, fermi, init_equilibrium, lebesgue_norm,
                       scattering_probe, sobolev_norm, step, zero_distribution, zero_potential)
+from hartorus.field import fftn
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +282,153 @@ def test_deviation_norms_of_one_mode_match_norms_module(d, N):
     assert set(got) == set(want)
     for k, v in want.items():
         assert got[k] == pytest.approx(v, rel=1e-13, abs=0), k
+
+
+# ---------------------------------------------------------------------------
+# observations from the carried spectrum: each fast path against its slow path
+
+
+def _perturbed(d, N, theta=1e-6):
+    g = TorusGrid(d, 2 * np.pi, N)
+    ens, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), theta)
+    spec = BumpSpec(0.05, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=ens.n_modes // 2)
+    return add_perturbation(ens, spec)
+
+
+def _energy_oracle(ens):
+    # the physical-space energy: its own forward FFT, masses and density
+    g = ens.grid
+    hat = np.fft.fftn(ens.fields, axes=ens.space_axes) * g.dx
+    kinetic = float(np.sum(g.xi_squared[None] * np.abs(hat) ** 2)) * (2 * math.pi) ** (-g.d) * g.dxi
+    rho = ens.density_values()
+    wrho = np.fft.ifftn(ens.w.what(g.xi_norm) * np.fft.fftn(rho)).real
+    return kinetic + ens.m * float(np.sum(ens.mode_masses())) + 0.5 * float(np.sum(wrho * rho) * g.dx)
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_step_from_carried_spectrum_matches_pure_step(d, N):
+    pert, _ = _perturbed(d, N)
+    before = pert.fields.copy()
+    hat = fftn(pert.fields, axes=pert.space_axes)   # the package's own transform
+    carried = step(pert, 1e-3, 3, hat=hat)
+    pure = step(pert, 1e-3, 3)
+    assert np.array_equal(carried.fields, pure.fields)
+    assert carried.t == pure.t
+    assert np.array_equal(pert.fields, before)
+    want = np.fft.fftn(pure.fields, axes=pert.space_axes)
+    assert np.max(np.abs(hat - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_energy_from_spectrum_matches_physical_oracle(d, N):
+    pert, _ = _perturbed(d, N)
+    state = step(pert, 1e-3, 2)
+    hat = np.fft.fftn(state.fields, axes=state.space_axes)
+    want = _energy_oracle(state)
+    assert conserved_energy(state, hat) == pytest.approx(conserved_energy(state), rel=1e-13)
+    assert conserved_energy(state, hat, state.density_values()) == pytest.approx(want, rel=1e-13)
+    assert conserved_energy(state) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, N, L", [(1, 64, 2 * np.pi), (2, 16, 2 * np.pi), (3, 8, 2 * np.pi),
+                                     (2, 16, 5.0)])
+def test_carrier_entries_are_the_spectrum_of_y(d, N, L):
+    # L=5 puts the carriers off the integers
+    g = TorusGrid(d, L, N)
+    eq, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), 1e-6)
+    for t in (0.0, 0.37):
+        dense = np.zeros(eq.fields.shape, dtype=complex)
+        dense[eq.carrier_cells()] = eq.equilibrium_spectrum(t)
+        want = np.fft.fftn(eq.equilibrium_at(t), axes=eq.space_axes)
+        assert np.max(np.abs(dense - want)) <= 1e-12 * g.N ** d * np.max(eq.weights)
+
+
+def test_carrier_off_the_lattice_is_refused(eq):
+    from dataclasses import replace
+    off = replace(eq, carriers=eq.carriers + 0.25)
+    with pytest.raises(ValueError, match="lattice"):
+        off.carrier_cells()
+
+
+def test_multiwindow_norms_match_recomputed_deviation_norms():
+    pert, eq = _perturbed(2, 16)
+    traj = evolve(pert, 0.012, 1e-3, obs_stride=5, reference=eq, snapshot_stride=1,
+                  record_norms=True)
+    assert len(traj.times) == 4 and traj.snapshots.shape[0] == 4
+    for i, Z in enumerate(traj.snapshots):
+        want = deviation_norms(pert.grid, Z)
+        for k, v in want.items():
+            assert traj.norms[k][i] == pytest.approx(v, rel=1e-12), (i, k)
+
+
+def test_normed_evolve_restores_the_carried_spectrum():
+    # the deviation spectrum is made in the carried buffer and undone bit
+    # for bit: the run with norms steps exactly as the run without
+    pert, eq = _perturbed(2, 16)
+    with_norms = evolve(pert, 0.01, 1e-3, obs_stride=3, reference=eq, record_norms=True)
+    without = evolve(pert, 0.01, 1e-3, obs_stride=3, reference=eq)
+    assert np.array_equal(with_norms.final.fields, without.final.fields)
+    assert np.array_equal(with_norms.energies, without.energies)
+
+
+def test_empty_ensemble_evolves_with_norms(grid):
+    ens, _ = init_equilibrium(grid, zero_distribution(), delta_potential(1.0), 1e-8)
+    traj = evolve(ens, 0.01, 1e-3, obs_stride=4, reference=ens, record_norms=True,
+                  snapshot_stride=1)
+    assert traj.final.t == pytest.approx(0.01)
+    assert traj.snapshots.shape == (4, 0) + grid.shape
+    assert all(np.all(v == 0.0) for v in traj.norms.values())
+    assert np.all(traj.energies == 0.0)
+
+
+@pytest.mark.parametrize("dt, kwargs, name", [(-0.01, {}, "dt"), (0.0, {}, "dt"),
+                                              (0.01, {"obs_stride": 0}, "obs_stride"),
+                                              (0.01, {"obs_stride": -3}, "obs_stride"),
+                                              (0.01, {"snapshot_stride": 0}, "snapshot_stride"),
+                                              (0.01, {"snapshot_stride": -1}, "snapshot_stride")])
+def test_evolve_refuses_nonpositive_steps_and_strides(eq, dt, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        evolve(eq, 0.1, dt, reference=eq, **kwargs)
+
+
+def test_snapshots_fill_one_preallocated_stack():
+    import tracemalloc
+    pert, eq = _perturbed(2, 32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = evolve(pert, 0.01, 1e-3, obs_stride=1, reference=eq, snapshot_stride=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert traj.snapshots.shape == (11,) + pert.fields.shape
+    # the snapshots, the carried spectrum and the fields before and after a window
+    assert peak <= traj.snapshots.nbytes + 3.25 * pert.fields.nbytes
+    assert np.array_equal(traj.snapshots[-1], eq.deviations(traj.final))
+    assert np.array_equal(traj.snapshots[0], eq.deviations(pert))
+
+
+def test_normed_evolve_stack_transform_budget(monkeypatch):
+    # one forward transform at t=0, 2n + 1 per window of n steps, and per
+    # observation the w_sp inverse plus one inverse per resolvable block
+    from hartorus import LittlewoodPaley
+    from hartorus import ensemble as ens_mod
+    pert, eq = _perturbed(3, 8, theta=1e-8)
+    shape = pert.fields.shape
+    calls = []
+
+    def counting(fn):
+        def wrapper(x, *args, **kwargs):
+            if np.shape(x) == shape:
+                calls.append(fn.__name__)
+            return fn(x, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ens_mod, "fftn", counting(ens_mod.fftn))
+    monkeypatch.setattr(ens_mod, "ifftn", counting(ens_mod.ifftn))
+    traj = evolve(pert, 0.05, 0.01, obs_stride=2, reference=eq, record_norms=True)
+    windows = [2, 2, 1]
+    n_blocks = len(LittlewoodPaley(pert.grid).j_resolvable)
+    assert len(traj.times) == len(windows) + 1
+    assert len(calls) == 1 + sum(2 * n + 1 for n in windows) + len(traj.times) * (1 + n_blocks)
+    assert calls.count("fftn") == 1 + sum(windows)
