@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config
-from .runner import run_experiment
+from .runner import MemoryPreflightError, run_experiment
 
 USAGE_ERROR = 2
 
@@ -48,7 +48,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
     out_dir = args.out or os.environ.get("HARTORUS_OUT") or "out"
-    env = run_experiment(cfg, out_dir, seed=args.seed)
+    try:
+        env = run_experiment(cfg, out_dir, seed=args.seed)
+    except MemoryPreflightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     for name, ok in env.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     print(f"envelope: {Path(out_dir) / 'envelope.json'}")

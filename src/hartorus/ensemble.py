@@ -41,7 +41,7 @@ import numpy as np
 from .equilibrium import DistributionFunction, InteractionPotential
 from .field import fftn, ifftn
 from .grid import TorusGrid
-from .lpaley import LittlewoodPaley, eta_j
+from .lpaley import LittlewoodPaley, critical_exponents
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,19 @@ class ModeEnsemble:
         rotation = (t * self._rates()).reshape(lead)
         return self.weights.reshape(lead) * np.exp(1j * (self.grid.phase(self.carriers) - rotation))
 
-    def equilibrium_at(self, t, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Y(t): the stored fields times the (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)},
-        one exp per mode; (n_t, M, *grid) for an array of times.  The stored
-        fields must be the exact equilibrium at self.t, as init_equilibrium and
-        add_perturbation leave them (equilibrium_fields is the oracle)."""
+    def equilibrium_phases(self, t) -> np.ndarray:
+        """The (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)} that carry the stored
+        fields to time t, shaped (M, 1, ..., 1) to broadcast against them;
+        (n_t, M, 1, ..., 1) for an array of times."""
         rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates()))
-        return np.multiply(self.fields, rot.reshape(rot.shape + (1,) * self.grid.d), out=out)
+        return rot.reshape(rot.shape + (1,) * self.grid.d)
+
+    def equilibrium_at(self, t, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Y(t): the stored fields times equilibrium_phases(t), one exp per mode;
+        (n_t, M, *grid) for an array of times.  The stored fields must be the
+        exact equilibrium at self.t, as init_equilibrium and add_perturbation
+        leave them (equilibrium_fields is the oracle)."""
+        return np.multiply(self.fields, self.equilibrium_phases(t), out=out)
 
     def deviations(self, ens: "ModeEnsemble", out: Optional[np.ndarray] = None) -> np.ndarray:
         """Z = u - y: the modes of ens minus this equilibrium at time ens.t
@@ -287,11 +293,6 @@ def add_perturbation(ens: ModeEnsemble, spec: BumpSpec):
 # deviation norms (the solution-space ingredients)
 
 
-def critical_exponents(d: int) -> dict:
-    """s = d/2-1, p = 2(d+2)/d, q = 4d/(d+1), the cubic-critical family."""
-    return {"s": d / 2 - 1, "p": 2 * (d + 2) / d, "q": 4 * d / (d + 1)}
-
-
 def _lebesgue(vals: np.ndarray, p: float, dx: float, axes: tuple):
     """L^p over the space axes of lattice values."""
     return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
@@ -301,9 +302,8 @@ def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
     """(j, block j in space) for every resolvable j; hat is a stack of
     unnormalised FFTs whose trailing axes are the grid's."""
     lead = hat.ndim - grid.d
-    for j in lp.j_resolvable:
-        yield j, ifftn(eta_j(grid.xi_norm, j)[(None,) * lead] * hat,
-                       axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
+    for j, sym in lp.symbols.items():
+        yield j, ifftn(sym[(None,) * lead] * hat, axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
 
 
 def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley,
@@ -312,7 +312,9 @@ def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley,
     (M, *grid), or per time slice of (n_t, M, *grid) as (n_t,) arrays.
 
     hat is the unnormalised FFT of the stack over space when the caller holds
-    it (it is only read).  Returns (ingredients, that FFT).
+    it (it is only read).  Returns (ingredients, that FFT).  At d = 2 the
+    Bessel weight of w_sp is 1 and p = d + 2, so w_sp is l_dplus2 with no
+    transform pair.
     """
     d, dx = grid.d, grid.dx
     ex = critical_exponents(d)
@@ -320,15 +322,18 @@ def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley,
     space = tuple(range(mode + 1, stack.ndim))
     pointwise = tuple(range(mode, mode + d))        # space axes once modes are summed
     dens = np.abs(stack) ** 2
+    root = np.sqrt(np.sum(dens, axis=mode))
     out = {"l2": np.sqrt(np.sum(dens, axis=(mode,) + space) * dx),
-           "l_dplus2": _lebesgue(np.sqrt(np.sum(dens, axis=mode)), float(d + 2), dx, pointwise)}
+           "l_dplus2": _lebesgue(root, float(d + 2), dx, pointwise)}
     del dens
     if hat is None:
         hat = fftn(stack, axes=space)
-    bessel = ((1 + grid.xi_squared) ** (ex["s"] / 2))[(None,) * (mode + 1)]
-    smooth = ifftn(bessel * hat, axes=space, overwrite_x=True)
-    out["w_sp"] = _lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=mode)), ex["p"], dx, pointwise)
-    del smooth
+    if ex["s"] != 0:
+        smooth = ifftn(lp.bessel[(None,) * (mode + 1)] * hat, axes=space, overwrite_x=True)
+        root = np.sqrt(np.sum(np.abs(smooth) ** 2, axis=mode))
+        del smooth
+    out["w_sp"] = _lebesgue(root, ex["p"], dx, pointwise)
+    del root
     acc = np.zeros(stack.shape[:mode])
     for j, block in _dyadic_blocks(grid, hat, lp):
         nq = _lebesgue(np.sqrt(np.sum(np.abs(block) ** 2, axis=mode)), ex["q"], dx, pointwise)
@@ -469,27 +474,29 @@ def scattering_probe(traj: Trajectory, grid: TorusGrid, m: float,
 
     Decreasing Cauchy differences signal convergence of S(-t)Z(t); the
     potential-free control run keeps it exactly constant.  A window past
-    the torus recurrence time gets a warning flag.
+    the torus recurrence time gets a warning flag.  One pass over the
+    snapshots holds the previous unwound snapshot and nothing else of
+    snapshot size.
     """
     if traj.snapshots is None:
         raise ValueError("trajectory carries no snapshots; evolve with snapshot_stride")
     ts = traj.snapshot_times
-    Z = traj.snapshots
-    axes = tuple(range(2, 2 + grid.d))  # space axes of the (n_snap, M, *grid) stack
-
-    phase = np.exp(1j * np.multiply.outer(ts, m + grid.xi_squared))[:, None]
-    unwound = fftn(Z, axes=axes)
-    unwound *= phase
-    unwound = ifftn(unwound, axes=axes, overwrite_x=True)
-
-    diffs = unwound[1:] - unwound[:-1]
-    cauchy = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=tuple(range(1, 2 + grid.d))) * grid.dx)
+    axes = tuple(range(1, 1 + grid.d))  # space axes of one (M, *grid) snapshot
 
     center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius
-    dens = np.sum(np.abs(Z) ** 2, axis=1)
-    local = np.sqrt(np.sum(dens[:, ball], axis=1) * grid.dx)
+    cauchy = np.empty(max(len(ts) - 1, 0))
+    local = np.empty(len(ts))
+    prev = None
+    for i, (t, Z) in enumerate(zip(ts, traj.snapshots)):
+        unwound = fftn(Z, axes=axes)
+        unwound *= np.exp(1j * (t * (m + grid.xi_squared)))
+        unwound = ifftn(unwound, axes=axes, overwrite_x=True)
+        if prev is not None:
+            cauchy[i - 1] = np.sqrt(np.sum(np.abs(unwound - prev) ** 2) * grid.dx)
+        prev = unwound
+        local[i] = np.sqrt(np.sum(np.sum(np.abs(Z) ** 2, axis=0)[ball]) * grid.dx)
 
     return ProbeReport(
         times=ts,

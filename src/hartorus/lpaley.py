@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,11 @@ def eta_j(r, j: int):
     return eta(np.asarray(r, dtype=float) * 2.0 ** (-j))
 
 
+def critical_exponents(d: int) -> dict:
+    """s = d/2-1, p = 2(d+2)/d, q = 4d/(d+1), the cubic-critical family."""
+    return {"s": d / 2 - 1, "p": 2 * (d + 2) / d, "q": 4 * d / (d + 1)}
+
+
 @dataclass(frozen=True)
 class LittlewoodPaley:
     """Block family adapted to one grid.
@@ -51,6 +57,9 @@ class LittlewoodPaley:
     resolvable   : the stricter range with 2^(j-1) >= 2*pi/L and
                    2^(j+1) <= Nyquist; norms are evaluated on it and the
                    mass left outside is reported, never silently dropped.
+
+    The lattice symbols of the resolvable blocks and the Bessel weight of the
+    critical exponent s are evaluated once per instance.
     """
 
     grid: TorusGrid
@@ -69,9 +78,21 @@ class LittlewoodPaley:
         j_max = math.floor(math.log2(g.nyquist) - 1.0 + 1e-12)
         return range(j_min, j_max + 1)
 
+    @cached_property
+    def symbols(self) -> dict:
+        """j -> eta_j on the lattice, for every resolvable j."""
+        return {j: eta_j(self.grid.xi_norm, j) for j in self.j_resolvable}
+
+    @cached_property
+    def bessel(self) -> np.ndarray:
+        """(1 + |xi|^2)^{s/2} on the lattice at s = critical_exponents(d)["s"]."""
+        s = critical_exponents(self.grid.d)["s"]
+        return (1 + self.grid.xi_squared) ** (s / 2)
+
     def project(self, f: SpectralField, j: int) -> SpectralField:
         """Band-limit a field to block j (zero field if j covers nothing)."""
-        return f.apply_multiplier(eta_j(self.grid.xi_norm, j))
+        sym = self.symbols.get(j)
+        return f.apply_multiplier(eta_j(self.grid.xi_norm, j) if sym is None else sym)
 
     def resolvable(self, j: int) -> bool:
         return j in self.j_resolvable

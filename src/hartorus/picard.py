@@ -2,37 +2,35 @@
 
 One application of the map sends (Z, V) to
 
-    Z' = S(t) [z0-hat - i int_0^t S(-s) (w*V)(s) (Y + Z)(s) ds],
+    Z' = S(t) [z0-hat - i I(t)],   I(t) = int_0^t S(-s) (w*V)(s) (Y + Z)(s) ds,
     V' = E|Z|^2 + 2 Re E( Y-bar Z' ),
 
 with S(t) = e^{-i t (m - Lap)} applied spectrally and the time integral by
 trapezoid on the stored lattice.  Expectations are exact mode sums.  The
 equilibrium Y is the unperturbed ensemble eq (the second value of
-add_perturbation), whose exact phases give Y at every sampled time.  The
-iteration starts at the source pair (S(t) Z0, 2 Re E(Y-bar S(t) Z0)), the
-image of (0, 0).
+add_perturbation): Y(t) is eq's stored plane waves times one phase per mode.
+
+An application is one pass over the time slices that overwrites Z, V and the
+carried integral I in place.  The trapezoid runs in np.cumsum's operand
+order, so each slice needs only the previous slice's integrand.  Successive
+iterates share z0-hat, so the spectrum of Z' - Z at slice s is
+S(t_s) (-i) (I'(s) - I(s)), and the window norms of the difference take no
+forward transform of their own.  The first pass maps (0, 0) to the source pair
+(S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped.  Two
+(n_t, M, *grid) stacks, Z and I, are live, plus a few slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .ensemble import ModeEnsemble, _dyadic_blocks, _stack_norms, critical_exponents, evolve
+from .ensemble import ModeEnsemble, _dyadic_blocks, _stack_norms, evolve
 from .field import fftn, ifftn
-from .lpaley import LittlewoodPaley
+from .lpaley import LittlewoodPaley, critical_exponents
 
 _TOL = 1e-12        # a difference below this in every window norm counts as converged
-
-
-def _cumtrapz0(arr: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at zero."""
-    out = np.zeros_like(arr)
-    if arr.shape[0] > 1:
-        np.cumsum(0.5 * dt * (arr[1:] + arr[:-1]), axis=0, out=out[1:])
-    return out
 
 
 class PicardOperator:
@@ -44,7 +42,7 @@ class PicardOperator:
         self.n_t = n_steps + 1
         self.ts = np.linspace(0.0, T, self.n_t)
         self.dt = T / n_steps
-        self.space_axes = tuple(range(2, 2 + grid.d))
+        self.space_axes = tuple(range(1, 1 + grid.d))   # of one (M, *grid) slice
         self.M = eq.n_modes
 
         self.what_lattice = eq.w.what(grid.xi_norm)
@@ -53,63 +51,99 @@ class PicardOperator:
         z0 = np.asarray(z0, dtype=complex)
         if z0.shape != (self.M,) + grid.shape:
             raise ValueError("Z0 must be one field per equilibrium mode")
-        self.z0_hat = fftn(z0, axes=tuple(range(1, 1 + grid.d)))
-
-        # equilibrium modes on the whole time lattice: eq's stored plane waves
-        # times one (n_t, M) array of phases
-        self.Y = eq.equilibrium_at(self.ts)
+        self.z0_hat = fftn(z0, axes=self.space_axes)
+        # Y(t_s) is the plane waves times phases[s]
+        self.plane_waves = eq.fields
+        self.phases = eq.equilibrium_phases(self.ts)
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
-        hat = fftn(V, axes=tuple(range(1, 1 + self.grid.d)))
+        """w * V over the trailing grid axes of V."""
+        axes = tuple(range(V.ndim - self.grid.d, V.ndim))
+        hat = fftn(V, axes=axes)
         hat *= self.what_lattice
-        return ifftn(hat, axes=tuple(range(1, 1 + self.grid.d)), overwrite_x=True).real
+        return ifftn(hat, axes=axes, overwrite_x=True).real
 
-    def duhamel(self, F: np.ndarray) -> np.ndarray:
-        """S(t) [z0-hat - i int_0^t S(-s) F-hat(s) ds] on the stack F (n_t, M, *grid)."""
-        hat = fftn(F, axes=self.space_axes)
-        integ = _cumtrapz0(np.multiply(self.fwd[:, None], hat, out=hat), self.dt)
-        integ *= -1j
-        integ += self.z0_hat
-        # the z0-hat term in source_pair's operand order, so that apply(0, 0)
-        # is source_pair() bit for bit
-        return ifftn(np.multiply(np.conj(self.fwd)[:, None], integ, out=integ),
-                     axes=self.space_axes, overwrite_x=True)
+    def duhamel(self, s: int, F: np.ndarray, carry=None):
+        """Slice s of the running integral I(s) = int_0^{t_s} S(-t) F-hat(t) dt.
 
-    def apply(self, Z: np.ndarray, V: np.ndarray):
-        """One application of the map; returns (Z', V')."""
-        Znew = self.duhamel(self.convolve_potential(V)[:, None] * (self.Y + Z))
-        Vnew = (np.sum(np.abs(Z) ** 2, axis=1)
-                + 2.0 * np.sum(np.conj(self.Y) * Znew, axis=1).real)
-        return Znew, Vnew
+        F is the integrand (M, *grid) at slice s in space (overwritten); carry
+        is the (I, S(-t) F-hat) pair this call returned at slice s-1, None at
+        s = 0.  Returns that pair at slice s.
+        """
+        G = fftn(F, axes=self.space_axes, overwrite_x=True)
+        np.multiply(self.fwd[s], G, out=G)
+        if carry is None:
+            return np.zeros_like(G), G
+        I_prev, G_prev = carry
+        return I_prev + 0.5 * self.dt * (G + G_prev), G
 
-    def source_pair(self):
-        """The image of (0, 0): the free flow S(t) Z0 and 2 Re E(Y-bar S(t) Z0)."""
-        Z = ifftn(np.conj(self.fwd)[:, None] * self.z0_hat, axes=self.space_axes, overwrite_x=True)
-        return Z, 2.0 * np.sum(np.conj(self.Y) * Z, axis=1).real
+    def apply(self, Z: np.ndarray, V: np.ndarray, I: np.ndarray, lp: LittlewoodPaley,
+              first: bool = False) -> dict:
+        """One application of the map, in place: (Z, V) becomes (Z', V') and I
+        the integral that gave Z'.
 
-    def pair_norms(self, Z: np.ndarray, V: np.ndarray, lp: Optional[LittlewoodPaley] = None) -> dict:
-        """Window norms of a pair: time norms of the solution-space ingredients."""
+        Z (n_t, M, *grid) must be S(t)[z0-hat - i I], the image of the pass
+        that left I.  With first, Z, V and I are zero: the zero integrand is
+        skipped and I is left as it is.  Returns the per-slice ingredients of
+        the difference (Z' - Z, V' - V) as (n_t,) arrays, for pair_norms.
+        """
+        rows = []
+        carry = None
+        for s in range(self.n_t):
+            Ys = self.plane_waves * self.phases[s]
+            Zs = Z[s]
+            back = np.conj(self.fwd[s])
+            if first:
+                hat = back * self.z0_hat
+                dhat = hat
+            else:
+                F = self.convolve_potential(V[s]) * (Ys + Zs)
+                carry = self.duhamel(s, F, carry)
+                integral = carry[0]
+                dhat = integral - I[s]
+                dhat *= -1j
+                np.multiply(back, dhat, out=dhat)
+                I[s] = integral
+                hat = integral * -1j
+                hat += self.z0_hat
+                np.multiply(back, hat, out=hat)
+            Zn = ifftn(hat, axes=self.space_axes, overwrite_x=not first)
+            Vn = (np.sum(np.abs(Zs) ** 2, axis=0)
+                  + 2.0 * np.sum(np.conj(Ys) * Zn, axis=0).real)
+            rows.append(self._ingredients(Zn - Zs, dhat, Vn - V[s], lp))
+            Z[s] = Zn
+            V[s] = Vn
+        return {k: np.array([row[k] for row in rows]) for k in rows[0]}
+
+    def _ingredients(self, dz: np.ndarray, dz_hat: np.ndarray, dv: np.ndarray,
+                     lp: LittlewoodPaley) -> dict:
+        """Spatial norms of one slice of a pair difference; dz_hat is the
+        unnormalised spectrum of dz (only read)."""
         g = self.grid
-        d = g.d
-        lp = lp or LittlewoodPaley(g)
-        space = tuple(range(1, 1 + d))
+        out, _ = _stack_norms(g, dz, lp, hat=dz_hat)
+        vp = (g.d + 2) / 2.0
+        out["v_l_half"] = (np.sum(np.abs(dv) ** vp) * g.dx) ** (1.0 / vp)
+        acc = 0.0
+        for j, block in _dyadic_blocks(g, fftn(dv), lp):
+            n2 = np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)
+            acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
+        out["v_l2_besov"] = np.sqrt(acc)
+        return out
+
+    def pair_norms(self, rows: dict) -> dict:
+        """Window norms of a pair difference from its per-slice ingredients:
+        the sup or the trapezoid L^p norm in time of each."""
+        d = self.grid.d
 
         def t_integral(vals, power):
             return float(np.trapezoid(vals ** power, dx=self.dt) ** (1.0 / power))
 
-        z, _ = _stack_norms(g, Z, lp)
-        out = {"z_sup_l2": float(np.max(z["l2"])),
-               "z_l_dplus2": t_integral(z["l_dplus2"], d + 2),
-               "z_lp_wsp": t_integral(z["w_sp"], critical_exponents(d)["p"]),
-               "z_l4_besov": t_integral(z["besov_q"], 4)}
-        vp = (d + 2) / 2.0
-        out["v_l_half"] = t_integral((np.sum(np.abs(V) ** vp, axis=space) * g.dx) ** (1.0 / vp), vp)
-        acc = np.zeros(self.n_t)
-        for j, block in _dyadic_blocks(g, fftn(V, axes=space), lp):
-            n2 = np.sqrt(np.sum(np.abs(block) ** 2, axis=space) * g.dx)
-            acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
-        out["v_l2_besov"] = t_integral(np.sqrt(acc), 2)
-        return out
+        return {"z_sup_l2": float(np.max(rows["l2"])),
+                "z_l_dplus2": t_integral(rows["l_dplus2"], d + 2),
+                "z_lp_wsp": t_integral(rows["w_sp"], critical_exponents(d)["p"]),
+                "z_l4_besov": t_integral(rows["besov_q"], 4),
+                "v_l_half": t_integral(rows["v_l_half"], (d + 2) / 2.0),
+                "v_l2_besov": t_integral(rows["v_l2_besov"], 2)}
 
 
 @dataclass
@@ -125,26 +159,27 @@ class PicardResult:
 
 
 def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
-    """Iterate the map from the source pair with contraction diagnostics.
+    """Iterate the map from (0, 0) with contraction diagnostics.
 
-    The source pair is the first iterate and its norms the first difference.
-    Divergence (ratio above 1 three times in a row) halts the iteration with
-    the flag set; differences below _TOL halt it as converged.
+    The first pass gives the source pair, whose norms are the first
+    difference.  Divergence (ratio above 1 three times in a row) halts the
+    iteration with the flag set; differences below _TOL halt it as converged.
+    The carried integral is dropped on return.
     """
     lp = LittlewoodPaley(op.grid)
-    Z, V = op.source_pair()
-    diffs, factors = [op.pair_norms(Z, V, lp)], []
+    Z = np.zeros((op.n_t, op.M) + op.grid.shape, dtype=complex)
+    V = np.zeros((op.n_t,) + op.grid.shape)
+    I = np.zeros_like(Z)
+    diffs, factors = [op.pair_norms(op.apply(Z, V, I, lp, first=True))], []
     while True:
         diverged = len(factors) >= 3 and all(f > 1.0 for f in factors[-3:])
         small = max(diffs[-1].values()) < _TOL
         if diverged or small or len(diffs) >= max_iters:
             break
-        Zn, Vn = op.apply(Z, V)
-        dn = op.pair_norms(Zn - Z, Vn - V, lp)
+        dn = op.pair_norms(op.apply(Z, V, I, lp))
         ratios = [dn[k] / diffs[-1][k] for k in dn if diffs[-1][k] > 0]
         factors.append(max(ratios) if ratios else 0.0)
         diffs.append(dn)
-        Z, V = Zn, Vn
     converged = not diverged and (small or bool(factors) and factors[-1] < 1.0)
     return PicardResult(Z=Z, V=V, ts=op.ts, diff_norms=diffs, contraction=factors,
                         converged=converged, diverged=diverged, n_iterations=len(diffs))

@@ -299,16 +299,49 @@ def _exp_instability(cfg, out, seed):
     return [cpath, rpath, spath], verdicts
 
 
+class MemoryPreflightError(RuntimeError):
+    """A run whose estimated peak memory exceeds what the host has available."""
+
+
+def mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+# live (n_t, M, *grid) stacks at the peak of a picard run: the iterate and the
+# carried integral during the solve, the iterate and the split-step snapshots
+# after it, plus slices
+_PICARD_PEAK_STACKS = 3
+
+
+def _picard_preflight(n_t: int, M: int, grid) -> None:
+    need = _PICARD_PEAK_STACKS * n_t * M * grid.N ** grid.d * 16
+    limit = mem_available()
+    if limit is not None and need > limit:
+        raise MemoryPreflightError(
+            f"picard needs about {need / 2**20:.0f} MiB ({_PICARD_PEAK_STACKS} stacks of "
+            f"n_t={n_t}, M={M}, N^d={grid.N ** grid.d} complex values) but "
+            f"{limit / 2**20:.0f} MiB is available")
+
+
 def _exp_picard(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
     grid = eq.grid
+    _picard_preflight(cfg["picard.steps"] + 1, eq.n_modes, grid)
     op = PicardOperator(eq, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
 
     _, Zref, _ = reference_trajectory(perturbed, eq, cfg["T"], cfg["picard.steps"],
                                       substeps=cfg["picard.substeps"])
-    sup_diff = float(np.max(np.sqrt(np.sum(np.abs(result.Z - Zref) ** 2,
-                                           axis=tuple(range(1, 2 + grid.d))) * grid.dx)))
+    sup_diff = max(float(np.sqrt(np.sum(np.abs(Zs - Zr) ** 2) * grid.dx))
+                   for Zs, Zr in zip(result.Z, Zref))
     records = [{"iteration": i, **{k: float(v) for k, v in sorted(dn.items())}}
                for i, dn in enumerate(result.diff_norms)]
     records.append({"contraction_factors": [float(x) for x in result.contraction],

@@ -432,3 +432,72 @@ def test_normed_evolve_stack_transform_budget(monkeypatch):
     assert len(traj.times) == len(windows) + 1
     assert len(calls) == 1 + sum(2 * n + 1 for n in windows) + len(traj.times) * (1 + n_blocks)
     assert calls.count("fftn") == 1 + sum(windows)
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
+def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
+    # at d = 2 the Bessel weight is 1 and p = d + 2: w_sp is l_dplus2 exactly,
+    # with no inverse transform of its own; elsewhere w_sp is still the
+    # Bessel-weighted transform pair, to the bit
+    from hartorus import LittlewoodPaley
+    from hartorus import ensemble as ens_mod
+    from hartorus.ensemble import _lebesgue, _stack_norms
+    from hartorus.field import ifftn
+    g = TorusGrid(d, 2 * np.pi, N)
+    rng = np.random.default_rng(d)
+    stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    lp = LittlewoodPaley(g)
+    inverses = []
+
+    def counting(x, *args, **kwargs):
+        inverses.append(np.shape(x))
+        return ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(ens_mod, "ifftn", counting)
+    got, _ = _stack_norms(g, stack, lp)
+    assert len(inverses) == len(lp.j_resolvable) + (d != 2)
+    ex = critical_exponents(d)
+    axes = tuple(range(1, 1 + d))
+    smooth = ifftn(((1 + g.xi_squared) ** (ex["s"] / 2))[None] * fftn(stack, axes=axes), axes=axes)
+    route = _lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=0)), ex["p"], g.dx, tuple(range(d)))
+    if d == 2:
+        assert got["w_sp"] == got["l_dplus2"]
+        assert got["w_sp"] == pytest.approx(route, rel=1e-14)
+    else:
+        assert got["w_sp"] == route
+
+
+def _batched_probe(traj, grid, m, center, radius):
+    # the whole-stack formula: one transform pair for all snapshots and the
+    # consecutive differences as one more stack
+    Z, ts = traj.snapshots, traj.snapshot_times
+    axes = tuple(range(2, 2 + grid.d))
+    phase = np.exp(1j * np.multiply.outer(ts, m + grid.xi_squared))[:, None]
+    from hartorus.field import ifftn
+    unwound = ifftn(fftn(Z, axes=axes) * phase, axes=axes)
+    cauchy = np.sqrt(np.sum(np.abs(unwound[1:] - unwound[:-1]) ** 2,
+                            axis=tuple(range(1, 2 + grid.d))) * grid.dx)
+    ball = grid.min_image_dist2(center) <= radius * radius
+    local = np.sqrt(np.sum(np.sum(np.abs(Z) ** 2, axis=1)[:, ball], axis=1) * grid.dx)
+    return cauchy, local
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_streamed_probe_matches_batched_formula(d, N):
+    import tracemalloc
+    pert, eq = _perturbed(d, N)
+    traj = evolve(pert, 0.2, 1e-2, obs_stride=2, reference=eq, snapshot_stride=1)
+    center, radius = (np.pi,) * d, 1.0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rpt = scattering_probe(traj, pert.grid, eq.m, ball_center=center, ball_radius=radius)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    cauchy, local = _batched_probe(traj, pert.grid, eq.m, center, radius)
+    assert np.min(cauchy) > 0
+    assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
+    assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
+    # a few snapshot-sized temporaries, not copies of the whole stack
+    assert peak <= 4 * pert.fields.nbytes + 64 * 1024

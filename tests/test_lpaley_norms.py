@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hartorus import (LittlewoodPaley, SpectralField, TorusGrid, bernstein_ratio, besov_norm,
-                      eta, lebesgue_norm, sobolev_norm)
+                      critical_exponents, deviation_norms, eta, eta_j, lebesgue_norm,
+                      sobolev_norm)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +176,36 @@ def test_bernstein_shell_stability():
 def test_bernstein_zero_block_flagged(grid, lp):
     z = SpectralField.zero(grid)
     assert math.isnan(bernstein_ratio(z, 2, math.inf, 2, lp))
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
+def test_cached_symbols_are_eta_j_bit_for_bit(d, N):
+    g = TorusGrid(d, 2 * np.pi, N)
+    lp = LittlewoodPaley(g)
+    assert list(lp.symbols) == list(lp.j_resolvable)
+    for j, sym in lp.symbols.items():
+        assert np.array_equal(sym, eta_j(g.xi_norm, j)), j
+    s = critical_exponents(d)["s"]
+    assert np.array_equal(lp.bessel, (1 + g.xi_squared) ** (s / 2))
+    assert lp.symbols is lp.symbols and lp.bessel is lp.bessel
+
+
+def test_block_norms_evaluate_each_symbol_once(monkeypatch):
+    from hartorus import ensemble, lpaley
+    g = TorusGrid(2, 2 * np.pi, 16)
+    calls = []
+
+    def counting(r, j):
+        calls.append(j)
+        return eta_j(r, j)
+
+    # every namespace of the package that could evaluate a block symbol
+    monkeypatch.setattr(lpaley, "eta_j", counting)
+    monkeypatch.setattr(ensemble, "eta_j", counting, raising=False)
+    lp = LittlewoodPaley(g)
+    stack = np.random.default_rng(0).standard_normal((3,) + g.shape).astype(complex)
+    for _ in range(3):
+        deviation_norms(g, stack, lp)
+    fld = SpectralField(g, values=stack[0])
+    besov_norm(fld, 2, 0.0, 0.0, lp)
+    assert calls == list(lp.j_resolvable)

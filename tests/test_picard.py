@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
+import picard_oracle as oracle
 import pytest
 
 from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, SpectralField, TorusGrid,
                       add_perturbation, besov_norm, critical_exponents, delta_potential,
-                      deviation_norms, fermi, init_equilibrium, lebesgue_norm, picard_solve,
-                      reference_trajectory)
+                      deviation_norms, fermi, init_equilibrium, lebesgue_norm, parse_config,
+                      picard_solve, reference_trajectory, run_experiment)
 from hartorus.ensemble import _stack_norms
 from hartorus.field import fftn, ifftn
 
@@ -20,49 +23,130 @@ def setup():
 
 
 def _zero_pair(op):
-    return (np.zeros((op.n_t, op.M) + op.grid.shape, dtype=complex),
-            np.zeros((op.n_t,) + op.grid.shape))
+    """Zero (Z, V) stacks and a zero integral I, the state picard_solve starts from."""
+    Z = np.zeros((op.n_t, op.M) + op.grid.shape, dtype=complex)
+    return Z, np.zeros((op.n_t,) + op.grid.shape), np.zeros_like(Z)
+
+
+def _first_pass(op, lp=None):
+    Z, V, I = _zero_pair(op)
+    rows = op.apply(Z, V, I, lp or LittlewoodPaley(op.grid), first=True)
+    return Z, V, I, rows
 
 
 def test_zero_data_is_fixed_point(setup):
     grid, w, ens, spec, pert, state = setup
     op = PicardOperator(state, np.zeros_like(pert.fields), T=0.5, n_steps=50)
-    Z, V = op.apply(*_zero_pair(op))
+    lp = LittlewoodPaley(grid)
+    Z, V, I, rows = _first_pass(op, lp)
+    rows.update(op.apply(Z, V, I, lp))
     assert np.max(np.abs(Z)) == 0.0
     assert np.max(np.abs(V)) == 0.0
+    assert np.max(np.abs(I)) == 0.0
+    assert all(np.max(v) == 0.0 for v in rows.values())
 
 
 def test_source_pair_matches_first_iterate(setup):
+    # the streamed first pass skips the zero integrand; the batched map of
+    # (0, 0) and the batched source pair are its oracles, to the bit
     grid, w, ens, spec, pert, state = setup
     z0 = state.deviations(pert)
     op = PicardOperator(state, z0, T=0.5, n_steps=50)
-    Z1, V1 = op.apply(*_zero_pair(op))
-    Zs, Vs = op.source_pair()
-    assert np.max(np.abs(Z1 - Zs)) == 0.0
-    assert np.max(np.abs(V1 - Vs)) == 0.0
+    Z, V, I, _ = _first_pass(op)
+    assert np.max(np.abs(I)) == 0.0
+    Zs, Vs = oracle.source_pair(op)
+    assert np.array_equal(Z, Zs)
+    assert np.array_equal(V, Vs)
+    Z1, V1 = oracle.apply(op, *_zero_pair(op)[:2])
+    assert np.array_equal(Z1, Zs)
+    assert np.array_equal(V1, Vs)
+
+
+def test_first_pass_skips_the_integrand(setup, monkeypatch):
+    grid, w, ens, spec, pert, state = setup
+    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=50)
+    calls = []
+    duhamel = PicardOperator.duhamel
+
+    def counting(self, s, F, carry=None):
+        calls.append(s)
+        return duhamel(self, s, F, carry)
+
+    monkeypatch.setattr(PicardOperator, "duhamel", counting)
+    Z, V, I, _ = _first_pass(op)
+    assert calls == []
+    op.apply(Z, V, I, LittlewoodPaley(grid))
+    assert calls == list(range(op.n_t))
 
 
 def test_source_pair_is_the_per_slice_free_flow(setup):
     # the free flow S(t_i) Z0 one time slice at a time, as the operator
-    # once stored it, is the oracle of the time-batched source pair
+    # once stored it, is the oracle of the first pass
     grid, w, ens, spec, pert, state = setup
     z0 = state.deviations(pert)
     op = PicardOperator(state, z0, T=0.5, n_steps=50)
     space = tuple(range(1, 1 + grid.d))
     z0_hat = fftn(z0, axes=space)
-    SZ0 = np.empty_like(op.Y)
+    SZ0 = np.empty((op.n_t,) + z0.shape, dtype=complex)
     for i, t in enumerate(op.ts):
         ph = np.exp(-1j * t * (state.m + grid.xi_squared))
         SZ0[i] = ifftn(ph[None] * z0_hat, axes=space, overwrite_x=True)
-    assert np.array_equal(op.source_pair()[0], SZ0)
+    assert np.array_equal(_first_pass(op)[0], SZ0)
 
 
 def test_first_difference_is_the_source_pair(setup):
     grid, w, ens, spec, pert, state = setup
     op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=50)
     res = picard_solve(op, max_iters=3)
-    assert res.diff_norms[0] == op.pair_norms(*op.source_pair())
+    assert res.diff_norms[0] == op.pair_norms(_first_pass(op)[3])
+    # the first difference spectrum is the source pair's own, not a transform of it
+    want = oracle.pair_norms(op, *oracle.source_pair(op))
+    for k, v in want.items():
+        assert res.diff_norms[0][k] == pytest.approx(v, rel=1e-13, abs=0), k
     assert res.n_iterations == len(res.diff_norms) == len(res.contraction) + 1 == 3
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_streamed_map_matches_batched_oracle(d, N):
+    # iterates to the bit; the difference norms to rounding, since the
+    # streamed spectrum of Z' - Z is S(t)(-i)(I' - I), not a transform of it
+    grid = TorusGrid(d, 2 * np.pi, N)
+    ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
+    spec = BumpSpec(1e-3, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=4)
+    pert, state = add_perturbation(ens, spec)
+    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
+    lp = LittlewoodPaley(grid)
+    want = oracle.iterate(op, 6, lp)
+    Z, V, I = _zero_pair(op)
+    for n, (Zw, Vw, nw) in enumerate(want):
+        got = op.pair_norms(op.apply(Z, V, I, lp, first=n == 0))
+        assert np.array_equal(Z, Zw), n
+        assert np.array_equal(V, Vw), n
+        for k, v in nw.items():
+            assert got[k] == pytest.approx(v, rel=1e-12, abs=1e-15 * want[0][2][k]), (n, k)
+
+
+def test_picard_op_peaks_at_three_stacks(tmp_path):
+    # one picard op at the bench's picard-d2 size: the solve holds the
+    # iterate and the integral, the reference the iterate and the snapshots
+    text = "\n".join([
+        "grid.d = 2", "grid.N = 32", "T = 0.25", "picard.steps = 15", "picard.iters = 8",
+        "picard.substeps = 5", "f.kind = fermi", "f.T = 1.0", "f.mu = 0.0", "w.kind = delta",
+        "pert.amplitude = 1e-3", "pert.center = 2.0,4.0", "pert.carrier = 1.0,-1.0",
+        "pert.mode = 7", ""])
+    cfg = parse_config(text, "picard")
+    M = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
+                         cfg["theta"])[0].n_modes
+    stack = 16 * M * 32 ** 2 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        env = run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert env.all_passed
+    assert peak <= 3 * stack, peak / stack
 
 
 def test_contraction_small_data(setup):
@@ -106,20 +190,25 @@ def test_pair_norms_are_time_norms_of_stacked_ingredients(d, N):
     shape = (op.n_t, op.M) + grid.shape
     Z = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     lp = LittlewoodPaley(grid)
-    per_time, _ = _stack_norms(grid, Z, lp)
+    per_time, hat = _stack_norms(grid, Z, lp)
+    zero = np.zeros(grid.shape)
     for i in range(op.n_t):
         one = deviation_norms(grid, Z[i], lp)
+        ing = op._ingredients(Z[i], hat[i], zero, lp)
         for k, v in per_time.items():
             assert v[i] == pytest.approx(one[k], rel=1e-14, abs=0), k
+            assert v[i] == pytest.approx(ing[k], rel=1e-14, abs=0), k
 
     def time_norm(vals, power):
         return np.trapezoid(vals ** power, dx=op.dt) ** (1.0 / power)
 
-    got = op.pair_norms(Z, np.zeros((op.n_t,) + grid.shape), lp)
+    rows = dict(per_time, v_l_half=np.zeros(op.n_t), v_l2_besov=np.zeros(op.n_t))
+    got = op.pair_norms(rows)
     assert got["z_sup_l2"] == np.max(per_time["l2"])
     assert got["z_l_dplus2"] == time_norm(per_time["l_dplus2"], d + 2)
     assert got["z_lp_wsp"] == time_norm(per_time["w_sp"], critical_exponents(d)["p"])
     assert got["z_l4_besov"] == time_norm(per_time["besov_q"], 4)
+    assert got["v_l_half"] == got["v_l2_besov"] == 0.0
 
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
@@ -130,8 +219,12 @@ def test_pair_norms_of_constant_potential_match_norms_module(d, N):
     T = 0.3
     op = PicardOperator(eq, np.zeros_like(eq.fields), T=T, n_steps=3)
     fld = SpectralField(grid, values=np.random.default_rng(d).standard_normal(grid.shape))
-    V = np.broadcast_to(fld.values.real, (op.n_t,) + grid.shape)
-    got = op.pair_norms(_zero_pair(op)[0], V)
+    lp = LittlewoodPaley(grid)
+    dz = np.zeros((op.M,) + grid.shape, dtype=complex)
+    one = op._ingredients(dz, dz.copy(), fld.values.real, lp)
+    got = op.pair_norms({k: np.full(op.n_t, v) for k, v in one.items()})
     vp = (d + 2) / 2.0
     assert got["v_l_half"] == pytest.approx(T ** (1 / vp) * lebesgue_norm(fld, vp), rel=1e-13)
     assert got["v_l2_besov"] == pytest.approx(T ** 0.5 * besov_norm(fld, 2, -0.5, 0.0), rel=1e-13)
+    V = np.broadcast_to(fld.values.real, (op.n_t,) + grid.shape)
+    assert got == pytest.approx(oracle.pair_norms(op, _zero_pair(op)[0], V, lp), rel=1e-13)

@@ -9,6 +9,7 @@ from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, apply_L1_fr
                       decay_bound_check, decay_slope, default_tau_grid, delta_potential,
                       epsilon_g, fermi, gaussian_f2, sphere_area, stability_margin,
                       zero_distribution, zero_potential, zero_temp_fermi)
+import picard_oracle
 from mf_panel_oracle import exact_h, panel_mf
 
 
@@ -129,9 +130,9 @@ def test_L1_matches_exact_mode_sums():
                                               np.cos(k * g.x_axis))
     V /= np.max(np.abs(V))
 
-    wV = op.convolve_potential(V)
-    W = op.duhamel(wV[:, None] * op.Y)
-    lattice_route = 2.0 * np.sum(np.conj(op.Y) * W, axis=1).real
+    Y = picard_oracle.equilibrium_stack(op)
+    W = picard_oracle.duhamel(op, op.convolve_potential(V)[:, None] * Y)
+    lattice_route = 2.0 * np.sum(np.conj(Y) * W, axis=1).real
 
     cov = CovarianceProfile(f, 1)
     continuum_route = apply_L1_time_domain(V.astype(complex), ts, cov, w, g).real

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hartorus import equilibrium, field, parse_config, run_experiment
+from hartorus import cli, equilibrium, field, init_equilibrium, parse_config, run_experiment, runner
 
 CONFIGS = {
     "equilibrium-check": """
@@ -199,3 +199,42 @@ def test_payloads_independent_of_fft_workers(tmp_path, monkeypatch):
     default = shas("default")
     monkeypatch.setattr(field, "_WORKERS", 2)
     assert shas("two") == default
+
+
+def _picard_need(cfg):
+    # three (n_t, M, *grid) complex stacks
+    grid = cfg.make_grid()
+    M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
+    return 3 * (cfg["picard.steps"] + 1) * M * grid.N ** grid.d * 16
+
+
+def test_picard_preflight_exits_two_with_estimate_and_limit(tmp_path, monkeypatch, capsys):
+    # the limit is patched; nothing of the estimated size is allocated
+    cfg_path = tmp_path / "picard.cfg"
+    cfg_path.write_text(CONFIGS["picard"])
+    need = _picard_need(parse_config(CONFIGS["picard"], "picard"))
+    monkeypatch.setattr(runner, "mem_available", lambda: need - 1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the map was built past the preflight")
+
+    monkeypatch.setattr(runner, "PicardOperator", unreachable)
+    assert cli.main(["picard", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"about {need / 2**20:.0f} MiB" in err
+    assert f"{(need - 1) / 2**20:.0f} MiB is available" in err
+    with pytest.raises(runner.MemoryPreflightError):
+        run_experiment(parse_config(CONFIGS["picard"], "picard"), tmp_path / "direct")
+
+
+@pytest.mark.parametrize("limit", ["need", None])
+def test_picard_preflight_passes_within_the_limit(limit, tmp_path, monkeypatch):
+    cfg = parse_config(CONFIGS["picard"], "picard")
+    need = _picard_need(cfg)
+    monkeypatch.setattr(runner, "mem_available", lambda: need if limit else None)
+    assert run_experiment(cfg, tmp_path).all_passed
+
+
+def test_mem_available_reads_the_host():
+    avail = runner.mem_available()
+    assert avail is None or avail > 0
