@@ -50,9 +50,9 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get("HARTORUS_OUT") or "out"
     try:
         env = run_experiment(cfg, out_dir, seed=args.seed)
-    except MemoryPreflightError as exc:
+    except (MemoryPreflightError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return USAGE_ERROR if isinstance(exc, MemoryPreflightError) else 1
     for name, ok in env.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     print(f"envelope: {Path(out_dir) / 'envelope.json'}")

@@ -16,8 +16,11 @@ per-mode mass to rounding.  step(ens, dt, n) runs a window of n steps with
 the adjacent kinetic half-steps fused into one full kinetic step, so a step
 costs one forward and one inverse stack FFT.  Given the spectrum of its
 input in a buffer, a window starts from it and leaves the spectrum of its
-output there, and then costs one stack FFT less: evolve takes one forward
-stack FFT at t=0 and carries that buffer through every window.
+output there, and then costs one stack FFT less.  observations is the one
+stepping loop: one forward stack FFT at t=0, then a (state, spectrum) stream
+that evolve, the scattering probe and the Picard reference read, each
+holding only what it uses.  A step whose density goes non-finite raises
+FloatingPointError, so no consumer writes non-finite records.
 
 An unperturbed ensemble is its own reference: add_perturbation returns
 (perturbed, eq), and eq.deviations(perturbed) is Z = u - y against the exact
@@ -97,17 +100,16 @@ class ModeEnsemble:
         rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates()))
         return rot.reshape(rot.shape + (1,) * self.grid.d)
 
-    def equilibrium_at(self, t, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def equilibrium_at(self, t) -> np.ndarray:
         """Y(t): the stored fields times equilibrium_phases(t), one exp per mode;
         (n_t, M, *grid) for an array of times.  The stored fields must be the
         exact equilibrium at self.t, as init_equilibrium and add_perturbation
         leave them (equilibrium_fields is the oracle)."""
-        return np.multiply(self.fields, self.equilibrium_phases(t), out=out)
+        return self.fields * self.equilibrium_phases(t)
 
-    def deviations(self, ens: "ModeEnsemble", out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Z = u - y: the modes of ens minus this equilibrium at time ens.t
-        (written into out when given)."""
-        Y = self.equilibrium_at(ens.t, out=out)
+    def deviations(self, ens: "ModeEnsemble") -> np.ndarray:
+        """Z = u - y: the modes of ens minus this equilibrium at time ens.t."""
+        Y = self.equilibrium_at(ens.t)
         return np.subtract(ens.fields, Y, out=Y)
 
     def carrier_cells(self) -> tuple:
@@ -149,6 +151,12 @@ class InitReport:
         return self.truncated_mass / tot if tot > 0 else 0.0
 
 
+def cell_masses(grid: TorusGrid, f: DistributionFunction, threshold: float):
+    """f2(|xi|) dxi per lattice cell and the mask of the cells kept as modes."""
+    cell_mass = f.f2(grid.xi_norm) * grid.dxi
+    return cell_mass, cell_mass >= threshold
+
+
 def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPotential,
                      threshold: float = 1e-8, m_override: Optional[float] = None):
     """Equilibrium ensemble from all lattice modes with f2 * dxi >= threshold.
@@ -158,9 +166,7 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
     continuum quadrature value is available from equilibrium_mass().
     Returns (ensemble, InitReport with the discarded weight).
     """
-    r = grid.xi_norm
-    cell_mass = f.f2(r) * grid.dxi
-    keep = cell_mass >= threshold
+    cell_mass, keep = cell_masses(grid, f, threshold)
     total = float(np.sum(cell_mass))
     retained = float(np.sum(cell_mass[keep]))
     if not np.any(keep):
@@ -193,6 +199,7 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = N
     it was.  hat is a buffer holding the unnormalised spectrum of ens.fields:
     the window starts from it instead of a forward FFT and leaves in it the
     spectrum of the returned fields (the array before its last inverse FFT).
+    FloatingPointError when a non-finite field value reaches a step's potential.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -215,6 +222,8 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = N
         u = ifftn(spec, axes=axes, overwrite_x=True)
         rho = np.sum(np.abs(u) ** 2, axis=0)
         pot = ifftn(sym * fftn(rho), overwrite_x=True).real
+        if not np.all(np.isfinite(pot)):
+            raise FloatingPointError(f"non-finite field values in the window from t={ens.t}")
         u *= np.exp(-1j * dt * (pot - ens.m))
         spec = fftn(u, axes=axes, overwrite_x=True)
         spec *= full if k < n - 1 else half
@@ -360,28 +369,15 @@ def deviation_norms(grid: TorusGrid, stack: np.ndarray, lp: Optional[LittlewoodP
 # trajectories
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    mode_masses: np.ndarray        # (n_obs, M)
-    energies: np.ndarray           # (n_obs,)
-    norms: Optional[dict]          # name -> (n_obs,) arrays, perturbation runs only
-    snapshot_times: np.ndarray
-    snapshots: Optional[np.ndarray]       # (n_snap, M, *grid) deviation stacks
-    density_extrema: np.ndarray    # (n_obs, 2) min/max of the density
-    final: ModeEnsemble
+def observations(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1):
+    """Yield (state, hat) at step 0 and at the end of every window of
+    obs_stride steps up to time ens.t + T (the last window shorter when
+    obs_stride does not divide T/dt).
 
-
-def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
-           reference: Optional[ModeEnsemble] = None,
-           snapshot_stride: Optional[int] = None,
-           record_norms: bool = False) -> Trajectory:
-    """Step to time T recording observables every obs_stride steps.
-
-    With the equilibrium reference, snapshots hold deviations and
-    record_norms records their norms.  One forward stack FFT at t=0 gives the
-    spectrum that every window and observation then carries.  Aborts with a
-    diagnostic on non-finite field values.
+    hat is one buffer, carried through the whole run, holding the
+    unnormalised spectrum of state.fields: one forward stack FFT at step 0,
+    then every window starts from it and leaves its output's spectrum there.
+    A consumer that changes hat between windows must put it back bit for bit.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -389,68 +385,61 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
         raise ValueError("dt must be positive")
     if obs_stride < 1:
         raise ValueError("obs_stride must be at least 1")
-    if snapshot_stride is not None and snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be at least 1")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
+    hat = fftn(ens.fields, axes=ens.space_axes)
+    yield ens, hat
+    for i in range(0, n_steps, obs_stride):
+        ens = step(ens, dt, min(obs_stride, n_steps - i), hat=hat)
+        yield ens, hat
 
-    # observations at step 0 and at the end of every window
-    obs_steps = [0] + [min(i + obs_stride, n_steps) for i in range(0, n_steps, obs_stride)]
-    lp = LittlewoodPaley(ens.grid) if record_norms else None
-    times, masses, energies, extrema = [], [], [], []
-    norm_rows = [] if (record_norms and reference is not None) else None
-    cells = reference.carrier_cells() if norm_rows is not None else None
-    snap_times, snaps, snap_steps = [], None, ()
-    if snapshot_stride:
-        snap_steps = {i for i in obs_steps if i % (snapshot_stride * obs_stride) == 0 or i == n_steps}
-        snaps = np.empty((len(snap_steps),) + ens.fields.shape, dtype=complex)
+
+@dataclass
+class Trajectory:
+    """What evolve records at each observation of the stream."""
+
+    times: np.ndarray
+    mode_masses: np.ndarray        # (n_obs, M)
+    energies: np.ndarray           # (n_obs,)
+    norms: Optional[dict]          # name -> (n_obs,) arrays, with a reference only
+    density_extrema: np.ndarray    # (n_obs, 2) min/max of the density
+    final: ModeEnsemble
+
+
+def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
+           reference: Optional[ModeEnsemble] = None) -> Trajectory:
+    """Step to time T recording the mode masses, the energy and the density
+    extrema every obs_stride steps, and with the equilibrium reference the
+    deviation norms.
+
+    The observations read the stream's carried spectrum: the energy's kinetic
+    and gauge terms by Parseval, and the spectrum of Z as the carried buffer
+    minus y_j's one entry per mode, subtracted in place and put back bit for
+    bit before the next window reads it.
+    """
+    lp = LittlewoodPaley(ens.grid) if reference is not None else None
+    cells = reference.carrier_cells() if reference is not None else None
     axes = ens.space_axes
-    hat = fftn(ens.fields, axes=axes)
-
-    def observe(i, state):
+    times, masses, energies, extrema, norm_rows = [], [], [], [], []
+    for state, hat in observations(ens, T, dt, obs_stride):
         dens = np.abs(state.fields) ** 2    # one pass gives the masses and the density
-        mass = np.sum(dens, axis=axes) * state.grid.dx
-        if not np.all(np.isfinite(mass)):
-            raise FloatingPointError(f"non-finite field values at step {i}, t={state.t}")
+        masses.append(np.sum(dens, axis=axes) * state.grid.dx)
         rho = np.sum(dens, axis=0)
         del dens
         times.append(state.t)
-        masses.append(mass)
         energies.append(conserved_energy(state, hat, rho))
         extrema.append((float(rho.min()), float(rho.max())))
-        if norm_rows is not None:
-            # Z-hat is the carried spectrum minus y_j's one entry per mode;
-            # the entries go back bit for bit, the next window reads them
+        if reference is not None:
             saved = hat[cells]
             hat[cells] -= reference.equilibrium_spectrum(state.t)
             norm_rows.append(deviation_norms(state.grid, reference.deviations(state), lp, hat=hat))
             hat[cells] = saved
-        if i in snap_steps:
-            k = len(snap_times)
-            snap_times.append(state.t)
-            if reference is not None:
-                reference.deviations(state, out=snaps[k])
-            else:
-                snaps[k] = state.fields
 
-    state = ens
-    observe(0, state)
-    for i, end in zip(obs_steps, obs_steps[1:]):
-        state = step(state, dt, end - i, hat=hat)
-        observe(end, state)
-
-    norms = None
-    if norm_rows:
-        norms = {k: np.array([row[k] for row in norm_rows]) for k in norm_rows[0]}
-    return Trajectory(times=np.array(times),
-                      mode_masses=np.array(masses) if masses else np.zeros((0, 0)),
-                      energies=np.array(energies),
-                      norms=norms,
-                      snapshot_times=np.array(snap_times),
-                      snapshots=snaps,
-                      density_extrema=np.array(extrema),
-                      final=state)
+    norms = {k: np.array([row[k] for row in norm_rows]) for k in norm_rows[0]} if norm_rows else None
+    return Trajectory(times=np.array(times), mode_masses=np.array(masses),
+                      energies=np.array(energies), norms=norms,
+                      density_extrema=np.array(extrema), final=state)
 
 
 # ---------------------------------------------------------------------------
@@ -468,36 +457,37 @@ class ProbeReport:
     window_warning: bool
 
 
-def scattering_probe(traj: Trajectory, grid: TorusGrid, m: float,
+def scattering_probe(deviations, grid: TorusGrid, m: float,
                      ball_center=None, ball_radius: Optional[float] = None) -> ProbeReport:
     """Free-unwound Cauchy differences and local mass of the deviation.
 
-    Decreasing Cauchy differences signal convergence of S(-t)Z(t); the
-    potential-free control run keeps it exactly constant.  A window past
-    the torus recurrence time gets a warning flag.  One pass over the
-    snapshots holds the previous unwound snapshot and nothing else of
-    snapshot size.
+    deviations yields (t, Z) pairs, Z an (M, *grid) deviation stack, as
+    ((s.t, eq.deviations(s)) for s, _ in observations(...)) does.  The probe
+    holds the previous unwound deviation and nothing else of stack size, so
+    its memory does not grow with the number of pairs.  Decreasing Cauchy
+    differences signal convergence of S(-t)Z(t); the potential-free control
+    run keeps it exactly constant.  A window past the torus recurrence time
+    gets a warning flag.
     """
-    if traj.snapshots is None:
-        raise ValueError("trajectory carries no snapshots; evolve with snapshot_stride")
-    ts = traj.snapshot_times
-    axes = tuple(range(1, 1 + grid.d))  # space axes of one (M, *grid) snapshot
-
+    axes = tuple(range(1, 1 + grid.d))  # space axes of one (M, *grid) stack
     center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius
-    cauchy = np.empty(max(len(ts) - 1, 0))
-    local = np.empty(len(ts))
+    times, cauchy, local = [], [], []
     prev = None
-    for i, (t, Z) in enumerate(zip(ts, traj.snapshots)):
+    for t, Z in deviations:
         unwound = fftn(Z, axes=axes)
         unwound *= np.exp(1j * (t * (m + grid.xi_squared)))
         unwound = ifftn(unwound, axes=axes, overwrite_x=True)
         if prev is not None:
-            cauchy[i - 1] = np.sqrt(np.sum(np.abs(unwound - prev) ** 2) * grid.dx)
+            prev -= unwound
+            cauchy.append(np.sqrt(np.sum(np.abs(prev) ** 2) * grid.dx))
         prev = unwound
-        local[i] = np.sqrt(np.sum(np.sum(np.abs(Z) ** 2, axis=0)[ball]) * grid.dx)
+        times.append(t)
+        local.append(np.sqrt(np.sum(np.sum(np.abs(Z) ** 2, axis=0)[ball]) * grid.dx))
+        del Z  # the next window steps with only the unwound deviation held
 
+    ts, cauchy, local = np.array(times), np.array(cauchy), np.array(local)
     return ProbeReport(
         times=ts,
         cauchy=cauchy,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ModeEnsemble, _dyadic_blocks, _stack_norms, evolve
+from .ensemble import ModeEnsemble, _dyadic_blocks, _stack_norms, observations
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -185,21 +185,20 @@ def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
                         converged=converged, diverged=diverged, n_iterations=len(diffs))
 
 
-def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble,
-                         T: float, n_steps: int, substeps: int = 10):
-    """Split-step run of perturbed against its equilibrium eq, sampled on the
-    Picard time lattice.
+def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble, Z: np.ndarray,
+                         V: np.ndarray, T: float, substeps: int = 10):
+    """Split-step run of perturbed against its equilibrium eq, compared with
+    the pair (Z, V) on the Picard time lattice np.linspace(0, T, len(Z)) as
+    each slice of the run arrives; nothing of the run is stored.
 
-    Returns (ts, Z_stack, V_stack) with shapes matching the fixed-point pair.
+    Returns the (n_t,) L2 gaps ||Z(t_s) - Z_ref(t_s)|| and the (n_t,) max
+    gaps max |V(t_s) - V_ref(t_s)|, with Z_ref = eq.deviations(state) and
+    V_ref = eq.induced_potential(state) of the split-step state at t_s.
     """
-    dt = T / (n_steps * substeps)
-    traj = evolve(perturbed, T, dt, obs_stride=substeps, reference=eq,
-                  snapshot_stride=1)
-    Z = traj.snapshots
-    ts = traj.snapshot_times
-    rho_eq = float(np.sum(eq.weights ** 2))
-    # V on the same lattice from the stored snapshots plus the equilibrium
-    V = np.empty((len(ts),) + eq.grid.shape)
-    for i, t in enumerate(ts):
-        V[i] = np.sum(np.abs(eq.equilibrium_at(t) + Z[i]) ** 2, axis=0) - rho_eq
-    return ts, Z, V
+    n_t = len(Z)
+    dt = T / ((n_t - 1) * substeps)
+    z_gap, v_gap = np.empty(n_t), np.empty(n_t)
+    for s, (state, _) in enumerate(observations(perturbed, T, dt, substeps)):
+        z_gap[s] = np.sqrt(np.sum(np.abs(Z[s] - eq.deviations(state)) ** 2) * eq.grid.dx)
+        v_gap[s] = np.max(np.abs(V[s] - eq.induced_potential(state)))
+    return z_gap, v_gap

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .ensemble import (BumpSpec, add_perturbation, evolve, init_equilibrium,
-                       scattering_probe)
+from .ensemble import (BumpSpec, add_perturbation, cell_masses, evolve, init_equilibrium,
+                       observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
 from .field import SpectralField
 from .lpaley import LittlewoodPaley
@@ -160,8 +160,7 @@ def _exp_equilibrium_check(cfg, out, seed):
 
 def _exp_simulate(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
-    traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"],
-                  reference=eq, record_norms=True)
+    traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"], reference=eq)
     records = []
     for i, t in enumerate(traj.times):
         rec = {"t": float(t), "energy": float(traj.energies[i]),
@@ -315,33 +314,37 @@ def mem_available() -> int | None:
     return None
 
 
-# live (n_t, M, *grid) stacks at the peak of a picard run: the iterate and the
-# carried integral during the solve, the iterate and the split-step snapshots
-# after it, plus slices
-_PICARD_PEAK_STACKS = 3
+# traced peak of a run in (M, *grid) complex stacks, measured with tracemalloc
+# at d=2..4 (4.0-4.8, 7.0-7.4, 7.5-8.1), none growing with the observation
+# count; picard counts (n_t, M, *grid) stacks: the solve peaks at 2.7 (the
+# iterate, the carried integral, the slice temporaries), and the reference
+# adds a quarter stack of slices to the held iterate
+_PEAK_STACKS = {"equilibrium-check": 5, "simulate": 7.5, "scattering-probe": 8.5, "picard": 3}
 
 
-def _picard_preflight(n_t: int, M: int, grid) -> None:
-    need = _PICARD_PEAK_STACKS * n_t * M * grid.N ** grid.d * 16
+def _preflight(cfg: RunConfig) -> None:
+    """MemoryPreflightError when the estimated peak of a stack experiment
+    exceeds MemAvailable; the mode count comes from the lattice cell masses,
+    before anything of stack size is allocated."""
+    grid = cfg.make_grid()
+    M = int(np.count_nonzero(cell_masses(grid, cfg.make_distribution(), cfg["theta"])[1]))
+    stacks = _PEAK_STACKS[cfg.kind] * (cfg["picard.steps"] + 1 if cfg.kind == "picard" else 1)
+    need = math.ceil(stacks * M * grid.N ** grid.d * 16)
     limit = mem_available()
     if limit is not None and need > limit:
         raise MemoryPreflightError(
-            f"picard needs about {need / 2**20:.0f} MiB ({_PICARD_PEAK_STACKS} stacks of "
-            f"n_t={n_t}, M={M}, N^d={grid.N ** grid.d} complex values) but "
-            f"{limit / 2**20:.0f} MiB is available")
+            f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({stacks:g} stacks of M={M} modes "
+            f"on N^d={grid.N ** grid.d} points, complex) but {limit / 2**20:.0f} MiB is available")
 
 
 def _exp_picard(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
-    grid = eq.grid
-    _picard_preflight(cfg["picard.steps"] + 1, eq.n_modes, grid)
     op = PicardOperator(eq, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
 
-    _, Zref, _ = reference_trajectory(perturbed, eq, cfg["T"], cfg["picard.steps"],
-                                      substeps=cfg["picard.substeps"])
-    sup_diff = max(float(np.sqrt(np.sum(np.abs(Zs - Zr) ** 2) * grid.dx))
-                   for Zs, Zr in zip(result.Z, Zref))
+    z_gap, _ = reference_trajectory(perturbed, eq, result.Z, result.V, cfg["T"],
+                                    substeps=cfg["picard.substeps"])
+    sup_diff = float(np.max(z_gap))
     records = [{"iteration": i, **{k: float(v) for k, v in sorted(dn.items())}}
                for i, dn in enumerate(result.diff_norms)]
     records.append({"contraction_factors": [float(x) for x in result.contraction],
@@ -406,10 +409,10 @@ def _exp_norms(cfg, out, seed):
 
 def _exp_scattering_probe(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
-    traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"],
-                  reference=eq, snapshot_stride=cfg["snap.stride"])
-    report = scattering_probe(traj, eq.grid, eq.m, ball_center=cfg["pert.center"],
-                              ball_radius=cfg.get("probe.radius"))
+    # every snap.stride-th observation and the last, one window apart
+    stream = observations(perturbed, cfg["T"], cfg["dt"], cfg["obs.stride"] * cfg["snap.stride"])
+    report = scattering_probe(((s.t, eq.deviations(s)) for s, _ in stream), eq.grid, eq.m,
+                              ball_center=cfg["pert.center"], ball_radius=cfg.get("probe.radius"))
     records = [{"t": float(t), "local_mass": float(mass)}
                for t, mass in zip(report.times, report.local_mass)]
     for i, c in enumerate(report.cauchy):
@@ -452,6 +455,8 @@ def _config_checksum(cfg: RunConfig) -> str:
 
 def run_experiment(cfg: RunConfig, out_dir, seed: int | None = None) -> ResultEnvelope:
     """Dispatch one experiment; deterministic payloads for fixed config+seed."""
+    if cfg.kind in _PEAK_STACKS:
+        _preflight(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"] if seed is None else int(seed)

@@ -6,7 +6,8 @@ import pytest
 from hartorus import (BumpSpec, SpectralField, TorusGrid, add_perturbation, besov_norm,
                       conserved_energy, critical_exponents, custom_radial, delta_potential,
                       deviation_norms, evolve, fermi, init_equilibrium, lebesgue_norm,
-                      scattering_probe, sobolev_norm, step, zero_distribution, zero_potential)
+                      observations, scattering_probe, sobolev_norm, step, zero_distribution,
+                      zero_potential)
 from hartorus.field import fftn
 
 
@@ -185,14 +186,28 @@ def test_free_evolution_matches_closed_form(grid):
     assert np.max(np.abs(traj.final.fields - expect)) <= 1e-12
 
 
-def test_evolve_aborts_on_nonfinite(grid):
-    ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
+def _nan_seeded(ens):
+    from dataclasses import replace
     bad = ens.fields.copy()
     bad[0].flat[0] = np.nan
-    from dataclasses import replace
-    broken = replace(ens, fields=bad)
+    return replace(ens, fields=bad)
+
+
+def test_evolve_aborts_on_nonfinite(grid):
+    ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
     with pytest.raises(FloatingPointError):
-        evolve(broken, 0.01, 1e-3)
+        evolve(_nan_seeded(ens), 0.01, 1e-3)
+
+
+def _deviation_stream(pert, eq, T, dt, stride):
+    return ((s.t, eq.deviations(s)) for s, _ in observations(pert, T, dt, stride))
+
+
+def test_scattering_probe_aborts_on_nonfinite(eq):
+    # the check is in the step, so a streamed consumer stops at the first
+    # window: no record of the NaN state is ever written
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        scattering_probe(_deviation_stream(_nan_seeded(eq), eq, 0.01, 1e-3, 5), eq.grid, eq.m)
 
 
 def test_scattering_probe_free_flow_constant():
@@ -201,8 +216,7 @@ def test_scattering_probe_free_flow_constant():
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     spec = BumpSpec(1e-2, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0)
     pert, state = add_perturbation(ens, spec)
-    traj = evolve(pert, 4.0, 1e-2, obs_stride=100, reference=state, snapshot_stride=1)
-    rpt = scattering_probe(traj, g, state.m)
+    rpt = scattering_probe(_deviation_stream(pert, state, 4.0, 1e-2, 100), g, state.m)
     assert np.max(rpt.cauchy) <= 1e-10
     assert not rpt.window_warning
 
@@ -223,8 +237,7 @@ def test_scattering_probe_null_perturbation():
     f = custom_radial(lambda r: 6.4e-5 * np.exp(-(np.asarray(r) / 1e-2) ** 2), support_hint=0.1)
     ens, _ = init_equilibrium(g, f, delta_potential(1.0), 1e-12)
     pert, state = add_perturbation(ens, BumpSpec(0.0, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0))
-    traj = evolve(pert, 2.0, 1e-2, obs_stride=50, reference=state, snapshot_stride=1)
-    rpt = scattering_probe(traj, g, state.m)
+    rpt = scattering_probe(_deviation_stream(pert, state, 2.0, 1e-2, 50), g, state.m)
     assert np.max(rpt.cauchy) <= 1e-14
     assert np.max(rpt.local_mass) <= 1e-14
 
@@ -234,8 +247,7 @@ def test_scattering_probe_warns_past_recurrence():
     f = custom_radial(lambda r: 1e-4 * (np.asarray(r) < 0.5), support_hint=1.0)
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     pert, state = add_perturbation(ens, BumpSpec(1e-3, 0.5, (np.pi,), (1.0,), mode=0))
-    traj = evolve(pert, 4.0, 1e-2, obs_stride=100, reference=state, snapshot_stride=1)
-    rpt = scattering_probe(traj, g, state.m)
+    rpt = scattering_probe(_deviation_stream(pert, state, 4.0, 1e-2, 100), g, state.m)
     assert rpt.window_warning  # recurrence time is pi here
 
 
@@ -352,10 +364,10 @@ def test_carrier_off_the_lattice_is_refused(eq):
 
 def test_multiwindow_norms_match_recomputed_deviation_norms():
     pert, eq = _perturbed(2, 16)
-    traj = evolve(pert, 0.012, 1e-3, obs_stride=5, reference=eq, snapshot_stride=1,
-                  record_norms=True)
-    assert len(traj.times) == 4 and traj.snapshots.shape[0] == 4
-    for i, Z in enumerate(traj.snapshots):
+    traj = evolve(pert, 0.012, 1e-3, obs_stride=5, reference=eq)
+    deviations = [Z for _, Z in _deviation_stream(pert, eq, 0.012, 1e-3, 5)]
+    assert len(traj.times) == len(deviations) == 4
+    for i, Z in enumerate(deviations):
         want = deviation_norms(pert.grid, Z)
         for k, v in want.items():
             assert traj.norms[k][i] == pytest.approx(v, rel=1e-12), (i, k)
@@ -365,47 +377,68 @@ def test_normed_evolve_restores_the_carried_spectrum():
     # the deviation spectrum is made in the carried buffer and undone bit
     # for bit: the run with norms steps exactly as the run without
     pert, eq = _perturbed(2, 16)
-    with_norms = evolve(pert, 0.01, 1e-3, obs_stride=3, reference=eq, record_norms=True)
-    without = evolve(pert, 0.01, 1e-3, obs_stride=3, reference=eq)
+    with_norms = evolve(pert, 0.01, 1e-3, obs_stride=3, reference=eq)
+    without = evolve(pert, 0.01, 1e-3, obs_stride=3)
+    assert with_norms.norms is not None and without.norms is None
     assert np.array_equal(with_norms.final.fields, without.final.fields)
     assert np.array_equal(with_norms.energies, without.energies)
 
 
 def test_empty_ensemble_evolves_with_norms(grid):
     ens, _ = init_equilibrium(grid, zero_distribution(), delta_potential(1.0), 1e-8)
-    traj = evolve(ens, 0.01, 1e-3, obs_stride=4, reference=ens, record_norms=True,
-                  snapshot_stride=1)
+    traj = evolve(ens, 0.01, 1e-3, obs_stride=4, reference=ens)
     assert traj.final.t == pytest.approx(0.01)
-    assert traj.snapshots.shape == (4, 0) + grid.shape
+    assert traj.mode_masses.shape == (4, 0)
     assert all(np.all(v == 0.0) for v in traj.norms.values())
     assert np.all(traj.energies == 0.0)
 
 
 @pytest.mark.parametrize("dt, kwargs, name", [(-0.01, {}, "dt"), (0.0, {}, "dt"),
                                               (0.01, {"obs_stride": 0}, "obs_stride"),
-                                              (0.01, {"obs_stride": -3}, "obs_stride"),
-                                              (0.01, {"snapshot_stride": 0}, "snapshot_stride"),
-                                              (0.01, {"snapshot_stride": -1}, "snapshot_stride")])
+                                              (0.01, {"obs_stride": -3}, "obs_stride")])
 def test_evolve_refuses_nonpositive_steps_and_strides(eq, dt, kwargs, name):
     with pytest.raises(ValueError, match=name):
         evolve(eq, 0.1, dt, reference=eq, **kwargs)
 
 
-def test_snapshots_fill_one_preallocated_stack():
+def _traced_peak(fn):
     import tracemalloc
-    pert, eq = _perturbed(2, 32)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        traj = evolve(pert, 0.01, 1e-3, obs_stride=1, reference=eq, snapshot_stride=1)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert traj.snapshots.shape == (11,) + pert.fields.shape
-    # the snapshots, the carried spectrum and the fields before and after a window
-    assert peak <= traj.snapshots.nbytes + 3.25 * pert.fields.nbytes
-    assert np.array_equal(traj.snapshots[-1], eq.deviations(traj.final))
-    assert np.array_equal(traj.snapshots[0], eq.deviations(pert))
+
+
+def test_evolve_peak_does_not_grow_with_observations():
+    # the carried spectrum and the fields before and after a window, with
+    # one step per observation
+    pert, eq = _perturbed(2, 32)
+    for T in (0.01, 0.04):
+        traj, peak = _traced_peak(lambda: evolve(pert, T, 1e-3, obs_stride=1))
+        assert len(traj.times) == round(T / 1e-3) + 1
+        assert peak <= 3.25 * pert.fields.nbytes, peak / pert.fields.nbytes
+
+
+def test_streamed_probe_peak_does_not_grow_with_observations():
+    # d=2, N=32, M=61, one step per observation: 11 and 41 observations peak
+    # within one deviation-stack size of each other (stored snapshots gave
+    # 15.5 and 45.5 stack sizes, evolve and probe together)
+    pert, eq = _perturbed(2, 32, theta=1e-8)
+    assert eq.n_modes == 61
+    size = pert.fields.nbytes
+    peaks = []
+    for T in (0.01, 0.04):
+        rpt, peak = _traced_peak(lambda: scattering_probe(
+            _deviation_stream(pert, eq, T, 1e-3, 1), eq.grid, eq.m))
+        assert len(rpt.times) == round(T / 1e-3) + 1
+        peaks.append(peak / size)
+    assert abs(peaks[1] - peaks[0]) <= 1.0, peaks
+    # the stream's state and carried spectrum, the step's window stacks, the
+    # deviation and the previous and current unwound deviations
+    assert max(peaks) <= 6.0, peaks
 
 
 def test_normed_evolve_stack_transform_budget(monkeypatch):
@@ -426,7 +459,7 @@ def test_normed_evolve_stack_transform_budget(monkeypatch):
 
     monkeypatch.setattr(ens_mod, "fftn", counting(ens_mod.fftn))
     monkeypatch.setattr(ens_mod, "ifftn", counting(ens_mod.ifftn))
-    traj = evolve(pert, 0.05, 0.01, obs_stride=2, reference=eq, record_norms=True)
+    traj = evolve(pert, 0.05, 0.01, obs_stride=2, reference=eq)
     windows = [2, 2, 1]
     n_blocks = len(LittlewoodPaley(pert.grid).j_resolvable)
     assert len(traj.times) == len(windows) + 1
@@ -467,10 +500,11 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
         assert got["w_sp"] == route
 
 
-def _batched_probe(traj, grid, m, center, radius):
-    # the whole-stack formula: one transform pair for all snapshots and the
+def _batched_probe(deviations, grid, m, center, radius):
+    # the whole-stack formula: one transform pair for all deviations and the
     # consecutive differences as one more stack
-    Z, ts = traj.snapshots, traj.snapshot_times
+    ts = np.array([t for t, _ in deviations])
+    Z = np.stack([Z for _, Z in deviations])
     axes = tuple(range(2, 2 + grid.d))
     phase = np.exp(1j * np.multiply.outer(ts, m + grid.xi_squared))[:, None]
     from hartorus.field import ifftn
@@ -484,20 +518,14 @@ def _batched_probe(traj, grid, m, center, radius):
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_streamed_probe_matches_batched_formula(d, N):
-    import tracemalloc
     pert, eq = _perturbed(d, N)
-    traj = evolve(pert, 0.2, 1e-2, obs_stride=2, reference=eq, snapshot_stride=1)
+    deviations = list(_deviation_stream(pert, eq, 0.2, 1e-2, 2))
     center, radius = (np.pi,) * d, 1.0
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rpt = scattering_probe(traj, pert.grid, eq.m, ball_center=center, ball_radius=radius)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    cauchy, local = _batched_probe(traj, pert.grid, eq.m, center, radius)
+    rpt, peak = _traced_peak(lambda: scattering_probe(
+        iter(deviations), pert.grid, eq.m, ball_center=center, ball_radius=radius))
+    cauchy, local = _batched_probe(deviations, pert.grid, eq.m, center, radius)
     assert np.min(cauchy) > 0
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
     assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
-    # a few snapshot-sized temporaries, not copies of the whole stack
+    # a few deviation-sized temporaries, not copies of the whole list
     assert peak <= 4 * pert.fields.nbytes + 64 * 1024

@@ -6,8 +6,8 @@ import pytest
 
 from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, SpectralField, TorusGrid,
                       add_perturbation, besov_norm, critical_exponents, delta_potential,
-                      deviation_norms, fermi, init_equilibrium, lebesgue_norm, parse_config,
-                      picard_solve, reference_trajectory, run_experiment)
+                      deviation_norms, fermi, init_equilibrium, lebesgue_norm, observations,
+                      parse_config, picard_solve, reference_trajectory, run_experiment)
 from hartorus.ensemble import _stack_norms
 from hartorus.field import fftn, ifftn
 
@@ -126,15 +126,18 @@ def test_streamed_map_matches_batched_oracle(d, N):
             assert got[k] == pytest.approx(v, rel=1e-12, abs=1e-15 * want[0][2][k]), (n, k)
 
 
+_PICARD_D2 = "\n".join([
+    "grid.d = 2", "grid.N = 32", "T = 0.25", "picard.steps = 15", "picard.iters = 8",
+    "picard.substeps = 5", "f.kind = fermi", "f.T = 1.0", "f.mu = 0.0", "w.kind = delta",
+    "pert.amplitude = 1e-3", "pert.center = 2.0,4.0", "pert.carrier = 1.0,-1.0",
+    "pert.mode = 7", ""])
+
+
 def test_picard_op_peaks_at_three_stacks(tmp_path):
-    # one picard op at the bench's picard-d2 size: the solve holds the
-    # iterate and the integral, the reference the iterate and the snapshots
-    text = "\n".join([
-        "grid.d = 2", "grid.N = 32", "T = 0.25", "picard.steps = 15", "picard.iters = 8",
-        "picard.substeps = 5", "f.kind = fermi", "f.T = 1.0", "f.mu = 0.0", "w.kind = delta",
-        "pert.amplitude = 1e-3", "pert.center = 2.0,4.0", "pert.carrier = 1.0,-1.0",
-        "pert.mode = 7", ""])
-    cfg = parse_config(text, "picard")
+    # one picard op at the bench's picard-d2 size: the solve sets the peak
+    # (about 2.7 stacks: the iterate, the carried integral and the per-slice
+    # temporaries); the reference adds slices to the held iterate
+    cfg = parse_config(_PICARD_D2, "picard")
     M = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
                          cfg["theta"])[0].n_modes
     stack = 16 * M * 32 ** 2 * 16
@@ -163,10 +166,58 @@ def test_picard_limit_matches_split_step(setup):
     z0 = state.deviations(pert)
     op = PicardOperator(state, z0, T=1.0, n_steps=100)
     res = picard_solve(op, max_iters=8)
-    ts, Zref, Vref = reference_trajectory(pert, state, 1.0, 100, substeps=10)
-    sup = np.max(np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx))
-    assert sup <= 1e-4
-    assert np.max(np.abs(res.V - Vref)) <= 1e-4
+    z_gap, v_gap = reference_trajectory(pert, state, res.Z, res.V, 1.0, substeps=10)
+    assert z_gap.shape == v_gap.shape == (op.n_t,)
+    assert np.max(z_gap) <= 1e-4
+    assert np.max(v_gap) <= 1e-4
+
+
+def test_reference_gaps_match_a_stored_split_step_stack(setup):
+    # the slice-by-slice gaps against the stored-snapshot formula: Z from the
+    # deviations, V from |Y + Z|^2 minus the equilibrium density
+    grid, w, ens, spec, pert, state = setup
+    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
+    res = picard_solve(op, max_iters=4)
+    z_gap, v_gap = reference_trajectory(pert, state, res.Z, res.V, 0.5, substeps=3)
+    stream = list(observations(pert, 0.5, 0.5 / 60, 3))
+    Zref = np.stack([state.deviations(s) for s, _ in stream])
+    Vref = np.stack([np.sum(np.abs(state.equilibrium_at(s.t) + Zref[i]) ** 2, axis=0)
+                     - np.sum(state.weights ** 2) for i, (s, _) in enumerate(stream)])
+    assert np.array_equal(z_gap, np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx))
+    assert v_gap == pytest.approx(np.max(np.abs(res.V - Vref), axis=1), rel=0, abs=1e-14)
+
+
+def test_reference_phase_adds_half_a_stack_to_the_iterate():
+    # at the picard-d2 size, nothing of the split-step run is stored: its
+    # state, carried spectrum and window temporaries are slices of the
+    # (n_t, M, *grid) iterate the caller holds
+    cfg = parse_config(_PICARD_D2, "picard")
+    pert, eq = add_perturbation(*init_equilibrium(cfg.make_grid(), cfg.make_distribution(),
+                                                  cfg.make_potential(), cfg["theta"])[:1],
+                                BumpSpec(1e-3, 0.8, (2.0, 4.0), (1.0, -1.0), mode=7))
+    n_t = cfg["picard.steps"] + 1
+    Z = np.zeros((n_t,) + eq.fields.shape, dtype=complex)
+    V = np.zeros((n_t,) + eq.grid.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z_gap, _ = reference_trajectory(pert, eq, Z, V, cfg["T"], substeps=cfg["picard.substeps"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.all(z_gap > 0)
+    assert peak <= 0.5 * Z.nbytes, peak / Z.nbytes
+
+
+def test_reference_trajectory_aborts_on_nonfinite(setup):
+    from dataclasses import replace
+    grid, w, ens, spec, pert, state = setup
+    bad = pert.fields.copy()
+    bad[4].flat[0] = np.nan
+    Z = np.zeros((11,) + pert.fields.shape, dtype=complex)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        reference_trajectory(replace(pert, fields=bad), state, Z, np.zeros((11,) + grid.shape),
+                             0.1, substeps=2)
 
 
 def test_divergence_flagged(setup):

@@ -2,6 +2,11 @@
 
 import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -238,3 +243,94 @@ def test_picard_preflight_passes_within_the_limit(limit, tmp_path, monkeypatch):
 def test_mem_available_reads_the_host():
     avail = runner.mem_available()
     assert avail is None or avail > 0
+
+
+def _preflight_need(kind):
+    # the estimate of runner._preflight from the test config: its measured
+    # stack count times the (M, *grid) stack
+    cfg = parse_config(CONFIGS[kind], kind)
+    grid = cfg.make_grid()
+    M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
+    return math.ceil(runner._PEAK_STACKS[kind] * M * grid.N ** grid.d * 16)
+
+
+@pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe"])
+def test_preflight_exits_two_before_a_stack_experiment_runs(kind, tmp_path, monkeypatch, capsys):
+    # the limit is patched and the experiment replaced: nothing is allocated
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CONFIGS[kind])
+    need = _preflight_need(kind)
+    monkeypatch.setattr(runner, "mem_available", lambda: need - 1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the experiment ran past the preflight")
+
+    monkeypatch.setitem(runner._DISPATCH, kind, unreachable)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} needs about {need / 2**20:.0f} MiB")
+    assert f"{(need - 1) / 2**20:.0f} MiB is available" in err
+    monkeypatch.setattr(runner, "mem_available", lambda: need)
+    runner._preflight(parse_config(CONFIGS[kind], kind))  # exactly at the limit it fits
+
+
+@pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe"])
+def test_traced_peak_within_the_preflight_stacks(kind, tmp_path):
+    # the constant is a measurement: a run at d=2, N=32, M=61 stays under it
+    text = "\n".join(["grid.d = 2", "grid.N = 32", "f.kind = fermi", "w.kind = delta",
+                      "pert.amplitude = 1e-3", "pert.mode = 7", "T = 0.02", "dt = 1e-3",
+                      "obs.stride = 5", ""])
+    cfg = parse_config(text, kind)
+    stack = 61 * 32 ** 2 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= runner._PEAK_STACKS[kind] * stack, peak / stack
+
+
+def test_scattering_probe_d4_streams(tmp_path):
+    # the paper's scattering regime at a few modes: zero-temperature Fermi
+    # (mu = 1.5) on the d=4, N=8 torus keeps M=9 modes.  At this size the
+    # probe reads cauchy_decreasing = local_mass_decreasing = false (the
+    # Cauchy differences flatten near 9e-4), inside the recurrence time
+    text = "\n".join(["grid.d = 4", "grid.N = 8", "f.kind = zero-temp-fermi", "f.mu = 1.5",
+                      "w.kind = delta", "pert.amplitude = 1e-3", "T = 1.0", "dt = 0.01",
+                      "obs.stride = 10", ""])
+    cfg = parse_config(text, "scattering-probe")
+    stack = 9 * 8 ** 4 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        env = run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert set(env.verdicts) == {"cauchy_decreasing", "local_mass_decreasing",
+                                 "window_within_recurrence"}
+    records = [json.loads(line) for line in (tmp_path / "probe.ndjson").read_text().splitlines()]
+    assert len(records) == 12
+    values = [v for rec in records[:-1] for v in rec.values()]
+    assert all(math.isfinite(v) for v in values)
+    # the ensembles, the stream's state and spectrum, the window stacks and
+    # the unwound deviations; eleven stored snapshots made it 18.1
+    assert peak <= 8.5 * stack, peak / stack
+
+
+def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):
+    # |u|^2 overflows at step 0; in a subprocess, since in-process the
+    # error::RuntimeWarning filter raises on the overflow warning first
+    cfg_path = tmp_path / "big.cfg"
+    cfg_path.write_text(CONFIGS["simulate"].replace("pert.amplitude = 0.05", "pert.amplitude = 1e200"))
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hartorus.cli", "simulate", "--config",
+                           str(cfg_path), "--out", str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "error: non-finite field values" in proc.stderr
+    assert "Traceback" not in proc.stderr
