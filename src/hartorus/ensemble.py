@@ -12,15 +12,27 @@ written in the gauged form with the constant m inside the kinetic factor:
 half-step e^{-i dt/2 (m + |xi|^2)} in frequency, full-step physical phase
 e^{-i dt ((w*rho)(x) - m)}, half-step kinetic.  Equilibria then rotate by
 the exact phases e^{-i t (m + |xi_j|^2)} and the splitting preserves every
-per-mode mass to rounding.  step(ens, dt, n) runs a window of n steps with
-the adjacent kinetic half-steps fused into one full kinetic step, so a step
-costs one forward and one inverse stack FFT.  Given the spectrum of its
-input in a buffer, a window starts from it and leaves the spectrum of its
-output there, and then costs one stack FFT less.  observations is the one
-stepping loop: one forward stack FFT at t=0, then a (state, spectrum) stream
-that evolve, the scattering probe and the Picard reference read, each
-holding only what it uses.  A step whose density goes non-finite raises
-FloatingPointError, so no consumer writes non-finite records.
+per-mode mass to rounding.
+
+A run lives in one (M, *grid) buffer, stepped in place by mode chunks of
+about _CHUNK_BYTES (2 MiB, one core's L2 cache on the 2-CPU Xeon host it
+was measured on).  step(ens, dt, n) runs a window of n steps with the
+adjacent kinetic half-steps fused: each step is one pass over the chunks
+(the potential phase of the last step, a forward FFT, the kinetic factor,
+an inverse FFT, the chunk's |u|^2 added to the density), then the
+potential of that density.  Between windows the buffer
+holds the spectrum, so a step costs one forward and one inverse stack FFT.
+Every mode sum (the density, the spectral power, the sums behind the norms)
+is added mode after mode in np.sum's order over a leading axis (_ModeSum),
+so the chunk size changes none of them by a bit.
+
+observations is the one stepping loop.  It yields (t, chunks) at step 0 and
+after every window; chunks hands over each mode chunk's spectrum and fields
+as they go by, and evolve, the scattering probe and the Picard reference
+accumulate what they record from them.  After the last observation the
+buffer holds the final fields.  A start whose mass overflows the
+observation sums, or a step whose potential is not finite, raises
+FloatingPointError, so no consumer computes on non-finite values.
 
 An unperturbed ensemble is its own reference: add_perturbation returns
 (perturbed, eq), and eq.deviations(perturbed) is Z = u - y against the exact
@@ -29,14 +41,15 @@ stored plane-wave stack times one phase per mode (equilibrium_at), not an
 exp over the whole stack; equilibrium_fields builds the plane waves from
 scratch and is its oracle.  The carriers are lattice frequencies, so the
 spectrum of y_j has one nonzero entry (equilibrium_spectrum at
-carrier_cells): evolve's observations take the energy and the spectrum of Z
-from the carried buffer, with no forward stack FFT of their own.
+carrier_cells): deviation_chunks takes the spectrum of Z from the stream's
+spectrum, with no forward FFT of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,6 +58,51 @@ from .equilibrium import DistributionFunction, InteractionPotential
 from .field import fftn, ifftn
 from .grid import TorusGrid
 from .lpaley import LittlewoodPaley, critical_exponents
+
+_CHUNK_BYTES = 1 << 21  # complex fields per mode chunk: 32 modes at d=3, N=16
+
+
+def _mode_chunks(n_modes: int, grid: TorusGrid) -> list:
+    """Slices of consecutive modes holding about _CHUNK_BYTES of fields each."""
+    size = max(1, _CHUNK_BYTES // (16 * grid.N ** grid.d))
+    return [slice(i, min(i + size, n_modes)) for i in range(0, n_modes, size)]
+
+
+class _ModeSum:
+    """sum_j |x_j|^2 over the mode axis of chunks fed in mode order.
+
+    Each chunk is added mode after mode onto the running total, the order in
+    which np.sum reduces that axis, so any chunking gives the sum over the
+    whole stack to the bit.
+    """
+
+    def __init__(self, shape: tuple, axis: int = 0):
+        self.axis = axis
+        self.total = np.zeros(shape)
+
+    def add(self, x: np.ndarray) -> np.ndarray:
+        """Add the chunk x; returns its |x|^2."""
+        lead = (slice(None),) * self.axis
+        ax = self.axis
+        work = np.empty(x.shape[:ax] + (x.shape[ax] + 1,) + x.shape[ax + 1:])
+        work[lead + (0,)] = self.total
+        sq = work[lead + (slice(1, None),)]
+        np.abs(x, out=sq)
+        np.square(sq, out=sq)
+        np.sum(work, axis=ax, out=self.total)
+        return sq
+
+
+def _into(out: np.ndarray, x: np.ndarray) -> None:
+    """Leave in x the result of a transform of x run with overwrite_x."""
+    if not np.may_share_memory(out, x):
+        x[...] = out
+
+
+def _drain(chunks) -> None:
+    """Read the rest of a chunk iterator, holding no chunk afterwards."""
+    for _ in chunks:
+        pass
 
 
 @dataclass(frozen=True)
@@ -73,31 +131,37 @@ class ModeEnsemble:
 
     def mode_masses(self) -> np.ndarray:
         """Per-mode squared L2 norm ||u_j||^2."""
-        if self.n_modes == 0:
-            return np.zeros(0)
-        return np.sum(np.abs(self.fields) ** 2, axis=self.space_axes) * self.grid.dx
+        out = np.zeros(self.n_modes)
+        for c in _mode_chunks(self.n_modes, self.grid):
+            out[c] = np.sum(np.abs(self.fields[c]) ** 2, axis=self.space_axes) * self.grid.dx
+        return out
 
     def density_values(self) -> np.ndarray:
-        if self.n_modes == 0:
-            return np.zeros(self.grid.shape)
-        return np.sum(np.abs(self.fields) ** 2, axis=0)
+        rho = _ModeSum(self.grid.shape)
+        for c in _mode_chunks(self.n_modes, self.grid):
+            rho.add(self.fields[c])
+        return rho.total
 
+    @cached_property
     def _rates(self) -> np.ndarray:
         """m + |xi_j|^2 per mode."""
         return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
 
-    def equilibrium_fields(self, t: Optional[float] = None) -> np.ndarray:
-        """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)}."""
+    def equilibrium_fields(self, t: Optional[float] = None,
+                           modes: slice = slice(None)) -> np.ndarray:
+        """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)} of
+        the modes in the slice modes (all by default)."""
         t = self.t if t is None else t
         lead = (-1,) + (1,) * self.grid.d
-        rotation = (t * self._rates()).reshape(lead)
-        return self.weights.reshape(lead) * np.exp(1j * (self.grid.phase(self.carriers) - rotation))
+        rotation = (t * self._rates[modes]).reshape(lead)
+        return self.weights[modes].reshape(lead) * np.exp(
+            1j * (self.grid.phase(self.carriers[modes]) - rotation))
 
     def equilibrium_phases(self, t) -> np.ndarray:
         """The (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)} that carry the stored
         fields to time t, shaped (M, 1, ..., 1) to broadcast against them;
         (n_t, M, 1, ..., 1) for an array of times."""
-        rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates()))
+        rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates))
         return rot.reshape(rot.shape + (1,) * self.grid.d)
 
     def equilibrium_at(self, t) -> np.ndarray:
@@ -125,7 +189,7 @@ class ModeEnsemble:
     def equilibrium_spectrum(self, t: float) -> np.ndarray:
         """The (M,) entries N^d a_j e^{-i t (m + |xi_j|^2)} of the unnormalised
         spectrum of Y(t) at carrier_cells(); every other entry is zero."""
-        return self.grid.N ** self.grid.d * self.weights * np.exp(-1j * t * self._rates())
+        return self.grid.N ** self.grid.d * self.weights * np.exp(-1j * t * self._rates)
 
     def induced_potential(self, ens: "ModeEnsemble") -> np.ndarray:
         """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
@@ -188,17 +252,22 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
     m = w.what0 * retained if m_override is None else m_override
     ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=None,
                        t=0.0, m=m, w=w)
-    return (replace(ens, fields=ens.equilibrium_fields()),
+    fields = np.empty((ens.n_modes,) + grid.shape, dtype=complex)
+    for c in _mode_chunks(ens.n_modes, grid):  # the plane waves built a chunk at a time
+        fields[c] = ens.equilibrium_fields(modes=c)
+    return (replace(ens, fields=fields),
             InitReport(retained_mass=retained, truncated_mass=total - retained))
 
 
 def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = None) -> ModeEnsemble:
-    """n Strang steps with adjacent kinetic half-steps fused.
+    """n Strang steps with adjacent kinetic half-steps fused, one pass over
+    the mode chunks per step.
 
     Without hat, pure: returns the advanced ensemble and leaves ens.fields as
-    it was.  hat is a buffer holding the unnormalised spectrum of ens.fields:
-    the window starts from it instead of a forward FFT and leaves in it the
-    spectrum of the returned fields (the array before its last inverse FFT).
+    it was.  hat is an (M, *grid) buffer holding the unnormalised spectrum of
+    the state at ens.t, and ens.fields is not read: the window steps hat in
+    place and leaves there the spectrum at the window's end, and the
+    returned ensemble has no fields.
     FloatingPointError when a non-finite field value reaches a step's potential.
     """
     if dt <= 0:
@@ -209,48 +278,62 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = N
     for _ in range(n):
         t += dt  # the time of n single steps, to the bit
     if ens.n_modes == 0:
-        return replace(ens, t=t)
+        return replace(ens, t=t) if hat is None else replace(ens, fields=None, t=t)
     g = ens.grid
     axes = ens.space_axes
+    chunks = _mode_chunks(ens.n_modes, g)
+    buf = hat
+    if hat is None:
+        buf = ens.fields.copy()
+        for c in chunks:
+            _into(fftn(buf[c], axes=axes, overwrite_x=True), buf[c])
     half = np.exp(-0.5j * dt * (ens.m + g.xi_squared))
     full = half * half
     sym = ens.w.what(g.xi_norm)
 
-    spec = fftn(ens.fields, axes=axes) if hat is None else hat
-    spec *= half
-    for k in range(n):
-        u = ifftn(spec, axes=axes, overwrite_x=True)
-        rho = np.sum(np.abs(u) ** 2, axis=0)
-        pot = ifftn(sym * fftn(rho), overwrite_x=True).real
-        if not np.all(np.isfinite(pot)):
-            raise FloatingPointError(f"non-finite field values in the window from t={ens.t}")
-        u *= np.exp(-1j * dt * (pot - ens.m))
-        spec = fftn(u, axes=axes, overwrite_x=True)
-        spec *= full if k < n - 1 else half
-    del half, full, sym, rho, pot  # grid temporaries go before the output stack comes
-    if hat is None:
-        return replace(ens, fields=ifftn(spec, axes=axes, overwrite_x=True), t=t)
-    if not np.may_share_memory(spec, hat):  # the transforms ran out of place
-        hat[...] = spec
-    return replace(ens, fields=ifftn(hat, axes=axes), t=t)
+    phase = None
+    for k in range(n + 1):  # pass k: the kinetic factor between potentials k-1 and k
+        rho = _ModeSum(g.shape)
+        for c in chunks:
+            x = buf[c]
+            if phase is not None:
+                x *= phase
+                _into(fftn(x, axes=axes, overwrite_x=True), x)
+            x *= half if k in (0, n) else full
+            if k < n:
+                _into(ifftn(x, axes=axes, overwrite_x=True), x)
+                rho.add(x)
+        if k < n:
+            pot = ifftn(sym * fftn(rho.total), overwrite_x=True).real
+            if not np.all(np.isfinite(pot)):
+                raise FloatingPointError(f"non-finite field values in the window from t={ens.t}")
+            phase = np.exp(-1j * dt * (pot - ens.m))
+    if hat is not None:
+        return replace(ens, fields=None, t=t)
+    for c in chunks:
+        _into(ifftn(buf[c], axes=axes, overwrite_x=True), buf[c])
+    return replace(ens, fields=buf, t=t)
 
 
 def conserved_energy(ens: ModeEnsemble, hat: Optional[np.ndarray] = None,
-                     rho: Optional[np.ndarray] = None) -> float:
+                     rho: Optional[np.ndarray] = None, power: Optional[np.ndarray] = None) -> float:
     """Kinetic + gauge + interaction energy (constant along the exact flow).
 
-    hat is the unnormalised spectrum of ens.fields and rho its density when
-    the caller holds them; the kinetic and gauge terms come from one |hat|^2
-    pass by Parseval, sum_x |u|^2 dx = dx^2 (2 pi)^-d dxi sum_k |hat_k|^2.
+    hat is the unnormalised spectrum of ens.fields, or power its mode sum
+    sum_j |hat_j|^2, and rho the density, when the caller holds them; the
+    kinetic and gauge terms come from the power by Parseval,
+    sum_x |u|^2 dx = dx^2 (2 pi)^-d dxi sum_k |hat_k|^2.
     """
     if ens.n_modes == 0:
         return 0.0
     g = ens.grid
-    if hat is None:
-        hat = fftn(ens.fields, axes=ens.space_axes)
+    if power is None:
+        acc = _ModeSum(g.shape)
+        for c in _mode_chunks(ens.n_modes, g):
+            acc.add(fftn(ens.fields[c], axes=ens.space_axes) if hat is None else hat[c])
+        power = acc.total
     if rho is None:
         rho = ens.density_values()
-    power = np.sum(np.abs(hat) ** 2, axis=0)
     wgt = (2 * math.pi) ** (-g.d) * g.dxi * g.dx ** 2
     kinetic = float(np.sum(g.xi_squared * power)) * wgt
     gauge = ens.m * float(np.sum(power)) * wgt
@@ -315,53 +398,113 @@ def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
         yield j, ifftn(sym[(None,) * lead] * hat, axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
 
 
+class _NormSums:
+    """The mode sums behind l2, l_dplus2, w_sp and besov_q of a deviation,
+    fed chunk by chunk in mode order as (Z, Z-hat) pairs.  lead is the shape
+    of any axes before the mode axis (a time axis), which stay in the results.
+    At d = 2 the Bessel weight of w_sp is 1 and p = d + 2, so w_sp is l_dplus2
+    with no transform pair.
+    """
+
+    def __init__(self, grid: TorusGrid, lp: LittlewoodPaley, lead: tuple = ()):
+        self.grid, self.mode = grid, len(lead)
+        shape = lead + grid.shape
+        self.l2 = np.zeros(lead)
+        self.dens = _ModeSum(shape, self.mode)
+        self.smooth = _ModeSum(shape, self.mode) if critical_exponents(grid.d)["s"] != 0 else None
+        self.blocks = {j: _ModeSum(shape, self.mode) for j in lp.symbols}
+        # (sum, spectral weight) of each weighted inverse transform
+        self.weighted = ([(self.smooth, lp.bessel)] if self.smooth is not None else []) + [
+            (self.blocks[j], sym) for j, sym in lp.symbols.items()]
+        self.scratch = None  # one chunk, reused by every weighted transform
+
+    def add(self, Z: np.ndarray, Z_hat: np.ndarray) -> None:
+        """Add a chunk of modes; Z_hat, the unnormalised FFT of Z over space,
+        is only read."""
+        space = tuple(range(self.mode + 1, Z.ndim))
+        self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(self.mode,) + space)
+        if self.scratch is None or self.scratch.shape != Z_hat.shape:
+            self.scratch = np.empty_like(Z_hat)
+        for sums, weight in self.weighted:
+            np.multiply(weight[(None,) * (self.mode + 1)], Z_hat, out=self.scratch)
+            sums.add(ifftn(self.scratch, axes=space, overwrite_x=True))
+
+    def ingredients(self) -> dict:
+        d, dx = self.grid.d, self.grid.dx
+        ex = critical_exponents(d)
+        pointwise = tuple(range(self.mode, self.mode + d))  # space axes once modes are summed
+        root = np.sqrt(self.dens.total)
+        out = {"l2": np.sqrt(self.l2 * dx),
+               "l_dplus2": _lebesgue(root, float(d + 2), dx, pointwise)}
+        if self.smooth is not None:
+            root = np.sqrt(self.smooth.total)
+        out["w_sp"] = _lebesgue(root, ex["p"], dx, pointwise)
+        acc = np.zeros(self.l2.shape)
+        for j, block in self.blocks.items():
+            nq = _lebesgue(np.sqrt(block.total), ex["q"], dx, pointwise)
+            acc += (1.0 if j < 0 else 2.0 ** (j / 2.0)) * nq ** 2
+        out["besov_q"] = np.sqrt(acc)
+        return out
+
+
 def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley,
                  hat: Optional[np.ndarray] = None):
     """Spatial ingredients l2, l_dplus2, w_sp, besov_q of a mode stack
     (M, *grid), or per time slice of (n_t, M, *grid) as (n_t,) arrays.
 
     hat is the unnormalised FFT of the stack over space when the caller holds
-    it (it is only read).  Returns (ingredients, that FFT).  At d = 2 the
-    Bessel weight of w_sp is 1 and p = d + 2, so w_sp is l_dplus2 with no
-    transform pair.
+    it (it is only read).  Returns (ingredients, that FFT).
     """
-    d, dx = grid.d, grid.dx
-    ex = critical_exponents(d)
-    mode = stack.ndim - d - 1                       # 1 with a leading time axis
-    space = tuple(range(mode + 1, stack.ndim))
-    pointwise = tuple(range(mode, mode + d))        # space axes once modes are summed
-    dens = np.abs(stack) ** 2
-    root = np.sqrt(np.sum(dens, axis=mode))
-    out = {"l2": np.sqrt(np.sum(dens, axis=(mode,) + space) * dx),
-           "l_dplus2": _lebesgue(root, float(d + 2), dx, pointwise)}
-    del dens
+    mode = stack.ndim - grid.d - 1                  # 1 with a leading time axis
     if hat is None:
-        hat = fftn(stack, axes=space)
-    if ex["s"] != 0:
-        smooth = ifftn(lp.bessel[(None,) * (mode + 1)] * hat, axes=space, overwrite_x=True)
-        root = np.sqrt(np.sum(np.abs(smooth) ** 2, axis=mode))
-        del smooth
-    out["w_sp"] = _lebesgue(root, ex["p"], dx, pointwise)
-    del root
-    acc = np.zeros(stack.shape[:mode])
-    for j, block in _dyadic_blocks(grid, hat, lp):
-        nq = _lebesgue(np.sqrt(np.sum(np.abs(block) ** 2, axis=mode)), ex["q"], dx, pointwise)
-        acc += (1.0 if j < 0 else 2.0 ** (j / 2.0)) * nq ** 2
-    out["besov_q"] = np.sqrt(acc)
-    return out, hat
+        hat = fftn(stack, axes=tuple(range(mode + 1, stack.ndim)))
+    sums = _NormSums(grid, lp, stack.shape[:mode])
+    sums.add(stack, hat)
+    return sums.ingredients(), hat
 
 
-def deviation_norms(grid: TorusGrid, stack: np.ndarray, lp: Optional[LittlewoodPaley] = None,
+def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
+    """The deviation Z = u - y from the equilibrium eq of a state at time t,
+    chunk by chunk: chunks yields the state's (modes, hat, u) as observations
+    does, and this yields (modes, Z, Z-hat) for the same modes.  Z is u minus
+    eq's plane waves times their phases at t; Z-hat is hat minus y_j's one
+    entry per mode, subtracted in place and put back bit for bit once the
+    consumer moves on, so it is read-only."""
+    cells = eq.carrier_cells()
+    y, rot = eq.equilibrium_spectrum(t), eq.equilibrium_phases(t)
+    Z = None  # one chunk, reused
+    for modes, hat, u in chunks:
+        at = (np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])
+        saved = hat[at]
+        hat[at] -= y[modes]
+        if Z is None or Z.shape != u.shape:
+            Z = np.empty_like(u)
+        np.multiply(eq.fields[modes], rot[modes], out=Z)  # Y(t), as equilibrium_at gives it
+        try:
+            yield modes, np.subtract(u, Z, out=Z), hat
+        finally:
+            hat[at] = saved
+
+
+def deviation_norms(grid: TorusGrid, stack, lp: Optional[LittlewoodPaley] = None,
                     hat: Optional[np.ndarray] = None) -> dict:
-    """Spatial ingredient norms of a deviation stack (M, *grid) at one time;
-    hat is its unnormalised spectrum when the caller holds it (only read)."""
-    if stack.shape[0] == 0:
-        return {k: 0.0 for k in ("l2", "hs", "l_dplus2", "w_sp", "besov_q")}
-    out, hat = _stack_norms(grid, stack, lp or LittlewoodPaley(grid), hat)
+    """Spatial ingredient norms of a deviation at one time.  stack is its
+    (M, *grid) stack, with hat its unnormalised spectrum when the caller
+    holds it (only read), or an iterable of its (modes, Z, Z-hat) chunks as
+    deviation_chunks yields them."""
+    lp = lp or LittlewoodPaley(grid)
+    if isinstance(stack, np.ndarray):
+        if hat is None and len(stack):
+            hat = fftn(stack, axes=tuple(range(1, stack.ndim)))
+        stack = [(slice(None), stack, hat)] if len(stack) else []
+    sums, power = _NormSums(grid, lp), _ModeSum(grid.shape)
+    for _, Z, Z_hat in stack:
+        sums.add(Z, Z_hat)
+        power.add(Z_hat)
+    out = sums.ingredients()
     s = critical_exponents(grid.d)["s"]
     wgt = (2 * math.pi) ** (-grid.d) * grid.dxi * grid.dx ** 2
-    power = np.sum(np.abs(hat) ** 2, axis=0)
-    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power) * wgt)
+    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power.total) * wgt)
     return {k: float(v) for k, v in out.items()}
 
 
@@ -369,30 +512,86 @@ def deviation_norms(grid: TorusGrid, stack: np.ndarray, lp: Optional[LittlewoodP
 # trajectories
 
 
-def observations(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1):
-    """Yield (state, hat) at step 0 and at the end of every window of
-    obs_stride steps up to time ens.t + T (the last window shorter when
-    obs_stride does not divide T/dt).
+# the largest power of the lattice density that an observation sums: the cube
+# (l_dplus2 at d = 4, w_sp at d = 1)
+_MASS_LIMIT = np.finfo(float).max ** (1.0 / 3.0)
 
-    hat is one buffer, carried through the whole run, holding the
-    unnormalised spectrum of state.fields: one forward stack FFT at step 0,
-    then every window starts from it and leaves its output's spectrum there.
-    A consumer that changes hat between windows must put it back bit for bit.
+
+class _Stream:
+    """The run behind observations: one (M, *grid) buffer, stepped in place."""
+
+    def __init__(self, ens: ModeEnsemble, T: float, dt: float, obs_stride: int):
+        if T <= 0:
+            raise ValueError("T must be positive")
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if obs_stride < 1:
+            raise ValueError("obs_stride must be at least 1")
+        n_steps = int(round(T / dt))
+        if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+            raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
+        self.ens, self.dt, self.stride, self.n_steps = ens, dt, obs_stride, n_steps
+        self.final = None
+
+    def __iter__(self):
+        ens = self.ens
+        axes = ens.space_axes
+        chunks = _mode_chunks(ens.n_modes, ens.grid)
+        buf = ens.fields.copy()
+        mass = 0.0
+        for c in chunks:
+            _into(fftn(buf[c], axes=axes, overwrite_x=True), buf[c])
+            with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
+                mass += np.sum(np.square(buf[c].view(float))) / ens.grid.N ** ens.grid.d
+        if not mass <= _MASS_LIMIT:
+            raise FloatingPointError(f"non-finite field values at the start t={ens.t}: the mass "
+                                     f"sum {mass:.3g} overflows the observations")
+        yield from self._observe(ens.t, chunks, buf, ens.fields)
+        state = replace(ens, fields=None)
+        for i in range(0, self.n_steps, self.stride):
+            state = step(state, self.dt, min(self.stride, self.n_steps - i), hat=buf)
+            last = i + self.stride >= self.n_steps
+            yield from self._observe(state.t, chunks, buf, final=last)
+        self.final = replace(ens, fields=buf, t=state.t)
+
+    def _observe(self, t, chunks, buf, fields=None, final=False):
+        axes = self.ens.space_axes
+
+        def read():
+            scratch = None  # one chunk of fields, reused
+            for c in chunks:
+                hat = buf[c]
+                if fields is not None:
+                    u = fields[c]
+                else:
+                    if scratch is None or scratch.shape != hat.shape:
+                        scratch = np.empty_like(hat)
+                    np.copyto(scratch, hat)
+                    u = ifftn(scratch, axes=axes, overwrite_x=True)
+                yield c, hat, u
+                if final:  # the buffer ends the run holding the fields
+                    hat[...] = u
+
+        reader = read()
+        yield t, reader
+        _drain(reader)  # the chunks the consumer left unread
+
+
+def observations(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1) -> _Stream:
+    """The one stepping loop: iterating it yields (t, chunks) at step 0 and at
+    the end of every window of obs_stride steps up to time ens.t + T (the last
+    window shorter when obs_stride does not divide T/dt).
+
+    chunks yields (modes, hat, u) for each mode chunk in mode order: modes a
+    slice of mode indices, hat the unnormalised spectrum and u the fields of
+    those modes at time t, both read-only and valid until the next chunk.
+    Chunks a consumer leaves unread are read before the next window.  The run
+    steps one (M, *grid) buffer and never writes to ens.fields; once the
+    iteration ends, .final is the ensemble at the last time, its fields that
+    buffer.  FloatingPointError before the first observation when the mass
+    of ens overflows the observation sums.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if obs_stride < 1:
-        raise ValueError("obs_stride must be at least 1")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
-    hat = fftn(ens.fields, axes=ens.space_axes)
-    yield ens, hat
-    for i in range(0, n_steps, obs_stride):
-        ens = step(ens, dt, min(obs_stride, n_steps - i), hat=hat)
-        yield ens, hat
+    return _Stream(ens, T, dt, obs_stride)
 
 
 @dataclass
@@ -407,39 +606,52 @@ class Trajectory:
     final: ModeEnsemble
 
 
+def _summed(chunks, rho, sq_sums=None, power=None):
+    """Pass the (modes, hat, u) chunks on, adding each to the density rho and,
+    when given, writing the per-mode sums of |u|^2 into sq_sums and adding
+    the spectral power."""
+    for modes, hat, u in chunks:
+        if sq_sums is None:
+            rho.add(u)
+        else:
+            sq_sums[modes] = np.sum(rho.add(u), axis=tuple(range(1, u.ndim)))
+        if power is not None:
+            power.add(hat)
+        yield modes, hat, u
+
+
 def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
            reference: Optional[ModeEnsemble] = None) -> Trajectory:
     """Step to time T recording the mode masses, the energy and the density
     extrema every obs_stride steps, and with the equilibrium reference the
     deviation norms.
 
-    The observations read the stream's carried spectrum: the energy's kinetic
-    and gauge terms by Parseval, and the spectrum of Z as the carried buffer
-    minus y_j's one entry per mode, subtracted in place and put back bit for
-    bit before the next window reads it.
+    Each observation is one pass over the stream's chunks: the masses, the
+    density and the spectral power (the energy's kinetic and gauge terms, by
+    Parseval) are summed as the chunks go by, and so are the deviation norms,
+    from deviation_chunks.
     """
-    lp = LittlewoodPaley(ens.grid) if reference is not None else None
-    cells = reference.carrier_cells() if reference is not None else None
-    axes = ens.space_axes
+    g = ens.grid
+    lp = LittlewoodPaley(g) if reference is not None else None
+    stream = observations(ens, T, dt, obs_stride)
     times, masses, energies, extrema, norm_rows = [], [], [], [], []
-    for state, hat in observations(ens, T, dt, obs_stride):
-        dens = np.abs(state.fields) ** 2    # one pass gives the masses and the density
-        masses.append(np.sum(dens, axis=axes) * state.grid.dx)
-        rho = np.sum(dens, axis=0)
-        del dens
-        times.append(state.t)
-        energies.append(conserved_energy(state, hat, rho))
-        extrema.append((float(rho.min()), float(rho.max())))
-        if reference is not None:
-            saved = hat[cells]
-            hat[cells] -= reference.equilibrium_spectrum(state.t)
-            norm_rows.append(deviation_norms(state.grid, reference.deviations(state), lp, hat=hat))
-            hat[cells] = saved
+    for t, chunks in stream:
+        sq_sums = np.zeros(ens.n_modes)
+        rho, power = _ModeSum(g.shape), _ModeSum(g.shape)
+        seen = _summed(chunks, rho, sq_sums, power)
+        if reference is None:
+            _drain(seen)
+        else:
+            norm_rows.append(deviation_norms(g, deviation_chunks(reference, t, seen), lp))
+        times.append(t)
+        masses.append(sq_sums * g.dx)
+        energies.append(conserved_energy(ens, rho=rho.total, power=power.total))
+        extrema.append((float(rho.total.min()), float(rho.total.max())))
 
     norms = {k: np.array([row[k] for row in norm_rows]) for k in norm_rows[0]} if norm_rows else None
     return Trajectory(times=np.array(times), mode_masses=np.array(masses),
                       energies=np.array(energies), norms=norms,
-                      density_extrema=np.array(extrema), final=state)
+                      density_extrema=np.array(extrema), final=stream.final)
 
 
 # ---------------------------------------------------------------------------
@@ -461,31 +673,38 @@ def scattering_probe(deviations, grid: TorusGrid, m: float,
                      ball_center=None, ball_radius: Optional[float] = None) -> ProbeReport:
     """Free-unwound Cauchy differences and local mass of the deviation.
 
-    deviations yields (t, Z) pairs, Z an (M, *grid) deviation stack, as
-    ((s.t, eq.deviations(s)) for s, _ in observations(...)) does.  The probe
-    holds the previous unwound deviation and nothing else of stack size, so
-    its memory does not grow with the number of pairs.  Decreasing Cauchy
-    differences signal convergence of S(-t)Z(t); the potential-free control
-    run keeps it exactly constant.  A window past the torus recurrence time
-    gets a warning flag.
+    deviations yields (t, chunks), chunks the (modes, Z, Z-hat) mode chunks of
+    the deviation at time t, as ((t, deviation_chunks(eq, t, c)) for t, c in
+    observations(...)) does.  The probe holds the previous unwound deviation,
+    chunk by chunk, and nothing else of stack size, so its memory does not
+    grow with the number of observations.  Decreasing Cauchy differences
+    signal convergence of S(-t)Z(t); the potential-free control run keeps it
+    exactly constant.  A window past the torus recurrence time gets a
+    warning flag.
     """
     axes = tuple(range(1, 1 + grid.d))  # space axes of one (M, *grid) stack
     center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius
     times, cauchy, local = [], [], []
-    prev = None
-    for t, Z in deviations:
-        unwound = fftn(Z, axes=axes)
-        unwound *= np.exp(1j * (t * (m + grid.xi_squared)))
-        unwound = ifftn(unwound, axes=axes, overwrite_x=True)
+    prev = None  # the unwound deviation of the last observation, per chunk
+    for t, chunks in deviations:
+        back = np.exp(1j * (t * (m + grid.xi_squared)))
+        dens = _ModeSum(grid.shape)
+        unwound, diff = [], 0.0
+        for i, (_, Z, Z_hat) in enumerate(chunks):
+            dens.add(Z)
+            unwound.append(ifftn(Z_hat * back, axes=axes, overwrite_x=True))
+            if prev is not None:
+                prev[i] -= unwound[i]
+                diff += np.sum(np.abs(prev[i]) ** 2)
+                prev[i] = None  # released chunk by chunk as the new one grows
+        Z = Z_hat = None  # the next window steps without the last chunk
         if prev is not None:
-            prev -= unwound
-            cauchy.append(np.sqrt(np.sum(np.abs(prev) ** 2) * grid.dx))
+            cauchy.append(np.sqrt(diff * grid.dx))
         prev = unwound
         times.append(t)
-        local.append(np.sqrt(np.sum(np.sum(np.abs(Z) ** 2, axis=0)[ball]) * grid.dx))
-        del Z  # the next window steps with only the unwound deviation held
+        local.append(np.sqrt(np.sum(dens.total[ball]) * grid.dx))
 
     ts, cauchy, local = np.array(times), np.array(cauchy), np.array(local)
     return ProbeReport(

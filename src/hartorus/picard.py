@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import ModeEnsemble, _dyadic_blocks, _stack_norms, observations
+from .ensemble import (ModeEnsemble, _dyadic_blocks, _ModeSum, _stack_norms, _summed,
+                       deviation_chunks, observations)
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -193,12 +194,17 @@ def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble, Z: np.ndarra
 
     Returns the (n_t,) L2 gaps ||Z(t_s) - Z_ref(t_s)|| and the (n_t,) max
     gaps max |V(t_s) - V_ref(t_s)|, with Z_ref = eq.deviations(state) and
-    V_ref = eq.induced_potential(state) of the split-step state at t_s.
+    V_ref = eq.induced_potential(state) of the split-step state at t_s, both
+    taken from the stream's mode chunks as they go by.
     """
     n_t = len(Z)
     dt = T / ((n_t - 1) * substeps)
     z_gap, v_gap = np.empty(n_t), np.empty(n_t)
-    for s, (state, _) in enumerate(observations(perturbed, T, dt, substeps)):
-        z_gap[s] = np.sqrt(np.sum(np.abs(Z[s] - eq.deviations(state)) ** 2) * eq.grid.dx)
-        v_gap[s] = np.max(np.abs(V[s] - eq.induced_potential(state)))
+    for s, (t, chunks) in enumerate(observations(perturbed, T, dt, substeps)):
+        rho, gap = _ModeSum(eq.grid.shape), 0.0
+        for modes, Zref, _ in deviation_chunks(eq, t, _summed(chunks, rho)):
+            gap += np.sum(np.abs(Z[s][modes] - Zref) ** 2)
+        Zref = None  # the next window steps without the last chunk
+        z_gap[s] = np.sqrt(gap * eq.grid.dx)
+        v_gap[s] = np.max(np.abs(V[s] - (rho.total - np.sum(eq.weights ** 2))))
     return z_gap, v_gap

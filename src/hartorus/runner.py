@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .ensemble import (BumpSpec, add_perturbation, cell_masses, evolve, init_equilibrium,
-                       observations, scattering_probe)
+from .ensemble import (BumpSpec, _mode_chunks, add_perturbation, cell_masses, deviation_chunks,
+                       evolve, init_equilibrium, observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
 from .field import SpectralField
 from .lpaley import LittlewoodPaley
@@ -130,11 +130,14 @@ def _exp_equilibrium_check(cfg, out, seed):
     m0 = traj.mode_masses[0]
     drift = float(np.max(np.abs(traj.mode_masses - m0) / np.maximum(m0, 1e-300))) if ens.n_modes else 0.0
     dens_dev = float(np.max(traj.density_extrema[:, 1] - traj.density_extrema[:, 0]))
-    amp_dev = float(np.max(np.abs(np.abs(traj.final.fields)
-                                  - a[(slice(None),) + (None,) * grid.d]))) if ens.n_modes else 0.0
-    # unwinding the exact phases must reproduce the t=0 state
-    Z = traj.final.fields - ens.equilibrium_fields(traj.final.t)
-    gauge_residual = float(np.max(np.abs(Z))) if ens.n_modes else 0.0
+    # unwinding the exact phases must reproduce the t=0 state; a chunk of modes at a time
+    amp_dev = gauge_residual = 0.0
+    final, lead = traj.final, (slice(None),) + (None,) * grid.d
+    for modes in _mode_chunks(ens.n_modes, grid):
+        u = final.fields[modes]
+        amp_dev = max(amp_dev, float(np.max(np.abs(np.abs(u) - a[modes][lead]))))
+        gauge_residual = max(gauge_residual,
+                             float(np.max(np.abs(u - ens.equilibrium_fields(final.t, modes)))))
 
     records = [{"t": t, "energy": e, "density_min": lo, "density_max": hi,
                 "mode_mass": [float(x) for x in mm]}
@@ -314,27 +317,47 @@ def mem_available() -> int | None:
     return None
 
 
-# traced peak of a run in (M, *grid) complex stacks, measured with tracemalloc
-# at d=2..4 (4.0-4.8, 7.0-7.4, 7.5-8.1), none growing with the observation
-# count; picard counts (n_t, M, *grid) stacks: the solve peaks at 2.7 (the
-# iterate, the carried integral, the slice temporaries), and the reference
-# adds a quarter stack of slices to the held iterate
-_PEAK_STACKS = {"equilibrium-check": 5, "simulate": 7.5, "scattering-probe": 8.5, "picard": 3}
+# traced peak of a run, measured with tracemalloc.  A stream experiment holds
+# whole (M, *grid) complex stacks (the caller's input and the stream's buffer;
+# simulate adds eq's plane waves, the probe its previous unwound deviation),
+# up to _CHUNK_TEMPS mode chunks of temporaries (4.4 measured), _GRID_TEMPS
+# complex grids and _BASE_BYTES of small objects: 2.05-2.25, 3.08-3.41 and
+# 4.07-4.35 stacks at d=3, N=16 and d=4, N=8 (M = 341 and 1661), none growing
+# with the observation count; at M = 1..61 the chunk is the whole stack, and
+# the chunk, grid and fixed terms are most of the peak.  picard
+# counts (n_t, M, *grid) stacks: the solve peaks at 2.7 (the iterate, the
+# carried integral, the slice temporaries), and the reference adds a quarter
+# stack of slices to the held iterate
+_PEAK_STACKS = {"equilibrium-check": 2, "simulate": 3, "scattering-probe": 4, "picard": 3}
+_CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES = 8, 16, 1 << 16
+
+
+def _peak_estimate(cfg: RunConfig) -> tuple:
+    """(bytes, stacks, M, points) of the estimated peak of a stack experiment;
+    the mode count comes from the lattice cell masses, before anything of
+    stack size is allocated."""
+    grid = cfg.make_grid()
+    M = int(np.count_nonzero(cell_masses(grid, cfg.make_distribution(), cfg["theta"])[1]))
+    points = grid.N ** grid.d
+    if cfg.kind == "picard":
+        stacks = _PEAK_STACKS["picard"] * (cfg["picard.steps"] + 1)
+        return math.ceil(stacks * M * points * 16), stacks, M, points
+    stacks = _PEAK_STACKS[cfg.kind]
+    chunk = _mode_chunks(M, grid)[0].stop if M else 0
+    need = 16 * points * (stacks * M + _CHUNK_TEMPS * chunk + _GRID_TEMPS) + _BASE_BYTES
+    return need, stacks, M, points
 
 
 def _preflight(cfg: RunConfig) -> None:
     """MemoryPreflightError when the estimated peak of a stack experiment
-    exceeds MemAvailable; the mode count comes from the lattice cell masses,
-    before anything of stack size is allocated."""
-    grid = cfg.make_grid()
-    M = int(np.count_nonzero(cell_masses(grid, cfg.make_distribution(), cfg["theta"])[1]))
-    stacks = _PEAK_STACKS[cfg.kind] * (cfg["picard.steps"] + 1 if cfg.kind == "picard" else 1)
-    need = math.ceil(stacks * M * grid.N ** grid.d * 16)
+    exceeds MemAvailable."""
+    need, stacks, M, points = _peak_estimate(cfg)
     limit = mem_available()
     if limit is not None and need > limit:
         raise MemoryPreflightError(
             f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({stacks:g} stacks of M={M} modes "
-            f"on N^d={grid.N ** grid.d} points, complex) but {limit / 2**20:.0f} MiB is available")
+            f"on N^d={points} points, complex, and temporaries) but {limit / 2**20:.0f} MiB "
+            f"is available")
 
 
 def _exp_picard(cfg, out, seed):
@@ -411,7 +434,7 @@ def _exp_scattering_probe(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
     # every snap.stride-th observation and the last, one window apart
     stream = observations(perturbed, cfg["T"], cfg["dt"], cfg["obs.stride"] * cfg["snap.stride"])
-    report = scattering_probe(((s.t, eq.deviations(s)) for s, _ in stream), eq.grid, eq.m,
+    report = scattering_probe(((t, deviation_chunks(eq, t, c)) for t, c in stream), eq.grid, eq.m,
                               ball_center=cfg["pert.center"], ball_radius=cfg.get("probe.radius"))
     records = [{"t": float(t), "local_mass": float(mass)}
                for t, mass in zip(report.times, report.local_mass)]

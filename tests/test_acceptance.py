@@ -297,14 +297,14 @@ def test_c09_scattering_proxy():
 
     ens, _ = ht.init_equilibrium(grid, f, ht.delta_potential(1.0), 1e-12)
     pert, state = ht.add_perturbation(ens, spec)
-    rpt = ht.scattering_probe(((s.t, state.deviations(s))
-                               for s, _ in ht.observations(pert, 12.0, 5e-3, 200)),
+    rpt = ht.scattering_probe(((t, ht.deviation_chunks(state, t, c))
+                               for t, c in ht.observations(pert, 12.0, 5e-3, 200)),
                               grid, state.m, ball_center=(grid.L / 2, grid.L / 2))
 
     ens0, _ = ht.init_equilibrium(grid, f, ht.zero_potential(), 1e-12)
     pert0, state0 = ht.add_perturbation(ens0, spec)
-    rpt0 = ht.scattering_probe(((s.t, state0.deviations(s))
-                                for s, _ in ht.observations(pert0, 12.0, 5e-3, 200)),
+    rpt0 = ht.scattering_probe(((t, ht.deviation_chunks(state0, t, c))
+                                for t, c in ht.observations(pert0, 12.0, 5e-3, 200)),
                                grid, state0.m, ball_center=(grid.L / 2, grid.L / 2))
     control = float(np.max(rpt0.cauchy))
 

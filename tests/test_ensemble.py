@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import stream_oracle as oracle
+
 from hartorus import (BumpSpec, SpectralField, TorusGrid, add_perturbation, besov_norm,
                       conserved_energy, critical_exponents, custom_radial, delta_potential,
-                      deviation_norms, evolve, fermi, init_equilibrium, lebesgue_norm,
-                      observations, scattering_probe, sobolev_norm, step, zero_distribution,
-                      zero_potential)
-from hartorus.field import fftn
+                      deviation_chunks, deviation_norms, evolve, fermi, init_equilibrium,
+                      lebesgue_norm, observations, parse_config, run_experiment,
+                      scattering_probe, sobolev_norm, step, zero_distribution, zero_potential)
+from hartorus import ensemble as ens_mod
+from hartorus.field import fftn, ifftn
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +203,12 @@ def test_evolve_aborts_on_nonfinite(grid):
 
 
 def _deviation_stream(pert, eq, T, dt, stride):
-    return ((s.t, eq.deviations(s)) for s, _ in observations(pert, T, dt, stride))
+    return ((t, deviation_chunks(eq, t, c)) for t, c in observations(pert, T, dt, stride))
+
+
+def _whole(deviations):
+    # whole (t, Z, Z-hat) stacks as the probe's one-chunk deviation stream
+    return ((t, [(slice(None), Z, Z_hat)]) for t, Z, Z_hat in deviations)
 
 
 def test_scattering_probe_aborts_on_nonfinite(eq):
@@ -319,12 +327,15 @@ def _energy_oracle(ens):
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_step_from_carried_spectrum_matches_pure_step(d, N):
+    # the window steps the spectrum buffer in place and leaves there the
+    # spectrum whose inverse transform is the pure step's fields, to the bit
     pert, _ = _perturbed(d, N)
     before = pert.fields.copy()
     hat = fftn(pert.fields, axes=pert.space_axes)   # the package's own transform
     carried = step(pert, 1e-3, 3, hat=hat)
     pure = step(pert, 1e-3, 3)
-    assert np.array_equal(carried.fields, pure.fields)
+    assert carried.fields is None
+    assert np.array_equal(ifftn(hat, axes=pert.space_axes), pure.fields)
     assert carried.t == pure.t
     assert np.array_equal(pert.fields, before)
     want = np.fft.fftn(pure.fields, axes=pert.space_axes)
@@ -365,7 +376,7 @@ def test_carrier_off_the_lattice_is_refused(eq):
 def test_multiwindow_norms_match_recomputed_deviation_norms():
     pert, eq = _perturbed(2, 16)
     traj = evolve(pert, 0.012, 1e-3, obs_stride=5, reference=eq)
-    deviations = [Z for _, Z in _deviation_stream(pert, eq, 0.012, 1e-3, 5)]
+    deviations = [Z for _, Z, _ in oracle.deviation_stacks(pert, eq, 0.012, 1e-3, 5)]
     assert len(traj.times) == len(deviations) == 4
     for i, Z in enumerate(deviations):
         want = deviation_norms(pert.grid, Z)
@@ -413,13 +424,29 @@ def _traced_peak(fn):
 
 
 def test_evolve_peak_does_not_grow_with_observations():
-    # the carried spectrum and the fields before and after a window, with
-    # one step per observation
+    # the stream's one buffer, and the one mode chunk (all 45 modes here) of
+    # the observation's inverse transform and |u|^2 rows: 2.55 stacks
+    # measured, with one step per observation
     pert, eq = _perturbed(2, 32)
+    assert len(ens_mod._mode_chunks(pert.n_modes, pert.grid)) == 1
     for T in (0.01, 0.04):
         traj, peak = _traced_peak(lambda: evolve(pert, T, 1e-3, obs_stride=1))
         assert len(traj.times) == round(T / 1e-3) + 1
-        assert peak <= 3.25 * pert.fields.nbytes, peak / pert.fields.nbytes
+        assert peak <= 2.75 * pert.fields.nbytes, peak / pert.fields.nbytes
+
+
+def test_simulate_d3_peak_is_three_stacks(tmp_path):
+    # d=3, N=16, M=341 in 11 chunks of 32 modes: eq's plane waves, the
+    # perturbed input and the stream's buffer, plus about four chunks of
+    # temporaries and a few grids (3.41 stacks measured; the whole-stack
+    # stream took 7.0)
+    text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
+                      "pert.amplitude = 1e-3", "T = 0.02", "dt = 0.01", "obs.stride = 1", ""])
+    cfg = parse_config(text, "simulate")
+    env, peak = _traced_peak(lambda: run_experiment(cfg, tmp_path))
+    assert env.all_passed
+    stack = 341 * 16 ** 3 * 16
+    assert peak <= 3.5 * stack, peak / stack
 
 
 def test_streamed_probe_peak_does_not_grow_with_observations():
@@ -435,36 +462,42 @@ def test_streamed_probe_peak_does_not_grow_with_observations():
             _deviation_stream(pert, eq, T, 1e-3, 1), eq.grid, eq.m))
         assert len(rpt.times) == round(T / 1e-3) + 1
         peaks.append(peak / size)
-    assert abs(peaks[1] - peaks[0]) <= 1.0, peaks
-    # the stream's state and carried spectrum, the step's window stacks, the
-    # deviation and the previous and current unwound deviations
-    assert max(peaks) <= 6.0, peaks
+    assert abs(peaks[1] - peaks[0]) <= 0.1, peaks
+    # the stream's buffer, the previous and the current unwound deviation,
+    # and the one mode chunk (all 61 modes) of the fields and the deviation:
+    # 5.54 measured
+    assert max(peaks) <= 5.75, peaks
 
 
 def test_normed_evolve_stack_transform_budget(monkeypatch):
-    # one forward transform at t=0, 2n + 1 per window of n steps, and per
-    # observation the w_sp inverse plus one inverse per resolvable block
+    # counted in whole stacks of mode-chunk transforms: one forward transform
+    # at t=0, 2n per window of n steps, the inverse that gives each later
+    # observation its fields, and per observation the w_sp inverse plus one
+    # inverse per resolvable block
     from hartorus import LittlewoodPaley
-    from hartorus import ensemble as ens_mod
     pert, eq = _perturbed(3, 8, theta=1e-8)
-    shape = pert.fields.shape
-    calls = []
+    M, d = pert.n_modes, pert.grid.d
+    modes = {}
 
     def counting(fn):
         def wrapper(x, *args, **kwargs):
-            if np.shape(x) == shape:
-                calls.append(fn.__name__)
+            if np.ndim(x) == d + 1:
+                modes[fn.__name__] += np.shape(x)[0]
             return fn(x, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(ens_mod, "fftn", counting(ens_mod.fftn))
     monkeypatch.setattr(ens_mod, "ifftn", counting(ens_mod.ifftn))
-    traj = evolve(pert, 0.05, 0.01, obs_stride=2, reference=eq)
     windows = [2, 2, 1]
     n_blocks = len(LittlewoodPaley(pert.grid).j_resolvable)
-    assert len(traj.times) == len(windows) + 1
-    assert len(calls) == 1 + sum(2 * n + 1 for n in windows) + len(traj.times) * (1 + n_blocks)
-    assert calls.count("fftn") == 1 + sum(windows)
+    for chunk_modes in (M, 7, 1):
+        monkeypatch.setattr(ens_mod, "_CHUNK_BYTES", chunk_modes * 16 * 8 ** 3)
+        modes.update(fftn=0, ifftn=0)
+        traj = evolve(pert, 0.05, 0.01, obs_stride=2, reference=eq)
+        assert len(traj.times) == len(windows) + 1
+        assert (modes["fftn"] + modes["ifftn"]) == M * (
+            1 + sum(2 * n + 1 for n in windows) + len(traj.times) * (1 + n_blocks))
+        assert modes["fftn"] == M * (1 + sum(windows))
 
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
@@ -473,9 +506,7 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
     # with no inverse transform of its own; elsewhere w_sp is still the
     # Bessel-weighted transform pair, to the bit
     from hartorus import LittlewoodPaley
-    from hartorus import ensemble as ens_mod
     from hartorus.ensemble import _lebesgue, _stack_norms
-    from hartorus.field import ifftn
     g = TorusGrid(d, 2 * np.pi, N)
     rng = np.random.default_rng(d)
     stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
@@ -503,11 +534,10 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
 def _batched_probe(deviations, grid, m, center, radius):
     # the whole-stack formula: one transform pair for all deviations and the
     # consecutive differences as one more stack
-    ts = np.array([t for t, _ in deviations])
-    Z = np.stack([Z for _, Z in deviations])
+    ts = np.array([t for t, _, _ in deviations])
+    Z = np.stack([Z for _, Z, _ in deviations])
     axes = tuple(range(2, 2 + grid.d))
     phase = np.exp(1j * np.multiply.outer(ts, m + grid.xi_squared))[:, None]
-    from hartorus.field import ifftn
     unwound = ifftn(fftn(Z, axes=axes) * phase, axes=axes)
     cauchy = np.sqrt(np.sum(np.abs(unwound[1:] - unwound[:-1]) ** 2,
                             axis=tuple(range(1, 2 + grid.d))) * grid.dx)
@@ -519,13 +549,78 @@ def _batched_probe(deviations, grid, m, center, radius):
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_streamed_probe_matches_batched_formula(d, N):
     pert, eq = _perturbed(d, N)
-    deviations = list(_deviation_stream(pert, eq, 0.2, 1e-2, 2))
+    deviations = oracle.deviation_stacks(pert, eq, 0.2, 1e-2, 2)
     center, radius = (np.pi,) * d, 1.0
     rpt, peak = _traced_peak(lambda: scattering_probe(
-        iter(deviations), pert.grid, eq.m, ball_center=center, ball_radius=radius))
+        _whole(deviations), pert.grid, eq.m, ball_center=center, ball_radius=radius))
     cauchy, local = _batched_probe(deviations, pert.grid, eq.m, center, radius)
     assert np.min(cauchy) > 0
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
     assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
     # a few deviation-sized temporaries, not copies of the whole list
     assert peak <= 4 * pert.fields.nbytes + 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the chunked stream against the whole-stack stream of tests/stream_oracle.py
+
+
+def _with_chunks(monkeypatch, ens, chunk_modes):
+    monkeypatch.setattr(ens_mod, "_CHUNK_BYTES", chunk_modes * 16 * ens.grid.N ** ens.grid.d)
+    assert len(ens_mod._mode_chunks(ens.n_modes, ens.grid)) == -(-ens.n_modes // chunk_modes)
+
+
+def _assert_matches_oracle(traj, want, rel):
+    times, masses, energies, extrema, rows, final = want
+    assert np.array_equal(traj.times, times)
+    same = np.array_equal if rel == 0 else (lambda a, b: a == pytest.approx(b, rel=rel, abs=0))
+    assert same(traj.final.fields, final.fields)
+    assert same(traj.mode_masses, masses)
+    assert same(traj.energies, energies)
+    assert same(traj.density_extrema, extrema)
+    for k in rows[0]:
+        assert same(traj.norms[k], np.array([row[k] for row in rows])), k
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
+def test_one_chunk_stream_is_the_whole_stack_oracle(d, N, monkeypatch):
+    # one chunk of all M modes: fields, masses, energies, extrema and norms
+    # to the bit, over several windows, and the input is not written
+    pert, eq = _perturbed(d, N, theta=1e-8)
+    before = pert.fields.copy()
+    _with_chunks(monkeypatch, pert, pert.n_modes)
+    traj = evolve(pert, 0.05, 1e-2, obs_stride=2, reference=eq)
+    _assert_matches_oracle(traj, oracle.evolve(pert, 0.05, 1e-2, 2, reference=eq), rel=0)
+    assert np.array_equal(pert.fields, before)
+
+
+@pytest.mark.parametrize("chunk_modes", [1, 3, 8])
+def test_chunked_stream_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
+    # mode sums are added mode after mode whatever the chunking, so only the
+    # l2 norm's whole-stack sum is regrouped; everything stays within 1e-13
+    pert, eq = _perturbed(3, 8, theta=1e-8)
+    before = pert.fields.copy()
+    _with_chunks(monkeypatch, pert, chunk_modes)
+    traj = evolve(pert, 0.05, 1e-2, obs_stride=2, reference=eq)
+    want = oracle.evolve(pert, 0.05, 1e-2, 2, reference=eq)
+    _assert_matches_oracle(traj, want, rel=1e-13)
+    assert np.array_equal(traj.final.fields, want[-1].fields)
+    assert np.array_equal(traj.mode_masses, want[1])
+    assert np.array_equal(traj.energies, want[2])
+    assert np.array_equal(traj.density_extrema, want[3])
+    for k in set(want[4][0]) - {"l2"}:
+        assert np.array_equal(traj.norms[k], [row[k] for row in want[4]]), k
+    assert np.array_equal(pert.fields, before)
+
+
+@pytest.mark.parametrize("chunk_modes", [None, 1, 3])
+def test_chunked_probe_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
+    pert, eq = _perturbed(2, 16)
+    _with_chunks(monkeypatch, pert, chunk_modes or pert.n_modes)
+    center, radius = (np.pi, np.pi), 1.0
+    rpt = scattering_probe(_deviation_stream(pert, eq, 0.2, 1e-2, 2), pert.grid, eq.m,
+                           ball_center=center, ball_radius=radius)
+    cauchy, local = oracle.scattering_probe(oracle.deviation_stacks(pert, eq, 0.2, 1e-2, 2),
+                                            pert.grid, eq.m, center, radius)
+    assert np.array_equal(rpt.local_mass, local)
+    assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import picard_oracle as oracle
 import pytest
+import stream_oracle
 
 from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, SpectralField, TorusGrid,
                       add_perturbation, besov_norm, critical_exponents, delta_potential,
-                      deviation_norms, fermi, init_equilibrium, lebesgue_norm, observations,
+                      deviation_norms, fermi, init_equilibrium, lebesgue_norm,
                       parse_config, picard_solve, reference_trajectory, run_experiment)
 from hartorus.ensemble import _stack_norms
 from hartorus.field import fftn, ifftn
@@ -179,7 +180,7 @@ def test_reference_gaps_match_a_stored_split_step_stack(setup):
     op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
     res = picard_solve(op, max_iters=4)
     z_gap, v_gap = reference_trajectory(pert, state, res.Z, res.V, 0.5, substeps=3)
-    stream = list(observations(pert, 0.5, 0.5 / 60, 3))
+    stream = list(stream_oracle.observations(pert, 0.5, 0.5 / 60, 3))
     Zref = np.stack([state.deviations(s) for s, _ in stream])
     Vref = np.stack([np.sum(np.abs(state.equilibrium_at(s.t) + Zref[i]) ** 2, axis=0)
                      - np.sum(state.weights ** 2) for i, (s, _) in enumerate(stream)])

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from hartorus import cli, equilibrium, field, init_equilibrium, parse_config, run_experiment, runner
+from hartorus import (cli, ensemble, equilibrium, field, init_equilibrium, parse_config,
+                      run_experiment, runner)
 
 CONFIGS = {
     "equilibrium-check": """
@@ -247,11 +248,16 @@ def test_mem_available_reads_the_host():
 
 def _preflight_need(kind):
     # the estimate of runner._preflight from the test config: its measured
-    # stack count times the (M, *grid) stack
+    # stack count times the (M, *grid) stack, plus eight mode chunks, sixteen
+    # complex grids and 64 KiB
     cfg = parse_config(CONFIGS[kind], kind)
     grid = cfg.make_grid()
     M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
-    return math.ceil(runner._PEAK_STACKS[kind] * M * grid.N ** grid.d * 16)
+    points = grid.N ** grid.d
+    chunk = min(M, max(1, ensemble._CHUNK_BYTES // (16 * points)))
+    need = 16 * points * (runner._PEAK_STACKS[kind] * M + 8 * chunk + 16) + 65536
+    assert runner._peak_estimate(cfg)[0] == need
+    return need
 
 
 @pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe"])
@@ -274,22 +280,53 @@ def test_preflight_exits_two_before_a_stack_experiment_runs(kind, tmp_path, monk
     runner._preflight(parse_config(CONFIGS[kind], kind))  # exactly at the limit it fits
 
 
+def _traced_run(cfg, out):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        env = run_experiment(cfg, out)
+        return env, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe"])
 def test_traced_peak_within_the_preflight_stacks(kind, tmp_path):
-    # the constant is a measurement: a run at d=2, N=32, M=61 stays under it
+    # the constants are measurements: a run at d=2, N=32, M=61 (one mode
+    # chunk) stays under the estimate
     text = "\n".join(["grid.d = 2", "grid.N = 32", "f.kind = fermi", "w.kind = delta",
                       "pert.amplitude = 1e-3", "pert.mode = 7", "T = 0.02", "dt = 1e-3",
                       "obs.stride = 5", ""])
     cfg = parse_config(text, kind)
     stack = 61 * 32 ** 2 * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    _, peak = _traced_run(cfg, tmp_path)
+    assert peak <= runner._peak_estimate(cfg)[0], peak / stack
+
+
+_D4_PROBE = "\n".join(["grid.d = 4", "grid.N = 8", "f.kind = zero-temp-fermi", "f.mu = 1.5",
+                       "w.kind = delta", "pert.amplitude = 1e-3", "T = 1.0", "dt = 0.01",
+                       "obs.stride = 10", ""])
+
+
+@pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe", "d4-probe"])
+def test_tier1_stream_configs_peak_within_the_preflight_estimate(kind, tmp_path):
+    # at M = 9 the mode chunk is about the whole stack, and the grids and
+    # small objects weigh as much as the stacks: the estimate still bounds
+    cfg = (parse_config(_D4_PROBE, "scattering-probe") if kind == "d4-probe"
+           else parse_config(CONFIGS[kind], kind))
+    _, peak = _traced_run(cfg, tmp_path)
+    need = runner._peak_estimate(cfg)[0]
+    assert peak <= need, (peak, need)
+
+
+def test_nonfinite_start_is_refused_before_any_observation(tmp_path):
+    # |u|^2 overflows at t=0: FloatingPointError before step 0's observation,
+    # with no RuntimeWarning (the suite turns one into an error)
+    cfg = parse_config(CONFIGS["simulate"].replace("pert.amplitude = 0.05", "pert.amplitude = 1e200"),
+                       "simulate")
+    with pytest.raises(FloatingPointError, match="non-finite field values at the start"):
         run_experiment(cfg, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= runner._PEAK_STACKS[kind] * stack, peak / stack
+    assert not (tmp_path / "trajectory.ndjson").exists()
 
 
 def test_scattering_probe_d4_streams(tmp_path):
@@ -297,32 +334,24 @@ def test_scattering_probe_d4_streams(tmp_path):
     # (mu = 1.5) on the d=4, N=8 torus keeps M=9 modes.  At this size the
     # probe reads cauchy_decreasing = local_mass_decreasing = false (the
     # Cauchy differences flatten near 9e-4), inside the recurrence time
-    text = "\n".join(["grid.d = 4", "grid.N = 8", "f.kind = zero-temp-fermi", "f.mu = 1.5",
-                      "w.kind = delta", "pert.amplitude = 1e-3", "T = 1.0", "dt = 0.01",
-                      "obs.stride = 10", ""])
-    cfg = parse_config(text, "scattering-probe")
+    cfg = parse_config(_D4_PROBE, "scattering-probe")
     stack = 9 * 8 ** 4 * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        env = run_experiment(cfg, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    env, peak = _traced_run(cfg, tmp_path)
     assert set(env.verdicts) == {"cauchy_decreasing", "local_mass_decreasing",
                                  "window_within_recurrence"}
     records = [json.loads(line) for line in (tmp_path / "probe.ndjson").read_text().splitlines()]
     assert len(records) == 12
     values = [v for rec in records[:-1] for v in rec.values()]
     assert all(math.isfinite(v) for v in values)
-    # the ensembles, the stream's state and spectrum, the window stacks and
-    # the unwound deviations; eleven stored snapshots made it 18.1
+    # the ensembles, the stream's buffer, the previous and current unwound
+    # deviations, and at M=9 one mode chunk whose temporaries are whole
+    # stacks (measured 8.27); eleven stored snapshots made it 18.1
     assert peak <= 8.5 * stack, peak / stack
 
 
 def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):
-    # |u|^2 overflows at step 0; in a subprocess, since in-process the
-    # error::RuntimeWarning filter raises on the overflow warning first
+    # |u|^2 overflows at step 0: refused before any observation, so stderr
+    # holds the reason and no overflow warning
     cfg_path = tmp_path / "big.cfg"
     cfg_path.write_text(CONFIGS["simulate"].replace("pert.amplitude = 0.05", "pert.amplitude = 1e200"))
     root = Path(__file__).resolve().parents[1]
@@ -334,3 +363,4 @@ def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "error: non-finite field values" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
