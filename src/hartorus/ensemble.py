@@ -147,15 +147,19 @@ class ModeEnsemble:
         """m + |xi_j|^2 per mode."""
         return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
 
-    def equilibrium_fields(self, t: Optional[float] = None,
-                           modes: slice = slice(None)) -> np.ndarray:
+    def equilibrium_fields(self, t: Optional[float] = None, modes: slice = slice(None),
+                           out: Optional[np.ndarray] = None) -> np.ndarray:
         """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)} of
-        the modes in the slice modes (all by default)."""
+        the modes in the slice modes (all by default), written into out when
+        given."""
         t = self.t if t is None else t
         lead = (-1,) + (1,) * self.grid.d
-        rotation = (t * self._rates[modes]).reshape(lead)
-        return self.weights[modes].reshape(lead) * np.exp(
-            1j * (self.grid.phase(self.carriers[modes]) - rotation))
+        phase = self.grid.phase(self.carriers[modes])
+        phase -= (t * self._rates[modes]).reshape(lead)
+        out = np.multiply(phase, 1j, out=out)
+        np.exp(out, out=out)
+        out *= self.weights[modes].reshape(lead)
+        return out
 
     def equilibrium_phases(self, t) -> np.ndarray:
         """The (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)} that carry the stored
@@ -254,7 +258,7 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
                        t=0.0, m=m, w=w)
     fields = np.empty((ens.n_modes,) + grid.shape, dtype=complex)
     for c in _mode_chunks(ens.n_modes, grid):  # the plane waves built a chunk at a time
-        fields[c] = ens.equilibrium_fields(modes=c)
+        ens.equilibrium_fields(modes=c, out=fields[c])
     return (replace(ens, fields=fields),
             InitReport(retained_mass=retained, truncated_mass=total - retained))
 

@@ -111,7 +111,7 @@ class TorusGrid:
         lead = carriers.shape[:-1] + (1,) * self.d
         out = np.zeros(carriers.shape[:-1] + self.shape)
         for a, x in enumerate(self.x_vectors):
-            out = out + carriers[..., a].reshape(lead) * x
+            out += carriers[..., a].reshape(lead) * x
         return out
 
     def min_image_dist2(self, center) -> np.ndarray:

@@ -321,7 +321,7 @@ def mem_available() -> int | None:
 # whole (M, *grid) complex stacks (the caller's input and the stream's buffer;
 # simulate adds eq's plane waves, the probe its previous unwound deviation),
 # up to _CHUNK_TEMPS mode chunks of temporaries (4.4 measured), _GRID_TEMPS
-# complex grids and _BASE_BYTES of small objects: 2.05-2.25, 3.08-3.41 and
+# complex grids and _BASE_BYTES of small objects: 2.05-2.20, 3.09-3.40 and
 # 4.07-4.35 stacks at d=3, N=16 and d=4, N=8 (M = 341 and 1661), none growing
 # with the observation count; at M = 1..61 the chunk is the whole stack, and
 # the chunk, grid and fixed terms are most of the peak.  picard

@@ -438,7 +438,7 @@ def test_evolve_peak_does_not_grow_with_observations():
 def test_simulate_d3_peak_is_three_stacks(tmp_path):
     # d=3, N=16, M=341 in 11 chunks of 32 modes: eq's plane waves, the
     # perturbed input and the stream's buffer, plus about four chunks of
-    # temporaries and a few grids (3.41 stacks measured; the whole-stack
+    # temporaries and a few grids (3.40 stacks measured; the whole-stack
     # stream took 7.0)
     text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
                       "pert.amplitude = 1e-3", "T = 0.02", "dt = 0.01", "obs.stride = 1", ""])
