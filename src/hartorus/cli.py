@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENT_KINDS, ConfigError, parse_config
-from .runner import MemoryPreflightError, run_experiment
+from .runner import PreflightError, run_experiment
 
 USAGE_ERROR = 2
 
@@ -50,9 +50,9 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get("HARTORUS_OUT") or "out"
     try:
         env = run_experiment(cfg, out_dir, seed=args.seed)
-    except (MemoryPreflightError, FloatingPointError) as exc:
+    except (PreflightError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR if isinstance(exc, MemoryPreflightError) else 1
+        return USAGE_ERROR if isinstance(exc, PreflightError) else 1
     for name, ok in env.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     print(f"envelope: {Path(out_dir) / 'envelope.json'}")

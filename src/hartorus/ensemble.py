@@ -16,12 +16,13 @@ per-mode mass to rounding.
 
 A run lives in one (M, *grid) buffer, stepped in place by mode chunks of
 about _CHUNK_BYTES (2 MiB, one core's L2 cache on the 2-CPU Xeon host it
-was measured on).  step(ens, dt, n) runs a window of n steps with the
-adjacent kinetic half-steps fused: each step is one pass over the chunks
-(the potential phase of the last step, a forward FFT, the kinetic factor,
-an inverse FFT, the chunk's |u|^2 added to the density), then the
-potential of that density.  Between windows the buffer
-holds the spectrum, so a step costs one forward and one inverse stack FFT.
+was measured on).  step(ens, dt, n, hat) steps the spectrum buffer hat
+through a window of n steps with the adjacent kinetic half-steps fused: each
+step is one pass over the chunks (the potential phase of the last step, a
+forward FFT, the kinetic factor, an inverse FFT, the chunk's |u|^2 added to
+the density), then the potential of that density.  Between windows the
+buffer holds the spectrum, so a step costs one forward and one inverse stack
+FFT.
 Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
 so the chunk size changes none of them by a bit.
@@ -199,14 +200,6 @@ class ModeEnsemble:
         """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
         return ens.density_values() - np.sum(self.weights ** 2)
 
-    def reconstructed_potential(self, ens: "ModeEnsemble") -> np.ndarray:
-        """V rebuilt from E|Z|^2 + 2 Re E(Y-bar Z); equals induced_potential
-        by the mode-orthogonality identity."""
-        Y = self.equilibrium_at(ens.t)
-        Z = ens.fields - Y
-        return (np.sum(np.abs(Z) ** 2, axis=0)
-                + 2.0 * np.sum(np.conj(Y) * Z, axis=0).real)
-
 
 @dataclass
 class InitReport:
@@ -263,15 +256,14 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
             InitReport(retained_mass=retained, truncated_mass=total - retained))
 
 
-def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = None) -> ModeEnsemble:
+def step(ens: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> ModeEnsemble:
     """n Strang steps with adjacent kinetic half-steps fused, one pass over
     the mode chunks per step.
 
-    Without hat, pure: returns the advanced ensemble and leaves ens.fields as
-    it was.  hat is an (M, *grid) buffer holding the unnormalised spectrum of
-    the state at ens.t, and ens.fields is not read: the window steps hat in
-    place and leaves there the spectrum at the window's end, and the
-    returned ensemble has no fields.
+    hat is an (M, *grid) buffer holding the unnormalised spectrum of the
+    state at ens.t, and ens.fields is not read: the window steps hat in place
+    and leaves there the spectrum at the window's end, and the returned
+    ensemble has no fields.
     FloatingPointError when a non-finite field value reaches a step's potential.
     """
     if dt <= 0:
@@ -282,15 +274,10 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = N
     for _ in range(n):
         t += dt  # the time of n single steps, to the bit
     if ens.n_modes == 0:
-        return replace(ens, t=t) if hat is None else replace(ens, fields=None, t=t)
+        return replace(ens, fields=None, t=t)
     g = ens.grid
     axes = ens.space_axes
     chunks = _mode_chunks(ens.n_modes, g)
-    buf = hat
-    if hat is None:
-        buf = ens.fields.copy()
-        for c in chunks:
-            _into(fftn(buf[c], axes=axes, overwrite_x=True), buf[c])
     half = np.exp(-0.5j * dt * (ens.m + g.xi_squared))
     full = half * half
     sym = ens.w.what(g.xi_norm)
@@ -299,7 +286,7 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = N
     for k in range(n + 1):  # pass k: the kinetic factor between potentials k-1 and k
         rho = _ModeSum(g.shape)
         for c in chunks:
-            x = buf[c]
+            x = hat[c]
             if phase is not None:
                 x *= phase
                 _into(fftn(x, axes=axes, overwrite_x=True), x)
@@ -312,33 +299,19 @@ def step(ens: ModeEnsemble, dt: float, n: int = 1, hat: Optional[np.ndarray] = N
             if not np.all(np.isfinite(pot)):
                 raise FloatingPointError(f"non-finite field values in the window from t={ens.t}")
             phase = np.exp(-1j * dt * (pot - ens.m))
-    if hat is not None:
-        return replace(ens, fields=None, t=t)
-    for c in chunks:
-        _into(ifftn(buf[c], axes=axes, overwrite_x=True), buf[c])
-    return replace(ens, fields=buf, t=t)
+    return replace(ens, fields=None, t=t)
 
 
-def conserved_energy(ens: ModeEnsemble, hat: Optional[np.ndarray] = None,
-                     rho: Optional[np.ndarray] = None, power: Optional[np.ndarray] = None) -> float:
-    """Kinetic + gauge + interaction energy (constant along the exact flow).
-
-    hat is the unnormalised spectrum of ens.fields, or power its mode sum
-    sum_j |hat_j|^2, and rho the density, when the caller holds them; the
-    kinetic and gauge terms come from the power by Parseval,
-    sum_x |u|^2 dx = dx^2 (2 pi)^-d dxi sum_k |hat_k|^2.
+def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> float:
+    """Kinetic + gauge + interaction energy (constant along the exact flow) of
+    a state with density rho and spectral power sum_j |hat_j|^2, hat_j the
+    unnormalised spectra of its modes; the kinetic and gauge terms come from
+    the power by Parseval (TorusGrid.parseval_weight).
     """
     if ens.n_modes == 0:
         return 0.0
     g = ens.grid
-    if power is None:
-        acc = _ModeSum(g.shape)
-        for c in _mode_chunks(ens.n_modes, g):
-            acc.add(fftn(ens.fields[c], axes=ens.space_axes) if hat is None else hat[c])
-        power = acc.total
-    if rho is None:
-        rho = ens.density_values()
-    wgt = (2 * math.pi) ** (-g.d) * g.dxi * g.dx ** 2
+    wgt = g.parseval_weight
     kinetic = float(np.sum(g.xi_squared * power)) * wgt
     gauge = ens.m * float(np.sum(power)) * wgt
     sym = ens.w.what(g.xi_norm)
@@ -394,6 +367,15 @@ def _lebesgue(vals: np.ndarray, p: float, dx: float, axes: tuple):
     return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
 
 
+def _dyadic_norm(block_norms, s: float, t: float):
+    """sqrt(sum_j 2^{2j (s if j < 0 else t)} n_j^2) over the (j, n_j) pairs of
+    block_norms: the two-exponent dyadic block norm from its block norms."""
+    acc = 0.0
+    for j, n in block_norms:
+        acc = acc + 2.0 ** (2 * j * (s if j < 0 else t)) * n ** 2
+    return np.sqrt(acc)
+
+
 def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
     """(j, block j in space) for every resolvable j; hat is a stack of
     unnormalised FFTs whose trailing axes are the grid's."""
@@ -443,11 +425,9 @@ class _NormSums:
         if self.smooth is not None:
             root = np.sqrt(self.smooth.total)
         out["w_sp"] = _lebesgue(root, ex["p"], dx, pointwise)
-        acc = np.zeros(self.l2.shape)
-        for j, block in self.blocks.items():
-            nq = _lebesgue(np.sqrt(block.total), ex["q"], dx, pointwise)
-            acc += (1.0 if j < 0 else 2.0 ** (j / 2.0)) * nq ** 2
-        out["besov_q"] = np.sqrt(acc)
+        out["besov_q"] = _dyadic_norm(
+            ((j, _lebesgue(np.sqrt(b.total), ex["q"], dx, pointwise)) for j, b in self.blocks.items()),
+            0.0, 0.25)
         return out
 
 
@@ -507,8 +487,7 @@ def deviation_norms(grid: TorusGrid, stack, lp: Optional[LittlewoodPaley] = None
         power.add(Z_hat)
     out = sums.ingredients()
     s = critical_exponents(grid.d)["s"]
-    wgt = (2 * math.pi) ** (-grid.d) * grid.dxi * grid.dx ** 2
-    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power.total) * wgt)
+    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power.total) * grid.parseval_weight)
     return {k: float(v) for k, v in out.items()}
 
 

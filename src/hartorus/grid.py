@@ -47,6 +47,11 @@ class TorusGrid:
         return (2 * np.pi / self.L) ** self.d
 
     @property
+    def parseval_weight(self) -> float:
+        """(2*pi)^-d dxi dx^2: sum_x |u|^2 dx is this times sum_k |fftn(u)_k|^2."""
+        return (2 * np.pi) ** (-self.d) * self.dxi * self.dx ** 2
+
+    @property
     def volume(self) -> float:
         return self.L ** self.d
 

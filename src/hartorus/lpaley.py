@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import SpectralField
 from .grid import TorusGrid
 
 
@@ -55,8 +54,7 @@ class LittlewoodPaley:
     cover range  : every j whose annulus meets a nonzero lattice frequency;
                    summing these blocks reconstructs any zero-mean field.
     resolvable   : the stricter range with 2^(j-1) >= 2*pi/L and
-                   2^(j+1) <= Nyquist; norms are evaluated on it and the
-                   mass left outside is reported, never silently dropped.
+                   2^(j+1) <= Nyquist; the block norms are evaluated on it.
 
     The lattice symbols of the resolvable blocks and the Bessel weight of the
     critical exponent s are evaluated once per instance.
@@ -89,29 +87,10 @@ class LittlewoodPaley:
         s = critical_exponents(self.grid.d)["s"]
         return (1 + self.grid.xi_squared) ** (s / 2)
 
-    def project(self, f: SpectralField, j: int) -> SpectralField:
-        """Band-limit a field to block j (zero field if j covers nothing)."""
-        sym = self.symbols.get(j)
-        return f.apply_multiplier(eta_j(self.grid.xi_norm, j) if sym is None else sym)
-
-    def resolvable(self, j: int) -> bool:
-        return j in self.j_resolvable
-
     def partition_values(self, js=None) -> np.ndarray:
         """sum_j eta_j on the lattice over the given (default cover) range."""
         js = self.j_cover if js is None else js
         out = np.zeros(self.grid.shape)
         for j in js:
-            out = out + eta_j(self.grid.xi_norm, j)
+            out = out + (self.symbols[j] if j in self.symbols else eta_j(self.grid.xi_norm, j))
         return out
-
-    def truncated_mass_fraction(self, f: SpectralField) -> float:
-        """L2-mass fraction of f sitting where the resolvable partition < 1
-        (including the zero mode)."""
-        part = self.partition_values(self.j_resolvable)
-        w = np.abs(f.coefficients) ** 2
-        total = float(np.sum(w))
-        if total == 0.0:
-            return 0.0
-        outside = float(np.sum(w * (part < 1.0 - 1e-12)))
-        return outside / total

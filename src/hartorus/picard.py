@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (ModeEnsemble, _dyadic_blocks, _ModeSum, _stack_norms, _summed,
-                       deviation_chunks, observations)
+from .ensemble import (ModeEnsemble, _dyadic_blocks, _dyadic_norm, _ModeSum, _stack_norms,
+                       _summed, deviation_chunks, observations)
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -124,11 +124,9 @@ class PicardOperator:
         out, _ = _stack_norms(g, dz, lp, hat=dz_hat)
         vp = (g.d + 2) / 2.0
         out["v_l_half"] = (np.sum(np.abs(dv) ** vp) * g.dx) ** (1.0 / vp)
-        acc = 0.0
-        for j, block in _dyadic_blocks(g, fftn(dv), lp):
-            n2 = np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)
-            acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
-        out["v_l2_besov"] = np.sqrt(acc)
+        out["v_l2_besov"] = _dyadic_norm(
+            ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in _dyadic_blocks(g, fftn(dv), lp)),
+            -0.5, 0.0)
         return out
 
     def pair_norms(self, rows: dict) -> dict:

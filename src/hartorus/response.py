@@ -51,12 +51,6 @@ def compute_mf_batch(cov: CovarianceProfile, taus, xis):
     return vals, errs
 
 
-def compute_mf(f, d: Optional[int], tau: float, xi_abs: float):
-    """m_f(tau, |xi|) with an error estimate; exactly 0 at |xi| = 0."""
-    vals, errs = compute_mf_batch(as_profile(f, d), [tau], [xi_abs])
-    return complex(vals[0, 0]), float(errs[0, 0])
-
-
 @dataclass
 class MultiplierTable:
     """Sampled m_f(tau, |xi|) with per-entry quadrature error estimates."""

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .ensemble import (BumpSpec, _mode_chunks, add_perturbation, cell_masses, deviation_chunks,
-                       evolve, init_equilibrium, observations, scattering_probe)
+from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_chunks,
+                       add_perturbation, cell_masses, deviation_chunks, evolve, init_equilibrium,
+                       observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
-from .field import SpectralField
+from .field import fftn
 from .lpaley import LittlewoodPaley
-from .norms import bernstein_ratio, besov_norm
 from .picard import PicardOperator, picard_solve, reference_trajectory
 from .response import (MultiplierTable, decay_bound_check, decay_slope, default_tau_grid,
                        default_xi_grid, epsilon_g, stability_margin)
@@ -301,7 +301,11 @@ def _exp_instability(cfg, out, seed):
     return [cpath, rpath, spath], verdicts
 
 
-class MemoryPreflightError(RuntimeError):
+class PreflightError(RuntimeError):
+    """A config its experiment cannot run, found before anything is computed."""
+
+
+class MemoryPreflightError(PreflightError):
     """A run whose estimated peak memory exceeds what the host has available."""
 
 
@@ -332,12 +336,25 @@ _PEAK_STACKS = {"equilibrium-check": 2, "simulate": 3, "scattering-probe": 4, "p
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES = 8, 16, 1 << 16
 
 
+def _mode_count(cfg: RunConfig) -> int:
+    """The number of modes init_equilibrium keeps, from the lattice cell masses
+    alone; PreflightError when the threshold theta keeps none of a nonzero
+    distribution, or when there is no mode for the perturbation to go into."""
+    cell_mass, keep = cell_masses(cfg.make_grid(), cfg.make_distribution(), cfg["theta"])
+    M = int(np.count_nonzero(keep))
+    if M == 0 and np.sum(cell_mass) > 0.0:
+        raise PreflightError(f"theta={cfg['theta']:g} keeps no lattice mode of a nonzero distribution")
+    if M == 0 and cfg.kind != "equilibrium-check":
+        raise PreflightError(f"f.kind={cfg['f.kind']} has no lattice mode; {cfg.kind} perturbs one")
+    return M
+
+
 def _peak_estimate(cfg: RunConfig) -> tuple:
     """(bytes, stacks, M, points) of the estimated peak of a stack experiment;
     the mode count comes from the lattice cell masses, before anything of
     stack size is allocated."""
     grid = cfg.make_grid()
-    M = int(np.count_nonzero(cell_masses(grid, cfg.make_distribution(), cfg["theta"])[1]))
+    M = _mode_count(cfg)
     points = grid.N ** grid.d
     if cfg.kind == "picard":
         stacks = _PEAK_STACKS["picard"] * (cfg["picard.steps"] + 1)
@@ -349,8 +366,14 @@ def _peak_estimate(cfg: RunConfig) -> tuple:
 
 
 def _preflight(cfg: RunConfig) -> None:
-    """MemoryPreflightError when the estimated peak of a stack experiment
-    exceeds MemAvailable."""
+    """PreflightError for a config its experiment cannot run: a norms grid that
+    resolves no dyadic block, a stack experiment without a mode to run on, or
+    (MemoryPreflightError) one whose estimated peak exceeds MemAvailable."""
+    if cfg.kind == "norms" and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
+        raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
+                             f"dyadic block; the norms experiment needs one")
+    if cfg.kind not in _PEAK_STACKS:
+        return
     need, stacks, M, points = _peak_estimate(cfg)
     limit = mem_available()
     if limit is not None and need > limit:
@@ -380,40 +403,55 @@ def _exp_picard(cfg, out, seed):
     return [path], verdicts
 
 
+def _parseval_defect(grid, u) -> float:
+    """|L^2 norm of the field u - its norm from the spectrum by Parseval|, relative."""
+    physical = _lebesgue(np.abs(u), 2.0, grid.dx, tuple(range(grid.d)))
+    frequency = np.sqrt(np.sum(np.abs(fftn(u)) ** 2) * grid.parseval_weight)
+    return float(abs(physical - frequency) / max(physical, 1e-300))
+
+
+def _block_norms(grid, lp, u, p) -> list:
+    """(j, ||u_j||_p) for every resolvable dyadic block u_j of the field u."""
+    axes = tuple(range(grid.d))
+    return [(j, _lebesgue(np.abs(b), p, grid.dx, axes)) for j, b in _dyadic_blocks(grid, fftn(u), lp)]
+
+
+def _bernstein_ratio(grid, lp, u, j) -> float:
+    """||u_j||_inf / (2^{jd/2} ||u_j||_2) of the dyadic block u_j of the field u."""
+    block = np.abs(dict(_dyadic_blocks(grid, fftn(u), lp))[j])
+    l2 = _lebesgue(block, 2.0, grid.dx, tuple(range(grid.d)))
+    return float(np.max(block) / (2.0 ** (j * grid.d * 0.5) * l2))
+
+
 def _exp_norms(cfg, out, seed):
     grid = cfg.make_grid()
     lp = LittlewoodPaley(grid)
     rng = np.random.default_rng(seed)
 
-    parseval = 0.0
-    for _ in range(8):
-        fld = SpectralField.random(grid, rng)
-        parseval = max(parseval, abs(fld.l2_physical() - fld.l2_frequency())
-                       / max(fld.l2_physical(), 1e-300))
+    def draw():
+        re = rng.standard_normal(grid.shape)
+        return re + 1j * rng.standard_normal(grid.shape)
+
+    parseval = max(_parseval_defect(grid, draw()) for _ in range(8))
     part = lp.partition_values(lp.j_resolvable)
     r = grid.xi_norm
     lo, hi = 2.0 ** lp.j_resolvable.start, 2.0 ** (lp.j_resolvable.stop - 1)
     inside = (r >= lo) & (r <= hi)
     part_defect = float(np.max(np.abs(part[inside] - 1.0))) if np.any(inside) else 0.0
 
-    ratios = []
-    for j in lp.j_resolvable:
-        fld = SpectralField.random(grid, rng)
-        val = bernstein_ratio(fld, j, math.inf, 2, lp)
-        if math.isfinite(val):
-            ratios.append(val)
-    bern_spread = max(ratios) / min(ratios) if ratios else 1.0
+    ratios = [_bernstein_ratio(grid, lp, draw(), j) for j in lp.j_resolvable]
+    bern_spread = max(ratios) / min(ratios)
 
     violations = 0
     n_fields = cfg["norms.fields"]
     for _ in range(n_fields):
-        fld = SpectralField.random(grid, rng)
+        u = draw()
         s1 = rng.uniform(-1.5, 1.5)
         s2 = s1 + rng.uniform(0, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         t2 = t1 - rng.uniform(0, 1.5)
-        p = rng.choice([1.0, 2.0, 4.0])
-        if besov_norm(fld, p, s2, t2, lp) > besov_norm(fld, p, s1, t1, lp) * (1 + 1e-12):
+        blocks = _block_norms(grid, lp, u, float(rng.choice([1.0, 2.0, 4.0])))
+        if _dyadic_norm(blocks, s2, t2) > _dyadic_norm(blocks, s1, t1) * (1 + 1e-12):
             violations += 1
 
     rec = {"parseval_defect": parseval, "partition_defect": part_defect,
@@ -478,8 +516,7 @@ def _config_checksum(cfg: RunConfig) -> str:
 
 def run_experiment(cfg: RunConfig, out_dir, seed: int | None = None) -> ResultEnvelope:
     """Dispatch one experiment; deterministic payloads for fixed config+seed."""
-    if cfg.kind in _PEAK_STACKS:
-        _preflight(cfg)
+    _preflight(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"] if seed is None else int(seed)

@@ -28,6 +28,8 @@ import pytest
 from scipy.special import dawsn
 
 import hartorus as ht
+from hartorus.ensemble import _dyadic_norm
+from hartorus.runner import _bernstein_ratio, _block_norms, _parseval_defect
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -143,7 +145,7 @@ def gauss_cov3():
 
 def test_c04_multiplier_oracle_and_symmetry(gauss_cov3):
     start = time.perf_counter()
-    val, err = ht.compute_mf(gauss_cov3, 3, 0.0, 1.0)
+    val = ht.compute_mf_batch(gauss_cov3, [0.0], [1.0])[0][0, 0]
     oracle = -2.0 * math.pi ** 1.5 * float(dawsn(0.5))
     dawson_ok = abs(val - oracle) <= 1e-6
 
@@ -169,7 +171,7 @@ def test_c04_decay_slope_as_stated(gauss_cov3):
     # the ray tau = 4|xi|^2 where m_f has its 1/tau rate (module docstring)
     xis = np.array([2.0, 4.0, 8.0, 16.0])
     taus = 4.0 * xis ** 2
-    mags = np.array([abs(ht.compute_mf(gauss_cov3, 3, float(t), float(x))[0])
+    mags = np.array([abs(ht.compute_mf_batch(gauss_cov3, [t], [x])[0][0, 0])
                      for t, x in zip(taus, xis)])
     slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0])
     # closed form of tau |m_f| on the ray tau = c|xi|^2: 2c h(0)/(c^2-1), c = 4
@@ -323,14 +325,17 @@ def test_c09_scattering_proxy():
 # -- criterion 10: toolbox suite ------------------------------------------------------
 
 def test_c10_toolbox():
+    # the norms experiment's array path: one field at a time, blocks from the
+    # cached LittlewoodPaley symbols, the dyadic sum of the deviation norms
     grid = ht.TorusGrid(1, 16 * np.pi, 128)
     lp = ht.LittlewoodPaley(grid)
     rng = np.random.default_rng(11)
 
-    parseval = 0.0
-    for _ in range(10):
-        f = ht.SpectralField.random(grid, rng)
-        parseval = max(parseval, abs(f.l2_physical() - f.l2_frequency()) / f.l2_physical())
+    def draw(g):
+        re = rng.standard_normal(g.shape)
+        return re + 1j * rng.standard_normal(g.shape)
+
+    parseval = max(_parseval_defect(grid, draw(grid)) for _ in range(10))
 
     part = lp.partition_values()
     r = grid.xi_norm
@@ -338,21 +343,18 @@ def test_c10_toolbox():
 
     g2 = ht.TorusGrid(1, 64.0, 512)
     lp2 = ht.LittlewoodPaley(g2)
-    ratios = []
-    for j in range(-3, 4):
-        f = ht.SpectralField.random(g2, rng)
-        ratios.append(ht.bernstein_ratio(f, j, math.inf, 2, lp2))
+    ratios = [_bernstein_ratio(g2, lp2, draw(g2), j) for j in lp2.j_resolvable]
     spread = max(ratios) / min(ratios)
 
     violations = 0
     for _ in range(1000):
-        f = ht.SpectralField.random(grid, rng)
+        u = draw(grid)
         s1 = rng.uniform(-1.5, 1.5)
         s2 = s1 + rng.uniform(0, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         t2 = t1 - rng.uniform(0, 1.5)
-        p = float(rng.choice([1.0, 2.0, 4.0]))
-        if ht.besov_norm(f, p, s2, t2, lp) > ht.besov_norm(f, p, s1, t1, lp) * (1 + 1e-12):
+        blocks = _block_norms(grid, lp, u, float(rng.choice([1.0, 2.0, 4.0])))
+        if _dyadic_norm(blocks, s2, t2) > _dyadic_norm(blocks, s1, t1) * (1 + 1e-12):
             violations += 1
 
     ok = parseval <= 1e-12 and partition <= 1e-12 and spread < 10 and violations == 0

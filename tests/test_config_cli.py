@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hartorus import ConfigError, emit_plot, parse_config, run_experiment
+from hartorus import ConfigError, cli, emit_plot, parse_config, run_experiment
 
 MINIMAL_EQ = """
 grid.d = 1
@@ -207,8 +207,23 @@ def test_svg_deterministic_up_to_timestamp():
     assert strip(a) == strip(c)
 
 
-def test_besov_unresolvable_grid_raises():
-    from hartorus import TorusGrid, SpectralField, besov_norm
-    g = TorusGrid(1, 2 * math.pi, 4)
-    with pytest.raises(ValueError):
-        besov_norm(SpectralField.constant(g, 1.0), 2, 0.0, 0.25)
+_STACK_KINDS = ("equilibrium-check", "simulate", "scattering-probe", "picard")
+_NO_MODE = "grid.d = 1\nf.kind = zero\nw.kind = delta\npert.amplitude = 1e-3\n"
+_NO_KEPT_MODE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e-3\ntheta = 1e3\n"
+
+
+@pytest.mark.parametrize("kind, text, key", [
+    pytest.param("norms", "grid.d = 1\ngrid.N = 4\n", "grid.N", id="norms-grid.N"),
+    *[pytest.param(kind, _NO_MODE, "f.kind", id=f"{kind}-f.kind")
+      for kind in _STACK_KINDS[1:]],
+    *[pytest.param(kind, _NO_KEPT_MODE, "theta", id=f"{kind}-theta") for kind in _STACK_KINDS],
+])
+def test_unrunnable_config_exits_two_with_a_reason(kind, text, key, tmp_path, capsys):
+    # a grid with no dyadic block, a distribution with no mode to perturb, a
+    # threshold that keeps no mode: one error line naming the key, no traceback
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}=") and err.count("\n") == 1, err
+    assert "Traceback" not in err

@@ -1,15 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stream_oracle as oracle
 
-from hartorus import (BumpSpec, SpectralField, TorusGrid, add_perturbation, besov_norm,
-                      conserved_energy, critical_exponents, custom_radial, delta_potential,
-                      deviation_chunks, deviation_norms, evolve, fermi, init_equilibrium,
-                      lebesgue_norm, observations, parse_config, run_experiment,
-                      scattering_probe, sobolev_norm, step, zero_distribution, zero_potential)
+from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
+from hartorus import (BumpSpec, TorusGrid, add_perturbation, conserved_energy, critical_exponents,
+                      custom_radial, delta_potential, deviation_chunks, deviation_norms, evolve,
+                      fermi, init_equilibrium, observations, parse_config, run_experiment,
+                      scattering_probe, step, zero_distribution, zero_potential)
 from hartorus import ensemble as ens_mod
 from hartorus.field import fftn, ifftn
 
@@ -85,14 +86,15 @@ def test_two_counterpropagating_modes_density(grid):
 
 def test_step_requires_positive_dt(eq):
     with pytest.raises(ValueError):
-        step(eq, -1e-3)
+        step(eq, -1e-3, 1, fftn(eq.fields, axes=eq.space_axes))
 
 
 def test_free_step_exact_phase(grid):
     ens, _ = init_equilibrium(grid, shell_distribution(3.0), zero_potential(), 1e-8)
-    out = step(ens, 1e-3)
+    hat = fftn(ens.fields, axes=ens.space_axes)
+    step(ens, 1e-3, 1, hat)
     expect = ens.fields * np.exp(-1j * 1e-3 * (ens.m + 9.0))
-    assert np.max(np.abs(out.fields - expect)) <= 1e-14
+    assert np.max(np.abs(ifftn(hat, axes=ens.space_axes) - expect)) <= 1e-14
 
 
 def test_equilibrium_invariance_short(eq):
@@ -119,12 +121,18 @@ def test_strang_second_order(grid, eq):
     assert ratio == pytest.approx(4.0, abs=0.8)
 
 
+def _energy(ens):
+    # conserved_energy from the density and the spectral power of ens.fields
+    power = np.sum(np.abs(fftn(ens.fields, axes=ens.space_axes)) ** 2, axis=0)
+    return conserved_energy(ens, ens.density_values(), power)
+
+
 def test_energy_examples(grid):
     ens, _ = init_equilibrium(grid, custom_radial(lambda r: 1.0 * (np.asarray(r) < 0.5)),
                               zero_potential(), 1e-8)
-    assert conserved_energy(ens) == pytest.approx(0.0, abs=1e-14)  # constant mode, w = 0
+    assert _energy(ens) == pytest.approx(0.0, abs=1e-14)  # constant mode, w = 0
     ens2, _ = init_equilibrium(grid, shell_distribution(2.0), zero_potential(), 1e-8)
-    kinetic = conserved_energy(ens2)
+    kinetic = _energy(ens2)
     expect = 4.0 * float(np.sum(ens2.mode_masses()))
     assert kinetic == pytest.approx(expect, rel=1e-12)
 
@@ -151,7 +159,10 @@ def test_perturbation_identity(eq):
     pert, state = add_perturbation(eq, BumpSpec(0.05, 0.7, (2.0,), (2.0,), mode=3))
     traj = evolve(pert, 0.05, 1e-3, obs_stride=50)
     v1 = state.induced_potential(traj.final)
-    v2 = state.reconstructed_potential(traj.final)
+    # V from E|Z|^2 + 2 Re E(Y-bar Z), by the mode-orthogonality identity
+    Y = state.equilibrium_at(traj.final.t)
+    Z = traj.final.fields - Y
+    v2 = np.sum(np.abs(Z) ** 2, axis=0) + 2.0 * np.sum(np.conj(Y) * Z, axis=0).real
     assert np.max(np.abs(v1 - v2)) <= 1e-12
     assert np.max(np.abs(v1.imag)) == 0.0  # density difference is real
 
@@ -269,13 +280,16 @@ def test_fused_window_matches_single_steps(d, N):
     pert, _ = add_perturbation(ens, spec)
     before = pert.fields.copy()
     dt, n = 1e-3, 7
+    axes = pert.space_axes
 
-    fused = step(pert, dt, n)
+    fused_hat, single_hat = fftn(pert.fields, axes=axes), fftn(pert.fields, axes=axes)
+    fused = step(pert, dt, n, fused_hat)
     single = pert
     for _ in range(n):
-        single = step(single, dt)
-    assert np.array_equal(pert.fields, before)  # step is pure
+        single = step(single, dt, 1, single_hat)
+    assert np.array_equal(pert.fields, before)  # step steps the buffer only
     assert fused.t == single.t
+    fused, single = (replace(pert, fields=ifftn(h, axes=axes)) for h in (fused_hat, single_hat))
     assert np.max(np.abs(fused.fields - single.fields)) <= 1e-12
     m0 = pert.mode_masses()
     assert np.max(np.abs(fused.mode_masses() - m0) / m0) <= 1e-13
@@ -328,12 +342,13 @@ def _energy_oracle(ens):
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_step_from_carried_spectrum_matches_pure_step(d, N):
     # the window steps the spectrum buffer in place and leaves there the
-    # spectrum whose inverse transform is the pure step's fields, to the bit
+    # spectrum whose inverse transform is the whole-stack pure step's fields,
+    # to the bit (one mode chunk holds every mode here)
     pert, _ = _perturbed(d, N)
     before = pert.fields.copy()
     hat = fftn(pert.fields, axes=pert.space_axes)   # the package's own transform
     carried = step(pert, 1e-3, 3, hat=hat)
-    pure = step(pert, 1e-3, 3)
+    pure = oracle.step(pert, 1e-3, 3)
     assert carried.fields is None
     assert np.array_equal(ifftn(hat, axes=pert.space_axes), pure.fields)
     assert carried.t == pure.t
@@ -345,12 +360,14 @@ def test_step_from_carried_spectrum_matches_pure_step(d, N):
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_energy_from_spectrum_matches_physical_oracle(d, N):
     pert, _ = _perturbed(d, N)
-    state = step(pert, 1e-3, 2)
+    state = oracle.step(pert, 1e-3, 2)
     hat = np.fft.fftn(state.fields, axes=state.space_axes)
+    rho = state.density_values()
     want = _energy_oracle(state)
-    assert conserved_energy(state, hat) == pytest.approx(conserved_energy(state), rel=1e-13)
-    assert conserved_energy(state, hat, state.density_values()) == pytest.approx(want, rel=1e-13)
-    assert conserved_energy(state) == pytest.approx(want, rel=1e-13)
+    got = conserved_energy(state, rho, np.sum(np.abs(hat) ** 2, axis=0))
+    assert got == pytest.approx(oracle.conserved_energy(state, hat, rho), rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert _energy(state) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("d, N, L", [(1, 64, 2 * np.pi), (2, 16, 2 * np.pi), (3, 8, 2 * np.pi),

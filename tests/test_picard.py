@@ -5,10 +5,11 @@ import picard_oracle as oracle
 import pytest
 import stream_oracle
 
-from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, SpectralField, TorusGrid,
-                      add_perturbation, besov_norm, critical_exponents, delta_potential,
-                      deviation_norms, fermi, init_equilibrium, lebesgue_norm,
-                      parse_config, picard_solve, reference_trajectory, run_experiment)
+from field_oracle import SpectralField, besov_norm, lebesgue_norm
+from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, TorusGrid, add_perturbation,
+                      critical_exponents, delta_potential, deviation_norms, fermi,
+                      init_equilibrium, parse_config, picard_solve, reference_trajectory,
+                      run_experiment)
 from hartorus.ensemble import _stack_norms
 from hartorus.field import fftn, ifftn
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import dawsn
 
 from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, apply_L1_frequency_domain,
-                      apply_L1_time_domain, bose, compute_mf, compute_mf_batch, custom_radial,
+                      apply_L1_time_domain, bose, compute_mf_batch, custom_radial,
                       decay_bound_check, decay_slope, default_tau_grid, delta_potential,
                       epsilon_g, fermi, gaussian_f2, sphere_area, stability_margin,
                       zero_distribution, zero_potential, zero_temp_fermi)
@@ -20,20 +20,20 @@ def cov3():
 
 def test_mf_zero_distribution():
     cov = CovarianceProfile(zero_distribution(), 3)
-    val, err = compute_mf(cov, 3, 1.0, 1.0)
-    assert val == 0.0 and err == 0.0
+    vals, errs = compute_mf_batch(cov, [1.0], [1.0])
+    assert vals[0, 0] == 0.0 and errs[0, 0] == 0.0
 
 
 def test_mf_zero_frequency_exact(cov3):
-    for tau in (-3.0, 0.0, 5.5):
-        val, err = compute_mf(cov3, 3, tau, 0.0)
-        assert val == 0.0 and err == 0.0
+    vals, errs = compute_mf_batch(cov3, [-3.0, 0.0, 5.5], [0.0])
+    assert np.all(vals == 0.0) and np.all(errs == 0.0)
 
 
 def test_mf_dawson_oracle(cov3):
     # half-line sine transform of a gaussian profile reduces to the Dawson
     # function: integral_0^inf e^{-t^2} sin(a t) dt = F(a/2)
-    val, err = compute_mf(cov3, 3, 0.0, 1.0)
+    vals, errs = compute_mf_batch(cov3, [0.0], [1.0])
+    val, err = vals[0, 0], errs[0, 0]
     oracle = -2.0 * math.pi ** 1.5 * float(dawsn(0.5))
     assert abs(val - oracle) <= 1e-6
     assert abs(val - oracle) <= 10 * max(err, 1e-8)
@@ -47,7 +47,7 @@ def test_mf_against_direct_quadrature(cov3):
               0, np.inf, limit=400)[0]
     im = quad(lambda t: 2 * math.sin(tau * t) * math.sin(r * r * t) * h0 * math.exp(-(r * t) ** 2),
               0, np.inf, limit=400)[0]
-    got, _ = compute_mf(cov3, 3, tau, r)
+    got = compute_mf_batch(cov3, [tau], [r])[0][0, 0]
     assert abs(got - complex(re, im)) <= 1e-6
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of every experiment kind on small configurations."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -105,6 +106,30 @@ def test_experiment_passes(kind, tmp_path):
     for payload in meta["payloads"]:
         assert (tmp_path / payload["path"]).exists()
         assert len(payload["sha256"]) == 64
+
+
+_DIGESTS = Path(__file__).with_name("payload_digests.json")
+
+
+def _payload_digest(path):
+    # sha256 of the payload bytes; an SVG's timestamp comment is left out
+    data = path.read_bytes()
+    if path.suffix == ".svg":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"<!-- timestamp:"))
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_payload_bytes_match_the_recorded_digests(tmp_path):
+    want = json.loads(_DIGESTS.read_text())
+    got = {}
+    for kind in sorted(CONFIGS):
+        env = run_experiment(parse_config(CONFIGS[kind], kind), tmp_path / kind)
+        for payload in env.payloads:
+            got[f"{kind}/{payload['path']}"] = _payload_digest(tmp_path / kind / payload["path"])
+    changed = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not changed, (f"payloads {changed} differ from tests/{_DIGESTS.name}; a change of "
+                         f"payload bytes must be re-recorded there and explained in CHANGES.md")
 
 
 def test_instability_m0_empty_band(tmp_path):
