@@ -20,7 +20,7 @@ def main():
     f = ht.fermi(args.T, args.mu)
     cov = ht.CovarianceProfile(f, args.d)
     grid = ht.TorusGrid(args.d, 2 * np.pi, 8)
-    table = ht.MultiplierTable.build(cov, args.d, ht.default_tau_grid(32.0, 1e-2, 12),
+    table = ht.MultiplierTable.build(cov, ht.default_tau_grid(32.0, 1e-2, 12),
                                      np.linspace(grid.xi_min, grid.nyquist, 12))
     print(f"fermi(T={args.T}, mu={args.mu}), d={args.d}: "
           f"sup|m_f| = {table.sup_abs():.4f}, max quadrature error {table.max_error():.1e}")
@@ -30,13 +30,13 @@ def main():
     print(f"margin(|1 - w-hat m_f|) = {margin.margin:.6f} "
           f"at tau={margin.arg_tau:.3f}, |xi|={margin.arg_xi:.3f}")
 
-    eps = ht.epsilon_g(cov, args.d)
+    eps = ht.epsilon_g(cov)
     print(f"low-frequency threshold: {eps.value:.6f} "
           f"(converged={eps.converged}, shells {['%.4f' % v for v in eps.shell_minima]})")
     print(f"defocusing condition value eps_g * w-hat(0)_+ = {eps.value * max(w.what0, 0):.4f} "
           f"vs 2|S^{args.d - 1}| = {2 * ht.sphere_area(args.d):.4f}")
 
-    rep = ht.hypothesis_check(cov, w, args.d, epsilon_g=eps.value)
+    rep = ht.hypothesis_check(cov, w, epsilon_g=eps.value)
     for b in rep.bullets:
         status = {True: "pass", False: "FAIL", None: "indeterminate"}[b.passed]
         print(f"  [{status}] {b.name}: value {b.value:.4g}"

@@ -40,7 +40,6 @@ _SCHEMA = {
     "w.kind": (str, lambda v: v in _W_KINDS or f"w.kind must be one of {_W_KINDS}", "delta"),
     "w.amplitude": (float, None, 1.0),
     "w.width": (float, lambda v: v > 0 or "w.width must be positive", 1.0),
-    "m.override": (float, None, None),
     "dt": (float, lambda v: v > 0 or "dt must be positive", 1e-3),
     "T": (float, lambda v: v > 0 or "T must be positive", 1.0),
     "theta": (float, lambda v: v >= 0 or "theta must be nonnegative", 1e-8),
@@ -65,7 +64,7 @@ _SCHEMA = {
     "picard.steps": (int, lambda v: v >= 2 or "picard.steps must be >= 2", 200),
     "picard.iters": (int, lambda v: v >= 2 or "picard.iters must be >= 2", 8),
     "picard.substeps": (int, lambda v: v >= 1 or "picard.substeps must be >= 1", 5),
-    "probe.radius": (float, None, None),
+    "probe.radius": (float, lambda v: v > 0 or "probe.radius must be positive", None),
     "norms.fields": (int, lambda v: v >= 1 or "norms.fields must be >= 1", 200),
 }
 

@@ -70,27 +70,24 @@ def _mode_chunks(n_modes: int, grid: TorusGrid) -> list:
 
 
 class _ModeSum:
-    """sum_j |x_j|^2 over the mode axis of chunks fed in mode order.
+    """sum_j |x_j|^2 over the leading (mode) axis of chunks fed in mode order.
 
     Each chunk is added mode after mode onto the running total, the order in
     which np.sum reduces that axis, so any chunking gives the sum over the
     whole stack to the bit.
     """
 
-    def __init__(self, shape: tuple, axis: int = 0):
-        self.axis = axis
+    def __init__(self, shape: tuple):
         self.total = np.zeros(shape)
 
     def add(self, x: np.ndarray) -> np.ndarray:
         """Add the chunk x; returns its |x|^2."""
-        lead = (slice(None),) * self.axis
-        ax = self.axis
-        work = np.empty(x.shape[:ax] + (x.shape[ax] + 1,) + x.shape[ax + 1:])
-        work[lead + (0,)] = self.total
-        sq = work[lead + (slice(1, None),)]
+        work = np.empty((len(x) + 1,) + x.shape[1:])
+        work[0] = self.total
+        sq = work[1:]
         np.abs(x, out=sq)
         np.square(sq, out=sq)
-        np.sum(work, axis=ax, out=self.total)
+        np.sum(work, axis=0, out=self.total)
         return sq
 
 
@@ -219,7 +216,7 @@ def cell_masses(grid: TorusGrid, f: DistributionFunction, threshold: float):
 
 
 def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPotential,
-                     threshold: float = 1e-8, m_override: Optional[float] = None):
+                     threshold: float = 1e-8):
     """Equilibrium ensemble from all lattice modes with f2 * dxi >= threshold.
 
     The gauge mass is w-hat(0) times the *retained lattice* mass, the unique
@@ -234,8 +231,7 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
         if total > 0.0:
             raise ValueError("mode threshold removed every lattice mode of a nonzero distribution")
         ens = ModeEnsemble(grid=grid, carriers=np.zeros((0, grid.d)), weights=np.zeros(0),
-                           fields=np.zeros((0,) + grid.shape, dtype=complex), t=0.0,
-                           m=0.0 if m_override is None else m_override, w=w)
+                           fields=np.zeros((0,) + grid.shape, dtype=complex), t=0.0, m=0.0, w=w)
         return ens, InitReport(0.0, 0.0)
 
     idx = np.argwhere(keep)
@@ -246,9 +242,8 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
     order = np.lexsort(carriers.T[::-1])  # fixed mode order: lexicographic carriers
     carriers, weights = carriers[order], weights[order]
 
-    m = w.what0 * retained if m_override is None else m_override
     ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=None,
-                       t=0.0, m=m, w=w)
+                       t=0.0, m=w.what0 * retained, w=w)
     fields = np.empty((ens.n_modes,) + grid.shape, dtype=complex)
     for c in _mode_chunks(ens.n_modes, grid):  # the plane waves built a chunk at a time
         ens.equilibrium_fields(modes=c, out=fields[c])
@@ -376,29 +371,27 @@ def _dyadic_norm(block_norms, s: float, t: float):
     return np.sqrt(acc)
 
 
-def _dyadic_blocks(grid: TorusGrid, hat: np.ndarray, lp: LittlewoodPaley):
+def _dyadic_blocks(lp: LittlewoodPaley, hat: np.ndarray):
     """(j, block j in space) for every resolvable j; hat is a stack of
-    unnormalised FFTs whose trailing axes are the grid's."""
-    lead = hat.ndim - grid.d
+    unnormalised FFTs whose trailing axes are those of lp's grid."""
+    lead = hat.ndim - lp.grid.d
     for j, sym in lp.symbols.items():
         yield j, ifftn(sym[(None,) * lead] * hat, axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
 
 
 class _NormSums:
-    """The mode sums behind l2, l_dplus2, w_sp and besov_q of a deviation,
-    fed chunk by chunk in mode order as (Z, Z-hat) pairs.  lead is the shape
-    of any axes before the mode axis (a time axis), which stay in the results.
-    At d = 2 the Bessel weight of w_sp is 1 and p = d + 2, so w_sp is l_dplus2
-    with no transform pair.
+    """The mode sums behind l2, l_dplus2, w_sp and besov_q of a deviation on
+    the grid of lp, fed chunk by chunk in mode order as (M, *grid) (Z, Z-hat)
+    pairs.  At d = 2 the Bessel weight of w_sp is 1 and p = d + 2, so w_sp is
+    l_dplus2 with no transform pair.
     """
 
-    def __init__(self, grid: TorusGrid, lp: LittlewoodPaley, lead: tuple = ()):
-        self.grid, self.mode = grid, len(lead)
-        shape = lead + grid.shape
-        self.l2 = np.zeros(lead)
-        self.dens = _ModeSum(shape, self.mode)
-        self.smooth = _ModeSum(shape, self.mode) if critical_exponents(grid.d)["s"] != 0 else None
-        self.blocks = {j: _ModeSum(shape, self.mode) for j in lp.symbols}
+    def __init__(self, lp: LittlewoodPaley):
+        self.grid = grid = lp.grid
+        self.l2 = 0.0
+        self.dens = _ModeSum(grid.shape)
+        self.smooth = _ModeSum(grid.shape) if critical_exponents(grid.d)["s"] != 0 else None
+        self.blocks = {j: _ModeSum(grid.shape) for j in lp.symbols}
         # (sum, spectral weight) of each weighted inverse transform
         self.weighted = ([(self.smooth, lp.bessel)] if self.smooth is not None else []) + [
             (self.blocks[j], sym) for j, sym in lp.symbols.items()]
@@ -407,18 +400,18 @@ class _NormSums:
     def add(self, Z: np.ndarray, Z_hat: np.ndarray) -> None:
         """Add a chunk of modes; Z_hat, the unnormalised FFT of Z over space,
         is only read."""
-        space = tuple(range(self.mode + 1, Z.ndim))
-        self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(self.mode,) + space)
+        space = tuple(range(1, Z.ndim))
+        self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
         if self.scratch is None or self.scratch.shape != Z_hat.shape:
             self.scratch = np.empty_like(Z_hat)
         for sums, weight in self.weighted:
-            np.multiply(weight[(None,) * (self.mode + 1)], Z_hat, out=self.scratch)
+            np.multiply(weight[None], Z_hat, out=self.scratch)
             sums.add(ifftn(self.scratch, axes=space, overwrite_x=True))
 
     def ingredients(self) -> dict:
         d, dx = self.grid.d, self.grid.dx
         ex = critical_exponents(d)
-        pointwise = tuple(range(self.mode, self.mode + d))  # space axes once modes are summed
+        pointwise = tuple(range(d))  # space axes once modes are summed
         root = np.sqrt(self.dens.total)
         out = {"l2": np.sqrt(self.l2 * dx),
                "l_dplus2": _lebesgue(root, float(d + 2), dx, pointwise)}
@@ -429,22 +422,6 @@ class _NormSums:
             ((j, _lebesgue(np.sqrt(b.total), ex["q"], dx, pointwise)) for j, b in self.blocks.items()),
             0.0, 0.25)
         return out
-
-
-def _stack_norms(grid: TorusGrid, stack: np.ndarray, lp: LittlewoodPaley,
-                 hat: Optional[np.ndarray] = None):
-    """Spatial ingredients l2, l_dplus2, w_sp, besov_q of a mode stack
-    (M, *grid), or per time slice of (n_t, M, *grid) as (n_t,) arrays.
-
-    hat is the unnormalised FFT of the stack over space when the caller holds
-    it (it is only read).  Returns (ingredients, that FFT).
-    """
-    mode = stack.ndim - grid.d - 1                  # 1 with a leading time axis
-    if hat is None:
-        hat = fftn(stack, axes=tuple(range(mode + 1, stack.ndim)))
-    sums = _NormSums(grid, lp, stack.shape[:mode])
-    sums.add(stack, hat)
-    return sums.ingredients(), hat
 
 
 def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
@@ -470,18 +447,17 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
             hat[at] = saved
 
 
-def deviation_norms(grid: TorusGrid, stack, lp: Optional[LittlewoodPaley] = None,
-                    hat: Optional[np.ndarray] = None) -> dict:
-    """Spatial ingredient norms of a deviation at one time.  stack is its
-    (M, *grid) stack, with hat its unnormalised spectrum when the caller
-    holds it (only read), or an iterable of its (modes, Z, Z-hat) chunks as
-    deviation_chunks yields them."""
-    lp = lp or LittlewoodPaley(grid)
+def deviation_norms(lp: LittlewoodPaley, stack, hat: Optional[np.ndarray] = None) -> dict:
+    """Spatial ingredient norms of a deviation at one time, on the grid of the
+    block family lp.  stack is its (M, *grid) stack, with hat its
+    unnormalised spectrum when the caller holds it (only read), or an
+    iterable of its (modes, Z, Z-hat) chunks as deviation_chunks yields them."""
+    grid = lp.grid
     if isinstance(stack, np.ndarray):
         if hat is None and len(stack):
             hat = fftn(stack, axes=tuple(range(1, stack.ndim)))
         stack = [(slice(None), stack, hat)] if len(stack) else []
-    sums, power = _NormSums(grid, lp), _ModeSum(grid.shape)
+    sums, power = _NormSums(lp), _ModeSum(grid.shape)
     for _, Z, Z_hat in stack:
         sums.add(Z, Z_hat)
         power.add(Z_hat)
@@ -625,7 +601,7 @@ def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
         if reference is None:
             _drain(seen)
         else:
-            norm_rows.append(deviation_norms(g, deviation_chunks(reference, t, seen), lp))
+            norm_rows.append(deviation_norms(lp, deviation_chunks(reference, t, seen)))
         times.append(t)
         masses.append(sq_sums * g.dx)
         energies.append(conserved_energy(ens, rho=rho.total, power=power.total))
@@ -652,9 +628,10 @@ class ProbeReport:
     window_warning: bool
 
 
-def scattering_probe(deviations, grid: TorusGrid, m: float,
-                     ball_center=None, ball_radius: Optional[float] = None) -> ProbeReport:
-    """Free-unwound Cauchy differences and local mass of the deviation.
+def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
+                     ball_radius: Optional[float] = None) -> ProbeReport:
+    """Free-unwound Cauchy differences and local mass of the deviation from
+    the equilibrium eq, unwound by eq's gauge mass on eq's grid.
 
     deviations yields (t, chunks), chunks the (modes, Z, Z-hat) mode chunks of
     the deviation at time t, as ((t, deviation_chunks(eq, t, c)) for t, c in
@@ -665,7 +642,8 @@ def scattering_probe(deviations, grid: TorusGrid, m: float,
     exactly constant.  A window past the torus recurrence time gets a
     warning flag.
     """
-    axes = tuple(range(1, 1 + grid.d))  # space axes of one (M, *grid) stack
+    grid, m = eq.grid, eq.m
+    axes = eq.space_axes  # of one (M, *grid) stack
     center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius

@@ -492,17 +492,6 @@ class CovarianceProfile:
         return H.reshape(w.shape), np.abs(pv[0] - pv[1]).reshape(w.shape)
 
 
-def as_profile(f, d: Optional[int] = None) -> CovarianceProfile:
-    """f itself if it is a CovarianceProfile, else a new profile of f in dimension d."""
-    if isinstance(f, CovarianceProfile):
-        if d is not None and d != f.d:
-            raise ValueError(f"profile is for dimension {f.d}, not {d}")
-        return f
-    if d is None:
-        raise ValueError("dimension d is required when passing a raw distribution")
-    return CovarianceProfile(f, d)
-
-
 def equilibrium_mass(f: DistributionFunction, w: InteractionPotential, d: int) -> float:
     """w-hat(0) times the total squared-distribution mass h(0)."""
     return w.what0 * CovarianceProfile(f, d).h0
@@ -538,21 +527,19 @@ class HypothesisReport:
         raise KeyError(name)
 
 
-def hypothesis_check(f, w: InteractionPotential, d: int,
+def hypothesis_check(cov: CovarianceProfile, w: InteractionPotential,
                      epsilon_g: Optional[float] = None) -> HypothesisReport:
-    """Numerically evaluate the admissibility bullets for (f, w) in dimension d.
+    """Numerically evaluate the admissibility bullets for the distribution of
+    the profile cov and w, in the profile's dimension; its table is reused.
 
-    f is a DistributionFunction or a CovarianceProfile of one in dimension d;
-    a profile's table is reused.  The integral bullets are sums over the
-    profile's radial panels, which grade toward every jump of f2: the 32-point
-    Gauss rule for the weighted mass, and for int |f f'| = int |(f2)'| / 2
-    the total variation of f2 over the sorted panel ends and nodes, so jumps
-    count.  Derivative bounds on the covariance profile use radial spline
-    derivatives as the computed surrogate.  A non-finite value marks a bullet
-    indeterminate.
+    The integral bullets are sums over the profile's radial panels, which
+    grade toward every jump of f2: the 32-point Gauss rule for the weighted
+    mass, and for int |f f'| = int |(f2)'| / 2 the total variation of f2
+    over the sorted panel ends and nodes, so jumps count.  Derivative bounds
+    on the covariance profile use radial spline derivatives as the computed
+    surrogate.  A non-finite value marks a bullet indeterminate.
     """
-    prof = as_profile(f, d)
-    f = prof.f
+    f, d = cov.f, cov.d
     bullets = []
     s_ceil = math.ceil(d / 2 - 1)
     rend = f.support_radius()
@@ -563,7 +550,7 @@ def hypothesis_check(f, w: InteractionPotential, d: int,
                      "h_derivative_decay", "h_low_frequency_integrable"):
             bullets.append(Bullet(name, True, 0.0, note="zero distribution"))
     else:
-        a, b = prof._panels
+        a, b = cov._panels
         r, wr = _gauss_nodes(a, b, _GAUSS_HI)
         # <r>^ceil(s) f in L^2
         val = area * float(np.sum((1 + r * r) ** s_ceil * f.f2(r) * r ** (d - 1) * wr))
@@ -586,10 +573,10 @@ def hypothesis_check(f, w: InteractionPotential, d: int,
 
         # <x>^2 d^alpha h bounded for |alpha| <= 2*ceil(s): radial surrogate
         try:
-            xs = np.linspace(0.0, prof.x_max, 1500)
+            xs = np.linspace(0.0, cov.x_max, 1500)
             worst_sup = 0.0
             for n in range(0, 2 * s_ceil + 1):
-                dn = prof(xs) if n == 0 else prof.derivative(n)(xs)
+                dn = cov(xs) if n == 0 else cov.derivative(n)(xs)
                 worst_sup = max(worst_sup, float(np.max((1 + xs ** 2) * np.abs(dn))))
             bullets.append(Bullet("h_derivative_decay", bool(math.isfinite(worst_sup)), worst_sup,
                                   note=f"sup <x>^2 |h^(n)|, n <= {2 * s_ceil}, radial spline surrogate"))
@@ -598,9 +585,9 @@ def hypothesis_check(f, w: InteractionPotential, d: int,
 
         # |xi|^{1-d} (h + grad h) in L^1  ->  area * int (|h| + |h'|) dr
         try:
-            xs = np.linspace(0.0, prof.x_max, 4000)
-            hv = np.abs(prof(xs))
-            hd = np.abs(prof.derivative(1)(xs))
+            xs = np.linspace(0.0, cov.x_max, 4000)
+            hv = np.abs(cov(xs))
+            hd = np.abs(cov.derivative(1)(xs))
             val = area * float(np.trapezoid(hv + hd, xs))
             bullets.append(Bullet("h_low_frequency_integrable", bool(math.isfinite(val)), val))
         except Exception:
@@ -618,8 +605,8 @@ def hypothesis_check(f, w: InteractionPotential, d: int,
     else:
         # ||(w-hat)_-||_inf * int |h| / |x|^{d-2} dx < 2 |S^{d-1}|
         try:
-            xs = np.linspace(0.0, prof.x_max, 4000)
-            ih = area * float(np.trapezoid(np.abs(prof(xs)) * xs, xs))
+            xs = np.linspace(0.0, cov.x_max, 4000)
+            ih = area * float(np.trapezoid(np.abs(cov(xs)) * xs, xs))
             thr = math.inf if ih == 0 else two_area / ih
             bullets.append(Bullet("potential_focusing_part", bool(wneg < thr), wneg, threshold=thr))
         except Exception:

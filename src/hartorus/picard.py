@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (ModeEnsemble, _dyadic_blocks, _dyadic_norm, _ModeSum, _stack_norms,
-                       _summed, deviation_chunks, observations)
+from .ensemble import (ModeEnsemble, _dyadic_blocks, _dyadic_norm, _ModeSum, _NormSums, _summed,
+                       deviation_chunks, observations)
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -45,6 +45,7 @@ class PicardOperator:
         self.dt = T / n_steps
         self.space_axes = tuple(range(1, 1 + grid.d))   # of one (M, *grid) slice
         self.M = eq.n_modes
+        self.lp = LittlewoodPaley(grid)                  # the blocks of the window norms
 
         self.what_lattice = eq.w.what(grid.xi_norm)
         # S(-t) symbols e^{i t (m + |xi|^2)} on the time lattice
@@ -78,8 +79,7 @@ class PicardOperator:
         I_prev, G_prev = carry
         return I_prev + 0.5 * self.dt * (G + G_prev), G
 
-    def apply(self, Z: np.ndarray, V: np.ndarray, I: np.ndarray, lp: LittlewoodPaley,
-              first: bool = False) -> dict:
+    def apply(self, Z: np.ndarray, V: np.ndarray, I: np.ndarray, first: bool = False) -> dict:
         """One application of the map, in place: (Z, V) becomes (Z', V') and I
         the integral that gave Z'.
 
@@ -111,21 +111,22 @@ class PicardOperator:
             Zn = ifftn(hat, axes=self.space_axes, overwrite_x=not first)
             Vn = (np.sum(np.abs(Zs) ** 2, axis=0)
                   + 2.0 * np.sum(np.conj(Ys) * Zn, axis=0).real)
-            rows.append(self._ingredients(Zn - Zs, dhat, Vn - V[s], lp))
+            rows.append(self._ingredients(Zn - Zs, dhat, Vn - V[s]))
             Z[s] = Zn
             V[s] = Vn
         return {k: np.array([row[k] for row in rows]) for k in rows[0]}
 
-    def _ingredients(self, dz: np.ndarray, dz_hat: np.ndarray, dv: np.ndarray,
-                     lp: LittlewoodPaley) -> dict:
+    def _ingredients(self, dz: np.ndarray, dz_hat: np.ndarray, dv: np.ndarray) -> dict:
         """Spatial norms of one slice of a pair difference; dz_hat is the
         unnormalised spectrum of dz (only read)."""
         g = self.grid
-        out, _ = _stack_norms(g, dz, lp, hat=dz_hat)
+        sums = _NormSums(self.lp)
+        sums.add(dz, dz_hat)
+        out = sums.ingredients()
         vp = (g.d + 2) / 2.0
         out["v_l_half"] = (np.sum(np.abs(dv) ** vp) * g.dx) ** (1.0 / vp)
         out["v_l2_besov"] = _dyadic_norm(
-            ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in _dyadic_blocks(g, fftn(dv), lp)),
+            ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in _dyadic_blocks(self.lp, fftn(dv))),
             -0.5, 0.0)
         return out
 
@@ -165,17 +166,16 @@ def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
     iteration with the flag set; differences below _TOL halt it as converged.
     The carried integral is dropped on return.
     """
-    lp = LittlewoodPaley(op.grid)
     Z = np.zeros((op.n_t, op.M) + op.grid.shape, dtype=complex)
     V = np.zeros((op.n_t,) + op.grid.shape)
     I = np.zeros_like(Z)
-    diffs, factors = [op.pair_norms(op.apply(Z, V, I, lp, first=True))], []
+    diffs, factors = [op.pair_norms(op.apply(Z, V, I, first=True))], []
     while True:
         diverged = len(factors) >= 3 and all(f > 1.0 for f in factors[-3:])
         small = max(diffs[-1].values()) < _TOL
         if diverged or small or len(diffs) >= max_iters:
             break
-        dn = op.pair_norms(op.apply(Z, V, I, lp))
+        dn = op.pair_norms(op.apply(Z, V, I))
         ratios = [dn[k] / diffs[-1][k] for k in dn if diffs[-1][k] > 0]
         factors.append(max(ratios) if ratios else 0.0)
         diffs.append(dn)
@@ -184,18 +184,19 @@ def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
                         converged=converged, diverged=diverged, n_iterations=len(diffs))
 
 
-def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble, Z: np.ndarray,
-                         V: np.ndarray, T: float, substeps: int = 10):
+def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble, result: PicardResult,
+                         substeps: int = 10):
     """Split-step run of perturbed against its equilibrium eq, compared with
-    the pair (Z, V) on the Picard time lattice np.linspace(0, T, len(Z)) as
-    each slice of the run arrives; nothing of the run is stored.
+    the pair (Z, V) of result on its time lattice result.ts (substeps steps
+    per slice) as each slice of the run arrives; nothing of the run is stored.
 
     Returns the (n_t,) L2 gaps ||Z(t_s) - Z_ref(t_s)|| and the (n_t,) max
     gaps max |V(t_s) - V_ref(t_s)|, with Z_ref = eq.deviations(state) and
     V_ref = eq.induced_potential(state) of the split-step state at t_s, both
     taken from the stream's mode chunks as they go by.
     """
-    n_t = len(Z)
+    Z, V, T = result.Z, result.V, result.ts[-1]
+    n_t = len(result.ts)
     dt = T / ((n_t - 1) * substeps)
     z_gap, v_gap = np.empty(n_t), np.empty(n_t)
     for s, (t, chunks) in enumerate(observations(perturbed, T, dt, substeps)):

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .equilibrium import CovarianceProfile, InteractionPotential, as_profile, sphere_area
+from .equilibrium import CovarianceProfile, InteractionPotential, sphere_area
 from .field import fftn, ifftn
 from .grid import TorusGrid
 
@@ -62,11 +61,11 @@ class MultiplierTable:
     errors: np.ndarray         # (n_tau, n_xi)
 
     @classmethod
-    def build(cls, f, d: int, taus, xis) -> "MultiplierTable":
+    def build(cls, cov: CovarianceProfile, taus, xis) -> "MultiplierTable":
         taus = np.asarray(taus, dtype=float)
         xis = np.asarray(xis, dtype=float)
-        vals, errs = compute_mf_batch(as_profile(f, d), taus, xis)
-        return cls(d=d, taus=taus, xis=xis, values=vals, errors=errs)
+        vals, errs = compute_mf_batch(cov, taus, xis)
+        return cls(d=cov.d, taus=taus, xis=xis, values=vals, errors=errs)
 
     def conjugate_symmetry_defect(self) -> float:
         """max |m_f(-tau) - conj m_f(tau)| over grid pairs."""
@@ -101,12 +100,15 @@ def _radial_lookup(grid: TorusGrid):
     return uniq, inv
 
 
-def apply_L1_time_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGrid, d: Optional[int] = None):
+def apply_L1_time_domain(V_stack, ts, cov: CovarianceProfile, w: InteractionPotential,
+                         grid: TorusGrid):
     """Causal in-time convolution per spatial frequency, trapezoid weights.
 
-    V_stack is (n_t, *grid.shape) physical values on the uniform lattice ts.
+    V_stack is (n_t, *grid.shape) physical values on the uniform lattice ts;
+    ValueError when cov is not a profile in the grid's dimension.
     """
-    cov = as_profile(f, d)
+    if cov.d != grid.d:
+        raise ValueError(f"profile is for dimension {cov.d}, the grid for {grid.d}")
     V_stack = np.asarray(V_stack, dtype=complex)
     ts = np.asarray(ts, dtype=float)
     n_t = len(ts)
@@ -133,12 +135,14 @@ def apply_L1_time_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGri
     return ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes, overwrite_x=True)
 
 
-def apply_L1_frequency_domain(V_stack, ts, f, w: InteractionPotential, grid: TorusGrid,
-                              d: Optional[int] = None):
+def apply_L1_frequency_domain(V_stack, ts, cov: CovarianceProfile, w: InteractionPotential,
+                              grid: TorusGrid):
     """Same operator through multiplication by w-hat * m_f on the time transform
     zero-padded to a power of 2 >= 2 n_t; m_f comes from rho1, not from the h
-    table of the time-domain form, which makes this an independent representation."""
-    cov = as_profile(f, d)
+    table of the time-domain form, which makes this an independent representation.
+    ValueError as there."""
+    if cov.d != grid.d:
+        raise ValueError(f"profile is for dimension {cov.d}, the grid for {grid.d}")
     V_stack = np.asarray(V_stack, dtype=complex)
     ts = np.asarray(ts, dtype=float)
     n_t = len(ts)
@@ -205,7 +209,7 @@ class EpsilonGReport:
         return not self.converged
 
 
-def epsilon_g(f, d: int, n_shells: int = 8) -> EpsilonGReport:
+def epsilon_g(cov: CovarianceProfile, n_shells: int = 8) -> EpsilonGReport:
     """Dyadic-shell estimator of the low-frequency threshold.
 
     Each shell refines (tau, |xi|) toward the origin by a factor 2, from 1;
@@ -213,8 +217,7 @@ def epsilon_g(f, d: int, n_shells: int = 8) -> EpsilonGReport:
     last shell, normalized by 2|S^{d-1}|, with the full shell trace kept
     for convergence inspection.
     """
-    cov = as_profile(f, d)
-    two_area = 2.0 * sphere_area(d)
+    two_area = 2.0 * sphere_area(cov.d)
     radii = [2.0 ** (-k) for k in range(n_shells)]
     if cov.f.is_zero or cov.h0 == 0.0:
         return EpsilonGReport(0.0, [0.0] * n_shells, radii, True, (0.0, 0.0))
@@ -252,7 +255,7 @@ def decay_bound_check(table: MultiplierTable) -> DecayReport:
                        arg_xi=float(table.xis[idx[1]]), finite=bool(np.isfinite(sup)))
 
 
-def decay_slope(f, d: int, xi_abs: float, tau_base: float = 4.0, doublings: int = 4):
+def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0, doublings: int = 4):
     """Log-log slope of |m_f| under repeated tau doubling at fixed |xi|.
 
     At fixed |xi| the slope tends to -2 as tau grows, from the leading form
@@ -262,7 +265,7 @@ def decay_slope(f, d: int, xi_abs: float, tau_base: float = 4.0, doublings: int 
     below it |m_f| is nearly flat in tau.
     """
     taus = tau_base * 2.0 ** np.arange(doublings + 1)
-    vals, _ = compute_mf_batch(as_profile(f, d), taus, [xi_abs])
+    vals, _ = compute_mf_batch(cov, taus, [xi_abs])
     mags = np.abs(vals[:, 0])
     slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0])
     return slope, taus, mags

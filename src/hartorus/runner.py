@@ -106,14 +106,17 @@ def _tau_grid(cfg: RunConfig):
     return default_tau_grid(cfg["tau.max"], cfg["tau.min"], cfg["tau.count"])
 
 
+def _equilibrium(cfg: RunConfig):
+    """(ens, InitReport) of the configured equilibrium."""
+    return init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
+                            cfg["theta"])
+
+
 def _perturbed_equilibrium(cfg: RunConfig):
     """(perturbed, eq): the configured equilibrium eq and its bump."""
-    ens, _ = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
-                              cfg["theta"], cfg.get("m.override"))
     spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
-                    center=cfg["pert.center"], carrier=cfg["pert.carrier"],
-                    mode=min(cfg["pert.mode"], max(ens.n_modes - 1, 0)))
-    return add_perturbation(ens, spec)
+                    center=cfg["pert.center"], carrier=cfg["pert.carrier"], mode=cfg["pert.mode"])
+    return add_perturbation(_equilibrium(cfg)[0], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +124,8 @@ def _perturbed_equilibrium(cfg: RunConfig):
 
 
 def _exp_equilibrium_check(cfg, out, seed):
-    grid = cfg.make_grid()
-    f, w = cfg.make_distribution(), cfg.make_potential()
-    ens, report = init_equilibrium(grid, f, w, cfg["theta"], cfg.get("m.override"))
-    a = ens.weights
+    ens, report = _equilibrium(cfg)
+    grid, a = ens.grid, ens.weights
     traj = evolve(ens, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"])
 
     m0 = traj.mode_masses[0]
@@ -146,7 +147,7 @@ def _exp_equilibrium_check(cfg, out, seed):
     path = out / "trajectory.ndjson"
     write_ndjson(path, records)
     summary = {"n_modes": ens.n_modes, "m_lattice": ens.m,
-               "m_quadrature": equilibrium_mass(f, w, grid.d),
+               "m_quadrature": equilibrium_mass(cfg.make_distribution(), ens.w, grid.d),
                "truncated_mass": report.truncated_mass,
                "truncated_fraction": report.truncated_fraction,
                "mass_drift": drift, "density_deviation": dens_dev,
@@ -187,12 +188,10 @@ def _exp_simulate(cfg, out, seed):
 
 def _exp_linear_response(cfg, out, seed):
     grid = cfg.make_grid()
-    f = cfg.make_distribution()
-    d = cfg["grid.d"]
-    cov = CovarianceProfile(f, d)
+    cov = CovarianceProfile(cfg.make_distribution(), grid.d)
     taus = _tau_grid(cfg)
     xis = np.concatenate([[0.0], default_xi_grid(grid, cfg["xi.count"])])
-    table = MultiplierTable.build(cov, d, taus, xis)
+    table = MultiplierTable.build(cov, taus, xis)
     rows = []
     for i, tau in enumerate(table.taus):
         for j, xi in enumerate(table.xis):
@@ -204,7 +203,7 @@ def _exp_linear_response(cfg, out, seed):
     decay = decay_bound_check(table)
     # window tau = 4|xi|^2 ... 64|xi|^2, above the resonance tau = |xi|^2
     xi_slope = float(table.xis[-1]) / 2.0
-    slope, staus, smags = decay_slope(cov, d, xi_abs=xi_slope, tau_base=4.0 * xi_slope ** 2)
+    slope, staus, smags = decay_slope(cov, xi_abs=xi_slope, tau_base=4.0 * xi_slope ** 2)
     zero_col = float(np.max(np.abs(table.values[:, 0])))
     sym_defect = table.conjugate_symmetry_defect()
     tol = max(2.0 * table.max_error(), 1e-12)
@@ -228,19 +227,17 @@ def _exp_linear_response(cfg, out, seed):
 
 
 def _exp_stability_check(cfg, out, seed):
-    grid = cfg.make_grid()
-    f, w = cfg.make_distribution(), cfg.make_potential()
-    d = cfg["grid.d"]
-    cov = CovarianceProfile(f, d)
-    table = MultiplierTable.build(cov, d, _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"]))
+    grid, w = cfg.make_grid(), cfg.make_potential()
+    cov = CovarianceProfile(cfg.make_distribution(), grid.d)
+    table = MultiplierTable.build(cov, _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"]))
     margin = stability_margin(table, w)
-    eps = epsilon_g(cov, d)
-    hyp = hypothesis_check(cov, w, d, epsilon_g=eps.value)
+    eps = epsilon_g(cov)
+    hyp = hypothesis_check(cov, w, epsilon_g=eps.value)
     rec = {"margin": margin.margin, "argmin_tau": margin.arg_tau, "argmin_xi": margin.arg_xi,
            "sup_w_mf": margin.sup_wmf, "two_sphere_area": margin.two_sphere_area,
            "epsilon_g": eps.value, "epsilon_g_converged": eps.converged,
            "epsilon_g_shells": eps.shell_minima,
-           "scattering_regime_d_ge_4": d >= 4,
+           "scattering_regime_d_ge_4": cov.d >= 4,
            "hypothesis_bullets": [
                {"name": b.name, "passed": b.passed, "value": b.value,
                 "threshold": b.threshold, "note": b.note} for b in hyp.bullets]}
@@ -339,13 +336,15 @@ _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES = 8, 16, 1 << 16
 def _mode_count(cfg: RunConfig) -> int:
     """The number of modes init_equilibrium keeps, from the lattice cell masses
     alone; PreflightError when the threshold theta keeps none of a nonzero
-    distribution, or when there is no mode for the perturbation to go into."""
+    distribution, or when there is no mode pert.mode for the perturbation."""
     cell_mass, keep = cell_masses(cfg.make_grid(), cfg.make_distribution(), cfg["theta"])
     M = int(np.count_nonzero(keep))
     if M == 0 and np.sum(cell_mass) > 0.0:
         raise PreflightError(f"theta={cfg['theta']:g} keeps no lattice mode of a nonzero distribution")
     if M == 0 and cfg.kind != "equilibrium-check":
         raise PreflightError(f"f.kind={cfg['f.kind']} has no lattice mode; {cfg.kind} perturbs one")
+    if cfg.kind != "equilibrium-check" and cfg["pert.mode"] >= M:
+        raise PreflightError(f"pert.mode={cfg['pert.mode']} is not one of the M={M} modes 0..{M - 1}")
     return M
 
 
@@ -388,8 +387,7 @@ def _exp_picard(cfg, out, seed):
     op = PicardOperator(eq, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
 
-    z_gap, _ = reference_trajectory(perturbed, eq, result.Z, result.V, cfg["T"],
-                                    substeps=cfg["picard.substeps"])
+    z_gap, _ = reference_trajectory(perturbed, eq, result, substeps=cfg["picard.substeps"])
     sup_diff = float(np.max(z_gap))
     records = [{"iteration": i, **{k: float(v) for k, v in sorted(dn.items())}}
                for i, dn in enumerate(result.diff_norms)]
@@ -410,15 +408,19 @@ def _parseval_defect(grid, u) -> float:
     return float(abs(physical - frequency) / max(physical, 1e-300))
 
 
-def _block_norms(grid, lp, u, p) -> list:
-    """(j, ||u_j||_p) for every resolvable dyadic block u_j of the field u."""
+def _block_norms(lp, u, p) -> list:
+    """(j, ||u_j||_p) for every resolvable dyadic block u_j of the field u on
+    the grid of lp."""
+    grid = lp.grid
     axes = tuple(range(grid.d))
-    return [(j, _lebesgue(np.abs(b), p, grid.dx, axes)) for j, b in _dyadic_blocks(grid, fftn(u), lp)]
+    return [(j, _lebesgue(np.abs(b), p, grid.dx, axes)) for j, b in _dyadic_blocks(lp, fftn(u))]
 
 
-def _bernstein_ratio(grid, lp, u, j) -> float:
-    """||u_j||_inf / (2^{jd/2} ||u_j||_2) of the dyadic block u_j of the field u."""
-    block = np.abs(dict(_dyadic_blocks(grid, fftn(u), lp))[j])
+def _bernstein_ratio(lp, u, j) -> float:
+    """||u_j||_inf / (2^{jd/2} ||u_j||_2) of the dyadic block u_j of the field
+    u on the grid of lp."""
+    grid = lp.grid
+    block = np.abs(dict(_dyadic_blocks(lp, fftn(u)))[j])
     l2 = _lebesgue(block, 2.0, grid.dx, tuple(range(grid.d)))
     return float(np.max(block) / (2.0 ** (j * grid.d * 0.5) * l2))
 
@@ -439,7 +441,7 @@ def _exp_norms(cfg, out, seed):
     inside = (r >= lo) & (r <= hi)
     part_defect = float(np.max(np.abs(part[inside] - 1.0))) if np.any(inside) else 0.0
 
-    ratios = [_bernstein_ratio(grid, lp, draw(), j) for j in lp.j_resolvable]
+    ratios = [_bernstein_ratio(lp, draw(), j) for j in lp.j_resolvable]
     bern_spread = max(ratios) / min(ratios)
 
     violations = 0
@@ -450,7 +452,7 @@ def _exp_norms(cfg, out, seed):
         s2 = s1 + rng.uniform(0, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         t2 = t1 - rng.uniform(0, 1.5)
-        blocks = _block_norms(grid, lp, u, float(rng.choice([1.0, 2.0, 4.0])))
+        blocks = _block_norms(lp, u, float(rng.choice([1.0, 2.0, 4.0])))
         if _dyadic_norm(blocks, s2, t2) > _dyadic_norm(blocks, s1, t1) * (1 + 1e-12):
             violations += 1
 
@@ -472,7 +474,7 @@ def _exp_scattering_probe(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
     # every snap.stride-th observation and the last, one window apart
     stream = observations(perturbed, cfg["T"], cfg["dt"], cfg["obs.stride"] * cfg["snap.stride"])
-    report = scattering_probe(((t, deviation_chunks(eq, t, c)) for t, c in stream), eq.grid, eq.m,
+    report = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in stream),
                               ball_center=cfg["pert.center"], ball_radius=cfg.get("probe.radius"))
     records = [{"t": float(t), "local_mass": float(mass)}
                for t, mass in zip(report.times, report.local_mass)]

@@ -4,13 +4,13 @@ It holds every slice at once: the equilibrium stack Y, the integrand, its
 spectrum and the cumulative trapezoid are (n_t, M, *grid) stacks, and the
 window norms transform the difference of two iterates.  It shares with the
 streamed PicardOperator only the arrays the operator builds once (fwd,
-z0_hat, the plane waves and phases), convolve_potential, and the spatial
-kernels _stack_norms and _dyadic_blocks.
+z0_hat, the plane waves and phases), convolve_potential, deviation_norms
+(slice by slice) and the spatial kernel _dyadic_blocks.
 """
 
 import numpy as np
 
-from hartorus.ensemble import _dyadic_blocks, _stack_norms, critical_exponents
+from hartorus.ensemble import _dyadic_blocks, critical_exponents, deviation_norms
 from hartorus.field import fftn, ifftn
 from hartorus.lpaley import LittlewoodPaley
 
@@ -68,7 +68,8 @@ def pair_norms(op, Z, V, lp=None):
     def t_integral(vals, power):
         return float(np.trapezoid(vals ** power, dx=op.dt) ** (1.0 / power))
 
-    z, _ = _stack_norms(g, Z, lp)
+    rows = [deviation_norms(lp, Zs) for Zs in Z]
+    z = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     out = {"z_sup_l2": float(np.max(z["l2"])),
            "z_l_dplus2": t_integral(z["l_dplus2"], d + 2),
            "z_lp_wsp": t_integral(z["w_sp"], critical_exponents(d)["p"]),
@@ -76,7 +77,7 @@ def pair_norms(op, Z, V, lp=None):
     vp = (d + 2) / 2.0
     out["v_l_half"] = t_integral((np.sum(np.abs(V) ** vp, axis=space) * g.dx) ** (1.0 / vp), vp)
     acc = np.zeros(op.n_t)
-    for j, block in _dyadic_blocks(g, fftn(V, axes=space), lp):
+    for j, block in _dyadic_blocks(lp, fftn(V, axes=space)):
         n2 = np.sqrt(np.sum(np.abs(block) ** 2, axis=space) * g.dx)
         acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
     out["v_l2_besov"] = t_integral(np.sqrt(acc), 2)

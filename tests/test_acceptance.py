@@ -152,7 +152,7 @@ def test_c04_multiplier_oracle_and_symmetry(gauss_cov3):
     grid = ht.TorusGrid(3, 2 * np.pi, 16)
     taus = ht.default_tau_grid(32.0, 1e-2, 12)
     xis = np.concatenate([[0.0], np.linspace(grid.xi_min, grid.nyquist, 12)])
-    table = ht.MultiplierTable.build(gauss_cov3, 3, taus, xis)
+    table = ht.MultiplierTable.build(gauss_cov3, taus, xis)
     zero_exact = float(np.max(np.abs(table.values[:, 0]))) == 0.0
     sym = table.conjugate_symmetry_defect()
     sym_ok = sym <= 2.0 * max(table.max_error(), 1e-12)
@@ -212,7 +212,7 @@ def test_c05_response_operator_representations():
 def test_c06_stability_margin():
     cov = ht.CovarianceProfile(ht.fermi(1.0, 0.0), 4)
     grid = ht.TorusGrid(4, 2 * np.pi, 8)
-    table = ht.MultiplierTable.build(cov, 4, ht.default_tau_grid(32.0, 1e-2, 10),
+    table = ht.MultiplierTable.build(cov, ht.default_tau_grid(32.0, 1e-2, 10),
                                      np.linspace(grid.xi_min, grid.nyquist, 10))
     margin0 = ht.stability_margin(table, ht.zero_potential()).margin
     exact_one = margin0 == 1.0
@@ -253,7 +253,7 @@ def test_c07_picard_contraction():
     res = ht.picard_solve(op, max_iters=8)
     factor = max(res.contraction[1:5])
 
-    z_gap, _ = ht.reference_trajectory(pert, state, res.Z, res.V, 1.0, substeps=5)
+    z_gap, _ = ht.reference_trajectory(pert, state, res, substeps=5)
     sup = float(np.max(z_gap))
     ok = factor < 0.5 and sup <= 1e-4 and res.converged and not res.diverged
     assert report("C7 fixed-point contraction", ok,
@@ -299,15 +299,15 @@ def test_c09_scattering_proxy():
 
     ens, _ = ht.init_equilibrium(grid, f, ht.delta_potential(1.0), 1e-12)
     pert, state = ht.add_perturbation(ens, spec)
-    rpt = ht.scattering_probe(((t, ht.deviation_chunks(state, t, c))
-                               for t, c in ht.observations(pert, 12.0, 5e-3, 200)),
-                              grid, state.m, ball_center=(grid.L / 2, grid.L / 2))
+    rpt = ht.scattering_probe(state, ((t, ht.deviation_chunks(state, t, c))
+                                      for t, c in ht.observations(pert, 12.0, 5e-3, 200)),
+                              ball_center=(grid.L / 2, grid.L / 2))
 
     ens0, _ = ht.init_equilibrium(grid, f, ht.zero_potential(), 1e-12)
     pert0, state0 = ht.add_perturbation(ens0, spec)
-    rpt0 = ht.scattering_probe(((t, ht.deviation_chunks(state0, t, c))
-                                for t, c in ht.observations(pert0, 12.0, 5e-3, 200)),
-                               grid, state0.m, ball_center=(grid.L / 2, grid.L / 2))
+    rpt0 = ht.scattering_probe(state0, ((t, ht.deviation_chunks(state0, t, c))
+                                        for t, c in ht.observations(pert0, 12.0, 5e-3, 200)),
+                               ball_center=(grid.L / 2, grid.L / 2))
     control = float(np.max(rpt0.cauchy))
 
     ok = (rpt.cauchy_decreasing and rpt.mass_decreasing and not rpt.window_warning
@@ -343,7 +343,7 @@ def test_c10_toolbox():
 
     g2 = ht.TorusGrid(1, 64.0, 512)
     lp2 = ht.LittlewoodPaley(g2)
-    ratios = [_bernstein_ratio(g2, lp2, draw(g2), j) for j in lp2.j_resolvable]
+    ratios = [_bernstein_ratio(lp2, draw(g2), j) for j in lp2.j_resolvable]
     spread = max(ratios) / min(ratios)
 
     violations = 0
@@ -353,7 +353,7 @@ def test_c10_toolbox():
         s2 = s1 + rng.uniform(0, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         t2 = t1 - rng.uniform(0, 1.5)
-        blocks = _block_norms(grid, lp, u, float(rng.choice([1.0, 2.0, 4.0])))
+        blocks = _block_norms(lp, u, float(rng.choice([1.0, 2.0, 4.0])))
         if _dyadic_norm(blocks, s2, t2) > _dyadic_norm(blocks, s1, t1) * (1 + 1e-12):
             violations += 1
 

@@ -1,12 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hartorus import ConfigError, cli, emit_plot, parse_config, run_experiment
+from hartorus import ConfigError, cli, config, emit_plot, parse_config, run_experiment
 
 MINIMAL_EQ = """
 grid.d = 1
@@ -66,6 +68,34 @@ def test_bose_needs_negative_mu():
     with pytest.raises(ConfigError) as exc:
         parse_config(text, "equilibrium-check")
     assert any("bose" in v for v in exc.value.violations)
+
+
+_PROBE = "grid.d = 1\ngrid.N = 32\nf.kind = fermi\nw.kind = delta\npert.amplitude = 0.01\nT = 0.1\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("probe.radius = -1", "probe.radius must be positive"),
+    ("probe.radius = 0", "probe.radius must be positive"),
+    ("m.override = 1.0", "unknown key 'm.override'"),
+])
+def test_probe_radius_positive_and_no_gauge_override(line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_PROBE + line + "\n", "scattering-probe")
+    assert any(message in v for v in exc.value.violations), exc.value.violations
+
+
+def test_readme_key_blocks_name_every_config_key():
+    # the README's "Key blocks" paragraph, with key.{a,b} expanded, names
+    # exactly the schema's keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Key blocks:"):].split("\n\n", 1)[0]
+    named = set()
+    for span in re.findall(r"`([^`]*)`", paragraph):
+        for token in re.split(r",\s*(?![^{]*\})", span):
+            braces = re.fullmatch(r"\s*([\w.]+)\.\{([^}]*)\}\s*", token)
+            named |= ({f"{braces[1]}.{k}" for k in braces[2].split(",")} if braces
+                      else {token.strip()})
+    assert named == set(config._SCHEMA)
 
 
 def test_config_echo_round_trips():
@@ -210,6 +240,7 @@ def test_svg_deterministic_up_to_timestamp():
 _STACK_KINDS = ("equilibrium-check", "simulate", "scattering-probe", "picard")
 _NO_MODE = "grid.d = 1\nf.kind = zero\nw.kind = delta\npert.amplitude = 1e-3\n"
 _NO_KEPT_MODE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e-3\ntheta = 1e3\n"
+_NO_SUCH_MODE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e-3\npert.mode = 99\n"
 
 
 @pytest.mark.parametrize("kind, text, key", [
@@ -217,10 +248,13 @@ _NO_KEPT_MODE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e
     *[pytest.param(kind, _NO_MODE, "f.kind", id=f"{kind}-f.kind")
       for kind in _STACK_KINDS[1:]],
     *[pytest.param(kind, _NO_KEPT_MODE, "theta", id=f"{kind}-theta") for kind in _STACK_KINDS],
+    *[pytest.param(kind, _NO_SUCH_MODE, "pert.mode", id=f"{kind}-pert.mode")
+      for kind in _STACK_KINDS[1:]],
 ])
 def test_unrunnable_config_exits_two_with_a_reason(kind, text, key, tmp_path, capsys):
     # a grid with no dyadic block, a distribution with no mode to perturb, a
-    # threshold that keeps no mode: one error line naming the key, no traceback
+    # threshold that keeps no mode, a perturbed mode past the mode count: one
+    # error line naming the key, no traceback
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

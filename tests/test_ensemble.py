@@ -7,7 +7,7 @@ import pytest
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
-from hartorus import (BumpSpec, TorusGrid, add_perturbation, conserved_energy, critical_exponents,
+from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, add_perturbation, conserved_energy, critical_exponents,
                       custom_radial, delta_potential, deviation_chunks, deviation_norms, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
                       scattering_probe, step, zero_distribution, zero_potential)
@@ -172,8 +172,9 @@ def test_perturbation_norms_scale_linearly(grid, eq):
     spec2 = BumpSpec(2e-4, 0.8, (np.pi,), (1.0,), mode=4)
     p1, s1 = add_perturbation(eq, spec1)
     p2, s2 = add_perturbation(eq, spec2)
-    n1 = deviation_norms(grid, s1.deviations(p1))
-    n2 = deviation_norms(grid, s2.deviations(p2))
+    lp = LittlewoodPaley(grid)
+    n1 = deviation_norms(lp, s1.deviations(p1))
+    n2 = deviation_norms(lp, s2.deviations(p2))
     for key in n1:
         assert n2[key] == pytest.approx(2.0 * n1[key], rel=1e-10)
         assert math.isfinite(n1[key])
@@ -226,7 +227,7 @@ def test_scattering_probe_aborts_on_nonfinite(eq):
     # the check is in the step, so a streamed consumer stops at the first
     # window: no record of the NaN state is ever written
     with pytest.raises(FloatingPointError, match="non-finite"):
-        scattering_probe(_deviation_stream(_nan_seeded(eq), eq, 0.01, 1e-3, 5), eq.grid, eq.m)
+        scattering_probe(eq, _deviation_stream(_nan_seeded(eq), eq, 0.01, 1e-3, 5))
 
 
 def test_scattering_probe_free_flow_constant():
@@ -235,7 +236,7 @@ def test_scattering_probe_free_flow_constant():
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     spec = BumpSpec(1e-2, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0)
     pert, state = add_perturbation(ens, spec)
-    rpt = scattering_probe(_deviation_stream(pert, state, 4.0, 1e-2, 100), g, state.m)
+    rpt = scattering_probe(state, _deviation_stream(pert, state, 4.0, 1e-2, 100))
     assert np.max(rpt.cauchy) <= 1e-10
     assert not rpt.window_warning
 
@@ -256,7 +257,7 @@ def test_scattering_probe_null_perturbation():
     f = custom_radial(lambda r: 6.4e-5 * np.exp(-(np.asarray(r) / 1e-2) ** 2), support_hint=0.1)
     ens, _ = init_equilibrium(g, f, delta_potential(1.0), 1e-12)
     pert, state = add_perturbation(ens, BumpSpec(0.0, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0))
-    rpt = scattering_probe(_deviation_stream(pert, state, 2.0, 1e-2, 50), g, state.m)
+    rpt = scattering_probe(state, _deviation_stream(pert, state, 2.0, 1e-2, 50))
     assert np.max(rpt.cauchy) <= 1e-14
     assert np.max(rpt.local_mass) <= 1e-14
 
@@ -266,7 +267,7 @@ def test_scattering_probe_warns_past_recurrence():
     f = custom_radial(lambda r: 1e-4 * (np.asarray(r) < 0.5), support_hint=1.0)
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     pert, state = add_perturbation(ens, BumpSpec(1e-3, 0.5, (np.pi,), (1.0,), mode=0))
-    rpt = scattering_probe(_deviation_stream(pert, state, 4.0, 1e-2, 100), g, state.m)
+    rpt = scattering_probe(state, _deviation_stream(pert, state, 4.0, 1e-2, 100))
     assert rpt.window_warning  # recurrence time is pi here
 
 
@@ -309,7 +310,7 @@ def test_deviation_norms_of_one_mode_match_norms_module(d, N):
     grid = TorusGrid(d, 2 * np.pi, N)
     fld = SpectralField.random(grid, np.random.default_rng(d))
     ex = critical_exponents(d)
-    got = deviation_norms(grid, fld.values[None])
+    got = deviation_norms(LittlewoodPaley(grid), fld.values[None])
     want = {"l2": lebesgue_norm(fld, 2), "l_dplus2": lebesgue_norm(fld, d + 2),
             "w_sp": sobolev_norm(fld, ex["s"], ex["p"]),
             "besov_q": besov_norm(fld, ex["q"], 0.0, 0.25), "hs": sobolev_norm(fld, ex["s"], 2)}
@@ -396,7 +397,7 @@ def test_multiwindow_norms_match_recomputed_deviation_norms():
     deviations = [Z for _, Z, _ in oracle.deviation_stacks(pert, eq, 0.012, 1e-3, 5)]
     assert len(traj.times) == len(deviations) == 4
     for i, Z in enumerate(deviations):
-        want = deviation_norms(pert.grid, Z)
+        want = deviation_norms(LittlewoodPaley(pert.grid), Z)
         for k, v in want.items():
             assert traj.norms[k][i] == pytest.approx(v, rel=1e-12), (i, k)
 
@@ -476,7 +477,7 @@ def test_streamed_probe_peak_does_not_grow_with_observations():
     peaks = []
     for T in (0.01, 0.04):
         rpt, peak = _traced_peak(lambda: scattering_probe(
-            _deviation_stream(pert, eq, T, 1e-3, 1), eq.grid, eq.m))
+            eq, _deviation_stream(pert, eq, T, 1e-3, 1)))
         assert len(rpt.times) == round(T / 1e-3) + 1
         peaks.append(peak / size)
     assert abs(peaks[1] - peaks[0]) <= 0.1, peaks
@@ -522,8 +523,7 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
     # at d = 2 the Bessel weight is 1 and p = d + 2: w_sp is l_dplus2 exactly,
     # with no inverse transform of its own; elsewhere w_sp is still the
     # Bessel-weighted transform pair, to the bit
-    from hartorus import LittlewoodPaley
-    from hartorus.ensemble import _lebesgue, _stack_norms
+    from hartorus.ensemble import _lebesgue
     g = TorusGrid(d, 2 * np.pi, N)
     rng = np.random.default_rng(d)
     stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
@@ -535,7 +535,7 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
         return ifftn(x, *args, **kwargs)
 
     monkeypatch.setattr(ens_mod, "ifftn", counting)
-    got, _ = _stack_norms(g, stack, lp)
+    got = deviation_norms(lp, stack)
     assert len(inverses) == len(lp.j_resolvable) + (d != 2)
     ex = critical_exponents(d)
     axes = tuple(range(1, 1 + d))
@@ -569,7 +569,7 @@ def test_streamed_probe_matches_batched_formula(d, N):
     deviations = oracle.deviation_stacks(pert, eq, 0.2, 1e-2, 2)
     center, radius = (np.pi,) * d, 1.0
     rpt, peak = _traced_peak(lambda: scattering_probe(
-        _whole(deviations), pert.grid, eq.m, ball_center=center, ball_radius=radius))
+        eq, _whole(deviations), ball_center=center, ball_radius=radius))
     cauchy, local = _batched_probe(deviations, pert.grid, eq.m, center, radius)
     assert np.min(cauchy) > 0
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
@@ -635,7 +635,7 @@ def test_chunked_probe_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
     pert, eq = _perturbed(2, 16)
     _with_chunks(monkeypatch, pert, chunk_modes or pert.n_modes)
     center, radius = (np.pi, np.pi), 1.0
-    rpt = scattering_probe(_deviation_stream(pert, eq, 0.2, 1e-2, 2), pert.grid, eq.m,
+    rpt = scattering_probe(eq, _deviation_stream(pert, eq, 0.2, 1e-2, 2),
                            ball_center=center, ball_radius=radius)
     cauchy, local = oracle.scattering_probe(oracle.deviation_stacks(pert, eq, 0.2, 1e-2, 2),
                                             pert.grid, eq.m, center, radius)

@@ -6,7 +6,6 @@ import pytest
 from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
                       eval_f2, eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       zero_distribution, zero_potential, zero_temp_fermi)
-from hartorus.equilibrium import as_profile
 
 
 def test_fermi_value_at_origin():
@@ -101,15 +100,6 @@ def test_table_matches_eval_h_oracle(name, d):
         assert np.array_equal(CovarianceProfile(f, d).spline.c, sp.c)
 
 
-def test_as_profile_rejects_dimension_mismatch():
-    cov = CovarianceProfile(fermi(1.0, 0.0), 3)
-    assert as_profile(cov, 3) is cov
-    with pytest.raises(ValueError):
-        as_profile(cov, 2)
-    with pytest.raises(ValueError):
-        as_profile(fermi(1.0, 0.0))
-
-
 def test_h0_two_ways():
     # radial quadrature against a plain lattice Riemann sum
     f = fermi(1.0, 0.0)
@@ -146,19 +136,19 @@ def test_potential_kinds():
 
 
 def test_hypothesis_fermi_d4_passes_monotonicity():
-    rep = hypothesis_check(fermi(1.0, 0.0), delta_potential(0.1), 4)
+    rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1))
     assert rep.bullet("monotone_decreasing").passed is True
     assert rep.bullet("weighted_l2").passed is True
     assert rep.bullet("h_derivative_decay").passed is True
 
 
 def test_hypothesis_zero_temp_fermi_fails_monotonicity():
-    rep = hypothesis_check(zero_temp_fermi(1.0), delta_potential(0.1), 4)
+    rep = hypothesis_check(CovarianceProfile(zero_temp_fermi(1.0), 4), delta_potential(0.1))
     assert rep.bullet("monotone_decreasing").passed is False
 
 
 def test_hypothesis_zero_distribution_all_pass():
-    rep = hypothesis_check(zero_distribution(), delta_potential(1.0), 3)
+    rep = hypothesis_check(CovarianceProfile(zero_distribution(), 3), delta_potential(1.0))
     for b in rep.bullets:
         if b.passed is not None:
             assert b.passed, b.name
@@ -166,18 +156,21 @@ def test_hypothesis_zero_distribution_all_pass():
 
 
 def test_hypothesis_defocusing_bullet_uses_epsilon_g():
-    rep = hypothesis_check(fermi(1.0, 0.0), delta_potential(0.1), 4, epsilon_g=0.17)
+    rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), epsilon_g=0.17)
     b = rep.bullet("potential_defocusing_part")
     assert b.passed is True
-    rep2 = hypothesis_check(fermi(1.0, 0.0), delta_potential(0.1), 4)
+    rep2 = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1))
     assert rep2.bullet("potential_defocusing_part").passed is None
 
 
 def test_hypothesis_accepts_profile():
+    # a profile whose tables were already read gives the bullets of a fresh one
     f, w = fermi(1.0, 0.0), delta_potential(0.1)
     cov = CovarianceProfile(f, 3)
-    assert hypothesis_check(cov, w, 3, epsilon_g=0.17).bullets == \
-        hypothesis_check(f, w, 3, epsilon_g=0.17).bullets
+    cov(np.linspace(0.0, 2.0, 5))
+    cov.half_line_transform(np.linspace(-2.0, 2.0, 5))
+    assert hypothesis_check(cov, w, epsilon_g=0.17).bullets == \
+        hypothesis_check(CovarianceProfile(f, 3), w, epsilon_g=0.17).bullets
 
 
 def test_custom_support_radius_reaches_shell_beyond_r1():
@@ -198,14 +191,14 @@ SHELL = custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 1.0) < 0.4))
 def test_hypothesis_f_gradf_counts_jumps(f, exact):
     # int |f f'| = TV(f2) / 2 radially: f2 falls by 1/2 for fermi(1, 0), jumps
     # once by 1 for zero-temperature fermi and twice for the shell; d = 3
-    rep = hypothesis_check(f, delta_potential(0.1), 3)
+    rep = hypothesis_check(CovarianceProfile(f, 3), delta_potential(0.1))
     assert rep.bullet("f_gradf_integrable").value == pytest.approx(exact, rel=1e-12)
 
 
 def test_hypothesis_weighted_l2_of_shell_exact():
     # 4 pi int_0.6^1.4 (1 + r^2) r^2 dr at d = 3, where ceil(s) = 1
     exact = 4 * math.pi * ((1.4 ** 3 / 3 + 1.4 ** 5 / 5) - (0.6 ** 3 / 3 + 0.6 ** 5 / 5))
-    rep = hypothesis_check(SHELL, delta_potential(0.1), 3)
+    rep = hypothesis_check(CovarianceProfile(SHELL, 3), delta_potential(0.1))
     assert rep.bullet("weighted_l2").value == pytest.approx(exact, rel=1e-12)
 
 

@@ -200,8 +200,8 @@ def test_block_norms_evaluate_each_symbol_once(monkeypatch):
     lp = LittlewoodPaley(g)
     stack = np.random.default_rng(0).standard_normal((3,) + g.shape).astype(complex)
     for _ in range(3):
-        deviation_norms(g, stack, lp)
-    _dyadic_norm(_block_norms(g, lp, stack[0], 2.0), 0.0, 0.0)
+        deviation_norms(lp, stack)
+    _dyadic_norm(_block_norms(lp, stack[0], 2.0), 0.0, 0.0)
     lp.partition_values(lp.j_resolvable)
     assert calls == list(lp.j_resolvable)
 
@@ -219,14 +219,14 @@ def test_array_norms_match_the_field_oracle(d, N):
         s1 = rng.uniform(-1.5, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         s2, t2 = s1 + rng.uniform(0, 1.5), t1 - rng.uniform(0, 1.5)
-        blocks = _block_norms(g, lp, f.values, p)
+        blocks = _block_norms(lp, f.values, p)
         for s, t in ((s1, t1), (s2, t2)):
             want = besov_norm(f, p, s, t, lp)
             assert _dyadic_norm(blocks, s, t) == pytest.approx(want, rel=1e-13, abs=0)
     for j in lp.j_resolvable:
         f = SpectralField.random(g, rng)
         want = bernstein_ratio(f, j, math.inf, 2, lp)
-        assert _bernstein_ratio(g, lp, f.values, j) == pytest.approx(want, rel=1e-13, abs=0)
+        assert _bernstein_ratio(lp, f.values, j) == pytest.approx(want, rel=1e-13, abs=0)
     f = SpectralField.random(g, rng)
     want = abs(f.l2_physical() - f.l2_frequency()) / f.l2_physical()
     assert abs(_parseval_defect(g, f.values) - want) <= 1e-13

@@ -6,11 +6,10 @@ import pytest
 import stream_oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm
-from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, TorusGrid, add_perturbation,
-                      critical_exponents, delta_potential, deviation_norms, fermi,
-                      init_equilibrium, parse_config, picard_solve, reference_trajectory,
+from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, TorusGrid,
+                      add_perturbation, critical_exponents, delta_potential, deviation_norms,
+                      fermi, init_equilibrium, parse_config, picard_solve, reference_trajectory,
                       run_experiment)
-from hartorus.ensemble import _stack_norms
 from hartorus.field import fftn, ifftn
 
 
@@ -30,18 +29,23 @@ def _zero_pair(op):
     return Z, np.zeros((op.n_t,) + op.grid.shape), np.zeros_like(Z)
 
 
-def _first_pass(op, lp=None):
+def _on_lattice(Z, V, T):
+    """The pair (Z, V) as a result on the Picard lattice np.linspace(0, T, len(Z))."""
+    return PicardResult(Z=Z, V=V, ts=np.linspace(0.0, T, len(Z)), diff_norms=[], contraction=[],
+                        converged=False, diverged=False, n_iterations=0)
+
+
+def _first_pass(op):
     Z, V, I = _zero_pair(op)
-    rows = op.apply(Z, V, I, lp or LittlewoodPaley(op.grid), first=True)
+    rows = op.apply(Z, V, I, first=True)
     return Z, V, I, rows
 
 
 def test_zero_data_is_fixed_point(setup):
     grid, w, ens, spec, pert, state = setup
     op = PicardOperator(state, np.zeros_like(pert.fields), T=0.5, n_steps=50)
-    lp = LittlewoodPaley(grid)
-    Z, V, I, rows = _first_pass(op, lp)
-    rows.update(op.apply(Z, V, I, lp))
+    Z, V, I, rows = _first_pass(op)
+    rows.update(op.apply(Z, V, I))
     assert np.max(np.abs(Z)) == 0.0
     assert np.max(np.abs(V)) == 0.0
     assert np.max(np.abs(I)) == 0.0
@@ -77,7 +81,7 @@ def test_first_pass_skips_the_integrand(setup, monkeypatch):
     monkeypatch.setattr(PicardOperator, "duhamel", counting)
     Z, V, I, _ = _first_pass(op)
     assert calls == []
-    op.apply(Z, V, I, LittlewoodPaley(grid))
+    op.apply(Z, V, I)
     assert calls == list(range(op.n_t))
 
 
@@ -117,11 +121,10 @@ def test_streamed_map_matches_batched_oracle(d, N):
     spec = BumpSpec(1e-3, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=4)
     pert, state = add_perturbation(ens, spec)
     op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
-    lp = LittlewoodPaley(grid)
-    want = oracle.iterate(op, 6, lp)
+    want = oracle.iterate(op, 6)
     Z, V, I = _zero_pair(op)
     for n, (Zw, Vw, nw) in enumerate(want):
-        got = op.pair_norms(op.apply(Z, V, I, lp, first=n == 0))
+        got = op.pair_norms(op.apply(Z, V, I, first=n == 0))
         assert np.array_equal(Z, Zw), n
         assert np.array_equal(V, Vw), n
         for k, v in nw.items():
@@ -168,7 +171,7 @@ def test_picard_limit_matches_split_step(setup):
     z0 = state.deviations(pert)
     op = PicardOperator(state, z0, T=1.0, n_steps=100)
     res = picard_solve(op, max_iters=8)
-    z_gap, v_gap = reference_trajectory(pert, state, res.Z, res.V, 1.0, substeps=10)
+    z_gap, v_gap = reference_trajectory(pert, state, res, substeps=10)
     assert z_gap.shape == v_gap.shape == (op.n_t,)
     assert np.max(z_gap) <= 1e-4
     assert np.max(v_gap) <= 1e-4
@@ -180,7 +183,7 @@ def test_reference_gaps_match_a_stored_split_step_stack(setup):
     grid, w, ens, spec, pert, state = setup
     op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
     res = picard_solve(op, max_iters=4)
-    z_gap, v_gap = reference_trajectory(pert, state, res.Z, res.V, 0.5, substeps=3)
+    z_gap, v_gap = reference_trajectory(pert, state, res, substeps=3)
     stream = list(stream_oracle.observations(pert, 0.5, 0.5 / 60, 3))
     Zref = np.stack([state.deviations(s) for s, _ in stream])
     Vref = np.stack([np.sum(np.abs(state.equilibrium_at(s.t) + Zref[i]) ** 2, axis=0)
@@ -203,7 +206,8 @@ def test_reference_phase_adds_half_a_stack_to_the_iterate():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        z_gap, _ = reference_trajectory(pert, eq, Z, V, cfg["T"], substeps=cfg["picard.substeps"])
+        z_gap, _ = reference_trajectory(pert, eq, _on_lattice(Z, V, cfg["T"]),
+                                        substeps=cfg["picard.substeps"])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -218,8 +222,8 @@ def test_reference_trajectory_aborts_on_nonfinite(setup):
     bad[4].flat[0] = np.nan
     Z = np.zeros((11,) + pert.fields.shape, dtype=complex)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        reference_trajectory(replace(pert, fields=bad), state, Z, np.zeros((11,) + grid.shape),
-                             0.1, substeps=2)
+        reference_trajectory(replace(pert, fields=bad), state,
+                             _on_lattice(Z, np.zeros((11,) + grid.shape), 0.1), substeps=2)
 
 
 def test_divergence_flagged(setup):
@@ -242,25 +246,25 @@ def test_pair_norms_are_time_norms_of_stacked_ingredients(d, N):
     rng = np.random.default_rng(d)
     shape = (op.n_t, op.M) + grid.shape
     Z = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    lp = LittlewoodPaley(grid)
-    per_time, hat = _stack_norms(grid, Z, lp)
     zero = np.zeros(grid.shape)
+    slices = []
     for i in range(op.n_t):
-        one = deviation_norms(grid, Z[i], lp)
-        ing = op._ingredients(Z[i], hat[i], zero, lp)
-        for k, v in per_time.items():
-            assert v[i] == pytest.approx(one[k], rel=1e-14, abs=0), k
-            assert v[i] == pytest.approx(ing[k], rel=1e-14, abs=0), k
+        hat = fftn(Z[i], axes=op.space_axes)
+        one = deviation_norms(LittlewoodPaley(grid), Z[i], hat)
+        ing = op._ingredients(Z[i], hat, zero)
+        for k in ("l2", "l_dplus2", "w_sp", "besov_q"):
+            assert ing[k] == pytest.approx(one[k], rel=1e-14, abs=0), k
+        slices.append(ing)
+    rows = {k: np.array([ing[k] for ing in slices]) for k in slices[0]}
 
     def time_norm(vals, power):
         return np.trapezoid(vals ** power, dx=op.dt) ** (1.0 / power)
 
-    rows = dict(per_time, v_l_half=np.zeros(op.n_t), v_l2_besov=np.zeros(op.n_t))
     got = op.pair_norms(rows)
-    assert got["z_sup_l2"] == np.max(per_time["l2"])
-    assert got["z_l_dplus2"] == time_norm(per_time["l_dplus2"], d + 2)
-    assert got["z_lp_wsp"] == time_norm(per_time["w_sp"], critical_exponents(d)["p"])
-    assert got["z_l4_besov"] == time_norm(per_time["besov_q"], 4)
+    assert got["z_sup_l2"] == np.max(rows["l2"])
+    assert got["z_l_dplus2"] == time_norm(rows["l_dplus2"], d + 2)
+    assert got["z_lp_wsp"] == time_norm(rows["w_sp"], critical_exponents(d)["p"])
+    assert got["z_l4_besov"] == time_norm(rows["besov_q"], 4)
     assert got["v_l_half"] == got["v_l2_besov"] == 0.0
 
 
@@ -272,12 +276,11 @@ def test_pair_norms_of_constant_potential_match_norms_module(d, N):
     T = 0.3
     op = PicardOperator(eq, np.zeros_like(eq.fields), T=T, n_steps=3)
     fld = SpectralField(grid, values=np.random.default_rng(d).standard_normal(grid.shape))
-    lp = LittlewoodPaley(grid)
     dz = np.zeros((op.M,) + grid.shape, dtype=complex)
-    one = op._ingredients(dz, dz.copy(), fld.values.real, lp)
+    one = op._ingredients(dz, dz.copy(), fld.values.real)
     got = op.pair_norms({k: np.full(op.n_t, v) for k, v in one.items()})
     vp = (d + 2) / 2.0
     assert got["v_l_half"] == pytest.approx(T ** (1 / vp) * lebesgue_norm(fld, vp), rel=1e-13)
     assert got["v_l2_besov"] == pytest.approx(T ** 0.5 * besov_norm(fld, 2, -0.5, 0.0), rel=1e-13)
     V = np.broadcast_to(fld.values.real, (op.n_t,) + grid.shape)
-    assert got == pytest.approx(oracle.pair_norms(op, _zero_pair(op)[0], V, lp), rel=1e-13)
+    assert got == pytest.approx(oracle.pair_norms(op, _zero_pair(op)[0], V), rel=1e-13)

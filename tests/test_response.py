@@ -53,7 +53,7 @@ def test_mf_against_direct_quadrature(cov3):
 
 def test_mf_conjugate_symmetry(cov3):
     taus = np.array([-8.0, -1.0, 0.0, 1.0, 8.0])
-    table = MultiplierTable.build(cov3, 3, taus, np.array([0.7, 1.9]))
+    table = MultiplierTable.build(cov3, taus, np.array([0.7, 1.9]))
     assert table.conjugate_symmetry_defect() <= 2 * max(table.max_error(), 1e-12)
 
 
@@ -61,7 +61,7 @@ def test_mf_decay_slope_is_quadratic(cov3):
     # for a smooth rapidly decaying profile the half-line transform of
     # sin(b t) h(2 xi t) loses its boundary term (the integrand vanishes at
     # t=0), so the asymptotic decay at fixed xi is tau^-2, not tau^-1
-    slope, taus, mags = decay_slope(cov3, 3, 1.0, tau_base=8.0, doublings=3)
+    slope, taus, mags = decay_slope(cov3, 1.0, tau_base=8.0, doublings=3)
     assert slope == pytest.approx(-2.0, abs=0.15)
 
 
@@ -69,10 +69,10 @@ def test_decay_bound_check(cov3):
     g = TorusGrid(3, 2 * np.pi, 16)
     taus = default_tau_grid(32.0, 1e-2, 10)
     xis = np.linspace(g.xi_min, g.nyquist, 10)
-    t1 = MultiplierTable.build(cov3, 3, taus, xis)
+    t1 = MultiplierTable.build(cov3, taus, xis)
     r1 = decay_bound_check(t1)
     assert r1.finite
-    t2 = MultiplierTable.build(cov3, 3, default_tau_grid(32.0, 1e-2, 20),
+    t2 = MultiplierTable.build(cov3, default_tau_grid(32.0, 1e-2, 20),
                                np.linspace(g.xi_min, g.nyquist, 20))
     r2 = decay_bound_check(t2)
     assert abs(r2.sup_value - r1.sup_value) <= 0.10 * r1.sup_value
@@ -89,6 +89,16 @@ def test_L1_trivial_inputs():
     V2 = np.random.default_rng(0).standard_normal((32,) + g.shape)
     out2 = apply_L1_time_domain(V2, ts, cov0, delta_potential(1.0), g)
     assert np.max(np.abs(out2)) == 0.0
+
+
+@pytest.mark.parametrize("apply_L1", [apply_L1_time_domain, apply_L1_frequency_domain])
+def test_L1_rejects_profile_of_other_dimension(apply_L1):
+    # the profile carries its dimension; a d=2 profile on a d=3 grid is refused
+    g = TorusGrid(3, 2 * np.pi, 8)
+    ts = np.linspace(0, 1, 5)
+    V = np.zeros((5,) + g.shape)
+    with pytest.raises(ValueError, match="dimension 2"):
+        apply_L1(V, ts, CovarianceProfile(gaussian_f2(), 2), delta_potential(1.0), g)
 
 
 def test_L1_representations_agree():
@@ -143,18 +153,18 @@ def test_L1_matches_exact_mode_sums():
 def test_margin_trivial_cases():
     g = TorusGrid(3, 2 * np.pi, 8)
     cov = CovarianceProfile(gaussian_f2(), 3)
-    table = MultiplierTable.build(cov, 3, default_tau_grid(8.0, 0.1, 6),
+    table = MultiplierTable.build(cov, default_tau_grid(8.0, 0.1, 6),
                                   np.linspace(g.xi_min, g.nyquist, 6))
     assert stability_margin(table, zero_potential()).margin == 1.0
     cov0 = CovarianceProfile(zero_distribution(), 3)
-    table0 = MultiplierTable.build(cov0, 3, table.taus, table.xis)
+    table0 = MultiplierTable.build(cov0, table.taus, table.xis)
     assert stability_margin(table0, delta_potential(1.0)).margin == 1.0
 
 
 def test_margin_small_amplitude_bound():
     cov = CovarianceProfile(fermi(1.0, 0.0), 4)
     g = TorusGrid(4, 2 * np.pi, 8)
-    table = MultiplierTable.build(cov, 4, default_tau_grid(16.0, 0.05, 8),
+    table = MultiplierTable.build(cov, default_tau_grid(16.0, 0.05, 8),
                                   np.linspace(g.xi_min, g.nyquist, 8))
     sup = table.sup_abs()
     for a in (0.01, 0.05):
@@ -165,15 +175,15 @@ def test_margin_small_amplitude_bound():
 
 
 def test_epsilon_g_zero_distribution():
-    rep = epsilon_g(CovarianceProfile(zero_distribution(), 3), 3)
+    rep = epsilon_g(CovarianceProfile(zero_distribution(), 3))
     assert rep.value == 0.0 and rep.converged
 
 
 def test_epsilon_g_bounded_by_sup(cov3):
-    rep = epsilon_g(cov3, 3, n_shells=6)
+    rep = epsilon_g(cov3, n_shells=6)
     g = TorusGrid(3, 2 * np.pi, 8)
     # the sup table must cover the near-origin region the shells sample
-    table = MultiplierTable.build(cov3, 3, default_tau_grid(8.0, 1e-3, 14),
+    table = MultiplierTable.build(cov3, default_tau_grid(8.0, 1e-3, 14),
                                   np.geomspace(3e-3, g.nyquist, 40))
     bound = table.sup_abs() / (2 * sphere_area(3))
     assert abs(rep.value) <= bound + 1e-9
@@ -181,7 +191,7 @@ def test_epsilon_g_bounded_by_sup(cov3):
 
 def test_epsilon_g_fermi_d4_converges():
     cov = CovarianceProfile(fermi(1.0, 0.0), 4)
-    rep = epsilon_g(cov, 4, n_shells=8)
+    rep = epsilon_g(cov, n_shells=8)
     assert rep.converged
     last, prev = rep.shell_minima[-1], rep.shell_minima[-2]
     assert abs(last - prev) <= 0.05 * abs(last)
@@ -240,7 +250,7 @@ def test_mf_fermi_imaginary_part_closed_form():
 @pytest.mark.parametrize("mu", [1.0, 4.0])
 def test_epsilon_g_zero_temperature_fermi(mu):
     # the low-frequency limit of m_f gives epsilon_g = sqrt(mu)/4 exactly at d = 3
-    rep = epsilon_g(CovarianceProfile(zero_temp_fermi(mu), 3), 3)
+    rep = epsilon_g(CovarianceProfile(zero_temp_fermi(mu), 3))
     assert rep.value == pytest.approx(math.sqrt(mu) / 4.0, rel=1e-6)
     assert np.all(np.diff(rep.shell_minima) < 0)
 
