@@ -7,10 +7,10 @@ from .grid import TorusGrid
 from . import field  # scipy.fft ahead of equilibrium's scipy imports: about 20 ms less import time
 from .lpaley import LittlewoodPaley, eta, eta_j
 from .equilibrium import (Bullet, CovarianceProfile, DistributionFunction, HypothesisReport,
-                          InteractionPotential, bose, custom_potential, custom_radial,
-                          delta_potential, equilibrium_mass, eval_f2, eval_h, fermi,
-                          gaussian_f2, gaussian_potential, hypothesis_check, sphere_area,
-                          zero_distribution, zero_potential, zero_temp_fermi)
+                          InteractionPotential, bose, custom_radial, delta_potential,
+                          equilibrium_mass, eval_h, fermi, gaussian_f2, gaussian_potential,
+                          hypothesis_check, sphere_area, zero_distribution, zero_potential,
+                          zero_temp_fermi)
 from .ensemble import (BumpSpec, ModeEnsemble, Trajectory, add_perturbation, conserved_energy,
                        critical_exponents, deviation_chunks, deviation_norms, evolve,
                        init_equilibrium, observations, scattering_probe, step)
@@ -19,10 +19,9 @@ from .response import (DecayReport, EpsilonGReport, MarginReport, MultiplierTabl
                        apply_L1_frequency_domain, apply_L1_time_domain, compute_mf_batch,
                        decay_bound_check, decay_slope, default_tau_grid, default_xi_grid,
                        epsilon_g, stability_margin)
-from .twowave import (BandReport, GrowthFit, SymbolMatrix, TwoWaveParams, build_symbol,
-                      char_poly_residual, closed_form_spectrum, eigensolver_spectrum,
-                      growth_rate, most_unstable_ray_frequency, multiset_distance,
-                      simulate_linearized, unstable_band)
+from .twowave import (BandReport, GrowthFit, TwoWaveParams, build_symbol, char_poly_residual,
+                      closed_form_spectrum, eigensolver_spectrum, most_unstable_ray_frequency,
+                      multiset_distance, simulate_linearized, unstable_band)
 from .config import EXPERIMENT_KINDS, ConfigError, RunConfig, parse_config
 from .runner import ResultEnvelope, run_experiment
 from .svgplot import emit_plot

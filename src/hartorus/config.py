@@ -45,7 +45,6 @@ _SCHEMA = {
     "theta": (float, lambda v: v >= 0 or "theta must be nonnegative", 1e-8),
     "seed": (int, lambda v: v >= 0 or "seed must be nonnegative", 0),
     "obs.stride": (int, lambda v: v >= 1 or "obs.stride must be >= 1", 10),
-    "snap.stride": (int, lambda v: v >= 1 or "snap.stride must be >= 1", 1),
     "pert.amplitude": (float, None, 1e-3),
     "pert.width": (float, lambda v: v > 0 or "pert.width must be positive", 1.0),
     "pert.center": (_parse_floats, None, None),

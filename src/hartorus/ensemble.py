@@ -48,7 +48,6 @@ spectrum, with no forward FFT of its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
@@ -159,19 +158,20 @@ class ModeEnsemble:
         out *= self.weights[modes].reshape(lead)
         return out
 
-    def equilibrium_phases(self, t) -> np.ndarray:
+    def equilibrium_phases(self, t: float) -> np.ndarray:
         """The (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)} that carry the stored
-        fields to time t, shaped (M, 1, ..., 1) to broadcast against them;
-        (n_t, M, 1, ..., 1) for an array of times."""
-        rot = np.exp(-1j * np.multiply.outer(np.asarray(t) - self.t, self._rates))
+        fields to time t, shaped (M, 1, ..., 1) to broadcast against them."""
+        rot = np.exp(-1j * ((t - self.t) * self._rates))
         return rot.reshape(rot.shape + (1,) * self.grid.d)
 
-    def equilibrium_at(self, t) -> np.ndarray:
-        """Y(t): the stored fields times equilibrium_phases(t), one exp per mode;
-        (n_t, M, *grid) for an array of times.  The stored fields must be the
-        exact equilibrium at self.t, as init_equilibrium and add_perturbation
-        leave them (equilibrium_fields is the oracle)."""
-        return self.fields * self.equilibrium_phases(t)
+    def equilibrium_at(self, t: float, modes: slice = slice(None),
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Y(t): the stored fields of the modes in the slice modes (all by
+        default) times equilibrium_phases(t), one exp per mode, written into
+        out when given.  The stored fields must be the exact equilibrium at
+        self.t, as init_equilibrium and add_perturbation leave them
+        (equilibrium_fields is the oracle)."""
+        return np.multiply(self.fields[modes], self.equilibrium_phases(t)[modes], out=out)
 
     def deviations(self, ens: "ModeEnsemble") -> np.ndarray:
         """Z = u - y: the modes of ens minus this equilibrium at time ens.t."""
@@ -182,11 +182,7 @@ class ModeEnsemble:
         """Index of each mode's carrier in an (M, *grid) spectrum stack: the one
         cell where the unnormalised spectrum of y_j is nonzero.  ValueError for
         a carrier off the frequency lattice, whose y_j has no such cell."""
-        k = self.carriers * (self.grid.L / (2 * math.pi))
-        cells = np.rint(k)
-        if np.any(np.abs(k - cells) > 1e-9 * np.maximum(1.0, np.abs(k))):
-            raise ValueError("a carrier is off the frequency lattice")
-        return (np.arange(self.n_modes),) + tuple((cells.astype(int) % self.grid.N).T)
+        return (np.arange(self.n_modes),) + self.grid.lattice_cells(self.carriers)
 
     def equilibrium_spectrum(self, t: float) -> np.ndarray:
         """The (M,) entries N^d a_j e^{-i t (m + |xi_j|^2)} of the unnormalised
@@ -321,14 +317,13 @@ def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> f
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Gaussian envelope times a carrier wave, targeted at ensemble modes."""
+    """Gaussian envelope times a carrier wave, targeted at one ensemble mode."""
 
     amplitude: float
     width: float
     center: tuple
     carrier: tuple
     mode: int = 0
-    coefficients: Optional[np.ndarray] = None  # spread over modes when given
 
     def field_values(self, grid: TorusGrid) -> np.ndarray:
         env = np.exp(-grid.min_image_dist2(self.center) / (2.0 * self.width ** 2))
@@ -336,20 +331,12 @@ class BumpSpec:
 
 
 def add_perturbation(ens: ModeEnsemble, spec: BumpSpec):
-    """Perturb one mode (or spread over modes); returns (perturbed, ens), the
-    unperturbed ensemble being the equilibrium reference of the perturbed one."""
-    bump = spec.field_values(ens.grid)
+    """Perturb the mode spec.mode; returns (perturbed, ens), the unperturbed
+    ensemble being the equilibrium reference of the perturbed one."""
+    if not 0 <= spec.mode < ens.n_modes:
+        raise ValueError(f"mode index {spec.mode} outside 0..{ens.n_modes - 1}")
     fields = ens.fields.copy()
-    if spec.coefficients is not None:
-        coeffs = np.asarray(spec.coefficients, dtype=complex)
-        if len(coeffs) != ens.n_modes:
-            raise ValueError("one spread coefficient per mode is required")
-        for j in range(ens.n_modes):
-            fields[j] = fields[j] + coeffs[j] * bump
-    else:
-        if not 0 <= spec.mode < ens.n_modes:
-            raise ValueError(f"mode index {spec.mode} outside 0..{ens.n_modes - 1}")
-        fields[spec.mode] = fields[spec.mode] + bump
+    fields[spec.mode] = fields[spec.mode] + spec.field_values(ens.grid)
     return replace(ens, fields=fields), ens
 
 
@@ -428,11 +415,11 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
     """The deviation Z = u - y from the equilibrium eq of a state at time t,
     chunk by chunk: chunks yields the state's (modes, hat, u) as observations
     does, and this yields (modes, Z, Z-hat) for the same modes.  Z is u minus
-    eq's plane waves times their phases at t; Z-hat is hat minus y_j's one
-    entry per mode, subtracted in place and put back bit for bit once the
-    consumer moves on, so it is read-only."""
+    eq.equilibrium_at(t); Z-hat is hat minus y_j's one entry per mode,
+    subtracted in place and put back bit for bit once the consumer moves on,
+    so it is read-only."""
     cells = eq.carrier_cells()
-    y, rot = eq.equilibrium_spectrum(t), eq.equilibrium_phases(t)
+    y = eq.equilibrium_spectrum(t)
     Z = None  # one chunk, reused
     for modes, hat, u in chunks:
         at = (np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])
@@ -440,7 +427,7 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
         hat[at] -= y[modes]
         if Z is None or Z.shape != u.shape:
             Z = np.empty_like(u)
-        np.multiply(eq.fields[modes], rot[modes], out=Z)  # Y(t), as equilibrium_at gives it
+        eq.equilibrium_at(t, modes, out=Z)
         try:
             yield modes, np.subtract(u, Z, out=Z), hat
         finally:

@@ -133,12 +133,6 @@ def gaussian_f2(amplitude: float = 1.0, scale: float = 1.0) -> DistributionFunct
     )
 
 
-def eval_f2(f: DistributionFunction, r) -> float:
-    if np.any(np.asarray(r) < 0):
-        raise ValueError("radius must be nonnegative")
-    return f.f2(r)
-
-
 # ---------------------------------------------------------------------------
 # interaction potentials
 
@@ -150,10 +144,9 @@ class InteractionPotential:
     kind: str
     amplitude: float = 1.0
     width: float = 1.0
-    evaluator: Optional[Callable] = None
 
     def what(self, k_abs):
-        """w-hat at radius |k| (all built-in kinds are radial)."""
+        """w-hat at radius |k| (every kind is radial)."""
         k = np.asarray(k_abs, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(k)
@@ -161,11 +154,6 @@ class InteractionPotential:
             return np.full_like(k, self.amplitude)
         if self.kind == "gaussian":
             return self.amplitude * np.exp(-0.5 * (self.width * k) ** 2)
-        if self.kind == "custom":
-            out = np.asarray(self.evaluator(k), dtype=float)
-            if not np.all(np.isfinite(out)):
-                raise ValueError("custom w-hat takes non-finite values")
-            return out
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
     @property
@@ -183,10 +171,6 @@ def gaussian_potential(amplitude: float, width: float) -> InteractionPotential:
 
 def zero_potential() -> InteractionPotential:
     return InteractionPotential("zero")
-
-
-def custom_potential(evaluator) -> InteractionPotential:
-    return InteractionPotential("custom", evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +498,6 @@ class Bullet:
 class HypothesisReport:
     d: int
     bullets: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(b.passed for b in self.bullets if b.passed is not None) and \
-            not any(b.passed is False for b in self.bullets)
 
     def bullet(self, name: str) -> Bullet:
         for b in self.bullets:

@@ -129,6 +129,16 @@ class TorusGrid:
             out = out + dx * dx
         return out
 
+    def lattice_cells(self, xis) -> tuple:
+        """Index of the frequencies xis (..., d) in an array over the frequency
+        lattice: rint(xi L / 2 pi) mod N per axis, one index array (or integer)
+        per axis.  ValueError for a frequency off the lattice."""
+        k = np.asarray(xis, dtype=float) * (self.L / (2 * np.pi))
+        cells = np.rint(k)
+        if np.any(np.abs(k - cells) > 1e-9 * np.maximum(1.0, np.abs(k))):
+            raise ValueError("a frequency is off the frequency lattice")
+        return tuple(np.moveaxis(cells.astype(int) % self.N, -1, 0))
+
     def nearest_lattice_xi(self, target) -> np.ndarray:
         """Snap a frequency vector to the nearest lattice point."""
         target = np.atleast_1d(np.asarray(target, dtype=float))

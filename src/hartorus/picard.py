@@ -8,7 +8,7 @@ One application of the map sends (Z, V) to
 with S(t) = e^{-i t (m - Lap)} applied spectrally and the time integral by
 trapezoid on the stored lattice.  Expectations are exact mode sums.  The
 equilibrium Y is the unperturbed ensemble eq (the second value of
-add_perturbation): Y(t) is eq's stored plane waves times one phase per mode.
+add_perturbation): Y(t_s) is eq.equilibrium_at(t_s).
 
 An application is one pass over the time slices that overwrites Z, V and the
 carried integral I in place.  The trapezoid runs in np.cumsum's operand
@@ -54,9 +54,7 @@ class PicardOperator:
         if z0.shape != (self.M,) + grid.shape:
             raise ValueError("Z0 must be one field per equilibrium mode")
         self.z0_hat = fftn(z0, axes=self.space_axes)
-        # Y(t_s) is the plane waves times phases[s]
-        self.plane_waves = eq.fields
-        self.phases = eq.equilibrium_phases(self.ts)
+        self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
         """w * V over the trailing grid axes of V."""
@@ -91,7 +89,7 @@ class PicardOperator:
         rows = []
         carry = None
         for s in range(self.n_t):
-            Ys = self.plane_waves * self.phases[s]
+            Ys = self.eq.equilibrium_at(self.ts[s])
             Zs = Z[s]
             back = np.conj(self.fwd[s])
             if first:

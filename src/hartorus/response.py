@@ -174,7 +174,6 @@ class MarginReport:
     arg_xi: float
     sup_wmf: float
     two_sphere_area: float
-    d: int
 
     @property
     def positive(self) -> bool:
@@ -192,7 +191,6 @@ def stability_margin(table: MultiplierTable, w: InteractionPotential) -> MarginR
         arg_xi=float(table.xis[idx[1]]),
         sup_wmf=float(np.max(np.abs(wvals * table.values))),
         two_sphere_area=2.0 * sphere_area(table.d),
-        d=table.d,
     )
 
 
@@ -200,13 +198,7 @@ def stability_margin(table: MultiplierTable, w: InteractionPotential) -> MarginR
 class EpsilonGReport:
     value: float
     shell_minima: list
-    shell_radii: list
     converged: bool
-    interval: tuple
-
-    @property
-    def flagged(self) -> bool:
-        return not self.converged
 
 
 def epsilon_g(cov: CovarianceProfile, n_shells: int = 8) -> EpsilonGReport:
@@ -218,23 +210,19 @@ def epsilon_g(cov: CovarianceProfile, n_shells: int = 8) -> EpsilonGReport:
     for convergence inspection.
     """
     two_area = 2.0 * sphere_area(cov.d)
-    radii = [2.0 ** (-k) for k in range(n_shells)]
     if cov.f.is_zero or cov.h0 == 0.0:
-        return EpsilonGReport(0.0, [0.0] * n_shells, radii, True, (0.0, 0.0))
+        return EpsilonGReport(0.0, [0.0] * n_shells, True)
     r_fracs = np.array([1.0, 0.75, 0.5, 0.375, 0.25])
     tau_fracs = np.array([0.0, 0.25, 0.5, 1.0])
     minima = []
-    for rho in radii:
+    for rho in (2.0 ** (-k) for k in range(n_shells)):
         taus = np.concatenate([tau_fracs * rho, -tau_fracs[1:] * rho])
         vals, _ = compute_mf_batch(cov, taus, rho * r_fracs)
         minima.append(float(np.min(vals.real)))
     last, prev = minima[-1], minima[-2]
     scale = max(abs(last), abs(prev), 1e-300)
     converged = abs(last - prev) <= _SHELL_REL_TOL * scale
-    tail = minima[-3:]
-    interval = (-max(tail) / two_area, -min(tail) / two_area)
-    return EpsilonGReport(value=-last / two_area, shell_minima=minima, shell_radii=radii,
-                          converged=converged, interval=interval)
+    return EpsilonGReport(value=-last / two_area, shell_minima=minima, converged=converged)
 
 
 @dataclass

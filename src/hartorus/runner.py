@@ -123,13 +123,30 @@ def _perturbed_equilibrium(cfg: RunConfig):
 # individual experiments; each returns (records for ndjson, files, verdicts)
 
 
+def _trajectory(traj, out):
+    """Write traj's records to trajectory.ndjson; returns (path, mass drift),
+    the drift the largest relative change of a mode mass (0 with no modes)."""
+    records = []
+    for i, t in enumerate(traj.times):
+        rec = {"t": float(t), "energy": float(traj.energies[i]),
+               "density_min": float(traj.density_extrema[i, 0]),
+               "density_max": float(traj.density_extrema[i, 1]),
+               "mode_mass": [float(x) for x in traj.mode_masses[i]]}
+        if traj.norms:
+            rec["norms"] = {k: float(v[i]) for k, v in sorted(traj.norms.items())}
+        records.append(rec)
+    path = out / "trajectory.ndjson"
+    write_ndjson(path, records)
+    m0 = traj.mode_masses[0]
+    drift = float(np.max(np.abs(traj.mode_masses - m0) / np.maximum(m0, 1e-300))) if m0.size else 0.0
+    return path, drift
+
+
 def _exp_equilibrium_check(cfg, out, seed):
     ens, report = _equilibrium(cfg)
     grid, a = ens.grid, ens.weights
     traj = evolve(ens, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"])
-
-    m0 = traj.mode_masses[0]
-    drift = float(np.max(np.abs(traj.mode_masses - m0) / np.maximum(m0, 1e-300))) if ens.n_modes else 0.0
+    path, drift = _trajectory(traj, out)
     dens_dev = float(np.max(traj.density_extrema[:, 1] - traj.density_extrema[:, 0]))
     # unwinding the exact phases must reproduce the t=0 state; a chunk of modes at a time
     amp_dev = gauge_residual = 0.0
@@ -140,12 +157,6 @@ def _exp_equilibrium_check(cfg, out, seed):
         gauge_residual = max(gauge_residual,
                              float(np.max(np.abs(u - ens.equilibrium_fields(final.t, modes)))))
 
-    records = [{"t": t, "energy": e, "density_min": lo, "density_max": hi,
-                "mode_mass": [float(x) for x in mm]}
-               for t, e, (lo, hi), mm in zip(traj.times, traj.energies,
-                                             traj.density_extrema, traj.mode_masses)]
-    path = out / "trajectory.ndjson"
-    write_ndjson(path, records)
     summary = {"n_modes": ens.n_modes, "m_lattice": ens.m,
                "m_quadrature": equilibrium_mass(cfg.make_distribution(), ens.w, grid.d),
                "truncated_mass": report.truncated_mass,
@@ -165,23 +176,11 @@ def _exp_equilibrium_check(cfg, out, seed):
 def _exp_simulate(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
     traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"], reference=eq)
-    records = []
-    for i, t in enumerate(traj.times):
-        rec = {"t": float(t), "energy": float(traj.energies[i]),
-               "density_min": float(traj.density_extrema[i, 0]),
-               "density_max": float(traj.density_extrema[i, 1]),
-               "mode_mass": [float(x) for x in traj.mode_masses[i]]}
-        if traj.norms:
-            rec["norms"] = {k: float(v[i]) for k, v in sorted(traj.norms.items())}
-        records.append(rec)
-    path = out / "trajectory.ndjson"
-    write_ndjson(path, records)
+    path, drift = _trajectory(traj, out)
     rho = traj.final.density_values()
     cpath = out / "density_final.csv"
     write_csv(cpath, ["flat_index", "density"],
               [(i, float(v)) for i, v in enumerate(rho.ravel())])
-    m0 = traj.mode_masses[0]
-    drift = float(np.max(np.abs(traj.mode_masses - m0) / np.maximum(m0, 1e-300)))
     verdicts = {"fields_finite": True, "mass_drift_below_1e-10": drift <= 1e-10}
     return [path, cpath], verdicts
 
@@ -252,11 +251,8 @@ def _exp_instability(cfg, out, seed):
     params = TwoWaveParams(xi=xi, m=cfg["twowave.m"], w=cfg.make_potential())
     rs = np.linspace(cfg["scan.rmin"], cfg["scan.rmax"], cfg["scan.count"])
     band = unstable_band(params, rs)
-    rows = []
-    for i, r in enumerate(band.r_grid):
-        lam = closed_form_spectrum(params, r * params.xi)
-        ims = sorted(float(v) for v in lam.imag)
-        rows.append((float(r * params.xi_abs), float(band.growth[i]), *ims))
+    rows = [(float(r * params.xi_abs), float(g), *sorted(float(v) for v in lam.imag))
+            for r, g, lam in zip(band.r_grid, band.growth, band.spectra)]
     cpath = out / "dispersion.csv"
     write_csv(cpath, ["k_abs", "re_lambda_max", "im_lambda_1", "im_lambda_2",
                       "im_lambda_3", "im_lambda_4"], rows)
@@ -267,8 +263,7 @@ def _exp_instability(cfg, out, seed):
         pxi = rng.uniform(-2, 2, size=len(xi))
         pk = rng.uniform(-4, 4, size=len(xi))
         pm = rng.uniform(0, 4)
-        pw = cfg.make_potential()
-        p = TwoWaveParams(xi=pxi, m=pm, w=pw)
+        p = TwoWaveParams(xi=pxi, m=pm, w=params.w)
         worst = max(worst, multiset_distance(closed_form_spectrum(p, pk),
                                              eigensolver_spectrum(p, pk)))
 
@@ -472,8 +467,7 @@ def _exp_norms(cfg, out, seed):
 
 def _exp_scattering_probe(cfg, out, seed):
     perturbed, eq = _perturbed_equilibrium(cfg)
-    # every snap.stride-th observation and the last, one window apart
-    stream = observations(perturbed, cfg["T"], cfg["dt"], cfg["obs.stride"] * cfg["snap.stride"])
+    stream = observations(perturbed, cfg["T"], cfg["dt"], cfg["obs.stride"])
     report = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in stream),
                               ball_center=cfg["pert.center"], ball_radius=cfg.get("probe.radius"))
     records = [{"t": float(t), "local_mass": float(mass)}

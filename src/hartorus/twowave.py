@@ -57,39 +57,29 @@ class TwoWaveParams:
         return float(np.linalg.norm(self.xi))
 
 
-@dataclass
-class SymbolMatrix:
-    k: np.ndarray
-    a2: float          # squared drift symbol, -4 (xi.k)^2
-    b: float           # |k|^2
-    c: float           # m * w-hat(k)
-    matrix: np.ndarray
-
-
 def _scalars(params: TwoWaveParams, k) -> tuple:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     xk = float(np.dot(params.xi, k))
     b = float(np.dot(k, k))
     c = params.m * float(params.w.what(np.linalg.norm(k)))
-    return k, xk, b, c
+    return xk, b, c
 
 
-def build_symbol(params: TwoWaveParams, k) -> SymbolMatrix:
+def build_symbol(params: TwoWaveParams, k) -> np.ndarray:
     """The 4x4 multiplier at probe frequency k (gradients become i k)."""
-    k, xk, b, c = _scalars(params, k)
+    xk, b, c = _scalars(params, k)
     ia = -2j * xk  # symbol of -2 xi.grad
-    mat = np.array([
+    return np.array([
         [ia,     b,   0.0,    0.0],
         [-b - c, ia,  -c,     0.0],
         [0.0,    0.0, -ia,    b],
         [-c,     0.0, -b - c, -ia],
     ], dtype=complex)
-    return SymbolMatrix(k=k, a2=-4.0 * xk * xk, b=b, c=c, matrix=mat)
 
 
 def closed_form_spectrum(params: TwoWaveParams, k) -> np.ndarray:
     """The four eigenvalues +/- sqrt(Y+-) as a multiset."""
-    _, xk, b, c = _scalars(params, k)
+    xk, b, c = _scalars(params, k)
     a2 = -4.0 * xk * xk
     kap = 2.0 * abs(xk)
     if c == 0.0:
@@ -109,14 +99,10 @@ def closed_form_spectrum(params: TwoWaveParams, k) -> np.ndarray:
 
 def eigensolver_spectrum(params: TwoWaveParams, k) -> np.ndarray:
     """Dense-eigensolver oracle on the explicit 4x4 matrix."""
-    sym = build_symbol(params, k)
     try:
-        lam = np.linalg.eigvals(sym.matrix)
+        return np.linalg.eigvals(build_symbol(params, k))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge at k={k}") from exc
-    if len(lam) != 4:
-        raise RuntimeError(f"eigensolver returned {len(lam)} values at k={k}")
-    return lam
 
 
 def multiset_distance(a, b) -> float:
@@ -130,7 +116,7 @@ def multiset_distance(a, b) -> float:
 
 def char_poly_residual(params: TwoWaveParams, k, lam: complex) -> float:
     """|P(lambda)| relative to the polynomial's coefficient scale."""
-    _, xk, b, c = _scalars(params, k)
+    xk, b, c = _scalars(params, k)
     a2 = -4.0 * xk * xk
     c2 = 2.0 * ((b + c) * b - a2)
     c0 = ((b + c) * b + a2) ** 2 - b * b * c * c
@@ -142,31 +128,25 @@ def char_poly_residual(params: TwoWaveParams, k, lam: complex) -> float:
 @dataclass
 class BandReport:
     r_grid: np.ndarray
+    spectra: np.ndarray           # (n_r, 4) closed-form spectrum at k = r * xi
     growth: np.ndarray            # max Re lambda along the ray k = r * xi
     band: Optional[tuple]         # detected (r_lo, r_hi), None if stable
     predicted_band: Optional[tuple]  # closed-form endpoints for w-hat == 1
     max_growth: float
     arg_r: float
-    beyond_flat_potential: bool   # scan used a general w-hat
-
-    @property
-    def unstable(self) -> bool:
-        return self.band is not None
 
 
 def unstable_band(params: TwoWaveParams, r_grid) -> BandReport:
-    """Scan the ray k = r*xi for positive growth.
+    """Scan the ray k = r*xi for positive growth, one closed-form spectrum per
+    ray point; the report keeps the spectra.
 
     For the flat potential the predicted endpoints are
     r^2 in (4 - 2 m/|xi|^2, 4), clipped below at zero; for a general
     potential only the numerically detected sign-change band is reported.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    xi = params.xi
-    growth = np.empty(len(r_grid))
-    for i, r in enumerate(r_grid):
-        lam = closed_form_spectrum(params, r * xi)
-        growth[i] = float(np.max(lam.real))
+    spectra = np.array([closed_form_spectrum(params, r * params.xi) for r in r_grid])
+    growth = np.max(spectra.real, axis=1)
     unstable = growth > _GROWTH_TOL
     band = None
     if np.any(unstable):
@@ -178,15 +158,9 @@ def unstable_band(params: TwoWaveParams, r_grid) -> BandReport:
         lo2 = 4.0 - 2.0 * params.m / params.xi_abs ** 2
         predicted = (math.sqrt(max(lo2, 0.0)), 2.0)
     imax = int(np.argmax(growth))
-    return BandReport(r_grid=r_grid, growth=growth, band=band, predicted_band=predicted,
-                      max_growth=float(growth[imax]), arg_r=float(r_grid[imax]),
-                      beyond_flat_potential=not flat)
-
-
-def growth_rate(params: TwoWaveParams, k) -> float:
-    """max Re lambda at an arbitrary probe frequency (off-ray points are a
-    numerical finding beyond the on-ray band analysis)."""
-    return float(np.max(closed_form_spectrum(params, k).real))
+    return BandReport(r_grid=r_grid, spectra=spectra, growth=growth, band=band,
+                      predicted_band=predicted, max_growth=float(growth[imax]),
+                      arg_r=float(r_grid[imax]))
 
 
 def most_unstable_ray_frequency(params: TwoWaveParams) -> Optional[np.ndarray]:
@@ -200,8 +174,6 @@ def most_unstable_ray_frequency(params: TwoWaveParams) -> Optional[np.ndarray]:
 class GrowthFit:
     rate: float
     residual: float
-    window: tuple
-    n_points: int
     k_used: np.ndarray
     predicted_rate: Optional[float]
     discrepancy: bool
@@ -228,13 +200,11 @@ def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float
     carrier = np.cos(grid.phase(k0))
     for i in range(4):
         u0[i] = carrier + _SEED_NOISE * rng.standard_normal(shape)
-    uhat0 = fftn(u0, axes=tuple(range(1, grid.d + 1))).reshape(4, -1)
+    uhat0 = fftn(u0, axes=tuple(range(1, grid.d + 1)))
 
     # the seeded lattice frequency and its eigendecomposition
-    lattice = np.stack([g.ravel() for g in grid.xi_vectors], axis=1)
-    p0 = int(np.argmin(np.sum((lattice - k0) ** 2, axis=1)))
-    eigvals, eigvecs = np.linalg.eig(build_symbol(params, lattice[p0]).matrix)
-    coeffs = np.linalg.solve(eigvecs, uhat0[:, p0])
+    eigvals, eigvecs = np.linalg.eig(build_symbol(params, k0))
+    coeffs = np.linalg.solve(eigvecs, uhat0[(slice(None),) + grid.lattice_cells(k0)])
 
     times = np.linspace(0.0, T, n_samples)
     amp = np.empty(n_samples)
@@ -248,14 +218,12 @@ def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float
     if window.sum() < 8:
         # amplitude never escaped the oscillation band: no growth window
         ripple = float(np.std(np.log(np.maximum(amp, 1e-300))))
-        return GrowthFit(rate=0.0, residual=ripple, window=(0.0, float(T)), n_points=0,
-                         k_used=k0, predicted_rate=predicted,
+        return GrowthFit(rate=0.0, residual=ripple, k_used=k0, predicted_rate=predicted,
                          discrepancy=predicted > 1e-6)
     logs = np.log(amp[window])
     tsel = times[window]
     slope, intercept = np.polyfit(tsel, logs, 1)
     resid = float(np.sqrt(np.mean((logs - (slope * tsel + intercept)) ** 2)))
     discrepancy = predicted > 1e-6 and slope <= 0.5 * predicted
-    return GrowthFit(rate=float(slope), residual=resid,
-                     window=(float(tsel[0]), float(tsel[-1])), n_points=int(window.sum()),
-                     k_used=k0, predicted_rate=predicted, discrepancy=discrepancy)
+    return GrowthFit(rate=float(slope), residual=resid, k_used=k0, predicted_rate=predicted,
+                     discrepancy=discrepancy)

@@ -3,9 +3,9 @@
 It holds every slice at once: the equilibrium stack Y, the integrand, its
 spectrum and the cumulative trapezoid are (n_t, M, *grid) stacks, and the
 window norms transform the difference of two iterates.  It shares with the
-streamed PicardOperator only the arrays the operator builds once (fwd,
-z0_hat, the plane waves and phases), convolve_potential, deviation_norms
-(slice by slice) and the spatial kernel _dyadic_blocks.
+streamed PicardOperator only the arrays the operator builds once (fwd and
+z0_hat), Y(t) from its equilibrium's equilibrium_at, convolve_potential,
+deviation_norms (slice by slice) and the spatial kernel _dyadic_blocks.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ def _stack_axes(op):
 
 def equilibrium_stack(op):
     """Y on the whole time lattice, (n_t, M, *grid)."""
-    return op.plane_waves * op.phases
+    return np.stack([op.eq.equilibrium_at(t) for t in op.ts])
 
 
 def cumtrapz0(arr, dt):

@@ -77,6 +77,7 @@ _PROBE = "grid.d = 1\ngrid.N = 32\nf.kind = fermi\nw.kind = delta\npert.amplitud
     ("probe.radius = -1", "probe.radius must be positive"),
     ("probe.radius = 0", "probe.radius must be positive"),
     ("m.override = 1.0", "unknown key 'm.override'"),
+    ("snap.stride = 2", "unknown key 'snap.stride'"),
 ])
 def test_probe_radius_positive_and_no_gauge_override(line, message):
     with pytest.raises(ConfigError) as exc:

@@ -180,17 +180,6 @@ def test_perturbation_norms_scale_linearly(grid, eq):
         assert math.isfinite(n1[key])
 
 
-def test_spread_perturbation(eq):
-    coeffs = np.zeros(eq.n_modes, dtype=complex)
-    coeffs[2] = 0.5
-    coeffs[6] = 0.5j
-    spec = BumpSpec(1e-3, 0.8, (np.pi,), (1.0,), coefficients=coeffs)
-    pert, state = add_perturbation(eq, spec)
-    Z = state.deviations(pert)
-    assert np.max(np.abs(Z[0])) == 0.0
-    assert np.max(np.abs(Z[2])) > 0.0
-
-
 def test_free_evolution_matches_closed_form(grid):
     ens, _ = init_equilibrium(grid, shell_distribution(2.0), zero_potential(), 1e-8)
     pert, state = add_perturbation(ens, BumpSpec(0.3, 0.9, (np.pi,), (1.0,), mode=0))

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
-                      eval_f2, eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
+                      eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       zero_distribution, zero_potential, zero_temp_fermi)
 
 
 def test_fermi_value_at_origin():
-    assert eval_f2(fermi(1.0, 0.0), 0.0) == pytest.approx(0.5)
+    assert fermi(1.0, 0.0).f2(0.0) == pytest.approx(0.5)
 
 
 def test_bose_value_at_origin():
-    assert eval_f2(bose(1.0, -1.0), 0.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
+    assert bose(1.0, -1.0).f2(0.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
 
 
 def test_zero_temp_fermi_indicator():
     f = zero_temp_fermi(1.0)
-    assert eval_f2(f, 0.5) == 1.0
-    assert eval_f2(f, 1.5) == 0.0
+    assert f.f2(0.5) == 1.0
+    assert f.f2(1.5) == 0.0
 
 
 def test_bose_positive_mu_rejected():

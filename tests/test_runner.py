@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hartorus import (cli, ensemble, equilibrium, field, init_equilibrium, parse_config,
-                      run_experiment, runner)
+                      run_experiment, runner, twowave)
 
 CONFIGS = {
     "equilibrium-check": """
@@ -139,6 +139,24 @@ def test_instability_m0_empty_band(tmp_path):
     assert env.all_passed
     rec = json.loads((tmp_path / "instability.ndjson").read_text().splitlines()[0])
     assert rec["band"] is None
+
+
+def test_instability_scans_the_ray_once(tmp_path, monkeypatch):
+    # the dispersion rows come from the band scan's spectra: one closed-form
+    # spectrum per ray point, one per fuzz case, one for the growth fit
+    calls = []
+    spectrum = twowave.closed_form_spectrum
+
+    def counting_spectrum(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    for module in (twowave, runner):
+        monkeypatch.setattr(module, "closed_form_spectrum", counting_spectrum)
+    cfg = parse_config(CONFIGS["instability"], "instability")
+    env = run_experiment(cfg, tmp_path)
+    assert "growth_rate_within_5pc" in env.verdicts  # the band is unstable, so the fit ran
+    assert len(calls) == cfg["scan.count"] + cfg["fuzz.count"] + 1
 
 
 def test_stability_zero_potential_margin_one(tmp_path):
