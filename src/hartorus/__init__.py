@@ -11,9 +11,9 @@ from .equilibrium import (Bullet, CovarianceProfile, DistributionFunction, Hypot
                           equilibrium_mass, eval_h, fermi, gaussian_f2, gaussian_potential,
                           hypothesis_check, sphere_area, zero_distribution, zero_potential,
                           zero_temp_fermi)
-from .ensemble import (BumpSpec, ModeEnsemble, Trajectory, add_perturbation, conserved_energy,
-                       critical_exponents, deviation_chunks, deviation_norms, evolve,
-                       init_equilibrium, observations, scattering_probe, step)
+from .ensemble import (BumpSpec, ModeEnsemble, Trajectory, conserved_energy, critical_exponents,
+                       deviation_chunks, deviation_norms, evolve, init_equilibrium, observations,
+                       scattering_probe, step)
 from .picard import PicardOperator, PicardResult, picard_solve, reference_trajectory
 from .response import (DecayReport, EpsilonGReport, MarginReport, MultiplierTable,
                        apply_L1_frequency_domain, apply_L1_time_domain, compute_mf_batch,

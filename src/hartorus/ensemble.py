@@ -16,7 +16,7 @@ per-mode mass to rounding.
 
 A run lives in one (M, *grid) buffer, stepped in place by mode chunks of
 about _CHUNK_BYTES (2 MiB, one core's L2 cache on the 2-CPU Xeon host it
-was measured on).  step(ens, dt, n, hat) steps the spectrum buffer hat
+was measured on).  step(eq, dt, n, hat) steps the spectrum buffer hat
 through a window of n steps with the adjacent kinetic half-steps fused: each
 step is one pass over the chunks (the potential phase of the last step, a
 forward FFT, the kinetic factor, an inverse FFT, the chunk's |u|^2 added to
@@ -27,28 +27,29 @@ Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
 so the chunk size changes none of them by a bit.
 
-observations is the one stepping loop.  It yields (t, chunks) at step 0 and
-after every window; chunks hands over each mode chunk's spectrum and fields
-as they go by, and evolve, the scattering probe and the Picard reference
-accumulate what they record from them.  After the last observation the
-buffer holds the final fields.  A start whose mass overflows the
-observation sums, or a step whose potential is not finite, raises
-FloatingPointError, so no consumer computes on non-finite values.
+A ModeEnsemble is the equilibrium alone, and that buffer is the only state
+of a run.  observations(eq, bump, ...) is the one stepping loop: it fills
+the buffer chunk by chunk with the start eq.fields + bump (the bump added to
+the mode bump.mode; eq itself when bump is None) and yields (t, chunks) at
+step 0 and after every window; chunks hands over each mode chunk's spectrum
+and fields as they go by, and evolve, the scattering probe and the Picard
+reference accumulate what they record from them.  After the last
+observation the buffer holds the final fields.  A start whose mass
+overflows the observation sums, or a step whose potential is not finite,
+raises FloatingPointError, so no consumer computes on non-finite values.
 
-An unperturbed ensemble is its own reference: add_perturbation returns
-(perturbed, eq), and eq.deviations(perturbed) is Z = u - y against the exact
-equilibrium phases of eq at the perturbed ensemble's time.  Y(t) is eq's
-stored plane-wave stack times one phase per mode (equilibrium_at), not an
-exp over the whole stack; equilibrium_fields builds the plane waves from
-scratch and is its oracle.  The carriers are lattice frequencies, so the
-spectrum of y_j has one nonzero entry (equilibrium_spectrum at
-carrier_cells): deviation_chunks takes the spectrum of Z from the stream's
-spectrum, with no forward FFT of its own.
+The deviation of a state at time t is Z = u - y against the exact
+equilibrium phases of eq.  Y(t) is eq's stored t = 0 plane-wave stack times
+one phase per mode (equilibrium_at), not an exp over the whole stack;
+equilibrium_fields builds the plane waves from scratch and is its oracle.
+The carriers are lattice frequencies, so the spectrum of y_j has one nonzero
+entry (equilibrium_spectrum at carrier_cells): deviation_chunks takes the
+spectrum of Z from the stream's spectrum, with no forward FFT of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -104,17 +105,13 @@ def _drain(chunks) -> None:
 
 @dataclass(frozen=True)
 class ModeEnsemble:
-    """Grid, carriers (M, d), weights (M,), stacked fields (M, *grid), time, mass.
-
-    The carriers, weights and mass fix the equilibrium; the deviation methods
-    measure another ensemble on the same modes against it.
-    """
+    """The equilibrium of a run: grid, carriers (M, d), weights (M,), its
+    plane waves at t = 0 (M, *grid), the gauge mass m and the potential w."""
 
     grid: TorusGrid
     carriers: np.ndarray
     weights: np.ndarray
     fields: np.ndarray
-    t: float
     m: float
     w: InteractionPotential
 
@@ -126,30 +123,16 @@ class ModeEnsemble:
     def space_axes(self) -> tuple:
         return tuple(range(1, self.grid.d + 1))
 
-    def mode_masses(self) -> np.ndarray:
-        """Per-mode squared L2 norm ||u_j||^2."""
-        out = np.zeros(self.n_modes)
-        for c in _mode_chunks(self.n_modes, self.grid):
-            out[c] = np.sum(np.abs(self.fields[c]) ** 2, axis=self.space_axes) * self.grid.dx
-        return out
-
-    def density_values(self) -> np.ndarray:
-        rho = _ModeSum(self.grid.shape)
-        for c in _mode_chunks(self.n_modes, self.grid):
-            rho.add(self.fields[c])
-        return rho.total
-
     @cached_property
     def _rates(self) -> np.ndarray:
         """m + |xi_j|^2 per mode."""
         return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
 
-    def equilibrium_fields(self, t: Optional[float] = None, modes: slice = slice(None),
+    def equilibrium_fields(self, t: float, modes: slice = slice(None),
                            out: Optional[np.ndarray] = None) -> np.ndarray:
         """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)} of
         the modes in the slice modes (all by default), written into out when
         given."""
-        t = self.t if t is None else t
         lead = (-1,) + (1,) * self.grid.d
         phase = self.grid.phase(self.carriers[modes])
         phase -= (t * self._rates[modes]).reshape(lead)
@@ -158,25 +141,14 @@ class ModeEnsemble:
         out *= self.weights[modes].reshape(lead)
         return out
 
-    def equilibrium_phases(self, t: float) -> np.ndarray:
-        """The (M,) phases e^{-i (t - self.t)(m + |xi_j|^2)} that carry the stored
-        fields to time t, shaped (M, 1, ..., 1) to broadcast against them."""
-        rot = np.exp(-1j * ((t - self.t) * self._rates))
-        return rot.reshape(rot.shape + (1,) * self.grid.d)
-
     def equilibrium_at(self, t: float, modes: slice = slice(None),
                        out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Y(t): the stored fields of the modes in the slice modes (all by
-        default) times equilibrium_phases(t), one exp per mode, written into
-        out when given.  The stored fields must be the exact equilibrium at
-        self.t, as init_equilibrium and add_perturbation leave them
-        (equilibrium_fields is the oracle)."""
-        return np.multiply(self.fields[modes], self.equilibrium_phases(t)[modes], out=out)
-
-    def deviations(self, ens: "ModeEnsemble") -> np.ndarray:
-        """Z = u - y: the modes of ens minus this equilibrium at time ens.t."""
-        Y = self.equilibrium_at(ens.t)
-        return np.subtract(ens.fields, Y, out=Y)
+        """Y(t): the stored t = 0 fields of the modes in the slice modes (all
+        by default) times the phases e^{-i t (m + |xi_j|^2)}, one exp per
+        mode, written into out when given (equilibrium_fields is the
+        oracle)."""
+        rot = np.exp(-1j * (t * self._rates[modes]))
+        return np.multiply(self.fields[modes], rot.reshape(rot.shape + (1,) * self.grid.d), out=out)
 
     def carrier_cells(self) -> tuple:
         """Index of each mode's carrier in an (M, *grid) spectrum stack: the one
@@ -188,10 +160,6 @@ class ModeEnsemble:
         """The (M,) entries N^d a_j e^{-i t (m + |xi_j|^2)} of the unnormalised
         spectrum of Y(t) at carrier_cells(); every other entry is zero."""
         return self.grid.N ** self.grid.d * self.weights * np.exp(-1j * t * self._rates)
-
-    def induced_potential(self, ens: "ModeEnsemble") -> np.ndarray:
-        """V = sum_j (|u_j|^2 - |y_j|^2), exactly real."""
-        return ens.density_values() - np.sum(self.weights ** 2)
 
 
 @dataclass
@@ -227,7 +195,7 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
         if total > 0.0:
             raise ValueError("mode threshold removed every lattice mode of a nonzero distribution")
         ens = ModeEnsemble(grid=grid, carriers=np.zeros((0, grid.d)), weights=np.zeros(0),
-                           fields=np.zeros((0,) + grid.shape, dtype=complex), t=0.0, m=0.0, w=w)
+                           fields=np.zeros((0,) + grid.shape, dtype=complex), m=0.0, w=w)
         return ens, InitReport(0.0, 0.0)
 
     idx = np.argwhere(keep)
@@ -238,40 +206,36 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
     order = np.lexsort(carriers.T[::-1])  # fixed mode order: lexicographic carriers
     carriers, weights = carriers[order], weights[order]
 
-    ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=None,
-                       t=0.0, m=w.what0 * retained, w=w)
-    fields = np.empty((ens.n_modes,) + grid.shape, dtype=complex)
+    fields = np.empty((len(weights),) + grid.shape, dtype=complex)
+    ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=fields,
+                       m=w.what0 * retained, w=w)
     for c in _mode_chunks(ens.n_modes, grid):  # the plane waves built a chunk at a time
-        ens.equilibrium_fields(modes=c, out=fields[c])
-    return (replace(ens, fields=fields),
-            InitReport(retained_mass=retained, truncated_mass=total - retained))
+        ens.equilibrium_fields(0.0, modes=c, out=fields[c])
+    return ens, InitReport(retained_mass=retained, truncated_mass=total - retained)
 
 
-def step(ens: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> ModeEnsemble:
+def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
     """n Strang steps with adjacent kinetic half-steps fused, one pass over
-    the mode chunks per step.
+    the mode chunks per step, on the grid and with the gauge mass and the
+    potential of the equilibrium eq.
 
     hat is an (M, *grid) buffer holding the unnormalised spectrum of the
-    state at ens.t, and ens.fields is not read: the window steps hat in place
-    and leaves there the spectrum at the window's end, and the returned
-    ensemble has no fields.
+    state; the window steps it in place and leaves there the spectrum at the
+    window's end.
     FloatingPointError when a non-finite field value reaches a step's potential.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    t = ens.t
-    for _ in range(n):
-        t += dt  # the time of n single steps, to the bit
-    if ens.n_modes == 0:
-        return replace(ens, fields=None, t=t)
-    g = ens.grid
-    axes = ens.space_axes
-    chunks = _mode_chunks(ens.n_modes, g)
-    half = np.exp(-0.5j * dt * (ens.m + g.xi_squared))
+    if eq.n_modes == 0:
+        return
+    g = eq.grid
+    axes = eq.space_axes
+    chunks = _mode_chunks(eq.n_modes, g)
+    half = np.exp(-0.5j * dt * (eq.m + g.xi_squared))
     full = half * half
-    sym = ens.w.what(g.xi_norm)
+    sym = eq.w.what(g.xi_norm)
 
     phase = None
     for k in range(n + 1):  # pass k: the kinetic factor between potentials k-1 and k
@@ -288,9 +252,8 @@ def step(ens: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> ModeEnsemble:
         if k < n:
             pot = ifftn(sym * fftn(rho.total), overwrite_x=True).real
             if not np.all(np.isfinite(pot)):
-                raise FloatingPointError(f"non-finite field values in the window from t={ens.t}")
-            phase = np.exp(-1j * dt * (pot - ens.m))
-    return replace(ens, fields=None, t=t)
+                raise FloatingPointError(f"non-finite field values in a window of {n} steps of dt={dt}")
+            phase = np.exp(-1j * dt * (pot - eq.m))
 
 
 def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> float:
@@ -330,14 +293,18 @@ class BumpSpec:
         return self.amplitude * env * np.exp(1j * grid.phase(self.carrier))
 
 
-def add_perturbation(ens: ModeEnsemble, spec: BumpSpec):
-    """Perturb the mode spec.mode; returns (perturbed, ens), the unperturbed
-    ensemble being the equilibrium reference of the perturbed one."""
-    if not 0 <= spec.mode < ens.n_modes:
-        raise ValueError(f"mode index {spec.mode} outside 0..{ens.n_modes - 1}")
-    fields = ens.fields.copy()
-    fields[spec.mode] = fields[spec.mode] + spec.field_values(ens.grid)
-    return replace(ens, fields=fields), ens
+def _start_fields(eq: ModeEnsemble, bump: Optional[BumpSpec], modes: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """The start of a run in the modes of the slice modes (with explicit start
+    and stop), written into out: eq's t = 0 plane waves, with bump's field
+    values added to the mode bump.mode.  ValueError when bump targets no mode."""
+    if bump is not None and not 0 <= bump.mode < eq.n_modes:
+        raise ValueError(f"mode index {bump.mode} outside 0..{eq.n_modes - 1}")
+    np.copyto(out, eq.fields[modes])
+    if bump is not None and modes.start <= bump.mode < modes.stop:
+        k = bump.mode - modes.start
+        out[k] = out[k] + bump.field_values(eq.grid)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +433,8 @@ _MASS_LIMIT = np.finfo(float).max ** (1.0 / 3.0)
 class _Stream:
     """The run behind observations: one (M, *grid) buffer, stepped in place."""
 
-    def __init__(self, ens: ModeEnsemble, T: float, dt: float, obs_stride: int):
+    def __init__(self, eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float,
+                 obs_stride: int):
         if T <= 0:
             raise ValueError("T must be positive")
         if dt <= 0:
@@ -476,44 +444,45 @@ class _Stream:
         n_steps = int(round(T / dt))
         if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
             raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
-        self.ens, self.dt, self.stride, self.n_steps = ens, dt, obs_stride, n_steps
-        self.final = None
+        self.eq, self.bump, self.dt, self.stride, self.n_steps = eq, bump, dt, obs_stride, n_steps
+        self.buf = None
 
     def __iter__(self):
-        ens = self.ens
-        axes = ens.space_axes
-        chunks = _mode_chunks(ens.n_modes, ens.grid)
-        buf = ens.fields.copy()
+        eq = self.eq
+        axes = eq.space_axes
+        chunks = _mode_chunks(eq.n_modes, eq.grid)
+        self.buf = buf = np.empty_like(eq.fields)
         mass = 0.0
         for c in chunks:
-            _into(fftn(buf[c], axes=axes, overwrite_x=True), buf[c])
+            _into(fftn(_start_fields(eq, self.bump, c, buf[c]), axes=axes, overwrite_x=True), buf[c])
             with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
-                mass += np.sum(np.square(buf[c].view(float))) / ens.grid.N ** ens.grid.d
+                mass += np.sum(np.square(buf[c].view(float))) / eq.grid.N ** eq.grid.d
         if not mass <= _MASS_LIMIT:
-            raise FloatingPointError(f"non-finite field values at the start t={ens.t}: the mass "
+            raise FloatingPointError(f"non-finite field values at the start: the mass "
                                      f"sum {mass:.3g} overflows the observations")
-        yield from self._observe(ens.t, chunks, buf, ens.fields)
-        state = replace(ens, fields=None)
+        t = 0.0
+        yield from self._observe(t, chunks, start=True, final=self.n_steps == 0)
         for i in range(0, self.n_steps, self.stride):
-            state = step(state, self.dt, min(self.stride, self.n_steps - i), hat=buf)
-            last = i + self.stride >= self.n_steps
-            yield from self._observe(state.t, chunks, buf, final=last)
-        self.final = replace(ens, fields=buf, t=state.t)
+            n = min(self.stride, self.n_steps - i)
+            step(eq, self.dt, n, hat=buf)
+            for _ in range(n):
+                t += self.dt  # the time of n single steps, to the bit
+            yield from self._observe(t, chunks, final=i + self.stride >= self.n_steps)
 
-    def _observe(self, t, chunks, buf, fields=None, final=False):
-        axes = self.ens.space_axes
+    def _observe(self, t, chunks, start=False, final=False):
+        eq, buf = self.eq, self.buf
 
         def read():
             scratch = None  # one chunk of fields, reused
             for c in chunks:
                 hat = buf[c]
-                if fields is not None:
-                    u = fields[c]
+                if scratch is None or scratch.shape != hat.shape:
+                    scratch = np.empty_like(hat)
+                if start:  # the start rebuilt, as the buffer was filled
+                    u = _start_fields(eq, self.bump, c, scratch)
                 else:
-                    if scratch is None or scratch.shape != hat.shape:
-                        scratch = np.empty_like(hat)
                     np.copyto(scratch, hat)
-                    u = ifftn(scratch, axes=axes, overwrite_x=True)
+                    u = ifftn(scratch, axes=eq.space_axes, overwrite_x=True)
                 yield c, hat, u
                 if final:  # the buffer ends the run holding the fields
                     hat[...] = u
@@ -523,21 +492,24 @@ class _Stream:
         _drain(reader)  # the chunks the consumer left unread
 
 
-def observations(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1) -> _Stream:
-    """The one stepping loop: iterating it yields (t, chunks) at step 0 and at
-    the end of every window of obs_stride steps up to time ens.t + T (the last
-    window shorter when obs_stride does not divide T/dt).
+def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float,
+                 obs_stride: int = 1) -> _Stream:
+    """The one stepping loop of the start eq + bump (eq itself when bump is
+    None): iterating it yields (t, chunks) at step 0 and at the end of every
+    window of obs_stride steps up to time T (the last window shorter when
+    obs_stride does not divide T/dt).
 
     chunks yields (modes, hat, u) for each mode chunk in mode order: modes a
     slice of mode indices, hat the unnormalised spectrum and u the fields of
     those modes at time t, both read-only and valid until the next chunk.
     Chunks a consumer leaves unread are read before the next window.  The run
-    steps one (M, *grid) buffer and never writes to ens.fields; once the
-    iteration ends, .final is the ensemble at the last time, its fields that
-    buffer.  FloatingPointError before the first observation when the mass
-    of ens overflows the observation sums.
+    steps one (M, *grid) buffer, .buf, filled chunk by chunk from eq.fields,
+    which it never writes; once the iteration ends, .buf holds the fields at
+    the last time.  Before the first observation, ValueError when bump
+    targets no mode of eq and FloatingPointError when the mass of the start
+    overflows the observation sums.
     """
-    return _Stream(ens, T, dt, obs_stride)
+    return _Stream(eq, bump, T, dt, obs_stride)
 
 
 @dataclass
@@ -547,9 +519,9 @@ class Trajectory:
     times: np.ndarray
     mode_masses: np.ndarray        # (n_obs, M)
     energies: np.ndarray           # (n_obs,)
-    norms: Optional[dict]          # name -> (n_obs,) arrays, with a reference only
+    norms: Optional[dict]          # name -> (n_obs,) arrays, with a bump only
     density_extrema: np.ndarray    # (n_obs, 2) min/max of the density
-    final: ModeEnsemble
+    density: np.ndarray            # (*grid) the density at the last observation
 
 
 def _summed(chunks, rho, sq_sums=None, power=None):
@@ -566,38 +538,44 @@ def _summed(chunks, rho, sq_sums=None, power=None):
         yield modes, hat, u
 
 
-def evolve(ens: ModeEnsemble, T: float, dt: float, obs_stride: int = 1,
-           reference: Optional[ModeEnsemble] = None) -> Trajectory:
-    """Step to time T recording the mode masses, the energy and the density
-    extrema every obs_stride steps, and with the equilibrium reference the
-    deviation norms.
+def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> Trajectory:
+    """The Trajectory of the (t, chunks) observations of stream, a run around
+    the equilibrium eq: the mode masses, the energy and the density extrema,
+    and with the block family lp the deviation norms from eq.
 
     Each observation is one pass over the stream's chunks: the masses, the
     density and the spectral power (the energy's kinetic and gauge terms, by
     Parseval) are summed as the chunks go by, and so are the deviation norms,
     from deviation_chunks.
     """
-    g = ens.grid
-    lp = LittlewoodPaley(g) if reference is not None else None
-    stream = observations(ens, T, dt, obs_stride)
+    g = eq.grid
     times, masses, energies, extrema, norm_rows = [], [], [], [], []
     for t, chunks in stream:
-        sq_sums = np.zeros(ens.n_modes)
+        sq_sums = np.zeros(eq.n_modes)
         rho, power = _ModeSum(g.shape), _ModeSum(g.shape)
         seen = _summed(chunks, rho, sq_sums, power)
-        if reference is None:
+        if lp is None:
             _drain(seen)
         else:
-            norm_rows.append(deviation_norms(lp, deviation_chunks(reference, t, seen)))
+            norm_rows.append(deviation_norms(lp, deviation_chunks(eq, t, seen)))
         times.append(t)
         masses.append(sq_sums * g.dx)
-        energies.append(conserved_energy(ens, rho=rho.total, power=power.total))
+        energies.append(conserved_energy(eq, rho=rho.total, power=power.total))
         extrema.append((float(rho.total.min()), float(rho.total.max())))
 
     norms = {k: np.array([row[k] for row in norm_rows]) for k in norm_rows[0]} if norm_rows else None
     return Trajectory(times=np.array(times), mode_masses=np.array(masses),
                       energies=np.array(energies), norms=norms,
-                      density_extrema=np.array(extrema), final=stream.final)
+                      density_extrema=np.array(extrema), density=rho.total)
+
+
+def evolve(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float,
+           obs_stride: int = 1) -> Trajectory:
+    """Step the start eq + bump (eq itself when bump is None) to time T,
+    recording every obs_stride steps the mode masses, the energy, the density
+    extrema and, with a bump, the deviation norms from eq (_record)."""
+    lp = LittlewoodPaley(eq.grid) if bump is not None else None
+    return _record(eq, observations(eq, bump, T, dt, obs_stride), lp)
 
 
 # ---------------------------------------------------------------------------

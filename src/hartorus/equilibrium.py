@@ -193,7 +193,7 @@ def eval_h(f: DistributionFunction, d: int, x: float):
     x = abs(float(x))
     if f.is_zero:
         return 0.0, 0.0
-    rend = f.support_radius()
+    rend = f.support_radius() * (1.0 + 0.5 / _MARGINAL_PANELS)  # a jump at the end is interior
     f2 = f.f2
     acc = {"epsabs": _EVAL_H_TOL, "epsrel": _EVAL_H_TOL}
     if x == 0.0:
@@ -359,7 +359,9 @@ class CovarianceProfile:
     bisection grades them toward a jump of f2 there as toward an interior one.
     The h table holds h at nodes spaced dx from 0 until |h| has stayed below
     _TABLE_TOL * |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP);
-    beyond it h is zero.  table_error() is the largest per-node |GL32 - GL16|.
+    beyond it h is zero.  table_error() is the largest per-node |GL32 - GL16|
+    plus the largest gap between the spline and the fixed-node transform at
+    the node midpoints, the interpolation error, taken on its first call.
     """
 
     def __init__(self, f: DistributionFunction, d: int):
@@ -367,6 +369,7 @@ class CovarianceProfile:
         self.d = d
         self._spline = None
         self._table_err = 0.0
+        self._midpoint_gap = None
         self._marginal = None
         rend = f.support_radius() * (1.0 + 0.5 / _MARGINAL_PANELS)
         self._panels = _radial_panels(f, d, rend, _MARGINAL_PANELS)
@@ -418,8 +421,16 @@ class CovarianceProfile:
         return self._x_max
 
     def table_error(self) -> float:
-        _ = self.spline
-        return self._table_err
+        sp = self.spline
+        if self._midpoint_gap is None:
+            self._midpoint_gap = 0.0
+            if isinstance(sp, CubicSpline):  # the midpoints in blocks of nodes, as the table
+                mids = 0.5 * (sp.x[1:] + sp.x[:-1])
+                for s in range(0, len(mids), _TABLE_BLOCK):
+                    xb = mids[s:s + _TABLE_BLOCK]
+                    hb = _radial_transform(self.f, self.d, xb, self.f.support_radius())[0]
+                    self._midpoint_gap = max(self._midpoint_gap, float(np.max(np.abs(sp(xb) - hb))))
+        return self._table_err + self._midpoint_gap
 
     def __call__(self, x):
         """Vectorized h(|x|) from the cached table (zero beyond its reach)."""

@@ -7,8 +7,8 @@ One application of the map sends (Z, V) to
 
 with S(t) = e^{-i t (m - Lap)} applied spectrally and the time integral by
 trapezoid on the stored lattice.  Expectations are exact mode sums.  The
-equilibrium Y is the unperturbed ensemble eq (the second value of
-add_perturbation): Y(t_s) is eq.equilibrium_at(t_s).
+equilibrium Y is the ensemble eq, Y(t_s) = eq.equilibrium_at(t_s), and Z0 is
+the start of the run minus Y(0): (y_j + b) - y_j in the mode of the bump b.
 
 An application is one pass over the time slices that overwrites Z, V and the
 carried integral I in place.  The trapezoid runs in np.cumsum's operand
@@ -23,11 +23,12 @@ forward transform of their own.  The first pass maps (0, 0) to the source pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .ensemble import (ModeEnsemble, _dyadic_blocks, _dyadic_norm, _ModeSum, _NormSums, _summed,
-                       deviation_chunks, observations)
+from .ensemble import (BumpSpec, ModeEnsemble, _dyadic_blocks, _dyadic_norm, _ModeSum, _NormSums,
+                       _start_fields, _summed, deviation_chunks, observations)
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -36,9 +37,9 @@ _TOL = 1e-12        # a difference below this in every window norm counts as con
 
 class PicardOperator:
     """The affine-plus-quadratic map on time-sampled (Z, V) pairs around the
-    equilibrium eq, with initial perturbation z0 (M, *grid)."""
+    equilibrium eq, with the initial perturbation of bump (none for None)."""
 
-    def __init__(self, eq: ModeEnsemble, z0: np.ndarray, T: float, n_steps: int):
+    def __init__(self, eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, n_steps: int):
         self.grid = grid = eq.grid
         self.n_t = n_steps + 1
         self.ts = np.linspace(0.0, T, self.n_t)
@@ -50,9 +51,8 @@ class PicardOperator:
         self.what_lattice = eq.w.what(grid.xi_norm)
         # S(-t) symbols e^{i t (m + |xi|^2)} on the time lattice
         self.fwd = np.exp(1j * np.multiply.outer(self.ts, eq.m + grid.xi_squared))
-        z0 = np.asarray(z0, dtype=complex)
-        if z0.shape != (self.M,) + grid.shape:
-            raise ValueError("Z0 must be one field per equilibrium mode")
+        z0 = _start_fields(eq, bump, slice(0, self.M), np.empty_like(eq.fields))
+        z0 -= eq.equilibrium_at(0.0)
         self.z0_hat = fftn(z0, axes=self.space_axes)
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
 
@@ -182,22 +182,23 @@ def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
                         converged=converged, diverged=diverged, n_iterations=len(diffs))
 
 
-def reference_trajectory(perturbed: ModeEnsemble, eq: ModeEnsemble, result: PicardResult,
+def reference_trajectory(eq: ModeEnsemble, bump: Optional[BumpSpec], result: PicardResult,
                          substeps: int = 10):
-    """Split-step run of perturbed against its equilibrium eq, compared with
-    the pair (Z, V) of result on its time lattice result.ts (substeps steps
-    per slice) as each slice of the run arrives; nothing of the run is stored.
+    """Split-step run of the start eq + bump around the equilibrium eq,
+    compared with the pair (Z, V) of result on its time lattice result.ts
+    (substeps steps per slice) as each slice of the run arrives; nothing of
+    the run is stored.
 
     Returns the (n_t,) L2 gaps ||Z(t_s) - Z_ref(t_s)|| and the (n_t,) max
-    gaps max |V(t_s) - V_ref(t_s)|, with Z_ref = eq.deviations(state) and
-    V_ref = eq.induced_potential(state) of the split-step state at t_s, both
-    taken from the stream's mode chunks as they go by.
+    gaps max |V(t_s) - V_ref(t_s)|, with Z_ref = u - Y(t_s) and V_ref the
+    density of u minus that of Y, u the split-step state at t_s, both taken
+    from the stream's mode chunks as they go by.
     """
     Z, V, T = result.Z, result.V, result.ts[-1]
     n_t = len(result.ts)
     dt = T / ((n_t - 1) * substeps)
     z_gap, v_gap = np.empty(n_t), np.empty(n_t)
-    for s, (t, chunks) in enumerate(observations(perturbed, T, dt, substeps)):
+    for s, (t, chunks) in enumerate(observations(eq, bump, T, dt, substeps)):
         rho, gap = _ModeSum(eq.grid.shape), 0.0
         for modes, Zref, _ in deviation_chunks(eq, t, _summed(chunks, rho)):
             gap += np.sum(np.abs(Z[s][modes] - Zref) ** 2)

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_chunks,
-                       add_perturbation, cell_masses, deviation_chunks, evolve, init_equilibrium,
-                       observations, scattering_probe)
+from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_chunks, _record,
+                       cell_masses, deviation_chunks, evolve, init_equilibrium, observations,
+                       scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
 from .field import fftn
 from .lpaley import LittlewoodPaley
@@ -113,10 +113,10 @@ def _equilibrium(cfg: RunConfig):
 
 
 def _perturbed_equilibrium(cfg: RunConfig):
-    """(perturbed, eq): the configured equilibrium eq and its bump."""
-    spec = BumpSpec(amplitude=cfg["pert.amplitude"], width=cfg["pert.width"],
-                    center=cfg["pert.center"], carrier=cfg["pert.carrier"], mode=cfg["pert.mode"])
-    return add_perturbation(_equilibrium(cfg)[0], spec)
+    """(eq, bump): the configured equilibrium and the bump of its start."""
+    return _equilibrium(cfg)[0], BumpSpec(
+        amplitude=cfg["pert.amplitude"], width=cfg["pert.width"], center=cfg["pert.center"],
+        carrier=cfg["pert.carrier"], mode=cfg["pert.mode"])
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +145,19 @@ def _trajectory(traj, out):
 def _exp_equilibrium_check(cfg, out, seed):
     ens, report = _equilibrium(cfg)
     grid, a = ens.grid, ens.weights
-    traj = evolve(ens, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"])
+    stream = observations(ens, None, cfg["T"], cfg["dt"], cfg["obs.stride"])
+    traj = _record(ens, stream)
     path, drift = _trajectory(traj, out)
     dens_dev = float(np.max(traj.density_extrema[:, 1] - traj.density_extrema[:, 0]))
-    # unwinding the exact phases must reproduce the t=0 state; a chunk of modes at a time
+    # unwinding the exact phases must reproduce the t=0 state: the stream's
+    # buffer holds the fields at the last time, read a chunk of modes at a time
     amp_dev = gauge_residual = 0.0
-    final, lead = traj.final, (slice(None),) + (None,) * grid.d
+    t, lead = traj.times[-1], (slice(None),) + (None,) * grid.d
     for modes in _mode_chunks(ens.n_modes, grid):
-        u = final.fields[modes]
+        u = stream.buf[modes]
         amp_dev = max(amp_dev, float(np.max(np.abs(np.abs(u) - a[modes][lead]))))
         gauge_residual = max(gauge_residual,
-                             float(np.max(np.abs(u - ens.equilibrium_fields(final.t, modes)))))
+                             float(np.max(np.abs(u - ens.equilibrium_fields(t, modes)))))
 
     summary = {"n_modes": ens.n_modes, "m_lattice": ens.m,
                "m_quadrature": equilibrium_mass(cfg.make_distribution(), ens.w, grid.d),
@@ -174,13 +176,12 @@ def _exp_equilibrium_check(cfg, out, seed):
 
 
 def _exp_simulate(cfg, out, seed):
-    perturbed, eq = _perturbed_equilibrium(cfg)
-    traj = evolve(perturbed, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"], reference=eq)
+    eq, bump = _perturbed_equilibrium(cfg)
+    traj = evolve(eq, bump, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"])
     path, drift = _trajectory(traj, out)
-    rho = traj.final.density_values()
     cpath = out / "density_final.csv"
     write_csv(cpath, ["flat_index", "density"],
-              [(i, float(v)) for i, v in enumerate(rho.ravel())])
+              [(i, float(v)) for i, v in enumerate(traj.density.ravel())])
     verdicts = {"fields_finite": True, "mass_drift_below_1e-10": drift <= 1e-10}
     return [path, cpath], verdicts
 
@@ -314,17 +315,17 @@ def mem_available() -> int | None:
 
 
 # traced peak of a run, measured with tracemalloc.  A stream experiment holds
-# whole (M, *grid) complex stacks (the caller's input and the stream's buffer;
-# simulate adds eq's plane waves, the probe its previous unwound deviation),
-# up to _CHUNK_TEMPS mode chunks of temporaries (4.4 measured), _GRID_TEMPS
-# complex grids and _BASE_BYTES of small objects: 2.05-2.20, 3.09-3.40 and
-# 4.07-4.35 stacks at d=3, N=16 and d=4, N=8 (M = 341 and 1661), none growing
-# with the observation count; at M = 1..61 the chunk is the whole stack, and
-# the chunk, grid and fixed terms are most of the peak.  picard
-# counts (n_t, M, *grid) stacks: the solve peaks at 2.7 (the iterate, the
-# carried integral, the slice temporaries), and the reference adds a quarter
-# stack of slices to the held iterate
-_PEAK_STACKS = {"equilibrium-check": 2, "simulate": 3, "scattering-probe": 4, "picard": 3}
+# whole (M, *grid) complex stacks (eq's t = 0 plane waves and the stream's
+# buffer; the probe adds its previous unwound deviation), up to _CHUNK_TEMPS
+# mode chunks of temporaries (4.4 measured), _GRID_TEMPS complex grids and
+# _BASE_BYTES of small objects: equilibrium-check 2.05-2.20, simulate
+# 2.09-2.40 and scattering-probe 3.07-3.35 stacks at d=3, N=16 and d=4, N=8
+# (M = 341 and 1661), none growing with the observation count; at M = 1..61
+# the chunk is the whole stack, and the chunk, grid and fixed terms are most
+# of the peak.  picard counts (n_t, M, *grid) stacks: the solve peaks at 2.7
+# (the iterate, the carried integral, the slice temporaries), and the
+# reference adds a quarter stack of slices to the held iterate
+_PEAK_STACKS = {"equilibrium-check": 2, "simulate": 2, "scattering-probe": 3, "picard": 3}
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES = 8, 16, 1 << 16
 
 
@@ -378,11 +379,11 @@ def _preflight(cfg: RunConfig) -> None:
 
 
 def _exp_picard(cfg, out, seed):
-    perturbed, eq = _perturbed_equilibrium(cfg)
-    op = PicardOperator(eq, eq.deviations(perturbed), cfg["T"], cfg["picard.steps"])
+    eq, bump = _perturbed_equilibrium(cfg)
+    op = PicardOperator(eq, bump, cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
 
-    z_gap, _ = reference_trajectory(perturbed, eq, result, substeps=cfg["picard.substeps"])
+    z_gap, _ = reference_trajectory(eq, bump, result, substeps=cfg["picard.substeps"])
     sup_diff = float(np.max(z_gap))
     records = [{"iteration": i, **{k: float(v) for k, v in sorted(dn.items())}}
                for i, dn in enumerate(result.diff_norms)]
@@ -466,8 +467,8 @@ def _exp_norms(cfg, out, seed):
 
 
 def _exp_scattering_probe(cfg, out, seed):
-    perturbed, eq = _perturbed_equilibrium(cfg)
-    stream = observations(perturbed, cfg["T"], cfg["dt"], cfg["obs.stride"])
+    eq, bump = _perturbed_equilibrium(cfg)
+    stream = observations(eq, bump, cfg["T"], cfg["dt"], cfg["obs.stride"])
     report = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in stream),
                               ball_center=cfg["pert.center"], ball_radius=cfg.get("probe.radius"))
     records = [{"t": float(t), "local_mass": float(mass)}

@@ -1,16 +1,16 @@
 """The whole-stack observation stream, kept as a test oracle.
 
-Each window transforms the whole (M, *grid) mode stack at once, and the
+It builds its own start, the equilibrium's plane waves with the bump added,
+and each window transforms the whole (M, *grid) mode stack at once; the
 stream carries a spectrum buffer beside the fields of every state it yields.
 The observations take the energy, the masses, the density and the deviation
 norms of whole stacks: np.abs(stack) ** 2 and the Bessel-weighted and dyadic
 block stacks are made in full.  It shares with the chunked stream in
-hartorus.ensemble only ModeEnsemble, its equilibrium methods, the FFT pair,
-the LittlewoodPaley symbols and _lebesgue.
+hartorus.ensemble only ModeEnsemble, its equilibrium methods, BumpSpec's
+field values, the FFT pair, the LittlewoodPaley symbols and _lebesgue.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -19,38 +19,43 @@ from hartorus.field import fftn, ifftn
 from hartorus.lpaley import LittlewoodPaley, critical_exponents
 
 
-def step(ens, dt, n=1, hat=None):
-    """n Strang steps with adjacent kinetic half-steps fused, on the whole
-    stack.  Without hat, pure; hat holds the spectrum of ens.fields, the
-    window starts from it and leaves there the spectrum of the returned
-    fields."""
-    t = ens.t
-    for _ in range(n):
-        t += dt
-    if ens.n_modes == 0:
-        return replace(ens, t=t)
-    g = ens.grid
-    axes = ens.space_axes
-    half = np.exp(-0.5j * dt * (ens.m + g.xi_squared))
-    full = half * half
-    sym = ens.w.what(g.xi_norm)
+def start(eq, bump=None):
+    """The start of a run: eq's t = 0 plane waves, bump added to its mode."""
+    u = eq.fields.copy()
+    if bump is not None:
+        u[bump.mode] = u[bump.mode] + bump.field_values(eq.grid)
+    return u
 
-    spec = fftn(ens.fields, axes=axes) if hat is None else hat
+
+def step(eq, u, dt, n=1, hat=None):
+    """The fields after n Strang steps from u, with adjacent kinetic
+    half-steps fused, on the whole stack.  Without hat, pure; hat holds the
+    spectrum of u, the window starts from it and leaves there the spectrum
+    of the returned fields."""
+    if eq.n_modes == 0:
+        return u
+    g = eq.grid
+    axes = eq.space_axes
+    half = np.exp(-0.5j * dt * (eq.m + g.xi_squared))
+    full = half * half
+    sym = eq.w.what(g.xi_norm)
+
+    spec = fftn(u, axes=axes) if hat is None else hat
     spec *= half
     for k in range(n):
         u = ifftn(spec, axes=axes, overwrite_x=True)
         rho = np.sum(np.abs(u) ** 2, axis=0)
         pot = ifftn(sym * fftn(rho), overwrite_x=True).real
         if not np.all(np.isfinite(pot)):
-            raise FloatingPointError(f"non-finite field values in the window from t={ens.t}")
-        u *= np.exp(-1j * dt * (pot - ens.m))
+            raise FloatingPointError("non-finite field values in the window")
+        u *= np.exp(-1j * dt * (pot - eq.m))
         spec = fftn(u, axes=axes, overwrite_x=True)
         spec *= full if k < n - 1 else half
     if hat is None:
-        return replace(ens, fields=ifftn(spec, axes=axes, overwrite_x=True), t=t)
+        return ifftn(spec, axes=axes, overwrite_x=True)
     if not np.may_share_memory(spec, hat):
         hat[...] = spec
-    return replace(ens, fields=ifftn(hat, axes=axes), t=t)
+    return ifftn(hat, axes=axes)
 
 
 def conserved_energy(ens, hat, rho):
@@ -63,7 +68,7 @@ def conserved_energy(ens, hat, rho):
     return kinetic + gauge + 0.5 * float(np.sum(wrho * rho) * g.dx)
 
 
-def deviation_norms(grid, stack, lp, hat):
+def deviation_norms(grid, stack, hat, lp):
     """The ingredient norms of an (M, *grid) deviation stack with spectrum hat."""
     d, dx = grid.d, grid.dx
     ex = critical_exponents(d)
@@ -89,46 +94,51 @@ def deviation_norms(grid, stack, lp, hat):
     return {k: float(v) for k, v in out.items()}
 
 
-def observations(ens, T, dt, obs_stride=1):
-    """Yield (state, hat) at step 0 and after every window, hat the carried
-    spectrum of state.fields."""
+def observations(eq, bump, T, dt, obs_stride=1):
+    """Yield (t, u, hat) at step 0 and after every window, hat the carried
+    spectrum of the fields u."""
     n_steps = int(round(T / dt))
-    hat = fftn(ens.fields, axes=ens.space_axes)
-    yield ens, hat
+    t, u = 0.0, start(eq, bump)
+    hat = fftn(u, axes=eq.space_axes)
+    yield t, u, hat
     for i in range(0, n_steps, obs_stride):
-        ens = step(ens, dt, min(obs_stride, n_steps - i), hat=hat)
-        yield ens, hat
+        n = min(obs_stride, n_steps - i)
+        u = step(eq, u, dt, n, hat=hat)
+        for _ in range(n):
+            t += dt
+        yield t, u, hat
 
 
-def evolve(ens, T, dt, obs_stride=1, reference=None):
-    """(times, masses, energies, extrema, norm rows or None, final state)."""
-    lp = LittlewoodPaley(ens.grid)
-    axes = ens.space_axes
+def _deviation(eq, t, u, hat):
+    """Z = u - Y(t) and its spectrum, the carried spectrum minus y_j's entries."""
+    Z_hat = hat.copy()
+    Z_hat[eq.carrier_cells()] -= eq.equilibrium_spectrum(t)
+    return u - eq.equilibrium_at(t), Z_hat
+
+
+def evolve(eq, bump, T, dt, obs_stride=1):
+    """(times, masses, energies, extrema, norm rows or None, final fields);
+    the norm rows with a bump only."""
+    lp = LittlewoodPaley(eq.grid)
+    axes = eq.space_axes
     times, masses, energies, extrema, rows = [], [], [], [], []
-    for state, hat in observations(ens, T, dt, obs_stride):
-        dens = np.abs(state.fields) ** 2
-        masses.append(np.sum(dens, axis=axes) * state.grid.dx)
+    for t, u, hat in observations(eq, bump, T, dt, obs_stride):
+        dens = np.abs(u) ** 2
+        masses.append(np.sum(dens, axis=axes) * eq.grid.dx)
         rho = np.sum(dens, axis=0)
-        times.append(state.t)
-        energies.append(conserved_energy(state, hat, rho))
+        times.append(t)
+        energies.append(conserved_energy(eq, hat, rho))
         extrema.append((float(rho.min()), float(rho.max())))
-        if reference is not None:
-            Z_hat = hat.copy()
-            Z_hat[reference.carrier_cells()] -= reference.equilibrium_spectrum(state.t)
-            rows.append(deviation_norms(state.grid, reference.deviations(state), lp, Z_hat))
+        if bump is not None:
+            rows.append(deviation_norms(eq.grid, *_deviation(eq, t, u, hat), lp))
     return (np.array(times), np.array(masses), np.array(energies), np.array(extrema),
-            rows if reference is not None else None, state)
+            rows if bump is not None else None, u)
 
 
-def deviation_stacks(pert, eq, T, dt, obs_stride):
+def deviation_stacks(eq, bump, T, dt, obs_stride):
     """(t, Z, Z-hat) of every observation, Z-hat the carried spectrum minus
     y_j's entries."""
-    out = []
-    for state, hat in observations(pert, T, dt, obs_stride):
-        Z_hat = hat.copy()
-        Z_hat[eq.carrier_cells()] -= eq.equilibrium_spectrum(state.t)
-        out.append((state.t, eq.deviations(state), Z_hat))
-    return out
+    return [(t, *_deviation(eq, t, u, hat)) for t, u, hat in observations(eq, bump, T, dt, obs_stride)]
 
 
 def scattering_probe(deviations, grid, m, center, radius):

@@ -28,7 +28,7 @@ import pytest
 from scipy.special import dawsn
 
 import hartorus as ht
-from hartorus.ensemble import _dyadic_norm
+from hartorus.ensemble import _dyadic_norm, _record
 from hartorus.runner import _bernstein_ratio, _block_norms, _parseval_defect
 
 
@@ -43,11 +43,13 @@ def test_c01_equilibrium_invariance():
     start = time.perf_counter()
     grid = ht.TorusGrid(1, 2 * np.pi, 64)
     ens, _ = ht.init_equilibrium(grid, ht.fermi(1.0, 0.0), ht.delta_potential(1.0), 1e-8)
-    traj = ht.evolve(ens, 1.0, 1e-3, obs_stride=10)
+    stream = ht.observations(ens, None, 1.0, 1e-3, obs_stride=10)
+    traj = _record(ens, stream)
     m0 = traj.mode_masses[0]
     drift = float(np.max(np.abs(traj.mode_masses - m0) / m0))
     dens = float(np.max(traj.density_extrema[:, 1] - traj.density_extrema[:, 0]))
-    amp = float(np.max(np.abs(np.abs(traj.final.fields) - ens.weights[:, None])))
+    # the stream's buffer holds the fields at the last time
+    amp = float(np.max(np.abs(np.abs(stream.buf) - ens.weights[:, None])))
     elapsed = time.perf_counter() - start
     ok = drift <= 1e-10 and dens <= 1e-8 and amp <= 1e-12 and elapsed < 60
     assert report("C1 equilibrium invariance", ok,
@@ -245,15 +247,12 @@ def test_c07_picard_contraction():
     w = ht.delta_potential(1.0)
     ens, _ = ht.init_equilibrium(grid, ht.fermi(1.0, 0.0), w, 1e-8)
     spec = ht.BumpSpec(1e-3, 0.8, (np.pi,), (1.0,), mode=4)
-    pert, state = ht.add_perturbation(ens, spec)
-    z0 = state.deviations(pert)
-    z0_norm = float(np.sqrt(np.sum(np.abs(z0) ** 2) * grid.dx))
-
-    op = ht.PicardOperator(state, z0, T=1.0, n_steps=200)
+    op = ht.PicardOperator(ens, spec, T=1.0, n_steps=200)
+    z0_norm = float(np.sqrt(np.sum(np.abs(op.z0_hat) ** 2) * grid.parseval_weight))
     res = ht.picard_solve(op, max_iters=8)
     factor = max(res.contraction[1:5])
 
-    z_gap, _ = ht.reference_trajectory(pert, state, res, substeps=5)
+    z_gap, _ = ht.reference_trajectory(ens, spec, res, substeps=5)
     sup = float(np.max(z_gap))
     ok = factor < 0.5 and sup <= 1e-4 and res.converged and not res.diverged
     assert report("C7 fixed-point contraction", ok,
@@ -268,14 +267,14 @@ def test_c07_picard_contraction():
 def test_c08_conservation_and_order():
     grid = ht.TorusGrid(1, 2 * np.pi, 64)
     ens, _ = ht.init_equilibrium(grid, ht.fermi(1.0, 0.0), ht.delta_potential(1.0), 1e-8)
-    pert, _ = ht.add_perturbation(ens, ht.BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4))
+    bump = ht.BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4)
 
-    traj = ht.evolve(pert, 1.0, 1e-3, obs_stride=50)  # 10^3 steps
+    traj = ht.evolve(ens, bump, 1.0, 1e-3, obs_stride=50)  # 10^3 steps
     m0 = traj.mode_masses[0]
     drift = float(np.max(np.abs(traj.mode_masses - m0) / m0))
 
     def energy_drift(dt):
-        tr = ht.evolve(pert, 0.5, dt, obs_stride=5)
+        tr = ht.evolve(ens, bump, 0.5, dt, obs_stride=5)
         return float(np.max(np.abs(tr.energies - tr.energies[0])))
 
     ratio = energy_drift(4e-3) / energy_drift(2e-3)
@@ -298,15 +297,13 @@ def test_c09_scattering_proxy():
     spec = ht.BumpSpec(1e-2, 2.0, (grid.L / 2, grid.L / 2), (0.5, 0.0), mode=0)
 
     ens, _ = ht.init_equilibrium(grid, f, ht.delta_potential(1.0), 1e-12)
-    pert, state = ht.add_perturbation(ens, spec)
-    rpt = ht.scattering_probe(state, ((t, ht.deviation_chunks(state, t, c))
-                                      for t, c in ht.observations(pert, 12.0, 5e-3, 200)),
+    rpt = ht.scattering_probe(ens, ((t, ht.deviation_chunks(ens, t, c))
+                                    for t, c in ht.observations(ens, spec, 12.0, 5e-3, 200)),
                               ball_center=(grid.L / 2, grid.L / 2))
 
     ens0, _ = ht.init_equilibrium(grid, f, ht.zero_potential(), 1e-12)
-    pert0, state0 = ht.add_perturbation(ens0, spec)
-    rpt0 = ht.scattering_probe(state0, ((t, ht.deviation_chunks(state0, t, c))
-                                        for t, c in ht.observations(pert0, 12.0, 5e-3, 200)),
+    rpt0 = ht.scattering_probe(ens0, ((t, ht.deviation_chunks(ens0, t, c))
+                                      for t, c in ht.observations(ens0, spec, 12.0, 5e-3, 200)),
                                ball_center=(grid.L / 2, grid.L / 2))
     control = float(np.max(rpt0.cauchy))
 

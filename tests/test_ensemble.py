@@ -1,13 +1,11 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
-from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, add_perturbation, conserved_energy, critical_exponents,
+from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, conserved_energy, critical_exponents,
                       custom_radial, delta_potential, deviation_chunks, deviation_norms, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
                       scattering_probe, step, zero_distribution, zero_potential)
@@ -31,10 +29,30 @@ def shell_distribution(radius, value=1.0):
                          support_hint=radius + 1.0)
 
 
+def _density(u):
+    return np.sum(np.abs(u) ** 2, axis=0)
+
+
+def _masses(ens, u):
+    return np.sum(np.abs(u) ** 2, axis=ens.space_axes) * ens.grid.dx
+
+
+def _final(eq, bump, T, dt, obs_stride=10 ** 9):
+    """(t, fields) at the end of the run: the last time the stream yields and
+    its buffer, which holds the fields once the iteration ends."""
+    stream = observations(eq, bump, T, dt, obs_stride)
+    t = [t for t, _ in stream][-1]
+    return t, stream.buf
+
+
+_NAN_BUMP = BumpSpec(np.nan, 0.8, (np.pi,), (1.0,), mode=0)
+
+
 def test_init_zero_distribution_empty(grid):
     ens, rep = init_equilibrium(grid, zero_distribution(), delta_potential(1.0), 1e-8)
     assert ens.n_modes == 0
-    assert np.max(np.abs(ens.density_values())) == 0.0
+    assert ens.fields.shape == (0,) + grid.shape
+    assert np.max(np.abs(_density(ens.fields))) == 0.0
     assert rep.truncated_fraction == 0.0
 
 
@@ -61,7 +79,7 @@ def test_init_single_mode(grid):
     f = custom_radial(lambda r: 1.0 * (np.asarray(r) < 0.5), support_hint=1.0)
     ens, _ = init_equilibrium(grid, f, delta_potential(1.0), 1e-8)
     assert ens.n_modes == 1
-    assert np.allclose(ens.density_values(), ens.weights[0] ** 2)
+    assert np.allclose(_density(ens.fields), ens.weights[0] ** 2)
     assert ens.m == pytest.approx(ens.weights[0] ** 2)
 
 
@@ -72,7 +90,7 @@ def test_init_fermi_truncation(grid, eq):
 
 
 def test_equilibrium_density_constant(eq):
-    rho = eq.density_values()
+    rho = _density(eq.fields)
     assert rho.max() - rho.min() <= 1e-12
     assert rho.mean() == pytest.approx(np.sum(eq.weights ** 2), rel=1e-12)
 
@@ -80,7 +98,7 @@ def test_equilibrium_density_constant(eq):
 def test_two_counterpropagating_modes_density(grid):
     ens, _ = init_equilibrium(grid, shell_distribution(1.0), delta_potential(1.0), 1e-8)
     assert ens.n_modes == 2
-    rho = ens.density_values()
+    rho = _density(ens.fields)
     assert np.allclose(rho, rho.mean())
 
 
@@ -98,50 +116,51 @@ def test_free_step_exact_phase(grid):
 
 
 def test_equilibrium_invariance_short(eq):
-    traj = evolve(eq, 0.1, 1e-3, obs_stride=10)
+    traj = evolve(eq, None, 0.1, 1e-3, obs_stride=10)
     m0 = traj.mode_masses[0]
     assert np.max(np.abs(traj.mode_masses - m0) / m0) <= 1e-12
-    assert np.max(np.abs(np.abs(traj.final.fields) - eq.weights[:, None])) <= 1e-12
+    _, u = _final(eq, None, 0.1, 1e-3, obs_stride=10)
+    assert np.max(np.abs(np.abs(u) - eq.weights[:, None])) <= 1e-12
 
 
 def test_gauge_consistency(eq):
-    traj = evolve(eq, 0.25, 1e-3, obs_stride=250)
-    residual = traj.final.fields - eq.equilibrium_fields(traj.final.t)
+    t, u = _final(eq, None, 0.25, 1e-3, obs_stride=250)
+    residual = u - eq.equilibrium_fields(t)
     assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_strang_second_order(grid, eq):
-    pert, _ = add_perturbation(eq, BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4))
+    bump = BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4)
 
     def final(dt):
-        return evolve(pert, 0.5, dt, obs_stride=10 ** 9).final.fields
+        return _final(eq, bump, 0.5, dt)[1]
 
     u1, u2, u3 = final(1e-3), final(5e-4), final(2.5e-4)
     ratio = np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u3))
     assert ratio == pytest.approx(4.0, abs=0.8)
 
 
-def _energy(ens):
-    # conserved_energy from the density and the spectral power of ens.fields
-    power = np.sum(np.abs(fftn(ens.fields, axes=ens.space_axes)) ** 2, axis=0)
-    return conserved_energy(ens, ens.density_values(), power)
+def _energy(ens, u):
+    # conserved_energy from the density and the spectral power of the fields u
+    power = np.sum(np.abs(fftn(u, axes=ens.space_axes)) ** 2, axis=0)
+    return conserved_energy(ens, _density(u), power)
 
 
 def test_energy_examples(grid):
     ens, _ = init_equilibrium(grid, custom_radial(lambda r: 1.0 * (np.asarray(r) < 0.5)),
                               zero_potential(), 1e-8)
-    assert _energy(ens) == pytest.approx(0.0, abs=1e-14)  # constant mode, w = 0
+    assert _energy(ens, ens.fields) == pytest.approx(0.0, abs=1e-14)  # constant mode, w = 0
     ens2, _ = init_equilibrium(grid, shell_distribution(2.0), zero_potential(), 1e-8)
-    kinetic = _energy(ens2)
-    expect = 4.0 * float(np.sum(ens2.mode_masses()))
+    kinetic = _energy(ens2, ens2.fields)
+    expect = 4.0 * float(np.sum(_masses(ens2, ens2.fields)))
     assert kinetic == pytest.approx(expect, rel=1e-12)
 
 
 def test_energy_drift_second_order(eq):
-    pert, _ = add_perturbation(eq, BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4))
+    bump = BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4)
 
     def drift(dt):
-        traj = evolve(pert, 0.5, dt, obs_stride=5)
+        traj = evolve(eq, bump, 0.5, dt, obs_stride=5)
         return np.max(np.abs(traj.energies - traj.energies[0]))
 
     ratio = drift(4e-3) / drift(2e-3)
@@ -149,19 +168,18 @@ def test_energy_drift_second_order(eq):
 
 
 def test_perturbation_null(eq):
-    pert, state = add_perturbation(eq, BumpSpec(0.0, 1.0, (np.pi,), (0.0,), mode=0))
-    assert np.max(np.abs(state.deviations(pert))) == 0.0
+    traj = evolve(eq, BumpSpec(0.0, 1.0, (np.pi,), (0.0,), mode=0), 1e-3, 1e-3)
+    assert traj.norms["l2"][0] == traj.norms["l_dplus2"][0] == 0.0
     # V is a difference of float mode sums: zero up to one ulp of the density
-    assert np.max(np.abs(state.induced_potential(pert))) <= 1e-15
+    assert np.max(np.abs(traj.density_extrema[0] - np.sum(eq.weights ** 2))) <= 1e-15
 
 
 def test_perturbation_identity(eq):
-    pert, state = add_perturbation(eq, BumpSpec(0.05, 0.7, (2.0,), (2.0,), mode=3))
-    traj = evolve(pert, 0.05, 1e-3, obs_stride=50)
-    v1 = state.induced_potential(traj.final)
+    t, u = _final(eq, BumpSpec(0.05, 0.7, (2.0,), (2.0,), mode=3), 0.05, 1e-3, obs_stride=50)
+    v1 = _density(u) - np.sum(eq.weights ** 2)
     # V from E|Z|^2 + 2 Re E(Y-bar Z), by the mode-orthogonality identity
-    Y = state.equilibrium_at(traj.final.t)
-    Z = traj.final.fields - Y
+    Y = eq.equilibrium_at(t)
+    Z = u - Y
     v2 = np.sum(np.abs(Z) ** 2, axis=0) + 2.0 * np.sum(np.conj(Y) * Z, axis=0).real
     assert np.max(np.abs(v1 - v2)) <= 1e-12
     assert np.max(np.abs(v1.imag)) == 0.0  # density difference is real
@@ -170,11 +188,9 @@ def test_perturbation_identity(eq):
 def test_perturbation_norms_scale_linearly(grid, eq):
     spec1 = BumpSpec(1e-4, 0.8, (np.pi,), (1.0,), mode=4)
     spec2 = BumpSpec(2e-4, 0.8, (np.pi,), (1.0,), mode=4)
-    p1, s1 = add_perturbation(eq, spec1)
-    p2, s2 = add_perturbation(eq, spec2)
     lp = LittlewoodPaley(grid)
-    n1 = deviation_norms(lp, s1.deviations(p1))
-    n2 = deviation_norms(lp, s2.deviations(p2))
+    n1 = deviation_norms(lp, oracle.start(eq, spec1) - eq.equilibrium_at(0.0))
+    n2 = deviation_norms(lp, oracle.start(eq, spec2) - eq.equilibrium_at(0.0))
     for key in n1:
         assert n2[key] == pytest.approx(2.0 * n1[key], rel=1e-10)
         assert math.isfinite(n1[key])
@@ -182,29 +198,28 @@ def test_perturbation_norms_scale_linearly(grid, eq):
 
 def test_free_evolution_matches_closed_form(grid):
     ens, _ = init_equilibrium(grid, shell_distribution(2.0), zero_potential(), 1e-8)
-    pert, state = add_perturbation(ens, BumpSpec(0.3, 0.9, (np.pi,), (1.0,), mode=0))
-    traj = evolve(pert, 0.3, 1e-3, obs_stride=300)
+    bump = BumpSpec(0.3, 0.9, (np.pi,), (1.0,), mode=0)
+    _, u = _final(ens, bump, 0.3, 1e-3)
     g = grid
-    hat0 = np.fft.fftn(pert.fields, axes=(1,))
+    hat0 = np.fft.fftn(oracle.start(ens, bump), axes=(1,))
     expect = np.fft.ifftn(np.exp(-1j * 0.3 * (ens.m + g.xi_squared))[None] * hat0, axes=(1,))
-    assert np.max(np.abs(traj.final.fields - expect)) <= 1e-12
-
-
-def _nan_seeded(ens):
-    from dataclasses import replace
-    bad = ens.fields.copy()
-    bad[0].flat[0] = np.nan
-    return replace(ens, fields=bad)
+    assert np.max(np.abs(u - expect)) <= 1e-12
 
 
 def test_evolve_aborts_on_nonfinite(grid):
     ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
     with pytest.raises(FloatingPointError):
-        evolve(_nan_seeded(ens), 0.01, 1e-3)
+        evolve(ens, _NAN_BUMP, 0.01, 1e-3)
 
 
-def _deviation_stream(pert, eq, T, dt, stride):
-    return ((t, deviation_chunks(eq, t, c)) for t, c in observations(pert, T, dt, stride))
+def test_bump_off_the_modes_is_refused(eq):
+    off = BumpSpec(1e-3, 0.8, (np.pi,), (1.0,), mode=eq.n_modes)
+    with pytest.raises(ValueError, match="mode index"):
+        next(iter(observations(eq, off, 0.01, 1e-3)))
+
+
+def _deviation_stream(eq, bump, T, dt, stride):
+    return ((t, deviation_chunks(eq, t, c)) for t, c in observations(eq, bump, T, dt, stride))
 
 
 def _whole(deviations):
@@ -216,7 +231,7 @@ def test_scattering_probe_aborts_on_nonfinite(eq):
     # the check is in the step, so a streamed consumer stops at the first
     # window: no record of the NaN state is ever written
     with pytest.raises(FloatingPointError, match="non-finite"):
-        scattering_probe(eq, _deviation_stream(_nan_seeded(eq), eq, 0.01, 1e-3, 5))
+        scattering_probe(eq, _deviation_stream(eq, _NAN_BUMP, 0.01, 1e-3, 5))
 
 
 def test_scattering_probe_free_flow_constant():
@@ -224,8 +239,7 @@ def test_scattering_probe_free_flow_constant():
     f = custom_radial(lambda r: 6.4e-5 * np.exp(-(np.asarray(r) / 1e-2) ** 2), support_hint=0.1)
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     spec = BumpSpec(1e-2, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0)
-    pert, state = add_perturbation(ens, spec)
-    rpt = scattering_probe(state, _deviation_stream(pert, state, 4.0, 1e-2, 100))
+    rpt = scattering_probe(ens, _deviation_stream(ens, spec, 4.0, 1e-2, 100))
     assert np.max(rpt.cauchy) <= 1e-10
     assert not rpt.window_warning
 
@@ -234,10 +248,11 @@ def test_equilibrium_invariance_d2():
     g = TorusGrid(2, 2 * np.pi, 16)
     ens, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), 1e-6)
     assert ens.n_modes == 45
-    traj = evolve(ens, 0.2, 1e-3, obs_stride=20)
+    traj = evolve(ens, None, 0.2, 1e-3, obs_stride=20)
     m0 = traj.mode_masses[0]
     assert np.max(np.abs(traj.mode_masses - m0) / m0) <= 1e-12
-    residual = traj.final.fields - ens.equilibrium_fields(traj.final.t)
+    t, u = _final(ens, None, 0.2, 1e-3)
+    residual = u - ens.equilibrium_fields(t)
     assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -245,8 +260,8 @@ def test_scattering_probe_null_perturbation():
     g = TorusGrid(2, 16 * np.pi, 32)
     f = custom_radial(lambda r: 6.4e-5 * np.exp(-(np.asarray(r) / 1e-2) ** 2), support_hint=0.1)
     ens, _ = init_equilibrium(g, f, delta_potential(1.0), 1e-12)
-    pert, state = add_perturbation(ens, BumpSpec(0.0, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0))
-    rpt = scattering_probe(state, _deviation_stream(pert, state, 2.0, 1e-2, 50))
+    bump = BumpSpec(0.0, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0)
+    rpt = scattering_probe(ens, _deviation_stream(ens, bump, 2.0, 1e-2, 50))
     assert np.max(rpt.cauchy) <= 1e-14
     assert np.max(rpt.local_mass) <= 1e-14
 
@@ -255,8 +270,8 @@ def test_scattering_probe_warns_past_recurrence():
     g = TorusGrid(1, 2 * np.pi, 32)
     f = custom_radial(lambda r: 1e-4 * (np.asarray(r) < 0.5), support_hint=1.0)
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
-    pert, state = add_perturbation(ens, BumpSpec(1e-3, 0.5, (np.pi,), (1.0,), mode=0))
-    rpt = scattering_probe(state, _deviation_stream(pert, state, 4.0, 1e-2, 100))
+    bump = BumpSpec(1e-3, 0.5, (np.pi,), (1.0,), mode=0)
+    rpt = scattering_probe(ens, _deviation_stream(ens, bump, 4.0, 1e-2, 100))
     assert rpt.window_warning  # recurrence time is pi here
 
 
@@ -267,29 +282,27 @@ def test_fused_window_matches_single_steps(d, N):
     g = TorusGrid(d, 2 * np.pi, N)
     ens, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), 1e-6)
     spec = BumpSpec(0.2, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=ens.n_modes // 2)
-    pert, _ = add_perturbation(ens, spec)
-    before = pert.fields.copy()
+    start = oracle.start(ens, spec)
+    before = ens.fields.copy()
     dt, n = 1e-3, 7
-    axes = pert.space_axes
+    axes = ens.space_axes
 
-    fused_hat, single_hat = fftn(pert.fields, axes=axes), fftn(pert.fields, axes=axes)
-    fused = step(pert, dt, n, fused_hat)
-    single = pert
+    fused_hat, single_hat = fftn(start, axes=axes), fftn(start, axes=axes)
+    step(ens, dt, n, fused_hat)
     for _ in range(n):
-        single = step(single, dt, 1, single_hat)
-    assert np.array_equal(pert.fields, before)  # step steps the buffer only
-    assert fused.t == single.t
-    fused, single = (replace(pert, fields=ifftn(h, axes=axes)) for h in (fused_hat, single_hat))
-    assert np.max(np.abs(fused.fields - single.fields)) <= 1e-12
-    m0 = pert.mode_masses()
-    assert np.max(np.abs(fused.mode_masses() - m0) / m0) <= 1e-13
+        step(ens, dt, 1, single_hat)
+    assert np.array_equal(ens.fields, before)  # step steps the buffer only
+    fused, single = (ifftn(h, axes=axes) for h in (fused_hat, single_hat))
+    assert np.max(np.abs(fused - single)) <= 1e-12
+    m0 = _masses(ens, start)
+    assert np.max(np.abs(_masses(ens, fused) - m0) / m0) <= 1e-13
 
     # windows of 6 steps, the last one of 2, against one observation per step
-    strided = evolve(pert, 0.02, dt, obs_stride=6).final
-    every = evolve(pert, 0.02, dt, obs_stride=1).final
-    assert strided.t == every.t
-    assert np.max(np.abs(strided.fields - every.fields)) <= 1e-12
-    assert np.array_equal(pert.fields, before)
+    t_strided, strided = _final(ens, spec, 0.02, dt, obs_stride=6)
+    t_every, every = _final(ens, spec, 0.02, dt, obs_stride=1)
+    assert t_strided == t_every
+    assert np.max(np.abs(strided - every)) <= 1e-12
+    assert np.array_equal(ens.fields, before)
 
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
@@ -316,17 +329,17 @@ def _perturbed(d, N, theta=1e-6):
     g = TorusGrid(d, 2 * np.pi, N)
     ens, _ = init_equilibrium(g, fermi(1.0, 0.0), delta_potential(1.0), theta)
     spec = BumpSpec(0.05, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=ens.n_modes // 2)
-    return add_perturbation(ens, spec)
+    return ens, spec
 
 
-def _energy_oracle(ens):
-    # the physical-space energy: its own forward FFT, masses and density
+def _energy_oracle(ens, u):
+    # the physical-space energy of the fields u: its own forward FFT, masses and density
     g = ens.grid
-    hat = np.fft.fftn(ens.fields, axes=ens.space_axes) * g.dx
+    hat = np.fft.fftn(u, axes=ens.space_axes) * g.dx
     kinetic = float(np.sum(g.xi_squared[None] * np.abs(hat) ** 2)) * (2 * math.pi) ** (-g.d) * g.dxi
-    rho = ens.density_values()
+    rho = _density(u)
     wrho = np.fft.ifftn(ens.w.what(g.xi_norm) * np.fft.fftn(rho)).real
-    return kinetic + ens.m * float(np.sum(ens.mode_masses())) + 0.5 * float(np.sum(wrho * rho) * g.dx)
+    return kinetic + ens.m * float(np.sum(_masses(ens, u))) + 0.5 * float(np.sum(wrho * rho) * g.dx)
 
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
@@ -334,30 +347,29 @@ def test_step_from_carried_spectrum_matches_pure_step(d, N):
     # the window steps the spectrum buffer in place and leaves there the
     # spectrum whose inverse transform is the whole-stack pure step's fields,
     # to the bit (one mode chunk holds every mode here)
-    pert, _ = _perturbed(d, N)
-    before = pert.fields.copy()
-    hat = fftn(pert.fields, axes=pert.space_axes)   # the package's own transform
-    carried = step(pert, 1e-3, 3, hat=hat)
-    pure = oracle.step(pert, 1e-3, 3)
-    assert carried.fields is None
-    assert np.array_equal(ifftn(hat, axes=pert.space_axes), pure.fields)
-    assert carried.t == pure.t
-    assert np.array_equal(pert.fields, before)
-    want = np.fft.fftn(pure.fields, axes=pert.space_axes)
+    eq, spec = _perturbed(d, N)
+    start = oracle.start(eq, spec)
+    before = eq.fields.copy()
+    hat = fftn(start, axes=eq.space_axes)   # the package's own transform
+    assert step(eq, 1e-3, 3, hat=hat) is None
+    pure = oracle.step(eq, start, 1e-3, 3)
+    assert np.array_equal(ifftn(hat, axes=eq.space_axes), pure)
+    assert np.array_equal(eq.fields, before)
+    want = np.fft.fftn(pure, axes=eq.space_axes)
     assert np.max(np.abs(hat - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_energy_from_spectrum_matches_physical_oracle(d, N):
-    pert, _ = _perturbed(d, N)
-    state = oracle.step(pert, 1e-3, 2)
-    hat = np.fft.fftn(state.fields, axes=state.space_axes)
-    rho = state.density_values()
-    want = _energy_oracle(state)
-    got = conserved_energy(state, rho, np.sum(np.abs(hat) ** 2, axis=0))
-    assert got == pytest.approx(oracle.conserved_energy(state, hat, rho), rel=1e-13)
+    eq, spec = _perturbed(d, N)
+    u = oracle.step(eq, oracle.start(eq, spec), 1e-3, 2)
+    hat = np.fft.fftn(u, axes=eq.space_axes)
+    rho = _density(u)
+    want = _energy_oracle(eq, u)
+    got = conserved_energy(eq, rho, np.sum(np.abs(hat) ** 2, axis=0))
+    assert got == pytest.approx(oracle.conserved_energy(eq, hat, rho), rel=1e-13)
     assert got == pytest.approx(want, rel=1e-13)
-    assert _energy(state) == pytest.approx(want, rel=1e-13)
+    assert _energy(eq, u) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("d, N, L", [(1, 64, 2 * np.pi), (2, 16, 2 * np.pi), (3, 8, 2 * np.pi),
@@ -381,12 +393,12 @@ def test_carrier_off_the_lattice_is_refused(eq):
 
 
 def test_multiwindow_norms_match_recomputed_deviation_norms():
-    pert, eq = _perturbed(2, 16)
-    traj = evolve(pert, 0.012, 1e-3, obs_stride=5, reference=eq)
-    deviations = [Z for _, Z, _ in oracle.deviation_stacks(pert, eq, 0.012, 1e-3, 5)]
+    eq, spec = _perturbed(2, 16)
+    traj = evolve(eq, spec, 0.012, 1e-3, obs_stride=5)
+    deviations = [Z for _, Z, _ in oracle.deviation_stacks(eq, spec, 0.012, 1e-3, 5)]
     assert len(traj.times) == len(deviations) == 4
     for i, Z in enumerate(deviations):
-        want = deviation_norms(LittlewoodPaley(pert.grid), Z)
+        want = deviation_norms(LittlewoodPaley(eq.grid), Z)
         for k, v in want.items():
             assert traj.norms[k][i] == pytest.approx(v, rel=1e-12), (i, k)
 
@@ -394,18 +406,23 @@ def test_multiwindow_norms_match_recomputed_deviation_norms():
 def test_normed_evolve_restores_the_carried_spectrum():
     # the deviation spectrum is made in the carried buffer and undone bit
     # for bit: the run with norms steps exactly as the run without
-    pert, eq = _perturbed(2, 16)
-    with_norms = evolve(pert, 0.01, 1e-3, obs_stride=3, reference=eq)
-    without = evolve(pert, 0.01, 1e-3, obs_stride=3)
+    eq, spec = _perturbed(2, 16)
+    runs = []
+    for lp in (LittlewoodPaley(eq.grid), None):
+        stream = observations(eq, spec, 0.01, 1e-3, 3)
+        runs.append((ens_mod._record(eq, stream, lp), stream.buf))
+    (with_norms, u), (without, u_without) = runs
     assert with_norms.norms is not None and without.norms is None
-    assert np.array_equal(with_norms.final.fields, without.final.fields)
+    assert np.array_equal(u, u_without)
     assert np.array_equal(with_norms.energies, without.energies)
 
 
 def test_empty_ensemble_evolves_with_norms(grid):
+    # no mode takes a bump, so the norms of the empty run are taken of its
+    # stream directly
     ens, _ = init_equilibrium(grid, zero_distribution(), delta_potential(1.0), 1e-8)
-    traj = evolve(ens, 0.01, 1e-3, obs_stride=4, reference=ens)
-    assert traj.final.t == pytest.approx(0.01)
+    traj = ens_mod._record(ens, observations(ens, None, 0.01, 1e-3, 4), LittlewoodPaley(grid))
+    assert traj.times[-1] == pytest.approx(0.01)
     assert traj.mode_masses.shape == (4, 0)
     assert all(np.all(v == 0.0) for v in traj.norms.values())
     assert np.all(traj.energies == 0.0)
@@ -416,7 +433,7 @@ def test_empty_ensemble_evolves_with_norms(grid):
                                               (0.01, {"obs_stride": -3}, "obs_stride")])
 def test_evolve_refuses_nonpositive_steps_and_strides(eq, dt, kwargs, name):
     with pytest.raises(ValueError, match=name):
-        evolve(eq, 0.1, dt, reference=eq, **kwargs)
+        evolve(eq, None, 0.1, dt, **kwargs)
 
 
 def _traced_peak(fn):
@@ -434,45 +451,44 @@ def test_evolve_peak_does_not_grow_with_observations():
     # the stream's one buffer, and the one mode chunk (all 45 modes here) of
     # the observation's inverse transform and |u|^2 rows: 2.55 stacks
     # measured, with one step per observation
-    pert, eq = _perturbed(2, 32)
-    assert len(ens_mod._mode_chunks(pert.n_modes, pert.grid)) == 1
+    eq, _ = _perturbed(2, 32)
+    assert len(ens_mod._mode_chunks(eq.n_modes, eq.grid)) == 1
     for T in (0.01, 0.04):
-        traj, peak = _traced_peak(lambda: evolve(pert, T, 1e-3, obs_stride=1))
+        traj, peak = _traced_peak(lambda: evolve(eq, None, T, 1e-3, obs_stride=1))
         assert len(traj.times) == round(T / 1e-3) + 1
-        assert peak <= 2.75 * pert.fields.nbytes, peak / pert.fields.nbytes
+        assert peak <= 2.75 * eq.fields.nbytes, peak / eq.fields.nbytes
 
 
-def test_simulate_d3_peak_is_three_stacks(tmp_path):
-    # d=3, N=16, M=341 in 11 chunks of 32 modes: eq's plane waves, the
-    # perturbed input and the stream's buffer, plus about four chunks of
-    # temporaries and a few grids (3.40 stacks measured; the whole-stack
-    # stream took 7.0)
+def test_simulate_d3_peak_is_two_stacks(tmp_path):
+    # d=3, N=16, M=341 in 11 chunks of 32 modes: eq's plane waves and the
+    # stream's buffer, plus about four chunks of temporaries and a few grids
+    # (2.40 stacks measured)
     text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
                       "pert.amplitude = 1e-3", "T = 0.02", "dt = 0.01", "obs.stride = 1", ""])
     cfg = parse_config(text, "simulate")
     env, peak = _traced_peak(lambda: run_experiment(cfg, tmp_path))
     assert env.all_passed
     stack = 341 * 16 ** 3 * 16
-    assert peak <= 3.5 * stack, peak / stack
+    assert peak <= 2.5 * stack, peak / stack
 
 
 def test_streamed_probe_peak_does_not_grow_with_observations():
     # d=2, N=32, M=61, one step per observation: 11 and 41 observations peak
     # within one deviation-stack size of each other (stored snapshots gave
     # 15.5 and 45.5 stack sizes, evolve and probe together)
-    pert, eq = _perturbed(2, 32, theta=1e-8)
+    eq, spec = _perturbed(2, 32, theta=1e-8)
     assert eq.n_modes == 61
-    size = pert.fields.nbytes
+    size = eq.fields.nbytes
     peaks = []
     for T in (0.01, 0.04):
         rpt, peak = _traced_peak(lambda: scattering_probe(
-            eq, _deviation_stream(pert, eq, T, 1e-3, 1)))
+            eq, _deviation_stream(eq, spec, T, 1e-3, 1)))
         assert len(rpt.times) == round(T / 1e-3) + 1
         peaks.append(peak / size)
     assert abs(peaks[1] - peaks[0]) <= 0.1, peaks
     # the stream's buffer, the previous and the current unwound deviation,
     # and the one mode chunk (all 61 modes) of the fields and the deviation:
-    # 5.54 measured
+    # 5.54 measured, the start built inside the run
     assert max(peaks) <= 5.75, peaks
 
 
@@ -482,8 +498,8 @@ def test_normed_evolve_stack_transform_budget(monkeypatch):
     # observation its fields, and per observation the w_sp inverse plus one
     # inverse per resolvable block
     from hartorus import LittlewoodPaley
-    pert, eq = _perturbed(3, 8, theta=1e-8)
-    M, d = pert.n_modes, pert.grid.d
+    eq, spec = _perturbed(3, 8, theta=1e-8)
+    M, d = eq.n_modes, eq.grid.d
     modes = {}
 
     def counting(fn):
@@ -496,11 +512,11 @@ def test_normed_evolve_stack_transform_budget(monkeypatch):
     monkeypatch.setattr(ens_mod, "fftn", counting(ens_mod.fftn))
     monkeypatch.setattr(ens_mod, "ifftn", counting(ens_mod.ifftn))
     windows = [2, 2, 1]
-    n_blocks = len(LittlewoodPaley(pert.grid).j_resolvable)
+    n_blocks = len(LittlewoodPaley(eq.grid).j_resolvable)
     for chunk_modes in (M, 7, 1):
         monkeypatch.setattr(ens_mod, "_CHUNK_BYTES", chunk_modes * 16 * 8 ** 3)
         modes.update(fftn=0, ifftn=0)
-        traj = evolve(pert, 0.05, 0.01, obs_stride=2, reference=eq)
+        traj = evolve(eq, spec, 0.05, 0.01, obs_stride=2)
         assert len(traj.times) == len(windows) + 1
         assert (modes["fftn"] + modes["ifftn"]) == M * (
             1 + sum(2 * n + 1 for n in windows) + len(traj.times) * (1 + n_blocks))
@@ -554,17 +570,17 @@ def _batched_probe(deviations, grid, m, center, radius):
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_streamed_probe_matches_batched_formula(d, N):
-    pert, eq = _perturbed(d, N)
-    deviations = oracle.deviation_stacks(pert, eq, 0.2, 1e-2, 2)
+    eq, spec = _perturbed(d, N)
+    deviations = oracle.deviation_stacks(eq, spec, 0.2, 1e-2, 2)
     center, radius = (np.pi,) * d, 1.0
     rpt, peak = _traced_peak(lambda: scattering_probe(
         eq, _whole(deviations), ball_center=center, ball_radius=radius))
-    cauchy, local = _batched_probe(deviations, pert.grid, eq.m, center, radius)
+    cauchy, local = _batched_probe(deviations, eq.grid, eq.m, center, radius)
     assert np.min(cauchy) > 0
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
     assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
     # a few deviation-sized temporaries, not copies of the whole list
-    assert peak <= 4 * pert.fields.nbytes + 64 * 1024
+    assert peak <= 4 * eq.fields.nbytes + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +592,19 @@ def _with_chunks(monkeypatch, ens, chunk_modes):
     assert len(ens_mod._mode_chunks(ens.n_modes, ens.grid)) == -(-ens.n_modes // chunk_modes)
 
 
-def _assert_matches_oracle(traj, want, rel):
+def _evolved(eq, spec, T, dt, obs_stride):
+    """evolve's record of the run with its deviation norms, and the stream's
+    buffer, which holds the final fields."""
+    stream = observations(eq, spec, T, dt, obs_stride)
+    return ens_mod._record(eq, stream, LittlewoodPaley(eq.grid)), stream.buf
+
+
+def _assert_matches_oracle(traj, u, want, rel):
     times, masses, energies, extrema, rows, final = want
     assert np.array_equal(traj.times, times)
     same = np.array_equal if rel == 0 else (lambda a, b: a == pytest.approx(b, rel=rel, abs=0))
-    assert same(traj.final.fields, final.fields)
+    assert same(u, final)
+    assert same(traj.density, _density(final))
     assert same(traj.mode_masses, masses)
     assert same(traj.energies, energies)
     assert same(traj.density_extrema, extrema)
@@ -591,42 +615,43 @@ def _assert_matches_oracle(traj, want, rel):
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
 def test_one_chunk_stream_is_the_whole_stack_oracle(d, N, monkeypatch):
     # one chunk of all M modes: fields, masses, energies, extrema and norms
-    # to the bit, over several windows, and the input is not written
-    pert, eq = _perturbed(d, N, theta=1e-8)
-    before = pert.fields.copy()
-    _with_chunks(monkeypatch, pert, pert.n_modes)
-    traj = evolve(pert, 0.05, 1e-2, obs_stride=2, reference=eq)
-    _assert_matches_oracle(traj, oracle.evolve(pert, 0.05, 1e-2, 2, reference=eq), rel=0)
-    assert np.array_equal(pert.fields, before)
+    # to the bit, over several windows, and the equilibrium is not written
+    eq, spec = _perturbed(d, N, theta=1e-8)
+    before = eq.fields.copy()
+    _with_chunks(monkeypatch, eq, eq.n_modes)
+    traj, u = _evolved(eq, spec, 0.05, 1e-2, 2)
+    _assert_matches_oracle(traj, u, oracle.evolve(eq, spec, 0.05, 1e-2, 2), rel=0)
+    assert np.array_equal(eq.fields, before)
 
 
 @pytest.mark.parametrize("chunk_modes", [1, 3, 8])
 def test_chunked_stream_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
     # mode sums are added mode after mode whatever the chunking, so only the
     # l2 norm's whole-stack sum is regrouped; everything stays within 1e-13
-    pert, eq = _perturbed(3, 8, theta=1e-8)
-    before = pert.fields.copy()
-    _with_chunks(monkeypatch, pert, chunk_modes)
-    traj = evolve(pert, 0.05, 1e-2, obs_stride=2, reference=eq)
-    want = oracle.evolve(pert, 0.05, 1e-2, 2, reference=eq)
-    _assert_matches_oracle(traj, want, rel=1e-13)
-    assert np.array_equal(traj.final.fields, want[-1].fields)
+    eq, spec = _perturbed(3, 8, theta=1e-8)
+    before = eq.fields.copy()
+    _with_chunks(monkeypatch, eq, chunk_modes)
+    traj, u = _evolved(eq, spec, 0.05, 1e-2, 2)
+    want = oracle.evolve(eq, spec, 0.05, 1e-2, 2)
+    _assert_matches_oracle(traj, u, want, rel=1e-13)
+    assert np.array_equal(u, want[-1])
+    assert np.array_equal(traj.density, _density(want[-1]))
     assert np.array_equal(traj.mode_masses, want[1])
     assert np.array_equal(traj.energies, want[2])
     assert np.array_equal(traj.density_extrema, want[3])
     for k in set(want[4][0]) - {"l2"}:
         assert np.array_equal(traj.norms[k], [row[k] for row in want[4]]), k
-    assert np.array_equal(pert.fields, before)
+    assert np.array_equal(eq.fields, before)
 
 
 @pytest.mark.parametrize("chunk_modes", [None, 1, 3])
 def test_chunked_probe_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
-    pert, eq = _perturbed(2, 16)
-    _with_chunks(monkeypatch, pert, chunk_modes or pert.n_modes)
+    eq, spec = _perturbed(2, 16)
+    _with_chunks(monkeypatch, eq, chunk_modes or eq.n_modes)
     center, radius = (np.pi, np.pi), 1.0
-    rpt = scattering_probe(eq, _deviation_stream(pert, eq, 0.2, 1e-2, 2),
+    rpt = scattering_probe(eq, _deviation_stream(eq, spec, 0.2, 1e-2, 2),
                            ball_center=center, ball_radius=radius)
-    cauchy, local = oracle.scattering_probe(oracle.deviation_stacks(pert, eq, 0.2, 1e-2, 2),
-                                            pert.grid, eq.m, center, radius)
+    cauchy, local = oracle.scattering_probe(oracle.deviation_stacks(eq, spec, 0.2, 1e-2, 2),
+                                            eq.grid, eq.m, center, radius)
     assert np.array_equal(rpt.local_mass, local)
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)

@@ -7,8 +7,8 @@ import stream_oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm
 from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, TorusGrid,
-                      add_perturbation, critical_exponents, delta_potential, deviation_norms,
-                      fermi, init_equilibrium, parse_config, picard_solve, reference_trajectory,
+                      critical_exponents, delta_potential, deviation_norms, fermi,
+                      init_equilibrium, parse_config, picard_solve, reference_trajectory,
                       run_experiment)
 from hartorus.field import fftn, ifftn
 
@@ -19,8 +19,12 @@ def setup():
     w = delta_potential(1.0)
     ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), w, 1e-8)
     spec = BumpSpec(1e-3, 0.8, (np.pi,), (1.0,), mode=4)
-    pert, state = add_perturbation(ens, spec)
-    return grid, w, ens, spec, pert, state
+    return grid, w, ens, spec
+
+
+def _z0(eq, spec):
+    """Z0 = start - Y(0), the start built by the stream oracle."""
+    return stream_oracle.start(eq, spec) - eq.equilibrium_at(0.0)
 
 
 def _zero_pair(op):
@@ -42,8 +46,8 @@ def _first_pass(op):
 
 
 def test_zero_data_is_fixed_point(setup):
-    grid, w, ens, spec, pert, state = setup
-    op = PicardOperator(state, np.zeros_like(pert.fields), T=0.5, n_steps=50)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, None, T=0.5, n_steps=50)
     Z, V, I, rows = _first_pass(op)
     rows.update(op.apply(Z, V, I))
     assert np.max(np.abs(Z)) == 0.0
@@ -55,9 +59,8 @@ def test_zero_data_is_fixed_point(setup):
 def test_source_pair_matches_first_iterate(setup):
     # the streamed first pass skips the zero integrand; the batched map of
     # (0, 0) and the batched source pair are its oracles, to the bit
-    grid, w, ens, spec, pert, state = setup
-    z0 = state.deviations(pert)
-    op = PicardOperator(state, z0, T=0.5, n_steps=50)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=0.5, n_steps=50)
     Z, V, I, _ = _first_pass(op)
     assert np.max(np.abs(I)) == 0.0
     Zs, Vs = oracle.source_pair(op)
@@ -69,8 +72,8 @@ def test_source_pair_matches_first_iterate(setup):
 
 
 def test_first_pass_skips_the_integrand(setup, monkeypatch):
-    grid, w, ens, spec, pert, state = setup
-    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=50)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=0.5, n_steps=50)
     calls = []
     duhamel = PicardOperator.duhamel
 
@@ -88,21 +91,21 @@ def test_first_pass_skips_the_integrand(setup, monkeypatch):
 def test_source_pair_is_the_per_slice_free_flow(setup):
     # the free flow S(t_i) Z0 one time slice at a time, as the operator
     # once stored it, is the oracle of the first pass
-    grid, w, ens, spec, pert, state = setup
-    z0 = state.deviations(pert)
-    op = PicardOperator(state, z0, T=0.5, n_steps=50)
+    grid, w, ens, spec = setup
+    z0 = _z0(ens, spec)
+    op = PicardOperator(ens, spec, T=0.5, n_steps=50)
     space = tuple(range(1, 1 + grid.d))
     z0_hat = fftn(z0, axes=space)
     SZ0 = np.empty((op.n_t,) + z0.shape, dtype=complex)
     for i, t in enumerate(op.ts):
-        ph = np.exp(-1j * t * (state.m + grid.xi_squared))
+        ph = np.exp(-1j * t * (ens.m + grid.xi_squared))
         SZ0[i] = ifftn(ph[None] * z0_hat, axes=space, overwrite_x=True)
     assert np.array_equal(_first_pass(op)[0], SZ0)
 
 
 def test_first_difference_is_the_source_pair(setup):
-    grid, w, ens, spec, pert, state = setup
-    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=50)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=0.5, n_steps=50)
     res = picard_solve(op, max_iters=3)
     assert res.diff_norms[0] == op.pair_norms(_first_pass(op)[3])
     # the first difference spectrum is the source pair's own, not a transform of it
@@ -119,8 +122,7 @@ def test_streamed_map_matches_batched_oracle(d, N):
     grid = TorusGrid(d, 2 * np.pi, N)
     ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
     spec = BumpSpec(1e-3, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=4)
-    pert, state = add_perturbation(ens, spec)
-    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
+    op = PicardOperator(ens, spec, T=0.5, n_steps=20)
     want = oracle.iterate(op, 6)
     Z, V, I = _zero_pair(op)
     for n, (Zw, Vw, nw) in enumerate(want):
@@ -158,20 +160,18 @@ def test_picard_op_peaks_at_three_stacks(tmp_path):
 
 
 def test_contraction_small_data(setup):
-    grid, w, ens, spec, pert, state = setup
-    z0 = state.deviations(pert)
-    op = PicardOperator(state, z0, T=1.0, n_steps=100)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=1.0, n_steps=100)
     res = picard_solve(op, max_iters=6)
     assert res.converged and not res.diverged
     assert max(res.contraction[1:5]) < 0.5
 
 
 def test_picard_limit_matches_split_step(setup):
-    grid, w, ens, spec, pert, state = setup
-    z0 = state.deviations(pert)
-    op = PicardOperator(state, z0, T=1.0, n_steps=100)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=1.0, n_steps=100)
     res = picard_solve(op, max_iters=8)
-    z_gap, v_gap = reference_trajectory(pert, state, res, substeps=10)
+    z_gap, v_gap = reference_trajectory(ens, spec, res, substeps=10)
     assert z_gap.shape == v_gap.shape == (op.n_t,)
     assert np.max(z_gap) <= 1e-4
     assert np.max(v_gap) <= 1e-4
@@ -180,14 +180,14 @@ def test_picard_limit_matches_split_step(setup):
 def test_reference_gaps_match_a_stored_split_step_stack(setup):
     # the slice-by-slice gaps against the stored-snapshot formula: Z from the
     # deviations, V from |Y + Z|^2 minus the equilibrium density
-    grid, w, ens, spec, pert, state = setup
-    op = PicardOperator(state, state.deviations(pert), T=0.5, n_steps=20)
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=0.5, n_steps=20)
     res = picard_solve(op, max_iters=4)
-    z_gap, v_gap = reference_trajectory(pert, state, res, substeps=3)
-    stream = list(stream_oracle.observations(pert, 0.5, 0.5 / 60, 3))
-    Zref = np.stack([state.deviations(s) for s, _ in stream])
-    Vref = np.stack([np.sum(np.abs(state.equilibrium_at(s.t) + Zref[i]) ** 2, axis=0)
-                     - np.sum(state.weights ** 2) for i, (s, _) in enumerate(stream)])
+    z_gap, v_gap = reference_trajectory(ens, spec, res, substeps=3)
+    stream = [(t, u) for t, u, _ in stream_oracle.observations(ens, spec, 0.5, 0.5 / 60, 3)]
+    Zref = np.stack([u - ens.equilibrium_at(t) for t, u in stream])
+    Vref = np.stack([np.sum(np.abs(ens.equilibrium_at(t) + Zref[i]) ** 2, axis=0)
+                     - np.sum(ens.weights ** 2) for i, (t, _) in enumerate(stream)])
     assert np.array_equal(z_gap, np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx))
     assert v_gap == pytest.approx(np.max(np.abs(res.V - Vref), axis=1), rel=0, abs=1e-14)
 
@@ -197,16 +197,16 @@ def test_reference_phase_adds_half_a_stack_to_the_iterate():
     # state, carried spectrum and window temporaries are slices of the
     # (n_t, M, *grid) iterate the caller holds
     cfg = parse_config(_PICARD_D2, "picard")
-    pert, eq = add_perturbation(*init_equilibrium(cfg.make_grid(), cfg.make_distribution(),
-                                                  cfg.make_potential(), cfg["theta"])[:1],
-                                BumpSpec(1e-3, 0.8, (2.0, 4.0), (1.0, -1.0), mode=7))
+    eq, _ = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
+                             cfg["theta"])
+    bump = BumpSpec(1e-3, 0.8, (2.0, 4.0), (1.0, -1.0), mode=7)
     n_t = cfg["picard.steps"] + 1
     Z = np.zeros((n_t,) + eq.fields.shape, dtype=complex)
     V = np.zeros((n_t,) + eq.grid.shape)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        z_gap, _ = reference_trajectory(pert, eq, _on_lattice(Z, V, cfg["T"]),
+        z_gap, _ = reference_trajectory(eq, bump, _on_lattice(Z, V, cfg["T"]),
                                         substeps=cfg["picard.substeps"])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -216,22 +216,23 @@ def test_reference_phase_adds_half_a_stack_to_the_iterate():
 
 
 def test_reference_trajectory_aborts_on_nonfinite(setup):
-    from dataclasses import replace
-    grid, w, ens, spec, pert, state = setup
-    bad = pert.fields.copy()
-    bad[4].flat[0] = np.nan
-    Z = np.zeros((11,) + pert.fields.shape, dtype=complex)
+    grid, w, ens, spec = setup
+    bad = BumpSpec(np.nan, 0.8, (np.pi,), (1.0,), mode=4)
+    Z = np.zeros((11,) + ens.fields.shape, dtype=complex)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        reference_trajectory(replace(pert, fields=bad), state,
-                             _on_lattice(Z, np.zeros((11,) + grid.shape), 0.1), substeps=2)
+        reference_trajectory(ens, bad, _on_lattice(Z, np.zeros((11,) + grid.shape), 0.1), substeps=2)
+
+
+def test_bump_off_the_modes_is_refused(setup):
+    grid, w, ens, spec = setup
+    with pytest.raises(ValueError, match="mode index"):
+        PicardOperator(ens, BumpSpec(1e-3, 0.8, (np.pi,), (1.0,), mode=-1), T=0.5, n_steps=5)
 
 
 def test_divergence_flagged(setup):
-    grid, w, ens, spec, pert, state = setup
+    grid, w, ens, spec = setup
     # amplitude far outside the smallness regime blows the quadratic term up
-    big, big_state = add_perturbation(ens, BumpSpec(30.0, 0.8, (np.pi,), (1.0,), mode=4))
-    z0 = big_state.deviations(big)
-    op = PicardOperator(big_state, z0, T=1.0, n_steps=60)
+    op = PicardOperator(ens, BumpSpec(30.0, 0.8, (np.pi,), (1.0,), mode=4), T=1.0, n_steps=60)
     res = picard_solve(op, max_iters=12)
     assert res.diverged
     assert not res.converged
@@ -242,7 +243,7 @@ def test_pair_norms_are_time_norms_of_stacked_ingredients(d, N):
     grid = TorusGrid(d, 2 * np.pi, N)
     w = delta_potential(1.0)
     eq, _ = init_equilibrium(grid, fermi(1.0, 0.0), w, 1e-8)
-    op = PicardOperator(eq, np.zeros_like(eq.fields), T=0.3, n_steps=3)
+    op = PicardOperator(eq, None, T=0.3, n_steps=3)
     rng = np.random.default_rng(d)
     shape = (op.n_t, op.M) + grid.shape
     Z = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -274,7 +275,7 @@ def test_pair_norms_of_constant_potential_match_norms_module(d, N):
     grid = TorusGrid(d, 2 * np.pi, N)
     eq, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
     T = 0.3
-    op = PicardOperator(eq, np.zeros_like(eq.fields), T=T, n_steps=3)
+    op = PicardOperator(eq, None, T=T, n_steps=3)
     fld = SpectralField(grid, values=np.random.default_rng(d).standard_normal(grid.shape))
     dz = np.zeros((op.M,) + grid.shape, dtype=complex)
     one = op._ingredients(dz, dz.copy(), fld.values.real)

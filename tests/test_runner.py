@@ -221,16 +221,21 @@ def test_bench_tracer_finds_every_patched_name(tmp_path):
         tracer.install()
         patched = list(tracer._patches)
         tracer.begin_op(0)
-        for kind in ("simulate", "picard", "stability-check"):
+        for kind in ("equilibrium-check", "simulate", "scattering-probe", "picard",
+                     "stability-check"):
             run_experiment(parse_config(CONFIGS[kind], kind), tmp_path / kind)
         tracer.end_op()
     finally:
         tracer.uninstall()
     summary = tracer.op_summary(0)
-    for name in ("ensemble.norms", "ensemble.step", "picard.apply", "picard.duhamel",
+    for name in ("ensemble.init", "ensemble.evolve", "ensemble.energy", "ensemble.norms",
+                 "ensemble.step", "picard.init", "picard.apply", "picard.duhamel",
                  "picard.pair_norms", "picard.reference", "equilibrium.hypothesis",
                  "response.table", "response.epsilon_g"):
         assert summary[f"{name}.calls"] > 0, name
+        assert summary[f"{name}.total_s"] > 0, name
+    assert summary["ensemble.modes"] > 0
+    assert summary["picard.iterations"] > 0
     assert summary["equilibrium.profiles"] > 0
     # stack FFTs reach the tracer only through the scipy.fft module attribute
     assert summary["field.fft.calls"] > 0
