@@ -20,12 +20,12 @@ parts exactly zero in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .equilibrium import InteractionPotential
 from .field import fftn
@@ -37,20 +37,21 @@ _SEED_NOISE = 1e-10     # white noise on each component of the seeded carrier
 
 @dataclass(frozen=True)
 class TwoWaveParams:
-    """Carrier frequency, mass, and interaction of the two-wave state."""
+    """Carrier frequency, mass, and interaction of one two-wave state (xi of
+    shape (d,), scalar m) or of a stack of n states (xi (n, d), m (n,))."""
 
     xi: np.ndarray
-    m: float
+    m: float | np.ndarray
     w: InteractionPotential
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=float)))
-        if self.m < 0:
+        if np.any(np.asarray(self.m) < 0):
             raise ValueError("mass m must be nonnegative")
 
     @property
     def d(self) -> int:
-        return len(self.xi)
+        return self.xi.shape[-1]
 
     @property
     def xi_abs(self) -> float:
@@ -58,60 +59,68 @@ class TwoWaveParams:
 
 
 def _scalars(params: TwoWaveParams, k) -> tuple:
+    """xi.k, |k|^2 and m w-hat(|k|) for k of shape (..., d)."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    xk = float(np.dot(params.xi, k))
-    b = float(np.dot(k, k))
-    c = params.m * float(params.w.what(np.linalg.norm(k)))
-    return xk, b, c
+    xk = np.vecdot(params.xi, k)    # np.vecdot keeps np.dot's bits; an elementwise sum does not
+    b = np.vecdot(k, k)
+    c = params.m * params.w.what(np.sqrt(b))
+    return np.broadcast_arrays(xk, b, c)
 
 
 def build_symbol(params: TwoWaveParams, k) -> np.ndarray:
-    """The 4x4 multiplier at probe frequency k (gradients become i k)."""
+    """The 4x4 multiplier at probe frequency k (gradients become i k), (..., 4, 4)."""
     xk, b, c = _scalars(params, k)
     ia = -2j * xk  # symbol of -2 xi.grad
-    return np.array([
-        [ia,     b,   0.0,    0.0],
-        [-b - c, ia,  -c,     0.0],
-        [0.0,    0.0, -ia,    b],
-        [-c,     0.0, -b - c, -ia],
-    ], dtype=complex)
+    z = np.zeros(xk.shape)
+    return np.stack([np.stack(row, axis=-1) for row in [
+        [ia,     b,  z,      z],
+        [-b - c, ia, -c,     z],
+        [z,      z,  -ia,    b],
+        [-c,     z,  -b - c, -ia]]], axis=-2)
 
 
 def closed_form_spectrum(params: TwoWaveParams, k) -> np.ndarray:
-    """The four eigenvalues +/- sqrt(Y+-) as a multiset."""
+    """The four eigenvalues +/- sqrt(Y+-) as a multiset, (..., 4)."""
     xk, b, c = _scalars(params, k)
     a2 = -4.0 * xk * xk
-    kap = 2.0 * abs(xk)
-    if c == 0.0:
-        ys = [-((kap - b) ** 2), -((kap + b) ** 2)]
-    elif xk == 0.0:
-        ys = [-b * (b + c - abs(c)), -b * (b + c + abs(c))]
-    else:
-        disc = complex(b * (b * c * c - 4.0 * (b + c) * a2))
-        D = np.sqrt(disc)
-        ys = [a2 - (b + c) * b + D, a2 - (b + c) * b - D]
-    out = []
-    for y in ys:
-        root = np.sqrt(complex(y))
-        out.extend([root, -root])
-    return np.array(out, dtype=complex)
+    kap = 2.0 * np.abs(xk)
+    D = np.sqrt((b * (b * c * c - 4.0 * (b + c) * a2)).astype(complex))
+    ys = np.stack([a2 - (b + c) * b + D, a2 - (b + c) * b - D], axis=-1)
+    zero_xk = np.stack([-b * (b + c - np.abs(c)), -b * (b + c + np.abs(c))], axis=-1)
+    zero_c = np.stack([-np.square(kap - b), -np.square(kap + b)], axis=-1)
+    roots = np.sqrt(np.where(c[..., None] == 0.0, zero_c,
+                             np.where(xk[..., None] == 0.0, zero_xk, ys)))
+    return np.stack([roots, -roots], axis=-1).reshape(*roots.shape[:-1], 4)
 
 
 def eigensolver_spectrum(params: TwoWaveParams, k) -> np.ndarray:
-    """Dense-eigensolver oracle on the explicit 4x4 matrix."""
+    """Dense-eigensolver oracle on the explicit 4x4 matrices, (..., 4)."""
     try:
         return np.linalg.eigvals(build_symbol(params, k))
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge at k={k}") from exc
 
 
-def multiset_distance(a, b) -> float:
-    """Max matched distance between two eigenvalue multisets."""
+def multiset_distance(a, b):
+    """Max matched distance between eigenvalue multisets (..., n): the pairing of
+    least summed distance, the first in lexicographic order among ties."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    n = a.shape[-1]
+    perms = np.array(list(itertools.permutations(range(n))))
+    cost = np.abs(a[..., :, None] - b[..., None, :])
+    best = perms[np.argmin(sum(cost[..., i, perms[:, i]] for i in range(n)), axis=-1)]
+    return np.take_along_axis(cost, best[..., None], axis=-1).max(axis=(-2, -1))
+
+
+def fuzz_max_distance(w: InteractionPotential, d: int, count: int, seed: int) -> float:
+    """Largest closed-form vs eigensolver distance over count random (xi, k, m),
+    drawn bit for bit as per-case rng.uniform(-2, 2, d), (-4, 4, d), (0, 4) calls."""
+    u = np.random.default_rng(seed).random((count, 2 * d + 1))
+    params = TwoWaveParams(xi=-2.0 + 4.0 * u[:, :d], m=4.0 * u[:, -1], w=w)
+    k = -4.0 + 8.0 * u[:, d:-1]
+    return float(multiset_distance(closed_form_spectrum(params, k),
+                                   eigensolver_spectrum(params, k)).max(initial=0.0))
 
 
 def char_poly_residual(params: TwoWaveParams, k, lam: complex) -> float:
@@ -137,15 +146,15 @@ class BandReport:
 
 
 def unstable_band(params: TwoWaveParams, r_grid) -> BandReport:
-    """Scan the ray k = r*xi for positive growth, one closed-form spectrum per
-    ray point; the report keeps the spectra.
+    """Scan the ray k = r*xi for positive growth with one closed-form call over
+    the ray points; the report keeps the spectra.
 
     For the flat potential the predicted endpoints are
     r^2 in (4 - 2 m/|xi|^2, 4), clipped below at zero; for a general
     potential only the numerically detected sign-change band is reported.
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    spectra = np.array([closed_form_spectrum(params, r * params.xi) for r in r_grid])
+    spectra = closed_form_spectrum(params, r_grid[:, None] * params.xi)
     growth = np.max(spectra.real, axis=1)
     unstable = growth > _GROWTH_TOL
     band = None
@@ -207,10 +216,9 @@ def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float
     coeffs = np.linalg.solve(eigvecs, uhat0[(slice(None),) + grid.lattice_cells(k0)])
 
     times = np.linspace(0.0, T, n_samples)
-    amp = np.empty(n_samples)
-    for i, t in enumerate(times):
-        mode = eigvecs @ (np.exp(eigvals * t) * coeffs)
-        amp[i] = float(np.linalg.norm(mode))
+    # one matrix-vector product per sample (a matrix product rounds differently)
+    modes = (eigvecs @ (np.exp(eigvals * times[:, None]) * coeffs)[..., None])[..., 0]
+    amp = np.sqrt(np.vecdot(modes.real, modes.real) + np.vecdot(modes.imag, modes.imag))
 
     predicted = float(np.max(closed_form_spectrum(params, k0).real))
     a0 = amp[0]

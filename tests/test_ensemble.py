@@ -579,8 +579,10 @@ def test_streamed_probe_matches_batched_formula(d, N):
     assert np.min(cauchy) > 0
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
     assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
-    # a few deviation-sized temporaries, not copies of the whole list
-    assert peak <= 4 * eq.fields.nbytes + 64 * 1024
+    # a few deviation-sized temporaries, not copies of the whole list: 3.98
+    # stacks of 7 KiB (d=1) and 3.05 of 180 KiB (d=2) measured, about 5 KiB of
+    # it fixed; with 8 KiB of slack one more stack fails both cases
+    assert peak <= 3.5 * eq.fields.nbytes + 8 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end runs of every experiment kind on small configurations."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -10,6 +11,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hartorus import (cli, ensemble, equilibrium, field, init_equilibrium, parse_config,
@@ -142,21 +144,28 @@ def test_instability_m0_empty_band(tmp_path):
 
 
 def test_instability_scans_the_ray_once(tmp_path, monkeypatch):
-    # the dispersion rows come from the band scan's spectra: one closed-form
-    # spectrum per ray point, one per fuzz case, one for the growth fit
-    calls = []
-    spectrum = twowave.closed_form_spectrum
+    # the ray scan, the fuzz and the growth fit each make one closed-form call
+    # over their stack of frequencies, and the fuzz one eigensolver call over
+    # its stack of 4x4 symbols; the dispersion rows come from the scan's spectra
+    spectra, eigvals = [], []
+    spectrum, solve = twowave.closed_form_spectrum, np.linalg.eigvals
 
-    def counting_spectrum(*args):
-        calls.append(args)
-        return spectrum(*args)
+    def counting_spectrum(params, k):
+        spectra.append(np.shape(k))
+        return spectrum(params, k)
 
-    for module in (twowave, runner):
-        monkeypatch.setattr(module, "closed_form_spectrum", counting_spectrum)
+    def counting_eigvals(a):
+        eigvals.append(np.shape(a))
+        return solve(a)
+
+    monkeypatch.setattr(twowave, "closed_form_spectrum", counting_spectrum)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     cfg = parse_config(CONFIGS["instability"], "instability")
     env = run_experiment(cfg, tmp_path)
     assert "growth_rate_within_5pc" in env.verdicts  # the band is unstable, so the fit ran
-    assert len(calls) == cfg["scan.count"] + cfg["fuzz.count"] + 1
+    d = len(cfg["twowave.xi"])
+    assert spectra == [(cfg["scan.count"], d), (cfg["fuzz.count"], d), (d,)]
+    assert eigvals == [(cfg["fuzz.count"], 4, 4)]
 
 
 def test_stability_zero_potential_margin_one(tmp_path):
@@ -207,6 +216,24 @@ def test_linear_response_builds_no_h_table(tmp_path, monkeypatch):
     assert calls == []
     report = json.loads((tmp_path / "response_report.ndjson").read_text().splitlines()[0])
     assert report["conjugate_symmetry_defect"] == 0.0
+
+
+def test_no_module_of_the_package_imports_scipy_optimize():
+    # the two-wave matching searches the permutations itself; scipy.optimize
+    # stays a test oracle's import
+    src = Path(runner.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+    assert not found
 
 
 def test_bench_tracer_finds_every_patched_name(tmp_path):

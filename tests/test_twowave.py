@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twowave_oracle as oracle
+
 from hartorus import (TorusGrid, TwoWaveParams, build_symbol, char_poly_residual,
                       closed_form_spectrum, delta_potential, eigensolver_spectrum,
                       gaussian_potential, most_unstable_ray_frequency, multiset_distance,
-                      simulate_linearized, unstable_band)
+                      simulate_linearized, unstable_band, zero_potential)
+from hartorus.twowave import _scalars, fuzz_max_distance
 
 
 def flat(m=1.0, xi=(1.0,)):
@@ -192,3 +195,99 @@ def test_instability_dichotomy_flat_potential(m, xi_abs):
 def test_negative_mass_rejected():
     with pytest.raises(ValueError):
         TwoWaveParams(xi=[1.0], m=-1.0, w=delta_potential(1.0))
+
+
+# ---------------------------------------------------------------------------
+# the stack path against the per-case path of tests/twowave_oracle.py
+
+_FUZZ_SEEDS = (301, 0, 1, 12345)
+
+
+@pytest.mark.parametrize("w", [delta_potential(1.0), zero_potential()], ids=["delta", "zero"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fuzz_max_distance_matches_the_per_case_oracle(d, w):
+    for seed in _FUZZ_SEEDS:
+        assert fuzz_max_distance(w, d, 2000, seed) == oracle.fuzz_max_distance(seed, d, 2000, w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gaussian_fuzz_matches_the_per_case_oracle_to_rounding(d):
+    # w-hat of a gaussian goes through np.exp, whose vectorised loop on arrays
+    # differs from the 0-d call by 1 ulp on a few arguments (3 of 5000 here),
+    # so the stacked closed form agrees with the per-case one to rounding of
+    # the spectral radius, not to the bit; the fuzz distances, about 1e-13,
+    # then agree far inside the 1e-10 verdict bound
+    w = gaussian_potential(1.3, 0.6)
+    rng = np.random.default_rng(d)
+    xi, k, m = rng.uniform(-2, 2, (2000, d)), rng.uniform(-4, 4, (2000, d)), rng.uniform(0, 4, 2000)
+    got = closed_form_spectrum(TwoWaveParams(xi=xi, m=m, w=w), k)
+    want = np.array([oracle.closed_form_spectrum(TwoWaveParams(xi=x, m=mm, w=w), kk)
+                     for x, kk, mm in zip(xi, k, m)])
+    radius = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-15 * radius)
+    for seed in _FUZZ_SEEDS:
+        assert fuzz_max_distance(w, d, 2000, seed) == pytest.approx(
+            oracle.fuzz_max_distance(seed, d, 2000, w), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("params", [flat(), flat(m=0.0), flat(m=10.0), flat(xi=(1.0, 0.0)),
+                                    flat(xi=(0.3, -1.2, 0.7)),
+                                    TwoWaveParams(xi=[1.0, 1.0], m=1.0, w=zero_potential())],
+                         ids=["flat", "m0", "m10", "d2", "d3", "zero"])
+def test_ray_scan_spectra_match_the_per_case_oracle(params):
+    rs = np.linspace(0.05, 3.0, 512)
+    assert np.array_equal(unstable_band(params, rs).spectra, oracle.ray_spectra(params, rs))
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)  # tells 0.0 from -0.0
+
+
+def test_one_case_keeps_the_per_case_bits():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 4):
+        for w in (delta_potential(-0.7), zero_potential(), gaussian_potential(1.3, 0.6)):
+            # a generic case, c == 0 and xi.k == 0
+            for m, xi in ((rng.uniform(0, 4), rng.uniform(-2, 2, d)),
+                          (0.0, rng.uniform(-2, 2, d)), (1.5, np.zeros(d))):
+                params = TwoWaveParams(xi=xi, m=m, w=w)
+                k = rng.uniform(-4, 4, d)
+                xk, b, c = _scalars(params, k)
+                assert xk.ndim == b.ndim == c.ndim == 0
+                assert np.array_equal(_bits(build_symbol(params, k)),
+                                      _bits(oracle.build_symbol(params, k)))
+                assert np.array_equal(_bits(closed_form_spectrum(params, k)),
+                                      _bits(oracle.closed_form_spectrum(params, k)))
+                assert np.array_equal(_bits(eigensolver_spectrum(params, k)),
+                                      _bits(oracle.eigensolver_spectrum(params, k)))
+
+
+def test_permutation_matching_is_the_assignment_oracle():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
+    near = a[:, rng.permutation(4)] + 1e-3 * rng.standard_normal((1000, 4))
+    far = rng.standard_normal((1000, 4)) + 1j * rng.standard_normal((1000, 4))
+    for b in (near, far):
+        assert np.array_equal(multiset_distance(a, b),
+                              [oracle.multiset_distance(x, y) for x, y in zip(a, b)])
+    # ties: the spectrum is closed under negation and conjugation
+    u = np.random.default_rng(301).random((500, 5))
+    params = TwoWaveParams(xi=-2.0 + 4.0 * u[:, :2], m=4.0 * u[:, 4], w=delta_potential(1.0))
+    lam = closed_form_spectrum(params, -4.0 + 8.0 * u[:, 2:4])
+    for b in (-lam, np.conj(lam)):
+        assert np.array_equal(multiset_distance(lam, b),
+                              [oracle.multiset_distance(x, y) for x, y in zip(lam, b)])
+
+
+@pytest.mark.parametrize("params, N, k_seed, n_samples, seed", [
+    (flat(), 128, [math.sqrt(3.0)], 256, 301),
+    (flat(), 256, [math.sqrt(3.0)], 400, 1),
+    (flat(xi=(1.0, 0.0)), 64, [math.sqrt(3.0), 0.0], 256, 301),
+    (flat(m=0.0), 256, [1.5], 256, 1)], ids=["tier1", "d1", "bench", "m0"])
+def test_growth_fit_matches_the_per_sample_oracle(params, N, k_seed, n_samples, seed):
+    grid = TorusGrid(params.d, 16 * np.pi, N)
+    got = simulate_linearized(params, grid, k_seed, T=24.0, n_samples=n_samples, seed=seed)
+    want = oracle.simulate_linearized(params, grid, k_seed, T=24.0, n_samples=n_samples, seed=seed)
+    assert (got.rate, got.residual, got.predicted_rate, got.discrepancy) == (
+        want.rate, want.residual, want.predicted_rate, want.discrepancy)
+    assert np.array_equal(got.k_used, want.k_used)
