@@ -34,7 +34,7 @@ def main():
     m0 = masses[0]
     print(f"mass drift        {np.max(np.abs(np.array(masses) - m0) / m0):.3e}")
     print(f"density deviation {spread:.3e}")
-    residual = stream.buf - ens.equilibrium_fields(t)  # the buffer holds the last fields
+    residual = stream.buf - ens.equilibrium_at(t)  # the buffer holds the last fields
     print(f"gauge residual    {np.max(np.abs(residual)):.3e}")
 
     bump = ht.BumpSpec(0.2, 0.8, (np.pi,), (1.0,), mode=4)

@@ -29,22 +29,21 @@ so the chunk size changes none of them by a bit.
 
 A ModeEnsemble is the equilibrium alone, and that buffer is the only state
 of a run.  observations(eq, bump, ...) is the one stepping loop: it fills
-the buffer chunk by chunk with the start eq.fields + bump (the bump added to
-the mode bump.mode; eq itself when bump is None) and yields (t, chunks) at
-step 0 and after every window; chunks hands over each mode chunk's spectrum
-and fields as they go by, and evolve, the scattering probe and the Picard
-reference accumulate what they record from them.  After the last
-observation the buffer holds the final fields.  A start whose mass
+the buffer with the spectrum of the start, y_j's one entry N^d a_j per mode
+plus the bump's transform in bump.mode (none for bump None), and yields
+(t, chunks) at step 0 and after every window; chunks hands over each mode
+chunk's spectrum and fields as they go by, and evolve, the scattering probe
+and the Picard reference accumulate what they record from them.  After the
+last observation the buffer holds the final fields.  A start whose mass
 overflows the observation sums, or a step whose potential is not finite,
 raises FloatingPointError, so no consumer computes on non-finite values.
 
 The deviation of a state at time t is Z = u - y against the exact
-equilibrium phases of eq.  Y(t) is eq's stored t = 0 plane-wave stack times
-one phase per mode (equilibrium_at), not an exp over the whole stack;
-equilibrium_fields builds the plane waves from scratch and is its oracle.
-The carriers are lattice frequencies, so the spectrum of y_j has one nonzero
-entry (equilibrium_spectrum at carrier_cells): deviation_chunks takes the
-spectrum of Z from the stream's spectrum, with no forward FFT of its own.
+equilibrium phases of eq.  The carriers are lattice frequencies, so Y(t) is
+built per chunk where it is read from one table of the N roots of unity
+(equilibrium_at), and no copy is stored; the spectrum of y_j has one nonzero
+entry (equilibrium_spectrum at carrier_cells), so deviation_chunks takes the
+spectrum of Z from the stream's, with no forward FFT of its own.
 """
 
 from __future__ import annotations
@@ -105,13 +104,12 @@ def _drain(chunks) -> None:
 
 @dataclass(frozen=True)
 class ModeEnsemble:
-    """The equilibrium of a run: grid, carriers (M, d), weights (M,), its
-    plane waves at t = 0 (M, *grid), the gauge mass m and the potential w."""
+    """The equilibrium of a run: grid, lattice carriers (M, d), weights (M,),
+    the gauge mass m and the potential w; its plane waves are never stored."""
 
     grid: TorusGrid
     carriers: np.ndarray
     weights: np.ndarray
-    fields: np.ndarray
     m: float
     w: InteractionPotential
 
@@ -128,27 +126,20 @@ class ModeEnsemble:
         """m + |xi_j|^2 per mode."""
         return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
 
-    def equilibrium_fields(self, t: float, modes: slice = slice(None),
-                           out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)} of
-        the modes in the slice modes (all by default), written into out when
-        given."""
-        lead = (-1,) + (1,) * self.grid.d
-        phase = self.grid.phase(self.carriers[modes])
-        phase -= (t * self._rates[modes]).reshape(lead)
-        out = np.multiply(phase, 1j, out=out)
-        np.exp(out, out=out)
-        out *= self.weights[modes].reshape(lead)
-        return out
-
     def equilibrium_at(self, t: float, modes: slice = slice(None),
                        out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Y(t): the stored t = 0 fields of the modes in the slice modes (all
-        by default) times the phases e^{-i t (m + |xi_j|^2)}, one exp per
-        mode, written into out when given (equilibrium_fields is the
-        oracle)."""
-        rot = np.exp(-1j * (t * self._rates[modes]))
-        return np.multiply(self.fields[modes], rot.reshape(rot.shape + (1,) * self.grid.d), out=out)
+        """Y(t) of the modes in the slice modes (all by default), written into
+        out when given: a_j e^{-i t (m + |xi_j|^2)} times the per-axis factors
+        omega^{(k_{j,a} n_a) mod N}, omega = e^{2 pi i/N}, about one complex
+        multiply per point.  ValueError for a carrier off the lattice."""
+        g = self.grid
+        roots = np.exp(2j * np.pi * np.fft.fftfreq(g.N))  # omega^m, from angles in [-pi, pi)
+        y = self.weights[modes] * np.exp(-1j * (t * self._rates[modes]))
+        n = np.arange(g.N)
+        for a, k in enumerate(g.lattice_cells(self.carriers[modes])):  # k_{j,a} mod N
+            factor = roots[np.multiply.outer(k, n) % g.N].reshape((len(k),) + (1,) * a + (g.N,))
+            y = np.multiply(y[..., None], factor, out=out if a == g.d - 1 else None)
+        return y
 
     def carrier_cells(self) -> tuple:
         """Index of each mode's carrier in an (M, *grid) spectrum stack: the one
@@ -194,8 +185,7 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
     if not np.any(keep):
         if total > 0.0:
             raise ValueError("mode threshold removed every lattice mode of a nonzero distribution")
-        ens = ModeEnsemble(grid=grid, carriers=np.zeros((0, grid.d)), weights=np.zeros(0),
-                           fields=np.zeros((0,) + grid.shape, dtype=complex), m=0.0, w=w)
+        ens = ModeEnsemble(grid=grid, carriers=np.zeros((0, grid.d)), weights=np.zeros(0), m=0.0, w=w)
         return ens, InitReport(0.0, 0.0)
 
     idx = np.argwhere(keep)
@@ -204,13 +194,8 @@ def init_equilibrium(grid: TorusGrid, f: DistributionFunction, w: InteractionPot
         carriers[:, a] = grid.xi_axis[idx[:, a]]
     weights = np.sqrt(cell_mass[keep])
     order = np.lexsort(carriers.T[::-1])  # fixed mode order: lexicographic carriers
-    carriers, weights = carriers[order], weights[order]
-
-    fields = np.empty((len(weights),) + grid.shape, dtype=complex)
-    ens = ModeEnsemble(grid=grid, carriers=carriers, weights=weights, fields=fields,
+    ens = ModeEnsemble(grid=grid, carriers=carriers[order], weights=weights[order],
                        m=w.what0 * retained, w=w)
-    for c in _mode_chunks(ens.n_modes, grid):  # the plane waves built a chunk at a time
-        ens.equilibrium_fields(0.0, modes=c, out=fields[c])
     return ens, InitReport(retained_mass=retained, truncated_mass=total - retained)
 
 
@@ -293,18 +278,10 @@ class BumpSpec:
         return self.amplitude * env * np.exp(1j * grid.phase(self.carrier))
 
 
-def _start_fields(eq: ModeEnsemble, bump: Optional[BumpSpec], modes: slice,
-                 out: np.ndarray) -> np.ndarray:
-    """The start of a run in the modes of the slice modes (with explicit start
-    and stop), written into out: eq's t = 0 plane waves, with bump's field
-    values added to the mode bump.mode.  ValueError when bump targets no mode."""
+def _check_bump(eq: ModeEnsemble, bump: Optional[BumpSpec]) -> None:
+    """ValueError when bump targets no mode of eq."""
     if bump is not None and not 0 <= bump.mode < eq.n_modes:
         raise ValueError(f"mode index {bump.mode} outside 0..{eq.n_modes - 1}")
-    np.copyto(out, eq.fields[modes])
-    if bump is not None and modes.start <= bump.mode < modes.stop:
-        k = bump.mode - modes.start
-        out[k] = out[k] + bump.field_values(eq.grid)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +426,14 @@ class _Stream:
 
     def __iter__(self):
         eq = self.eq
-        axes = eq.space_axes
         chunks = _mode_chunks(eq.n_modes, eq.grid)
-        self.buf = buf = np.empty_like(eq.fields)
+        _check_bump(eq, self.bump)
+        self.buf = buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
+        buf[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
+        if self.bump is not None:
+            buf[self.bump.mode] += fftn(self.bump.field_values(eq.grid))
         mass = 0.0
         for c in chunks:
-            _into(fftn(_start_fields(eq, self.bump, c, buf[c]), axes=axes, overwrite_x=True), buf[c])
             with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
                 mass += np.sum(np.square(buf[c].view(float))) / eq.grid.N ** eq.grid.d
         if not mass <= _MASS_LIMIT:
@@ -478,8 +457,10 @@ class _Stream:
                 hat = buf[c]
                 if scratch is None or scratch.shape != hat.shape:
                     scratch = np.empty_like(hat)
-                if start:  # the start rebuilt, as the buffer was filled
-                    u = _start_fields(eq, self.bump, c, scratch)
+                if start:  # the start rebuilt: Y(0), the bump added to its mode
+                    u = eq.equilibrium_at(0.0, c, out=scratch)
+                    if self.bump is not None and c.start <= self.bump.mode < c.stop:
+                        u[self.bump.mode - c.start] += self.bump.field_values(eq.grid)
                 else:
                     np.copyto(scratch, hat)
                     u = ifftn(scratch, axes=eq.space_axes, overwrite_x=True)
@@ -503,11 +484,11 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
     slice of mode indices, hat the unnormalised spectrum and u the fields of
     those modes at time t, both read-only and valid until the next chunk.
     Chunks a consumer leaves unread are read before the next window.  The run
-    steps one (M, *grid) buffer, .buf, filled chunk by chunk from eq.fields,
-    which it never writes; once the iteration ends, .buf holds the fields at
-    the last time.  Before the first observation, ValueError when bump
-    targets no mode of eq and FloatingPointError when the mass of the start
-    overflows the observation sums.
+    steps one (M, *grid) buffer, .buf, filled with the spectrum of the start
+    (y_j's one entry per mode, plus the bump's transform); once the iteration
+    ends, .buf holds the fields at the last time.  Before the first
+    observation, ValueError when bump targets no mode of eq and
+    FloatingPointError when the mass of the start overflows the sums.
     """
     return _Stream(eq, bump, T, dt, obs_stride)
 
@@ -623,8 +604,9 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
             unwound.append(ifftn(Z_hat * back, axes=axes, overwrite_x=True))
             if prev is not None:
                 prev[i] -= unwound[i]
-                diff += np.sum(np.abs(prev[i]) ** 2)
-                prev[i] = None  # released chunk by chunk as the new one grows
+                sq = prev[i].view(float)  # squared in place: no temporary
+                diff += np.sum(np.square(sq, out=sq))
+                prev[i] = sq = None  # released chunk by chunk as the new one grows
         Z = Z_hat = None  # the next window steps without the last chunk
         if prev is not None:
             cauchy.append(np.sqrt(diff * grid.dx))

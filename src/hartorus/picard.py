@@ -7,15 +7,16 @@ One application of the map sends (Z, V) to
 
 with S(t) = e^{-i t (m - Lap)} applied spectrally and the time integral by
 trapezoid on the stored lattice.  Expectations are exact mode sums.  The
-equilibrium Y is the ensemble eq, Y(t_s) = eq.equilibrium_at(t_s), and Z0 is
-the start of the run minus Y(0): (y_j + b) - y_j in the mode of the bump b.
+equilibrium Y is the ensemble eq, Y(t_s) = eq.equilibrium_at(t_s), and Z0,
+the start of the run minus Y(0), is the bump b in its mode.
 
 An application is one pass over the time slices that overwrites Z, V and the
 carried integral I in place.  The trapezoid runs in np.cumsum's operand
 order, so each slice needs only the previous slice's integrand.  Successive
 iterates share z0-hat, so the spectrum of Z' - Z at slice s is
 S(t_s) (-i) (I'(s) - I(s)), and the window norms of the difference take no
-forward transform of their own.  The first pass maps (0, 0) to the source pair
+forward transform of their own; the dyadic blocks of V' - V are one batched
+inverse transform per slice.  The first pass maps (0, 0) to the source pair
 (S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped.  Two
 (n_t, M, *grid) stacks, Z and I, are live, plus a few slices.
 """
@@ -27,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import (BumpSpec, ModeEnsemble, _dyadic_blocks, _dyadic_norm, _ModeSum, _NormSums,
-                       _start_fields, _summed, deviation_chunks, observations)
+from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _dyadic_norm, _ModeSum, _NormSums,
+                       _summed, deviation_chunks, observations)
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -51,10 +52,12 @@ class PicardOperator:
         self.what_lattice = eq.w.what(grid.xi_norm)
         # S(-t) symbols e^{i t (m + |xi|^2)} on the time lattice
         self.fwd = np.exp(1j * np.multiply.outer(self.ts, eq.m + grid.xi_squared))
-        z0 = _start_fields(eq, bump, slice(0, self.M), np.empty_like(eq.fields))
-        z0 -= eq.equilibrium_at(0.0)
-        self.z0_hat = fftn(z0, axes=self.space_axes)
+        _check_bump(eq, bump)
+        self.z0_hat = np.zeros((self.M,) + grid.shape, dtype=complex)  # Z0 is the bump in its mode
+        if bump is not None:
+            self.z0_hat[bump.mode] = fftn(bump.field_values(grid))
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
+        self.blocks = np.stack(list(self.lp.symbols.values()))  # the V block symbols, stacked
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
         """w * V over the trailing grid axes of V."""
@@ -123,8 +126,9 @@ class PicardOperator:
         out = sums.ingredients()
         vp = (g.d + 2) / 2.0
         out["v_l_half"] = (np.sum(np.abs(dv) ** vp) * g.dx) ** (1.0 / vp)
+        blocks = ifftn(self.blocks * fftn(dv), axes=tuple(range(1, 1 + g.d)), overwrite_x=True)
         out["v_l2_besov"] = _dyadic_norm(
-            ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in _dyadic_blocks(self.lp, fftn(dv))),
+            ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in zip(self.lp.symbols, blocks)),
             -0.5, 0.0)
         return out
 

@@ -155,8 +155,7 @@ def _exp_equilibrium_check(cfg, out, seed):
     for modes in _mode_chunks(ens.n_modes, grid):
         u = stream.buf[modes]
         amp_dev = max(amp_dev, float(np.max(np.abs(np.abs(u) - a[modes][lead]))))
-        gauge_residual = max(gauge_residual,
-                             float(np.max(np.abs(u - ens.equilibrium_fields(t, modes)))))
+        gauge_residual = max(gauge_residual, float(np.max(np.abs(u - ens.equilibrium_at(t, modes)))))
 
     summary = {"n_modes": ens.n_modes, "m_lattice": ens.m,
                "m_quadrature": equilibrium_mass(cfg.make_distribution(), ens.w, grid.d),
@@ -306,18 +305,17 @@ def mem_available() -> int | None:
 
 
 # traced peak of a run, measured with tracemalloc.  A stream experiment holds
-# whole (M, *grid) complex stacks (eq's t = 0 plane waves and the stream's
-# buffer; the probe adds its previous unwound deviation), up to _CHUNK_TEMPS
-# mode chunks of temporaries (4.4 measured), _GRID_TEMPS complex grids and
-# _BASE_BYTES of small objects: equilibrium-check 2.05-2.20, simulate
-# 2.09-2.40 and scattering-probe 3.07-3.35 stacks at d=3, N=16 and d=4, N=8
-# (M = 341 and 1661), none growing with the observation count; at M = 1..61
-# the chunk is the whole stack, and the chunk, grid and fixed terms are most
-# of the peak.  picard counts (n_t, M, *grid) stacks: the solve peaks at 2.7
-# (the iterate, the carried integral, the slice temporaries), and the
-# reference adds a quarter stack of slices to the held iterate
-_PEAK_STACKS = {"equilibrium-check": 2, "simulate": 2, "scattering-probe": 3, "picard": 3}
-_CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES = 8, 16, 1 << 16
+# whole (M, *grid) complex stacks (the stream's buffer; the probe adds its
+# previous unwound deviation), up to _CHUNK_TEMPS mode chunks of temporaries,
+# _GRID_TEMPS complex grids and _BASE_BYTES of small objects: equilibrium-check
+# 1.05-1.20, simulate 1.09-1.41 and scattering-probe 2.07-2.31 stacks at d=3,
+# N=16 and d=4, N=8 (M = 341 and 1661), none growing with the observation
+# count; at M = 1..61 the chunk, grid and fixed terms are most of the peak.
+# picard counts (n_t, M, *grid) stacks: the solve peaks at 2.7 (the iterate,
+# the carried integral, the slice temporaries).  _PROCESS_BYTES is the RSS of
+# the interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
+_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 3}
+_CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 8, 16, 1 << 16, 90 << 20
 
 
 def _mode_count(cfg: RunConfig) -> int:
@@ -336,19 +334,19 @@ def _mode_count(cfg: RunConfig) -> int:
 
 
 def _peak_estimate(cfg: RunConfig) -> tuple:
-    """(bytes, stacks, M, points) of the estimated peak of a stack experiment;
-    the mode count comes from the lattice cell masses, before anything of
-    stack size is allocated."""
+    """(bytes, stacks, M, points) of the estimated peak RSS of a stack
+    experiment, the process included; the mode count comes from the lattice
+    cell masses, before anything of stack size is allocated."""
     grid = cfg.make_grid()
     M = _mode_count(cfg)
     points = grid.N ** grid.d
     if cfg.kind == "picard":
         stacks = _PEAK_STACKS["picard"] * (cfg["picard.steps"] + 1)
-        return math.ceil(stacks * M * points * 16), stacks, M, points
+        return _PROCESS_BYTES + math.ceil(stacks * M * points * 16), stacks, M, points
     stacks = _PEAK_STACKS[cfg.kind]
     chunk = _mode_chunks(M, grid)[0].stop if M else 0
     need = 16 * points * (stacks * M + _CHUNK_TEMPS * chunk + _GRID_TEMPS) + _BASE_BYTES
-    return need, stacks, M, points
+    return _PROCESS_BYTES + need, stacks, M, points
 
 
 def _preflight(cfg: RunConfig) -> None:

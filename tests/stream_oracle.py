@@ -1,13 +1,16 @@
 """The whole-stack observation stream, kept as a test oracle.
 
-It builds its own start, the equilibrium's plane waves with the bump added,
-and each window transforms the whole (M, *grid) mode stack at once; the
-stream carries a spectrum buffer beside the fields of every state it yields.
+It builds its own start, Y(0) with the bump added, and the spectrum the
+stream starts from, and each window transforms the whole (M, *grid) mode
+stack at once; the stream carries a spectrum buffer beside the fields of
+every state it yields.
 The observations take the energy, the masses, the density and the deviation
 norms of whole stacks: np.abs(stack) ** 2 and the Bessel-weighted and dyadic
 block stacks are made in full.  It shares with the chunked stream in
 hartorus.ensemble only ModeEnsemble, its equilibrium methods, BumpSpec's
 field values, the FFT pair, the LittlewoodPaley symbols and _lebesgue.
+equilibrium_fields, the plane waves from one complex exp of the summed
+phase, is the oracle of the factor-built ModeEnsemble.equilibrium_at.
 """
 
 import math
@@ -19,12 +22,46 @@ from hartorus.field import fftn, ifftn
 from hartorus.lpaley import LittlewoodPaley, critical_exponents
 
 
+def equilibrium_fields(eq, t, modes=slice(None), extended=False):
+    """The analytic equilibrium modes a_j e^{i xi_j.x - i t (m + |xi_j|^2)}
+    of the modes in the slice modes: one complex exp over the whole stack of
+    the phase xi.x summed axis by axis (the oracle of eq.equilibrium_at).
+    With extended, the phase is 2 pi (k.n)/N from the carriers' integer
+    lattice indices k and the exp is taken in long double, rounded once to
+    complex128 at the end."""
+    g = eq.grid
+    lead = (-1,) + (1,) * g.d
+    rates = eq._rates[modes].reshape(lead)
+    if not extended:
+        phase = g.phase(eq.carriers[modes])
+        phase -= t * rates
+        out = np.exp(1j * phase)
+        out *= eq.weights[modes].reshape(lead)
+        return out
+    k = np.rint(eq.carriers[modes] * (g.L / (2 * np.pi))).astype(np.int64)
+    kn = sum(k[:, a].reshape(lead) * n for a, n in enumerate(np.indices(g.shape)))
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    phase = two_pi * kn.astype(np.longdouble) / g.N - np.longdouble(t) * rates.astype(np.longdouble)
+    out = np.exp(1j * phase) * eq.weights[modes].astype(np.longdouble).reshape(lead)
+    return out.astype(complex)
+
+
 def start(eq, bump=None):
-    """The start of a run: eq's t = 0 plane waves, bump added to its mode."""
-    u = eq.fields.copy()
+    """The start of a run: Y(0), bump added to its mode."""
+    u = eq.equilibrium_at(0.0)
     if bump is not None:
         u[bump.mode] = u[bump.mode] + bump.field_values(eq.grid)
     return u
+
+
+def start_spectrum(eq, bump=None):
+    """The unnormalised spectrum the stream starts from: y_j's one entry at
+    its carrier's cell, and the transform of the bump in the bump's mode."""
+    hat = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
+    hat[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
+    if bump is not None:
+        hat[bump.mode] += fftn(bump.field_values(eq.grid))
+    return hat
 
 
 def step(eq, u, dt, n=1, hat=None):
@@ -98,8 +135,7 @@ def observations(eq, bump, T, dt, obs_stride=1):
     """Yield (t, u, hat) at step 0 and after every window, hat the carried
     spectrum of the fields u."""
     n_steps = int(round(T / dt))
-    t, u = 0.0, start(eq, bump)
-    hat = fftn(u, axes=eq.space_axes)
+    t, u, hat = 0.0, start(eq, bump), start_spectrum(eq, bump)
     yield t, u, hat
     for i in range(0, n_steps, obs_stride):
         n = min(obs_stride, n_steps - i)

@@ -23,8 +23,10 @@ def setup():
 
 
 def _z0(eq, spec):
-    """Z0 = start - Y(0), the start built by the stream oracle."""
-    return stream_oracle.start(eq, spec) - eq.equilibrium_at(0.0)
+    """Z0, the start of the run minus Y(0): the bump in its mode."""
+    z0 = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
+    z0[spec.mode] = spec.field_values(eq.grid)
+    return z0
 
 
 def _zero_pair(op):
@@ -201,7 +203,7 @@ def test_reference_phase_adds_half_a_stack_to_the_iterate():
                              cfg["theta"])
     bump = BumpSpec(1e-3, 0.8, (2.0, 4.0), (1.0, -1.0), mode=7)
     n_t = cfg["picard.steps"] + 1
-    Z = np.zeros((n_t,) + eq.fields.shape, dtype=complex)
+    Z = np.zeros((n_t, eq.n_modes) + eq.grid.shape, dtype=complex)
     V = np.zeros((n_t,) + eq.grid.shape)
     tracemalloc.start()
     try:
@@ -218,7 +220,7 @@ def test_reference_phase_adds_half_a_stack_to_the_iterate():
 def test_reference_trajectory_aborts_on_nonfinite(setup):
     grid, w, ens, spec = setup
     bad = BumpSpec(np.nan, 0.8, (np.pi,), (1.0,), mode=4)
-    Z = np.zeros((11,) + ens.fields.shape, dtype=complex)
+    Z = np.zeros((11, ens.n_modes) + grid.shape, dtype=complex)
     with pytest.raises(FloatingPointError, match="non-finite"):
         reference_trajectory(ens, bad, _on_lattice(Z, np.zeros((11,) + grid.shape), 0.1), substeps=2)
 

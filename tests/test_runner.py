@@ -285,10 +285,10 @@ def test_payloads_independent_of_fft_workers(tmp_path, monkeypatch):
 
 
 def _picard_need(cfg):
-    # three (n_t, M, *grid) complex stacks
+    # three (n_t, M, *grid) complex stacks and the process's own size
     grid = cfg.make_grid()
     M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
-    return 3 * (cfg["picard.steps"] + 1) * M * grid.N ** grid.d * 16
+    return runner._PROCESS_BYTES + 3 * (cfg["picard.steps"] + 1) * M * grid.N ** grid.d * 16
 
 
 def test_picard_preflight_exits_two_with_estimate_and_limit(tmp_path, monkeypatch, capsys):
@@ -326,13 +326,13 @@ def test_mem_available_reads_the_host():
 def _preflight_need(kind):
     # the estimate of runner._preflight from the test config: its measured
     # stack count times the (M, *grid) stack, plus eight mode chunks, sixteen
-    # complex grids and 64 KiB
+    # complex grids, 64 KiB and the process's own size
     cfg = parse_config(CONFIGS[kind], kind)
     grid = cfg.make_grid()
     M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
     points = grid.N ** grid.d
     chunk = min(M, max(1, ensemble._CHUNK_BYTES // (16 * points)))
-    need = 16 * points * (runner._PEAK_STACKS[kind] * M + 8 * chunk + 16) + 65536
+    need = 16 * points * (runner._PEAK_STACKS[kind] * M + 8 * chunk + 16) + 65536 + runner._PROCESS_BYTES
     assert runner._peak_estimate(cfg)[0] == need
     return need
 
@@ -370,14 +370,14 @@ def _traced_run(cfg, out):
 @pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe"])
 def test_traced_peak_within_the_preflight_stacks(kind, tmp_path):
     # the constants are measurements: a run at d=2, N=32, M=61 (one mode
-    # chunk) stays under the estimate
+    # chunk) stays under the estimate less the process's own size
     text = "\n".join(["grid.d = 2", "grid.N = 32", "f.kind = fermi", "w.kind = delta",
                       "pert.amplitude = 1e-3", "pert.mode = 7", "T = 0.02", "dt = 1e-3",
                       "obs.stride = 5", ""])
     cfg = parse_config(text, kind)
     stack = 61 * 32 ** 2 * 16
     _, peak = _traced_run(cfg, tmp_path)
-    assert peak <= runner._peak_estimate(cfg)[0], peak / stack
+    assert peak <= runner._peak_estimate(cfg)[0] - runner._PROCESS_BYTES, peak / stack
 
 
 _D4_PROBE = "\n".join(["grid.d = 4", "grid.N = 8", "f.kind = zero-temp-fermi", "f.mu = 1.5",
@@ -392,8 +392,40 @@ def test_tier1_stream_configs_peak_within_the_preflight_estimate(kind, tmp_path)
     cfg = (parse_config(_D4_PROBE, "scattering-probe") if kind == "d4-probe"
            else parse_config(CONFIGS[kind], kind))
     _, peak = _traced_run(cfg, tmp_path)
-    need = runner._peak_estimate(cfg)[0]
+    need = runner._peak_estimate(cfg)[0] - runner._PROCESS_BYTES
     assert peak <= need, (peak, need)
+
+
+# VmHWM is the peak RSS of the process image; ru_maxrss is not used, since
+# Linux carries it over from the parent (here the test process) across exec
+_RSS_PROBE = """
+import json, sys
+from hartorus import parse_config, run_experiment, runner
+cfg = parse_config(sys.argv[1], "simulate")
+env = run_experiment(cfg, sys.argv[2])
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+print(json.dumps([hwm, runner._peak_estimate(cfg)[0], env.all_passed]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_simulate_rss_stays_under_the_preflight_estimate(tmp_path):
+    # the whole process, interpreter and libraries included, in a fresh
+    # interpreter: d=3, N=16, M=341 peaks at about 115 MiB RSS against an
+    # estimate of 128 MiB (21 MiB stacks); the parent's estimate, without
+    # the process term and with two stacks, was 60 MiB against 137 MiB
+    text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
+                      "pert.amplitude = 1e-3", "T = 0.02", "dt = 0.01", ""])
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _RSS_PROBE, text, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rss, need, passed = json.loads(proc.stdout)
+    assert passed
+    assert rss <= need, (rss / 2 ** 20, need / 2 ** 20)
 
 
 def test_nonfinite_start_is_refused_before_any_observation(tmp_path):
@@ -420,10 +452,11 @@ def test_scattering_probe_d4_streams(tmp_path):
     assert len(records) == 12
     values = [v for rec in records[:-1] for v in rec.values()]
     assert all(math.isfinite(v) for v in values)
-    # the ensembles, the stream's buffer, the previous and current unwound
-    # deviations, and at M=9 one mode chunk whose temporaries are whole
-    # stacks (measured 8.27); eleven stored snapshots made it 18.1
-    assert peak <= 8.5 * stack, peak / stack
+    # the stream's buffer, the previous and current unwound deviations, and
+    # at M=9 one mode chunk whose temporaries are whole stacks (measured
+    # 5.98; 7.26 with eq's stored plane waves, 18.1 with eleven stored
+    # snapshots)
+    assert peak <= 6.25 * stack, peak / stack
 
 
 def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hartorus import (TorusGrid, TwoWaveParams, build_symbol, char_poly_residual
                       closed_form_spectrum, delta_potential, eigensolver_spectrum,
                       gaussian_potential, most_unstable_ray_frequency, multiset_distance,
                       simulate_linearized, unstable_band, zero_potential)
+from hartorus import twowave
 from hartorus.twowave import _scalars, fuzz_max_distance
 
 
@@ -291,3 +293,36 @@ def test_growth_fit_matches_the_per_sample_oracle(params, N, k_seed, n_samples, 
     assert (got.rate, got.residual, got.predicted_rate, got.discrepancy) == (
         want.rate, want.residual, want.predicted_rate, want.discrepancy)
     assert np.array_equal(got.k_used, want.k_used)
+
+
+def test_stacked_state_has_one_norm_per_state():
+    stack = TwoWaveParams(xi=np.ones((3, 2)), m=np.ones(3), w=delta_potential(1.0))
+    assert np.array_equal(stack.xi_abs, np.full(3, math.sqrt(2.0)))
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 4):
+        xi = rng.uniform(-2, 2, d)
+        one = TwoWaveParams(xi=xi, m=1.0, w=delta_potential(1.0)).xi_abs
+        assert isinstance(one, float)
+        assert one == float(np.linalg.norm(xi))  # the bits of one state's norm are kept
+
+
+@pytest.mark.parametrize("xi, m", [(np.ones((3, 2)), np.ones(3)), (np.ones(2), np.ones(3))],
+                         ids=["xi-stack", "m-stack"])
+def test_one_state_functions_refuse_a_stack(xi, m):
+    params = TwoWaveParams(xi=xi, m=m, w=delta_potential(1.0))
+    shapes = rf"xi of shape {re.escape(str(np.shape(xi)))} and m of shape {re.escape(str(np.shape(m)))}"
+    with pytest.raises(ValueError, match="unstable_band takes one state.*" + shapes):
+        unstable_band(params, np.linspace(0.1, 3.0, 8))
+    with pytest.raises(ValueError, match="most_unstable_ray_frequency takes one state.*" + shapes):
+        most_unstable_ray_frequency(params)
+
+
+def test_fuzz_slicing_keeps_the_bits(monkeypatch):
+    # the fuzz is solved _FUZZ_CASES cases at a time; each case's distance is
+    # its own, so any slicing (here 7, which does not divide 100) gives the
+    # same maximum
+    for w in (delta_potential(1.0), gaussian_potential(1.3, 0.6)):
+        whole = fuzz_max_distance(w, 2, 100, 7)
+        monkeypatch.setattr(twowave, "_FUZZ_CASES", 7)
+        assert fuzz_max_distance(w, 2, 100, 7) == whole
+        monkeypatch.undo()
