@@ -5,7 +5,9 @@ the output bits, but then every transform waits for its slowest thread: on a
 shared 2-CPU host, where another process's load took the second CPU now and
 then, two workers made the d=3 split-step op vary by about 25% from run to
 run, while one worker ran steadily at a time that tracks the host's
-single-thread speed.
+single-thread speed.  The Picard map's norm worker is not that: it takes
+whole slices whose results no later slice reads, so the main thread never
+waits on half of a transform and a busy second CPU only delays the norms.
 """
 
 from __future__ import annotations

@@ -19,10 +19,17 @@ forward transform of their own; the dyadic blocks of V' - V are one batched
 inverse transform per slice.  The first pass maps (0, 0) to the source pair
 (S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped.  Two
 (n_t, M, *grid) stacks, Z and I, are live, plus a few slices.
+
+No later slice reads a slice's window norms, so with two CPUs one worker thread
+takes them: the norms of slice s run beside the chain of slice s+1, one slice in
+flight (two more slices live), each a whole task on one thread collected in
+slice order, so the bits do not depend on the worker.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +41,16 @@ from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
 _TOL = 1e-12        # a difference below this in every window norm counts as converged
+_NORMS = None       # the window-norm worker, started by the first apply on 2+ CPUs
+os.register_at_fork(after_in_child=lambda: globals().update(_NORMS=None))  # a child has no thread
+
+
+def _norm_worker() -> Optional[ThreadPoolExecutor]:
+    """The one thread that takes the window norms; None on one CPU."""
+    global _NORMS
+    if _NORMS is None and len(os.sched_getaffinity(0)) >= 2:
+        _NORMS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="picard-norms")
+    return _NORMS
 
 
 class PicardOperator:
@@ -58,6 +75,7 @@ class PicardOperator:
             self.z0_hat[bump.mode] = fftn(bump.field_values(grid))
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
         self.blocks = np.stack(list(self.lp.symbols.values()))  # the V block symbols, stacked
+        self.lp.bessel  # filled here, so the norm worker never fills a cache
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
         """w * V over the trailing grid axes of V."""
@@ -89,8 +107,7 @@ class PicardOperator:
         skipped and I is left as it is.  Returns the per-slice ingredients of
         the difference (Z' - Z, V' - V) as (n_t,) arrays, for pair_norms.
         """
-        rows = []
-        carry = None
+        rows, carry, job, worker = [], None, None, _norm_worker()
         for s in range(self.n_t):
             Ys = self.eq.equilibrium_at(self.ts[s])
             Zs = Z[s]
@@ -112,9 +129,17 @@ class PicardOperator:
             Zn = ifftn(hat, axes=self.space_axes, overwrite_x=not first)
             Vn = (np.sum(np.abs(Zs) ** 2, axis=0)
                   + 2.0 * np.sum(np.conj(Ys) * Zn, axis=0).real)
-            rows.append(self._ingredients(Zn - Zs, dhat, Vn - V[s]))
+            if job is not None:
+                rows.append(job.result())
+            args = (Zn - Zs, dhat, Vn - V[s])
+            if worker is None:
+                rows.append(self._ingredients(*args))
+            else:
+                job = worker.submit(self._ingredients, *args)
             Z[s] = Zn
             V[s] = Vn
+        if job is not None:
+            rows.append(job.result())
         return {k: np.array([row[k] for row in rows]) for k in rows[0]}
 
     def _ingredients(self, dz: np.ndarray, dz_hat: np.ndarray, dv: np.ndarray) -> dict:

@@ -311,10 +311,12 @@ def mem_available() -> int | None:
 # 1.05-1.20, simulate 1.09-1.41 and scattering-probe 2.07-2.31 stacks at d=3,
 # N=16 and d=4, N=8 (M = 341 and 1661), none growing with the observation
 # count; at M = 1..61 the chunk, grid and fixed terms are most of the peak.
-# picard counts (n_t, M, *grid) stacks: the solve peaks at 2.7 (the iterate,
-# the carried integral, the slice temporaries).  _PROCESS_BYTES is the RSS of
-# the interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
-_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 3}
+# picard holds two (n_t, M, *grid) time stacks (the iterate, the carried
+# integral), a symbol and a potential grid per time, and slice temporaries with
+# the slice in flight on the norm worker: 2 n_t + 10.6 slices at d=3, N=16,
+# M=341, picard.steps = 2..16 (9.1 inline).  _PROCESS_BYTES is the RSS of the
+# interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
+_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 11}
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 8, 16, 1 << 16, 90 << 20
 
 
@@ -340,13 +342,13 @@ def _peak_estimate(cfg: RunConfig) -> tuple:
     grid = cfg.make_grid()
     M = _mode_count(cfg)
     points = grid.N ** grid.d
-    if cfg.kind == "picard":
-        stacks = _PEAK_STACKS["picard"] * (cfg["picard.steps"] + 1)
-        return _PROCESS_BYTES + math.ceil(stacks * M * points * 16), stacks, M, points
-    stacks = _PEAK_STACKS[cfg.kind]
+    stacks, grids = _PEAK_STACKS[cfg.kind], _GRID_TEMPS
     chunk = _mode_chunks(M, grid)[0].stop if M else 0
-    need = 16 * points * (stacks * M + _CHUNK_TEMPS * chunk + _GRID_TEMPS) + _BASE_BYTES
-    return _PROCESS_BYTES + need, stacks, M, points
+    if cfg.kind == "picard":
+        n_t = cfg["picard.steps"] + 1
+        stacks, chunk, grids = stacks + 2 * n_t, 0, grids + 1.5 * n_t
+    need = 16 * points * (stacks * M + _CHUNK_TEMPS * chunk + grids) + _BASE_BYTES
+    return _PROCESS_BYTES + math.ceil(need), stacks, M, points
 
 
 def _preflight(cfg: RunConfig) -> None:

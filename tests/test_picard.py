@@ -1,3 +1,7 @@
+import os
+import select
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +14,7 @@ from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, T
                       critical_exponents, delta_potential, deviation_norms, fermi,
                       init_equilibrium, parse_config, picard_solve, reference_trajectory,
                       run_experiment)
+from hartorus import picard
 from hartorus.field import fftn, ifftn
 
 
@@ -144,8 +149,9 @@ _PICARD_D2 = "\n".join([
 
 def test_picard_op_peaks_at_three_stacks(tmp_path):
     # one picard op at the bench's picard-d2 size: the solve sets the peak
-    # (about 2.7 stacks: the iterate, the carried integral and the per-slice
-    # temporaries); the reference adds slices to the held iterate
+    # (about 2.70 stacks, 2.57 inline: the iterate, the carried integral,
+    # the per-slice temporaries and the slice in flight on the norm worker);
+    # the reference adds slices to the held iterate
     cfg = parse_config(_PICARD_D2, "picard")
     M = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
                          cfg["theta"])[0].n_modes
@@ -159,6 +165,124 @@ def test_picard_op_peaks_at_three_stacks(tmp_path):
         tracemalloc.stop()
     assert env.all_passed
     assert peak <= 3 * stack, peak / stack
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes the next apply see n CPUs and start its worker afresh;
+    every worker started in the test is shut down."""
+    original = picard._NORMS
+
+    def drop():
+        if picard._NORMS not in (None, original):
+            picard._NORMS.shutdown()
+
+    def use(n):
+        drop()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(picard, "_NORMS", None)
+
+    yield use
+    drop()
+
+
+def _worker_case(d, amplitude=1e-3):
+    grid = TorusGrid(d, 2 * np.pi, {1: 64, 2: 16, 3: 8}[d])
+    ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
+    spec = BumpSpec(amplitude, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=4)
+    return PicardOperator(ens, spec, T=1.0 if amplitude > 1 else 0.5, n_steps=20)
+
+
+@pytest.mark.parametrize("d, amplitude, iters", [(1, 1e-3, 1), (1, 1e-3, 5), (2, 1e-3, 1),
+                                                 (2, 1e-3, 5), (3, 1e-3, 1), (3, 1e-3, 4),
+                                                 (1, 30.0, 12)])
+def test_norm_worker_keeps_the_bits(d, amplitude, iters, cpus):
+    # each slice's norms are one task on one thread, collected in slice
+    # order: the worker and the inline path give the same bits
+    op = _worker_case(d, amplitude)
+    cpus(2)
+    threaded = picard_solve(op, max_iters=iters)
+    assert picard._NORMS is not None
+    cpus(1)
+    inline = picard_solve(op, max_iters=iters)
+    assert picard._NORMS is None
+    assert threaded.diverged == inline.diverged == (amplitude > 1)
+    assert threaded.n_iterations == inline.n_iterations
+    assert np.array_equal(threaded.Z, inline.Z)
+    assert np.array_equal(threaded.V, inline.V)
+    assert threaded.diff_norms == inline.diff_norms
+    assert threaded.contraction == inline.contraction
+
+
+def test_norm_worker_error_comes_out_of_apply(cpus, monkeypatch):
+    op = _worker_case(1)
+    want = picard_solve(op, max_iters=3)
+    cpus(2)
+    err = ValueError("norms of slice 3 of the second pass")
+    ingredients = PicardOperator._ingredients
+    seen = []
+
+    def failing(self, *args):
+        seen.append(threading.current_thread())
+        if len(seen) == 25:
+            raise err
+        return ingredients(self, *args)
+
+    monkeypatch.setattr(PicardOperator, "_ingredients", failing)
+    with pytest.raises(ValueError) as exc:
+        picard_solve(op, max_iters=3)
+    assert exc.value is err
+    assert threading.main_thread() not in seen
+    monkeypatch.setattr(PicardOperator, "_ingredients", ingredients)
+    again = picard_solve(op, max_iters=3)
+    assert np.array_equal(again.Z, want.Z)
+    assert again.diff_norms == want.diff_norms
+
+
+def test_one_cpu_starts_no_thread(setup, cpus):
+    grid, w, ens, spec = setup
+    cpus(1)
+    threads = set(threading.enumerate())
+    picard_solve(PicardOperator(ens, spec, T=0.5, n_steps=20), max_iters=3)
+    assert picard._NORMS is None
+    assert set(threading.enumerate()) == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_worker(setup, cpus):
+    # a forked child has the parent's executor but not its thread: its first
+    # apply must start a worker of its own, not wait on one that never runs
+    grid, w, ens, spec = setup
+    cpus(2)
+    op = PicardOperator(ens, spec, T=0.5, n_steps=20)
+    want = picard_solve(op, max_iters=3)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports through the pipe and skips pytest's teardown
+        ok = False
+        try:
+            got = picard_solve(op, max_iters=3)
+            ok = np.array_equal(got.Z, want.Z) and got.diff_norms == want.diff_norms
+        finally:
+            os.write(write, b"1" if ok else b"0")
+            os._exit(0)
+    os.close(write)
+    ready, _, _ = select.select([read], [], [], 30)
+    if not ready:
+        os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    assert ready, "the child's solve waited on the parent's worker"
+    assert os.read(read, 1) == b"1"
+    os.close(read)
+
+
+def test_operator_fills_the_lazy_norm_caches():
+    # the worker only reads what the operator filled on the main thread
+    grid = TorusGrid(2, 2 * np.pi, 16)
+    ens, _ = init_equilibrium(grid, fermi(1.0, 0.0), delta_potential(1.0), 1e-8)
+    op = PicardOperator(ens, None, T=0.5, n_steps=4)
+    for name in ("symbols", "bessel"):
+        assert name in vars(op.lp), name
 
 
 def test_contraction_small_data(setup):

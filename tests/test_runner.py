@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -100,7 +101,10 @@ obs.stride = 200
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
 def test_experiment_passes(kind, tmp_path):
     cfg = parse_config(CONFIGS[kind], kind)
+    threads = set(threading.enumerate())
     env = run_experiment(cfg, tmp_path)
+    if kind != "picard":
+        assert set(threading.enumerate()) == threads  # only picard starts the norm worker
     assert env.all_passed, env.verdicts
     assert env.exit_code == 0
     meta = json.loads((tmp_path / "envelope.json").read_text())
@@ -285,10 +289,15 @@ def test_payloads_independent_of_fft_workers(tmp_path, monkeypatch):
 
 
 def _picard_need(cfg):
-    # three (n_t, M, *grid) complex stacks and the process's own size
+    # two (n_t, M, *grid) complex time stacks plus eleven (M, *grid) slices,
+    # a complex symbol grid and a real potential grid per time, sixteen
+    # complex grids, 64 KiB and the process's own size
     grid = cfg.make_grid()
     M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
-    return runner._PROCESS_BYTES + 3 * (cfg["picard.steps"] + 1) * M * grid.N ** grid.d * 16
+    n_t, points = cfg["picard.steps"] + 1, grid.N ** grid.d
+    need = 16 * points * ((2 * n_t + 11) * M + 16) + 24 * points * n_t + 65536 + runner._PROCESS_BYTES
+    assert runner._peak_estimate(cfg)[0] == need
+    return need
 
 
 def test_picard_preflight_exits_two_with_estimate_and_limit(tmp_path, monkeypatch, capsys):
@@ -308,6 +317,20 @@ def test_picard_preflight_exits_two_with_estimate_and_limit(tmp_path, monkeypatc
     assert f"{(need - 1) / 2**20:.0f} MiB is available" in err
     with pytest.raises(runner.MemoryPreflightError):
         run_experiment(parse_config(CONFIGS["picard"], "picard"), tmp_path / "direct")
+
+
+@pytest.mark.parametrize("steps", [2, 4, 8, 16])
+def test_picard_traced_peak_within_the_preflight_estimate(steps, tmp_path):
+    # d=3, N=16, M=341 (21.3 MiB slices): the solve peaks at two time stacks
+    # plus 10.6 slices with the norm worker (9.1 inline) at every steps, so a
+    # count of 3 n_t slices would read 9 against 15.05 inline at steps = 2
+    text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
+                      "pert.amplitude = 1e-3", "T = 0.05", f"picard.steps = {steps}",
+                      "picard.iters = 2", "picard.substeps = 1", ""])
+    cfg = parse_config(text, "picard")
+    _, peak = _traced_run(cfg, tmp_path)
+    need = runner._peak_estimate(cfg)[0] - runner._PROCESS_BYTES
+    assert peak <= need, (peak / (341 * 16 ** 3 * 16), need / (341 * 16 ** 3 * 16))
 
 
 @pytest.mark.parametrize("limit", ["need", None])
@@ -457,6 +480,19 @@ def test_scattering_probe_d4_streams(tmp_path):
     # 5.98; 7.26 with eq's stored plane waves, 18.1 with eleven stored
     # snapshots)
     assert peak <= 6.25 * stack, peak / stack
+
+
+def test_cli_picard_exits_promptly_with_the_norm_worker(tmp_path):
+    # the idle worker thread does not hold the interpreter open at exit
+    cfg_path = tmp_path / "picard.cfg"
+    cfg_path.write_text(CONFIGS["picard"])
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hartorus.cli", "picard", "--config",
+                           str(cfg_path), "--out", str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):
