@@ -16,12 +16,11 @@ from .ensemble import (BumpSpec, ModeEnsemble, Trajectory, conserved_energy, cri
                        scattering_probe, step)
 from .picard import PicardOperator, PicardResult, picard_solve, reference_trajectory
 from .response import (DecayReport, EpsilonGReport, MarginReport, MultiplierTable,
-                       apply_L1_frequency_domain, apply_L1_time_domain, compute_mf_batch,
-                       decay_bound_check, decay_slope, default_tau_grid, default_xi_grid,
-                       epsilon_g, stability_margin)
-from .twowave import (BandReport, GrowthFit, TwoWaveParams, build_symbol, char_poly_residual,
-                      closed_form_spectrum, eigensolver_spectrum, most_unstable_ray_frequency,
-                      multiset_distance, simulate_linearized, unstable_band)
+                       compute_mf_batch, decay_bound_check, decay_slope, default_tau_grid,
+                       default_xi_grid, epsilon_g, stability_margin)
+from .twowave import (BandReport, GrowthFit, TwoWaveParams, build_symbol, closed_form_spectrum,
+                      eigensolver_spectrum, most_unstable_ray_frequency, multiset_distance,
+                      simulate_linearized, unstable_band)
 from .config import EXPERIMENT_KINDS, ConfigError, RunConfig, parse_config
 from .runner import ResultEnvelope, run_experiment
 from .svgplot import emit_plot

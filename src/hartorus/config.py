@@ -189,6 +189,9 @@ def parse_config(text: str, kind: str) -> RunConfig:
         post.append("f.kind = bose requires f.mu < 0")
     if values["f.kind"] == "zero-temp-fermi" and values["f.mu"] <= 0:
         post.append("f.kind = zero-temp-fermi requires f.mu > 0")
+    for lo, hi in (("scan.rmin", "scan.rmax"), ("tau.min", "tau.max")):
+        if values[lo] >= values[hi]:
+            post.append(f"{lo} = {values[lo]:g} must be below {hi} = {values[hi]:g}")
     d = values["grid.d"]
     for vec_key in ("pert.center", "pert.carrier") + (("twowave.xi",) if kind == "instability" else ()):
         v = values[vec_key]

@@ -44,6 +44,8 @@ built per chunk where it is read from one table of the N roots of unity
 (equilibrium_at), and no copy is stored; the spectrum of y_j has one nonzero
 entry (equilibrium_spectrum at carrier_cells), so deviation_chunks takes the
 spectrum of Z from the stream's, with no forward FFT of its own.
+deviation_norms reads those (modes, Z, Z-hat) chunks and nothing else; a
+whole stack is one chunk whose spectrum the caller supplies.
 """
 
 from __future__ import annotations
@@ -378,18 +380,13 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
             hat[at] = saved
 
 
-def deviation_norms(lp: LittlewoodPaley, stack, hat: Optional[np.ndarray] = None) -> dict:
+def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
     """Spatial ingredient norms of a deviation at one time, on the grid of the
-    block family lp.  stack is its (M, *grid) stack, with hat its
-    unnormalised spectrum when the caller holds it (only read), or an
-    iterable of its (modes, Z, Z-hat) chunks as deviation_chunks yields them."""
+    block family lp, from the iterable of its (modes, Z, Z-hat) chunks as
+    deviation_chunks yields them (Z-hat only read)."""
     grid = lp.grid
-    if isinstance(stack, np.ndarray):
-        if hat is None and len(stack):
-            hat = fftn(stack, axes=tuple(range(1, stack.ndim)))
-        stack = [(slice(None), stack, hat)] if len(stack) else []
     sums, power = _NormSums(lp), _ModeSum(grid.shape)
-    for _, Z, Z_hat in stack:
+    for _, Z, Z_hat in chunks:
         sums.add(Z, Z_hat)
         power.add(Z_hat)
     out = sums.ingredients()

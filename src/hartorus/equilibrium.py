@@ -13,7 +13,9 @@ and the response cross-checks validate it operationally.
 CovarianceProfile tabulates h with one fixed-node Gauss-Legendre radial
 transform per block of table nodes (panels of a few kernel periods, in the
 spirit of Ogata's Bessel-kernel quadrature); eval_h is the adaptive
-single-point quadrature kept as its oracle.
+single-point quadrature kept as its oracle.  No run calls eval_h, so it
+imports scipy.integrate on its first call; it stays in this module because
+the benchmark's response oracle and its tracer read it here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma, j0, j1
 
@@ -188,6 +189,8 @@ def eval_h(f: DistributionFunction, d: int, x: float):
     subdivision budget that grows with the number of oscillations.  It serves
     as the oracle for CovarianceProfile's table and its h(0).
     """
+    from scipy import integrate
+
     if not 1 <= d <= 4:
         raise ValueError(f"dimension {d} outside 1..4")
     x = abs(float(x))
@@ -359,9 +362,11 @@ class CovarianceProfile:
     bisection grades them toward a jump of f2 there as toward an interior one.
     The h table holds h at nodes spaced dx from 0 until |h| has stayed below
     _TABLE_TOL * |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP);
-    beyond it h is zero.  table_error() is the largest per-node |GL32 - GL16|
-    plus the largest gap between the spline and the fixed-node transform at
-    the node midpoints, the interpolation error, taken on its first call.
+    beyond it h is zero.  A profile with h(0) = 0 splines zeros on [0, 1], so
+    every profile has the same kind of table.  table_error() is the largest
+    per-node |GL32 - GL16| plus the largest gap between the spline and the
+    fixed-node transform at the node midpoints, the interpolation error,
+    taken on its first call.
     """
 
     def __init__(self, f: DistributionFunction, d: int):
@@ -379,8 +384,8 @@ class CovarianceProfile:
 
     def _build_table(self):
         if self.f.is_zero or self.h0 == 0.0:
-            self._spline = lambda x: np.zeros_like(np.asarray(x, dtype=float))
             self._x_max = 1.0
+            self._spline = CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural"))
             return
         rsup = self.f.support_radius(1e-10)
         rend = self.f.support_radius()
@@ -424,33 +429,25 @@ class CovarianceProfile:
         sp = self.spline
         if self._midpoint_gap is None:
             self._midpoint_gap = 0.0
-            if isinstance(sp, CubicSpline):  # the midpoints in blocks of nodes, as the table
-                mids = 0.5 * (sp.x[1:] + sp.x[:-1])
-                for s in range(0, len(mids), _TABLE_BLOCK):
-                    xb = mids[s:s + _TABLE_BLOCK]
-                    hb = _radial_transform(self.f, self.d, xb, self.f.support_radius())[0]
-                    self._midpoint_gap = max(self._midpoint_gap, float(np.max(np.abs(sp(xb) - hb))))
+            mids = 0.5 * (sp.x[1:] + sp.x[:-1])  # in blocks of nodes, as the table
+            for s in range(0, len(mids), _TABLE_BLOCK):
+                xb = mids[s:s + _TABLE_BLOCK]
+                hb = _radial_transform(self.f, self.d, xb, self.f.support_radius())[0]
+                self._midpoint_gap = max(self._midpoint_gap, float(np.max(np.abs(sp(xb) - hb))))
         return self._table_err + self._midpoint_gap
 
-    def __call__(self, x):
-        """Vectorized h(|x|) from the cached table (zero beyond its reach)."""
-        sp = self.spline
+    def _lookup(self, sp, x):
+        """sp, the table's spline or a derivative of it, at |x|; zero past x_max."""
         x = np.abs(np.asarray(x, dtype=float))
-        out = np.asarray(sp(np.minimum(x, self.x_max)), dtype=float)
-        return np.where(x <= self.x_max, out, 0.0)
+        return np.where(x <= self.x_max, sp(np.minimum(x, self.x_max)), 0.0)
+
+    def __call__(self, x):
+        """Vectorized h(|x|) from the cached table."""
+        return self._lookup(self.spline, x)
 
     def derivative(self, n: int = 1):
-        sp = self.spline
-        if callable(sp) and not isinstance(sp, CubicSpline):
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        dsp = sp.derivative(n)
-        xm = self.x_max
-
-        def dh(x):
-            x = np.abs(np.asarray(x, dtype=float))
-            return np.where(x <= xm, dsp(np.minimum(x, xm)), 0.0)
-
-        return dh
+        dsp = self.spline.derivative(n)
+        return lambda x: self._lookup(dsp, x)
 
     def _line_table(self):
         """[(nodes, weights, rho1)] on the radial panels, 32- then 16-point."""
@@ -518,9 +515,11 @@ class HypothesisReport:
 
 
 def hypothesis_check(cov: CovarianceProfile, w: InteractionPotential,
-                     epsilon_g: Optional[float] = None) -> HypothesisReport:
+                     epsilon_g: float) -> HypothesisReport:
     """Numerically evaluate the admissibility bullets for the distribution of
     the profile cov and w, in the profile's dimension; its table is reused.
+    epsilon_g is the low-frequency threshold of response.epsilon_g, which the
+    defocusing bullet compares with w-hat(0).
 
     The integral bullets are sums over the profile's radial panels, which
     grade toward every jump of f2: the 32-point Gauss rule for the weighted
@@ -602,12 +601,8 @@ def hypothesis_check(cov: CovarianceProfile, w: InteractionPotential,
         except Exception:
             bullets.append(Bullet("potential_focusing_part", None, wneg))
 
-    if epsilon_g is None:
-        bullets.append(Bullet("potential_defocusing_part", None, w0p,
-                              note="needs the low-frequency threshold from a multiplier scan"))
-    else:
-        thr = math.inf if epsilon_g <= 0 else two_area / epsilon_g
-        bullets.append(Bullet("potential_defocusing_part", bool(epsilon_g * w0p < two_area),
-                              w0p, threshold=thr))
+    thr = math.inf if epsilon_g <= 0 else two_area / epsilon_g
+    bullets.append(Bullet("potential_defocusing_part", bool(epsilon_g * w0p < two_area),
+                          w0p, threshold=thr))
 
     return HypothesisReport(d=d, bullets=bullets)

@@ -17,10 +17,10 @@ import scipy.fft
 _WORKERS = 1
 
 
-def fftn(x, axes=None, s=None, overwrite_x=False):
-    """Unnormalised forward FFT over axes (all by default), zero-padded to s;
-    overwrite_x only on a temporary the caller no longer needs."""
-    return scipy.fft.fftn(x, s=s, axes=axes, overwrite_x=overwrite_x, workers=_WORKERS)
+def fftn(x, axes=None, overwrite_x=False):
+    """Unnormalised forward FFT over axes (all by default); overwrite_x only on
+    a temporary the caller no longer needs."""
+    return scipy.fft.fftn(x, axes=axes, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
 def ifftn(x, axes=None, overwrite_x=False):

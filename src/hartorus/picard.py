@@ -185,7 +185,7 @@ class PicardResult:
     n_iterations: int
 
 
-def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
+def picard_solve(op: PicardOperator, max_iters: int) -> PicardResult:
     """Iterate the map from (0, 0) with contraction diagnostics.
 
     The first pass gives the source pair, whose norms are the first
@@ -212,7 +212,7 @@ def picard_solve(op: PicardOperator, max_iters: int = 12) -> PicardResult:
 
 
 def reference_trajectory(eq: ModeEnsemble, bump: Optional[BumpSpec], result: PicardResult,
-                         substeps: int = 10):
+                         substeps: int):
     """Split-step run of the start eq + bump around the equilibrium eq,
     compared with the pair (Z, V) of result on its time lattice result.ts
     (substeps steps per slice) as each slice of the run arrives; nothing of

@@ -19,21 +19,24 @@ h(0)/(i(tau -+ |xi|^2)), so to leading order, wherever |tau -+ |xi|^2| >> |xi|,
 At fixed xi this decays like tau^-2; along tau = c|xi|^2 (c > 1) like 1/tau,
 with tau m_f -> 2c h(0)/(c^2 - 1); at the resonance tau = |xi|^2 only like
 tau^-1/2, which is where the weight of decay_bound_check is tight.
+
+The stability condition is read off m_f and the h table; the operator L1 in
+both forms, which checks the two against each other, is a test oracle in
+tests/l1_oracle.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .equilibrium import CovarianceProfile, InteractionPotential, sphere_area
-from .field import fftn, ifftn
 from .grid import TorusGrid
 
 _SHELL_REL_TOL = 0.05       # epsilon_g: last two shell minima agree to this
+_N_SHELLS = 8               # epsilon_g: dyadic shells toward the origin
+_DOUBLINGS = 4              # decay_slope: tau doublings past tau_base
 
 
 def compute_mf_batch(cov: CovarianceProfile, taus, xis):
@@ -85,82 +88,9 @@ def default_tau_grid(tau_max: float = 32.0, tau_min: float = 1e-2, n_half: int =
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-def default_xi_grid(grid: TorusGrid, n: int = 16) -> np.ndarray:
+def default_xi_grid(grid: TorusGrid, n: int) -> np.ndarray:
     """n radii from the smallest nonzero lattice frequency to the Nyquist one."""
     return np.linspace(grid.xi_min, grid.nyquist, n)
-
-
-# ---------------------------------------------------------------------------
-# the linear operator in both representations
-
-
-def _radial_lookup(grid: TorusGrid):
-    r = grid.xi_norm.ravel()
-    uniq, inv = np.unique(r, return_inverse=True)
-    return uniq, inv
-
-
-def apply_L1_time_domain(V_stack, ts, cov: CovarianceProfile, w: InteractionPotential,
-                         grid: TorusGrid):
-    """Causal in-time convolution per spatial frequency, trapezoid weights.
-
-    V_stack is (n_t, *grid.shape) physical values on the uniform lattice ts;
-    ValueError when cov is not a profile in the grid's dimension.
-    """
-    if cov.d != grid.d:
-        raise ValueError(f"profile is for dimension {cov.d}, the grid for {grid.d}")
-    V_stack = np.asarray(V_stack, dtype=complex)
-    ts = np.asarray(ts, dtype=float)
-    n_t = len(ts)
-    if V_stack.shape[0] != n_t:
-        raise ValueError("time axis mismatch")
-    dt = ts[1] - ts[0] if n_t > 1 else 0.0
-
-    space_axes = tuple(range(1, grid.d + 1))
-    Vhat = fftn(V_stack, axes=space_axes).reshape(n_t, -1)
-
-    uniq, inv = _radial_lookup(grid)
-    lag = ts - ts[0]
-    kern_r = -2.0 * np.sin(np.outer(lag, uniq ** 2)) * cov(2.0 * np.outer(lag, uniq))
-    kern = kern_r[:, inv] * w.what(uniq)[inv][None, :]
-
-    # trapezoid = full convolution (zero-padded past 2 n_t - 1, so the
-    # transform does not wrap) minus half of the s=0 and s=t endpoint
-    # terms; the kernel vanishes at zero lag so only s=0 remains.
-    n_fft = (next_fast_len(2 * n_t - 1),)
-    conv = fftn(kern, axes=(0,), s=n_fft)
-    conv *= fftn(Vhat, axes=(0,), s=n_fft)
-    conv = ifftn(conv, axes=(0,), overwrite_x=True)[:n_t]
-    out_hat = dt * (conv - 0.5 * kern * Vhat[0][None, :])
-    return ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes, overwrite_x=True)
-
-
-def apply_L1_frequency_domain(V_stack, ts, cov: CovarianceProfile, w: InteractionPotential,
-                              grid: TorusGrid):
-    """Same operator through multiplication by w-hat * m_f on the time transform
-    zero-padded to a power of 2 >= 2 n_t; m_f comes from rho1, not from the h
-    table of the time-domain form, which makes this an independent representation.
-    ValueError as there."""
-    if cov.d != grid.d:
-        raise ValueError(f"profile is for dimension {cov.d}, the grid for {grid.d}")
-    V_stack = np.asarray(V_stack, dtype=complex)
-    ts = np.asarray(ts, dtype=float)
-    n_t = len(ts)
-    dt = ts[1] - ts[0]
-    n_pad = 1 << (2 * n_t - 1).bit_length()
-
-    space_axes = tuple(range(1, grid.d + 1))
-    Vhat = fftn(V_stack, axes=space_axes).reshape(n_t, -1)
-
-    taus = 2.0 * math.pi * np.fft.fftfreq(n_pad, d=dt)
-    uniq, inv = _radial_lookup(grid)
-    mf_cols, _ = compute_mf_batch(cov, taus, uniq)
-    symbol = mf_cols[:, inv] * w.what(uniq)[inv][None, :]
-
-    out_pad = fftn(Vhat, axes=(0,), s=(n_pad,))
-    out_pad *= symbol
-    out_hat = ifftn(out_pad, axes=(0,), overwrite_x=True)[:n_t]
-    return ifftn(out_hat.reshape((n_t,) + grid.shape), axes=space_axes, overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +131,7 @@ class EpsilonGReport:
     converged: bool
 
 
-def epsilon_g(cov: CovarianceProfile, n_shells: int = 8) -> EpsilonGReport:
+def epsilon_g(cov: CovarianceProfile) -> EpsilonGReport:
     """Dyadic-shell estimator of the low-frequency threshold.
 
     Each shell refines (tau, |xi|) toward the origin by a factor 2, from 1;
@@ -211,11 +141,11 @@ def epsilon_g(cov: CovarianceProfile, n_shells: int = 8) -> EpsilonGReport:
     """
     two_area = 2.0 * sphere_area(cov.d)
     if cov.f.is_zero or cov.h0 == 0.0:
-        return EpsilonGReport(0.0, [0.0] * n_shells, True)
+        return EpsilonGReport(0.0, [0.0] * _N_SHELLS, True)
     r_fracs = np.array([1.0, 0.75, 0.5, 0.375, 0.25])
     tau_fracs = np.array([0.0, 0.25, 0.5, 1.0])
     minima = []
-    for rho in (2.0 ** (-k) for k in range(n_shells)):
+    for rho in (2.0 ** (-k) for k in range(_N_SHELLS)):
         taus = np.concatenate([tau_fracs * rho, -tau_fracs[1:] * rho])
         vals, _ = compute_mf_batch(cov, taus, rho * r_fracs)
         minima.append(float(np.min(vals.real)))
@@ -243,7 +173,7 @@ def decay_bound_check(table: MultiplierTable) -> DecayReport:
                        arg_xi=float(table.xis[idx[1]]), finite=bool(np.isfinite(sup)))
 
 
-def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0, doublings: int = 4):
+def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0):
     """Log-log slope of |m_f| under repeated tau doubling at fixed |xi|.
 
     At fixed |xi| the slope tends to -2 as tau grows, from the leading form
@@ -252,7 +182,7 @@ def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0, do
     64|xi|^2.  The window must lie well above the resonance tau = |xi|^2:
     below it |m_f| is nearly flat in tau.
     """
-    taus = tau_base * 2.0 ** np.arange(doublings + 1)
+    taus = tau_base * 2.0 ** np.arange(_DOUBLINGS + 1)
     vals, _ = compute_mf_batch(cov, taus, [xi_abs])
     mags = np.abs(vals[:, 0])
     slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0])

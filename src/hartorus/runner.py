@@ -22,7 +22,7 @@ from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_
                        cell_masses, deviation_chunks, evolve, init_equilibrium, observations,
                        scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
-from .field import fftn
+from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley
 from .picard import PicardOperator, picard_solve, reference_trajectory
 from .response import (MultiplierTable, decay_bound_check, decay_slope, default_tau_grid,
@@ -407,8 +407,9 @@ def _bernstein_ratio(lp, u, j) -> float:
     """||u_j||_inf / (2^{jd/2} ||u_j||_2) of the dyadic block u_j of the field
     u on the grid of lp."""
     grid = lp.grid
-    block = np.abs(dict(_dyadic_blocks(lp, fftn(u)))[j])
-    l2 = _lebesgue(block, 2.0, grid.dx, tuple(range(grid.d)))
+    axes = tuple(range(grid.d))
+    block = np.abs(ifftn(lp.symbols[j] * fftn(u), axes=axes, overwrite_x=True))
+    l2 = _lebesgue(block, 2.0, grid.dx, axes)
     return float(np.max(block) / (2.0 ** (j * grid.d * 0.5) * l2))
 
 

@@ -137,17 +137,6 @@ def fuzz_max_distance(w: InteractionPotential, d: int, count: int, seed: int) ->
     return float(worst)
 
 
-def char_poly_residual(params: TwoWaveParams, k, lam: complex) -> float:
-    """|P(lambda)| relative to the polynomial's coefficient scale."""
-    xk, b, c = _scalars(params, k)
-    a2 = -4.0 * xk * xk
-    c2 = 2.0 * ((b + c) * b - a2)
-    c0 = ((b + c) * b + a2) ** 2 - b * b * c * c
-    val = lam ** 4 + c2 * lam ** 2 + c0
-    scale = max(1.0, abs(lam) ** 4, abs(c2) * abs(lam) ** 2, abs(c0))
-    return float(abs(val) / scale)
-
-
 @dataclass
 class BandReport:
     r_grid: np.ndarray

@@ -5,14 +5,16 @@ spectrum and the cumulative trapezoid are (n_t, M, *grid) stacks, and the
 window norms transform the difference of two iterates.  It shares with the
 streamed PicardOperator only the arrays the operator builds once (fwd and
 z0_hat), Y(t) from its equilibrium's equilibrium_at, convolve_potential,
-deviation_norms (slice by slice) and the spatial kernel _dyadic_blocks.
+deviation_norms (slice by slice, through stack_norms) and the spatial kernel
+_dyadic_blocks.
 """
 
 import numpy as np
 
-from hartorus.ensemble import _dyadic_blocks, critical_exponents, deviation_norms
+from hartorus.ensemble import _dyadic_blocks, critical_exponents
 from hartorus.field import fftn, ifftn
 from hartorus.lpaley import LittlewoodPaley
+from stack_norms import stack_norms
 
 
 def _stack_axes(op):
@@ -68,7 +70,7 @@ def pair_norms(op, Z, V, lp=None):
     def t_integral(vals, power):
         return float(np.trapezoid(vals ** power, dx=op.dt) ** (1.0 / power))
 
-    rows = [deviation_norms(lp, Zs) for Zs in Z]
+    rows = [stack_norms(lp, Zs) for Zs in Z]
     z = {k: np.array([row[k] for row in rows]) for k in rows[0]}
     out = {"z_sup_l2": float(np.max(z["l2"])),
            "z_l_dplus2": t_integral(z["l_dplus2"], d + 2),

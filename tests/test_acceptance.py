@@ -30,6 +30,7 @@ from scipy.special import dawsn
 import hartorus as ht
 from hartorus.ensemble import _dyadic_norm, _record
 from hartorus.runner import _bernstein_ratio, _block_norms, _parseval_defect
+from l1_oracle import apply_L1_frequency_domain, apply_L1_time_domain
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -201,8 +202,8 @@ def test_c05_response_operator_representations():
         V += np.outer(np.sin(np.pi * ts / T) ** 2 * np.cos(0.7 * k * ts + 0.3),
                       (c * np.exp(1j * k * grid.x_axis)).real)
     V /= np.max(np.abs(V))
-    out_t = ht.apply_L1_time_domain(V.astype(complex), ts, cov, w, grid)
-    out_f = ht.apply_L1_frequency_domain(V.astype(complex), ts, cov, w, grid)
+    out_t = apply_L1_time_domain(V.astype(complex), ts, cov, w, grid)
+    out_f = apply_L1_frequency_domain(V.astype(complex), ts, cov, w, grid)
     diff = float(np.max(np.abs(out_t - out_f)))
     ok = diff <= 1e-4
     assert report("C5 response operator representations", ok, f"sup diff {diff:.2e}")

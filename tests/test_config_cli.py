@@ -70,6 +70,33 @@ def test_bose_needs_negative_mu():
     assert any("bose" in v for v in exc.value.violations)
 
 
+_TWO_WAVE = "twowave.m = 1.0\ntwowave.xi = 1.0\n"
+_RESPONSE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\n"
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    pytest.param("instability", _TWO_WAVE + "scan.rmin = 3.0\nscan.rmax = 0.05\n",
+                 "scan.rmin = 3 must be below scan.rmax = 0.05", id="scan-inverted"),
+    pytest.param("instability", _TWO_WAVE + "scan.rmin = 1.5\nscan.rmax = 1.5\n",
+                 "scan.rmin = 1.5 must be below scan.rmax = 1.5", id="scan-equal"),
+    pytest.param("stability-check", _RESPONSE + "tau.min = 40\ntau.max = 1\n",
+                 "tau.min = 40 must be below tau.max = 1", id="tau-inverted"),
+    pytest.param("stability-check", _RESPONSE + "tau.min = 2\ntau.max = 2\n",
+                 "tau.min = 2 must be below tau.max = 2", id="tau-equal"),
+])
+def test_empty_range_exits_two(kind, text, message, tmp_path, capsys):
+    # an inverted scan wrote a reversed band and an inverted tau range ran on
+    # a tau grid that is not monotone; an empty range is refused as well
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, kind)
+    assert exc.value.violations == [message]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 _PROBE = "grid.d = 1\ngrid.N = 32\nf.kind = fermi\nw.kind = delta\npert.amplitude = 0.01\nT = 0.1\n"
 
 

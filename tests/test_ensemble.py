@@ -5,8 +5,9 @@ import pytest
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
+from stack_norms import stack_norms
 from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, conserved_energy, critical_exponents,
-                      custom_radial, delta_potential, deviation_chunks, deviation_norms, evolve,
+                      custom_radial, delta_potential, deviation_chunks, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
                       scattering_probe, step, zero_distribution, zero_potential)
 from hartorus import ensemble as ens_mod
@@ -223,8 +224,8 @@ def test_perturbation_norms_scale_linearly(grid, eq):
     spec1 = BumpSpec(1e-4, 0.8, (np.pi,), (1.0,), mode=4)
     spec2 = BumpSpec(2e-4, 0.8, (np.pi,), (1.0,), mode=4)
     lp = LittlewoodPaley(grid)
-    n1 = deviation_norms(lp, oracle.start(eq, spec1) - eq.equilibrium_at(0.0))
-    n2 = deviation_norms(lp, oracle.start(eq, spec2) - eq.equilibrium_at(0.0))
+    n1 = stack_norms(lp, oracle.start(eq, spec1) - eq.equilibrium_at(0.0))
+    n2 = stack_norms(lp, oracle.start(eq, spec2) - eq.equilibrium_at(0.0))
     for key in n1:
         assert n2[key] == pytest.approx(2.0 * n1[key], rel=1e-10)
         assert math.isfinite(n1[key])
@@ -343,7 +344,7 @@ def test_deviation_norms_of_one_mode_match_norms_module(d, N):
     grid = TorusGrid(d, 2 * np.pi, N)
     fld = SpectralField.random(grid, np.random.default_rng(d))
     ex = critical_exponents(d)
-    got = deviation_norms(LittlewoodPaley(grid), fld.values[None])
+    got = stack_norms(LittlewoodPaley(grid), fld.values[None])
     want = {"l2": lebesgue_norm(fld, 2), "l_dplus2": lebesgue_norm(fld, d + 2),
             "w_sp": sobolev_norm(fld, ex["s"], ex["p"]),
             "besov_q": besov_norm(fld, ex["q"], 0.0, 0.25), "hs": sobolev_norm(fld, ex["s"], 2)}
@@ -427,7 +428,7 @@ def test_multiwindow_norms_match_recomputed_deviation_norms():
     deviations = [Z for _, Z, _ in oracle.deviation_stacks(eq, spec, 0.012, 1e-3, 5)]
     assert len(traj.times) == len(deviations) == 4
     for i, Z in enumerate(deviations):
-        want = deviation_norms(LittlewoodPaley(eq.grid), Z)
+        want = stack_norms(LittlewoodPaley(eq.grid), Z)
         for k, v in want.items():
             assert traj.norms[k][i] == pytest.approx(v, rel=1e-12), (i, k)
 
@@ -592,7 +593,7 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
         return ifftn(x, *args, **kwargs)
 
     monkeypatch.setattr(ens_mod, "ifftn", counting)
-    got = deviation_norms(lp, stack)
+    got = stack_norms(lp, stack)
     assert len(inverses) == len(lp.j_resolvable) + (d != 2)
     ex = critical_exponents(d)
     axes = tuple(range(1, 1 + d))

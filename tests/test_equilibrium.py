@@ -138,19 +138,20 @@ def test_potential_kinds():
 
 
 def test_hypothesis_fermi_d4_passes_monotonicity():
-    rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1))
+    rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), 0.17)
     assert rep.bullet("monotone_decreasing").passed is True
     assert rep.bullet("weighted_l2").passed is True
     assert rep.bullet("h_derivative_decay").passed is True
 
 
 def test_hypothesis_zero_temp_fermi_fails_monotonicity():
-    rep = hypothesis_check(CovarianceProfile(zero_temp_fermi(1.0), 4), delta_potential(0.1))
+    rep = hypothesis_check(CovarianceProfile(zero_temp_fermi(1.0), 4), delta_potential(0.1), 0.17)
     assert rep.bullet("monotone_decreasing").passed is False
 
 
 def test_hypothesis_zero_distribution_all_pass():
-    rep = hypothesis_check(CovarianceProfile(zero_distribution(), 3), delta_potential(1.0))
+    # epsilon_g of the zero distribution is 0
+    rep = hypothesis_check(CovarianceProfile(zero_distribution(), 3), delta_potential(1.0), 0.0)
     for b in rep.bullets:
         if b.passed is not None:
             assert b.passed, b.name
@@ -161,8 +162,9 @@ def test_hypothesis_defocusing_bullet_uses_epsilon_g():
     rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), epsilon_g=0.17)
     b = rep.bullet("potential_defocusing_part")
     assert b.passed is True
-    rep2 = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1))
-    assert rep2.bullet("potential_defocusing_part").passed is None
+    # 2 |S^3| = 4 pi^2 is the bound on epsilon_g * w-hat(0)
+    rep2 = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), 1e3)
+    assert rep2.bullet("potential_defocusing_part").passed is False
 
 
 def test_hypothesis_accepts_profile():
@@ -193,14 +195,14 @@ SHELL = custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 1.0) < 0.4))
 def test_hypothesis_f_gradf_counts_jumps(f, exact):
     # int |f f'| = TV(f2) / 2 radially: f2 falls by 1/2 for fermi(1, 0), jumps
     # once by 1 for zero-temperature fermi and twice for the shell; d = 3
-    rep = hypothesis_check(CovarianceProfile(f, 3), delta_potential(0.1))
+    rep = hypothesis_check(CovarianceProfile(f, 3), delta_potential(0.1), 0.17)
     assert rep.bullet("f_gradf_integrable").value == pytest.approx(exact, rel=1e-12)
 
 
 def test_hypothesis_weighted_l2_of_shell_exact():
     # 4 pi int_0.6^1.4 (1 + r^2) r^2 dr at d = 3, where ceil(s) = 1
     exact = 4 * math.pi * ((1.4 ** 3 / 3 + 1.4 ** 5 / 5) - (0.6 ** 3 / 3 + 0.6 ** 5 / 5))
-    rep = hypothesis_check(CovarianceProfile(SHELL, 3), delta_potential(0.1))
+    rep = hypothesis_check(CovarianceProfile(SHELL, 3), delta_potential(0.1), 0.17)
     assert rep.bullet("weighted_l2").value == pytest.approx(exact, rel=1e-12)
 
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from field_oracle import (SpectralField, bernstein_ratio, besov_norm, lebesgue_norm, project,
                           sobolev_norm)
-from hartorus import LittlewoodPaley, TorusGrid, critical_exponents, deviation_norms, eta, eta_j
+from hartorus import LittlewoodPaley, TorusGrid, critical_exponents, eta, eta_j
 from hartorus.ensemble import _dyadic_norm
 from hartorus.runner import _bernstein_ratio, _block_norms, _parseval_defect
+from stack_norms import stack_norms
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +201,7 @@ def test_block_norms_evaluate_each_symbol_once(monkeypatch):
     lp = LittlewoodPaley(g)
     stack = np.random.default_rng(0).standard_normal((3,) + g.shape).astype(complex)
     for _ in range(3):
-        deviation_norms(lp, stack)
+        stack_norms(lp, stack)
     _dyadic_norm(_block_norms(lp, stack[0], 2.0), 0.0, 0.0)
     lp.partition_values(lp.j_resolvable)
     assert calls == list(lp.j_resolvable)
@@ -230,3 +231,22 @@ def test_array_norms_match_the_field_oracle(d, N):
     f = SpectralField.random(g, rng)
     want = abs(f.l2_physical() - f.l2_frequency()) / f.l2_physical()
     assert abs(_parseval_defect(g, f.values) - want) <= 1e-13
+
+
+def test_bernstein_ratio_transforms_its_block_alone(grid, lp, monkeypatch):
+    # one inverse transform per ratio, not one per resolvable block
+    from hartorus import ensemble, runner
+    from hartorus.field import ifftn
+    inverses = []
+
+    def counting(x, *args, **kwargs):
+        inverses.append(np.shape(x))
+        return ifftn(x, *args, **kwargs)
+
+    # every namespace of the package that could take the block's transform
+    monkeypatch.setattr(runner, "ifftn", counting, raising=False)
+    monkeypatch.setattr(ensemble, "ifftn", counting)
+    assert len(lp.j_resolvable) > 1
+    _bernstein_ratio(lp, np.random.default_rng(0).standard_normal(grid.shape) + 0j,
+                     max(lp.j_resolvable))
+    assert inverses == [grid.shape]

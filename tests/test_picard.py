@@ -10,8 +10,9 @@ import pytest
 import stream_oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm
+from stack_norms import stack_norms
 from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, TorusGrid,
-                      critical_exponents, delta_potential, deviation_norms, fermi,
+                      critical_exponents, delta_potential, fermi,
                       init_equilibrium, parse_config, picard_solve, reference_trajectory,
                       run_experiment)
 from hartorus import picard
@@ -377,7 +378,7 @@ def test_pair_norms_are_time_norms_of_stacked_ingredients(d, N):
     slices = []
     for i in range(op.n_t):
         hat = fftn(Z[i], axes=op.space_axes)
-        one = deviation_norms(LittlewoodPaley(grid), Z[i], hat)
+        one = stack_norms(LittlewoodPaley(grid), Z[i], hat)
         ing = op._ingredients(Z[i], hat, zero)
         for k in ("l2", "l_dplus2", "w_sp", "besov_q"):
             assert ing[k] == pytest.approx(one[k], rel=1e-14, abs=0), k

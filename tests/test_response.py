@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
-from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, apply_L1_frequency_domain,
-                      apply_L1_time_domain, bose, compute_mf_batch, custom_radial,
-                      decay_bound_check, decay_slope, default_tau_grid, delta_potential,
-                      epsilon_g, fermi, gaussian_f2, sphere_area, stability_margin,
-                      zero_distribution, zero_potential, zero_temp_fermi)
+from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, bose, compute_mf_batch,
+                      custom_radial, decay_bound_check, decay_slope, default_tau_grid,
+                      delta_potential, epsilon_g, fermi, gaussian_f2, sphere_area,
+                      stability_margin, zero_distribution, zero_potential, zero_temp_fermi)
+from hartorus import response
 import picard_oracle
+from l1_oracle import apply_L1_frequency_domain, apply_L1_time_domain
 from mf_panel_oracle import exact_h, panel_mf
 
 
@@ -57,11 +58,13 @@ def test_mf_conjugate_symmetry(cov3):
     assert table.conjugate_symmetry_defect() <= 2 * max(table.max_error(), 1e-12)
 
 
-def test_mf_decay_slope_is_quadratic(cov3):
+def test_mf_decay_slope_is_quadratic(cov3, monkeypatch):
     # for a smooth rapidly decaying profile the half-line transform of
     # sin(b t) h(2 xi t) loses its boundary term (the integrand vanishes at
     # t=0), so the asymptotic decay at fixed xi is tau^-2, not tau^-1
-    slope, taus, mags = decay_slope(cov3, 1.0, tau_base=8.0, doublings=3)
+    monkeypatch.setattr(response, "_DOUBLINGS", 3)
+    slope, taus, mags = decay_slope(cov3, 1.0, tau_base=8.0)
+    assert taus[-1] == 64.0
     assert slope == pytest.approx(-2.0, abs=0.15)
 
 
@@ -177,8 +180,10 @@ def test_epsilon_g_zero_distribution():
     assert rep.value == 0.0 and rep.converged
 
 
-def test_epsilon_g_bounded_by_sup(cov3):
-    rep = epsilon_g(cov3, n_shells=6)
+def test_epsilon_g_bounded_by_sup(cov3, monkeypatch):
+    monkeypatch.setattr(response, "_N_SHELLS", 6)
+    rep = epsilon_g(cov3)
+    assert len(rep.shell_minima) == 6
     g = TorusGrid(3, 2 * np.pi, 8)
     # the sup table must cover the near-origin region the shells sample
     table = MultiplierTable.build(cov3, default_tau_grid(8.0, 1e-3, 14),
@@ -189,7 +194,7 @@ def test_epsilon_g_bounded_by_sup(cov3):
 
 def test_epsilon_g_fermi_d4_converges():
     cov = CovarianceProfile(fermi(1.0, 0.0), 4)
-    rep = epsilon_g(cov, n_shells=8)
+    rep = epsilon_g(cov)
     assert rep.converged
     last, prev = rep.shell_minima[-1], rep.shell_minima[-2]
     assert abs(last - prev) <= 0.05 * abs(last)

@@ -222,22 +222,58 @@ def test_linear_response_builds_no_h_table(tmp_path, monkeypatch):
     assert report["conjugate_symmetry_defect"] == 0.0
 
 
-def test_no_module_of_the_package_imports_scipy_optimize():
-    # the two-wave matching searches the permutations itself; scipy.optimize
-    # stays a test oracle's import
+def _module_level_imports(tree):
+    """Import nodes of a module outside every function body."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.integrate"])
+def test_no_module_level_import_of(module):
+    # the two-wave matching searches the permutations itself, so
+    # scipy.optimize stays a test oracle's import; scipy.integrate serves only
+    # eval_h, which no run calls, and is imported there
     src = Path(runner.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            elif node.level == 0:
                 names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names
-                      if name == "scipy.optimize" or name.startswith("scipy.optimize.")]
+                      if name == module or name.startswith(module + ".")]
     assert not found
+
+
+_IMPORT_PROBE = """
+import sys
+from hartorus import parse_config, run_experiment
+from hartorus.equilibrium import eval_h, fermi
+run_experiment(parse_config(sys.argv[1], "simulate"), sys.argv[2])
+loaded = "scipy.integrate" in sys.modules
+eval_h(fermi(1.0, 0.0), 3, 0.5)
+print(loaded, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_simulate_run_leaves_scipy_integrate_unloaded(tmp_path):
+    # a fresh interpreter: the package and a simulate run do not load
+    # scipy.integrate; the eval_h oracle loads it on its first call
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, CONFIGS["simulate"], str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_bench_tracer_finds_every_patched_name(tmp_path):

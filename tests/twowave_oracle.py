@@ -57,6 +57,18 @@ def eigensolver_spectrum(params, k):
     return np.linalg.eigvals(build_symbol(params, k))
 
 
+def char_poly_residual(params, k, lam):
+    """|P(lambda)| of the biquadratic characteristic polynomial, relative to
+    the polynomial's coefficient scale."""
+    xk, b, c = scalars(params, k)
+    a2 = -4.0 * xk * xk
+    c2 = 2.0 * ((b + c) * b - a2)
+    c0 = ((b + c) * b + a2) ** 2 - b * b * c * c
+    val = lam ** 4 + c2 * lam ** 2 + c0
+    scale = max(1.0, abs(lam) ** 4, abs(c2) * abs(lam) ** 2, abs(c0))
+    return float(abs(val) / scale)
+
+
 def multiset_distance(a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
