@@ -33,10 +33,10 @@ the buffer with the spectrum of the start, y_j's one entry N^d a_j per mode
 plus the bump's transform in bump.mode (none for bump None), and yields
 (t, chunks) at step 0 and after every window; chunks hands over each mode
 chunk's spectrum and fields as they go by, and evolve, the scattering probe
-and the Picard reference accumulate what they record from them.  After the
-last observation the buffer holds the final fields.  A start whose mass
-overflows the observation sums, or a step whose potential is not finite,
-raises FloatingPointError, so no consumer computes on non-finite values.
+and the Picard reference accumulate what they record from them; the chunks
+are the only way to read a run.  A start whose mass overflows the
+observation sums, or a step whose potential is not finite, raises
+FloatingPointError, so no consumer computes on non-finite values.
 
 The deviation of a state at time t is Z = u - y against the exact
 equilibrium phases of eq.  The carriers are lattice frequencies, so Y(t) is
@@ -215,8 +215,6 @@ def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
         raise ValueError("dt must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if eq.n_modes == 0:
-        return
     g = eq.grid
     axes = eq.space_axes
     chunks = _mode_chunks(eq.n_modes, g)
@@ -249,8 +247,6 @@ def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> f
     unnormalised spectra of its modes; the kinetic and gauge terms come from
     the power by Parseval (TorusGrid.parseval_weight).
     """
-    if ens.n_modes == 0:
-        return 0.0
     g = ens.grid
     wgt = g.parseval_weight
     kinetic = float(np.sum(g.xi_squared * power)) * wgt
@@ -304,12 +300,12 @@ def _dyadic_norm(block_norms, s: float, t: float):
     return np.sqrt(acc)
 
 
-def _dyadic_blocks(lp: LittlewoodPaley, hat: np.ndarray):
-    """(j, block j in space) for every resolvable j; hat is a stack of
-    unnormalised FFTs whose trailing axes are those of lp's grid."""
-    lead = hat.ndim - lp.grid.d
-    for j, sym in lp.symbols.items():
-        yield j, ifftn(sym[(None,) * lead] * hat, axes=tuple(range(lead, hat.ndim)), overwrite_x=True)
+def _dyadic_blocks(lp: LittlewoodPaley, hat: np.ndarray) -> np.ndarray:
+    """The resolvable dyadic blocks in space, stacked on a leading axis in the
+    order of lp.symbols, from one batched inverse FFT; hat is an unnormalised
+    FFT on lp's grid."""
+    symbols = np.stack(list(lp.symbols.values()))
+    return ifftn(symbols * hat, axes=tuple(range(1, 1 + lp.grid.d)), overwrite_x=True)
 
 
 class _NormSums:
@@ -404,90 +400,76 @@ def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
 _MASS_LIMIT = np.finfo(float).max ** (1.0 / 3.0)
 
 
-class _Stream:
-    """The run behind observations: one (M, *grid) buffer, stepped in place."""
-
-    def __init__(self, eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float,
-                 obs_stride: int):
-        if T <= 0:
-            raise ValueError("T must be positive")
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if obs_stride < 1:
-            raise ValueError("obs_stride must be at least 1")
-        n_steps = int(round(T / dt))
-        if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-            raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
-        self.eq, self.bump, self.dt, self.stride, self.n_steps = eq, bump, dt, obs_stride, n_steps
-        self.buf = None
-
-    def __iter__(self):
-        eq = self.eq
-        chunks = _mode_chunks(eq.n_modes, eq.grid)
-        _check_bump(eq, self.bump)
-        self.buf = buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
-        buf[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
-        if self.bump is not None:
-            buf[self.bump.mode] += fftn(self.bump.field_values(eq.grid))
-        mass = 0.0
-        for c in chunks:
-            with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
-                mass += np.sum(np.square(buf[c].view(float))) / eq.grid.N ** eq.grid.d
-        if not mass <= _MASS_LIMIT:
-            raise FloatingPointError(f"non-finite field values at the start: the mass "
-                                     f"sum {mass:.3g} overflows the observations")
-        t = 0.0
-        yield from self._observe(t, chunks, start=True, final=self.n_steps == 0)
-        for i in range(0, self.n_steps, self.stride):
-            n = min(self.stride, self.n_steps - i)
-            step(eq, self.dt, n, hat=buf)
-            for _ in range(n):
-                t += self.dt  # the time of n single steps, to the bit
-            yield from self._observe(t, chunks, final=i + self.stride >= self.n_steps)
-
-    def _observe(self, t, chunks, start=False, final=False):
-        eq, buf = self.eq, self.buf
-
-        def read():
-            scratch = None  # one chunk of fields, reused
-            for c in chunks:
-                hat = buf[c]
-                if scratch is None or scratch.shape != hat.shape:
-                    scratch = np.empty_like(hat)
-                if start:  # the start rebuilt: Y(0), the bump added to its mode
-                    u = eq.equilibrium_at(0.0, c, out=scratch)
-                    if self.bump is not None and c.start <= self.bump.mode < c.stop:
-                        u[self.bump.mode - c.start] += self.bump.field_values(eq.grid)
-                else:
-                    np.copyto(scratch, hat)
-                    u = ifftn(scratch, axes=eq.space_axes, overwrite_x=True)
-                yield c, hat, u
-                if final:  # the buffer ends the run holding the fields
-                    hat[...] = u
-
-        reader = read()
-        yield t, reader
-        _drain(reader)  # the chunks the consumer left unread
+def _step_count(T: float, dt: float) -> int:
+    """The number of steps of dt in T; ValueError unless T and dt are positive
+    and T is a whole number of steps, one at least."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
+    return n_steps
 
 
 def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float,
-                 obs_stride: int = 1) -> _Stream:
+                 obs_stride: int = 1):
     """The one stepping loop of the start eq + bump (eq itself when bump is
-    None): iterating it yields (t, chunks) at step 0 and at the end of every
-    window of obs_stride steps up to time T (the last window shorter when
-    obs_stride does not divide T/dt).
+    None): yields (t, chunks) at step 0 and at the end of every window of
+    obs_stride steps up to time T (the last window shorter when obs_stride
+    does not divide T/dt).
 
     chunks yields (modes, hat, u) for each mode chunk in mode order: modes a
     slice of mode indices, hat the unnormalised spectrum and u the fields of
     those modes at time t, both read-only and valid until the next chunk.
-    Chunks a consumer leaves unread are read before the next window.  The run
-    steps one (M, *grid) buffer, .buf, filled with the spectrum of the start
-    (y_j's one entry per mode, plus the bump's transform); once the iteration
-    ends, .buf holds the fields at the last time.  Before the first
-    observation, ValueError when bump targets no mode of eq and
-    FloatingPointError when the mass of the start overflows the sums.
+    They are the only way to read the run, whose (M, *grid) buffer holds the
+    spectrum from the start (y_j's one entry per mode, plus the bump's
+    transform) on; reading a chunk or leaving it unread changes nothing.
+    Before the first observation, ValueError for a T that is not a whole
+    number of steps of dt, a bump that targets no mode of eq or a stride
+    below 1, and FloatingPointError when the start's mass overflows the sums.
     """
-    return _Stream(eq, bump, T, dt, obs_stride)
+    n_steps = _step_count(T, dt)
+    if obs_stride < 1:
+        raise ValueError("obs_stride must be at least 1")
+    _check_bump(eq, bump)
+    chunks = _mode_chunks(eq.n_modes, eq.grid)
+    buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
+    buf[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
+    if bump is not None:
+        buf[bump.mode] += fftn(bump.field_values(eq.grid))
+    mass = 0.0
+    for c in chunks:
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
+            mass += np.sum(np.square(buf[c].view(float))) / eq.grid.N ** eq.grid.d
+    if not mass <= _MASS_LIMIT:
+        raise FloatingPointError(f"non-finite field values at the start: the mass "
+                                 f"sum {mass:.3g} overflows the observations")
+
+    def read(start):
+        scratch = None  # one chunk of fields, reused
+        for c in chunks:
+            hat = buf[c]
+            if scratch is None or scratch.shape != hat.shape:
+                scratch = np.empty_like(hat)
+            if start:  # the start rebuilt: Y(0), the bump added to its mode
+                u = eq.equilibrium_at(0.0, c, out=scratch)
+                if bump is not None and c.start <= bump.mode < c.stop:
+                    u[bump.mode - c.start] += bump.field_values(eq.grid)
+            else:
+                np.copyto(scratch, hat)
+                u = ifftn(scratch, axes=eq.space_axes, overwrite_x=True)
+            yield c, hat, u
+
+    t = 0.0
+    yield t, read(start=True)
+    for i in range(0, n_steps, obs_stride):
+        n = min(obs_stride, n_steps - i)
+        step(eq, dt, n, hat=buf)
+        for _ in range(n):
+            t += dt  # the time of n single steps, to the bit
+        yield t, read(start=False)
 
 
 @dataclass
@@ -532,10 +514,9 @@ def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> T
         sq_sums = np.zeros(eq.n_modes)
         rho, power = _ModeSum(g.shape), _ModeSum(g.shape)
         seen = _summed(chunks, rho, sq_sums, power)
-        if lp is None:
-            _drain(seen)
-        else:
+        if lp is not None:
             norm_rows.append(deviation_norms(lp, deviation_chunks(eq, t, seen)))
+        _drain(seen)  # what the norms left unread: all of it without lp
         times.append(t)
         masses.append(sq_sums * g.dx)
         energies.append(conserved_energy(eq, rho=rho.total, power=power.total))
@@ -616,7 +597,7 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
         times=ts,
         cauchy=cauchy,
         local_mass=local,
-        cauchy_decreasing=bool(np.all(np.diff(cauchy) < 0)) if len(cauchy) > 1 else True,
+        cauchy_decreasing=bool(np.all(np.diff(cauchy) < 0)),
         mass_decreasing=bool(np.all(np.diff(local) < 0)),
         recurrence_time=grid.recurrence_time,
         window_warning=bool(ts[-1] > grid.recurrence_time),

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _dyadic_norm, _ModeSum, _NormSums,
-                       _summed, deviation_chunks, observations)
+from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _dyadic_blocks, _dyadic_norm, _lebesgue,
+                       _ModeSum, _NormSums, _summed, deviation_chunks, observations)
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -74,8 +74,7 @@ class PicardOperator:
         if bump is not None:
             self.z0_hat[bump.mode] = fftn(bump.field_values(grid))
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
-        self.blocks = np.stack(list(self.lp.symbols.values()))  # the V block symbols, stacked
-        self.lp.bessel  # filled here, so the norm worker never fills a cache
+        self.lp.symbols, self.lp.bessel  # filled here, so the norm worker never fills a cache
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
         """w * V over the trailing grid axes of V."""
@@ -149,9 +148,8 @@ class PicardOperator:
         sums = _NormSums(self.lp)
         sums.add(dz, dz_hat)
         out = sums.ingredients()
-        vp = (g.d + 2) / 2.0
-        out["v_l_half"] = (np.sum(np.abs(dv) ** vp) * g.dx) ** (1.0 / vp)
-        blocks = ifftn(self.blocks * fftn(dv), axes=tuple(range(1, 1 + g.d)), overwrite_x=True)
+        out["v_l_half"] = _lebesgue(np.abs(dv), (g.d + 2) / 2.0, g.dx, tuple(range(g.d)))
+        blocks = _dyadic_blocks(self.lp, fftn(dv))
         out["v_l2_besov"] = _dyadic_norm(
             ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in zip(self.lp.symbols, blocks)),
             -0.5, 0.0)

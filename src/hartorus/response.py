@@ -82,7 +82,7 @@ class MultiplierTable:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
-def default_tau_grid(tau_max: float = 32.0, tau_min: float = 1e-2, n_half: int = 12) -> np.ndarray:
+def default_tau_grid(tau_max: float, tau_min: float, n_half: int) -> np.ndarray:
     """Symmetric grid, log-spaced toward 0, with 0 included."""
     pos = np.geomspace(tau_min, tau_max, n_half)
     return np.concatenate([-pos[::-1], [0.0], pos])
@@ -180,10 +180,11 @@ def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0):
     2|xi|^2 h(0)/(tau^2 - |xi|^4); the ``tau_slope`` field of
     ``response_report.ndjson`` reports this slope over tau = 4|xi|^2 ...
     64|xi|^2.  The window must lie well above the resonance tau = |xi|^2:
-    below it |m_f| is nearly flat in tau.
+    below it |m_f| is nearly flat in tau.  The slope is None where |m_f|
+    vanishes on the window, as it does for the zero distribution.
     """
     taus = tau_base * 2.0 ** np.arange(_DOUBLINGS + 1)
     vals, _ = compute_mf_batch(cov, taus, [xi_abs])
     mags = np.abs(vals[:, 0])
-    slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0])
+    slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0]) if np.all(mags > 0) else None
     return slope, taus, mags

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_chunks, _record,
-                       cell_masses, deviation_chunks, evolve, init_equilibrium, observations,
-                       scattering_probe)
+                       _step_count, cell_masses, deviation_chunks, evolve, init_equilibrium,
+                       observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
 from .field import fftn, ifftn
 from .lpaley import LittlewoodPaley
@@ -144,18 +144,22 @@ def _trajectory(traj, out):
 def _exp_equilibrium_check(cfg, out, seed):
     ens, report = _equilibrium(cfg)
     grid, a = ens.grid, ens.weights
+    last = len(range(0, _step_count(cfg["T"], cfg["dt"]), cfg["obs.stride"]))
+    dev = [0.0, 0.0]  # the amplitude deviation and the gauge residual at the last time
+
+    def unwound(t, chunks):
+        # unwinding the exact phases must reproduce the t=0 state: the last
+        # observation's fields, read a chunk of modes at a time as they go by
+        for modes, hat, u in chunks:
+            dev[0] = max(dev[0], float(np.max(np.abs(np.abs(u) - a[(modes,) + (None,) * grid.d]))))
+            dev[1] = max(dev[1], float(np.max(np.abs(u - ens.equilibrium_at(t, modes)))))
+            yield modes, hat, u
+
     stream = observations(ens, None, cfg["T"], cfg["dt"], cfg["obs.stride"])
-    traj = _record(ens, stream)
+    traj = _record(ens, ((t, unwound(t, c) if i == last else c) for i, (t, c) in enumerate(stream)))
     path, drift = _trajectory(traj, out)
     dens_dev = float(np.max(traj.density_extrema[:, 1] - traj.density_extrema[:, 0]))
-    # unwinding the exact phases must reproduce the t=0 state: the stream's
-    # buffer holds the fields at the last time, read a chunk of modes at a time
-    amp_dev = gauge_residual = 0.0
-    t, lead = traj.times[-1], (slice(None),) + (None,) * grid.d
-    for modes in _mode_chunks(ens.n_modes, grid):
-        u = stream.buf[modes]
-        amp_dev = max(amp_dev, float(np.max(np.abs(np.abs(u) - a[modes][lead]))))
-        gauge_residual = max(gauge_residual, float(np.max(np.abs(u - ens.equilibrium_at(t, modes)))))
+    amp_dev, gauge_residual = dev
 
     summary = {"n_modes": ens.n_modes, "m_lattice": ens.m,
                "m_quadrature": equilibrium_mass(cfg.make_distribution(), ens.w, grid.d),
@@ -353,11 +357,17 @@ def _peak_estimate(cfg: RunConfig) -> tuple:
 
 def _preflight(cfg: RunConfig) -> None:
     """PreflightError for a config its experiment cannot run: a norms grid that
-    resolves no dyadic block, a stack experiment without a mode to run on, or
+    resolves no dyadic block, a stream run whose T is not a whole number of
+    steps of dt, a stack experiment without a mode to run on, or
     (MemoryPreflightError) one whose estimated peak exceeds MemAvailable."""
     if cfg.kind == "norms" and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
         raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
                              f"dyadic block; the norms experiment needs one")
+    if cfg.kind in ("equilibrium-check", "simulate", "scattering-probe"):
+        try:
+            _step_count(cfg["T"], cfg["dt"])
+        except ValueError as exc:
+            raise PreflightError(str(exc)) from None
     if cfg.kind not in _PEAK_STACKS:
         return
     need, stacks, M, points = _peak_estimate(cfg)
@@ -400,7 +410,8 @@ def _block_norms(lp, u, p) -> list:
     the grid of lp."""
     grid = lp.grid
     axes = tuple(range(grid.d))
-    return [(j, _lebesgue(np.abs(b), p, grid.dx, axes)) for j, b in _dyadic_blocks(lp, fftn(u))]
+    blocks = _dyadic_blocks(lp, fftn(u))
+    return [(j, _lebesgue(np.abs(b), p, grid.dx, axes)) for j, b in zip(lp.symbols, blocks)]
 
 
 def _bernstein_ratio(lp, u, j) -> float:

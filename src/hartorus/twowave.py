@@ -193,8 +193,8 @@ class GrowthFit:
     discrepancy: bool
 
 
-def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float,
-                        n_samples: int = 256, seed: int = 0) -> GrowthFit:
+def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float, seed: int,
+                        n_samples: int = 256) -> GrowthFit:
     """Evolve the four-component linear system spectrally and fit the growth.
 
     The seeded lattice frequency evolves by the exact matrix exponential

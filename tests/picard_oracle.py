@@ -5,15 +5,14 @@ spectrum and the cumulative trapezoid are (n_t, M, *grid) stacks, and the
 window norms transform the difference of two iterates.  It shares with the
 streamed PicardOperator only the arrays the operator builds once (fwd and
 z0_hat), Y(t) from its equilibrium's equilibrium_at, convolve_potential,
-deviation_norms (slice by slice, through stack_norms) and the spatial kernel
-_dyadic_blocks.
+and deviation_norms (slice by slice, through stack_norms); its dyadic blocks
+of V are one inverse FFT per block.
 """
 
 import numpy as np
 
-from hartorus.ensemble import _dyadic_blocks, critical_exponents
 from hartorus.field import fftn, ifftn
-from hartorus.lpaley import LittlewoodPaley
+from hartorus.lpaley import LittlewoodPaley, critical_exponents
 from stack_norms import stack_norms
 
 
@@ -79,7 +78,9 @@ def pair_norms(op, Z, V, lp=None):
     vp = (d + 2) / 2.0
     out["v_l_half"] = t_integral((np.sum(np.abs(V) ** vp, axis=space) * g.dx) ** (1.0 / vp), vp)
     acc = np.zeros(op.n_t)
-    for j, block in _dyadic_blocks(lp, fftn(V, axes=space)):
+    V_hat = fftn(V, axes=space)
+    for j, sym in lp.symbols.items():
+        block = ifftn(sym[None] * V_hat, axes=space, overwrite_x=True)
         n2 = np.sqrt(np.sum(np.abs(block) ** 2, axis=space) * g.dx)
         acc += (2.0 ** (-j) if j < 0 else 1.0) * n2 ** 2
     out["v_l2_besov"] = t_integral(np.sqrt(acc), 2)

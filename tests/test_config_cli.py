@@ -172,8 +172,9 @@ def test_vector_key_needs_d_components(key, kind):
 
 
 def _run_cli(args):
-    return subprocess.run([sys.executable, "-m", "hartorus.cli", *args],
-                          capture_output=True, text=True)
+    # the suite's error::RuntimeWarning filter does not reach a child interpreter
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hartorus.cli",
+                           *args], capture_output=True, text=True)
 
 
 def test_cli_pass_and_exit_zero(tmp_path):
@@ -229,6 +230,38 @@ def test_cli_empty_center_exit_two(tmp_path):
 def test_cli_missing_file_exit_two(tmp_path):
     proc = _run_cli(["norms", "--config", str(tmp_path / "nope.cfg")])
     assert proc.returncode == 2
+
+
+_STREAM_RUNS = ["equilibrium-check", "simulate", "scattering-probe"]
+# T not a whole number of steps of dt = 0.01: 1.05 steps, half a step, and a
+# T that rounds to no step at all
+_PARTIAL_STEPS = ["0.0105", "0.005", "1e-12"]
+
+
+def _stream_config(tmp_path, kind, T):
+    cfg_path = tmp_path / f"{kind}.cfg"
+    cfg_path.write_text(MINIMAL_EQ + f"pert.amplitude = 1e-3\npert.mode = 4\ndt = 0.01\nT = {T}\n")
+    return cfg_path
+
+
+@pytest.mark.parametrize("kind", _STREAM_RUNS)
+@pytest.mark.parametrize("T", _PARTIAL_STEPS)
+def test_partial_step_is_refused_by_the_preflight(kind, T, tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = _stream_config(tmp_path, kind, T)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: T={float(T)} is not an integer number of steps of dt=0.01\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, T", list(zip(_STREAM_RUNS, _PARTIAL_STEPS)))
+def test_cli_partial_step_exits_two_without_a_traceback(kind, T, tmp_path):
+    proc = _run_cli([kind, "--config", str(_stream_config(tmp_path, kind, T)),
+                     "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"T={float(T)}" in proc.stderr and "dt=0.01" in proc.stderr
 
 
 def test_svg_single_point():

@@ -5,7 +5,7 @@ import pytest
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
-from stack_norms import stack_norms
+from stack_norms import keeping_fields, stack_norms
 from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, conserved_energy, critical_exponents,
                       custom_radial, delta_potential, deviation_chunks, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
@@ -40,10 +40,12 @@ def _masses(ens, u):
 
 def _final(eq, bump, T, dt, obs_stride=10 ** 9):
     """(t, fields) at the end of the run: the last time the stream yields and
-    its buffer, which holds the fields once the iteration ends."""
-    stream = observations(eq, bump, T, dt, obs_stride)
-    t = [t for t, _ in stream][-1]
-    return t, stream.buf
+    the fields of its last observation, copied from its chunks."""
+    stream, u = keeping_fields(eq, observations(eq, bump, T, dt, obs_stride))
+    for t, chunks in stream:
+        for _ in chunks:
+            pass
+    return t, u
 
 
 _NAN_BUMP = BumpSpec(np.nan, 0.8, (np.pi,), (1.0,), mode=0)
@@ -439,8 +441,8 @@ def test_normed_evolve_restores_the_carried_spectrum():
     eq, spec = _perturbed(2, 16)
     runs = []
     for lp in (LittlewoodPaley(eq.grid), None):
-        stream = observations(eq, spec, 0.01, 1e-3, 3)
-        runs.append((ens_mod._record(eq, stream, lp), stream.buf))
+        stream, u = keeping_fields(eq, observations(eq, spec, 0.01, 1e-3, 3))
+        runs.append((ens_mod._record(eq, stream, lp), u))
     (with_norms, u), (without, u_without) = runs
     assert with_norms.norms is not None and without.norms is None
     assert np.array_equal(u, u_without)
@@ -648,10 +650,10 @@ def _with_chunks(monkeypatch, ens, chunk_modes):
 
 
 def _evolved(eq, spec, T, dt, obs_stride):
-    """evolve's record of the run with its deviation norms, and the stream's
-    buffer, which holds the final fields."""
-    stream = observations(eq, spec, T, dt, obs_stride)
-    return ens_mod._record(eq, stream, LittlewoodPaley(eq.grid)), stream.buf
+    """evolve's record of the run with its deviation norms, and the fields of
+    its last observation."""
+    stream, u = keeping_fields(eq, observations(eq, spec, T, dt, obs_stride))
+    return ens_mod._record(eq, stream, LittlewoodPaley(eq.grid)), u
 
 
 def _assert_matches_oracle(traj, u, want, rel):
@@ -693,6 +695,37 @@ def test_chunked_stream_matches_the_whole_stack_oracle(chunk_modes, monkeypatch)
     assert np.array_equal(traj.density_extrema, want[3])
     for k in set(want[4][0]) - {"l2"}:
         assert np.array_equal(traj.norms[k], [row[k] for row in want[4]]), k
+
+
+@pytest.mark.parametrize("deviations", [False, True], ids=["raw", "deviation"])
+@pytest.mark.parametrize("chunk_modes", [1, 3])
+def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviations, monkeypatch):
+    # every odd observation is read only as far as its first chunk, raw or
+    # through deviation_chunks (whose subtraction is put back once the loop
+    # lets it go); the even ones give the same records and last fields, to
+    # the bit, as a run whose every chunk is read
+    eq, spec = _perturbed(3, 8, theta=1e-8)
+    _with_chunks(monkeypatch, eq, chunk_modes)
+    assert eq.n_modes > chunk_modes
+
+    def skimmed(stream):
+        for i, (t, chunks) in enumerate(stream):
+            if i % 2 == 0:
+                yield t, chunks
+                continue
+            for modes, _, _ in deviation_chunks(eq, t, chunks) if deviations else chunks:
+                assert modes == slice(0, chunk_modes)
+                break
+
+    want, u_want = _evolved(eq, spec, 0.06, 1e-2, 1)
+    stream, u = keeping_fields(eq, skimmed(observations(eq, spec, 0.06, 1e-2, 1)))
+    got = ens_mod._record(eq, stream, LittlewoodPaley(eq.grid))
+    assert len(want.times) == 7 and np.array_equal(got.times, want.times[::2])
+    assert np.array_equal(u, u_want)
+    assert np.array_equal(got.energies, want.energies[::2])
+    assert np.array_equal(got.mode_masses, want.mode_masses[::2])
+    for k, v in want.norms.items():
+        assert np.array_equal(got.norms[k], v[::2]), k
 
 
 @pytest.mark.parametrize("chunk_modes", [None, 1, 3])

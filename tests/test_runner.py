@@ -18,6 +18,10 @@ import pytest
 from hartorus import (cli, ensemble, equilibrium, field, init_equilibrium, parse_config,
                       run_experiment, runner, twowave)
 
+# a child interpreter with the suite's error::RuntimeWarning filter, which
+# does not reach it otherwise
+_PYTHON = [sys.executable, "-W", "error::RuntimeWarning"]
+
 CONFIGS = {
     "equilibrium-check": """
 grid.d = 1
@@ -191,6 +195,34 @@ def test_linear_response_tau_slope_fixed_xi_rate(tmp_path):
     assert -2.2 <= rec["tau_slope"] <= -1.8
 
 
+def test_linear_response_on_the_zero_distribution_reports_no_slope(tmp_path):
+    # |m_f| is zero on the whole window: no slope, and no log of zero (the
+    # suite turns its RuntimeWarning into an error)
+    cfg = parse_config("grid.d = 1\ngrid.N = 16\nf.kind = zero\ntau.count = 6\nxi.count = 6\n",
+                       "linear-response")
+    env = run_experiment(cfg, tmp_path)
+    assert env.all_passed, env.verdicts
+    rec = json.loads((tmp_path / "response_report.ndjson").read_text().splitlines()[0])
+    assert rec["tau_slope"] is None
+
+
+def test_equilibrium_check_without_modes_writes_positive_zeros(tmp_path):
+    # no mode: no chunk, a zero density and energies that sum to +0.0 through
+    # the general path, with a negative potential too
+    cfg = parse_config("grid.d = 1\nf.kind = zero\nw.kind = delta\nw.amplitude = -1\nT = 0.05\n",
+                       "equilibrium-check")
+    env = run_experiment(cfg, tmp_path)
+    assert env.all_passed, env.verdicts
+    lines = (tmp_path / "trajectory.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == 6
+    energies = [rec["energy"] for rec in records]
+    summary = json.loads((tmp_path / "summary.ndjson").read_text())
+    for v in energies + [summary["m_lattice"]]:
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+    assert summary["n_modes"] == 0
+
+
 def test_stability_check_builds_one_profile(tmp_path, monkeypatch):
     calls = []
     init = equilibrium.CovarianceProfile.__init__
@@ -269,7 +301,7 @@ def test_simulate_run_leaves_scipy_integrate_unloaded(tmp_path):
     # scipy.integrate; the eval_h oracle loads it on its first call
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, CONFIGS["simulate"], str(tmp_path)],
+    proc = subprocess.run([*_PYTHON, "-c", _IMPORT_PROBE, CONFIGS["simulate"], str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -478,7 +510,7 @@ def test_simulate_rss_stays_under_the_preflight_estimate(tmp_path):
                       "pert.amplitude = 1e-3", "T = 0.02", "dt = 0.01", ""])
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _RSS_PROBE, text, str(tmp_path)],
+    proc = subprocess.run([*_PYTHON, "-c", _RSS_PROBE, text, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -524,7 +556,7 @@ def test_cli_picard_exits_promptly_with_the_norm_worker(tmp_path):
     cfg_path.write_text(CONFIGS["picard"])
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "hartorus.cli", "picard", "--config",
+    proc = subprocess.run([*_PYTHON, "-m", "hartorus.cli", "picard", "--config",
                            str(cfg_path), "--out", str(tmp_path / "out")],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=60)
@@ -538,7 +570,7 @@ def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):
     cfg_path.write_text(CONFIGS["simulate"].replace("pert.amplitude = 0.05", "pert.amplitude = 1e200"))
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "hartorus.cli", "simulate", "--config",
+    proc = subprocess.run([*_PYTHON, "-m", "hartorus.cli", "simulate", "--config",
                            str(cfg_path), "--out", str(tmp_path / "out")],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=120)

@@ -17,7 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 ], ids=lambda v: v[:-3] if isinstance(v, str) else "")
 def test_script_exits_zero(script, args, tmp_path):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    # the suite's error::RuntimeWarning filter does not reach a child interpreter
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "scripts" / script), *args],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
