@@ -166,6 +166,10 @@ def parse_config(text: str, kind: str) -> RunConfig:
         except (TypeError, ValueError):
             violations.append(f"line {lineno}: key {key!r} has malformed value {val!r}")
             continue
+        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(v, float)):
+            violations.append(f"line {lineno}: key {key!r} must be finite, got {val!r}")
+            continue
         if check is not None:
             verdict = check(value)
             if verdict is not True:

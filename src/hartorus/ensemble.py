@@ -22,7 +22,11 @@ step is one pass over the chunks (the potential phase of the last step, a
 forward FFT, the kinetic factor, an inverse FFT, the chunk's |u|^2 added to
 the density), then the potential of that density.  Between windows the
 buffer holds the spectrum, so a step costs one forward and one inverse stack
-FFT.
+FFT.  On two CPUs a chunk's part of a pass is one task of the package's worker
+pool (field.ordered_map), at most one in flight per thread, each lane
+reusing one buffer of |u|^2 rows, and the main thread adds the chunks' |u|^2
+into the density in mode order; the weighted inverse transforms of the
+deviation norms run there too, half a chunk per task.
 Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
 so the chunk size changes none of them by a bit.
@@ -50,14 +54,15 @@ whole stack is one chunk whose spectrum the caller supplies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
 from .equilibrium import DistributionFunction, InteractionPotential
-from .field import fftn, ifftn
+from .field import fftn, ifftn, lanes, ordered_map
 from .grid import TorusGrid
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -83,13 +88,24 @@ class _ModeSum:
 
     def add(self, x: np.ndarray) -> np.ndarray:
         """Add the chunk x; returns its |x|^2."""
-        work = np.empty((len(x) + 1,) + x.shape[1:])
+        return self.add_squares(_squares(x, np.empty((len(x) + 1,) + x.shape[1:])))
+
+    def add_squares(self, work: np.ndarray) -> np.ndarray:
+        """Add a chunk's |x|^2 from rows 1.. of work, as _squares leaves
+        them; returns those rows."""
         work[0] = self.total
-        sq = work[1:]
-        np.abs(x, out=sq)
-        np.square(sq, out=sq)
         np.sum(work, axis=0, out=self.total)
-        return sq
+        return work[1:]
+
+
+def _squares(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|x|^2 of the chunk x in rows 1.. of the leading len(x) + 1 rows of
+    rows, which it returns; row 0 is left for _ModeSum.add_squares."""
+    work = rows[:len(x) + 1]
+    sq = work[1:]
+    np.abs(x, out=sq)
+    np.square(sq, out=sq)
+    return work
 
 
 def _into(out: np.ndarray, x: np.ndarray) -> None:
@@ -222,23 +238,37 @@ def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
     full = half * half
     sym = eq.w.what(g.xi_norm)
 
+    size = chunks[0].stop if chunks else 0  # the first chunk is the largest
+    rows = [np.empty((size + 1,) + g.shape) for _ in range(lanes(len(chunks)))]  # each lane's |u|^2
     phase = None
     for k in range(n + 1):  # pass k: the kinetic factor between potentials k-1 and k
         rho = _ModeSum(g.shape)
-        for c in chunks:
-            x = hat[c]
-            if phase is not None:
-                x *= phase
-                _into(fftn(x, axes=axes, overwrite_x=True), x)
-            x *= half if k in (0, n) else full
+        task = partial(_chunk_pass, hat, axes, phase, half if k in (0, n) else full,
+                       rows if k < n else None)
+        for sq in ordered_map(task, chunks):  # mode order: rho keeps its bits
             if k < n:
-                _into(ifftn(x, axes=axes, overwrite_x=True), x)
-                rho.add(x)
+                rho.add_squares(sq)
         if k < n:
             pot = ifftn(sym * fftn(rho.total), overwrite_x=True).real
             if not np.all(np.isfinite(pot)):
                 raise FloatingPointError(f"non-finite field values in a window of {n} steps of dt={dt}")
             phase = np.exp(-1j * dt * (pot - eq.m))
+
+
+def _chunk_pass(hat, axes, phase, factor, rows, lane, c):
+    """The mode chunk c's part of a step pass, in place in hat[c]: the
+    potential phase (none for None), a forward FFT and the kinetic factor,
+    then with the lanes' rows an inverse FFT; returns the chunk's |u|^2
+    (_squares) in rows[lane], or None without rows."""
+    x = hat[c]
+    if phase is not None:
+        x *= phase
+        _into(fftn(x, axes=axes, overwrite_x=True), x)
+    x *= factor
+    if rows is None:
+        return None
+    _into(ifftn(x, axes=axes, overwrite_x=True), x)
+    return _squares(x, rows[lane])
 
 
 def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> float:
@@ -324,18 +354,31 @@ class _NormSums:
         # (sum, spectral weight) of each weighted inverse transform
         self.weighted = ([(self.smooth, lp.bessel)] if self.smooth is not None else []) + [
             (self.blocks[j], sym) for j, sym in lp.symbols.items()]
-        self.scratch = None  # one chunk, reused by every weighted transform
+        self.lanes = []  # each lane's (transform, |.|^2 rows), sized by the first chunk
 
     def add(self, Z: np.ndarray, Z_hat: np.ndarray) -> None:
         """Add a chunk of modes; Z_hat, the unnormalised FFT of Z over space,
-        is only read."""
+        is only read.  Each weighted transform takes the chunk in two halves,
+        so the two lanes' transform buffers together weigh one chunk."""
         space = tuple(range(1, Z.ndim))
         self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
-        if self.scratch is None or self.scratch.shape != Z_hat.shape:
-            self.scratch = np.empty_like(Z_hat)
-        for sums, weight in self.weighted:
-            np.multiply(weight[None], Z_hat, out=self.scratch)
-            sums.add(ifftn(self.scratch, axes=space, overwrite_x=True))
+        size = max(1, -(-len(Z) // 2))
+        parts = [(sums, weight, slice(i, i + size))
+                 for sums, weight in self.weighted for i in range(0, len(Z), size)]
+        while len(self.lanes) < lanes(len(parts)):  # allocated here, not on a pool thread
+            self.lanes.append((np.empty((size,) + Z.shape[1:], complex),
+                               np.empty((size + 1,) + Z.shape[1:])))
+        for sq, (sums, _, _) in zip(ordered_map(partial(self._weighted, Z_hat), parts), parts):
+            sums.add_squares(sq)  # in mode order: each sum keeps its bits
+
+    def _weighted(self, Z_hat: np.ndarray, lane: int, part: tuple) -> np.ndarray:
+        """|.|^2 (_squares) of the inverse transform of weight Z_hat[modes],
+        part = (sums, weight, modes), in lane's buffers."""
+        _, weight, modes = part
+        hat = Z_hat[modes]
+        scratch, rows = self.lanes[lane]
+        x = np.multiply(weight[None], hat, out=scratch[:len(hat)])
+        return _squares(ifftn(x, axes=tuple(range(1, x.ndim)), overwrite_x=True), rows)
 
     def ingredients(self) -> dict:
         d, dx = self.grid.d, self.grid.dx
@@ -355,25 +398,22 @@ class _NormSums:
 
 def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
     """The deviation Z = u - y from the equilibrium eq of a state at time t,
-    chunk by chunk: chunks yields the state's (modes, hat, u) as observations
-    does, and this yields (modes, Z, Z-hat) for the same modes.  Z is u minus
-    eq.equilibrium_at(t); Z-hat is hat minus y_j's one entry per mode,
-    subtracted in place and put back bit for bit once the consumer moves on,
-    so it is read-only."""
+    chunk by chunk: chunks yields the (modes, hat, u) chunks of an observation
+    of the stream (observations), and this yields (modes, Z, Z-hat) for the
+    same modes.  Z is u minus eq.equilibrium_at(t); Z-hat is hat minus y_j's
+    one entry per mode, subtracted in place in the stream's buffer, which
+    puts the entry back bit for bit once the consumer moves on from the chunk,
+    or before the stream steps, so a reader held across a window changes
+    nothing.  Both are read-only."""
     cells = eq.carrier_cells()
     y = eq.equilibrium_spectrum(t)
-    Z = None  # one chunk, reused
+    scratch = None  # one chunk of Z, reused: the first chunk is the largest
     for modes, hat, u in chunks:
-        at = (np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])
-        saved = hat[at]
-        hat[at] -= y[modes]
-        if Z is None or Z.shape != u.shape:
-            Z = np.empty_like(u)
-        eq.equilibrium_at(t, modes, out=Z)
-        try:
-            yield modes, np.subtract(u, Z, out=Z), hat
-        finally:
-            hat[at] = saved
+        hat[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= y[modes]
+        if scratch is None:
+            scratch = np.empty_like(u)
+        Z = eq.equilibrium_at(t, modes, out=scratch[:len(u)])
+        yield modes, np.subtract(u, Z, out=Z), hat
 
 
 def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
@@ -383,8 +423,8 @@ def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
     grid = lp.grid
     sums, power = _NormSums(lp), _ModeSum(grid.shape)
     for _, Z, Z_hat in chunks:
+        power.add(Z_hat)  # its |Z-hat|^2 freed before the norms' lanes are made
         sums.add(Z, Z_hat)
-        power.add(Z_hat)
     out = sums.ingredients()
     s = critical_exponents(grid.d)["s"]
     out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power.total) * grid.parseval_weight)
@@ -401,12 +441,14 @@ _MASS_LIMIT = np.finfo(float).max ** (1.0 / 3.0)
 
 
 def _step_count(T: float, dt: float) -> int:
-    """The number of steps of dt in T; ValueError unless T and dt are positive
-    and T is a whole number of steps, one at least."""
+    """The number of steps of dt in T; ValueError unless T and dt are positive,
+    T / dt is finite and T is a whole number of steps, one at least."""
     if T <= 0:
         raise ValueError("T must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T={T} in steps of dt={dt} is more steps than can be counted")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer number of steps of dt={dt}")
@@ -422,10 +464,12 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
 
     chunks yields (modes, hat, u) for each mode chunk in mode order: modes a
     slice of mode indices, hat the unnormalised spectrum and u the fields of
-    those modes at time t, both read-only and valid until the next chunk.
-    They are the only way to read the run, whose (M, *grid) buffer holds the
-    spectrum from the start (y_j's one entry per mode, plus the bump's
-    transform) on; reading a chunk or leaving it unread changes nothing.
+    those modes at time t, both valid until the next chunk and read-only,
+    but for the entries deviation_chunks takes out of hat, which the stream
+    puts back.  They are the only way to read the run, whose (M, *grid)
+    buffer holds the spectrum from the start (y_j's one entry per mode, plus
+    the bump's transform) on; reading a chunk or leaving it unread changes
+    nothing.
     Before the first observation, ValueError for a T that is not a whole
     number of steps of dt, a bump that targets no mode of eq or a stride
     below 1, and FloatingPointError when the start's mass overflows the sums.
@@ -436,7 +480,8 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
     _check_bump(eq, bump)
     chunks = _mode_chunks(eq.n_modes, eq.grid)
     buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
-    buf[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
+    cells = eq.carrier_cells()
+    buf[cells] = eq.equilibrium_spectrum(0.0)
     if bump is not None:
         buf[bump.mode] += fftn(bump.field_values(eq.grid))
     mass = 0.0
@@ -448,28 +493,36 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
                                  f"sum {mass:.3g} overflows the observations")
 
     def read(start):
-        scratch = None  # one chunk of fields, reused
+        scratch = None  # one chunk of fields, reused: the first chunk is the largest
         for c in chunks:
             hat = buf[c]
-            if scratch is None or scratch.shape != hat.shape:
+            if scratch is None:
                 scratch = np.empty_like(hat)
+            u = scratch[:len(hat)]
             if start:  # the start rebuilt: Y(0), the bump added to its mode
-                u = eq.equilibrium_at(0.0, c, out=scratch)
+                eq.equilibrium_at(0.0, c, out=u)
                 if bump is not None and c.start <= bump.mode < c.stop:
                     u[bump.mode - c.start] += bump.field_values(eq.grid)
             else:
-                np.copyto(scratch, hat)
-                u = ifftn(scratch, axes=eq.space_axes, overwrite_x=True)
-            yield c, hat, u
+                np.copyto(u, hat)
+                u = ifftn(u, axes=eq.space_axes, overwrite_x=True)
+            at = tuple(cell[c] for cell in cells)
+            saved = buf[at]
+            try:
+                yield c, hat, u
+            finally:
+                buf[at] = saved  # what deviation_chunks took out of the chunk
 
-    t = 0.0
-    yield t, read(start=True)
+    t, reader = 0.0, read(start=True)
+    yield t, reader
     for i in range(0, n_steps, obs_stride):
         n = min(obs_stride, n_steps - i)
+        reader.close()  # a chunk still held is put back before the buffer steps
         step(eq, dt, n, hat=buf)
         for _ in range(n):
             t += dt  # the time of n single steps, to the bit
-        yield t, read(start=False)
+        reader = read(start=False)
+        yield t, reader
 
 
 @dataclass

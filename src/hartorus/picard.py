@@ -20,16 +20,16 @@ inverse transform per slice.  The first pass maps (0, 0) to the source pair
 (S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped.  Two
 (n_t, M, *grid) stacks, Z and I, are live, plus a few slices.
 
-No later slice reads a slice's window norms, so with two CPUs one worker thread
-takes them: the norms of slice s run beside the chain of slice s+1, one slice in
-flight (two more slices live), each a whole task on one thread collected in
-slice order, so the bits do not depend on the worker.
+No later slice reads a slice's window norms, so with two CPUs they are tasks of
+the package's worker pool (field.pool): the norms of slice s run beside the
+chain of slice s+1, one slice in flight (two more slices live), each a whole
+task on one thread collected in slice order, so the bits do not depend on the
+pool.  The weighted transforms inside a norm task run inline on its thread:
+nothing is handed to the pool from a pool thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,20 +37,10 @@ import numpy as np
 
 from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _dyadic_blocks, _dyadic_norm, _lebesgue,
                        _ModeSum, _NormSums, _summed, deviation_chunks, observations)
-from .field import fftn, ifftn
+from .field import fftn, ifftn, pool
 from .lpaley import LittlewoodPaley, critical_exponents
 
-_TOL = 1e-12        # a difference below this in every window norm counts as converged
-_NORMS = None       # the window-norm worker, started by the first apply on 2+ CPUs
-os.register_at_fork(after_in_child=lambda: globals().update(_NORMS=None))  # a child has no thread
-
-
-def _norm_worker() -> Optional[ThreadPoolExecutor]:
-    """The one thread that takes the window norms; None on one CPU."""
-    global _NORMS
-    if _NORMS is None and len(os.sched_getaffinity(0)) >= 2:
-        _NORMS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="picard-norms")
-    return _NORMS
+_TOL = 1e-12  # a difference below this in every window norm counts as converged
 
 
 class PicardOperator:
@@ -74,7 +64,7 @@ class PicardOperator:
         if bump is not None:
             self.z0_hat[bump.mode] = fftn(bump.field_values(grid))
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
-        self.lp.symbols, self.lp.bessel  # filled here, so the norm worker never fills a cache
+        self.lp.symbols, self.lp.bessel  # filled here, so no pool thread fills a cache
 
     def convolve_potential(self, V: np.ndarray) -> np.ndarray:
         """w * V over the trailing grid axes of V."""
@@ -106,7 +96,7 @@ class PicardOperator:
         skipped and I is left as it is.  Returns the per-slice ingredients of
         the difference (Z' - Z, V' - V) as (n_t,) arrays, for pair_norms.
         """
-        rows, carry, job, worker = [], None, None, _norm_worker()
+        rows, carry, job, worker = [], None, None, pool()
         for s in range(self.n_t):
             Ys = self.eq.equilibrium_at(self.ts[s])
             Zs = Z[s]

@@ -311,17 +311,24 @@ def mem_available() -> int | None:
 # traced peak of a run, measured with tracemalloc.  A stream experiment holds
 # whole (M, *grid) complex stacks (the stream's buffer; the probe adds its
 # previous unwound deviation), up to _CHUNK_TEMPS mode chunks of temporaries,
-# _GRID_TEMPS complex grids and _BASE_BYTES of small objects: equilibrium-check
-# 1.05-1.20, simulate 1.09-1.41 and scattering-probe 2.07-2.31 stacks at d=3,
-# N=16 and d=4, N=8 (M = 341 and 1661), none growing with the observation
-# count; at M = 1..61 the chunk, grid and fixed terms are most of the peak.
+# _GRID_TEMPS complex grids and _BASE_BYTES of small objects.  The chunks in
+# flight: the step's two lanes of |u|^2 rows (half a chunk each) with two
+# CPUs; in an observation the fields and the deviation of one chunk, the
+# norms' two lanes of half-chunk transforms and rows (1.5 chunks) and one
+# chunk's |x|^2 rows.  Measured beyond the stacks and grids, with one CPU and
+# with two: 1.6-3.8 chunks over the three experiments at d=3, N=16 (M=341, 11
+# chunks), d=4, N=8 (M=137, 5 chunks), d=2, N=32 (M=61) and d=4, N=8 (M=9, one
+# chunk each), as many as with the chunks run inline.  equilibrium-check
+# 1.29, simulate 1.41 and scattering-probe 2.31 stacks at d=3, N=16, none
+# growing with the observation count; at M = 1..61 the chunk, grid and fixed
+# terms are most of the peak.
 # picard holds two (n_t, M, *grid) time stacks (the iterate, the carried
 # integral), a symbol and a potential grid per time, and slice temporaries with
-# the slice in flight on the norm worker: 2 n_t + 10.6 slices at d=3, N=16,
+# the slice in flight on the pool: 2 n_t + 9.9 slices at d=3, N=16,
 # M=341, picard.steps = 2..16 (9.1 inline).  _PROCESS_BYTES is the RSS of the
 # interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
 _PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 11}
-_CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 8, 16, 1 << 16, 90 << 20
+_CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 20
 
 
 def _mode_count(cfg: RunConfig) -> int:

@@ -264,6 +264,58 @@ def test_cli_partial_step_exits_two_without_a_traceback(kind, T, tmp_path):
     assert f"T={float(T)}" in proc.stderr and "dt=0.01" in proc.stderr
 
 
+# T / dt past the largest float: the step count cannot be counted, and
+# int(round(inf)) raised OverflowError, a traceback with exit 1
+_UNCOUNTABLE = {"T = inf": "key 'T' must be finite",
+                "T = 1e300\ndt = 1e-300": "T=1e+300 in steps of dt=1e-300 is more steps"}
+
+
+@pytest.mark.parametrize("lines", list(_UNCOUNTABLE), ids=["inf", "1e300-over-1e-300"])
+def test_cli_uncountable_steps_exit_two_with_a_reason(lines, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL_EQ + f"pert.amplitude = 1e-3\n{lines}\n")
+    proc = _run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and _UNCOUNTABLE[lines] in proc.stderr, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_count_past_the_largest_float_is_a_value_error():
+    from hartorus.ensemble import _step_count
+    for T, dt in ((math.inf, 0.01), (1e300, 1e-300), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="more steps than can be counted"):
+            _step_count(T, dt)
+
+
+_FLOAT_KEYS = [key for key, (conv, _, _) in config._SCHEMA.items()
+               if conv in (float, config._parse_floats)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_nonfinite_float_values_name_their_key(key, value):
+    # a plain value, and one component of a list; nan passed every '< 0'
+    # check, and inf reached the run with a reason that named no key
+    vals = [value] if config._SCHEMA[key][0] is float else [value, f"1.0,{value}"]
+    for val in vals:
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{key} = {val}\n", "simulate")
+        assert f"line 1: key {key!r} must be finite, got {val!r}" in exc.value.violations
+
+
+@pytest.mark.parametrize("lines, key", [("f.kind = bose\nf.mu = nan", "f.mu"),
+                                        ("w.amplitude = nan", "w.amplitude"),
+                                        ("grid.L = inf", "grid.L")])
+def test_cli_nonfinite_value_exits_two_naming_the_key(lines, key, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("grid.d = 1\nw.kind = delta\npert.amplitude = 1e-3\n"
+                        + ("" if "f.kind" in lines else "f.kind = fermi\n") + lines + "\n")
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"key {key!r} must be finite" in err, err
+
+
 def test_svg_single_point():
     doc = emit_plot([("pt", [1.0], [2.0])], {"title": "one", "checksum": "abc"})
     assert doc.startswith("<?xml")

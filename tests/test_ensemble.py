@@ -596,7 +596,8 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
 
     monkeypatch.setattr(ens_mod, "ifftn", counting)
     got = stack_norms(lp, stack)
-    assert len(inverses) == len(lp.j_resolvable) + (d != 2)
+    # one inverse transform of the 3 modes per weight, taken in two parts
+    assert sum(shape[0] for shape in inverses) == 3 * (len(lp.j_resolvable) + (d != 2))
     ex = critical_exponents(d)
     axes = tuple(range(1, 1 + d))
     smooth = ifftn(((1 + g.xi_squared) ** (ex["s"] / 2))[None] * fftn(stack, axes=axes), axes=axes)
@@ -726,6 +727,38 @@ def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviation
     assert np.array_equal(got.mode_masses, want.mode_masses[::2])
     for k, v in want.norms.items():
         assert np.array_equal(got.norms[k], v[::2]), k
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["rebound", "kept"])
+def test_a_deviation_reader_held_across_windows_changes_nothing(keep):
+    # d=1, N=64: one chunk of all 9 modes.  A reader takes the first deviation
+    # chunk at t = 0.01 and at t = 0.02 and is held, bound to a name, while
+    # the stream steps: the stream puts the chunk's entries back before it
+    # steps.  When the reader put them back itself, the stream stepped the
+    # spectrum with the equilibrium taken out, and a reader dropped after
+    # the step wrote the old entries over the new: the energy at t = 0.03
+    # read 0.0167 against 14.966
+    eq, spec = _perturbed(1, 64, theta=1e-8)
+    assert eq.n_modes == 9 and len(ens_mod._mode_chunks(eq.n_modes, eq.grid)) == 1
+    held = []
+
+    def holding(stream):
+        for t, chunks in stream:
+            if 0.005 < t < 0.025:
+                reader = deviation_chunks(eq, t, chunks)
+                next(reader)
+                held[:] = held + [reader] if keep else [reader]
+                yield t, iter(())
+            else:
+                yield t, chunks
+
+    want = ens_mod._record(eq, observations(eq, spec, 0.03, 0.01, 1))
+    got = ens_mod._record(eq, holding(observations(eq, spec, 0.03, 0.01, 1)))
+    assert len(held) == (2 if keep else 1)
+    assert want.energies[-1] == pytest.approx(14.966, abs=1e-3)
+    assert got.energies[-1] == want.energies[-1]
+    assert np.array_equal(got.mode_masses[-1], want.mode_masses[-1])
+    assert np.array_equal(got.density, want.density)
 
 
 @pytest.mark.parametrize("chunk_modes", [None, 1, 3])

@@ -15,7 +15,7 @@ from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, T
                       critical_exponents, delta_potential, fermi,
                       init_equilibrium, parse_config, picard_solve, reference_trajectory,
                       run_experiment)
-from hartorus import picard
+from hartorus import field
 from hartorus.field import fftn, ifftn
 
 
@@ -150,8 +150,8 @@ _PICARD_D2 = "\n".join([
 
 def test_picard_op_peaks_at_three_stacks(tmp_path):
     # one picard op at the bench's picard-d2 size: the solve sets the peak
-    # (about 2.70 stacks, 2.57 inline: the iterate, the carried integral,
-    # the per-slice temporaries and the slice in flight on the norm worker);
+    # (about 2.67 stacks, 2.61 inline: the iterate, the carried integral,
+    # the per-slice temporaries and the slice in flight on the pool);
     # the reference adds slices to the held iterate
     cfg = parse_config(_PICARD_D2, "picard")
     M = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),
@@ -166,25 +166,6 @@ def test_picard_op_peaks_at_three_stacks(tmp_path):
         tracemalloc.stop()
     assert env.all_passed
     assert peak <= 3 * stack, peak / stack
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) makes the next apply see n CPUs and start its worker afresh;
-    every worker started in the test is shut down."""
-    original = picard._NORMS
-
-    def drop():
-        if picard._NORMS not in (None, original):
-            picard._NORMS.shutdown()
-
-    def use(n):
-        drop()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        monkeypatch.setattr(picard, "_NORMS", None)
-
-    yield use
-    drop()
 
 
 def _worker_case(d, amplitude=1e-3):
@@ -203,10 +184,10 @@ def test_norm_worker_keeps_the_bits(d, amplitude, iters, cpus):
     op = _worker_case(d, amplitude)
     cpus(2)
     threaded = picard_solve(op, max_iters=iters)
-    assert picard._NORMS is not None
+    assert field._POOL is not None
     cpus(1)
     inline = picard_solve(op, max_iters=iters)
-    assert picard._NORMS is None
+    assert field._POOL is None
     assert threaded.diverged == inline.diverged == (amplitude > 1)
     assert threaded.n_iterations == inline.n_iterations
     assert np.array_equal(threaded.Z, inline.Z)
@@ -245,7 +226,7 @@ def test_one_cpu_starts_no_thread(setup, cpus):
     cpus(1)
     threads = set(threading.enumerate())
     picard_solve(PicardOperator(ens, spec, T=0.5, n_steps=20), max_iters=3)
-    assert picard._NORMS is None
+    assert field._POOL is None
     assert set(threading.enumerate()) == threads
 
 
