@@ -36,8 +36,7 @@ def main():
     print(f"defocusing condition value eps_g * w-hat(0)_+ = {eps.value * max(w.what0, 0):.4f} "
           f"vs 2|S^{args.d - 1}| = {2 * ht.sphere_area(args.d):.4f}")
 
-    rep = ht.hypothesis_check(cov, w, epsilon_g=eps.value)
-    for b in rep.bullets:
+    for b in ht.hypothesis_check(cov, w, epsilon_g=eps.value):
         status = {True: "pass", False: "FAIL", None: "indeterminate"}[b.passed]
         print(f"  [{status}] {b.name}: value {b.value:.4g}"
               + (f" (threshold {b.threshold:.4g})" if b.threshold else ""))

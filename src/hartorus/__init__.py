@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .grid import TorusGrid
 from . import field  # scipy.fft ahead of equilibrium's scipy imports: about 20 ms less import time
 from .lpaley import LittlewoodPaley, critical_exponents, eta, eta_j
-from .equilibrium import (Bullet, CovarianceProfile, DistributionFunction, HypothesisReport,
+from .equilibrium import (Bullet, CovarianceProfile, DistributionFunction,
                           InteractionPotential, bose, custom_radial, delta_potential,
                           equilibrium_mass, eval_h, fermi, gaussian_f2, gaussian_potential,
                           hypothesis_check, sphere_area, zero_distribution, zero_potential,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .equilibrium import (DistributionFunction, InteractionPotential, bose, delta_potential,
                           fermi, gaussian_f2, gaussian_potential, zero_distribution,
                           zero_potential, zero_temp_fermi)
-from .grid import TorusGrid
+from .grid import TorusGrid, _is_power_of_two
 
 EXPERIMENT_KINDS = (
     "equilibrium-check", "simulate", "linear-response", "stability-check",
@@ -23,15 +23,11 @@ def _parse_floats(s: str):
     return tuple(float(tok) for tok in s.split(",") if tok.strip() != "")
 
 
-def _power_of_two(n) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
-
-
 # key -> (converter, validator or None, default)
 _SCHEMA = {
     "grid.d": (int, lambda v: 1 <= v <= 4 or "grid.d must be in 1..4", 1),
     "grid.L": (float, lambda v: v > 0 or "grid.L must be positive", 2 * math.pi),
-    "grid.N": (int, lambda v: _power_of_two(v) or "grid.N must be a power of two", 64),
+    "grid.N": (int, lambda v: _is_power_of_two(v) or "grid.N must be a power of two", 64),
     "f.kind": (str, lambda v: v in _F_KINDS or f"f.kind must be one of {_F_KINDS}", "fermi"),
     "f.T": (float, lambda v: v > 0 or "f.T must be positive", 1.0),
     "f.mu": (float, None, 0.0),
@@ -94,10 +90,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        v = self.values.get(key)
-        return default if v is None else v
 
     # -- factories ---------------------------------------------------------
 

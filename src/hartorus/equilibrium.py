@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -360,33 +361,29 @@ class CovarianceProfile:
     h0 (error h0_err) is the mass on the radial panels at whose nodes rho1 is
     tabulated; they run half a uniform panel past support_radius(), so the
     bisection grades them toward a jump of f2 there as toward an interior one.
-    The h table holds h at nodes spaced dx from 0 until |h| has stayed below
-    _TABLE_TOL * |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP);
-    beyond it h is zero.  A profile with h(0) = 0 splines zeros on [0, 1], so
-    every profile has the same kind of table.  table_error() is the largest
-    per-node |GL32 - GL16| plus the largest gap between the spline and the
-    fixed-node transform at the node midpoints, the interpolation error,
-    taken on its first call.
+    The h table, built once on its first read, holds h at nodes spaced dx
+    from 0 until |h| has stayed below _TABLE_TOL * |h(0)| over a stretch of 4
+    in x (at most to _X_MAX_CAP); beyond its last node x_max h is zero.  A
+    profile with h(0) = 0 splines zeros on [0, 1], so every profile has the
+    same kind of table.  table_error() is the largest per-node |GL32 - GL16|
+    plus the largest gap between the spline and the fixed-node transform at
+    the node midpoints, the interpolation error, taken on its first call.
     """
 
     def __init__(self, f: DistributionFunction, d: int):
         self.f = f
         self.d = d
-        self._spline = None
-        self._table_err = 0.0
-        self._midpoint_gap = None
-        self._marginal = None
         rend = f.support_radius() * (1.0 + 0.5 / _MARGINAL_PANELS)
         self._panels = _radial_panels(f, d, rend, _MARGINAL_PANELS)
         m32, m16 = (_panel_masses(f, d, *self._panels, rule) for rule in (_GAUSS_HI, _GAUSS_LO))
         self.h0 = sphere_area(d) * float(np.sum(m32))
         self.h0_err = sphere_area(d) * float(np.sum(np.abs(m32 - m16)))
 
-    def _build_table(self):
+    @cached_property
+    def _table(self):
+        """(spline, largest per-node |GL32 - GL16|) of the h table."""
         if self.f.is_zero or self.h0 == 0.0:
-            self._x_max = 1.0
-            self._spline = CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural"))
-            return
+            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), 0.0
         rsup = self.f.support_radius(1e-10)
         rend = self.f.support_radius()
         dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
@@ -408,33 +405,31 @@ class CovarianceProfile:
             xs.append(xb[:n])
             hs.append(vb[:n])
             errs.append(eb[:n])
-        self._x_max = float(x)
-        self._table_err = float(np.max(np.concatenate(errs)))
         # h is even, so h'(0) = 0 clamps the start of the spline
-        self._spline = CubicSpline(np.concatenate(xs), np.concatenate(hs),
-                                   bc_type=((1, 0.0), "natural"))
+        spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type=((1, 0.0), "natural"))
+        return spline, float(np.max(np.concatenate(errs)))
 
     @property
     def spline(self):
-        if self._spline is None:
-            self._build_table()
-        return self._spline
+        return self._table[0]
 
     @property
     def x_max(self) -> float:
-        _ = self.spline
-        return self._x_max
+        return float(self.spline.x[-1])
+
+    @cached_property
+    def _midpoint_gap(self) -> float:
+        sp = self.spline
+        gap = 0.0
+        mids = 0.5 * (sp.x[1:] + sp.x[:-1])  # in blocks of nodes, as the table
+        for s in range(0, len(mids), _TABLE_BLOCK):
+            xb = mids[s:s + _TABLE_BLOCK]
+            hb = _radial_transform(self.f, self.d, xb, self.f.support_radius())[0]
+            gap = max(gap, float(np.max(np.abs(sp(xb) - hb))))
+        return gap
 
     def table_error(self) -> float:
-        sp = self.spline
-        if self._midpoint_gap is None:
-            self._midpoint_gap = 0.0
-            mids = 0.5 * (sp.x[1:] + sp.x[:-1])  # in blocks of nodes, as the table
-            for s in range(0, len(mids), _TABLE_BLOCK):
-                xb = mids[s:s + _TABLE_BLOCK]
-                hb = _radial_transform(self.f, self.d, xb, self.f.support_radius())[0]
-                self._midpoint_gap = max(self._midpoint_gap, float(np.max(np.abs(sp(xb) - hb))))
-        return self._table_err + self._midpoint_gap
+        return self._table[1] + self._midpoint_gap
 
     def _lookup(self, sp, x):
         """sp, the table's spline or a derivative of it, at |x|; zero past x_max."""
@@ -449,15 +444,12 @@ class CovarianceProfile:
         dsp = self.spline.derivative(n)
         return lambda x: self._lookup(dsp, x)
 
+    @cached_property
     def _line_table(self):
         """[(nodes, weights, rho1)] on the radial panels, 32- then 16-point."""
-        if self._marginal is None:
-            a, b = self._panels
-            self._marginal = []
-            for rule in (_GAUSS_HI, _GAUSS_LO):
-                v, w = _gauss_nodes(a, b, rule)
-                self._marginal.append((v, w, _line_marginal(self.f, self.d, a, b, v)))
-        return self._marginal
+        a, b = self._panels
+        nodes = [_gauss_nodes(a, b, rule) for rule in (_GAUSS_HI, _GAUSS_LO)]
+        return [(v, w, _line_marginal(self.f, self.d, a, b, v)) for v, w in nodes]
 
     def half_line_transform(self, w):
         """H(w) = integral_0^inf e^{-iws} h(s) ds at an array of w; returns (H, error).
@@ -471,7 +463,7 @@ class CovarianceProfile:
         w = np.asarray(w, dtype=float)
         x = np.abs(w).ravel()
         a, b = self._panels
-        tables = self._line_table()
+        tables = self._line_table
         rho = _line_marginal(self.f, self.d, a, b, x)
         pv = np.empty((2, len(x)))
         step = max(1, _CHUNK_ELEMENTS // len(tables[0][0]))
@@ -502,22 +494,11 @@ class Bullet:
     note: str = ""
 
 
-@dataclass
-class HypothesisReport:
-    d: int
-    bullets: list
-
-    def bullet(self, name: str) -> Bullet:
-        for b in self.bullets:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
-
 def hypothesis_check(cov: CovarianceProfile, w: InteractionPotential,
-                     epsilon_g: float) -> HypothesisReport:
+                     epsilon_g: float) -> list:
     """Numerically evaluate the admissibility bullets for the distribution of
-    the profile cov and w, in the profile's dimension; its table is reused.
+    the profile cov and w, in the profile's dimension, as a list of Bullet in
+    a fixed order; the profile's table is reused.
     epsilon_g is the low-frequency threshold of response.epsilon_g, which the
     defocusing bullet compares with w-hat(0).
 
@@ -526,24 +507,30 @@ def hypothesis_check(cov: CovarianceProfile, w: InteractionPotential,
     mass, and for int |f f'| = int |(f2)'| / 2 the total variation of f2
     over the sorted panel ends and nodes, so jumps count.  Derivative bounds
     on the covariance profile use radial spline derivatives as the computed
-    surrogate.  A non-finite value marks a bullet indeterminate.
+    surrogate.  A non-finite value marks a bullet indeterminate, and so does
+    an h table that cannot be built the three bullets read off it.
     """
     f, d = cov.f, cov.d
-    bullets = []
     s_ceil = math.ceil(d / 2 - 1)
     rend = f.support_radius()
     area = sphere_area(d)
+    two_area = 2.0 * area
+    ks = np.linspace(0.0, 64.0, 4097)
+    wneg = float(np.max(np.maximum(-w.what(ks), 0.0)))
+    w0p = max(w.what0, 0.0)
 
     if f.is_zero:
-        for name in ("weighted_l2", "f_gradf_integrable", "monotone_decreasing",
-                     "h_derivative_decay", "h_low_frequency_integrable"):
-            bullets.append(Bullet(name, True, 0.0, note="zero distribution"))
+        bullets = [Bullet(name, True, 0.0, note="zero distribution")
+                   for name in ("weighted_l2", "f_gradf_integrable", "monotone_decreasing",
+                                "h_derivative_decay", "h_low_frequency_integrable")]
+        bullets.append(Bullet("potential_focusing_part", True, 0.0, threshold=math.inf,
+                              note="zero distribution: no constraint"))
     else:
         a, b = cov._panels
         r, wr = _gauss_nodes(a, b, _GAUSS_HI)
         # <r>^ceil(s) f in L^2
         val = area * float(np.sum((1 + r * r) ** s_ceil * f.f2(r) * r ** (d - 1) * wr))
-        bullets.append(Bullet("weighted_l2", True if math.isfinite(val) else None, val))
+        bullets = [Bullet("weighted_l2", True if math.isfinite(val) else None, val)]
 
         # integral of |xi|^{1-d} |f grad f|  ->  area * int |(f2)'| dr / 2
         val = area * 0.5 * float(np.sum(np.abs(np.diff(f.f2(np.sort(np.r_[a, b, r]))))))
@@ -560,49 +547,36 @@ def hypothesis_check(cov: CovarianceProfile, w: InteractionPotential,
         bullets.append(Bullet("monotone_decreasing", strict, worst,
                               note="max consecutive increment on a log grid"))
 
-        # <x>^2 d^alpha h bounded for |alpha| <= 2*ceil(s): radial surrogate
+        # the three bullets read off the h table
         try:
-            xs = np.linspace(0.0, cov.x_max, 1500)
+            x_max = cov.x_max  # builds the table; CubicSpline refuses non-finite values
+        except ValueError:
+            decay = Bullet("h_derivative_decay", None, math.nan, note="table build failed")
+            low = Bullet("h_low_frequency_integrable", None, math.nan)
+            focus = Bullet("potential_focusing_part", None, wneg)
+        else:
+            # <x>^2 d^alpha h bounded for |alpha| <= 2*ceil(s): radial surrogate
+            xs = np.linspace(0.0, x_max, 1500)
             worst_sup = 0.0
             for n in range(0, 2 * s_ceil + 1):
                 dn = cov(xs) if n == 0 else cov.derivative(n)(xs)
                 worst_sup = max(worst_sup, float(np.max((1 + xs ** 2) * np.abs(dn))))
-            bullets.append(Bullet("h_derivative_decay", bool(math.isfinite(worst_sup)), worst_sup,
-                                  note=f"sup <x>^2 |h^(n)|, n <= {2 * s_ceil}, radial spline surrogate"))
-        except Exception:
-            bullets.append(Bullet("h_derivative_decay", None, math.nan, note="table build failed"))
+            decay = Bullet("h_derivative_decay", bool(math.isfinite(worst_sup)), worst_sup,
+                           note=f"sup <x>^2 |h^(n)|, n <= {2 * s_ceil}, radial spline surrogate")
 
-        # |xi|^{1-d} (h + grad h) in L^1  ->  area * int (|h| + |h'|) dr
-        try:
-            xs = np.linspace(0.0, cov.x_max, 4000)
+            # |xi|^{1-d} (h + grad h) in L^1  ->  area * int (|h| + |h'|) dr
+            xs = np.linspace(0.0, x_max, 4000)
             hv = np.abs(cov(xs))
-            hd = np.abs(cov.derivative(1)(xs))
-            val = area * float(np.trapezoid(hv + hd, xs))
-            bullets.append(Bullet("h_low_frequency_integrable", bool(math.isfinite(val)), val))
-        except Exception:
-            bullets.append(Bullet("h_low_frequency_integrable", None, math.nan))
+            val = area * float(np.trapezoid(hv + np.abs(cov.derivative(1)(xs)), xs))
+            low = Bullet("h_low_frequency_integrable", bool(math.isfinite(val)), val)
 
-    # potential conditions
-    ks = np.linspace(0.0, 64.0, 4097)
-    wneg = float(np.max(np.maximum(-w.what(ks), 0.0)))
-    w0p = max(w.what0, 0.0)
-    two_area = 2.0 * area
-
-    if f.is_zero:
-        bullets.append(Bullet("potential_focusing_part", True, 0.0, threshold=math.inf,
-                              note="zero distribution: no constraint"))
-    else:
-        # ||(w-hat)_-||_inf * int |h| / |x|^{d-2} dx < 2 |S^{d-1}|
-        try:
-            xs = np.linspace(0.0, cov.x_max, 4000)
-            ih = area * float(np.trapezoid(np.abs(cov(xs)) * xs, xs))
+            # ||(w-hat)_-||_inf * int |h| / |x|^{d-2} dx < 2 |S^{d-1}|
+            ih = area * float(np.trapezoid(hv * xs, xs))
             thr = math.inf if ih == 0 else two_area / ih
-            bullets.append(Bullet("potential_focusing_part", bool(wneg < thr), wneg, threshold=thr))
-        except Exception:
-            bullets.append(Bullet("potential_focusing_part", None, wneg))
+            focus = Bullet("potential_focusing_part", bool(wneg < thr), wneg, threshold=thr)
+        bullets += [decay, low, focus]
 
     thr = math.inf if epsilon_g <= 0 else two_area / epsilon_g
     bullets.append(Bullet("potential_defocusing_part", bool(epsilon_g * w0p < two_area),
                           w0p, threshold=thr))
-
-    return HypothesisReport(d=d, bullets=bullets)
+    return bullets

@@ -36,26 +36,10 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def write_ndjson(path: Path, records) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            fh.write(json.dumps(_jsonable(rec), allow_nan=True) + "\n")
+            fh.write(json.dumps(rec, allow_nan=True, default=lambda v: v.tolist()) + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -234,7 +218,7 @@ def _exp_stability_check(cfg, out, seed):
     table = MultiplierTable.build(cov, _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"]))
     margin = stability_margin(table, w)
     eps = epsilon_g(cov)
-    hyp = hypothesis_check(cov, w, epsilon_g=eps.value)
+    bullets = hypothesis_check(cov, w, epsilon_g=eps.value)
     rec = {"margin": margin.margin, "argmin_tau": margin.arg_tau, "argmin_xi": margin.arg_xi,
            "sup_w_mf": margin.sup_wmf, "two_sphere_area": margin.two_sphere_area,
            "epsilon_g": eps.value, "epsilon_g_converged": eps.converged,
@@ -242,7 +226,7 @@ def _exp_stability_check(cfg, out, seed):
            "scattering_regime_d_ge_4": cov.d >= 4,
            "hypothesis_bullets": [
                {"name": b.name, "passed": b.passed, "value": b.value,
-                "threshold": b.threshold, "note": b.note} for b in hyp.bullets]}
+                "threshold": b.threshold, "note": b.note} for b in bullets]}
     path = out / "stability.ndjson"
     write_ndjson(path, [rec])
     verdicts = {"margin_positive": margin.positive}
@@ -480,7 +464,7 @@ def _exp_scattering_probe(cfg, out, seed):
     eq, bump = _perturbed_equilibrium(cfg)
     stream = observations(eq, bump, cfg["T"], cfg["dt"], cfg["obs.stride"])
     report = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in stream),
-                              ball_center=cfg["pert.center"], ball_radius=cfg.get("probe.radius"))
+                              ball_center=cfg["pert.center"], ball_radius=cfg["probe.radius"])
     records = [{"t": float(t), "local_mass": float(mass)}
                for t, mass in zip(report.times, report.local_mass)]
     for i, c in enumerate(report.cauchy):

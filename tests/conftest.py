@@ -1,8 +1,9 @@
+import functools
 import os
 
 import pytest
 
-from hartorus import field
+from hartorus import equilibrium, field
 
 
 @pytest.fixture
@@ -24,3 +25,20 @@ def cpus(monkeypatch):
 
     yield use
     drop()
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The list of profiles whose h table is built during the test, one entry
+    per build."""
+    builds = []
+    build = equilibrium.CovarianceProfile.__dict__["_table"].func
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    table = functools.cached_property(counting)
+    table.__set_name__(equilibrium.CovarianceProfile, "_table")
+    monkeypatch.setattr(equilibrium.CovarianceProfile, "_table", table)
+    return builds

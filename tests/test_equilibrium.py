@@ -5,7 +5,7 @@ import pytest
 
 from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
                       eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
-                      zero_distribution, zero_potential, zero_temp_fermi)
+                      sphere_area, zero_distribution, zero_potential, zero_temp_fermi)
 
 
 def test_fermi_value_at_origin():
@@ -137,34 +137,36 @@ def test_potential_kinds():
     assert zero_potential().what(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
 
+def _bullets(f, d, epsilon_g=0.17):
+    """hypothesis_check's bullets for a fresh profile and w-hat = 0.1, by name."""
+    return {b.name: b for b in hypothesis_check(CovarianceProfile(f, d), delta_potential(0.1),
+                                                epsilon_g)}
+
+
 def test_hypothesis_fermi_d4_passes_monotonicity():
-    rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), 0.17)
-    assert rep.bullet("monotone_decreasing").passed is True
-    assert rep.bullet("weighted_l2").passed is True
-    assert rep.bullet("h_derivative_decay").passed is True
+    rep = _bullets(fermi(1.0, 0.0), 4)
+    assert rep["monotone_decreasing"].passed is True
+    assert rep["weighted_l2"].passed is True
+    assert rep["h_derivative_decay"].passed is True
 
 
 def test_hypothesis_zero_temp_fermi_fails_monotonicity():
-    rep = hypothesis_check(CovarianceProfile(zero_temp_fermi(1.0), 4), delta_potential(0.1), 0.17)
-    assert rep.bullet("monotone_decreasing").passed is False
+    rep = _bullets(zero_temp_fermi(1.0), 4)
+    assert rep["monotone_decreasing"].passed is False
 
 
 def test_hypothesis_zero_distribution_all_pass():
     # epsilon_g of the zero distribution is 0
-    rep = hypothesis_check(CovarianceProfile(zero_distribution(), 3), delta_potential(1.0), 0.0)
-    for b in rep.bullets:
+    for b in hypothesis_check(CovarianceProfile(zero_distribution(), 3), delta_potential(1.0), 0.0):
         if b.passed is not None:
             assert b.passed, b.name
         assert b.value == 0.0 or b.name.startswith("potential")
 
 
 def test_hypothesis_defocusing_bullet_uses_epsilon_g():
-    rep = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), epsilon_g=0.17)
-    b = rep.bullet("potential_defocusing_part")
-    assert b.passed is True
+    assert _bullets(fermi(1.0, 0.0), 4)["potential_defocusing_part"].passed is True
     # 2 |S^3| = 4 pi^2 is the bound on epsilon_g * w-hat(0)
-    rep2 = hypothesis_check(CovarianceProfile(fermi(1.0, 0.0), 4), delta_potential(0.1), 1e3)
-    assert rep2.bullet("potential_defocusing_part").passed is False
+    assert _bullets(fermi(1.0, 0.0), 4, 1e3)["potential_defocusing_part"].passed is False
 
 
 def test_hypothesis_accepts_profile():
@@ -173,8 +175,34 @@ def test_hypothesis_accepts_profile():
     cov = CovarianceProfile(f, 3)
     cov(np.linspace(0.0, 2.0, 5))
     cov.half_line_transform(np.linspace(-2.0, 2.0, 5))
-    assert hypothesis_check(cov, w, epsilon_g=0.17).bullets == \
-        hypothesis_check(CovarianceProfile(f, 3), w, epsilon_g=0.17).bullets
+    assert hypothesis_check(cov, w, epsilon_g=0.17) == \
+        hypothesis_check(CovarianceProfile(f, 3), w, epsilon_g=0.17)
+
+
+def test_hypothesis_table_failure_marks_the_table_bullets_indeterminate():
+    # CubicSpline refuses the h table of a NaN f2; the three bullets read off
+    # the table turn indeterminate and the others keep their values
+    cov = CovarianceProfile(custom_radial(lambda r: np.full(np.shape(r), np.nan), 1.0), 3)
+    with pytest.raises(ValueError, match="finite"):
+        cov.spline
+    got = hypothesis_check(cov, gaussian_potential(-1.0, 1.0), epsilon_g=0.17)
+    np.testing.assert_equal([(b.name, b.passed, b.value, b.threshold, b.note) for b in got], [
+        ("weighted_l2", None, math.nan, None, ""),
+        ("f_gradf_integrable", None, math.nan, None,
+         "total variation of f2 over the radial panels, halved"),
+        ("monotone_decreasing", False, 0.0, None, "max consecutive increment on a log grid"),
+        ("h_derivative_decay", None, math.nan, None, "table build failed"),
+        ("h_low_frequency_integrable", None, math.nan, None, ""),
+        ("potential_focusing_part", None, 1.0, None, ""),
+        ("potential_defocusing_part", True, 0.0, 2 * sphere_area(3) / 0.17, "")])
+
+
+def test_profile_builds_its_table_once(table_builds):
+    cov = CovarianceProfile(gaussian_f2(), 3)
+    hypothesis_check(cov, delta_potential(0.1), epsilon_g=0.17)
+    cov.table_error()
+    cov(np.linspace(0.0, 2.0, 5))
+    assert table_builds == [cov]
 
 
 def test_custom_support_radius_reaches_shell_beyond_r1():
@@ -195,15 +223,13 @@ SHELL = custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 1.0) < 0.4))
 def test_hypothesis_f_gradf_counts_jumps(f, exact):
     # int |f f'| = TV(f2) / 2 radially: f2 falls by 1/2 for fermi(1, 0), jumps
     # once by 1 for zero-temperature fermi and twice for the shell; d = 3
-    rep = hypothesis_check(CovarianceProfile(f, 3), delta_potential(0.1), 0.17)
-    assert rep.bullet("f_gradf_integrable").value == pytest.approx(exact, rel=1e-12)
+    assert _bullets(f, 3)["f_gradf_integrable"].value == pytest.approx(exact, rel=1e-12)
 
 
 def test_hypothesis_weighted_l2_of_shell_exact():
     # 4 pi int_0.6^1.4 (1 + r^2) r^2 dr at d = 3, where ceil(s) = 1
     exact = 4 * math.pi * ((1.4 ** 3 / 3 + 1.4 ** 5 / 5) - (0.6 ** 3 / 3 + 0.6 ** 5 / 5))
-    rep = hypothesis_check(CovarianceProfile(SHELL, 3), delta_potential(0.1), 0.17)
-    assert rep.bullet("weighted_l2").value == pytest.approx(exact, rel=1e-12)
+    assert _bullets(SHELL, 3)["weighted_l2"].value == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("f, d", [(gaussian_f2(), 3), (fermi(1.0, 0.0), 3),

@@ -227,7 +227,7 @@ def test_equilibrium_check_without_modes_writes_positive_zeros(tmp_path):
     assert summary["n_modes"] == 0
 
 
-def test_stability_check_builds_one_profile(tmp_path, monkeypatch):
+def test_stability_check_builds_one_profile(tmp_path, monkeypatch, table_builds):
     calls = []
     init = equilibrium.CovarianceProfile.__init__
 
@@ -239,21 +239,14 @@ def test_stability_check_builds_one_profile(tmp_path, monkeypatch):
     env = run_experiment(parse_config(CONFIGS["stability-check"], "stability-check"), tmp_path)
     assert env.all_passed
     assert len(calls) == 1
+    assert len(table_builds) == 1
 
 
-def test_linear_response_builds_no_h_table(tmp_path, monkeypatch):
+def test_linear_response_builds_no_h_table(tmp_path, table_builds):
     # m_f comes from the line marginal alone, with H(-w) = conj H(w) exactly
-    calls = []
-    build = equilibrium.CovarianceProfile._build_table
-
-    def counting_build(self):
-        calls.append(self)
-        build(self)
-
-    monkeypatch.setattr(equilibrium.CovarianceProfile, "_build_table", counting_build)
     env = run_experiment(parse_config(CONFIGS["linear-response"], "linear-response"), tmp_path)
     assert env.all_passed
-    assert calls == []
+    assert table_builds == []
     report = json.loads((tmp_path / "response_report.ndjson").read_text().splitlines()[0])
     assert report["conjugate_symmetry_defect"] == 0.0
 
