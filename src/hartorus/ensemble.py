@@ -38,16 +38,16 @@ plus the bump's transform in bump.mode (none for bump None), and yields
 (t, chunks) at step 0 and after every window; chunks hands over each mode
 chunk's spectrum and fields as they go by, and evolve, the scattering probe
 and the Picard reference accumulate what they record from them; the chunks
-are the only way to read a run.  A start whose mass overflows the
-observation sums, or a step whose potential is not finite, raises
-FloatingPointError, so no consumer computes on non-finite values.
+are the only way to read a run, and only the start fill and step write its
+buffer.  A start whose mass overflows the sums, or a step whose potential is
+not finite, raises FloatingPointError: no consumer sees non-finite values.
 
 The deviation of a state at time t is Z = u - y against the exact
 equilibrium phases of eq.  The carriers are lattice frequencies, so Y(t) is
 built per chunk where it is read from one table of the N roots of unity
 (equilibrium_at), and no copy is stored; the spectrum of y_j has one nonzero
-entry (equilibrium_spectrum at carrier_cells), so deviation_chunks takes the
-spectrum of Z from the stream's, with no forward FFT of its own.
+entry (equilibrium_spectrum at carrier_cells), so deviation_chunks copies
+the spectrum of Z from the stream's, with no forward FFT of its own.
 deviation_norms reads those (modes, Z, Z-hat) chunks and nothing else; a
 whole stack is one chunk whose spectrum the caller supplies.
 """
@@ -144,6 +144,16 @@ class ModeEnsemble:
         """m + |xi_j|^2 per mode."""
         return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
 
+    @cached_property
+    def _what(self) -> np.ndarray:
+        """w-hat on the frequency lattice."""
+        return self.w.what(self.grid.xi_norm)
+
+    def potential(self, rho: np.ndarray) -> np.ndarray:
+        """w * rho over the trailing grid axes of rho."""
+        axes = tuple(range(rho.ndim - self.grid.d, rho.ndim))
+        return ifftn(fftn(rho, axes=axes) * self._what, axes=axes, overwrite_x=True).real
+
     def equilibrium_at(self, t: float, modes: slice = slice(None),
                        out: Optional[np.ndarray] = None) -> np.ndarray:
         """Y(t) of the modes in the slice modes (all by default), written into
@@ -236,7 +246,6 @@ def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
     chunks = _mode_chunks(eq.n_modes, g)
     half = np.exp(-0.5j * dt * (eq.m + g.xi_squared))
     full = half * half
-    sym = eq.w.what(g.xi_norm)
 
     size = chunks[0].stop if chunks else 0  # the first chunk is the largest
     rows = [np.empty((size + 1,) + g.shape) for _ in range(lanes(len(chunks)))]  # each lane's |u|^2
@@ -249,7 +258,7 @@ def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
             if k < n:
                 rho.add_squares(sq)
         if k < n:
-            pot = ifftn(sym * fftn(rho.total), overwrite_x=True).real
+            pot = eq.potential(rho.total)
             if not np.all(np.isfinite(pot)):
                 raise FloatingPointError(f"non-finite field values in a window of {n} steps of dt={dt}")
             phase = np.exp(-1j * dt * (pot - eq.m))
@@ -281,9 +290,7 @@ def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> f
     wgt = g.parseval_weight
     kinetic = float(np.sum(g.xi_squared * power)) * wgt
     gauge = ens.m * float(np.sum(power)) * wgt
-    sym = ens.w.what(g.xi_norm)
-    wrho = ifftn(sym * fftn(rho), overwrite_x=True).real
-    interaction = 0.5 * float(np.sum(wrho * rho) * g.dx)
+    interaction = 0.5 * float(np.sum(ens.potential(rho) * rho) * g.dx)
     return kinetic + gauge + interaction
 
 
@@ -400,20 +407,21 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
     """The deviation Z = u - y from the equilibrium eq of a state at time t,
     chunk by chunk: chunks yields the (modes, hat, u) chunks of an observation
     of the stream (observations), and this yields (modes, Z, Z-hat) for the
-    same modes.  Z is u minus eq.equilibrium_at(t); Z-hat is hat minus y_j's
-    one entry per mode, subtracted in place in the stream's buffer, which
-    puts the entry back bit for bit once the consumer moves on from the chunk,
-    or before the stream steps, so a reader held across a window changes
-    nothing.  Both are read-only."""
+    same modes, both read-only.  Z is u minus eq.equilibrium_at(t), built
+    over u; Z-hat is hat minus y_j's one entry per mode, built in one reused
+    chunk that first holds Y.  hat is only read, so a reader held across a
+    window changes nothing."""
     cells = eq.carrier_cells()
     y = eq.equilibrium_spectrum(t)
-    scratch = None  # one chunk of Z, reused: the first chunk is the largest
+    scratch = None  # one chunk of Y, then of Z-hat, reused: the first chunk is the largest
     for modes, hat, u in chunks:
-        hat[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= y[modes]
         if scratch is None:
-            scratch = np.empty_like(u)
-        Z = eq.equilibrium_at(t, modes, out=scratch[:len(u)])
-        yield modes, np.subtract(u, Z, out=Z), hat
+            scratch = np.empty_like(hat)
+        Z_hat = eq.equilibrium_at(t, modes, out=scratch[:len(hat)])
+        Z = np.subtract(u, Z_hat, out=u)
+        np.copyto(Z_hat, hat)
+        Z_hat[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= y[modes]
+        yield modes, Z, Z_hat
 
 
 def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
@@ -464,12 +472,12 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
 
     chunks yields (modes, hat, u) for each mode chunk in mode order: modes a
     slice of mode indices, hat the unnormalised spectrum and u the fields of
-    those modes at time t, both valid until the next chunk and read-only,
-    but for the entries deviation_chunks takes out of hat, which the stream
-    puts back.  They are the only way to read the run, whose (M, *grid)
-    buffer holds the spectrum from the start (y_j's one entry per mode, plus
-    the bump's transform) on; reading a chunk or leaving it unread changes
-    nothing.
+    those modes at time t, both valid until the next chunk: hat a read-only
+    view of the run's (M, *grid) buffer, u the reader's scratch, rebuilt for
+    every chunk, which deviation_chunks overwrites with Z.  They are the only
+    way to read the run, whose buffer holds the spectrum from the start (y_j's
+    one entry per mode, plus the bump's transform) on, written by step only;
+    reading a chunk, leaving it unread or holding it changes nothing.
     Before the first observation, ValueError for a T that is not a whole
     number of steps of dt, a bump that targets no mode of eq or a stride
     below 1, and FloatingPointError when the start's mass overflows the sums.
@@ -480,8 +488,7 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
     _check_bump(eq, bump)
     chunks = _mode_chunks(eq.n_modes, eq.grid)
     buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
-    cells = eq.carrier_cells()
-    buf[cells] = eq.equilibrium_spectrum(0.0)
+    buf[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
     if bump is not None:
         buf[bump.mode] += fftn(bump.field_values(eq.grid))
     mass = 0.0
@@ -506,18 +513,13 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
             else:
                 np.copyto(u, hat)
                 u = ifftn(u, axes=eq.space_axes, overwrite_x=True)
-            at = tuple(cell[c] for cell in cells)
-            saved = buf[at]
-            try:
-                yield c, hat, u
-            finally:
-                buf[at] = saved  # what deviation_chunks took out of the chunk
+            yield c, hat, u
 
     t, reader = 0.0, read(start=True)
     yield t, reader
     for i in range(0, n_steps, obs_stride):
         n = min(obs_stride, n_steps - i)
-        reader.close()  # a chunk still held is put back before the buffer steps
+        reader.close()  # a stale reader hands out no chunk of the next window under the old t
         step(eq, dt, n, hat=buf)
         for _ in range(n):
             t += dt  # the time of n single steps, to the bit

@@ -56,7 +56,6 @@ class PicardOperator:
         self.M = eq.n_modes
         self.lp = LittlewoodPaley(grid)                  # the blocks of the window norms
 
-        self.what_lattice = eq.w.what(grid.xi_norm)
         # S(-t) symbols e^{i t (m + |xi|^2)} on the time lattice
         self.fwd = np.exp(1j * np.multiply.outer(self.ts, eq.m + grid.xi_squared))
         _check_bump(eq, bump)
@@ -65,13 +64,6 @@ class PicardOperator:
             self.z0_hat[bump.mode] = fftn(bump.field_values(grid))
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
         self.lp.symbols, self.lp.bessel  # filled here, so no pool thread fills a cache
-
-    def convolve_potential(self, V: np.ndarray) -> np.ndarray:
-        """w * V over the trailing grid axes of V."""
-        axes = tuple(range(V.ndim - self.grid.d, V.ndim))
-        hat = fftn(V, axes=axes)
-        hat *= self.what_lattice
-        return ifftn(hat, axes=axes, overwrite_x=True).real
 
     def duhamel(self, s: int, F: np.ndarray, carry=None):
         """Slice s of the running integral I(s) = int_0^{t_s} S(-t) F-hat(t) dt.
@@ -105,7 +97,7 @@ class PicardOperator:
                 hat = back * self.z0_hat
                 dhat = hat
             else:
-                F = self.convolve_potential(V[s]) * (Ys + Zs)
+                F = self.eq.potential(V[s]) * (Ys + Zs)
                 carry = self.duhamel(s, F, carry)
                 integral = carry[0]
                 dhat = integral - I[s]

@@ -4,7 +4,7 @@ It holds every slice at once: the equilibrium stack Y, the integrand, its
 spectrum and the cumulative trapezoid are (n_t, M, *grid) stacks, and the
 window norms transform the difference of two iterates.  It shares with the
 streamed PicardOperator only the arrays the operator builds once (fwd and
-z0_hat), Y(t) from its equilibrium's equilibrium_at, convolve_potential,
+z0_hat), its equilibrium's equilibrium_at (for Y(t)) and potential,
 and deviation_norms (slice by slice, through stack_norms); its dyadic blocks
 of V are one inverse FFT per block.
 """
@@ -47,7 +47,7 @@ def duhamel(op, F):
 def apply(op, Z, V):
     """One application of the map on whole stacks; returns (Z', V')."""
     Y = equilibrium_stack(op)
-    Znew = duhamel(op, op.convolve_potential(V)[:, None] * (Y + Z))
+    Znew = duhamel(op, op.eq.potential(V)[:, None] * (Y + Z))
     Vnew = np.sum(np.abs(Z) ** 2, axis=1) + 2.0 * np.sum(np.conj(Y) * Znew, axis=1).real
     return Znew, Vnew
 

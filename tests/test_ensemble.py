@@ -702,8 +702,8 @@ def test_chunked_stream_matches_the_whole_stack_oracle(chunk_modes, monkeypatch)
 @pytest.mark.parametrize("chunk_modes", [1, 3])
 def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviations, monkeypatch):
     # every odd observation is read only as far as its first chunk, raw or
-    # through deviation_chunks (whose subtraction is put back once the loop
-    # lets it go); the even ones give the same records and last fields, to
+    # through deviation_chunks (which writes only the chunk's fields and its
+    # own scratch); the even ones give the same records and last fields, to
     # the bit, as a run whose every chunk is read
     eq, spec = _perturbed(3, 8, theta=1e-8)
     _with_chunks(monkeypatch, eq, chunk_modes)
@@ -733,11 +733,11 @@ def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviation
 def test_a_deviation_reader_held_across_windows_changes_nothing(keep):
     # d=1, N=64: one chunk of all 9 modes.  A reader takes the first deviation
     # chunk at t = 0.01 and at t = 0.02 and is held, bound to a name, while
-    # the stream steps: the stream puts the chunk's entries back before it
-    # steps.  When the reader put them back itself, the stream stepped the
-    # spectrum with the equilibrium taken out, and a reader dropped after
-    # the step wrote the old entries over the new: the energy at t = 0.03
-    # read 0.0167 against 14.966
+    # the stream steps: the reader never writes the stream's buffer.  When it
+    # took y_j's entries out of the buffer and put them back itself, the
+    # stream stepped the spectrum with the equilibrium taken out, and a
+    # reader dropped after the step wrote the old entries over the new: the
+    # energy at t = 0.03 read 0.0167 against 14.966
     eq, spec = _perturbed(1, 64, theta=1e-8)
     assert eq.n_modes == 9 and len(ens_mod._mode_chunks(eq.n_modes, eq.grid)) == 1
     held = []
@@ -759,6 +759,26 @@ def test_a_deviation_reader_held_across_windows_changes_nothing(keep):
     assert got.energies[-1] == want.energies[-1]
     assert np.array_equal(got.mode_masses[-1], want.mode_masses[-1])
     assert np.array_equal(got.density, want.density)
+
+
+@pytest.mark.parametrize("chunk_modes", [1, 3])
+def test_a_deviation_reader_held_at_a_chunk_leaves_its_spectrum_as_it_is(chunk_modes, monkeypatch):
+    # a reader handed one chunk and held there, at the start and after each
+    # window: the chunk's hat, a view of the stream's buffer, reads as it did
+    # before the reader saw it, to the bit, and the reader's Z-hat is hat
+    # minus y_j's one entry per mode
+    eq, spec = _perturbed(3, 8, theta=1e-8)
+    _with_chunks(monkeypatch, eq, chunk_modes)
+    cells = eq.carrier_cells()
+    for t, chunks in observations(eq, spec, 0.02, 1e-2, 1):
+        modes, hat, u = next(chunks)
+        before = hat.copy()
+        reader = deviation_chunks(eq, t, iter([(modes, hat, u)]))
+        _, _, Z_hat = next(reader)
+        assert np.array_equal(hat, before)
+        want = before.copy()
+        want[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= eq.equilibrium_spectrum(t)[modes]
+        assert np.array_equal(Z_hat, want)
 
 
 @pytest.mark.parametrize("chunk_modes", [None, 1, 3])

@@ -6,6 +6,7 @@ import pytest
 from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
                       eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       sphere_area, zero_distribution, zero_potential, zero_temp_fermi)
+from hartorus import equilibrium
 
 
 def test_fermi_value_at_origin():
@@ -180,8 +181,8 @@ def test_hypothesis_accepts_profile():
 
 
 def test_hypothesis_table_failure_marks_the_table_bullets_indeterminate():
-    # CubicSpline refuses the h table of a NaN f2; the three bullets read off
-    # the table turn indeterminate and the others keep their values
+    # the h table of a NaN f2 is refused; the three bullets read off the
+    # table turn indeterminate and the others keep their values
     cov = CovarianceProfile(custom_radial(lambda r: np.full(np.shape(r), np.nan), 1.0), 3)
     with pytest.raises(ValueError, match="finite"):
         cov.spline
@@ -195,6 +196,29 @@ def test_hypothesis_table_failure_marks_the_table_bullets_indeterminate():
         ("h_low_frequency_integrable", None, math.nan, None, ""),
         ("potential_focusing_part", None, 1.0, None, ""),
         ("potential_defocusing_part", True, 0.0, 2 * sphere_area(3) / 0.17, "")])
+
+
+def test_a_nonfinite_profile_is_refused_before_any_transform(monkeypatch):
+    # an all-NaN f2 has a NaN h(0): the table is refused on every read with
+    # no radial transform, where the block loop ran 32 of them before
+    # CubicSpline refused the NaN nodes, and did so again on each later read
+    calls = []
+    transform = equilibrium._radial_transform
+
+    def counting(*args):
+        calls.append(args)
+        return transform(*args)
+
+    monkeypatch.setattr(equilibrium, "_radial_transform", counting)
+    cov = CovarianceProfile(custom_radial(lambda r: np.full(np.shape(r), np.nan), 1.0), 3)
+    assert math.isnan(cov.h0)
+    got = {b.name: b.passed for b in hypothesis_check(cov, gaussian_potential(-1.0, 1.0), epsilon_g=0.17)}
+    assert [got[k] for k in ("h_derivative_decay", "h_low_frequency_integrable",
+                             "potential_focusing_part")] == [None, None, None]
+    for read in (lambda: cov.table_error(), lambda: cov(0.5), lambda: cov.x_max):
+        with pytest.raises(ValueError, match="finite"):
+            read()
+    assert calls == []
 
 
 def test_profile_builds_its_table_once(table_builds):

@@ -142,7 +142,7 @@ def test_L1_matches_exact_mode_sums():
     V /= np.max(np.abs(V))
 
     Y = picard_oracle.equilibrium_stack(op)
-    W = picard_oracle.duhamel(op, op.convolve_potential(V)[:, None] * Y)
+    W = picard_oracle.duhamel(op, op.eq.potential(V)[:, None] * Y)
     lattice_route = 2.0 * np.sum(np.conj(Y) * W, axis=1).real
 
     cov = CovarianceProfile(f, 1)
