@@ -23,9 +23,9 @@ forward FFT, the kinetic factor, an inverse FFT, the chunk's |u|^2 added to
 the density), then the potential of that density.  Between windows the
 buffer holds the spectrum, so a step costs one forward and one inverse stack
 FFT.  On two CPUs a chunk's part of a pass is one task of the package's worker
-pool (field.ordered_map), at most one in flight per thread, each lane
-reusing one buffer of |u|^2 rows, and the main thread adds the chunks' |u|^2
-into the density in mode order; the weighted inverse transforms of the
+pool (field.ordered_map), at most one in flight per thread, each reusing
+its thread's |u|^2 rows, and the main thread adds the chunks' |u|^2 into the
+density in mode order; the weighted inverse transforms of the
 deviation norms run there too, half a chunk per task.
 Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
@@ -62,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibrium import DistributionFunction, InteractionPotential
-from .field import fftn, ifftn, lanes, ordered_map
+from .field import fftn, ifftn, ordered_map
 from .grid import TorusGrid
 from .lpaley import LittlewoodPaley, critical_exponents
 
@@ -248,13 +248,12 @@ def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
     full = half * half
 
     size = chunks[0].stop if chunks else 0  # the first chunk is the largest
-    rows = [np.empty((size + 1,) + g.shape) for _ in range(lanes(len(chunks)))]  # each lane's |u|^2
+    rows = partial(np.empty, (size + 1,) + g.shape)  # a thread's |u|^2 rows
     phase = None
     for k in range(n + 1):  # pass k: the kinetic factor between potentials k-1 and k
         rho = _ModeSum(g.shape)
-        task = partial(_chunk_pass, hat, axes, phase, half if k in (0, n) else full,
-                       rows if k < n else None)
-        for sq in ordered_map(task, chunks):  # mode order: rho keeps its bits
+        task = partial(_chunk_pass, hat, axes, phase, half if k in (0, n) else full)
+        for sq in ordered_map(task, chunks, rows if k < n else None):  # mode order: rho keeps its bits
             if k < n:
                 rho.add_squares(sq)
         if k < n:
@@ -264,11 +263,11 @@ def step(eq: ModeEnsemble, dt: float, n: int, hat: np.ndarray) -> None:
             phase = np.exp(-1j * dt * (pot - eq.m))
 
 
-def _chunk_pass(hat, axes, phase, factor, rows, lane, c):
+def _chunk_pass(hat, axes, phase, factor, rows, c):
     """The mode chunk c's part of a step pass, in place in hat[c]: the
     potential phase (none for None), a forward FFT and the kinetic factor,
-    then with the lanes' rows an inverse FFT; returns the chunk's |u|^2
-    (_squares) in rows[lane], or None without rows."""
+    then with rows an inverse FFT; returns the chunk's |u|^2 (_squares) in
+    rows, or None without rows."""
     x = hat[c]
     if phase is not None:
         x *= phase
@@ -277,7 +276,7 @@ def _chunk_pass(hat, axes, phase, factor, rows, lane, c):
     if rows is None:
         return None
     _into(ifftn(x, axes=axes, overwrite_x=True), x)
-    return _squares(x, rows[lane])
+    return _squares(x, rows)
 
 
 def conserved_energy(ens: ModeEnsemble, rho: np.ndarray, power: np.ndarray) -> float:
@@ -361,29 +360,28 @@ class _NormSums:
         # (sum, spectral weight) of each weighted inverse transform
         self.weighted = ([(self.smooth, lp.bessel)] if self.smooth is not None else []) + [
             (self.blocks[j], sym) for j, sym in lp.symbols.items()]
-        self.lanes = []  # each lane's (transform, |.|^2 rows), sized by the first chunk
 
     def add(self, Z: np.ndarray, Z_hat: np.ndarray) -> None:
         """Add a chunk of modes; Z_hat, the unnormalised FFT of Z over space,
         is only read.  Each weighted transform takes the chunk in two halves,
-        so the two lanes' transform buffers together weigh one chunk."""
+        so the two threads' transform buffers together weigh one chunk."""
         space = tuple(range(1, Z.ndim))
         self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
         size = max(1, -(-len(Z) // 2))
         parts = [(sums, weight, slice(i, i + size))
                  for sums, weight in self.weighted for i in range(0, len(Z), size)]
-        while len(self.lanes) < lanes(len(parts)):  # allocated here, not on a pool thread
-            self.lanes.append((np.empty((size,) + Z.shape[1:], complex),
-                               np.empty((size + 1,) + Z.shape[1:])))
-        for sq, (sums, _, _) in zip(ordered_map(partial(self._weighted, Z_hat), parts), parts):
+
+        def buffers():  # a thread's half-chunk transform and |.|^2 rows
+            return np.empty((size,) + Z.shape[1:], complex), np.empty((size + 1,) + Z.shape[1:])
+        for sq, (sums, _, _) in zip(ordered_map(partial(self._weighted, Z_hat), parts, buffers), parts):
             sums.add_squares(sq)  # in mode order: each sum keeps its bits
 
-    def _weighted(self, Z_hat: np.ndarray, lane: int, part: tuple) -> np.ndarray:
+    def _weighted(self, Z_hat: np.ndarray, buffers: tuple, part: tuple) -> np.ndarray:
         """|.|^2 (_squares) of the inverse transform of weight Z_hat[modes],
-        part = (sums, weight, modes), in lane's buffers."""
+        part = (sums, weight, modes), in buffers = (transform, rows)."""
         _, weight, modes = part
         hat = Z_hat[modes]
-        scratch, rows = self.lanes[lane]
+        scratch, rows = buffers
         x = np.multiply(weight[None], hat, out=scratch[:len(hat)])
         return _squares(ifftn(x, axes=tuple(range(1, x.ndim)), overwrite_x=True), rows)
 
@@ -431,7 +429,7 @@ def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
     grid = lp.grid
     sums, power = _NormSums(lp), _ModeSum(grid.shape)
     for _, Z, Z_hat in chunks:
-        power.add(Z_hat)  # its |Z-hat|^2 freed before the norms' lanes are made
+        power.add(Z_hat)  # its |Z-hat|^2 freed before the norms' buffers are made
         sums.add(Z, Z_hat)
     out = sums.ingredients()
     s = critical_exponents(grid.d)["s"]

@@ -14,9 +14,10 @@ slice) whose results no other task reads.  It has min(2, CPUs) threads and
 is started by the first task that uses it; with one CPU there is no pool and
 no thread.  ordered_map hands each task's result back in item order, and the
 caller adds the results in that order on its own thread, so the bits do not
-depend on the pool.  A map made on a pool thread, or with one item, runs
-inline: a task never waits on a task of its own pool.  A forked child forgets
-the pool, whose threads it does not have.
+depend on the pool; it also makes the tasks' buffers, one set per thread it
+uses, so no caller counts threads.  A map made on a pool thread, or with one
+item, runs inline: a task never waits on a task of its own pool.  A forked
+child forgets the pool, whose threads it does not have.
 """
 
 from __future__ import annotations
@@ -58,36 +59,32 @@ def pool():
     return _POOL
 
 
-def lanes(n_items: int) -> int:
-    """The number of lanes ordered_map hands n_items items out on: one per
-    pool thread, else 1.  A caller allocates its lanes' buffers from this on
-    its own thread, whose memory the process gives back (a pool thread's
-    malloc arena keeps what it freed)."""
-    return _THREADS if n_items > 1 and pool() is not None else 1
+def ordered_map(fn, items, scratch=None):
+    """Yield fn(buffers, item) for each of items, in item order.
 
-
-def ordered_map(fn, items):
-    """Yield fn(lane, item) for each of items, in item order.
-
-    On the pool, at most one task per thread is in flight: the task of item
-    i + 2 is handed out once the result of item i has been taken, on the lane
-    (0 or 1, one per thread) that item i used, so a task may keep its
-    temporaries in buffers of its lane, and a result is valid until the next
-    one is asked for.  Inline (one CPU, a pool thread or one item) every task
-    runs on lane 0.  A task's exception comes out here once the tasks in
+    buffers is a set scratch() made on the calling thread, whose memory the
+    process gives back (a pool thread's malloc arena keeps what it freed), or
+    None without scratch: one set inline (one CPU, a pool thread or one
+    item), one per thread on the pool, none for no items.  On the pool at
+    most one task per thread is in flight: item i + 2 gets item i's buffers
+    once item i's result has been taken, so a result is valid until the next
+    one is asked for.  A task's exception comes out here once the tasks in
     flight have finished.
     """
     items = list(items)
+    make = scratch or (lambda: None)
     workers = pool() if len(items) > 1 else None
     if workers is None:
+        buffers = make() if items else None
         for item in items:
-            yield fn(0, item)
+            yield fn(buffers, item)
         return
-    jobs = deque(workers.submit(fn, lane, item) for lane, item in enumerate(items[:_THREADS]))
+    held = [make() for _ in range(_THREADS)]  # one set per thread, reused in turn
+    jobs = deque(workers.submit(fn, buffers, item) for buffers, item in zip(held, items))
     try:
         for i in range(len(items)):
             yield jobs.popleft().result()
             if i + _THREADS < len(items):
-                jobs.append(workers.submit(fn, i % _THREADS, items[i + _THREADS]))
+                jobs.append(workers.submit(fn, held[i % _THREADS], items[i + _THREADS]))
     finally:
         wait(jobs)  # no task writes a buffer the caller has let go of

@@ -59,9 +59,8 @@ class PicardOperator:
         # S(-t) symbols e^{i t (m + |xi|^2)} on the time lattice
         self.fwd = np.exp(1j * np.multiply.outer(self.ts, eq.m + grid.xi_squared))
         _check_bump(eq, bump)
-        self.z0_hat = np.zeros((self.M,) + grid.shape, dtype=complex)  # Z0 is the bump in its mode
-        if bump is not None:
-            self.z0_hat[bump.mode] = fftn(bump.field_values(grid))
+        self.bump = bump                                 # Z0 is the bump in its mode, zero elsewhere
+        self.b_hat = None if bump is None else fftn(bump.field_values(grid))
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
         self.lp.symbols, self.lp.bessel  # filled here, so no pool thread fills a cache
 
@@ -94,7 +93,9 @@ class PicardOperator:
             Zs = Z[s]
             back = np.conj(self.fwd[s])
             if first:
-                hat = back * self.z0_hat
+                hat = np.zeros_like(Zs)
+                if self.bump is not None:
+                    hat[self.bump.mode] = back * self.b_hat
                 dhat = hat
             else:
                 F = self.eq.potential(V[s]) * (Ys + Zs)
@@ -105,7 +106,8 @@ class PicardOperator:
                 np.multiply(back, dhat, out=dhat)
                 I[s] = integral
                 hat = integral * -1j
-                hat += self.z0_hat
+                if self.bump is not None:
+                    hat[self.bump.mode] += self.b_hat
                 np.multiply(back, hat, out=hat)
             Zn = ifftn(hat, axes=self.space_axes, overwrite_x=not first)
             Vn = (np.sum(np.abs(Zs) ** 2, axis=0)

@@ -296,20 +296,21 @@ def mem_available() -> int | None:
 # whole (M, *grid) complex stacks (the stream's buffer; the probe adds its
 # previous unwound deviation), up to _CHUNK_TEMPS mode chunks of temporaries,
 # _GRID_TEMPS complex grids and _BASE_BYTES of small objects.  The chunks in
-# flight: the step's two lanes of |u|^2 rows (half a chunk each) with two
+# flight: the step's |u|^2 rows (half a chunk per pool thread) with two
 # CPUs; in an observation the fields and the deviation of one chunk, the
-# norms' two lanes of half-chunk transforms and rows (1.5 chunks) and one
-# chunk's |x|^2 rows.  Measured beyond the stacks and grids, with one CPU and
-# with two: 1.6-3.8 chunks over the three experiments at d=3, N=16 (M=341, 11
+# norms' half-chunk transforms and rows (1.5 chunks for two threads) and one
+# chunk's |x|^2 rows, the pool's buffers made per chunk by ordered_map.
+# Measured beyond the stacks and grids: 1.6-2.9 chunks with one CPU and
+# 1.6-3.6 with two over the three experiments at d=3, N=16 (M=341, 11
 # chunks), d=4, N=8 (M=137, 5 chunks), d=2, N=32 (M=61) and d=4, N=8 (M=9, one
-# chunk each), as many as with the chunks run inline.  equilibrium-check
-# 1.29, simulate 1.41 and scattering-probe 2.31 stacks at d=3, N=16, none
-# growing with the observation count; at M = 1..61 the chunk, grid and fixed
-# terms are most of the peak.
+# chunk each).  equilibrium-check 1.29, simulate 1.37 (1.30 on one CPU) and
+# scattering-probe 2.31 stacks at d=3, N=16, none growing with the
+# observation count; at M = 1..61 the chunk, grid and fixed terms are most of
+# the peak.
 # picard holds two (n_t, M, *grid) time stacks (the iterate, the carried
 # integral), a symbol and a potential grid per time, and slice temporaries with
-# the slice in flight on the pool: 2 n_t + 9.9 slices at d=3, N=16,
-# M=341, picard.steps = 2..16 (9.1 inline).  _PROCESS_BYTES is the RSS of the
+# the slice in flight on the pool: 2 n_t + 8.9 slices at d=3, N=16,
+# M=341, picard.steps = 2..16 (8.1 inline).  _PROCESS_BYTES is the RSS of the
 # interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
 _PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 11}
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 20

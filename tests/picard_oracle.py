@@ -3,8 +3,8 @@
 It holds every slice at once: the equilibrium stack Y, the integrand, its
 spectrum and the cumulative trapezoid are (n_t, M, *grid) stacks, and the
 window norms transform the difference of two iterates.  It shares with the
-streamed PicardOperator only the arrays the operator builds once (fwd and
-z0_hat), its equilibrium's equilibrium_at (for Y(t)) and potential,
+streamed PicardOperator its symbols fwd, its bump (whose Z0 stack it builds
+here), its equilibrium's equilibrium_at (for Y(t)) and potential,
 and deviation_norms (slice by slice, through stack_norms); its dyadic blocks
 of V are one inverse FFT per block.
 """
@@ -25,6 +25,14 @@ def equilibrium_stack(op):
     return np.stack([op.eq.equilibrium_at(t) for t in op.ts])
 
 
+def z0_hat(op):
+    """The spectrum of Z0, (M, *grid): the bump's transform in its mode."""
+    out = np.zeros((op.M,) + op.grid.shape, dtype=complex)
+    if op.bump is not None:
+        out[op.bump.mode] = fftn(op.bump.field_values(op.grid))
+    return out
+
+
 def cumtrapz0(arr, dt):
     """Cumulative trapezoid along axis 0, starting at zero."""
     out = np.zeros_like(arr)
@@ -39,7 +47,7 @@ def duhamel(op, F):
     hat = fftn(F, axes=axes)
     integ = cumtrapz0(np.multiply(op.fwd[:, None], hat, out=hat), op.dt)
     integ *= -1j
-    integ += op.z0_hat
+    integ += z0_hat(op)
     return ifftn(np.multiply(np.conj(op.fwd)[:, None], integ, out=integ),
                  axes=axes, overwrite_x=True)
 
@@ -54,7 +62,7 @@ def apply(op, Z, V):
 
 def source_pair(op):
     """The image of (0, 0): the free flow S(t) Z0 and 2 Re E(Y-bar S(t) Z0)."""
-    Z = ifftn(np.conj(op.fwd)[:, None] * op.z0_hat, axes=_stack_axes(op), overwrite_x=True)
+    Z = ifftn(np.conj(op.fwd)[:, None] * z0_hat(op), axes=_stack_axes(op), overwrite_x=True)
     return Z, 2.0 * np.sum(np.conj(equilibrium_stack(op)) * Z, axis=1).real
 
 

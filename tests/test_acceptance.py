@@ -250,7 +250,7 @@ def test_c07_picard_contraction():
     ens, _ = ht.init_equilibrium(grid, ht.fermi(1.0, 0.0), w, 1e-8)
     spec = ht.BumpSpec(1e-3, 0.8, (np.pi,), (1.0,), mode=4)
     op = ht.PicardOperator(ens, spec, T=1.0, n_steps=200)
-    z0_norm = float(np.sqrt(np.sum(np.abs(op.z0_hat) ** 2) * grid.parseval_weight))
+    z0_norm = float(np.sqrt(np.sum(np.abs(spec.field_values(grid)) ** 2) * grid.dx))
     res = ht.picard_solve(op, max_iters=8)
     factor = max(res.contraction[1:5])
 

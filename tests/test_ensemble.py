@@ -507,7 +507,7 @@ _D3_RUN = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = de
 
 def test_simulate_d3_peak_is_one_stack(tmp_path):
     # d=3, N=16, M=341 in 11 chunks of 32 modes: the stream's buffer, plus
-    # about four chunks of temporaries and a few grids (1.40 stacks measured;
+    # about four chunks of temporaries and a few grids (1.37 stacks measured;
     # 2.40 with eq's stored plane waves)
     env, peak = _traced_peak(lambda: run_experiment(parse_config(_D3_RUN, "simulate"), tmp_path))
     assert env.all_passed

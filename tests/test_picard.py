@@ -150,7 +150,7 @@ _PICARD_D2 = "\n".join([
 
 def test_picard_op_peaks_at_three_stacks(tmp_path):
     # one picard op at the bench's picard-d2 size: the solve sets the peak
-    # (about 2.67 stacks, 2.61 inline: the iterate, the carried integral,
+    # (about 2.60 stacks, 2.55 inline: the iterate, the carried integral,
     # the per-slice temporaries and the slice in flight on the pool);
     # the reference adds slices to the held iterate
     cfg = parse_config(_PICARD_D2, "picard")

@@ -1,11 +1,13 @@
 """The package's one worker pool: ordered_map's contract, and stream runs that
 keep their bits on one CPU and on two."""
 
+import ast
 import os
 import select
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hartorus import (BumpSpec, PicardOperator, TorusGrid, delta_potential, devi
                       run_experiment, scattering_probe)
 from hartorus import ensemble as ens_mod
 from hartorus import field
-from hartorus.field import lanes, ordered_map
+from hartorus.field import ordered_map
 
 # (d, N, theta): 341 modes in 11 chunks, and 137 modes in 5 chunks
 _CASES = {"d3-N16": (3, 16, 1e-8, 11), "d4-N8": (4, 8, 3e-3, 5)}
@@ -55,7 +57,7 @@ def test_stream_runs_keep_their_bits_on_one_cpu_and_on_two(case, cpus, tmp_path)
     cpus(1)
     threads = set(threading.enumerate())
     one = _runs(eq, spec, d, N, theta, tmp_path / "one")
-    assert field._POOL is None and lanes(n_chunks) == 1  # one CPU starts no thread
+    assert field._POOL is None  # one CPU starts no thread
     assert set(threading.enumerate()) == threads
     (traj2, probe2, shas2), (traj1, probe1, shas1) = two, one
     for name in ("times", "mode_masses", "energies", "density_extrema", "density"):
@@ -187,14 +189,15 @@ def test_forked_child_has_no_pool(cpus):
 
 
 def test_ordered_map_keeps_item_order_with_one_task_per_thread(cpus):
-    # item i + 2 starts on item i's lane only once item i's result is taken
+    # item i + 2 gets item i's buffers, and starts only once item i's result is taken
     cpus(2)
-    events, lock = [], threading.Lock()
+    events, started, lock = [], {}, threading.Lock()
     running = [0, 0]  # now, most
 
-    def task(lane, item):
+    def task(buffers, item):
         with lock:
-            events.append(("start", item, lane))
+            started[item] = (len(events), buffers)
+            events.append(("start", item))
             running[0] += 1
             running[1] = max(running)
         time.sleep(0.002 * (item % 3))
@@ -203,44 +206,65 @@ def test_ordered_map_keeps_item_order_with_one_task_per_thread(cpus):
         return item * item
 
     got = []
-    for item, result in enumerate(ordered_map(task, range(9))):
+    for item, result in enumerate(ordered_map(task, range(9), list)):
         got.append(result)
-        events.append(("taken", item, None))
+        events.append(("taken", item))
     assert got == [i * i for i in range(9)]
     assert running[1] <= 2
-    starts = {item: (events.index(("start", item, lane)), lane)
-              for kind, item, lane in events if kind == "start"}
+    assert started[0][1] is not started[1][1]
     for item in range(2, 9):
-        at, lane = starts[item]
-        assert lane == starts[item - 2][1] == item % 2
-        assert at > events.index(("taken", item - 2, None))
+        at, buffers = started[item]
+        assert buffers is started[item - 2][1]
+        assert at > events.index(("taken", item - 2))
+
+
+def test_ordered_map_makes_one_set_of_buffers_per_thread_on_the_calling_thread(cpus):
+    made = []
+
+    def scratch():
+        made.append(threading.current_thread())
+        return len(made)
+
+    def buffers(b, item):
+        return b
+
+    cpus(2)
+    assert list(ordered_map(buffers, range(5), scratch)) == [1, 2, 1, 2, 1]
+    assert made == [threading.main_thread()] * 2
+    assert list(ordered_map(buffers, [], scratch)) == [] and len(made) == 2  # none for no items
+    assert list(ordered_map(buffers, ["one"], scratch)) == [3]
+    assert list(ordered_map(buffers, range(5))) == [None] * 5  # no scratch: None
+    cpus(1)
+    assert list(ordered_map(buffers, range(5), scratch)) == [4] * 5
+    assert made == [threading.main_thread()] * 4
 
 
 def test_ordered_map_runs_inline_on_a_pool_thread_and_for_one_item(cpus):
     cpus(2)
 
-    def where(lane, item):
-        return threading.current_thread(), lane
+    def where(buffers, item):
+        return threading.current_thread(), buffers
 
-    assert list(ordered_map(where, ["one"])) == [(threading.main_thread(), 0)]
+    assert list(ordered_map(where, ["one"])) == [(threading.main_thread(), None)]
     assert field._POOL is None  # one item starts no pool
     pool = field.pool()
 
     def nested():
-        return list(ordered_map(where, range(4))), lanes(4), field.pool()
+        made = []
+        inner = list(ordered_map(where, range(4), lambda: made.append(threading.current_thread())))
+        return inner, made, field.pool()
 
-    inner, inner_lanes, inner_pool = pool.submit(nested).result()
-    assert {lane for _, lane in inner} == {0} and inner_lanes == 1 and inner_pool is None
-    assert len({thread for thread, _ in inner}) == 1
-    assert inner[0][0] is not threading.main_thread()
-    assert lanes(4) == 2
+    inner, made, inner_pool = pool.submit(nested).result()
+    assert inner_pool is None and len(made) == 1  # one set, made on the pool thread
+    assert {thread for thread, _ in inner} == set(made)
+    assert made[0] is not threading.main_thread()
 
 
 def test_ordered_map_error_and_early_close_wait_for_the_tasks_in_flight(cpus):
     cpus(2)
     finished = []
 
-    def task(lane, item):
+    def task(buffers, item):
         if item == 3:
             raise KeyError(item)
         time.sleep(0.05 if item == 4 else 0.0)
@@ -255,3 +279,37 @@ def test_ordered_map_error_and_early_close_wait_for_the_tasks_in_flight(cpus):
     assert next(results) == 10
     results.close()
     assert finished == [10, 4]
+
+
+# names that start threads or processes: a second pool beside field's
+_POOL_NAMES = {"ThreadPoolExecutor", "threading", "concurrent", "multiprocessing", "fork"}
+
+
+def _pool_names(path):
+    """'line: name' for each import, name or attribute of path's code that is
+    one of _POOL_NAMES or a dotted name with one of them as a part."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if _POOL_NAMES & set(name.split("."))]
+    return found
+
+
+def test_only_field_starts_threads_or_processes():
+    # every pool user hands its tasks to field's one pool; no module starts a
+    # second pool, thread or process beside it
+    package = Path(field.__file__).parent
+    assert _pool_names(package / "field.py")  # the scan sees the pool's own names
+    others = {path.name: _pool_names(path) for path in sorted(package.rglob("*.py"))
+              if path.name != "field.py"}
+    assert len(others) >= 12
+    assert {name: found for name, found in others.items() if found} == {}

@@ -387,8 +387,8 @@ def test_picard_preflight_exits_two_with_estimate_and_limit(tmp_path, monkeypatc
 @pytest.mark.parametrize("steps", [2, 4, 8, 16])
 def test_picard_traced_peak_within_the_preflight_estimate(steps, tmp_path):
     # d=3, N=16, M=341 (21.3 MiB slices): the solve peaks at two time stacks
-    # plus 9.9 slices with the norm task on the pool (9.1 inline) at every
-    # steps, so a count of 3 n_t slices would read 9 against 15.05 inline at
+    # plus 8.9 slices with the norm task on the pool (8.1 inline) at every
+    # steps, so a count of 3 n_t slices would read 9 against 14.05 inline at
     # steps = 2
     text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
                       "pert.amplitude = 1e-3", "T = 0.05", f"picard.steps = {steps}",
