@@ -26,7 +26,8 @@ FFT.  On two CPUs a chunk's part of a pass is one task of the package's worker
 pool (field.ordered_map), at most one in flight per thread, each reusing
 its thread's |u|^2 rows, and the main thread adds the chunks' |u|^2 into the
 density in mode order; the weighted inverse transforms of the
-deviation norms run there too, half a chunk per task.
+deviation norms run there too, half a chunk per task, and none for a half
+whose spectrum is all zero.
 Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
 so the chunk size changes none of them by a bit.
@@ -49,7 +50,11 @@ built per chunk where it is read from one table of the N roots of unity
 entry (equilibrium_spectrum at carrier_cells), so deviation_chunks copies
 the spectrum of Z from the stream's, with no forward FFT of its own.
 deviation_norms reads those (modes, Z, Z-hat) chunks and nothing else; a
-whole stack is one chunk whose spectrum the caller supplies.
+whole stack is one chunk whose spectrum the caller supplies.  No part of a
+deviation whose Z-hat is all zero is transformed, in the norms or in the
+probe, and no sum changes by a bit for it: at t = 0 the deviation is the
+bump alone, so the norms transform only the bump's half-chunk and the probe
+only its chunk.
 """
 
 from __future__ import annotations
@@ -364,12 +369,14 @@ class _NormSums:
     def add(self, Z: np.ndarray, Z_hat: np.ndarray) -> None:
         """Add a chunk of modes; Z_hat, the unnormalised FFT of Z over space,
         is only read.  Each weighted transform takes the chunk in two halves,
-        so the two threads' transform buffers together weigh one chunk."""
+        so the two threads' transform buffers together weigh one chunk.  A
+        half whose Z_hat is all zero gets no transform: with finite weights
+        its |.|^2 rows are +0.0, and leaving them out changes no sum."""
         space = tuple(range(1, Z.ndim))
         self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
         size = max(1, -(-len(Z) // 2))
-        parts = [(sums, weight, slice(i, i + size))
-                 for sums, weight in self.weighted for i in range(0, len(Z), size)]
+        halves = [h for h in (slice(i, i + size) for i in range(0, len(Z), size)) if Z_hat[h].any()]
+        parts = [(sums, weight, h) for sums, weight in self.weighted for h in halves]
 
         def buffers():  # a thread's half-chunk transform and |.|^2 rows
             return np.empty((size,) + Z.shape[1:], complex), np.empty((size + 1,) + Z.shape[1:])
@@ -614,7 +621,8 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
     the deviation at time t, as ((t, deviation_chunks(eq, t, c)) for t, c in
     observations(...)) does.  The probe holds the previous unwound deviation,
     chunk by chunk, and nothing else of stack size, so its memory does not
-    grow with the number of observations.  Decreasing Cauchy differences
+    grow with the number of observations; a chunk whose Z-hat is all zero
+    unwinds to zeros with no transform.  Decreasing Cauchy differences
     signal convergence of S(-t)Z(t); the potential-free control run keeps it
     exactly constant.  A window past the torus recurrence time gets a
     warning flag.
@@ -632,7 +640,8 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
         unwound, diff = [], 0.0
         for i, (_, Z, Z_hat) in enumerate(chunks):
             dens.add(Z)
-            unwound.append(ifftn(Z_hat * back, axes=axes, overwrite_x=True))
+            unwound.append(ifftn(Z_hat * back, axes=axes, overwrite_x=True) if Z_hat.any()
+                           else np.zeros_like(Z_hat))  # zero unwinds to zero
             if prev is not None:
                 prev[i] -= unwound[i]
                 sq = prev[i].view(float)  # squared in place: no temporary

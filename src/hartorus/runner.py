@@ -314,6 +314,21 @@ def mem_available() -> int | None:
 # interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
 _PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 11}
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 20
+# the experiments sized by their counts, traced the same way over whole runs.
+# instability: 537 B per scan.count ray point (the spectra, the growth and the
+# CSV rows; 1e4..4e5 points), the fuzz cases' 2d + 1 uniforms drawn as one
+# array (24.3 B per fuzz.count case at d = 1; 1e4..4e5 cases) and 120 B per
+# grid point for the growth fit's four fields and their spectra (d = 2, N =
+# 64..512).  stability-check and linear-response: 169 and 282 B per entry of
+# the (2 tau.count + 1) x xi.count multiplier table, one more column for
+# linear-response's xi = 0 (its H temporaries, the margin's and decay's
+# fields, linear-response's CSV rows; tau.count and xi.count 1e3..3e4 at
+# d = 3), and linear-response's conjugate-symmetry defect compares every tau
+# with every tau, 8.9 B per pair (tau.count 1e3..3e3).  The rest (the h
+# table, the hypothesis bullets, the fuzz blocks) was 0.55-2.5 MB.
+_SCAN_BYTES, _FUZZ_VALUE_BYTES, _FIT_POINT_BYTES = 540, 8, 128
+_ENTRY_BYTES = {"stability-check": 170, "linear-response": 285}
+_TAU_PAIR_BYTES, _COUNTED_BASE_BYTES = 9, 4 << 20
 
 
 def _mode_count(cfg: RunConfig) -> int:
@@ -332,9 +347,9 @@ def _mode_count(cfg: RunConfig) -> int:
 
 
 def _peak_estimate(cfg: RunConfig) -> tuple:
-    """(bytes, stacks, M, points) of the estimated peak RSS of a stack
-    experiment, the process included; the mode count comes from the lattice
-    cell masses, before anything of stack size is allocated."""
+    """(bytes, reason) of the estimated peak RSS of a stack experiment, the
+    process included; the mode count comes from the lattice cell masses,
+    before anything of stack size is allocated."""
     grid = cfg.make_grid()
     M = _mode_count(cfg)
     points = grid.N ** grid.d
@@ -344,14 +359,37 @@ def _peak_estimate(cfg: RunConfig) -> tuple:
         n_t = cfg["picard.steps"] + 1
         stacks, chunk, grids = stacks + 2 * n_t, 0, grids + 1.5 * n_t
     need = 16 * points * (stacks * M + _CHUNK_TEMPS * chunk + grids) + _BASE_BYTES
-    return _PROCESS_BYTES + math.ceil(need), stacks, M, points
+    return _PROCESS_BYTES + math.ceil(need), (
+        f"{stacks:g} stacks of M={M} modes on N^d={points} points, complex, and temporaries")
+
+
+def _count_estimate(cfg: RunConfig) -> tuple:
+    """(bytes, reason) of the estimated peak RSS of instability, stability-check
+    or linear-response from its counts, the process included; the reason
+    names the keys of the largest term."""
+    if cfg.kind == "instability":
+        points = cfg["grid.N"] ** cfg["grid.d"]
+        terms = [(_SCAN_BYTES * cfg["scan.count"], f"scan.count={cfg['scan.count']} ray points"),
+                 (_FUZZ_VALUE_BYTES * (2 * len(cfg["twowave.xi"]) + 1) * cfg["fuzz.count"],
+                  f"fuzz.count={cfg['fuzz.count']} fuzz cases"),
+                 (_FIT_POINT_BYTES * points, f"grid.N={cfg['grid.N']}: {points} grid points")]
+    else:
+        n_tau, n_xi = 2 * cfg["tau.count"] + 1, cfg["xi.count"] + (cfg.kind == "linear-response")
+        terms = [(_ENTRY_BYTES[cfg.kind] * n_tau * n_xi,
+                  f"tau.count={cfg['tau.count']} and xi.count={cfg['xi.count']}: "
+                  f"{n_tau * n_xi} table entries")]
+        if cfg.kind == "linear-response":
+            terms.append((_TAU_PAIR_BYTES * n_tau ** 2, f"tau.count={cfg['tau.count']}: "
+                                                         f"{n_tau ** 2} pairs of taus compared"))
+    return _PROCESS_BYTES + _COUNTED_BASE_BYTES + sum(b for b, _ in terms), max(terms)[1]
 
 
 def _preflight(cfg: RunConfig) -> None:
     """PreflightError for a config its experiment cannot run: a norms grid that
     resolves no dyadic block, a stream run whose T is not a whole number of
     steps of dt, a stack experiment without a mode to run on, or
-    (MemoryPreflightError) one whose estimated peak exceeds MemAvailable."""
+    (MemoryPreflightError) a stack or counted experiment whose estimated peak
+    exceeds MemAvailable."""
     if cfg.kind == "norms" and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
         raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
                              f"dyadic block; the norms experiment needs one")
@@ -360,15 +398,16 @@ def _preflight(cfg: RunConfig) -> None:
             _step_count(cfg["T"], cfg["dt"])
         except ValueError as exc:
             raise PreflightError(str(exc)) from None
-    if cfg.kind not in _PEAK_STACKS:
+    if cfg.kind in _PEAK_STACKS:
+        need, reason = _peak_estimate(cfg)
+    elif cfg.kind in ("instability", "stability-check", "linear-response"):
+        need, reason = _count_estimate(cfg)
+    else:
         return
-    need, stacks, M, points = _peak_estimate(cfg)
     limit = mem_available()
     if limit is not None and need > limit:
-        raise MemoryPreflightError(
-            f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({stacks:g} stacks of M={M} modes "
-            f"on N^d={points} points, complex, and temporaries) but {limit / 2**20:.0f} MiB "
-            f"is available")
+        raise MemoryPreflightError(f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({reason}) but "
+                                   f"{limit / 2**20:.0f} MiB is available")
 
 
 def _exp_picard(cfg, out, seed):

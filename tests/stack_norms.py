@@ -1,10 +1,12 @@
 """Whole (M, *grid) stacks through the package's chunked interfaces: the
-deviation norms of a stack, and the fields of a stream's last observation."""
+deviation norms of a stack, and the fields of a stream's last observation;
+and the norm sums and the probe with every transform of zero taken."""
 
 import numpy as np
 
-from hartorus.ensemble import deviation_norms
-from hartorus.field import fftn
+from hartorus import ensemble, picard
+from hartorus.ensemble import _NormSums, deviation_norms
+from hartorus.field import fftn, ifftn
 
 
 def stack_norms(lp, stack, hat=None):
@@ -28,3 +30,37 @@ def keeping_fields(eq, stream):
             yield modes, hat, u
 
     return ((t, copied(chunks)) for t, chunks in stream), out
+
+
+class UnskippedSums(_NormSums):
+    """_NormSums with every weighted transform taken over the whole chunk on
+    the calling thread, all-zero halves included: the sums that skipping
+    those halves must give to the bit."""
+
+    def add(self, Z, Z_hat):
+        space = tuple(range(1, Z.ndim))
+        self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
+        for sums, weight in self.weighted:
+            sums.add(ifftn(weight[None] * Z_hat, axes=space))
+
+
+def unskipped(monkeypatch):
+    """Make deviation_norms, evolve and the Picard norms sum with
+    UnskippedSums from here on."""
+    monkeypatch.setattr(ensemble, "_NormSums", UnskippedSums)
+    monkeypatch.setattr(picard, "_NormSums", UnskippedSums)
+
+
+class _Nonzero(np.ndarray):
+    """An array that says it has a nonzero entry, whatever it holds."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+def transforming_every_chunk(deviations):
+    """The (t, chunks) deviations passed on with each chunk's Z-hat claiming a
+    nonzero entry, so that scattering_probe unwinds every chunk by a
+    transform, all-zero chunks included."""
+    for t, chunks in deviations:
+        yield t, ((modes, Z, Z_hat.view(_Nonzero)) for modes, Z, Z_hat in chunks)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import numpy as np
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
-from stack_norms import keeping_fields, stack_norms
+from stack_norms import keeping_fields, stack_norms, transforming_every_chunk, unskipped
 from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, conserved_energy, critical_exponents,
                       custom_radial, delta_potential, deviation_chunks, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
@@ -546,12 +547,24 @@ def test_streamed_probe_peak_does_not_grow_with_observations():
     assert max(peaks) <= 5.4, peaks
 
 
+def _bump_half(M, size, mode):
+    # the number of modes in the half of its mode chunk that holds mode, the
+    # chunks of size modes and their halves cut as _NormSums.add cuts them
+    start = mode - mode % size
+    chunk = min(size, M - start)
+    half = max(1, -(-chunk // 2))
+    first = start + (mode - start) // half * half
+    return min(first + half, start + chunk) - first
+
+
 def test_normed_evolve_stack_transform_budget(monkeypatch):
-    # counted in whole stacks of mode-chunk transforms: none at t=0 (the
-    # start spectrum is y_j's one entry per mode plus one grid transform of
-    # the bump), 2n per window of n steps, the inverse that gives each later
-    # observation its fields, and per observation the w_sp inverse plus one
-    # inverse per resolvable block
+    # counted in mode transforms: 2n stacks per window of n steps and the
+    # inverse stack that gives each later observation its fields; per later
+    # observation the w_sp inverse plus one inverse per resolvable block of
+    # the whole stack; at t=0 none for the fields (the start spectrum is y_j's
+    # one entry per mode plus one grid transform of the bump) and the norms'
+    # inverses of the one half-chunk holding the bump, every other half of
+    # the deviation being zero
     from hartorus import LittlewoodPaley
     eq, spec = _perturbed(3, 8, theta=1e-8)
     M, d = eq.n_modes, eq.grid.d
@@ -567,14 +580,16 @@ def test_normed_evolve_stack_transform_budget(monkeypatch):
     monkeypatch.setattr(ens_mod, "fftn", counting(ens_mod.fftn))
     monkeypatch.setattr(ens_mod, "ifftn", counting(ens_mod.ifftn))
     windows = [2, 2, 1]
-    n_blocks = len(LittlewoodPaley(eq.grid).j_resolvable)
+    n_weights = 1 + len(LittlewoodPaley(eq.grid).j_resolvable)
     for chunk_modes in (M, 7, 1):
         monkeypatch.setattr(ens_mod, "_CHUNK_BYTES", chunk_modes * 16 * 8 ** 3)
         modes.update(fftn=0, ifftn=0)
         traj = evolve(eq, spec, 0.05, 0.01, obs_stride=2)
         assert len(traj.times) == len(windows) + 1
-        assert (modes["fftn"] + modes["ifftn"]) == M * (
-            sum(2 * n + 1 for n in windows) + len(traj.times) * (1 + n_blocks))
+        later = M * (sum(2 * n + 1 for n in windows) + len(windows) * n_weights)
+        start = _bump_half(M, chunk_modes, spec.mode) * n_weights
+        assert 1 <= start // n_weights < M
+        assert modes["fftn"] + modes["ifftn"] == later + start
         assert modes["fftn"] == M * sum(windows)
 
 
@@ -792,3 +807,76 @@ def test_chunked_probe_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
                                             eq.grid, eq.m, center, radius)
     assert np.array_equal(rpt.local_mass, local)
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
+
+
+def _sparse_chunk(g, rng, n, nonzero):
+    # (modes, Z, Z-hat) of n modes, Z-hat exactly zero outside the modes in nonzero
+    Z_hat = np.zeros((n,) + g.shape, dtype=complex)
+    for j in nonzero:
+        Z_hat[j] = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    return slice(None), ifftn(Z_hat, axes=tuple(range(1, 1 + g.d))), Z_hat
+
+
+_ZERO_HALF_CASES = {  # the nonzero modes of each chunk, in feeding order
+    "all_zero": [(6, [])],
+    "first_half": [(6, [1])],
+    "second_half": [(6, [4])],
+    "one_mode": [(1, [0])],
+    "full": [(5, range(5))],
+    "mixed": [(4, []), (6, [1]), (1, [0]), (5, [4]), (1, []), (3, range(3))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_HALF_CASES))
+@pytest.mark.parametrize("d, N", [(2, 16), (3, 8)])
+def test_zero_halves_skipped_match_every_half_transformed(d, N, case, monkeypatch):
+    # a half-chunk whose Z-hat is all zero gets no weighted transform, and
+    # the norms keep their bits against the sums that transform every half
+    g = TorusGrid(d, 2 * np.pi, N)
+    rng = np.random.default_rng(d)
+    chunks = [_sparse_chunk(g, rng, n, nonzero) for n, nonzero in _ZERO_HALF_CASES[case]]
+    lp = LittlewoodPaley(g)
+    got = ens_mod.deviation_norms(lp, chunks)
+    unskipped(monkeypatch)
+    want = ens_mod.deviation_norms(lp, chunks)
+    assert got == want
+    assert (got["l2"] == 0) == (case == "all_zero")
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_zero_half_skip_keeps_evolve_bits(n_cpus, cpus, monkeypatch):
+    # at t=0 all chunks but the bump's are zero; later every chunk is nonzero
+    eq, spec = _perturbed(3, 8, theta=1e-8)
+    _with_chunks(monkeypatch, eq, 7)
+    cpus(n_cpus)
+    got = evolve(eq, spec, 0.03, 0.01, obs_stride=2)
+    unskipped(monkeypatch)
+    want = evolve(eq, spec, 0.03, 0.01, obs_stride=2)
+    assert set(got.norms) == set(want.norms)
+    for k in want.norms:
+        assert np.array_equal(got.norms[k], want.norms[k]), k
+    assert np.array_equal(got.energies, want.energies)
+
+
+@pytest.mark.parametrize("chunk_modes", [1, 7])
+def test_zero_chunks_unwound_without_transform_keep_the_probe_bits(chunk_modes, monkeypatch):
+    # an all-zero deviation chunk unwinds to zeros with no transform: the
+    # report is the one with every chunk transformed, and the t=0
+    # observation transforms only the bump's chunk
+    eq, spec = _perturbed(3, 8, theta=1e-8)
+    _with_chunks(monkeypatch, eq, chunk_modes)
+    got = scattering_probe(eq, _deviation_stream(eq, spec, 0.03, 0.01, 1))
+    want = scattering_probe(eq, transforming_every_chunk(_deviation_stream(eq, spec, 0.03, 0.01, 1)))
+    for name in ("times", "cauchy", "local_mass"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("cauchy_decreasing", "mass_decreasing", "recurrence_time", "window_warning"):
+        assert getattr(got, name) == getattr(want, name), name
+    transformed = []
+
+    def counting(x, *args, **kwargs):
+        transformed.append(len(x))
+        return ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(ens_mod, "ifftn", counting)
+    scattering_probe(eq, itertools.islice(_deviation_stream(eq, spec, 0.01, 0.01, 1), 1))
+    assert transformed == [chunk_modes]

@@ -10,7 +10,7 @@ import pytest
 import stream_oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm
-from stack_norms import stack_norms
+from stack_norms import stack_norms, unskipped
 from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, TorusGrid,
                       critical_exponents, delta_potential, fermi,
                       init_equilibrium, parse_config, picard_solve, reference_trajectory,
@@ -194,6 +194,22 @@ def test_norm_worker_keeps_the_bits(d, amplitude, iters, cpus):
     assert np.array_equal(threaded.V, inline.V)
     assert threaded.diff_norms == inline.diff_norms
     assert threaded.contraction == inline.contraction
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+def test_zero_half_skip_keeps_the_bits(d, n_cpus, cpus, monkeypatch):
+    # the first pass's dz-hat is the bump alone, so one half of each slice
+    # gets no weighted transform; the iterates and every norm keep their bits
+    op = _worker_case(d)
+    cpus(n_cpus)
+    got = picard_solve(op, max_iters=3)
+    unskipped(monkeypatch)
+    want = picard_solve(op, max_iters=3)
+    assert np.array_equal(got.Z, want.Z)
+    assert np.array_equal(got.V, want.V)
+    assert got.diff_norms == want.diff_norms
+    assert got.contraction == want.contraction
 
 
 def test_norm_worker_error_comes_out_of_apply(cpus, monkeypatch):

@@ -446,6 +446,84 @@ def test_preflight_exits_two_before_a_stack_experiment_runs(kind, tmp_path, monk
     runner._preflight(parse_config(CONFIGS[kind], kind))  # exactly at the limit it fits
 
 
+# the counted experiments at the counts that asked numpy for 7.45, 1.49 and
+# 18.6 GiB before their preflight, and a fuzz count that asked for 37 GiB
+_OVERSIZED = {
+    "scan": ("instability", "twowave.m = 1.0\ntwowave.xi = 1.0\nscan.count = 1000000000\n",
+             "scan.count=1000000000"),
+    "fuzz": ("instability", "grid.d = 2\ntwowave.m = 1.0\ntwowave.xi = 1.0, 0.0\n"
+                            "fuzz.count = 1000000000\n", "fuzz.count=1000000000"),
+    "tau": ("stability-check", "grid.d = 3\nf.kind = fermi\nw.kind = delta\ntau.count = 100000000\n",
+            "tau.count=100000000"),
+    "xi": ("linear-response", "grid.d = 3\nf.kind = fermi\nxi.count = 100000000\n",
+           "xi.count=100000000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_counted_experiment_preflight_exits_two_naming_the_key(case, tmp_path, monkeypatch, capsys):
+    # the limit is patched to a little under 3 GiB and the experiment
+    # replaced: a missing refusal fails here, and nothing large is allocated
+    kind, text, key = _OVERSIZED[case]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    monkeypatch.setattr(runner, "mem_available", lambda: 3 << 30)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the experiment ran past the preflight")
+
+    monkeypatch.setitem(runner._DISPATCH, kind, unreachable)
+    with pytest.raises(runner.MemoryPreflightError, match=key):
+        runner._preflight(parse_config(text, kind))
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} needs about ") and err.count("\n") == 1, err
+    assert key in err and "3072 MiB is available" in err
+
+
+def _bench_configs():
+    # the configs of the bench workloads that run the counted experiments
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name in ("response-d3", "twowave-d2"):
+        workload = module.WORKLOADS[name](seed=0)
+        workload.parse()
+        yield from workload.cfgs
+
+
+def test_default_and_bench_counted_configs_pass_the_preflight(monkeypatch):
+    # each estimate is within 8 MiB of the process's own size
+    monkeypatch.setattr(runner, "mem_available", lambda: runner._PROCESS_BYTES + (8 << 20))
+    cfgs = [parse_config(CONFIGS[kind], kind) for kind in ("instability", "stability-check",
+                                                            "linear-response")]
+    cfgs += [parse_config("grid.d = 3\nf.kind = fermi\nw.kind = delta\n", kind)
+             for kind in ("stability-check", "linear-response")]
+    cfgs += [parse_config("twowave.m = 1.0\ntwowave.xi = 1.0\n", "instability")]
+    cfgs += list(_bench_configs())
+    assert {cfg.kind for cfg in cfgs} == {"instability", "stability-check", "linear-response"}
+    for cfg in cfgs:
+        runner._preflight(cfg)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("instability", "twowave.m = 1.0\ntwowave.xi = 1.0\nscan.count = 10000\nfuzz.count = 10000\n"),
+    ("instability", "grid.d = 2\ngrid.N = 256\ngrid.L = 50.26548245743669\ntwowave.m = 1.0\n"
+                    "twowave.xi = 1.0, 0.0\nT = 24.0\n"),
+    ("stability-check", "grid.d = 3\nf.kind = fermi\nw.kind = delta\ntau.count = 400\nxi.count = 40\n"),
+    ("linear-response", "grid.d = 3\nf.kind = fermi\ntau.count = 400\nxi.count = 20\n"),
+], ids=["counts", "grid", "table", "pairs"])
+def test_counted_traced_peak_within_the_preflight_estimate(kind, text, tmp_path):
+    # the constants are measurements: the counted terms are most of each
+    # estimate here, and the traced run stays under it less the process
+    cfg = parse_config(text, kind)
+    need = runner._count_estimate(cfg)[0] - runner._PROCESS_BYTES
+    assert need > 2 * runner._COUNTED_BASE_BYTES
+    _, peak = _traced_run(cfg, tmp_path)
+    assert peak <= need, (peak, need)
+
+
 def _traced_run(cfg, out):
     tracemalloc.start()
     try:
