@@ -87,7 +87,9 @@ class DistributionFunction:
         return np.where(r * r <= self.mu, 1.0, 0.0)
 
     def support_radius(self, tol: float = 1e-18) -> float:
-        """Radius beyond which f2 < tol (used to truncate quadrature)."""
+        """Radius beyond which f2 < tol (used to truncate quadrature); a custom
+        profile without a hint that is not finite on the scan has none
+        (ValueError)."""
         if self.kind == "zero":
             return 1.0
         if self.kind == "zero_temp_fermi":
@@ -97,7 +99,10 @@ class DistributionFunction:
                 return self.support_hint
             # one step past the last sample of a fine geometric scan above tol
             r = np.geomspace(1e-6, 1e4, 10001)
-            above = np.flatnonzero(self.f2(r) > tol)
+            f2 = self.f2(r)
+            if not np.all(np.isfinite(f2)):
+                raise ValueError("the custom profile is not finite on [1e-6, 1e4]: no support radius")
+            above = np.flatnonzero(f2 > tol)
             return float(r[min(above[-1] + 1, len(r) - 1)]) if len(above) else 1.0
         return math.sqrt(max(self.mu, 0.0) + self.T * math.log(1.0 / tol))
 
@@ -239,7 +244,9 @@ _PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
 _TABLE_TOL = 1e-13          # |h| below this times h(0) counts as zero
 _X_MAX_CAP = 400.0          # the h table ends here at the latest
 _MARGINAL_PANELS = 8        # uniform radial panels of h(0) and rho1 before bisection
-_CHUNK_ELEMENTS = 1 << 15   # entries per temporary of the rho1 and H passes (256 KiB)
+# entries per temporary of the rho1 and H passes (128 KiB): stability-check
+# runs them beside the h table build, whose temporaries are live at the same time
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def _radial_kernel(d: int, xs, rs):

@@ -10,7 +10,8 @@ host's single-thread speed.
 
 The parallel work is coarser: the pool takes whole tasks (a mode chunk's
 transforms, one weighted transform of a chunk, the window norms of a Picard
-slice) whose results no other task reads.  It has min(2, CPUs) threads and
+slice, a whole h table built beside the m_f table) whose results no other
+task reads.  It has min(2, CPUs) threads and
 is started by the first task that uses it; with one CPU there is no pool and
 no thread.  ordered_map hands each task's result back in item order, and the
 caller adds the results in that order on its own thread, so the bits do not

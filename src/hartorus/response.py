@@ -71,9 +71,9 @@ class MultiplierTable:
         return cls(d=cov.d, taus=taus, xis=xis, values=vals, errors=errs)
 
     def conjugate_symmetry_defect(self) -> float:
-        """max |m_f(-tau) - conj m_f(tau)| over grid pairs."""
-        i, j = np.nonzero(np.isclose(self.taus[:, None], -self.taus, rtol=0, atol=1e-12))
-        return float(np.max(np.abs(self.values[j] - np.conj(self.values[i])), initial=0.0))
+        """max |m_f(-tau) - conj m_f(tau)| over the pairs of tau i and tau
+        n_tau - 1 - i, which are -tau and tau on a grid symmetric about 0."""
+        return float(np.max(np.abs(self.values[::-1] - np.conj(self.values)), initial=0.0))
 
     def max_error(self) -> float:
         return float(np.max(self.errors)) if self.errors.size else 0.0

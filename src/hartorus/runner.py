@@ -22,7 +22,7 @@ from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_
                        _step_count, cell_masses, deviation_chunks, evolve, init_equilibrium,
                        observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
-from .field import fftn, ifftn
+from .field import fftn, ifftn, ordered_map
 from .lpaley import LittlewoodPaley
 from .picard import PicardOperator, picard_solve, reference_trajectory
 from .response import (MultiplierTable, decay_bound_check, decay_slope, default_tau_grid,
@@ -215,9 +215,20 @@ def _exp_linear_response(cfg, out, seed):
 def _exp_stability_check(cfg, out, seed):
     grid, w = cfg.make_grid(), cfg.make_potential()
     cov = CovarianceProfile(cfg.make_distribution(), grid.d)
-    table = MultiplierTable.build(cov, _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"]))
-    margin = stability_margin(table, w)
-    eps = epsilon_g(cov)
+    taus, xis = _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"])
+
+    def task(_, part):
+        # the m_f work reads the line table, the h table task only _panels and
+        # _table: no cached property is built by both; a refused table is
+        # returned, and hypothesis_check marks its bullets indeterminate
+        if part == "m_f":
+            return stability_margin(MultiplierTable.build(cov, taus, xis), w), epsilon_g(cov)
+        try:
+            return cov.spline
+        except ValueError as exc:
+            return exc
+
+    (margin, eps), _ = ordered_map(task, ("m_f", "h table"))
     bullets = hypothesis_check(cov, w, epsilon_g=eps.value)
     rec = {"margin": margin.margin, "argmin_tau": margin.arg_tau, "argmin_xi": margin.arg_xi,
            "sup_w_mf": margin.sup_wmf, "two_sphere_area": margin.two_sphere_area,
@@ -323,12 +334,14 @@ _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 2
 # the (2 tau.count + 1) x xi.count multiplier table, one more column for
 # linear-response's xi = 0 (its H temporaries, the margin's and decay's
 # fields, linear-response's CSV rows; tau.count and xi.count 1e3..3e4 at
-# d = 3), and linear-response's conjugate-symmetry defect compares every tau
-# with every tau, 8.9 B per pair (tau.count 1e3..3e3).  The rest (the h
-# table, the hypothesis bullets, the fuzz blocks) was 0.55-2.5 MB.
+# d = 3).  norms: per grid point, 75-91 B of complex draws, spectra and
+# their moduli and 28-32 B more per resolvable dyadic block (its cached real
+# symbol, the symbols' stack and its complex block), 155-523 B in all over
+# d = 1..4, 6.5e4..2.1e6 points and 2..14 blocks.  The rest (the h table, the
+# hypothesis bullets, the fuzz blocks, small grids) was 0.55-2.5 MB.
 _SCAN_BYTES, _FUZZ_VALUE_BYTES, _FIT_POINT_BYTES = 540, 8, 128
 _ENTRY_BYTES = {"stability-check": 170, "linear-response": 285}
-_TAU_PAIR_BYTES, _COUNTED_BASE_BYTES = 9, 4 << 20
+_NORMS_POINT_BYTES, _NORMS_BLOCK_POINT_BYTES, _COUNTED_BASE_BYTES = 96, 32, 4 << 20
 
 
 def _mode_count(cfg: RunConfig) -> int:
@@ -364,10 +377,15 @@ def _peak_estimate(cfg: RunConfig) -> tuple:
 
 
 def _count_estimate(cfg: RunConfig) -> tuple:
-    """(bytes, reason) of the estimated peak RSS of instability, stability-check
-    or linear-response from its counts, the process included; the reason
-    names the keys of the largest term."""
-    if cfg.kind == "instability":
+    """(bytes, reason) of the estimated peak RSS of instability, stability-check,
+    linear-response or norms from its counts, the process included; the
+    reason names the keys of the largest term."""
+    if cfg.kind == "norms":
+        points = cfg["grid.N"] ** cfg["grid.d"]
+        blocks = len(LittlewoodPaley(cfg.make_grid()).j_resolvable)
+        terms = [((_NORMS_POINT_BYTES + _NORMS_BLOCK_POINT_BYTES * blocks) * points,
+                  f"grid.N={cfg['grid.N']}: {points} grid points, {blocks} dyadic blocks")]
+    elif cfg.kind == "instability":
         points = cfg["grid.N"] ** cfg["grid.d"]
         terms = [(_SCAN_BYTES * cfg["scan.count"], f"scan.count={cfg['scan.count']} ray points"),
                  (_FUZZ_VALUE_BYTES * (2 * len(cfg["twowave.xi"]) + 1) * cfg["fuzz.count"],
@@ -378,9 +396,6 @@ def _count_estimate(cfg: RunConfig) -> tuple:
         terms = [(_ENTRY_BYTES[cfg.kind] * n_tau * n_xi,
                   f"tau.count={cfg['tau.count']} and xi.count={cfg['xi.count']}: "
                   f"{n_tau * n_xi} table entries")]
-        if cfg.kind == "linear-response":
-            terms.append((_TAU_PAIR_BYTES * n_tau ** 2, f"tau.count={cfg['tau.count']}: "
-                                                         f"{n_tau ** 2} pairs of taus compared"))
     return _PROCESS_BYTES + _COUNTED_BASE_BYTES + sum(b for b, _ in terms), max(terms)[1]
 
 
@@ -388,8 +403,7 @@ def _preflight(cfg: RunConfig) -> None:
     """PreflightError for a config its experiment cannot run: a norms grid that
     resolves no dyadic block, a stream run whose T is not a whole number of
     steps of dt, a stack experiment without a mode to run on, or
-    (MemoryPreflightError) a stack or counted experiment whose estimated peak
-    exceeds MemAvailable."""
+    (MemoryPreflightError) a run whose estimated peak exceeds MemAvailable."""
     if cfg.kind == "norms" and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
         raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
                              f"dyadic block; the norms experiment needs one")
@@ -398,12 +412,7 @@ def _preflight(cfg: RunConfig) -> None:
             _step_count(cfg["T"], cfg["dt"])
         except ValueError as exc:
             raise PreflightError(str(exc)) from None
-    if cfg.kind in _PEAK_STACKS:
-        need, reason = _peak_estimate(cfg)
-    elif cfg.kind in ("instability", "stability-check", "linear-response"):
-        need, reason = _count_estimate(cfg)
-    else:
-        return
+    need, reason = _peak_estimate(cfg) if cfg.kind in _PEAK_STACKS else _count_estimate(cfg)
     limit = mem_available()
     if limit is not None and need > limit:
         raise MemoryPreflightError(f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({reason}) but "

@@ -229,6 +229,18 @@ def test_profile_builds_its_table_once(table_builds):
     assert table_builds == [cov]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_custom_support_radius_refuses_a_nonfinite_profile(value):
+    # without a hint the scan has no radius to give, where it gave 1.0; with
+    # a hint the profile is taken as it is, and its h(0) is refused later
+    f = custom_radial(lambda r: np.where(np.asarray(r) < 2.0, value, 0.0))
+    with pytest.raises(ValueError, match="custom profile is not finite"):
+        f.support_radius()
+    with pytest.raises(ValueError, match="custom profile is not finite"):
+        CovarianceProfile(f, 3)
+    assert custom_radial(f.profile, 2.5).support_radius() == 2.5
+
+
 def test_custom_support_radius_reaches_shell_beyond_r1():
     # the profile vanishes at r = 1 but not on (2.6, 3.4)
     f = custom_radial(lambda r: 1.0 * (np.abs(np.asarray(r) - 3.0) < 0.4))

@@ -2,6 +2,7 @@
 keep their bits on one CPU and on two."""
 
 import ast
+import json
 import os
 import select
 import signal
@@ -12,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartorus import (BumpSpec, PicardOperator, TorusGrid, delta_potential, deviation_chunks,
-                      evolve, fermi, init_equilibrium, observations, parse_config, picard_solve,
-                      run_experiment, scattering_probe)
+from hartorus import (BumpSpec, PicardOperator, TorusGrid, custom_radial, delta_potential,
+                      deviation_chunks, evolve, fermi, init_equilibrium, observations,
+                      parse_config, picard_solve, run_experiment, runner, scattering_probe)
+from hartorus import config as config_mod
 from hartorus import ensemble as ens_mod
 from hartorus import field
 from hartorus.field import ordered_map
@@ -68,6 +70,59 @@ def test_stream_runs_keep_their_bits_on_one_cpu_and_on_two(case, cpus, tmp_path)
     assert np.array_equal(probe2.cauchy, probe1.cauchy)
     assert np.array_equal(probe2.local_mass, probe1.local_mass)
     assert shas2 == shas1
+
+
+_STABILITY = {
+    "fermi-d3": "grid.d = 3\nf.kind = fermi\nw.kind = delta\nw.amplitude = 0.1\n",
+    "zero-temp-d3": "grid.d = 3\nf.kind = zero-temp-fermi\nf.mu = 4.0\nw.kind = delta\n",
+    "zero-temp-d4": "grid.d = 4\ngrid.N = 8\nf.kind = zero-temp-fermi\nf.mu = 1.5\n"
+                    "w.kind = delta\nw.amplitude = -1.0\n",
+}
+
+
+def _stability_payload(text, out):
+    run_experiment(parse_config(text, "stability-check"), out)
+    return (out / "stability.ndjson").read_bytes()
+
+
+@pytest.mark.parametrize("case", list(_STABILITY))
+def test_stability_check_keeps_its_bytes_on_one_cpu_and_on_two(case, cpus, tmp_path):
+    # the h table is built beside the m_f table on two CPUs, after it on one
+    cpus(2)
+    two = _stability_payload(_STABILITY[case], tmp_path / "two")
+    assert field._POOL is not None
+    cpus(1)
+    threads = set(threading.enumerate())
+    one = _stability_payload(_STABILITY[case], tmp_path / "one")
+    assert field._POOL is None and set(threading.enumerate()) == threads
+    assert two == one
+
+
+def test_a_refused_h_table_stays_in_the_map_on_two_cpus(cpus, monkeypatch, tmp_path):
+    # a NaN f2 has a NaN h(0): the table task returns the refusal instead of
+    # raising it out of the map, and the bullets read off the table are
+    # indeterminate on one CPU and on two alike
+    monkeypatch.setattr(config_mod.RunConfig, "make_distribution",
+                        lambda self: custom_radial(lambda r: np.full(np.shape(r), np.nan), 1.0))
+    results = []
+
+    def recording(fn, items, scratch=None):
+        for result in ordered_map(fn, items, scratch):
+            results.append(result)
+            yield result
+
+    monkeypatch.setattr(runner, "ordered_map", recording)
+    payloads = []
+    for n in (2, 1):
+        cpus(n)
+        payloads.append(_stability_payload(_STABILITY["fermi-d3"], tmp_path / str(n)))
+        assert (field._POOL is not None) == (n == 2)
+        assert isinstance(results[-1], ValueError) and "finite" in str(results[-1])
+    assert payloads[0] == payloads[1]
+    bullets = {b["name"]: b for b in json.loads(payloads[0])["hypothesis_bullets"]}
+    for name in ("h_derivative_decay", "h_low_frequency_integrable", "potential_focusing_part"):
+        assert bullets[name]["passed"] is None, name
+    assert bullets["h_derivative_decay"]["note"] == "table build failed"
 
 
 def _failing_pass(monkeypatch, fail_at):
@@ -304,12 +359,28 @@ def _pool_names(path):
     return found
 
 
+def _pool_calls(path):
+    """'line: pool()' for each call of a name or attribute pool in path's code."""
+    return [f"{node.lineno}: pool()" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pool"]
+
+
+# the modules that may call pool(): field, whose ordered_map is the way to the
+# pool, and picard, whose norm tasks still submit to it one slice at a time
+_POOL_CALLERS = {"field.py", "picard.py"}
+
+
 def test_only_field_starts_threads_or_processes():
     # every pool user hands its tasks to field's one pool; no module starts a
-    # second pool, thread or process beside it
+    # second pool, thread or process beside it, and outside _POOL_CALLERS
+    # none calls pool(): the tasks go through ordered_map
     package = Path(field.__file__).parent
     assert _pool_names(package / "field.py")  # the scan sees the pool's own names
-    others = {path.name: _pool_names(path) for path in sorted(package.rglob("*.py"))
-              if path.name != "field.py"}
+    assert all(_pool_calls(package / name) for name in _POOL_CALLERS)  # and the calls
+    paths = sorted(package.rglob("*.py"))
+    others = {path.name: _pool_names(path) for path in paths if path.name != "field.py"}
     assert len(others) >= 12
     assert {name: found for name, found in others.items() if found} == {}
+    callers = {path.name: _pool_calls(path) for path in paths if path.name not in _POOL_CALLERS}
+    assert {name: found for name, found in callers.items() if found} == {}

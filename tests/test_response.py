@@ -9,6 +9,7 @@ from hartorus import (CovarianceProfile, MultiplierTable, TorusGrid, bose, compu
                       delta_potential, epsilon_g, fermi, gaussian_f2, sphere_area,
                       stability_margin, zero_distribution, zero_potential, zero_temp_fermi)
 from hartorus import response
+from hartorus.config import _SCHEMA
 import picard_oracle
 from l1_oracle import apply_L1_frequency_domain, apply_L1_time_domain
 from mf_panel_oracle import exact_h, panel_mf
@@ -56,6 +57,24 @@ def test_mf_conjugate_symmetry(cov3):
     taus = np.array([-8.0, -1.0, 0.0, 1.0, 8.0])
     table = MultiplierTable.build(cov3, taus, np.array([0.7, 1.9]))
     assert table.conjugate_symmetry_defect() <= 2 * max(table.max_error(), 1e-12)
+
+
+@pytest.mark.parametrize("tau_max, tau_min, n_half", [
+    (_SCHEMA["tau.max"][2], _SCHEMA["tau.min"][2], _SCHEMA["tau.count"][2]),
+    (32.0, 1e-2, 2), (32.0, 1e-2, 400), (1e3, 1e-6, 3000)])
+def test_tau_pairs_by_index_are_the_isclose_pairs(tau_max, tau_min, n_half):
+    # on a default grid tau i is -tau n_tau - 1 - i and no other tau: the
+    # defect compares the pairs the (n_tau, n_tau) isclose square found
+    taus = default_tau_grid(tau_max, tau_min, n_half)
+    i, j = np.nonzero(np.isclose(taus[:, None], -taus, rtol=0, atol=1e-12))
+    assert np.array_equal(i, np.arange(len(taus)))
+    assert np.array_equal(j, len(taus) - 1 - i)
+    table = MultiplierTable.build(CovarianceProfile(zero_temp_fermi(4.0), 3), taus,
+                                  np.linspace(0.1, 8.0, 5))
+    assert table.conjugate_symmetry_defect() == 0.0  # H(-w) = conj H(w) exactly
+    table.values += 1e-9 * np.random.default_rng(n_half).standard_normal(table.values.shape)
+    square = float(np.max(np.abs(table.values[j] - np.conj(table.values[i]))))
+    assert table.conjugate_symmetry_defect() == square > 0.0
 
 
 def test_mf_decay_slope_is_quadratic(cov3, monkeypatch):

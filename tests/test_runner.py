@@ -227,7 +227,9 @@ def test_equilibrium_check_without_modes_writes_positive_zeros(tmp_path):
     assert summary["n_modes"] == 0
 
 
-def test_stability_check_builds_one_profile(tmp_path, monkeypatch, table_builds):
+def test_stability_check_builds_one_profile(tmp_path, monkeypatch, table_builds, cpus):
+    # the h table task builds it on the pool; hypothesis_check reads it
+    cpus(2)
     calls = []
     init = equilibrium.CovarianceProfile.__init__
 
@@ -447,8 +449,10 @@ def test_preflight_exits_two_before_a_stack_experiment_runs(kind, tmp_path, monk
 
 
 # the counted experiments at the counts that asked numpy for 7.45, 1.49 and
-# 18.6 GiB before their preflight, and a fuzz count that asked for 37 GiB
+# 18.6 GiB before their preflight, a fuzz count that asked for 37 GiB, and
+# the norms grid whose first draw asked for 2 GiB
 _OVERSIZED = {
+    "norms": ("norms", "grid.d = 3\ngrid.N = 512\n", "grid.N=512"),
     "scan": ("instability", "twowave.m = 1.0\ntwowave.xi = 1.0\nscan.count = 1000000000\n",
              "scan.count=1000000000"),
     "fuzz": ("instability", "grid.d = 2\ntwowave.m = 1.0\ntwowave.xi = 1.0, 0.0\n"
@@ -513,7 +517,8 @@ def test_default_and_bench_counted_configs_pass_the_preflight(monkeypatch):
                     "twowave.xi = 1.0, 0.0\nT = 24.0\n"),
     ("stability-check", "grid.d = 3\nf.kind = fermi\nw.kind = delta\ntau.count = 400\nxi.count = 40\n"),
     ("linear-response", "grid.d = 3\nf.kind = fermi\ntau.count = 400\nxi.count = 20\n"),
-], ids=["counts", "grid", "table", "pairs"])
+    ("norms", "grid.d = 2\ngrid.N = 256\nnorms.fields = 3\n"),
+], ids=["counts", "grid", "table", "pairs", "norms"])
 def test_counted_traced_peak_within_the_preflight_estimate(kind, text, tmp_path):
     # the constants are measurements: the counted terms are most of each
     # estimate here, and the traced run stays under it less the process
