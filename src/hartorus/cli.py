@@ -50,8 +50,9 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get("HARTORUS_OUT") or "out"
     try:
         env = run_experiment(cfg, out_dir, seed=args.seed)
-    except (PreflightError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PreflightError, ArithmeticError) as exc:  # an ArithmeticError: the run went non-finite
+        reason = exc if isinstance(exc, (PreflightError, FloatingPointError)) else repr(exc)
+        print(f"error: {reason}", file=sys.stderr)
         return USAGE_ERROR if isinstance(exc, PreflightError) else 1
     for name, ok in env.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")

@@ -243,6 +243,7 @@ _MAX_BISECTIONS = 60
 _PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
 _TABLE_TOL = 1e-13          # |h| below this times h(0) counts as zero
 _X_MAX_CAP = 400.0          # the h table ends here at the latest
+_TABLE_MAX_NODES = 1 << 16  # over a stretch of 4 in x: a support radius past ~3e3 is refused
 _MARGINAL_PANELS = 8        # uniform radial panels of h(0) and rho1 before bisection
 # entries per temporary of the rho1 and H passes (128 KiB): stability-check
 # runs them beside the h table build, whose temporaries are live at the same time
@@ -398,6 +399,8 @@ class CovarianceProfile:
         dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
         floor = _TABLE_TOL * abs(self.h0)
         quiet_stop = int(4.0 / dx) + 4
+        if quiet_stop > _TABLE_MAX_NODES:
+            raise ValueError(f"support radius {rsup:g} needs over {_TABLE_MAX_NODES} h table nodes")
         xs, hs, errs = [np.zeros(1)], [np.array([self.h0])], [np.array([self.h0_err])]
         x = 0.0
         quiet = 0

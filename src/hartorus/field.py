@@ -11,14 +11,15 @@ host's single-thread speed.
 The parallel work is coarser: the pool takes whole tasks (a mode chunk's
 transforms, one weighted transform of a chunk, the window norms of a Picard
 slice, a whole h table built beside the m_f table) whose results no other
-task reads.  It has min(2, CPUs) threads and
-is started by the first task that uses it; with one CPU there is no pool and
-no thread.  ordered_map hands each task's result back in item order, and the
-caller adds the results in that order on its own thread, so the bits do not
-depend on the pool; it also makes the tasks' buffers, one set per thread it
-uses, so no caller counts threads.  A map made on a pool thread, or with one
-item, runs inline: a task never waits on a task of its own pool.  A forked
-child forgets the pool, whose threads it does not have.
+task reads.  It has min(2, CPUs) threads and is started by the first task
+that uses it; with one CPU there is no pool and no thread.  ordered_map is
+the one way onto it (_pool is private): it hands each task's result back in
+item order, and the caller adds the results in that order on its own
+thread, so the bits do not depend on the pool; it also makes the tasks'
+buffers, one set per thread it uses, so no caller counts threads.  A map
+made on a pool thread, or over one item, runs inline: a task never waits on
+a task of its own pool.  A forked child forgets the pool, whose threads it
+does not have.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
+from collections.abc import Sized
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import scipy.fft
@@ -48,9 +50,9 @@ def ifftn(x, axes=None, overwrite_x=False):
     return scipy.fft.ifftn(x, axes=axes, overwrite_x=overwrite_x, workers=_WORKERS)
 
 
-def pool():
-    """The package's one worker pool; None on one CPU and on a pool thread,
-    where a task runs inline."""
+def _pool():
+    """The package's one worker pool, which only ordered_map hands tasks; None
+    on one CPU and on a pool thread, where a task runs inline."""
     global _POOL
     if getattr(_LOCAL, "pooled", False):
         return None
@@ -63,29 +65,32 @@ def pool():
 def ordered_map(fn, items, scratch=None):
     """Yield fn(buffers, item) for each of items, in item order.
 
-    buffers is a set scratch() made on the calling thread, whose memory the
-    process gives back (a pool thread's malloc arena keeps what it freed), or
-    None without scratch: one set inline (one CPU, a pool thread or one
-    item), one per thread on the pool, none for no items.  On the pool at
-    most one task per thread is in flight: item i + 2 gets item i's buffers
-    once item i's result has been taken, so a result is valid until the next
-    one is asked for.  A task's exception comes out here once the tasks in
-    flight have finished.
+    items, any iterable, is pulled lazily on the calling thread: an item goes
+    to the pool as it is pulled, and with _THREADS tasks in flight the oldest
+    result is yielded before the next pull, so a generator computes item i
+    while only item i - 1's task runs.  buffers is a set scratch() made on the
+    calling thread, whose memory the process gives back (a pool thread's
+    malloc arena keeps what it freed), or None without scratch: one set
+    inline (one CPU, a pool thread, or items of length one), one per thread
+    on the pool, none for no items.  Item i + 2 gets item i's buffers once
+    item i's result has been taken, so a result is valid until the next one
+    is asked for.  A task's or the iterable's exception comes out here once
+    the tasks in flight have finished.
     """
-    items = list(items)
     make = scratch or (lambda: None)
-    workers = pool() if len(items) > 1 else None
-    if workers is None:
-        buffers = make() if items else None
-        for item in items:
-            yield fn(buffers, item)
-        return
-    held = [make() for _ in range(_THREADS)]  # one set per thread, reused in turn
-    jobs = deque(workers.submit(fn, buffers, item) for buffers, item in zip(held, items))
+    workers = _pool() if not isinstance(items, Sized) or len(items) > 1 else None
+    held, jobs = [], deque()  # the buffer sets, made as the first items come
     try:
-        for i in range(len(items)):
+        for i, item in enumerate(items):
+            if len(held) < (_THREADS if workers else 1):
+                held.append(make())
+            if workers is None:
+                yield fn(held[0], item)
+                continue
+            jobs.append(workers.submit(fn, held[i % _THREADS], item))
+            if len(jobs) == _THREADS:
+                yield jobs.popleft().result()
+        while jobs:
             yield jobs.popleft().result()
-            if i + _THREADS < len(items):
-                jobs.append(workers.submit(fn, held[i % _THREADS], items[i + _THREADS]))
     finally:
         wait(jobs)  # no task writes a buffer the caller has let go of

@@ -20,12 +20,11 @@ inverse transform per slice.  The first pass maps (0, 0) to the source pair
 (S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped.  Two
 (n_t, M, *grid) stacks, Z and I, are live, plus a few slices.
 
-No later slice reads a slice's window norms, so with two CPUs they are tasks of
-the package's worker pool (field.pool): the norms of slice s run beside the
-chain of slice s+1, one slice in flight (two more slices live), each a whole
-task on one thread collected in slice order, so the bits do not depend on the
-pool.  The weighted transforms inside a norm task run inline on its thread:
-nothing is handed to the pool from a pool thread.
+No later slice reads a slice's window norms, so they are tasks of
+field.ordered_map, fed lazily by the chain: with two CPUs the norms of slice
+s run on the pool beside the chain of slice s+1, each a whole task on one
+thread collected in slice order, so the bits do not depend on the pool.  The
+weighted transforms inside a norm task run inline on its thread.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _dyadic_blocks, _dyadic_norm, _lebesgue,
                        _ModeSum, _NormSums, _summed, deviation_chunks, observations)
-from .field import fftn, ifftn, pool
+from .field import fftn, ifftn, ordered_map
 from .lpaley import LittlewoodPaley, critical_exponents
 
 _TOL = 1e-12  # a difference below this in every window norm counts as converged
@@ -87,7 +86,13 @@ class PicardOperator:
         skipped and I is left as it is.  Returns the per-slice ingredients of
         the difference (Z' - Z, V' - V) as (n_t,) arrays, for pair_norms.
         """
-        rows, carry, job, worker = [], None, None, pool()
+        rows = list(ordered_map(lambda _, diff: self._ingredients(*diff), self._slices(Z, V, I, first)))
+        return {k: np.array([row[k] for row in rows]) for k in rows[0]}
+
+    def _slices(self, Z: np.ndarray, V: np.ndarray, I: np.ndarray, first: bool):
+        """The Duhamel chain of apply, slice after slice: writes slice s of Z,
+        V and I and yields (Z' - Z, its spectrum, V' - V) at s."""
+        carry = None
         for s in range(self.n_t):
             Ys = self.eq.equilibrium_at(self.ts[s])
             Zs = Z[s]
@@ -112,18 +117,11 @@ class PicardOperator:
             Zn = ifftn(hat, axes=self.space_axes, overwrite_x=not first)
             Vn = (np.sum(np.abs(Zs) ** 2, axis=0)
                   + 2.0 * np.sum(np.conj(Ys) * Zn, axis=0).real)
-            if job is not None:
-                rows.append(job.result())
-            args = (Zn - Zs, dhat, Vn - V[s])
-            if worker is None:
-                rows.append(self._ingredients(*args))
-            else:
-                job = worker.submit(self._ingredients, *args)
+            diff = (Zn - Zs, dhat, Vn - V[s])
             Z[s] = Zn
             V[s] = Vn
-        if job is not None:
-            rows.append(job.result())
-        return {k: np.array([row[k] for row in rows]) for k in rows[0]}
+            Ys = hat = Zn = F = None  # not held while the next slice is computed
+            yield diff
 
     def _ingredients(self, dz: np.ndarray, dz_hat: np.ndarray, dv: np.ndarray) -> dict:
         """Spatial norms of one slice of a pair difference; dz_hat is the
@@ -171,8 +169,9 @@ def picard_solve(op: PicardOperator, max_iters: int) -> PicardResult:
     """Iterate the map from (0, 0) with contraction diagnostics.
 
     The first pass gives the source pair, whose norms are the first
-    difference.  Divergence (ratio above 1 three times in a row) halts the
-    iteration with the flag set; differences below _TOL halt it as converged.
+    difference.  Divergence (ratio above 1 three times in a row, or a
+    non-finite difference) halts the iteration with the flag set; differences
+    below _TOL halt it as converged.
     The carried integral is dropped on return.
     """
     Z = np.zeros((op.n_t, op.M) + op.grid.shape, dtype=complex)
@@ -180,7 +179,8 @@ def picard_solve(op: PicardOperator, max_iters: int) -> PicardResult:
     I = np.zeros_like(Z)
     diffs, factors = [op.pair_norms(op.apply(Z, V, I, first=True))], []
     while True:
-        diverged = len(factors) >= 3 and all(f > 1.0 for f in factors[-3:])
+        diverged = (not np.all(np.isfinite(list(diffs[-1].values())))
+                    or len(factors) >= 3 and all(f > 1.0 for f in factors[-3:]))
         small = max(diffs[-1].values()) < _TOL
         if diverged or small or len(diffs) >= max_iters:
             break

@@ -181,10 +181,12 @@ def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0):
     ``response_report.ndjson`` reports this slope over tau = 4|xi|^2 ...
     64|xi|^2.  The window must lie well above the resonance tau = |xi|^2:
     below it |m_f| is nearly flat in tau.  The slope is None where |m_f|
-    vanishes on the window, as it does for the zero distribution.
+    vanishes on the window, as it does for the zero distribution, and where
+    the window is at tau = 0, as when |xi|^2 underflows.
     """
     taus = tau_base * 2.0 ** np.arange(_DOUBLINGS + 1)
     vals, _ = compute_mf_batch(cov, taus, [xi_abs])
     mags = np.abs(vals[:, 0])
-    slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0]) if np.all(mags > 0) else None
+    fit = tau_base > 0 and np.all(mags > 0)
+    slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0]) if fit else None
     return slope, taus, mags

@@ -320,10 +320,10 @@ def mem_available() -> int | None:
 # the peak.
 # picard holds two (n_t, M, *grid) time stacks (the iterate, the carried
 # integral), a symbol and a potential grid per time, and slice temporaries with
-# the slice in flight on the pool: 2 n_t + 8.9 slices at d=3, N=16,
-# M=341, picard.steps = 2..16 (8.1 inline).  _PROCESS_BYTES is the RSS of the
+# the norm tasks on the pool: 2 n_t + 7.98-8.75 slices at d=3, N=16,
+# M=341, picard.steps = 2..16 (7.98 inline).  _PROCESS_BYTES is the RSS of the
 # interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
-_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 11}
+_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 9}
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 20
 # the experiments sized by their counts, traced the same way over whole runs.
 # instability: 537 B per scan.count ray point (the spectra, the growth and the
@@ -357,6 +357,14 @@ def _mode_count(cfg: RunConfig) -> int:
     if cfg.kind != "equilibrium-check" and cfg["pert.mode"] >= M:
         raise PreflightError(f"pert.mode={cfg['pert.mode']} is not one of the M={M} modes 0..{M - 1}")
     return M
+
+
+def _grid_estimate(cfg: RunConfig) -> tuple:
+    """(bytes, reason) of the grids alone of a stack experiment, the process
+    included: a floor of its peak, checked before the mode count allocates a
+    grid."""
+    points = cfg["grid.N"] ** cfg["grid.d"]
+    return _PROCESS_BYTES + 16 * points * _GRID_TEMPS, f"grid.N={cfg['grid.N']}: {points} grid points"
 
 
 def _peak_estimate(cfg: RunConfig) -> tuple:
@@ -400,23 +408,25 @@ def _count_estimate(cfg: RunConfig) -> tuple:
 
 
 def _preflight(cfg: RunConfig) -> None:
-    """PreflightError for a config its experiment cannot run: a norms grid that
-    resolves no dyadic block, a stream run whose T is not a whole number of
-    steps of dt, a stack experiment without a mode to run on, or
-    (MemoryPreflightError) a run whose estimated peak exceeds MemAvailable."""
-    if cfg.kind == "norms" and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
+    """PreflightError for a config its experiment cannot run: a norms or picard
+    grid that resolves no dyadic block, a stream run whose T is not a whole
+    number of steps of dt, a stack experiment without a mode to run on, or
+    (MemoryPreflightError) a run whose estimated peak, or that of its grids
+    alone, exceeds MemAvailable."""
+    if cfg.kind in ("norms", "picard") and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
         raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
-                             f"dyadic block; the norms experiment needs one")
+                             f"dyadic block; the {cfg.kind} experiment needs one")
     if cfg.kind in ("equilibrium-check", "simulate", "scattering-probe"):
         try:
             _step_count(cfg["T"], cfg["dt"])
         except ValueError as exc:
             raise PreflightError(str(exc)) from None
-    need, reason = _peak_estimate(cfg) if cfg.kind in _PEAK_STACKS else _count_estimate(cfg)
     limit = mem_available()
-    if limit is not None and need > limit:
-        raise MemoryPreflightError(f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({reason}) but "
-                                   f"{limit / 2**20:.0f} MiB is available")
+    for estimate in (_grid_estimate, _peak_estimate) if cfg.kind in _PEAK_STACKS else (_count_estimate,):
+        need, reason = estimate(cfg)
+        if limit is not None and need > limit:
+            raise MemoryPreflightError(f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({reason}) but "
+                                       f"{limit / 2**20:.0f} MiB is available")
 
 
 def _exp_picard(cfg, out, seed):

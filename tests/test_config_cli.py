@@ -358,6 +358,9 @@ _NO_SUCH_MODE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e
 
 @pytest.mark.parametrize("kind, text, key", [
     pytest.param("norms", "grid.d = 1\ngrid.N = 4\n", "grid.N", id="norms-grid.N"),
+    *[pytest.param("picard", f"grid.d = {d}\ngrid.N = {N}\nf.kind = fermi\nw.kind = delta\n"
+                   "pert.amplitude = 1e-3\npicard.steps = 4\n", "grid.N", id=f"picard-d{d}-N{N}")
+      for d, N in ((1, 4), (3, 2), (3, 4))],
     *[pytest.param(kind, _NO_MODE, "f.kind", id=f"{kind}-f.kind")
       for kind in _STACK_KINDS[1:]],
     *[pytest.param(kind, _NO_KEPT_MODE, "theta", id=f"{kind}-theta") for kind in _STACK_KINDS],

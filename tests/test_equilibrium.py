@@ -221,6 +221,20 @@ def test_a_nonfinite_profile_is_refused_before_any_transform(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("T", [1e6, 1e300])
+def test_a_table_past_the_node_budget_is_refused_before_any_transform(T, monkeypatch):
+    # a fermi of support radius 4.8e3 or 4.8e150 spaces its table nodes
+    # pi / (16 R) apart, so its last stretch of 4 in x alone takes more than
+    # _TABLE_MAX_NODES: refused at once, where the loop ran for minutes (1e6)
+    # or without end (1e300); the bullets read off the table are indeterminate
+    monkeypatch.setattr(equilibrium, "_radial_transform", None)
+    cov = CovarianceProfile(fermi(T, 0.0), 1)
+    with pytest.raises(ValueError, match="h table nodes"):
+        cov.spline
+    got = {b.name: b.note for b in hypothesis_check(cov, delta_potential(0.1), epsilon_g=0.17)}
+    assert got["h_derivative_decay"] == "table build failed"
+
+
 def test_profile_builds_its_table_once(table_builds):
     cov = CovarianceProfile(gaussian_f2(), 3)
     hypothesis_check(cov, delta_potential(0.1), epsilon_g=0.17)

@@ -123,6 +123,20 @@ def test_first_difference_is_the_source_pair(setup):
     assert res.n_iterations == len(res.diff_norms) == len(res.contraction) + 1 == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e300, 1e100, np.inf])
+def test_non_finite_difference_halts_as_diverged(setup, amplitude):
+    # an overflowing bump gives non-finite difference norms in the first
+    # passes: the iteration stops there, diverged, instead of running to
+    # max_iters with no finite ratio left and calling that converged
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, BumpSpec(amplitude, 0.8, (np.pi,), (1.0,), mode=4), T=0.5, n_steps=5)
+    res = picard_solve(op, max_iters=1000)
+    assert res.diverged and not res.converged
+    assert res.n_iterations <= 2
+    assert not np.all(np.isfinite(list(res.diff_norms[-1].values())))
+
+
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_streamed_map_matches_batched_oracle(d, N):
     # iterates to the bit; the difference norms to rounding, since the
@@ -150,8 +164,8 @@ _PICARD_D2 = "\n".join([
 
 def test_picard_op_peaks_at_three_stacks(tmp_path):
     # one picard op at the bench's picard-d2 size: the solve sets the peak
-    # (about 2.60 stacks, 2.55 inline: the iterate, the carried integral,
-    # the per-slice temporaries and the slice in flight on the pool);
+    # (about 2.60 stacks, 2.54 inline: the iterate, the carried integral,
+    # the per-slice temporaries and the norm tasks on the pool);
     # the reference adds slices to the held iterate
     cfg = parse_config(_PICARD_D2, "picard")
     M = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(),

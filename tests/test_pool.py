@@ -187,7 +187,7 @@ def test_picard_norm_tasks_submit_nothing_from_a_pool_thread(cpus, monkeypatch):
                         T=0.5, n_steps=8)
     want = picard_solve(op, max_iters=3)
     cpus(2)
-    pool = field.pool()
+    pool = field._pool()
     submits, norm_threads, transform_threads = [], set(), set()
     submit = pool.submit
 
@@ -302,12 +302,12 @@ def test_ordered_map_runs_inline_on_a_pool_thread_and_for_one_item(cpus):
 
     assert list(ordered_map(where, ["one"])) == [(threading.main_thread(), None)]
     assert field._POOL is None  # one item starts no pool
-    pool = field.pool()
+    pool = field._pool()
 
     def nested():
         made = []
         inner = list(ordered_map(where, range(4), lambda: made.append(threading.current_thread())))
-        return inner, made, field.pool()
+        return inner, made, field._pool()
 
     inner, made, inner_pool = pool.submit(nested).result()
     assert inner_pool is None and len(made) == 1  # one set, made on the pool thread
@@ -336,6 +336,74 @@ def test_ordered_map_error_and_early_close_wait_for_the_tasks_in_flight(cpus):
     assert finished == [10, 4]
 
 
+def test_ordered_map_pulls_a_generator_one_task_ahead(cpus):
+    # item i is pulled on the calling thread only once item i - 2's result is
+    # taken, so while the generator computes an item at most one task runs
+    cpus(2)
+    lock, running, taken, pulls = threading.Lock(), [0], [], []
+
+    def task(buffers, item):
+        with lock:
+            running[0] += 1
+        time.sleep(0.002 * (item % 3))
+        with lock:
+            running[0] -= 1
+        return item * item, buffers
+
+    def items():
+        for i in range(9):
+            seen = [running[0]]
+            time.sleep(0.003)  # computing the item while the task in flight runs
+            seen.append(running[0])
+            pulls.append((i, len(taken), max(seen), threading.current_thread()))
+            yield i
+
+    got = []
+    for result, buffers in ordered_map(task, items(), list):
+        got.append((result, buffers))
+        taken.append(result)
+    assert [result for result, _ in got] == [i * i for i in range(9)]
+    assert [buffers for _, buffers in got] == [got[0][1], got[1][1]] * 4 + [got[0][1]]
+    assert got[0][1] is not got[1][1]
+    for i, n_taken, most, thread in pulls:
+        assert n_taken >= i - 1 and most <= 1 and thread is threading.main_thread(), (i, n_taken, most)
+
+
+def test_ordered_map_over_a_generator_waits_for_the_tasks_in_flight(cpus):
+    # a failing task, a failing generator and an early close all leave no task
+    # running once the map has let go
+    cpus(2)
+    finished, pulled = [], []
+
+    def task(buffers, item):
+        if item == 3:
+            raise KeyError(item)
+        time.sleep(0.05 if item in (1, 4) else 0.0)
+        finished.append(item)
+        return item
+
+    def items(values, fail_at=None):
+        for value in values:
+            if value == fail_at:
+                raise IndexError(value)
+            pulled.append(value)
+            yield value
+
+    with pytest.raises(KeyError):
+        list(ordered_map(task, items(range(8))))
+    assert 4 in finished and max(finished) == 4 and max(pulled) == 4
+    finished.clear()
+    with pytest.raises(IndexError):
+        list(ordered_map(task, items([0, 1, 2], fail_at=2)))
+    assert finished == [0, 1]
+    finished.clear()
+    pulled.clear()
+    results = ordered_map(task, items([10, 4, 11]))
+    assert next(results) == 10
+    results.close()
+    assert finished == [10, 4] and pulled == [10, 4]
+
+
 # names that start threads or processes: a second pool beside field's
 _POOL_NAMES = {"ThreadPoolExecutor", "threading", "concurrent", "multiprocessing", "fork"}
 
@@ -360,27 +428,22 @@ def _pool_names(path):
 
 
 def _pool_calls(path):
-    """'line: pool()' for each call of a name or attribute pool in path's code."""
-    return [f"{node.lineno}: pool()" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pool"]
-
-
-# the modules that may call pool(): field, whose ordered_map is the way to the
-# pool, and picard, whose norm tasks still submit to it one slice at a time
-_POOL_CALLERS = {"field.py", "picard.py"}
+    """'line: name()' for each call of a name or attribute pool or _pool in
+    path's code."""
+    calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    names = [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None))) for node in calls]
+    return [f"{line}: {name}()" for line, name in names if name in ("pool", "_pool")]
 
 
 def test_only_field_starts_threads_or_processes():
-    # every pool user hands its tasks to field's one pool; no module starts a
-    # second pool, thread or process beside it, and outside _POOL_CALLERS
-    # none calls pool(): the tasks go through ordered_map
+    # every pool user hands its tasks to field's one pool through ordered_map;
+    # no module starts a second pool, thread or process beside it, and none
+    # but field calls pool() or _pool()
     package = Path(field.__file__).parent
     assert _pool_names(package / "field.py")  # the scan sees the pool's own names
-    assert all(_pool_calls(package / name) for name in _POOL_CALLERS)  # and the calls
+    assert _pool_calls(package / "field.py")  # and its calls
     paths = sorted(package.rglob("*.py"))
-    others = {path.name: _pool_names(path) for path in paths if path.name != "field.py"}
+    others = {path.name: (_pool_names(path), _pool_calls(path)) for path in paths if path.name != "field.py"}
     assert len(others) >= 12
-    assert {name: found for name, found in others.items() if found} == {}
-    callers = {path.name: _pool_calls(path) for path in paths if path.name not in _POOL_CALLERS}
-    assert {name: found for name, found in callers.items() if found} == {}
+    assert {name: found for name, found in others.items() if any(found)} == {}

@@ -87,6 +87,14 @@ def test_mf_decay_slope_is_quadratic(cov3, monkeypatch):
     assert slope == pytest.approx(-2.0, abs=0.15)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decay_slope_on_a_window_at_tau_zero_is_none(cov3):
+    # at |xi| = 1e-300 the window 4|xi|^2 ... underflows to tau = 0, whose log
+    # would hand polyfit -inf (an SVD that does not converge)
+    slope, taus, _ = decay_slope(cov3, 1e-300, tau_base=4.0 * 1e-300 ** 2)
+    assert slope is None and not np.any(taus)
+
+
 def test_decay_bound_check(cov3):
     g = TorusGrid(3, 2 * np.pi, 16)
     taus = default_tau_grid(32.0, 1e-2, 10)

@@ -356,13 +356,13 @@ def test_payloads_independent_of_fft_workers(tmp_path, monkeypatch):
 
 
 def _picard_need(cfg):
-    # two (n_t, M, *grid) complex time stacks plus eleven (M, *grid) slices,
+    # two (n_t, M, *grid) complex time stacks plus nine (M, *grid) slices,
     # a complex symbol grid and a real potential grid per time, sixteen
     # complex grids, 64 KiB and the process's own size
     grid = cfg.make_grid()
     M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
     n_t, points = cfg["picard.steps"] + 1, grid.N ** grid.d
-    need = 16 * points * ((2 * n_t + 11) * M + 16) + 24 * points * n_t + 65536 + runner._PROCESS_BYTES
+    need = 16 * points * ((2 * n_t + 9) * M + 16) + 24 * points * n_t + 65536 + runner._PROCESS_BYTES
     assert runner._peak_estimate(cfg)[0] == need
     return need
 
@@ -389,9 +389,9 @@ def test_picard_preflight_exits_two_with_estimate_and_limit(tmp_path, monkeypatc
 @pytest.mark.parametrize("steps", [2, 4, 8, 16])
 def test_picard_traced_peak_within_the_preflight_estimate(steps, tmp_path):
     # d=3, N=16, M=341 (21.3 MiB slices): the solve peaks at two time stacks
-    # plus 8.9 slices with the norm task on the pool (8.1 inline) at every
-    # steps, so a count of 3 n_t slices would read 9 against 14.05 inline at
-    # steps = 2
+    # plus 7.98-8.75 slices with the norm tasks on the pool (7.98 inline) at
+    # every steps, so a count of 3 n_t slices would read 9 against 14.05
+    # inline at steps = 2
     text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
                       "pert.amplitude = 1e-3", "T = 0.05", f"picard.steps = {steps}",
                       "picard.iters = 2", "picard.substeps = 1", ""])
@@ -483,6 +483,26 @@ def test_counted_experiment_preflight_exits_two_naming_the_key(case, tmp_path, m
     err = capsys.readouterr().err
     assert err.startswith(f"error: {kind} needs about ") and err.count("\n") == 1, err
     assert key in err and "3072 MiB is available" in err
+
+
+@pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe", "picard"])
+def test_stack_experiment_on_a_huge_grid_exits_two_before_the_mode_count(kind, tmp_path, monkeypatch,
+                                                                         capsys):
+    # 2^40 grid points: the grids alone exceed the limit, so the preflight
+    # refuses before the mode count allocates a grid
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("grid.d = 1\ngrid.N = 1099511627776\nf.kind = fermi\nw.kind = delta\n"
+                        "pert.amplitude = 1e-3\n")
+    monkeypatch.setattr(runner, "mem_available", lambda: 3 << 30)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mode count ran past the preflight")
+
+    monkeypatch.setattr(runner, "cell_masses", unreachable)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} needs about ") and err.count("\n") == 1, err
+    assert "grid.N=1099511627776" in err and "3072 MiB is available" in err
 
 
 def _bench_configs():
@@ -659,3 +679,15 @@ def test_cli_reports_a_nonfinite_run_with_exit_one(tmp_path):
     assert "error: non-finite field values" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_reports_a_float_overflow_with_exit_one(tmp_path, capsys):
+    # grid.L = 1e-300 puts the lattice frequencies near 1e300, and
+    # linear-response squares one of them as a Python float in its decay window
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text("grid.d = 1\ngrid.N = 8\ngrid.L = 1e-300\nf.kind = fermi\n"
+                        "tau.count = 3\nxi.count = 3\n")
+    assert cli.main(["linear-response", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: OverflowError(") and err.count("\n") == 1, err
