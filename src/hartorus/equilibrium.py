@@ -74,17 +74,17 @@ class DistributionFunction:
             return np.zeros_like(r)
         if self.kind == "custom":
             return np.maximum(np.asarray(self.profile(r), dtype=float), 0.0)
-        z = (r * r - self.mu) / self.T if self.kind in ("bose", "fermi") else None
+        with np.errstate(over="ignore"):  # r * r or z past the largest float is inf: f2's limit
+            if self.kind == "zero_temp_fermi":  # the indicator of r^2 <= mu
+                return np.where(r * r <= self.mu, 1.0, 0.0)
+            z = (r * r - self.mu) / self.T
         if self.kind == "fermi":
             zc = np.clip(z, -700.0, 700.0)
             e = np.exp(-np.abs(zc))
             return np.where(z >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
-        if self.kind == "bose":
-            # mu < 0 keeps z >= |mu|/T > 0
-            zc = np.clip(z, 1e-300, 700.0)
-            return 1.0 / np.expm1(zc)
-        # zero-temperature fermi: indicator of r^2 <= mu
-        return np.where(r * r <= self.mu, 1.0, 0.0)
+        # bose: mu < 0 keeps z >= |mu|/T > 0
+        zc = np.clip(z, 1e-300, 700.0)
+        return 1.0 / np.expm1(zc)
 
     def support_radius(self, tol: float = 1e-18) -> float:
         """Radius beyond which f2 < tol (used to truncate quadrature); a custom
@@ -243,7 +243,9 @@ _MAX_BISECTIONS = 60
 _PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
 _TABLE_TOL = 1e-13          # |h| below this times h(0) counts as zero
 _X_MAX_CAP = 400.0          # the h table ends here at the latest
-_TABLE_MAX_NODES = 1 << 16  # over a stretch of 4 in x: a support radius past ~3e3 is refused
+# over a stretch of 4 in x, or to the cap at zero temperature: a support
+# radius past ~3e3 is refused, and a zero-temperature mu past ~1035
+_TABLE_MAX_NODES = 1 << 16
 _MARGINAL_PANELS = 8        # uniform radial panels of h(0) and rho1 before bisection
 # entries per temporary of the rho1 and H passes (128 KiB): stability-check
 # runs them beside the h table build, whose temporaries are live at the same time
@@ -382,10 +384,11 @@ class CovarianceProfile:
         self.f = f
         self.d = d
         rend = f.support_radius() * (1.0 + 0.5 / _MARGINAL_PANELS)
-        self._panels = _radial_panels(f, d, rend, _MARGINAL_PANELS)
-        m32, m16 = (_panel_masses(f, d, *self._panels, rule) for rule in (_GAUSS_HI, _GAUSS_LO))
-        self.h0 = sphere_area(d) * float(np.sum(m32))
-        self.h0_err = sphere_area(d) * float(np.sum(np.abs(m32 - m16)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a mass that overflows is h0 = inf or nan
+            self._panels = _radial_panels(f, d, rend, _MARGINAL_PANELS)
+            m32, m16 = (_panel_masses(f, d, *self._panels, rule) for rule in (_GAUSS_HI, _GAUSS_LO))
+            self.h0 = sphere_area(d) * float(np.sum(m32))
+            self.h0_err = sphere_area(d) * float(np.sum(np.abs(m32 - m16)))
 
     @cached_property
     def _table(self):
@@ -399,7 +402,8 @@ class CovarianceProfile:
         dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
         floor = _TABLE_TOL * abs(self.h0)
         quiet_stop = int(4.0 / dx) + 4
-        if quiet_stop > _TABLE_MAX_NODES:
+        # h of a jump never goes quiet: a zero-temperature table runs to the cap
+        if (_X_MAX_CAP / dx if self.f.kind == "zero_temp_fermi" else quiet_stop) > _TABLE_MAX_NODES:
             raise ValueError(f"support radius {rsup:g} needs over {_TABLE_MAX_NODES} h table nodes")
         xs, hs, errs = [np.zeros(1)], [np.array([self.h0])], [np.array([self.h0_err])]
         x = 0.0
@@ -485,7 +489,9 @@ class CovarianceProfile:
         for s in range(0, len(x), step):
             xs, rs = x[s:s + step, None], rho[s:s + step, None]
             for k, (v, wv, rv) in enumerate(tables):
-                pv[k, s:s + step] = 2.0 * xs[:, 0] * (wv * (rv - rs) / ((xs - v) * (xs + v))).sum(axis=1)
+                with np.errstate(over="ignore"):  # a denominator past the largest float: its term is 0
+                    den = (xs - v) * (xs + v)
+                pv[k, s:s + step] = 2.0 * xs[:, 0] * (wv * (rv - rs) / den).sum(axis=1)
         pv += rho * np.log((b[-1] + x) / np.where(x < b[-1], b[-1] - x, 1.0))
         H = math.pi * rho - 1j * (np.sign(w.ravel()) * pv[0])
         return H.reshape(w.shape), np.abs(pv[0] - pv[1]).reshape(w.shape)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,9 +171,18 @@ def _exp_simulate(cfg, out, seed):
     return [path, cpath], verdicts
 
 
+def _profile(cfg) -> CovarianceProfile:
+    """The covariance profile of the configured distribution; FloatingPointError
+    for a non-finite h(0), before any m_f table is built."""
+    cov = CovarianceProfile(cfg.make_distribution(), cfg["grid.d"])
+    if not np.isfinite(cov.h0):
+        raise FloatingPointError(f"h(0) = {cov.h0} is not finite: the mass of |f|^2 overflows")
+    return cov
+
+
 def _exp_linear_response(cfg, out, seed):
     grid = cfg.make_grid()
-    cov = CovarianceProfile(cfg.make_distribution(), grid.d)
+    cov = _profile(cfg)
     taus = _tau_grid(cfg)
     xis = np.concatenate([[0.0], default_xi_grid(grid, cfg["xi.count"])])
     table = MultiplierTable.build(cov, taus, xis)
@@ -214,7 +222,7 @@ def _exp_linear_response(cfg, out, seed):
 
 def _exp_stability_check(cfg, out, seed):
     grid, w = cfg.make_grid(), cfg.make_potential()
-    cov = CovarianceProfile(cfg.make_distribution(), grid.d)
+    cov = _profile(cfg)
     taus, xis = _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"])
 
     def task(_, part):
@@ -320,10 +328,13 @@ def mem_available() -> int | None:
 # the peak.
 # picard holds two (n_t, M, *grid) time stacks (the iterate, the carried
 # integral), a symbol and a potential grid per time, and slice temporaries with
-# the norm tasks on the pool: 2 n_t + 7.98-8.75 slices at d=3, N=16,
-# M=341, picard.steps = 2..16 (7.98 inline).  _PROCESS_BYTES is the RSS of the
-# interpreter with numpy, scipy and hartorus loaded (85 MiB measured)
-_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 9}
+# the norm tasks on the pool: 7.98-8.75 slices traced, but the allocator keeps
+# whole freed slices that tracemalloc does not see, so its term is VmHWM in a
+# fresh process less _PROCESS_BYTES and the time stacks: 8.8-11.8 slices with
+# two CPUs and 7.8-9.8 with one at d=3, N=16, M=341, picard.steps = 2..20.
+# _PROCESS_BYTES is the RSS of the interpreter with numpy, scipy and hartorus
+# loaded (85 MiB measured)
+_PEAK_STACKS = {"equilibrium-check": 1, "simulate": 1, "scattering-probe": 2, "picard": 12}
 _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 20
 # the experiments sized by their counts, traced the same way over whole runs.
 # instability: 537 B per scan.count ray point (the spectra, the growth and the
@@ -359,71 +370,59 @@ def _mode_count(cfg: RunConfig) -> int:
     return M
 
 
-def _grid_estimate(cfg: RunConfig) -> tuple:
-    """(bytes, reason) of the grids alone of a stack experiment, the process
-    included: a floor of its peak, checked before the mode count allocates a
-    grid."""
-    points = cfg["grid.N"] ** cfg["grid.d"]
-    return _PROCESS_BYTES + 16 * points * _GRID_TEMPS, f"grid.N={cfg['grid.N']}: {points} grid points"
-
-
-def _peak_estimate(cfg: RunConfig) -> tuple:
-    """(bytes, reason) of the estimated peak RSS of a stack experiment, the
-    process included; the mode count comes from the lattice cell masses,
-    before anything of stack size is allocated."""
-    grid = cfg.make_grid()
-    M = _mode_count(cfg)
-    points = grid.N ** grid.d
-    stacks, grids = _PEAK_STACKS[cfg.kind], _GRID_TEMPS
-    chunk = _mode_chunks(M, grid)[0].stop if M else 0
-    if cfg.kind == "picard":
-        n_t = cfg["picard.steps"] + 1
-        stacks, chunk, grids = stacks + 2 * n_t, 0, grids + 1.5 * n_t
-    need = 16 * points * (stacks * M + _CHUNK_TEMPS * chunk + grids) + _BASE_BYTES
-    return _PROCESS_BYTES + math.ceil(need), (
-        f"{stacks:g} stacks of M={M} modes on N^d={points} points, complex, and temporaries")
-
-
-def _count_estimate(cfg: RunConfig) -> tuple:
-    """(bytes, reason) of the estimated peak RSS of instability, stability-check,
-    linear-response or norms from its counts, the process included; the
-    reason names the keys of the largest term."""
-    if cfg.kind == "norms":
-        points = cfg["grid.N"] ** cfg["grid.d"]
+def _peak_terms(cfg: RunConfig):
+    """The (bytes, reason) terms of a run's estimated peak RSS beyond the
+    process, in the order they can be sized: a stack experiment's grids
+    before its mode count, which allocates a grid.  PreflightError first for
+    a config its experiment cannot run: a norms or picard grid that resolves
+    no dyadic block, a stream run whose T is not a whole number of steps of
+    dt, or (after the grids) a stack experiment without a mode to run on."""
+    kind, points = cfg.kind, cfg["grid.N"] ** cfg["grid.d"]
+    on_grid = f"grid.N={cfg['grid.N']}: {points} grid points"
+    if kind in ("norms", "picard"):
         blocks = len(LittlewoodPaley(cfg.make_grid()).j_resolvable)
-        terms = [((_NORMS_POINT_BYTES + _NORMS_BLOCK_POINT_BYTES * blocks) * points,
-                  f"grid.N={cfg['grid.N']}: {points} grid points, {blocks} dyadic blocks")]
-    elif cfg.kind == "instability":
-        points = cfg["grid.N"] ** cfg["grid.d"]
-        terms = [(_SCAN_BYTES * cfg["scan.count"], f"scan.count={cfg['scan.count']} ray points"),
-                 (_FUZZ_VALUE_BYTES * (2 * len(cfg["twowave.xi"]) + 1) * cfg["fuzz.count"],
-                  f"fuzz.count={cfg['fuzz.count']} fuzz cases"),
-                 (_FIT_POINT_BYTES * points, f"grid.N={cfg['grid.N']}: {points} grid points")]
-    else:
-        n_tau, n_xi = 2 * cfg["tau.count"] + 1, cfg["xi.count"] + (cfg.kind == "linear-response")
-        terms = [(_ENTRY_BYTES[cfg.kind] * n_tau * n_xi,
-                  f"tau.count={cfg['tau.count']} and xi.count={cfg['xi.count']}: "
-                  f"{n_tau * n_xi} table entries")]
-    return _PROCESS_BYTES + _COUNTED_BASE_BYTES + sum(b for b, _ in terms), max(terms)[1]
-
-
-def _preflight(cfg: RunConfig) -> None:
-    """PreflightError for a config its experiment cannot run: a norms or picard
-    grid that resolves no dyadic block, a stream run whose T is not a whole
-    number of steps of dt, a stack experiment without a mode to run on, or
-    (MemoryPreflightError) a run whose estimated peak, or that of its grids
-    alone, exceeds MemAvailable."""
-    if cfg.kind in ("norms", "picard") and not LittlewoodPaley(cfg.make_grid()).j_resolvable:
-        raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
-                             f"dyadic block; the {cfg.kind} experiment needs one")
-    if cfg.kind in ("equilibrium-check", "simulate", "scattering-probe"):
+        if not blocks:
+            raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} resolves no "
+                                 f"dyadic block; the {kind} experiment needs one")
+    if kind in ("equilibrium-check", "simulate", "scattering-probe"):
         try:
             _step_count(cfg["T"], cfg["dt"])
         except ValueError as exc:
             raise PreflightError(str(exc)) from None
-    limit = mem_available()
-    for estimate in (_grid_estimate, _peak_estimate) if cfg.kind in _PEAK_STACKS else (_count_estimate,):
-        need, reason = estimate(cfg)
+    if kind == "norms":
+        yield (_COUNTED_BASE_BYTES + (_NORMS_POINT_BYTES + _NORMS_BLOCK_POINT_BYTES * blocks) * points,
+               f"{on_grid}, {blocks} dyadic blocks")
+    elif kind == "instability":
+        yield _COUNTED_BASE_BYTES + _FIT_POINT_BYTES * points, on_grid
+        yield (_FUZZ_VALUE_BYTES * (2 * len(cfg["twowave.xi"]) + 1) * cfg["fuzz.count"],
+               f"fuzz.count={cfg['fuzz.count']} fuzz cases")
+        yield _SCAN_BYTES * cfg["scan.count"], f"scan.count={cfg['scan.count']} ray points"
+    elif kind in _ENTRY_BYTES:
+        n_tau, n_xi = 2 * cfg["tau.count"] + 1, cfg["xi.count"] + (kind == "linear-response")
+        yield (_COUNTED_BASE_BYTES + _ENTRY_BYTES[kind] * n_tau * n_xi,
+               f"tau.count={cfg['tau.count']} and xi.count={cfg['xi.count']}: {n_tau * n_xi} table entries")
+    else:
+        yield 16 * points * _GRID_TEMPS, on_grid
+        M, n_t = _mode_count(cfg), cfg["picard.steps"] + 1 if kind == "picard" else 0
+        stacks = _PEAK_STACKS[kind] + 2 * n_t
+        chunk = _mode_chunks(M, cfg.make_grid())[0].stop if M and not n_t else 0
+        # picard's n_t times take a complex symbol grid and a real potential grid each
+        yield (16 * points * (stacks * M + _CHUNK_TEMPS * chunk) + 24 * points * n_t + _BASE_BYTES,
+               f"{stacks:g} stacks of M={M} modes on N^d={points} points, complex, and temporaries")
+
+
+def _peak_estimate(cfg: RunConfig) -> int:
+    """The estimated peak RSS of a run in bytes, the process included."""
+    return _PROCESS_BYTES + sum(term for term, _ in _peak_terms(cfg))
+
+
+def _preflight(cfg: RunConfig) -> None:
+    """PreflightError for a config its experiment cannot run (see _peak_terms),
+    or MemoryPreflightError at the first running total of the process and the
+    peak's terms that exceeds MemAvailable, naming the term that crossed it."""
+    limit, need = mem_available(), _PROCESS_BYTES
+    for term, reason in _peak_terms(cfg):
+        need += term
         if limit is not None and need > limit:
             raise MemoryPreflightError(f"{cfg.kind} needs about {need / 2**20:.0f} MiB ({reason}) but "
                                        f"{limit / 2**20:.0f} MiB is available")

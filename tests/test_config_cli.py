@@ -377,3 +377,41 @@ def test_unrunnable_config_exits_two_with_a_reason(kind, text, key, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}=") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# f.T = 1e300: the support radius is 6.4e150 and the mass of |f|^2 on the
+# radial panels overflows to h(0) = inf (T, two steps, for equilibrium-check)
+_OVERFLOWING_MASS = "grid.d = 3\ngrid.N = 8\nf.kind = fermi\nf.T = 1e300\nw.kind = delta\n" \
+                    "tau.count = 3\nxi.count = 3\nT = 0.002\n"
+
+
+@pytest.mark.parametrize("kind", ["linear-response", "stability-check", "equilibrium-check"])
+def test_cli_overflowing_profile_mass_exits_with_a_reason(kind, tmp_path):
+    # the L2 runs wrote NaN rows, margins and epsilon_g behind 9 and 11
+    # RuntimeWarnings; they exit 1 with one error line and no payload.
+    # equilibrium-check reports m_quadrature = Infinity, with no warning
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(_OVERFLOWING_MASS)
+    out = tmp_path / "out"
+    proc = _run_cli([kind, "--config", str(cfg_path), "--out", str(out)])
+    if kind == "equilibrium-check":
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        summary = json.loads((out / "summary.ndjson").read_text())
+        assert summary["m_quadrature"] == math.inf
+        return
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: h(0) = inf is not finite: the mass of |f|^2 overflows\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["linear-response", "stability-check"])
+def test_cli_extreme_grid_length_prints_no_warning(kind, tmp_path):
+    # at grid.L = 1e300 the frequencies reach 1e-300 and the H arguments
+    # 1e300: r * r in f2 and the principal-value denominators overflow
+    # toward terms whose value is 0, which printed two RuntimeWarnings
+    # (a traceback for stability-check under the child's error filter)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("grid.d = 1\ngrid.N = 8\ngrid.L = 1e300\nf.kind = fermi\nw.kind = delta\n"
+                        "tau.count = 3\nxi.count = 3\n")
+    proc = _run_cli([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr

@@ -58,7 +58,6 @@ def _configs(draw):
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 @settings(max_examples=25, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])

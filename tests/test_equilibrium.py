@@ -235,6 +235,24 @@ def test_a_table_past_the_node_budget_is_refused_before_any_transform(T, monkeyp
     assert got["h_derivative_decay"] == "table build failed"
 
 
+@pytest.mark.parametrize("mu", [1034.0, 1035.0, 1e4])
+def test_a_zero_temperature_table_past_the_node_budget_is_refused(mu, monkeypatch):
+    # h of a jump never goes quiet, so the table runs to _X_MAX_CAP: 400 *
+    # 16 sqrt(mu) / pi nodes, over _TABLE_MAX_NODES past mu = 1034.9 (203,718
+    # at mu = 1e4, a stability-check of over a minute): refused before any
+    # transform, where a table inside the budget reaches its first one
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(equilibrium, "_radial_transform", reached)
+    cov = CovarianceProfile(zero_temp_fermi(mu), 3)
+    with pytest.raises(Reached) if mu < 1034.9 else pytest.raises(ValueError, match="h table nodes"):
+        cov.spline
+
+
 def test_profile_builds_its_table_once(table_builds):
     cov = CovarianceProfile(gaussian_f2(), 3)
     hypothesis_check(cov, delta_potential(0.1), epsilon_g=0.17)

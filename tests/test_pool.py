@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartorus import (BumpSpec, PicardOperator, TorusGrid, custom_radial, delta_potential,
-                      deviation_chunks, evolve, fermi, init_equilibrium, observations,
-                      parse_config, picard_solve, run_experiment, runner, scattering_probe)
-from hartorus import config as config_mod
+from hartorus import (BumpSpec, PicardOperator, TorusGrid, delta_potential, deviation_chunks,
+                      evolve, fermi, init_equilibrium, observations, parse_config, picard_solve,
+                      run_experiment, runner, scattering_probe)
 from hartorus import ensemble as ens_mod
 from hartorus import field
 from hartorus.field import ordered_map
@@ -99,11 +98,11 @@ def test_stability_check_keeps_its_bytes_on_one_cpu_and_on_two(case, cpus, tmp_p
 
 
 def test_a_refused_h_table_stays_in_the_map_on_two_cpus(cpus, monkeypatch, tmp_path):
-    # a NaN f2 has a NaN h(0): the table task returns the refusal instead of
-    # raising it out of the map, and the bullets read off the table are
-    # indeterminate on one CPU and on two alike
-    monkeypatch.setattr(config_mod.RunConfig, "make_distribution",
-                        lambda self: custom_radial(lambda r: np.full(np.shape(r), np.nan), 1.0))
+    # fermi at f.T = 1e6 has a support radius past the h table's node budget:
+    # the table task returns the refusal instead of raising it out of the
+    # map, and the bullets read off the table are indeterminate on one CPU
+    # and on two alike
+    text = _STABILITY["fermi-d3"] + "f.T = 1e6\n"
     results = []
 
     def recording(fn, items, scratch=None):
@@ -115,9 +114,9 @@ def test_a_refused_h_table_stays_in_the_map_on_two_cpus(cpus, monkeypatch, tmp_p
     payloads = []
     for n in (2, 1):
         cpus(n)
-        payloads.append(_stability_payload(_STABILITY["fermi-d3"], tmp_path / str(n)))
+        payloads.append(_stability_payload(text, tmp_path / str(n)))
         assert (field._POOL is not None) == (n == 2)
-        assert isinstance(results[-1], ValueError) and "finite" in str(results[-1])
+        assert isinstance(results[-1], ValueError) and "h table nodes" in str(results[-1])
     assert payloads[0] == payloads[1]
     bullets = {b["name"]: b for b in json.loads(payloads[0])["hypothesis_bullets"]}
     for name in ("h_derivative_decay", "h_low_frequency_integrable", "potential_focusing_part"):

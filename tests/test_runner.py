@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -356,14 +357,14 @@ def test_payloads_independent_of_fft_workers(tmp_path, monkeypatch):
 
 
 def _picard_need(cfg):
-    # two (n_t, M, *grid) complex time stacks plus nine (M, *grid) slices,
+    # two (n_t, M, *grid) complex time stacks plus twelve (M, *grid) slices,
     # a complex symbol grid and a real potential grid per time, sixteen
     # complex grids, 64 KiB and the process's own size
     grid = cfg.make_grid()
     M = init_equilibrium(grid, cfg.make_distribution(), cfg.make_potential(), cfg["theta"])[0].n_modes
     n_t, points = cfg["picard.steps"] + 1, grid.N ** grid.d
-    need = 16 * points * ((2 * n_t + 9) * M + 16) + 24 * points * n_t + 65536 + runner._PROCESS_BYTES
-    assert runner._peak_estimate(cfg)[0] == need
+    need = 16 * points * ((2 * n_t + 12) * M + 16) + 24 * points * n_t + 65536 + runner._PROCESS_BYTES
+    assert runner._peak_estimate(cfg) == need
     return need
 
 
@@ -397,7 +398,7 @@ def test_picard_traced_peak_within_the_preflight_estimate(steps, tmp_path):
                       "picard.iters = 2", "picard.substeps = 1", ""])
     cfg = parse_config(text, "picard")
     _, peak = _traced_run(cfg, tmp_path)
-    need = runner._peak_estimate(cfg)[0] - runner._PROCESS_BYTES
+    need = runner._peak_estimate(cfg) - runner._PROCESS_BYTES
     assert peak <= need, (peak / (341 * 16 ** 3 * 16), need / (341 * 16 ** 3 * 16))
 
 
@@ -424,7 +425,7 @@ def _preflight_need(kind):
     points = grid.N ** grid.d
     chunk = min(M, max(1, ensemble._CHUNK_BYTES // (16 * points)))
     need = 16 * points * (runner._PEAK_STACKS[kind] * M + 6 * chunk + 16) + 65536 + runner._PROCESS_BYTES
-    assert runner._peak_estimate(cfg)[0] == need
+    assert runner._peak_estimate(cfg) == need
     return need
 
 
@@ -543,7 +544,7 @@ def test_counted_traced_peak_within_the_preflight_estimate(kind, text, tmp_path)
     # the constants are measurements: the counted terms are most of each
     # estimate here, and the traced run stays under it less the process
     cfg = parse_config(text, kind)
-    need = runner._count_estimate(cfg)[0] - runner._PROCESS_BYTES
+    need = runner._peak_estimate(cfg) - runner._PROCESS_BYTES
     assert need > 2 * runner._COUNTED_BASE_BYTES
     _, peak = _traced_run(cfg, tmp_path)
     assert peak <= need, (peak, need)
@@ -569,7 +570,7 @@ def test_traced_peak_within_the_preflight_stacks(kind, tmp_path):
     cfg = parse_config(text, kind)
     stack = 61 * 32 ** 2 * 16
     _, peak = _traced_run(cfg, tmp_path)
-    assert peak <= runner._peak_estimate(cfg)[0] - runner._PROCESS_BYTES, peak / stack
+    assert peak <= runner._peak_estimate(cfg) - runner._PROCESS_BYTES, peak / stack
 
 
 _D4_PROBE = "\n".join(["grid.d = 4", "grid.N = 8", "f.kind = zero-temp-fermi", "f.mu = 1.5",
@@ -584,7 +585,7 @@ def test_tier1_stream_configs_peak_within_the_preflight_estimate(kind, tmp_path)
     cfg = (parse_config(_D4_PROBE, "scattering-probe") if kind == "d4-probe"
            else parse_config(CONFIGS[kind], kind))
     _, peak = _traced_run(cfg, tmp_path)
-    need = runner._peak_estimate(cfg)[0] - runner._PROCESS_BYTES
+    need = runner._peak_estimate(cfg) - runner._PROCESS_BYTES
     assert peak <= need, (peak, need)
 
 
@@ -593,31 +594,49 @@ def test_tier1_stream_configs_peak_within_the_preflight_estimate(kind, tmp_path)
 _RSS_PROBE = """
 import json, sys
 from hartorus import parse_config, run_experiment, runner
-cfg = parse_config(sys.argv[1], "simulate")
-env = run_experiment(cfg, sys.argv[2])
+cfg = parse_config(sys.argv[1], sys.argv[2])
+env = run_experiment(cfg, sys.argv[3])
 with open("/proc/self/status") as fh:
     hwm = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
-print(json.dumps([hwm, runner._peak_estimate(cfg)[0], env.all_passed]))
+print(json.dumps([hwm, runner._peak_estimate(cfg), env.all_passed]))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_simulate_rss_stays_under_the_preflight_estimate(tmp_path):
+@pytest.mark.parametrize("kind", ["equilibrium-check", "simulate", "scattering-probe", "picard"])
+def test_rss_stays_under_the_preflight_estimate(kind, tmp_path):
     # the whole process, interpreter and libraries included, in a fresh
-    # interpreter: d=3, N=16, M=341 peaks at about 115 MiB RSS against an
-    # estimate of 128 MiB (21 MiB stacks); the parent's estimate, without
-    # the process term and with two stacks, was 60 MiB against 137 MiB
+    # interpreter at d=3, N=16, M=341 (21.3 MiB stacks).  The stream kinds
+    # peak at about 111, 112 and 132 MiB against 124, 124 and 146 MiB.
+    # picard at 17 times peaked at 1023-1066 MiB, whole freed slices kept by
+    # the allocator, against 1073 MiB (1009 MiB with the traced 9 slices)
+    run = (["T = 0.05", "picard.steps = 16", "picard.iters = 2", "picard.substeps = 1"]
+           if kind == "picard" else ["T = 0.02", "dt = 0.01"])
     text = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
-                      "pert.amplitude = 1e-3", "T = 0.02", "dt = 0.01", ""])
+                      "pert.amplitude = 1e-3", *run, ""])
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([*_PYTHON, "-c", _RSS_PROBE, text, str(tmp_path)],
+    proc = subprocess.run([*_PYTHON, "-c", _RSS_PROBE, text, kind, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rss, need, passed = json.loads(proc.stdout)
-    assert passed
+    assert passed or kind == "picard"  # two Picard passes do not converge
     assert rss <= need, (rss / 2 ** 20, need / 2 ** 20)
+
+
+def test_zero_temperature_stability_check_past_the_node_budget_ends_promptly(tmp_path):
+    # at f.mu = 1e4 the h table would take 203,718 nodes, and the run was
+    # still going after 60 s; it is refused, and the three bullets read off
+    # it are indeterminate (about 1.2 s in all)
+    text = "grid.d = 3\ngrid.N = 8\nf.kind = zero-temp-fermi\nf.mu = 1e4\nw.kind = delta\n"
+    start = time.perf_counter()
+    run_experiment(parse_config(text, "stability-check"), tmp_path)
+    assert time.perf_counter() - start < 20.0
+    rec = json.loads((tmp_path / "stability.ndjson").read_text())
+    bullets = {b["name"]: b for b in rec["hypothesis_bullets"]}
+    for name in ("h_derivative_decay", "h_low_frequency_integrable", "potential_focusing_part"):
+        assert bullets[name]["passed"] is None, name
 
 
 def test_nonfinite_start_is_refused_before_any_observation(tmp_path):
