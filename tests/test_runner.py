@@ -125,6 +125,30 @@ def test_experiment_passes(kind, tmp_path):
 
 _DIGESTS = Path(__file__).with_name("payload_digests.json")
 
+# zero-temperature fermi at d = 3: f2 jumps at the Fermi edge, so its radial
+# panels are bisected toward the jump (41 panels, where a smooth profile keeps
+# the 8 uniform ones); recorded under their own keys beside CONFIGS
+JUMP_CONFIGS = {
+    "linear-response/zero-temp": ("linear-response", """
+grid.d = 3
+grid.N = 8
+f.kind = zero-temp-fermi
+f.mu = 4.0
+tau.count = 6
+xi.count = 6
+"""),
+    "stability-check/zero-temp": ("stability-check", """
+grid.d = 3
+grid.N = 8
+f.kind = zero-temp-fermi
+f.mu = 4.0
+w.kind = delta
+w.amplitude = 0.1
+tau.count = 6
+xi.count = 6
+"""),
+}
+
 
 def _payload_digest(path):
     # sha256 of the payload bytes; an SVG's timestamp comment is left out
@@ -138,10 +162,11 @@ def _payload_digest(path):
 def test_payload_bytes_match_the_recorded_digests(tmp_path):
     want = json.loads(_DIGESTS.read_text())
     got = {}
-    for kind in sorted(CONFIGS):
-        env = run_experiment(parse_config(CONFIGS[kind], kind), tmp_path / kind)
+    runs = {**{kind: (kind, text) for kind, text in CONFIGS.items()}, **JUMP_CONFIGS}
+    for key, (kind, text) in sorted(runs.items()):
+        env = run_experiment(parse_config(text, kind), tmp_path / key)
         for payload in env.payloads:
-            got[f"{kind}/{payload['path']}"] = _payload_digest(tmp_path / kind / payload["path"])
+            got[f"{key}/{payload['path']}"] = _payload_digest(tmp_path / key / payload["path"])
     changed = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not changed, (f"payloads {changed} differ from tests/{_DIGESTS.name}; a change of "
                          f"payload bytes must be re-recorded there and explained in CHANGES.md")
