@@ -329,39 +329,64 @@ def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int):
     return a[order], b[order]
 
 
-def _radial_transform(f: DistributionFunction, d: int, xs, rend: float):
-    """h at the nodes xs > 0 (ascending) by one fixed-node radial transform.
+def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, panels: dict, rule):
+    """h at the nodes xs > 0 (ascending) by one fixed-node radial transform
+    with one Gauss rule.
 
-    Panels hold at most _PERIODS_PER_PANEL kernel periods at xs[-1]; the
-    32-point sum is the value and |GL32 - GL16| the error estimate.
+    Its panels on [0, rend] hold at most _PERIODS_PER_PANEL kernel periods at
+    xs[-1] before bisection; panels caches them by that uniform count.
     """
     n = max(1, math.ceil(rend * xs[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
-    a, b = _radial_panels(f, d, rend, n)
-    sums = []
-    for rule in (_GAUSS_HI, _GAUSS_LO):
-        r, w = _gauss_nodes(a, b, rule)
-        g = f.f2(r) * w
-        acc = np.zeros(len(xs))
-        for s in range(0, len(r), _RADIAL_CHUNK):
-            acc += _radial_kernel(d, xs, r[s:s + _RADIAL_CHUNK]) @ g[s:s + _RADIAL_CHUNK]
-        sums.append(acc)
-    return sums[0], np.abs(sums[0] - sums[1])
+    if n not in panels:
+        panels[n] = _radial_panels(f, d, rend, n)
+    r, w = _gauss_nodes(*panels[n], rule)
+    g = f.f2(r) * w
+    acc = np.zeros(len(xs))
+    for s in range(0, len(r), _RADIAL_CHUNK):
+        acc += _radial_kernel(d, xs, r[s:s + _RADIAL_CHUNK]) @ g[s:s + _RADIAL_CHUNK]
+    return acc
 
 
 def _line_marginal(f: DistributionFunction, d: int, a, b, v):
     """rho1 at v >= 0, zero from b[-1] on (f2 at d = 1), by the q-integral over
-    the images q = sqrt(r^2 - v^2) of the radial panels (a, b) beyond v."""
+    the images q = sqrt(r^2 - v^2) of the radial panels (a, b) beyond v; f2
+    is read only inside b[-1], so a v whose square overflows is 0."""
+    out = np.zeros(len(v))
+    inside = np.flatnonzero(v < b[-1])
     if d == 1:
-        return np.where(v < b[-1], f.f2(v), 0.0)
-    out = np.empty(len(v))
+        out[inside] = f.f2(v[inside])
+        return out
     step = max(1, _CHUNK_ELEMENTS // (len(a) * len(_GAUSS_HI[0])))
-    for s in range(0, len(v), step):
-        vs = v[s:s + step, None]
+    for s in range(0, len(inside), step):
+        rows = inside[s:s + step]
+        vs = v[rows, None]
         lo = np.sqrt(np.maximum(a, vs) ** 2 - vs * vs)
         hi = np.sqrt(np.maximum(b * b - vs * vs, 0.0))
         q, wq = (t.reshape(len(vs), -1) for t in _gauss_nodes(lo.ravel(), hi.ravel(), _GAUSS_HI))
-        out[s:s + step] = (f.f2(np.sqrt(vs * vs + q * q)) * q ** (d - 2) * wq).sum(axis=1)
+        out[rows] = (f.f2(np.sqrt(vs * vs + q * q)) * q ** (d - 2) * wq).sum(axis=1)
     return sphere_area(d - 1) * out
+
+
+def _line_nodes(f: DistributionFunction, d: int, a, b, rule):
+    """(nodes, weights, rho1) of one Gauss rule on the radial panels (a, b)."""
+    v, w = _gauss_nodes(a, b, rule)
+    return v, w, _line_marginal(f, d, a, b, v)
+
+
+def _principal_value(x, rho, table, end: float):
+    """PV integral rho1(v)/(x - v) dv over the real line at x = |w| >= 0, where
+    rho = rho1(x), from a line table (nodes, weights, rho1) of panels ending
+    at end: 2x sum_j W_j (rho1(v_j) - rho) / (x^2 - v_j^2) + rho ln((end + x)
+    / (end - x))."""
+    v, wv, rv = table
+    pv = np.empty(len(x))
+    step = max(1, _CHUNK_ELEMENTS // len(v))
+    for s in range(0, len(x), step):
+        xs, rs = x[s:s + step, None], rho[s:s + step, None]
+        with np.errstate(over="ignore"):  # a denominator past the largest float: its term is 0
+            den = (xs - v) * (xs + v)
+        pv[s:s + step] = 2.0 * xs[:, 0] * (wv * (rv - rs) / den).sum(axis=1)
+    return pv + rho * np.log((end + x) / np.where(x < end, end - x, 1.0))
 
 
 class CovarianceProfile:
@@ -371,13 +396,17 @@ class CovarianceProfile:
     h0 (error h0_err) is the mass on the radial panels at whose nodes rho1 is
     tabulated; they run half a uniform panel past support_radius(), so the
     bisection grades them toward a jump of f2 there as toward an interior one.
-    The h table, built once on its first read, holds h at nodes spaced dx
-    from 0 until |h| has stayed below _TABLE_TOL * |h(0)| over a stretch of 4
-    in x (at most to _X_MAX_CAP); beyond its last node x_max h is zero.  A
-    profile with h(0) = 0 splines zeros on [0, 1], so every profile has the
-    same kind of table.  table_error() is the largest per-node |GL32 - GL16|
-    plus the largest gap between the spline and the fixed-node transform at
-    the node midpoints, the interpolation error, taken on its first call.
+    The h table, built once on its first read by the 32-point rule alone,
+    holds h at nodes spaced dx from 0 until |h| has stayed below _TABLE_TOL *
+    |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP); beyond its last
+    node x_max h is zero.  A profile with h(0) = 0 splines zeros on [0, 1], so
+    every profile has the same kind of table.  The error estimates are
+    computed when read: table_error() is the largest per-node |GL32 - GL16|
+    (the 16-point pass over the table's blocks and panels, kept for it) plus
+    the largest gap between the spline and the fixed-node transform at the
+    node midpoints, the interpolation error, taken on its first call; the
+    16-point line table behind the H estimate is built on the first
+    half_line_transform that asks for errors.
     """
 
     def __init__(self, f: DistributionFunction, d: int):
@@ -392,9 +421,12 @@ class CovarianceProfile:
 
     @cached_property
     def _table(self):
-        """(spline, largest per-node |GL32 - GL16|) of the h table."""
+        """(spline, blocks, panels) of the h table: the spline through the
+        32-point values, each block's (nodes, values, nodes kept) and the
+        radial panels by uniform count, for table_error to rebuild the
+        16-point pass of each block to the bit."""
         if self.f.is_zero or self.h0 == 0.0:
-            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), 0.0
+            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], {}
         if not math.isfinite(self.h0):
             raise ValueError(f"h(0) = {self.h0} is not finite: no h table")
         rsup = self.f.support_radius(1e-10)
@@ -405,14 +437,14 @@ class CovarianceProfile:
         # h of a jump never goes quiet: a zero-temperature table runs to the cap
         if (_X_MAX_CAP / dx if self.f.kind == "zero_temp_fermi" else quiet_stop) > _TABLE_MAX_NODES:
             raise ValueError(f"support radius {rsup:g} needs over {_TABLE_MAX_NODES} h table nodes")
-        xs, hs, errs = [np.zeros(1)], [np.array([self.h0])], [np.array([self.h0_err])]
+        xs, hs, blocks, panels = [np.zeros(1)], [np.array([self.h0])], [], {}
         x = 0.0
         quiet = 0
         while x < _X_MAX_CAP and quiet < quiet_stop:
             # the nodes are running sums x += dx; the block ends at the cap
             xb = np.cumsum(np.r_[x, np.full(_TABLE_BLOCK, dx)])[1:]
             xb = xb[:np.searchsorted(xb, _X_MAX_CAP) + 1]
-            vb, eb = _radial_transform(self.f, self.d, xb, rend)
+            vb = _radial_transform(self.f, self.d, xb, rend, panels, _GAUSS_HI)
             n = 0
             while n < len(xb) and x < _X_MAX_CAP and quiet < quiet_stop:
                 x = xb[n]
@@ -420,10 +452,10 @@ class CovarianceProfile:
                 n += 1
             xs.append(xb[:n])
             hs.append(vb[:n])
-            errs.append(eb[:n])
+            blocks.append((xb, vb, n))
         # h is even, so h'(0) = 0 clamps the start of the spline
         spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type=((1, 0.0), "natural"))
-        return spline, float(np.max(np.concatenate(errs)))
+        return spline, blocks, panels
 
     @property
     def spline(self):
@@ -434,18 +466,22 @@ class CovarianceProfile:
         return float(self.spline.x[-1])
 
     @cached_property
-    def _midpoint_gap(self) -> float:
-        sp = self.spline
+    def _table_error(self) -> float:
+        sp, blocks, panels = self._table
+        f, d, rend = self.f, self.d, self.f.support_radius()
+        errs = [np.abs(vb - _radial_transform(f, d, xb, rend, panels, _GAUSS_LO))[:n]
+                for xb, vb, n in blocks]
+        node_err = float(np.max(np.concatenate([[self.h0_err], *errs]))) if blocks else 0.0
         gap = 0.0
         mids = 0.5 * (sp.x[1:] + sp.x[:-1])  # in blocks of nodes, as the table
         for s in range(0, len(mids), _TABLE_BLOCK):
             xb = mids[s:s + _TABLE_BLOCK]
-            hb = _radial_transform(self.f, self.d, xb, self.f.support_radius())[0]
+            hb = _radial_transform(f, d, xb, rend, panels, _GAUSS_HI)
             gap = max(gap, float(np.max(np.abs(sp(xb) - hb))))
-        return gap
+        return node_err + gap
 
     def table_error(self) -> float:
-        return self._table[1] + self._midpoint_gap
+        return self._table_error
 
     def _lookup(self, sp, x):
         """sp, the table's spline or a derivative of it, at |x|; zero past x_max."""
@@ -462,39 +498,38 @@ class CovarianceProfile:
 
     @cached_property
     def _line_table(self):
-        """[(nodes, weights, rho1)] on the radial panels, 32- then 16-point."""
-        a, b = self._panels
-        nodes = [_gauss_nodes(a, b, rule) for rule in (_GAUSS_HI, _GAUSS_LO)]
-        return [(v, w, _line_marginal(self.f, self.d, a, b, v)) for v, w in nodes]
+        """(nodes, weights, rho1) of the 32-point rule on the radial panels."""
+        return _line_nodes(self.f, self.d, *self._panels, _GAUSS_HI)
 
-    def half_line_transform(self, w):
-        """H(w) = integral_0^inf e^{-iws} h(s) ds at an array of w; returns (H, error).
+    @cached_property
+    def _line_table_lo(self):
+        """The same by the 16-point rule; only the H error estimate reads it."""
+        return _line_nodes(self.f, self.d, *self._panels, _GAUSS_LO)
+
+    def half_line_transform(self, w, errors: bool = True):
+        """H(w) = integral_0^inf e^{-iws} h(s) ds at an array of w; returns (H,
+        error), the error None when errors is false.
 
         H = pi rho1(w) - i PV integral rho1(v)/(w - v) dv at |w|, Im H taking
         the sign of w, so H(-w) = conj H(w) exactly.  rho1 is even and zero
         from the panel end R on: the PV is 2|w| sum_j W_j (rho1(v_j) -
         rho1(|w|)) / (w^2 - v_j^2) + rho1(|w|) ln((R + |w|)/(R - |w|)) over the
-        tabulated v_j > 0, and the error estimate its |GL32 - GL16|, which
-        leaves out the bisection tolerance of the sliver panels: near the
-        Fermi edge of zero-temperature fermi at mu = 4, d = 3, the gap to the
-        exact H was 1.8e-10 against an estimate of about 1e-13.
+        tabulated v_j > 0.  The error estimate is computed only when asked
+        for: the 16-point PV beside the 32-point one, with rho1(|w|) shared,
+        and its |GL32 - GL16|.  It leaves out the bisection tolerance of the
+        sliver panels: near the Fermi edge of zero-temperature fermi at mu =
+        4, d = 3, the gap to the exact H was 1.8e-10 against an estimate of
+        about 1e-13.
         """
         w = np.asarray(w, dtype=float)
         x = np.abs(w).ravel()
-        a, b = self._panels
-        tables = self._line_table
-        rho = _line_marginal(self.f, self.d, a, b, x)
-        pv = np.empty((2, len(x)))
-        step = max(1, _CHUNK_ELEMENTS // len(tables[0][0]))
-        for s in range(0, len(x), step):
-            xs, rs = x[s:s + step, None], rho[s:s + step, None]
-            for k, (v, wv, rv) in enumerate(tables):
-                with np.errstate(over="ignore"):  # a denominator past the largest float: its term is 0
-                    den = (xs - v) * (xs + v)
-                pv[k, s:s + step] = 2.0 * xs[:, 0] * (wv * (rv - rs) / den).sum(axis=1)
-        pv += rho * np.log((b[-1] + x) / np.where(x < b[-1], b[-1] - x, 1.0))
-        H = math.pi * rho - 1j * (np.sign(w.ravel()) * pv[0])
-        return H.reshape(w.shape), np.abs(pv[0] - pv[1]).reshape(w.shape)
+        end = self._panels[1][-1]
+        rho = _line_marginal(self.f, self.d, *self._panels, x)
+        pv = _principal_value(x, rho, self._line_table, end)
+        H = (math.pi * rho - 1j * (np.sign(w.ravel()) * pv)).reshape(w.shape)
+        if not errors:
+            return H, None
+        return H, np.abs(pv - _principal_value(x, rho, self._line_table_lo, end)).reshape(w.shape)
 
 
 def equilibrium_mass(f: DistributionFunction, w: InteractionPotential, d: int) -> float:

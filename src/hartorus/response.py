@@ -11,8 +11,12 @@ Sabin's stability condition: with r = |xi| and w-+ = tau/(2r) -+ r/2,
     m_f(tau, xi) = (i/(2r)) [H(w-) - H(w+)],
 
 H from CovarianceProfile.half_line_transform, one batched call per grid;
-m_f(-tau) = conj m_f(tau) exactly.  Each half-line transform starts as
-h(0)/(i(tau -+ |xi|^2)), so to leading order, wherever |tau -+ |xi|^2| >> |xi|,
+m_f(-tau) = conj m_f(tau) exactly.  The error estimates of m_f are computed
+only for a caller that reads them, linear-response's table: they cost the
+16-point line table and principal values beside the 32-point pass.
+
+Each half-line transform starts as h(0)/(i(tau -+ |xi|^2)), so to leading
+order, wherever |tau -+ |xi|^2| >> |xi|,
 
     m_f(tau, xi) ~ 2 |xi|^2 h(0) / (tau^2 - |xi|^4).
 
@@ -39,35 +43,39 @@ _N_SHELLS = 8               # epsilon_g: dyadic shells toward the origin
 _DOUBLINGS = 4              # decay_slope: tau doublings past tau_base
 
 
-def compute_mf_batch(cov: CovarianceProfile, taus, xis):
+def compute_mf_batch(cov: CovarianceProfile, taus, xis, errors: bool = True):
     """m_f on the grid taus x xis, exactly 0 at r = 0; returns (values, errors),
-    each (len(taus), len(xis)), the errors (err(w-) + err(w+)) / (2r)."""
+    each (len(taus), len(xis)), the errors (err(w-) + err(w+)) / (2r).  The
+    errors cost a 16-point pass and are None when errors is false: the margin,
+    epsilon_g and the decay slope read values only, linear-response reports
+    the estimates."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))[:, None]
     r = np.atleast_1d(np.asarray(xis, dtype=float))[None, :]
     live = r > 0.0
     r = np.where(live, r, 1.0)
     shift = taus / (2.0 * r)
-    H, err = cov.half_line_transform(np.stack([shift - 0.5 * r, shift + 0.5 * r]))
+    H, err = cov.half_line_transform(np.stack([shift - 0.5 * r, shift + 0.5 * r]), errors)
     vals = np.where(live, (0.5j / r) * (H[0] - H[1]), 0.0)
-    errs = np.where(live, (err[0] + err[1]) / (2.0 * r), 0.0)
+    errs = np.where(live, (err[0] + err[1]) / (2.0 * r), 0.0) if errors else None
     return vals, errs
 
 
 @dataclass
 class MultiplierTable:
-    """Sampled m_f(tau, |xi|) with per-entry quadrature error estimates."""
+    """Sampled m_f(tau, |xi|) with per-entry quadrature error estimates (None
+    when built without errors)."""
 
     d: int
     taus: np.ndarray           # (n_tau,), symmetric about 0
     xis: np.ndarray            # (n_xi,) radial magnitudes
     values: np.ndarray         # (n_tau, n_xi) complex
-    errors: np.ndarray         # (n_tau, n_xi)
+    errors: np.ndarray | None  # (n_tau, n_xi)
 
     @classmethod
-    def build(cls, cov: CovarianceProfile, taus, xis) -> "MultiplierTable":
+    def build(cls, cov: CovarianceProfile, taus, xis, errors: bool = True) -> "MultiplierTable":
         taus = np.asarray(taus, dtype=float)
         xis = np.asarray(xis, dtype=float)
-        vals, errs = compute_mf_batch(cov, taus, xis)
+        vals, errs = compute_mf_batch(cov, taus, xis, errors)
         return cls(d=cov.d, taus=taus, xis=xis, values=vals, errors=errs)
 
     def conjugate_symmetry_defect(self) -> float:
@@ -147,7 +155,7 @@ def epsilon_g(cov: CovarianceProfile) -> EpsilonGReport:
     minima = []
     for rho in (2.0 ** (-k) for k in range(_N_SHELLS)):
         taus = np.concatenate([tau_fracs * rho, -tau_fracs[1:] * rho])
-        vals, _ = compute_mf_batch(cov, taus, rho * r_fracs)
+        vals, _ = compute_mf_batch(cov, taus, rho * r_fracs, errors=False)
         minima.append(float(np.min(vals.real)))
     last, prev = minima[-1], minima[-2]
     scale = max(abs(last), abs(prev), 1e-300)
@@ -185,7 +193,7 @@ def decay_slope(cov: CovarianceProfile, xi_abs: float, tau_base: float = 4.0):
     the window is at tau = 0, as when |xi|^2 underflows.
     """
     taus = tau_base * 2.0 ** np.arange(_DOUBLINGS + 1)
-    vals, _ = compute_mf_batch(cov, taus, [xi_abs])
+    vals, _ = compute_mf_batch(cov, taus, [xi_abs], errors=False)
     mags = np.abs(vals[:, 0])
     fit = tau_base > 0 and np.all(mags > 0)
     slope = float(np.polyfit(np.log(taus), np.log(mags), 1)[0]) if fit else None

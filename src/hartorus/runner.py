@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,11 +227,12 @@ def _exp_stability_check(cfg, out, seed):
     taus, xis = _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"])
 
     def task(_, part):
-        # the m_f work reads the line table, the h table task only _panels and
-        # _table: no cached property is built by both; a refused table is
-        # returned, and hypothesis_check marks its bullets indeterminate
+        # the m_f work reads the 32-point line table, the h table task only
+        # _panels and _table: no cached property is built by both; a refused
+        # table is returned, and hypothesis_check marks its bullets indeterminate
         if part == "m_f":
-            return stability_margin(MultiplierTable.build(cov, taus, xis), w), epsilon_g(cov)
+            table = MultiplierTable.build(cov, taus, xis, errors=False)
+            return stability_margin(table, w), epsilon_g(cov)
         try:
             return cov.spline
         except ValueError as exc:
@@ -252,9 +254,13 @@ def _exp_stability_check(cfg, out, seed):
     return [path], verdicts
 
 
+def _two_wave(cfg) -> TwoWaveParams:
+    return TwoWaveParams(xi=np.asarray(cfg["twowave.xi"], dtype=float), m=cfg["twowave.m"],
+                         w=cfg.make_potential())
+
+
 def _exp_instability(cfg, out, seed):
-    xi = np.asarray(cfg["twowave.xi"], dtype=float)
-    params = TwoWaveParams(xi=xi, m=cfg["twowave.m"], w=cfg.make_potential())
+    params = _two_wave(cfg)
     rs = np.linspace(cfg["scan.rmin"], cfg["scan.rmax"], cfg["scan.count"])
     band = unstable_band(params, rs)
     ims = np.sort(band.spectra.imag, axis=1, kind="stable")  # 0.0 and -0.0 keep their order
@@ -264,7 +270,7 @@ def _exp_instability(cfg, out, seed):
     write_csv(cpath, ["k_abs", "re_lambda_max", "im_lambda_1", "im_lambda_2",
                       "im_lambda_3", "im_lambda_4"], rows)
 
-    worst = fuzz_max_distance(params.w, len(xi), cfg["fuzz.count"], seed)
+    worst = fuzz_max_distance(params.w, params.d, cfg["fuzz.count"], seed)
     verdicts = {"spectra_agree_1e-10": worst <= 1e-10}
     sim_rec = {"fuzz_max_distance": worst, "band": band.band,
                "predicted_band": band.predicted_band,
@@ -376,7 +382,10 @@ def _peak_terms(cfg: RunConfig):
     before its mode count, which allocates a grid.  PreflightError first for
     a config its experiment cannot run: a norms or picard grid that resolves
     no dyadic block, a stream run whose T is not a whole number of steps of
-    dt, or (after the grids) a stack experiment without a mode to run on."""
+    dt, an instability grid that snaps the most unstable ray frequency to a
+    lattice frequency whose square is 0, an L2 grid whose Nyquist frequency
+    overflows, or (after the grids) a stack experiment without a mode to
+    run on."""
     kind, points = cfg.kind, cfg["grid.N"] ** cfg["grid.d"]
     on_grid = f"grid.N={cfg['grid.N']}: {points} grid points"
     if kind in ("norms", "picard"):
@@ -393,11 +402,23 @@ def _peak_terms(cfg: RunConfig):
         yield (_COUNTED_BASE_BYTES + (_NORMS_POINT_BYTES + _NORMS_BLOCK_POINT_BYTES * blocks) * points,
                f"{on_grid}, {blocks} dyadic blocks")
     elif kind == "instability":
+        # the growth fit's symbol reads the lattice frequency k through |k|^2:
+        # where that is 0, k = 0 or a spacing whose square underflows, its
+        # eigenvectors are singular and there is no growth to fit
+        kstar = most_unstable_ray_frequency(_two_wave(cfg))
+        k0 = None if kstar is None else cfg.make_grid().nearest_lattice_xi(kstar)
+        if k0 is not None and np.vecdot(k0, k0) == 0.0:
+            raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} snaps the most "
+                                 f"unstable ray frequency |k|={math.hypot(*kstar):g} to |k|="
+                                 f"{math.hypot(*k0):g}, whose square is 0: no growth to fit")
         yield _COUNTED_BASE_BYTES + _FIT_POINT_BYTES * points, on_grid
         yield (_FUZZ_VALUE_BYTES * (2 * len(cfg["twowave.xi"]) + 1) * cfg["fuzz.count"],
                f"fuzz.count={cfg['fuzz.count']} fuzz cases")
         yield _SCAN_BYTES * cfg["scan.count"], f"scan.count={cfg['scan.count']} ray points"
     elif kind in _ENTRY_BYTES:
+        if not math.isfinite(cfg.make_grid().nyquist):
+            raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} puts the "
+                                 f"Nyquist frequency, the end of the xi grid, past the largest float")
         n_tau, n_xi = 2 * cfg["tau.count"] + 1, cfg["xi.count"] + (kind == "linear-response")
         yield (_COUNTED_BASE_BYTES + _ENTRY_BYTES[kind] * n_tau * n_xi,
                f"tau.count={cfg['tau.count']} and xi.count={cfg['xi.count']}: {n_tau * n_xi} table entries")

@@ -366,17 +366,44 @@ _NO_SUCH_MODE = "grid.d = 1\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e
     *[pytest.param(kind, _NO_KEPT_MODE, "theta", id=f"{kind}-theta") for kind in _STACK_KINDS],
     *[pytest.param(kind, _NO_SUCH_MODE, "pert.mode", id=f"{kind}-pert.mode")
       for kind in _STACK_KINDS[1:]],
+    # the xi grid ran to an infinite Nyquist frequency, a linspace warning
+    *[pytest.param(kind, "grid.d = 1\ngrid.N = 1099511627776\ngrid.L = 1e-300\nf.kind = fermi\n"
+                   "w.kind = delta\n", "grid.N", id=f"{kind}-nyquist")
+      for kind in ("linear-response", "stability-check")],
 ])
 def test_unrunnable_config_exits_two_with_a_reason(kind, text, key, tmp_path, capsys):
     # a grid with no dyadic block, a distribution with no mode to perturb, a
-    # threshold that keeps no mode, a perturbed mode past the mode count: one
-    # error line naming the key, no traceback
+    # threshold that keeps no mode, a perturbed mode past the mode count, an
+    # L2 grid whose frequencies overflow: one error line naming the key, no
+    # traceback
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}=") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid, snapped", [
+    ("grid.N = 2", "grid.N=2 with grid.L=6.28319 snaps the most unstable ray frequency |k|=1.73205 "
+                   "to |k|=0"),
+    ("grid.L = 1e300", "grid.N=64 with grid.L=1e+300 snaps the most unstable ray frequency "
+                       "|k|=1.73205 to |k|=1.94779e-298"),
+], ids=["N=2", "L=1e300"])
+def test_instability_grid_without_the_unstable_frequency_exits_two(grid, snapped, tmp_path, capsys):
+    # grid.N = 2 keeps the lattice frequencies 0 and -1, so the most unstable
+    # ray frequency sqrt(3) snaps to k = 0; at grid.L = 1e300 it snaps to the
+    # largest lattice frequency, 31 * 2 pi / L, whose square underflows.  The
+    # growth fit overflowed there with a RuntimeWarning and exited 1 (sim_rate
+    # NaN and sim_k [0.0] at N = 2, seed 2)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"grid.d = 1\ntwowave.m = 1.0\ntwowave.xi = 1.0\nT = 0.02\n{grid}\n")
+    out = tmp_path / "out"
+    assert cli.main(["instability", "--config", str(cfg_path), "--out", str(out), "--seed", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {snapped}, whose square is 0: no growth to fit\n"
+    assert not out.exists()
 
 
 # f.T = 1e300: the support radius is 6.4e150 and the mass of |f|^2 on the

@@ -7,6 +7,7 @@ from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, e
                       eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       sphere_area, zero_distribution, zero_potential, zero_temp_fermi)
 from hartorus import equilibrium
+from table_oracle import eager_table
 
 
 def test_fermi_value_at_origin():
@@ -101,6 +102,10 @@ def test_table_matches_eval_h_oracle(name, d):
         assert abs(float(cov(x)) - exact) <= cov.table_error() + err + 1e-12 * abs(cov.h0), x
     if hasattr(sp, "c"):
         assert np.array_equal(CovarianceProfile(f, d).spline.c, sp.c)
+    # the table and its lazily computed estimate are the eager build's, to the bit
+    oracle_spline, oracle_error = eager_table(cov)
+    assert np.array_equal(oracle_spline.x, sp.x) and np.array_equal(oracle_spline.c, sp.c)
+    assert cov.table_error() == oracle_error
 
 
 def test_h0_two_ways():

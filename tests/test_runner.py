@@ -172,6 +172,49 @@ def test_payload_bytes_match_the_recorded_digests(tmp_path):
                          f"payload bytes must be re-recorded there and explained in CHANGES.md")
 
 
+@pytest.mark.parametrize("key", sorted(JUMP_CONFIGS))
+def test_only_the_reported_estimates_make_16_point_passes(key, tmp_path, monkeypatch, table_builds):
+    # stability-check reads no error estimate: it makes no 16-point radial
+    # or line pass and still builds its one h table; linear-response builds
+    # the 16-point line table once and runs its principal values over the
+    # 2 x n_tau x n_xi shifts of the multiplier table it reports, no more
+    kind, text = JUMP_CONFIGS[key]
+    cfg = parse_config(text, kind)
+    passes, lo_tables = [], []
+    radial, line = equilibrium._radial_transform, equilibrium._line_nodes
+    pv = equilibrium._principal_value
+
+    def radial_transform(f, d, xs, rend, panels, rule):
+        passes.append(("radial", len(rule[0])))
+        return radial(f, d, xs, rend, panels, rule)
+
+    def line_nodes(f, d, a, b, rule):
+        passes.append(("line", len(rule[0])))
+        table = line(f, d, a, b, rule)
+        if rule is equilibrium._GAUSS_LO:
+            lo_tables.append(table)
+        return table
+
+    def principal_value(x, rho, table, end):
+        passes.append(("pv", 16 if any(table is t for t in lo_tables) else 32, len(x)))
+        return pv(x, rho, table, end)
+
+    monkeypatch.setattr(equilibrium, "_radial_transform", radial_transform)
+    monkeypatch.setattr(equilibrium, "_line_nodes", line_nodes)
+    monkeypatch.setattr(equilibrium, "_principal_value", principal_value)
+    run_experiment(cfg, tmp_path)
+    lo = [p for p in passes if p[1] == 16]
+    if kind == "stability-check":
+        assert lo == []
+        assert len(table_builds) == 1 and ("radial", 32) in passes
+    else:
+        entries = (2 * cfg["tau.count"] + 1) * (cfg["xi.count"] + 1)
+        assert lo == [("line", 16), ("pv", 16, 2 * entries)]
+        assert table_builds == [] and not any(p[0] == "radial" for p in passes)
+        report = json.loads((tmp_path / "response_report.ndjson").read_text())
+        assert report["max_quadrature_error"] > 0.0
+
+
 def test_instability_m0_empty_band(tmp_path):
     cfg = parse_config("twowave.m = 0.0\ntwowave.xi = 1.0\nfuzz.count = 100\nscan.count = 128\n",
                        "instability")
