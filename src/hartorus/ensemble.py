@@ -109,7 +109,8 @@ def _squares(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     work = rows[:len(x) + 1]
     sq = work[1:]
     np.abs(x, out=sq)
-    np.square(sq, out=sq)
+    with np.errstate(over="ignore"):  # past the largest float: inf, which the callers judge
+        np.square(sq, out=sq)
     return work
 
 
@@ -147,7 +148,7 @@ class ModeEnsemble:
     @cached_property
     def _rates(self) -> np.ndarray:
         """m + |xi_j|^2 per mode."""
-        return self.m + np.array([np.dot(c, c) for c in self.carriers])  # a summed square rounds otherwise
+        return self.m + np.vecdot(self.carriers, self.carriers)  # a summed square rounds otherwise
 
     @cached_property
     def _what(self) -> np.ndarray:
@@ -313,7 +314,8 @@ class BumpSpec:
     mode: int = 0
 
     def field_values(self, grid: TorusGrid) -> np.ndarray:
-        env = np.exp(-grid.min_image_dist2(self.center) / (2.0 * self.width ** 2))
+        with np.errstate(over="ignore"):  # a quotient past the largest float: exp's limit 0
+            env = np.exp(-grid.min_image_dist2(self.center) / (2.0 * self.width ** 2))
         return self.amplitude * env * np.exp(1j * grid.phase(self.carrier))
 
 
@@ -328,8 +330,9 @@ def _check_bump(eq: ModeEnsemble, bump: Optional[BumpSpec]) -> None:
 
 
 def _lebesgue(vals: np.ndarray, p: float, dx: float, axes: tuple):
-    """L^p over the space axes of lattice values."""
-    return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
+    """L^p over the space axes of lattice values; inf past the largest float."""
+    with np.errstate(over="ignore"):
+        return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
 
 
 def _dyadic_norm(block_norms, s: float, t: float):

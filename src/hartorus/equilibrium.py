@@ -133,11 +133,11 @@ def zero_distribution() -> DistributionFunction:
 
 def gaussian_f2(amplitude: float = 1.0, scale: float = 1.0) -> DistributionFunction:
     """|f|^2 = amplitude * exp(-(r/scale)^2)."""
-    return DistributionFunction(
-        "custom",
-        profile=lambda r: amplitude * np.exp(-((np.asarray(r) / scale) ** 2)),
-        support_hint=scale * 7.0,
-    )
+    def profile(r):
+        with np.errstate(over="ignore"):  # (r/scale)^2 past the largest float: exp's limit 0
+            return amplitude * np.exp(-((np.asarray(r) / scale) ** 2))
+
+    return DistributionFunction("custom", profile=profile, support_hint=scale * 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,8 @@ class InteractionPotential:
         if self.kind == "delta":
             return np.full_like(k, self.amplitude)
         if self.kind == "gaussian":
-            return self.amplitude * np.exp(-0.5 * (self.width * k) ** 2)
+            with np.errstate(over="ignore"):  # (width k)^2 past the largest float: exp's limit 0
+                return self.amplitude * np.exp(-0.5 * (self.width * k) ** 2)
         raise ValueError(f"unknown potential kind {self.kind!r}")
 
     @property

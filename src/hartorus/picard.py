@@ -132,9 +132,9 @@ class PicardOperator:
         out = sums.ingredients()
         out["v_l_half"] = _lebesgue(np.abs(dv), (g.d + 2) / 2.0, g.dx, tuple(range(g.d)))
         blocks = _dyadic_blocks(self.lp, fftn(dv))
-        out["v_l2_besov"] = _dyadic_norm(
-            ((j, np.sqrt(np.sum(np.abs(block) ** 2) * g.dx)) for j, block in zip(self.lp.symbols, blocks)),
-            -0.5, 0.0)
+        with np.errstate(over="ignore"):  # a norm past the largest float is inf: a divergence
+            norms = ((j, np.sqrt(np.sum(np.abs(b) ** 2) * g.dx)) for j, b in zip(self.lp.symbols, blocks))
+            out["v_l2_besov"] = _dyadic_norm(norms, -0.5, 0.0)
         return out
 
     def pair_norms(self, rows: dict) -> dict:
@@ -143,7 +143,8 @@ class PicardOperator:
         d = self.grid.d
 
         def t_integral(vals, power):
-            return float(np.trapezoid(vals ** power, dx=self.dt) ** (1.0 / power))
+            with np.errstate(over="ignore"):  # past the largest float: inf, a divergence
+                return float(np.trapezoid(vals ** power, dx=self.dt) ** (1.0 / power))
 
         return {"z_sup_l2": float(np.max(rows["l2"])),
                 "z_l_dplus2": t_integral(rows["l_dplus2"], d + 2),
@@ -212,7 +213,8 @@ def reference_trajectory(eq: ModeEnsemble, bump: Optional[BumpSpec], result: Pic
     for s, (t, chunks) in enumerate(observations(eq, bump, T, dt, substeps)):
         rho, gap = _ModeSum(eq.grid.shape), 0.0
         for modes, Zref, _ in deviation_chunks(eq, t, _summed(chunks, rho)):
-            gap += np.sum(np.abs(Z[s][modes] - Zref) ** 2)
+            with np.errstate(over="ignore"):  # a diverged iterate's gap past the largest float: inf
+                gap += np.sum(np.abs(Z[s][modes] - Zref) ** 2)
         Zref = None  # the next window steps without the last chunk
         z_gap[s] = np.sqrt(gap * eq.grid.dx)
         v_gap[s] = np.max(np.abs(V[s] - (rho.total - np.sum(eq.weights ** 2))))

@@ -1,6 +1,7 @@
 """Experiment dispatch, result persistence, and envelopes.
 
-Payload files (NDJSON time series, CSV tables, SVG plots) are byte
+Payload files (NDJSON time series, CSV tables, SVG plots) are written by
+run_experiment alone, once the experiment has returned them.  They are byte
 deterministic for a fixed config and seed; wall-clock and the SVG
 timestamp comment live outside the deterministic surface.
 """
@@ -103,12 +104,14 @@ def _perturbed_equilibrium(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# individual experiments; each returns (records for ndjson, files, verdicts)
+# individual experiments; each takes (cfg, seed) and returns (payloads,
+# verdicts), payloads an ordered {file name: content}: NDJSON records, CSV
+# (header, rows) or a plot's (series, style)
 
 
-def _trajectory(traj, out):
-    """Write traj's records to trajectory.ndjson; returns (path, mass drift),
-    the drift the largest relative change of a mode mass (0 with no modes)."""
+def _trajectory(traj):
+    """(records of trajectory.ndjson, mass drift) of traj, the drift the
+    largest relative change of a mode mass (0 with no modes)."""
     records = []
     for i, t in enumerate(traj.times):
         rec = {"t": float(t), "energy": float(traj.energies[i]),
@@ -118,14 +121,12 @@ def _trajectory(traj, out):
         if traj.norms:
             rec["norms"] = {k: float(v[i]) for k, v in sorted(traj.norms.items())}
         records.append(rec)
-    path = out / "trajectory.ndjson"
-    write_ndjson(path, records)
     m0 = traj.mode_masses[0]
     drift = float(np.max(np.abs(traj.mode_masses - m0) / np.maximum(m0, 1e-300))) if m0.size else 0.0
-    return path, drift
+    return records, drift
 
 
-def _exp_equilibrium_check(cfg, out, seed):
+def _exp_equilibrium_check(cfg, seed):
     ens, report = _equilibrium(cfg)
     grid, a = ens.grid, ens.weights
     last = len(range(0, _step_count(cfg["T"], cfg["dt"]), cfg["obs.stride"]))
@@ -141,7 +142,7 @@ def _exp_equilibrium_check(cfg, out, seed):
 
     stream = observations(ens, None, cfg["T"], cfg["dt"], cfg["obs.stride"])
     traj = _record(ens, ((t, unwound(t, c) if i == last else c) for i, (t, c) in enumerate(stream)))
-    path, drift = _trajectory(traj, out)
+    records, drift = _trajectory(traj)
     dens_dev = float(np.max(traj.density_extrema[:, 1] - traj.density_extrema[:, 0]))
     amp_dev, gauge_residual = dev
 
@@ -151,25 +152,22 @@ def _exp_equilibrium_check(cfg, out, seed):
                "truncated_fraction": report.truncated_fraction,
                "mass_drift": drift, "density_deviation": dens_dev,
                "amplitude_deviation": amp_dev, "gauge_residual": gauge_residual}
-    spath = out / "summary.ndjson"
-    write_ndjson(spath, [summary])
     verdicts = {
         "mass_drift_below_1e-10": drift <= 1e-10,
         "density_deviation_below_1e-8": dens_dev <= 1e-8,
         "amplitude_deviation_below_1e-12": amp_dev <= 1e-12,
     }
-    return [path, spath], verdicts
+    return {"trajectory.ndjson": records, "summary.ndjson": [summary]}, verdicts
 
 
-def _exp_simulate(cfg, out, seed):
+def _exp_simulate(cfg, seed):
     eq, bump = _perturbed_equilibrium(cfg)
     traj = evolve(eq, bump, cfg["T"], cfg["dt"], obs_stride=cfg["obs.stride"])
-    path, drift = _trajectory(traj, out)
-    cpath = out / "density_final.csv"
-    write_csv(cpath, ["flat_index", "density"],
-              [(i, float(v)) for i, v in enumerate(traj.density.ravel())])
+    records, drift = _trajectory(traj)
+    rows = ((i, float(v)) for i, v in enumerate(traj.density.ravel()))  # written as they are made
     verdicts = {"fields_finite": True, "mass_drift_below_1e-10": drift <= 1e-10}
-    return [path, cpath], verdicts
+    return {"trajectory.ndjson": records,
+            "density_final.csv": (["flat_index", "density"], rows)}, verdicts
 
 
 def _profile(cfg) -> CovarianceProfile:
@@ -181,19 +179,15 @@ def _profile(cfg) -> CovarianceProfile:
     return cov
 
 
-def _exp_linear_response(cfg, out, seed):
+def _exp_linear_response(cfg, seed):
     grid = cfg.make_grid()
     cov = _profile(cfg)
     taus = _tau_grid(cfg)
     xis = np.concatenate([[0.0], default_xi_grid(grid, cfg["xi.count"])])
     table = MultiplierTable.build(cov, taus, xis)
-    rows = []
-    for i, tau in enumerate(table.taus):
-        for j, xi in enumerate(table.xis):
-            rows.append((float(tau), float(xi), float(table.values[i, j].real),
-                         float(table.values[i, j].imag), float(table.errors[i, j])))
-    cpath = out / "multiplier_table.csv"
-    write_csv(cpath, ["tau", "xi_abs", "re_mf", "im_mf", "err_estimate"], rows)
+    rows = [(float(tau), float(xi), float(v.real), float(v.imag), float(e))
+            for tau, values, errors in zip(table.taus, table.values, table.errors)
+            for xi, v, e in zip(table.xis, values, errors)]
 
     decay = decay_bound_check(table)
     # window tau = 4|xi|^2 ... 64|xi|^2, above the resonance tau = |xi|^2
@@ -206,22 +200,18 @@ def _exp_linear_response(cfg, out, seed):
               "decay_arg_xi": decay.arg_xi, "tau_slope": slope,
               "conjugate_symmetry_defect": sym_defect, "zero_xi_max": zero_col,
               "max_quadrature_error": table.max_error()}
-    rpath = out / "response_report.ndjson"
-    write_ndjson(rpath, [report])
-    fpath = out / "decay.svg"
-    svg = emit_plot([("decay", staus, smags)],
-                    {"title": "multiplier decay", "xlabel": "tau", "ylabel": "|m_f|",
-                     "logy": True, "checksum": _config_checksum(cfg)})
-    fpath.write_text(svg, encoding="utf-8")
     verdicts = {
         "zero_frequency_column_exact": zero_col == 0.0,
         "conjugate_symmetry_within_2x_error": sym_defect <= tol,
         "decay_sup_finite": decay.finite,
     }
-    return [cpath, rpath, fpath], verdicts
+    return {"multiplier_table.csv": (["tau", "xi_abs", "re_mf", "im_mf", "err_estimate"], rows),
+            "response_report.ndjson": [report],
+            "decay.svg": ([("decay", staus, smags)], {"title": "multiplier decay", "xlabel": "tau",
+                                                      "ylabel": "|m_f|", "logy": True})}, verdicts
 
 
-def _exp_stability_check(cfg, out, seed):
+def _exp_stability_check(cfg, seed):
     grid, w = cfg.make_grid(), cfg.make_potential()
     cov = _profile(cfg)
     taus, xis = _tau_grid(cfg), default_xi_grid(grid, cfg["xi.count"])
@@ -248,10 +238,7 @@ def _exp_stability_check(cfg, out, seed):
            "hypothesis_bullets": [
                {"name": b.name, "passed": b.passed, "value": b.value,
                 "threshold": b.threshold, "note": b.note} for b in bullets]}
-    path = out / "stability.ndjson"
-    write_ndjson(path, [rec])
-    verdicts = {"margin_positive": margin.positive}
-    return [path], verdicts
+    return {"stability.ndjson": [rec]}, {"margin_positive": margin.positive}
 
 
 def _two_wave(cfg) -> TwoWaveParams:
@@ -259,17 +246,13 @@ def _two_wave(cfg) -> TwoWaveParams:
                          w=cfg.make_potential())
 
 
-def _exp_instability(cfg, out, seed):
+def _exp_instability(cfg, seed):
     params = _two_wave(cfg)
     rs = np.linspace(cfg["scan.rmin"], cfg["scan.rmax"], cfg["scan.count"])
     band = unstable_band(params, rs)
     ims = np.sort(band.spectra.imag, axis=1, kind="stable")  # 0.0 and -0.0 keep their order
     rows = [(k, g, *im) for k, g, im in zip((band.r_grid * params.xi_abs).tolist(),
                                             band.growth.tolist(), ims.tolist())]
-    cpath = out / "dispersion.csv"
-    write_csv(cpath, ["k_abs", "re_lambda_max", "im_lambda_1", "im_lambda_2",
-                      "im_lambda_3", "im_lambda_4"], rows)
-
     worst = fuzz_max_distance(params.w, params.d, cfg["fuzz.count"], seed)
     verdicts = {"spectra_agree_1e-10": worst <= 1e-10}
     sim_rec = {"fuzz_max_distance": worst, "band": band.band,
@@ -285,16 +268,13 @@ def _exp_instability(cfg, out, seed):
         verdicts["growth_rate_within_5pc"] = (
             fit.predicted_rate > 0 and abs(fit.rate - fit.predicted_rate) <= 0.05 * fit.predicted_rate)
         verdicts["no_sim_discrepancy"] = not fit.discrepancy
-    rpath = out / "instability.ndjson"
-    write_ndjson(rpath, [sim_rec])
-    svg = emit_plot([("max Re lambda", [r[0] for r in rows], [r[1] for r in rows])],
-                    {"title": "two-wave dispersion", "xlabel": "|k|",
-                     "ylabel": "max Re lambda", "markers": False,
-                     "band": tuple(v * params.xi_abs for v in band.band) if band.band else None,
-                     "checksum": _config_checksum(cfg)})
-    spath = out / "dispersion.svg"
-    spath.write_text(svg, encoding="utf-8")
-    return [cpath, rpath, spath], verdicts
+    style = {"title": "two-wave dispersion", "xlabel": "|k|", "ylabel": "max Re lambda", "markers": False,
+             "band": tuple(v * params.xi_abs for v in band.band) if band.band else None}
+    return {"dispersion.csv": (["k_abs", "re_lambda_max", "im_lambda_1", "im_lambda_2",
+                                "im_lambda_3", "im_lambda_4"], rows),
+            "instability.ndjson": [sim_rec],
+            "dispersion.svg": ([("max Re lambda", [r[0] for r in rows], [r[1] for r in rows])],
+                               style)}, verdicts
 
 
 class PreflightError(RuntimeError):
@@ -357,6 +337,8 @@ _CHUNK_TEMPS, _GRID_TEMPS, _BASE_BYTES, _PROCESS_BYTES = 6, 16, 1 << 16, 90 << 2
 # d = 1..4, 6.5e4..2.1e6 points and 2..14 blocks.  The rest (the h table, the
 # hypothesis bullets, the fuzz blocks, small grids) was 0.55-2.5 MB.
 _SCAN_BYTES, _FUZZ_VALUE_BYTES, _FIT_POINT_BYTES = 540, 8, 128
+# the largest two-wave symbol entry E whose closed-form products, 5 E^4 at most, are finite
+_SYMBOL_LIMIT = (np.finfo(float).max / 5.0) ** 0.25
 _ENTRY_BYTES = {"stability-check": 170, "linear-response": 285}
 _NORMS_POINT_BYTES, _NORMS_BLOCK_POINT_BYTES, _COUNTED_BASE_BYTES = 96, 32, 4 << 20
 
@@ -382,8 +364,9 @@ def _peak_terms(cfg: RunConfig):
     before its mode count, which allocates a grid.  PreflightError first for
     a config its experiment cannot run: a norms or picard grid that resolves
     no dyadic block, a stream run whose T is not a whole number of steps of
-    dt, an instability grid that snaps the most unstable ray frequency to a
-    lattice frequency whose square is 0, an L2 grid whose Nyquist frequency
+    dt, a bump whose width squares to 0, an instability run whose closed-form
+    spectrum overflows or whose grid snaps the most unstable ray frequency to
+    a lattice frequency whose square is 0, an L2 grid whose Nyquist frequency
     overflows, or (after the grids) a stack experiment without a mode to
     run on."""
     kind, points = cfg.kind, cfg["grid.N"] ** cfg["grid.d"]
@@ -398,14 +381,29 @@ def _peak_terms(cfg: RunConfig):
             _step_count(cfg["T"], cfg["dt"])
         except ValueError as exc:
             raise PreflightError(str(exc)) from None
+    if kind in ("simulate", "scattering-probe", "picard") and cfg["pert.width"] ** 2 == 0.0:
+        raise PreflightError(f"pert.width={cfg['pert.width']:g} has a square that underflows to 0: "
+                             f"the bump's envelope divides by it")
     if kind == "norms":
         yield (_COUNTED_BASE_BYTES + (_NORMS_POINT_BYTES + _NORMS_BLOCK_POINT_BYTES * blocks) * points,
                f"{on_grid}, {blocks} dyadic blocks")
     elif kind == "instability":
+        # the closed-form spectrum multiplies four entries of the symbol, each
+        # at most 2 |xi| |k| or |k|^2 + m |w-hat(0)|, to 5 E^4 in all, E the
+        # largest entry on the ray scan or over the fuzz cases (|xi| <= 2 sqrt(d),
+        # |k| <= 4 sqrt(d), m <= 4): past the largest float its roots are inf
+        params = _two_wave(cfg)
+        a, k_abs = abs(params.w.what0), cfg["scan.rmax"] * params.xi_abs
+        scan = max(2.0 * params.xi_abs * k_abs, k_abs * k_abs + params.m * a)
+        for E, keys in ((scan, "scan.rmax, twowave.xi, twowave.m and w.amplitude"),
+                        (16.0 * params.d + 4.0 * a if cfg["fuzz.count"] else 0.0, "w.amplitude")):
+            if not E <= _SYMBOL_LIMIT:
+                raise PreflightError(f"{keys} put a two-wave symbol entry at {E:.3g}, past "
+                                     f"{_SYMBOL_LIMIT:.3g}: the closed-form spectrum overflows")
         # the growth fit's symbol reads the lattice frequency k through |k|^2:
         # where that is 0, k = 0 or a spacing whose square underflows, its
         # eigenvectors are singular and there is no growth to fit
-        kstar = most_unstable_ray_frequency(_two_wave(cfg))
+        kstar = most_unstable_ray_frequency(params)
         k0 = None if kstar is None else cfg.make_grid().nearest_lattice_xi(kstar)
         if k0 is not None and np.vecdot(k0, k0) == 0.0:
             raise PreflightError(f"grid.N={cfg['grid.N']} with grid.L={cfg['grid.L']:g} snaps the most "
@@ -449,7 +447,7 @@ def _preflight(cfg: RunConfig) -> None:
                                        f"{limit / 2**20:.0f} MiB is available")
 
 
-def _exp_picard(cfg, out, seed):
+def _exp_picard(cfg, seed):
     eq, bump = _perturbed_equilibrium(cfg)
     op = PicardOperator(eq, bump, cfg["T"], cfg["picard.steps"])
     result = picard_solve(op, max_iters=cfg["picard.iters"])
@@ -461,11 +459,9 @@ def _exp_picard(cfg, out, seed):
     records.append({"contraction_factors": [float(x) for x in result.contraction],
                     "converged": result.converged, "diverged": result.diverged,
                     "sup_difference_vs_split_step": sup_diff})
-    path = out / "picard.ndjson"
-    write_ndjson(path, records)
     verdicts = {"iteration_converged": result.converged and not result.diverged,
                 "matches_split_step_1e-4": sup_diff <= 1e-4}
-    return [path], verdicts
+    return {"picard.ndjson": records}, verdicts
 
 
 def _parseval_defect(grid, u) -> float:
@@ -494,7 +490,7 @@ def _bernstein_ratio(lp, u, j) -> float:
     return float(np.max(block) / (2.0 ** (j * grid.d * 0.5) * l2))
 
 
-def _exp_norms(cfg, out, seed):
+def _exp_norms(cfg, seed):
     grid = cfg.make_grid()
     lp = LittlewoodPaley(grid)
     rng = np.random.default_rng(seed)
@@ -528,18 +524,16 @@ def _exp_norms(cfg, out, seed):
     rec = {"parseval_defect": parseval, "partition_defect": part_defect,
            "bernstein_spread": bern_spread, "besov_violations": violations,
            "n_fields": n_fields}
-    path = out / "norms.ndjson"
-    write_ndjson(path, [rec])
     verdicts = {
         "parseval_1e-12": parseval <= 1e-12,
         "partition_1e-12": part_defect <= 1e-12,
         "bernstein_spread_below_10": bern_spread < 10.0,
         "besov_monotone": violations == 0,
     }
-    return [path], verdicts
+    return {"norms.ndjson": [rec]}, verdicts
 
 
-def _exp_scattering_probe(cfg, out, seed):
+def _exp_scattering_probe(cfg, seed):
     eq, bump = _perturbed_equilibrium(cfg)
     stream = observations(eq, bump, cfg["T"], cfg["dt"], cfg["obs.stride"])
     report = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in stream),
@@ -552,20 +546,15 @@ def _exp_scattering_probe(cfg, out, seed):
                     "mass_decreasing": report.mass_decreasing,
                     "recurrence_time": report.recurrence_time,
                     "window_warning": report.window_warning})
-    path = out / "probe.ndjson"
-    write_ndjson(path, records)
-    svg = emit_plot([("local mass", report.times, report.local_mass)],
-                    {"title": "local mass decay", "xlabel": "t", "ylabel": "L2 mass in ball",
-                     "logy": True, "checksum": _config_checksum(cfg)})
-    spath = out / "probe.svg"
-    spath.write_text(svg, encoding="utf-8")
     verdicts = {"cauchy_decreasing": report.cauchy_decreasing,
                 "local_mass_decreasing": report.mass_decreasing,
                 "window_within_recurrence": not report.window_warning}
     if eq.w.kind == "zero":
         verdicts = {"free_flow_unwound_constant": float(np.max(report.cauchy)) <= 1e-10
                     if len(report.cauchy) else True}
-    return [path, spath], verdicts
+    plot = ([("local mass", report.times, report.local_mass)],
+            {"title": "local mass decay", "xlabel": "t", "ylabel": "L2 mass in ball", "logy": True})
+    return {"probe.ndjson": records, "probe.svg": plot}, verdicts
 
 
 _DISPATCH = {
@@ -580,21 +569,30 @@ _DISPATCH = {
 }
 
 
-def _config_checksum(cfg: RunConfig) -> str:
-    return hashlib.sha256(cfg.to_text().encode("utf-8")).hexdigest()
-
-
 def run_experiment(cfg: RunConfig, out_dir, seed: int | None = None) -> ResultEnvelope:
-    """Dispatch one experiment; deterministic payloads for fixed config+seed."""
+    """Dispatch one experiment; deterministic payloads for fixed config+seed,
+    each written by its file suffix once the experiment has returned, so a run
+    that raises writes none.  SVGs carry the config's sha256."""
     _preflight(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg["seed"] if seed is None else int(seed)
+    echo = cfg.to_text()
+    checksum = hashlib.sha256(echo.encode("utf-8")).hexdigest()
     start = time.perf_counter()
-    files, verdicts = _DISPATCH[cfg.kind](cfg, out, seed)
+    contents, verdicts = _DISPATCH[cfg.kind](cfg, seed)
+    for name, content in contents.items():
+        path = out / name
+        if path.suffix == ".ndjson":
+            write_ndjson(path, content)
+        elif path.suffix == ".csv":
+            write_csv(path, *content)
+        else:
+            series, style = content
+            path.write_text(emit_plot(series, {**style, "checksum": checksum}), encoding="utf-8")
     wall = time.perf_counter() - start
-    payloads = [{"path": str(Path(p).name), "sha256": sha256_file(p)} for p in files]
-    env = ResultEnvelope(kind=cfg.kind, config_echo=cfg.to_text(), version=__version__,
+    payloads = [{"path": name, "sha256": sha256_file(out / name)} for name in contents]
+    env = ResultEnvelope(kind=cfg.kind, config_echo=echo, version=__version__,
                          seed=seed, wall_clock_s=wall, payloads=payloads, verdicts=verdicts)
     (out / "envelope.json").write_text(env.to_json(), encoding="utf-8")
     return env

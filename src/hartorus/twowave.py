@@ -56,8 +56,9 @@ class TwoWaveParams:
 
     @property
     def xi_abs(self) -> float | np.ndarray:
-        """|xi|: a float for one state, (n,) for a stack."""
-        r = np.sqrt(np.vecdot(self.xi, self.xi))
+        """|xi|: a float for one state, (n,) for a stack; inf past the largest float."""
+        with np.errstate(over="ignore"):
+            r = np.sqrt(np.vecdot(self.xi, self.xi))
         return float(r) if r.ndim == 0 else r
 
 
@@ -221,16 +222,18 @@ def simulate_linearized(params: TwoWaveParams, grid: TorusGrid, k_seed, T: float
     coeffs = np.linalg.solve(eigvecs, uhat0[(slice(None),) + grid.lattice_cells(k0)])
 
     times = np.linspace(0.0, T, n_samples)
-    # one matrix-vector product per sample (a matrix product rounds differently)
-    modes = (eigvecs @ (np.exp(eigvals * times[:, None]) * coeffs)[..., None])[..., 0]
-    amp = np.sqrt(np.vecdot(modes.real, modes.real) + np.vecdot(modes.imag, modes.imag))
+    # one matrix-vector product per sample (a matrix product rounds differently);
+    # an amplitude past the largest float reads inf or nan, outside every window
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes = (eigvecs @ (np.exp(eigvals * times[:, None]) * coeffs)[..., None])[..., 0]
+        amp = np.sqrt(np.vecdot(modes.real, modes.real) + np.vecdot(modes.imag, modes.imag))
 
     predicted = float(np.max(closed_form_spectrum(params, k0).real))
     a0 = amp[0]
     window = (amp >= 10.0 * a0) & (amp <= 1000.0 * a0)
     if window.sum() < 8:
-        # amplitude never escaped the oscillation band: no growth window
-        ripple = float(np.std(np.log(np.maximum(amp, 1e-300))))
+        # amplitude never escaped the oscillation band, or jumped past it: no growth window
+        ripple = float(np.std(np.log(np.maximum(amp, 1e-300)))) if np.all(np.isfinite(amp)) else math.inf
         return GrowthFit(rate=0.0, residual=ripple, k_used=k0, predicted_rate=predicted,
                          discrepancy=predicted > 1e-6)
     logs = np.log(amp[window])

@@ -442,3 +442,52 @@ def test_cli_extreme_grid_length_prints_no_warning(kind, tmp_path):
                         "tau.count = 3\nxi.count = 3\n")
     proc = _run_cli([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+_BUMP_RUN = MINIMAL_EQ + "pert.amplitude = 1e-3\ndt = 0.01\nT = 0.02\n"
+_PICARD_RUN = MINIMAL_EQ + "grid.N = 16\npert.amplitude = 1e-3\nT = 0.05\npicard.steps = 4\n"
+_TWO_WAVE_RUN = "grid.d = 1\ngrid.N = 16\ntwowave.m = 1.0\ntwowave.xi = 1.0\nfuzz.count = 20\n" \
+                "scan.count = 16\nT = 1.0\n"
+_L2_RUN = "grid.d = 2\ngrid.N = 8\nw.kind = delta\ntau.count = 3\nxi.count = 3\n"
+
+# float keys at the ends of their range, each of which printed RuntimeWarnings
+# (a traceback under the child's error filter): a bump width whose square
+# underflows gave a NaN start, reported as a mass sum that overflows; (width
+# k)^2 and (r / scale)^2 overflow toward exp's limit 0; the Picard iterates of
+# a huge potential overflow to the inf norms that the divergence test reads;
+# the two-wave closed form squares a huge symbol entry twice (|xi|^2 itself
+# overflows at twowave.xi = 1e300), and its growth fit's exp overflows.
+# (kind, config, exit code, text of the one error line)
+_EXTREME_FLOATS = {
+    "bump-width-underflows": ("simulate", _BUMP_RUN + "pert.width = 1e-300\n", 2, "pert.width=1e-300"),
+    "bump-width-underflows-picard": ("picard", _PICARD_RUN + "pert.width = 1e-170\n", 2,
+                                     "pert.width=1e-170"),
+    "bump-quotient-overflows": ("scattering-probe", _BUMP_RUN + "pert.width = 1e-160\n", 0, None),
+    "potential-width": ("simulate", _BUMP_RUN.replace("w.kind = delta", "w.kind = gaussian")
+                        + "w.width = 1e300\n", 0, None),
+    "distribution-scale": ("equilibrium-check", MINIMAL_EQ.replace("fermi", "gaussian")
+                           + "f.scale = 1e-300\nT = 0.002\n", 0, None),
+    "distribution-scale-l2": ("stability-check", _L2_RUN + "f.kind = gaussian\nf.scale = 1e-300\n", 0, None),
+    "picard-amplitude": ("picard", _PICARD_RUN + "w.amplitude = 1e300\n", 1, None),
+    "picard-negative-amplitude": ("picard", _PICARD_RUN + "w.amplitude = -1e300\n", 1, None),
+    "two-wave-amplitude": ("instability", _TWO_WAVE_RUN + "w.amplitude = 1e300\n", 2, "w.amplitude"),
+    "two-wave-scan": ("instability", _TWO_WAVE_RUN + "scan.rmax = 1e300\n", 2, "scan.rmax"),
+    "two-wave-carrier": ("instability", _TWO_WAVE_RUN.replace("twowave.xi = 1.0", "twowave.xi = 1e300"), 2,
+                         "twowave.xi"),
+    "two-wave-fit": ("instability", _TWO_WAVE_RUN + "w.amplitude = -1e6\n", 1, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME_FLOATS))
+def test_cli_extreme_float_keys_print_no_warning(case, tmp_path):
+    kind, text, code, error = _EXTREME_FLOATS[case]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    proc = _run_cli([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == code, proc.stderr
+    if error is None:
+        assert proc.stderr == "", proc.stderr
+    else:
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert error in proc.stderr
+        assert not (tmp_path / "out").exists()

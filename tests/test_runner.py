@@ -172,6 +172,42 @@ def test_payload_bytes_match_the_recorded_digests(tmp_path):
                          f"payload bytes must be re-recorded there and explained in CHANGES.md")
 
 
+def test_a_run_whose_experiment_raises_writes_no_payload(tmp_path, monkeypatch):
+    # linear-response wrote multiplier_table.csv before its decay fit ran
+    def decay_slope(*args, **kwargs):
+        raise FloatingPointError("decay fit")
+
+    monkeypatch.setattr(runner, "decay_slope", decay_slope)
+    with pytest.raises(FloatingPointError, match="decay fit"):
+        run_experiment(parse_config(CONFIGS["linear-response"], "linear-response"), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+_PAYLOAD_WRITERS = {"write_ndjson", "write_csv", "emit_plot", "write_text"}
+
+
+def _payload_writes(tree):
+    """(line, name) of each call of a name or attribute in _PAYLOAD_WRITERS in tree."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = [(node.lineno, getattr(node.func, "id", getattr(node.func, "attr", None))) for node in calls]
+    return [(line, name) for line, name in names if name in _PAYLOAD_WRITERS]
+
+
+def test_only_run_experiment_writes_payloads():
+    # the experiments return their payloads; run_experiment writes each file
+    # and the envelope, and no other code of the package writes a payload
+    package = Path(runner.__file__).parent
+    tree = ast.parse((package / "runner.py").read_text(encoding="utf-8"))
+    run = next(node for node in tree.body if getattr(node, "name", None) == "run_experiment")
+    inside = _payload_writes(run)
+    assert {name for _, name in inside} == _PAYLOAD_WRITERS  # the scan sees run_experiment's writes
+    writes = {path.name: _payload_writes(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(package.rglob("*.py"))}
+    assert len(writes) >= 12
+    writes["runner.py"] = [call for call in writes["runner.py"] if call not in inside]
+    assert {name: calls for name, calls in writes.items() if calls} == {}
+
+
 @pytest.mark.parametrize("key", sorted(JUMP_CONFIGS))
 def test_only_the_reported_estimates_make_16_point_passes(key, tmp_path, monkeypatch, table_builds):
     # stability-check reads no error estimate: it makes no 16-point radial
