@@ -30,7 +30,9 @@ deviation norms run there too, half a chunk per task, and none for a half
 whose spectrum is all zero.
 Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
-so the chunk size changes none of them by a bit.
+so the chunk size changes none of them by a bit.  Two scalar sums are the
+exceptions: _NormSums.l2 and the z_gap of picard.reference_trajectory add
+one np.sum per chunk, so the chunk size regroups them at rounding.
 
 A ModeEnsemble is the equilibrium alone, and that buffer is the only state
 of a run.  observations(eq, bump, ...) is the one stepping loop: it fills

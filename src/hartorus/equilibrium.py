@@ -238,7 +238,8 @@ _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
 _LOBATTO = _gauss_lobatto(16)
 _PERIODS_PER_PANEL = 5.0
-_TABLE_BLOCK = 256          # table nodes per radial transform
+_PHASE = 16                 # rows of each phase table of the d = 1, 3 kernel
+_TABLE_BLOCK = _PHASE ** 2  # table nodes per radial transform
 _RADIAL_CHUNK = 4096        # radial nodes per kernel matrix (bounds temporaries)
 _MAX_BISECTIONS = 60
 _PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
@@ -254,21 +255,15 @@ _CHUNK_ELEMENTS = 1 << 14
 
 
 def _radial_kernel(d: int, xs, rs):
-    """K_d(x, r) on the (xs, rs) grid, x > 0, with h(x) = int_0^inf K_d f2(r) dr.
+    """K_d(x, r) on the (xs, rs) grid, x > 0, with h(x) = int_0^inf K_d f2(r) dr,
+    for the Bessel kernels of d = 2 and 4.
 
     Built in place in one (len(xs), len(rs)) array.
     """
     k = np.outer(xs, rs)
-    if d == 1:
-        np.cos(k, out=k)
-        k *= 2.0
-    elif d == 2:
+    if d == 2:
         j0(k, out=k)
         k *= 2 * math.pi * rs
-    elif d == 3:
-        np.sin(k, out=k)
-        k *= 4 * math.pi * rs
-        k /= xs[:, None]
     else:
         j1(k, out=k)
         k *= (2 * math.pi) ** 2 * rs * rs
@@ -330,33 +325,90 @@ def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int):
     return a[order], b[order]
 
 
+def _block_nodes(d: int, x0: float, m0: float, dx: float):
+    """The _TABLE_BLOCK table nodes after x0, node m0 of the table (node 0 is
+    x = 0), spaced dx, through the first one at or past _X_MAX_CAP, in the
+    form _radial_transform takes at d.
+
+    At d = 2 and 4 they are the running sums x0 + dx + ... + dx.  At d = 1
+    and 3 they are a (rows, _PHASE) grid, row-major ascending, of the sums
+    A_i + B_j, where A_i = (m0 + _PHASE i + 1) dx and B_j = j dx are each
+    rounded to a multiple of the float spacing u at the block's end: every
+    sum is exact, so a node is the very point at which the factorised kernel
+    evaluates h, and it stays within about u of its multiple of dx.
+    """
+    if d in (2, 4):
+        xb = np.cumsum(np.r_[x0, np.full(_TABLE_BLOCK, dx)])[1:]
+        return xb[:np.searchsorted(xb, _X_MAX_CAP) + 1]
+    j = np.arange(_PHASE)
+    u = math.ldexp(1.0, math.frexp((m0 + _TABLE_BLOCK + 1) * dx)[1] - 52)
+    a = np.round((m0 + _PHASE * j + 1) * dx / u) * u
+    b = np.round(j * dx / u) * u
+    return a[:np.searchsorted(a + b[-1], _X_MAX_CAP) + 1, None] + b
+
+
 def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, panels: dict, rule):
-    """h at the nodes xs > 0 (ascending) by one fixed-node radial transform
-    with one Gauss rule.
+    """h at the ascending nodes xs > 0 (flattened; at d = 1 and 3 a grid in
+    the form of _block_nodes) by one fixed-node radial transform with one
+    Gauss rule.
 
     Its panels on [0, rend] hold at most _PERIODS_PER_PANEL kernel periods at
-    xs[-1] before bisection; panels caches them by that uniform count.
+    the last node before bisection; panels caches them by that uniform count.
+    At d = 1 and 3 the kernel 2 cos(xr) or 4 pi r sin(xr) / x at x = A_i +
+    B_j is, by angle addition, a sum of products of the phase tables cos and
+    sin of A_i r and of B_j r: per chunk of radial nodes two (_PHASE x R)(R x
+    _PHASE) products in place of _TABLE_BLOCK x R sines.
     """
-    n = max(1, math.ceil(rend * xs[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
+    n = max(1, math.ceil(rend * xs.flat[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
     if n not in panels:
         panels[n] = _radial_panels(f, d, rend, n)
     r, w = _gauss_nodes(*panels[n], rule)
     g = f.f2(r) * w
-    acc = np.zeros(len(xs))
+    if d in (2, 4):
+        acc = np.zeros(len(xs))
+        for s in range(0, len(r), _RADIAL_CHUNK):
+            acc += _radial_kernel(d, xs, r[s:s + _RADIAL_CHUNK]) @ g[s:s + _RADIAL_CHUNK]
+        return acc
+    g *= 2.0 if d == 1 else 4 * math.pi * r
+    a, b = xs[:, 0], xs[0] - xs[0, 0]
+    acc = np.zeros(xs.shape)
     for s in range(0, len(r), _RADIAL_CHUNK):
-        acc += _radial_kernel(d, xs, r[s:s + _RADIAL_CHUNK]) @ g[s:s + _RADIAL_CHUNK]
-    return acc
+        rc, gc = r[s:s + _RADIAL_CHUNK], g[s:s + _RADIAL_CHUNK]
+        ar, br = np.outer(a, rc), np.outer(b, rc)
+        sin_a, cos_a, sin_b, cos_b = np.sin(ar) * gc, np.cos(ar) * gc, np.sin(br), np.cos(br)
+        if d == 1:  # cos(a + b) = cos a cos b - sin a sin b
+            acc += cos_a @ cos_b.T - sin_a @ sin_b.T
+        else:       # sin(a + b) = sin a cos b + cos a sin b
+            acc += sin_a @ cos_b.T + cos_a @ sin_b.T
+    if d == 3:
+        acc /= xs
+    return acc.ravel()
 
 
 def _line_marginal(f: DistributionFunction, d: int, a, b, v):
-    """rho1 at v >= 0, zero from b[-1] on (f2 at d = 1), by the q-integral over
-    the images q = sqrt(r^2 - v^2) of the radial panels (a, b) beyond v; f2
-    is read only inside b[-1], so a v whose square overflows is 0."""
+    """rho1 at v >= 0, zero from b[-1] on (f2 at d = 1); f2 is read only inside
+    b[-1], so a v whose square overflows is 0.
+
+    At d = 3, rho1(v) = 2 pi int_v^inf f2(r) r dr: the 32-point masses of the
+    radial panels (a, b) past the one that holds v, summed from the end, plus
+    one 32-point rule on [v, b_k] of v's panel k.  At d = 2 and 4 it is the
+    q-integral over the images q = sqrt(r^2 - v^2) of the panels beyond v.
+    """
     out = np.zeros(len(v))
     inside = np.flatnonzero(v < b[-1])
     if d == 1:
         out[inside] = f.f2(v[inside])
         return out
+    if d == 3:
+        # int f2 r dr on each panel (its d = 2 mass), summed from the end
+        tails = np.r_[np.cumsum(_panel_masses(f, 2, a, b, _GAUSS_HI)[::-1])[::-1][1:], 0.0]
+        k = np.searchsorted(b, v[inside], side="right")
+        step = max(1, _CHUNK_ELEMENTS // len(_GAUSS_HI[0]))
+        for s in range(0, len(inside), step):
+            rows, ks = inside[s:s + step], k[s:s + step]
+            r, w = _gauss_nodes(v[rows], b[ks], _GAUSS_HI)
+            out[rows] = (f.f2(r) * r * w).reshape(len(rows), -1).sum(axis=1) + tails[ks]
+        return 2 * math.pi * out
     step = max(1, _CHUNK_ELEMENTS // (len(a) * len(_GAUSS_HI[0])))
     for s in range(0, len(inside), step):
         rows = inside[s:s + step]
@@ -400,7 +452,10 @@ class CovarianceProfile:
     The h table, built once on its first read by the 32-point rule alone,
     holds h at nodes spaced dx from 0 until |h| has stayed below _TABLE_TOL *
     |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP); beyond its last
-    node x_max h is zero.  A profile with h(0) = 0 splines zeros on [0, 1], so
+    node x_max h is zero.  At d = 1 and 3 each block of nodes is a grid of
+    exact sums A_i + B_j, whose cosine or sine kernel angle addition takes
+    from two phase tables; at d = 3 rho1(v) is 2 pi times the tail of int
+    f2 r dr past v, a sum of panel masses and one partial panel.  A profile with h(0) = 0 splines zeros on [0, 1], so
     every profile has the same kind of table.  The error estimates are
     computed when read: table_error() is the largest per-node |GL32 - GL16|
     (the 16-point pass over the table's blocks and panels, kept for it) plus
@@ -422,12 +477,13 @@ class CovarianceProfile:
 
     @cached_property
     def _table(self):
-        """(spline, blocks, panels) of the h table: the spline through the
-        32-point values, each block's (nodes, values, nodes kept) and the
-        radial panels by uniform count, for table_error to rebuild the
-        16-point pass of each block to the bit."""
+        """(spline, blocks, panels, dx) of the h table: the spline through
+        the 32-point values, each block's (last node before it, that node's
+        index, nodes, values, nodes kept), the radial panels by uniform count
+        and the node spacing, for table_error to rebuild the 16-point pass of
+        each block to the bit."""
         if self.f.is_zero or self.h0 == 0.0:
-            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], {}
+            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], {}, None
         if not math.isfinite(self.h0):
             raise ValueError(f"h(0) = {self.h0} is not finite: no h table")
         rsup = self.f.support_radius(1e-10)
@@ -439,24 +495,26 @@ class CovarianceProfile:
         if (_X_MAX_CAP / dx if self.f.kind == "zero_temp_fermi" else quiet_stop) > _TABLE_MAX_NODES:
             raise ValueError(f"support radius {rsup:g} needs over {_TABLE_MAX_NODES} h table nodes")
         xs, hs, blocks, panels = [np.zeros(1)], [np.array([self.h0])], [], {}
-        x = 0.0
-        quiet = 0
+        x, m, quiet = 0.0, 0, 0
         while x < _X_MAX_CAP and quiet < quiet_stop:
-            # the nodes are running sums x += dx; the block ends at the cap
-            xb = np.cumsum(np.r_[x, np.full(_TABLE_BLOCK, dx)])[1:]
-            xb = xb[:np.searchsorted(xb, _X_MAX_CAP) + 1]
-            vb = _radial_transform(self.f, self.d, xb, rend, panels, _GAUSS_HI)
-            n = 0
-            while n < len(xb) and x < _X_MAX_CAP and quiet < quiet_stop:
-                x = xb[n]
-                quiet = quiet + 1 if abs(vb[n]) < floor else 0
-                n += 1
+            grid = _block_nodes(self.d, x, m, dx)
+            vb = _radial_transform(self.f, self.d, grid, rend, panels, _GAUSS_HI)
+            xb = grid.ravel()
+            # the quiet run at each node: the nodes since the last loud one,
+            # carried over from the blocks before while none has been loud
+            at = np.arange(len(vb))
+            loud = np.maximum.accumulate(np.where(np.abs(vb) < floor, -1, at))
+            run = np.where(loud < 0, quiet + at + 1, at - loud)
+            # the scan stops after the first node at the cap or ending a quiet stretch
+            stop = np.flatnonzero((xb >= _X_MAX_CAP) | (run >= quiet_stop))
+            n = int(stop[0]) + 1 if len(stop) else len(vb)
+            blocks.append((x, m, grid, vb, n))
+            x, m, quiet = xb[n - 1], m + n, int(run[n - 1])
             xs.append(xb[:n])
             hs.append(vb[:n])
-            blocks.append((xb, vb, n))
         # h is even, so h'(0) = 0 clamps the start of the spline
         spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type=((1, 0.0), "natural"))
-        return spline, blocks, panels
+        return spline, blocks, panels, dx
 
     @property
     def spline(self):
@@ -468,18 +526,18 @@ class CovarianceProfile:
 
     @cached_property
     def _table_error(self) -> float:
-        sp, blocks, panels = self._table
+        sp, blocks, panels, dx = self._table
         f, d, rend = self.f, self.d, self.f.support_radius()
-        errs = [np.abs(vb - _radial_transform(f, d, xb, rend, panels, _GAUSS_LO))[:n]
-                for xb, vb, n in blocks]
-        node_err = float(np.max(np.concatenate([[self.h0_err], *errs]))) if blocks else 0.0
-        gap = 0.0
-        mids = 0.5 * (sp.x[1:] + sp.x[:-1])  # in blocks of nodes, as the table
-        for s in range(0, len(mids), _TABLE_BLOCK):
-            xb = mids[s:s + _TABLE_BLOCK]
-            hb = _radial_transform(f, d, xb, rend, panels, _GAUSS_HI)
-            gap = max(gap, float(np.max(np.abs(sp(xb) - hb))))
-        return node_err + gap
+        errs, gap = [[self.h0_err]], 0.0
+        for x0, m0, xb, vb, n in blocks:
+            errs.append(np.abs(vb - _radial_transform(f, d, xb, rend, panels, _GAUSS_LO))[:n])
+            # the points halfway to each node from the one before, in the
+            # nodes' own form at d = 1 and 3
+            mids = (_block_nodes(d, x0 - 0.5 * dx, m0 - 0.5, dx) if d in (1, 3) else
+                    0.5 * (np.r_[x0, xb[:n - 1]] + xb[:n]))
+            hb = _radial_transform(f, d, mids, rend, panels, _GAUSS_HI)[:n]
+            gap = max(gap, float(np.max(np.abs(sp(mids.ravel()[:n]) - hb))))
+        return (float(np.max(np.concatenate(errs))) if blocks else 0.0) + gap
 
     def table_error(self) -> float:
         return self._table_error

@@ -15,6 +15,7 @@ import numpy as np
 
 from hartorus import equilibrium
 from hartorus.equilibrium import CovarianceProfile
+from radial_oracle import direct_kernel
 
 _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
@@ -39,7 +40,7 @@ def exact_h(cov: CovarianceProfile):
         x = np.abs(np.asarray(x, dtype=float))
         out = np.where(x > x_max, 0.0, cov.h0)
         inside = (x > 0.0) & (x <= x_max)
-        out[inside] = equilibrium._radial_kernel(d, x[inside], r) @ g
+        out[inside] = direct_kernel(d, x[inside], r) @ g
         return out
 
     return h

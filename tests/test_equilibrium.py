@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, e
                       eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       sphere_area, zero_distribution, zero_potential, zero_temp_fermi)
 from hartorus import equilibrium
+from radial_oracle import direct_transform, q_marginal
 from table_oracle import eager_table
 
 
@@ -106,6 +108,59 @@ def test_table_matches_eval_h_oracle(name, d):
     oracle_spline, oracle_error = eager_table(cov)
     assert np.array_equal(oracle_spline.x, sp.x) and np.array_equal(oracle_spline.c, sp.c)
     assert cov.table_error() == oracle_error
+
+
+# sha256 of the spline nodes, the spline coefficients and table_error() of
+# the Bessel-kernel tables (d = 2 and 4), as the direct kernel builds them;
+# the angle-addition kernel of d = 1 and 3 leaves them as they are
+BESSEL_TABLE_DIGESTS = {
+    ("fermi", 2): "cf601aae66af178195ed7a2ddce6732c4d18ade865b39b63b5c6c3738e3f48eb",
+    ("fermi", 4): "7027dacd603bbb6c101ed3d570d02c55091e31fa2ec01680902125c34639c1af",
+    ("bose", 2): "8271a0d2e6be74ccfbf9ab4b2ef8e0fae7cb1e09ffa330d0990b70f3c75f3cef",
+    ("bose", 4): "f2c5ed0782af8d3c7738e020d9da42b84f12295a2a3d8877d3f366e394c5f62c",
+    ("zero_temp_fermi", 2): "d69dd9ec4d7a51f74422af55bf3e4c24b673fa47d1571dbc1d735b2ea60fc64d",
+    ("zero_temp_fermi", 4): "7831f09eeeab752df819588a22335f88c5fb15e1676d5065bf44a5a41dd78445",
+    ("gaussian_f2", 2): "4da2ba27b4eee3e02ce223475ff6f4d8de010e76e58bd424fc48273233f87cfe",
+    ("gaussian_f2", 4): "aa76c385c45c78ae8d072fe9025925615205c3d9f0b75cac004bb3ace305c9c0",
+}
+
+
+@pytest.mark.parametrize("name, d", sorted(BESSEL_TABLE_DIGESTS))
+def test_bessel_kernel_tables_keep_their_bits(name, d):
+    cov = CovarianceProfile(TABLE_PROFILES[name], d)
+    sp = cov.spline
+    got = sp.x.tobytes() + sp.c.tobytes() + np.float64(cov.table_error()).tobytes()
+    assert hashlib.sha256(got).hexdigest() == BESSEL_TABLE_DIGESTS[name, d]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("name", sorted(set(TABLE_PROFILES) - {"zero"}))
+def test_factorised_kernel_matches_the_direct_kernel(name, d):
+    # angle addition regroups the rounding of cos(xr) and sin(xr): each table
+    # block's 32-point values are within 1e-14 h(0) of the direct kernel's
+    # at the same nodes and panels (3.9e-15 h(0) at most, the shell at d = 1)
+    f = TABLE_PROFILES[name]
+    cov = CovarianceProfile(f, d)
+    _, blocks, _, _ = cov._table
+    assert blocks
+    for _, _, xb, vb, _ in blocks:
+        direct = direct_transform(f, d, xb, f.support_radius(), {}, equilibrium._GAUSS_HI)
+        assert np.max(np.abs(vb - direct)) <= 1e-14 * cov.h0
+
+
+@pytest.mark.parametrize("name", sorted(set(TABLE_PROFILES) - {"zero"}))
+def test_d3_line_marginal_matches_the_q_quadrature_oracle(name):
+    # the tail sum of panel masses plus one partial-panel rule against the
+    # 32-point q-integral over every panel beyond v, on a grid and at every
+    # panel end: 5e-16 of the largest rho1 for the smooth profiles; at a jump
+    # of f2 the two rules meet its sliver panel at other nodes (3.7e-13 for
+    # zero-temperature fermi, 1.2e-12 for the shell)
+    f = TABLE_PROFILES[name]
+    a, b = CovarianceProfile(f, 3)._panels
+    v = np.r_[np.linspace(0.0, 1.05 * b[-1], 1001), a, b]
+    want = q_marginal(f, 3, a, b, v)
+    tol = 1e-11 if name in ("shell", "zero_temp_fermi") else 2e-15
+    assert np.max(np.abs(equilibrium._line_marginal(f, 3, a, b, v) - want)) <= tol * np.max(want)
 
 
 def test_h0_two_ways():

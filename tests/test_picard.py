@@ -15,6 +15,7 @@ from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, T
                       critical_exponents, delta_potential, fermi,
                       init_equilibrium, parse_config, picard_solve, reference_trajectory,
                       run_experiment)
+from hartorus import ensemble as ens_mod
 from hartorus import field
 from hartorus.field import fftn, ifftn
 
@@ -328,6 +329,24 @@ def test_reference_gaps_match_a_stored_split_step_stack(setup):
                      - np.sum(ens.weights ** 2) for i, (t, _) in enumerate(stream)])
     assert np.array_equal(z_gap, np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx))
     assert v_gap == pytest.approx(np.max(np.abs(res.V - Vref), axis=1), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("chunk_modes", [1, 3, 8])
+def test_chunked_reference_gaps_match_the_stored_stack_oracle(chunk_modes, setup, monkeypatch):
+    # z_gap adds one np.sum per mode chunk, so the chunk size regroups its
+    # sum: within 1e-13 of the stored-stack formula; v_gap reads the density,
+    # added mode after mode, and keeps its bits
+    grid, w, ens, spec = setup
+    res = picard_solve(PicardOperator(ens, spec, T=0.5, n_steps=20), max_iters=4)
+    _, v_whole = reference_trajectory(ens, spec, res, substeps=3)
+    monkeypatch.setattr(ens_mod, "_CHUNK_BYTES", chunk_modes * 16 * grid.N ** grid.d)
+    assert len(ens_mod._mode_chunks(ens.n_modes, grid)) == -(-ens.n_modes // chunk_modes)
+    z_gap, v_gap = reference_trajectory(ens, spec, res, substeps=3)
+    stream = [(t, u) for t, u, _ in stream_oracle.observations(ens, spec, 0.5, 0.5 / 60, 3)]
+    Zref = np.stack([u - ens.equilibrium_at(t) for t, u in stream])
+    want = np.sqrt(np.sum(np.abs(res.Z - Zref) ** 2, axis=(1, 2)) * grid.dx)
+    assert z_gap == pytest.approx(want, rel=1e-13, abs=0)
+    assert np.array_equal(v_gap, v_whole)
 
 
 def test_reference_phase_adds_half_a_stack_to_the_iterate():

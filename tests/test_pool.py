@@ -72,6 +72,7 @@ def test_stream_runs_keep_their_bits_on_one_cpu_and_on_two(case, cpus, tmp_path)
 
 
 _STABILITY = {
+    "fermi-d1": "grid.d = 1\nf.kind = fermi\nw.kind = delta\nw.amplitude = 0.1\n",
     "fermi-d3": "grid.d = 3\nf.kind = fermi\nw.kind = delta\nw.amplitude = 0.1\n",
     "zero-temp-d3": "grid.d = 3\nf.kind = zero-temp-fermi\nf.mu = 4.0\nw.kind = delta\n",
     "zero-temp-d4": "grid.d = 4\ngrid.N = 8\nf.kind = zero-temp-fermi\nf.mu = 1.5\n"

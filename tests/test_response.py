@@ -265,6 +265,26 @@ def test_mf_lindhard_zero_temperature():
         assert np.max(np.abs(vals[:, 0] - exact)) <= 1e-8, r
 
 
+@pytest.mark.parametrize("mu, H_gap, rho_gap", [(1.0, 3.7e-12, 1.3e-12), (4.0, 1.7e-11, 5e-12)])
+def test_rho1_and_H_lindhard_zero_temperature(mu, H_gap, rho_gap):
+    # Re H = pi rho1 = pi^2 (mu - w^2)_+ and Lindhard's H on 20001 points of
+    # [-6, 6]; the bounds are the gaps of the q-quadrature rho1 (3.64e-12 and
+    # 1.25e-12 at mu = 1, 1.67e-11 and 4.99e-12 at mu = 4)
+    cov = CovarianceProfile(zero_temp_fermi(mu), 3)
+    w = np.linspace(-6.0, 6.0, 20001)
+    H, _ = cov.half_line_transform(w, errors=False)
+    assert np.max(np.abs(H - _lindhard_H(w, mu))) <= H_gap
+    assert np.max(np.abs(H.real - math.pi ** 2 * np.maximum(mu - w * w, 0.0))) <= rho_gap
+
+
+def test_rho1_fermi_closed_form():
+    # fermi(T=1, mu=0) at d = 3: pi rho1 = pi^2 ln(1 + e^{-w^2})
+    cov = CovarianceProfile(fermi(1.0, 0.0), 3)
+    w = np.linspace(-8.0, 8.0, 4001)
+    H, _ = cov.half_line_transform(w, errors=False)
+    assert np.max(np.abs(H.real - math.pi ** 2 * np.log1p(np.exp(-w * w)))) <= 5e-15
+
+
 def test_mf_fermi_imaginary_part_closed_form():
     # fermi(T=1, mu=0) at d = 3: rho1 = pi ln(1 + e^{-v^2}) and
     # Im m_f = (pi/(2r)) (rho1(w-) - rho1(w+))
