@@ -12,10 +12,14 @@ and the response cross-checks validate it operationally.
 
 CovarianceProfile tabulates h with one fixed-node Gauss-Legendre radial
 transform per block of table nodes (panels of a few kernel periods, in the
-spirit of Ogata's Bessel-kernel quadrature); eval_h is the adaptive
-single-point quadrature kept as its oracle.  No run calls eval_h, so it
-imports scipy.integrate on its first call; it stays in this module because
-the benchmark's response oracle and its tracer read it here.
+spirit of Ogata's Bessel-kernel quadrature).  Every d takes the same path:
+the nodes are a grid of exact sums, the kernel's radial weight goes into the
+Gauss weights, and one kernel sum per chunk of radial nodes follows, by
+angle addition at d = 1 and 3 and by the Bessel function at d = 2 and 4.
+eval_h is the adaptive single-point quadrature kept as its oracle.  No run
+calls eval_h, so it imports scipy.integrate on its first call; it stays in
+this module because the benchmark's response oracle and its tracer read it
+here.
 """
 
 from __future__ import annotations
@@ -238,9 +242,11 @@ _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
 _LOBATTO = _gauss_lobatto(16)
 _PERIODS_PER_PANEL = 5.0
-_PHASE = 16                 # rows of each phase table of the d = 1, 3 kernel
+_PHASE = 16                 # columns of a block's node grid, rows of a d = 1, 3 phase table
 _TABLE_BLOCK = _PHASE ** 2  # table nodes per radial transform
 _RADIAL_CHUNK = 4096        # radial nodes per kernel matrix (bounds temporaries)
+# (c_d, p) of the radial weight c_d r^p of h's kernel at each d
+_RADIAL_WEIGHT = {1: (2.0, 0), 2: (2 * math.pi, 1), 3: (4 * math.pi, 1), 4: ((2 * math.pi) ** 2, 2)}
 _MAX_BISECTIONS = 60
 _PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
 _TABLE_TOL = 1e-13          # |h| below this times h(0) counts as zero
@@ -252,23 +258,6 @@ _MARGINAL_PANELS = 8        # uniform radial panels of h(0) and rho1 before bise
 # entries per temporary of the rho1 and H passes (128 KiB): stability-check
 # runs them beside the h table build, whose temporaries are live at the same time
 _CHUNK_ELEMENTS = 1 << 14
-
-
-def _radial_kernel(d: int, xs, rs):
-    """K_d(x, r) on the (xs, rs) grid, x > 0, with h(x) = int_0^inf K_d f2(r) dr,
-    for the Bessel kernels of d = 2 and 4.
-
-    Built in place in one (len(xs), len(rs)) array.
-    """
-    k = np.outer(xs, rs)
-    if d == 2:
-        j0(k, out=k)
-        k *= 2 * math.pi * rs
-    else:
-        j1(k, out=k)
-        k *= (2 * math.pi) ** 2 * rs * rs
-        k /= xs[:, None]
-    return k
 
 
 def _gauss_nodes(a, b, rule):
@@ -325,21 +314,16 @@ def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int):
     return a[order], b[order]
 
 
-def _block_nodes(d: int, x0: float, m0: float, dx: float):
-    """The _TABLE_BLOCK table nodes after x0, node m0 of the table (node 0 is
-    x = 0), spaced dx, through the first one at or past _X_MAX_CAP, in the
-    form _radial_transform takes at d.
+def _block_nodes(m0: float, dx: float):
+    """The _TABLE_BLOCK table nodes after node m0 of the table (node 0 is x =
+    0), spaced dx, through the first one at or past _X_MAX_CAP.
 
-    At d = 2 and 4 they are the running sums x0 + dx + ... + dx.  At d = 1
-    and 3 they are a (rows, _PHASE) grid, row-major ascending, of the sums
-    A_i + B_j, where A_i = (m0 + _PHASE i + 1) dx and B_j = j dx are each
-    rounded to a multiple of the float spacing u at the block's end: every
-    sum is exact, so a node is the very point at which the factorised kernel
-    evaluates h, and it stays within about u of its multiple of dx.
+    They are a (rows, _PHASE) grid, row-major ascending, of the sums A_i +
+    B_j, where A_i = (m0 + _PHASE i + 1) dx and B_j = j dx are each rounded
+    to a multiple of the float spacing u at the block's end: every sum is
+    exact, so a node is the very point at which the factorised kernel of d =
+    1 and 3 evaluates h, and it stays within about u of its multiple of dx.
     """
-    if d in (2, 4):
-        xb = np.cumsum(np.r_[x0, np.full(_TABLE_BLOCK, dx)])[1:]
-        return xb[:np.searchsorted(xb, _X_MAX_CAP) + 1]
     j = np.arange(_PHASE)
     u = math.ldexp(1.0, math.frexp((m0 + _TABLE_BLOCK + 1) * dx)[1] - 52)
     a = np.round((m0 + _PHASE * j + 1) * dx / u) * u
@@ -348,41 +332,43 @@ def _block_nodes(d: int, x0: float, m0: float, dx: float):
 
 
 def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, panels: dict, rule):
-    """h at the ascending nodes xs > 0 (flattened; at d = 1 and 3 a grid in
-    the form of _block_nodes) by one fixed-node radial transform with one
-    Gauss rule.
+    """h at the nodes xs > 0, a grid in the form of _block_nodes, by one
+    fixed-node radial transform with one Gauss rule; flattened.
 
     Its panels on [0, rend] hold at most _PERIODS_PER_PANEL kernel periods at
     the last node before bisection; panels caches them by that uniform count.
-    At d = 1 and 3 the kernel 2 cos(xr) or 4 pi r sin(xr) / x at x = A_i +
-    B_j is, by angle addition, a sum of products of the phase tables cos and
-    sin of A_i r and of B_j r: per chunk of radial nodes two (_PHASE x R)(R x
-    _PHASE) products in place of _TABLE_BLOCK x R sines.
+    The kernel of h(x) = int_0^inf K_d(x, r) f2(r) dr is c_d r^p k(xr), over
+    x at d >= 3: 2 cos, 2 pi r J0, 4 pi r sin and 4 pi^2 r^2 J1 at d = 1..4.
+    The weight c_d r^p goes into the Gauss weights, one kernel sum per chunk
+    of radial nodes takes k, and the division by x comes last.  At d = 1 and
+    3, k(xr) at x = A_i + B_j is, by angle addition, a sum of products of the
+    phase tables cos and sin of A_i r and of B_j r: two (_PHASE x R)(R x
+    _PHASE) products in place of _TABLE_BLOCK x R sines.  At d = 2 and 4 the
+    Bessel function is taken on the whole (nodes, R) grid.
     """
     n = max(1, math.ceil(rend * xs.flat[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
     if n not in panels:
         panels[n] = _radial_panels(f, d, rend, n)
     r, w = _gauss_nodes(*panels[n], rule)
-    g = f.f2(r) * w
-    if d in (2, 4):
-        acc = np.zeros(len(xs))
-        for s in range(0, len(r), _RADIAL_CHUNK):
-            acc += _radial_kernel(d, xs, r[s:s + _RADIAL_CHUNK]) @ g[s:s + _RADIAL_CHUNK]
-        return acc
-    g *= 2.0 if d == 1 else 4 * math.pi * r
+    c, p = _RADIAL_WEIGHT[d]
+    g = f.f2(r) * w * (c * r ** p)
     a, b = xs[:, 0], xs[0] - xs[0, 0]
-    acc = np.zeros(xs.shape)
+    acc = np.zeros(xs.size)
     for s in range(0, len(r), _RADIAL_CHUNK):
         rc, gc = r[s:s + _RADIAL_CHUNK], g[s:s + _RADIAL_CHUNK]
+        if d in (2, 4):
+            k = np.outer(xs, rc)
+            acc += (j0 if d == 2 else j1)(k, out=k) @ gc
+            continue
         ar, br = np.outer(a, rc), np.outer(b, rc)
         sin_a, cos_a, sin_b, cos_b = np.sin(ar) * gc, np.cos(ar) * gc, np.sin(br), np.cos(br)
         if d == 1:  # cos(a + b) = cos a cos b - sin a sin b
-            acc += cos_a @ cos_b.T - sin_a @ sin_b.T
+            acc += (cos_a @ cos_b.T - sin_a @ sin_b.T).ravel()
         else:       # sin(a + b) = sin a cos b + cos a sin b
-            acc += sin_a @ cos_b.T + cos_a @ sin_b.T
-    if d == 3:
-        acc /= xs
-    return acc.ravel()
+            acc += (sin_a @ cos_b.T + cos_a @ sin_b.T).ravel()
+    if d >= 3:
+        acc /= xs.ravel()
+    return acc
 
 
 def _line_marginal(f: DistributionFunction, d: int, a, b, v):
@@ -452,17 +438,18 @@ class CovarianceProfile:
     The h table, built once on its first read by the 32-point rule alone,
     holds h at nodes spaced dx from 0 until |h| has stayed below _TABLE_TOL *
     |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP); beyond its last
-    node x_max h is zero.  At d = 1 and 3 each block of nodes is a grid of
-    exact sums A_i + B_j, whose cosine or sine kernel angle addition takes
-    from two phase tables; at d = 3 rho1(v) is 2 pi times the tail of int
-    f2 r dr past v, a sum of panel masses and one partial panel.  A profile with h(0) = 0 splines zeros on [0, 1], so
-    every profile has the same kind of table.  The error estimates are
-    computed when read: table_error() is the largest per-node |GL32 - GL16|
-    (the 16-point pass over the table's blocks and panels, kept for it) plus
-    the largest gap between the spline and the fixed-node transform at the
-    node midpoints, the interpolation error, taken on its first call; the
-    16-point line table behind the H estimate is built on the first
-    half_line_transform that asks for errors.
+    node x_max h is zero.  Each block of nodes is a grid of exact sums A_i +
+    B_j; at d = 1 and 3 angle addition takes its cosine or sine kernel from
+    two phase tables, and at d = 3 rho1(v) is 2 pi times the tail of int f2
+    r dr past v, a sum of panel masses and one partial panel.  A profile
+    with h(0) = 0 splines zeros on [0, 1], so every profile has the same
+    kind of table.  The error estimates are computed when read:
+    table_error() is the largest per-node |GL32 - GL16| (the 16-point pass
+    over the table's blocks and panels, kept for it) plus the largest gap
+    between the spline and the fixed-node transform at the node midpoints,
+    the interpolation error, taken on its first call; the 16-point line
+    table behind the H estimate is built on the first half_line_transform
+    that asks for errors.
     """
 
     def __init__(self, f: DistributionFunction, d: int):
@@ -478,11 +465,11 @@ class CovarianceProfile:
     @cached_property
     def _table(self):
         """(spline, blocks, panels, dx) of the h table: the spline through
-        the 32-point values, each block's (last node before it, that node's
-        index, nodes, values, nodes kept), the radial panels by uniform count
-        and the node spacing, for table_error to rebuild the 16-point pass of
+        the 32-point values, each block's (index of the last node before it,
+        nodes, values, nodes kept), the radial panels by uniform count and
+        the node spacing, for table_error to rebuild the 16-point pass of
         each block to the bit."""
-        if self.f.is_zero or self.h0 == 0.0:
+        if self.h0 == 0.0:
             return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], {}, None
         if not math.isfinite(self.h0):
             raise ValueError(f"h(0) = {self.h0} is not finite: no h table")
@@ -497,7 +484,7 @@ class CovarianceProfile:
         xs, hs, blocks, panels = [np.zeros(1)], [np.array([self.h0])], [], {}
         x, m, quiet = 0.0, 0, 0
         while x < _X_MAX_CAP and quiet < quiet_stop:
-            grid = _block_nodes(self.d, x, m, dx)
+            grid = _block_nodes(m, dx)
             vb = _radial_transform(self.f, self.d, grid, rend, panels, _GAUSS_HI)
             xb = grid.ravel()
             # the quiet run at each node: the nodes since the last loud one,
@@ -508,7 +495,7 @@ class CovarianceProfile:
             # the scan stops after the first node at the cap or ending a quiet stretch
             stop = np.flatnonzero((xb >= _X_MAX_CAP) | (run >= quiet_stop))
             n = int(stop[0]) + 1 if len(stop) else len(vb)
-            blocks.append((x, m, grid, vb, n))
+            blocks.append((m, grid, vb, n))
             x, m, quiet = xb[n - 1], m + n, int(run[n - 1])
             xs.append(xb[:n])
             hs.append(vb[:n])
@@ -529,12 +516,10 @@ class CovarianceProfile:
         sp, blocks, panels, dx = self._table
         f, d, rend = self.f, self.d, self.f.support_radius()
         errs, gap = [[self.h0_err]], 0.0
-        for x0, m0, xb, vb, n in blocks:
+        for m0, xb, vb, n in blocks:
             errs.append(np.abs(vb - _radial_transform(f, d, xb, rend, panels, _GAUSS_LO))[:n])
-            # the points halfway to each node from the one before, in the
-            # nodes' own form at d = 1 and 3
-            mids = (_block_nodes(d, x0 - 0.5 * dx, m0 - 0.5, dx) if d in (1, 3) else
-                    0.5 * (np.r_[x0, xb[:n - 1]] + xb[:n]))
+            # the points halfway to each node from the one before, in the nodes' form
+            mids = _block_nodes(m0 - 0.5, dx)
             hb = _radial_transform(f, d, mids, rend, panels, _GAUSS_HI)[:n]
             gap = max(gap, float(np.max(np.abs(sp(mids.ravel()[:n]) - hb))))
         return (float(np.max(np.concatenate(errs))) if blocks else 0.0) + gap

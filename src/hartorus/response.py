@@ -148,7 +148,7 @@ def epsilon_g(cov: CovarianceProfile) -> EpsilonGReport:
     for convergence inspection.
     """
     two_area = 2.0 * sphere_area(cov.d)
-    if cov.f.is_zero or cov.h0 == 0.0:
+    if cov.h0 == 0.0:
         return EpsilonGReport(0.0, [0.0] * _N_SHELLS, True)
     r_fracs = np.array([1.0, 0.75, 0.5, 0.375, 0.25])
     tau_fracs = np.array([0.0, 0.25, 0.5, 1.0])

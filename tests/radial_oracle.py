@@ -1,29 +1,35 @@
-"""The direct d = 1 and d = 3 paths of the covariance profile, kept as test
-oracles of the package's one-dimensional identities there.
+"""The direct kernels and the q-quadrature line marginal of the covariance
+profile, kept as test oracles of the package's one weighted kernel sum and of
+its d = 3 line-marginal identity.
 
-direct_kernel builds cos(xr) and sin(xr) over the whole (xs, rs) grid, where
-the package's _radial_transform takes them by angle addition from two
-_PHASE-row phase tables; q_marginal is rho1 by the q-integral over every
-radial panel beyond v, which the package keeps at d = 2 and 4 and replaces
-at d = 3 by a tail sum of panel masses and one partial-panel rule.
+direct_kernel builds K_d(x, r) whole over the (xs, rs) grid: cos(xr) and
+sin(xr) at d = 1 and 3, where the package's _radial_transform takes them by
+angle addition from two _PHASE-row phase tables, and J0(xr) and J1(xr) at d =
+2 and 4, each times its radial weight and over x at d >= 3, where the package
+folds the weight into the Gauss weights and divides by x after the sum;
+q_marginal is rho1 by the q-integral over every radial panel beyond v, which
+the package keeps at d = 2 and 4 and replaces at d = 3 by a tail sum of panel
+masses and one partial-panel rule.
 """
 
 import math
 
 import numpy as np
+from scipy.special import j0, j1
 
 from hartorus import equilibrium as eq
 
 
 def direct_kernel(d, xs, rs):
-    """K_d(x, r) on the (xs, rs) grid, x > 0, with h(x) = int_0^inf K_d f2(r)
-    dr; the Bessel kernels of d = 2 and 4 are the package's own."""
-    if d in (2, 4):
-        return eq._radial_kernel(d, xs, rs)
+    """K_d(x, r) on the (xs, rs) grid, x > 0, with h(x) = int_0^inf K_d f2(r) dr."""
     k = np.outer(xs, rs)
     if d == 1:
         return 2.0 * np.cos(k)
-    return 4 * math.pi * rs * np.sin(k) / xs[:, None]
+    if d == 2:
+        return 2 * math.pi * rs * j0(k)
+    if d == 3:
+        return 4 * math.pi * rs * np.sin(k) / xs[:, None]
+    return (2 * math.pi) ** 2 * rs * rs * j1(k) / xs[:, None]
 
 
 def direct_transform(f, d, xs, rend, panels, rule):

@@ -31,7 +31,7 @@ def eager_table(cov: CovarianceProfile):
     and the 32-point transform at the points halfway to each node from the
     one before, taken per block as the table."""
     f, d = cov.f, cov.d
-    if f.is_zero or cov.h0 == 0.0:
+    if cov.h0 == 0.0:
         return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), 0.0
     rsup, rend = f.support_radius(1e-10), f.support_radius()
     dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
@@ -40,8 +40,8 @@ def eager_table(cov: CovarianceProfile):
     xs, hs, errs, starts = [np.zeros(1)], [np.array([cov.h0])], [np.array([cov.h0_err])], []
     x, quiet = 0.0, 0
     while x < eq._X_MAX_CAP and quiet < quiet_stop:
-        starts.append((x, sum(map(len, xs)) - 1))
-        xb = eq._block_nodes(d, x, starts[-1][1], dx)
+        starts.append(sum(map(len, xs)) - 1)
+        xb = eq._block_nodes(starts[-1], dx)
         vb, eb = _transform(f, d, xb, rend)
         xb = xb.ravel()
         n = 0
@@ -54,13 +54,9 @@ def eager_table(cov: CovarianceProfile):
         errs.append(eb[:n])
     spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type=((1, 0.0), "natural"))
     gap = 0.0
-    for (x0, m0), xb in zip(starts, xs[1:]):
+    for m0, xb in zip(starts, xs[1:]):
         n = len(xb)
-        if d in (1, 3):
-            grid = eq._block_nodes(d, x0 - 0.5 * dx, m0 - 0.5, dx)
-            mids, hb = grid.ravel()[:n], _transform(f, d, grid, rend)[0][:n]
-        else:
-            mids = 0.5 * (np.r_[x0, xb[:-1]] + xb)
-            hb = _transform(f, d, mids, rend)[0]
+        grid = eq._block_nodes(m0 - 0.5, dx)
+        mids, hb = grid.ravel()[:n], _transform(f, d, grid, rend)[0][:n]
         gap = max(gap, float(np.max(np.abs(spline(mids) - hb))))
     return spline, float(np.max(np.concatenate(errs))) + gap

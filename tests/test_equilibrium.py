@@ -111,17 +111,17 @@ def test_table_matches_eval_h_oracle(name, d):
 
 
 # sha256 of the spline nodes, the spline coefficients and table_error() of
-# the Bessel-kernel tables (d = 2 and 4), as the direct kernel builds them;
-# the angle-addition kernel of d = 1 and 3 leaves them as they are
+# the Bessel-kernel tables (d = 2 and 4): the weighted kernel sum on the grid
+# of exact-sum block nodes, with the midpoints of table_error() in that form
 BESSEL_TABLE_DIGESTS = {
-    ("fermi", 2): "cf601aae66af178195ed7a2ddce6732c4d18ade865b39b63b5c6c3738e3f48eb",
-    ("fermi", 4): "7027dacd603bbb6c101ed3d570d02c55091e31fa2ec01680902125c34639c1af",
-    ("bose", 2): "8271a0d2e6be74ccfbf9ab4b2ef8e0fae7cb1e09ffa330d0990b70f3c75f3cef",
-    ("bose", 4): "f2c5ed0782af8d3c7738e020d9da42b84f12295a2a3d8877d3f366e394c5f62c",
-    ("zero_temp_fermi", 2): "d69dd9ec4d7a51f74422af55bf3e4c24b673fa47d1571dbc1d735b2ea60fc64d",
-    ("zero_temp_fermi", 4): "7831f09eeeab752df819588a22335f88c5fb15e1676d5065bf44a5a41dd78445",
-    ("gaussian_f2", 2): "4da2ba27b4eee3e02ce223475ff6f4d8de010e76e58bd424fc48273233f87cfe",
-    ("gaussian_f2", 4): "aa76c385c45c78ae8d072fe9025925615205c3d9f0b75cac004bb3ace305c9c0",
+    ("fermi", 2): "5bc0167554d7c1b3aad09191f8d7c8f5b09b813fc7ef3c807cfa39ea01804def",
+    ("fermi", 4): "82f475561c47a87356e86640a174cc621688784524aad13c4aa44d7625d31bc6",
+    ("bose", 2): "a432a5cfd2e91ad300669d0cfcbdb6d9fba142163e47036ca36561780a548b68",
+    ("bose", 4): "acebe2521c032aea795dba01ec486fae2e9a0860a2bbae93c133f1a5a2ac85a3",
+    ("zero_temp_fermi", 2): "04a22aa7ecec78a4136da747e5afe79c56b5d29bc7071d8ccb9739df3bb7a9f2",
+    ("zero_temp_fermi", 4): "907da1bcc91201e0e1679944c50d4864f1afd03ab70211aa59c8a1d49d43e67d",
+    ("gaussian_f2", 2): "de64dbaf77e9744b15ae56424a00e5ca31f511525a7d4830f627024eabb735c7",
+    ("gaussian_f2", 4): "3ad07c4689b9f42d017952afca59aa482a1ade7ec97f5d59c611967e48cf7f78",
 }
 
 
@@ -133,17 +133,19 @@ def test_bessel_kernel_tables_keep_their_bits(name, d):
     assert hashlib.sha256(got).hexdigest() == BESSEL_TABLE_DIGESTS[name, d]
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(set(TABLE_PROFILES) - {"zero"}))
 def test_factorised_kernel_matches_the_direct_kernel(name, d):
-    # angle addition regroups the rounding of cos(xr) and sin(xr): each table
+    # angle addition (d = 1, 3) and the radial weight folded into the Gauss
+    # weights (every d) regroup the rounding of the kernel: each table
     # block's 32-point values are within 1e-14 h(0) of the direct kernel's
-    # at the same nodes and panels (3.9e-15 h(0) at most, the shell at d = 1)
+    # at the same nodes and panels (3.9e-15 h(0) at most, the shell at d = 1;
+    # 1.2e-15 h(0) at d = 2 and 4, the shell at d = 4)
     f = TABLE_PROFILES[name]
     cov = CovarianceProfile(f, d)
     _, blocks, _, _ = cov._table
     assert blocks
-    for _, _, xb, vb, _ in blocks:
+    for _, xb, vb, _ in blocks:
         direct = direct_transform(f, d, xb, f.support_radius(), {}, equilibrium._GAUSS_HI)
         assert np.max(np.abs(vb - direct)) <= 1e-14 * cov.h0
 

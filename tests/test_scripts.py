@@ -23,6 +23,8 @@ def _run(script, args, cwd):
 @pytest.mark.parametrize("script, args", [
     ("equilibrium_demo.py", ["--N", "16", "--T", "0.1"]),
     ("response_scan.py", ["--d", "3"]),
+    pytest.param("response_scan.py", [], id="response_scan-default-d4"),
+    pytest.param("response_scan.py", ["--d", "2"], id="response_scan-d2"),
     ("two_wave_dispersion.py", ["--out", "two_wave"]),
 ], ids=lambda v: v[:-3] if isinstance(v, str) else "")
 def test_script_exits_zero(script, args, tmp_path):
