@@ -11,11 +11,12 @@ for d=4).  One convention is fixed package-wide; the equilibrium residual
 and the response cross-checks validate it operationally.
 
 CovarianceProfile tabulates h with one fixed-node Gauss-Legendre radial
-transform per block of table nodes (panels of a few kernel periods, in the
-spirit of Ogata's Bessel-kernel quadrature).  Every d takes the same path:
-the nodes are a grid of exact sums, the kernel's radial weight goes into the
-Gauss weights, and one kernel sum per chunk of radial nodes follows, by
-angle addition at d = 1 and 3 and by the Bessel function at d = 2 and 4.
+transform per block of table nodes (the table's radial panels, bisected once,
+split into parts of a few kernel periods, in the spirit of Ogata's
+Bessel-kernel quadrature).  Every d takes the same path: the nodes are a
+grid of exact sums, the kernel's radial weight goes into the Gauss weights,
+and one kernel sum per chunk of radial nodes follows, by angle addition at
+d = 1 and 3 and by the Bessel function at d = 2 and 4.
 eval_h is the adaptive single-point quadrature kept as its oracle.  No run
 calls eval_h, so it imports scipy.integrate on its first call; it stays in
 this module because the benchmark's response oracle and its tracer read it
@@ -331,12 +332,25 @@ def _block_nodes(m0: float, dx: float):
     return a[:np.searchsorted(a + b[-1], _X_MAX_CAP) + 1, None] + b
 
 
-def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, panels: dict, rule):
+def _split_panels(a, b, x: float):
+    """Each panel [a_i, b_i] in the fewest equal parts that hold at most
+    _PERIODS_PER_PANEL kernel periods 2 pi / x, ending at a_i + j step_i and
+    exactly at b_i, so one panel [0, R] splits as np.linspace."""
+    k = np.maximum(1, np.ceil((b - a) * x / (2.0 * math.pi * _PERIODS_PER_PANEL))).astype(int)
+    ends = np.cumsum(k)
+    j = np.arange(ends[-1]) - np.repeat(ends - k, k)
+    a0, step = np.repeat(a, k), np.repeat((b - a) / k, k)
+    lo, hi = a0 + j * step, a0 + (j + 1) * step
+    hi[ends - 1] = b
+    return lo, hi
+
+
+def _radial_transform(f: DistributionFunction, d: int, xs, panels, rule):
     """h at the nodes xs > 0, a grid in the form of _block_nodes, by one
     fixed-node radial transform with one Gauss rule; flattened.
 
-    Its panels on [0, rend] hold at most _PERIODS_PER_PANEL kernel periods at
-    the last node before bisection; panels caches them by that uniform count.
+    Its radial panels are the bisected panels (a, b) of the table, each split
+    by _split_panels at the last node of xs.
     The kernel of h(x) = int_0^inf K_d(x, r) f2(r) dr is c_d r^p k(xr), over
     x at d >= 3: 2 cos, 2 pi r J0, 4 pi r sin and 4 pi^2 r^2 J1 at d = 1..4.
     The weight c_d r^p goes into the Gauss weights, one kernel sum per chunk
@@ -346,10 +360,7 @@ def _radial_transform(f: DistributionFunction, d: int, xs, rend: float, panels: 
     _PHASE) products in place of _TABLE_BLOCK x R sines.  At d = 2 and 4 the
     Bessel function is taken on the whole (nodes, R) grid.
     """
-    n = max(1, math.ceil(rend * xs.flat[-1] / (2.0 * math.pi * _PERIODS_PER_PANEL)))
-    if n not in panels:
-        panels[n] = _radial_panels(f, d, rend, n)
-    r, w = _gauss_nodes(*panels[n], rule)
+    r, w = _gauss_nodes(*_split_panels(*panels, xs.flat[-1]), rule)
     c, p = _RADIAL_WEIGHT[d]
     g = f.f2(r) * w * (c * r ** p)
     a, b = xs[:, 0], xs[0] - xs[0, 0]
@@ -438,14 +449,16 @@ class CovarianceProfile:
     The h table, built once on its first read by the 32-point rule alone,
     holds h at nodes spaced dx from 0 until |h| has stayed below _TABLE_TOL *
     |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP); beyond its last
-    node x_max h is zero.  Each block of nodes is a grid of exact sums A_i +
-    B_j; at d = 1 and 3 angle addition takes its cosine or sine kernel from
-    two phase tables, and at d = 3 rho1(v) is 2 pi times the tail of int f2
-    r dr past v, a sum of panel masses and one partial panel.  A profile
-    with h(0) = 0 splines zeros on [0, 1], so every profile has the same
-    kind of table.  The error estimates are computed when read:
-    table_error() is the largest per-node |GL32 - GL16| (the 16-point pass
-    over the table's blocks and panels, kept for it) plus the largest gap
+    node x_max h is zero.  Its radial panels on [0, support_radius()] are
+    bisected once, and each block of nodes, a grid of exact sums A_i + B_j,
+    splits them at its last node; at d = 1 and 3 angle addition takes its
+    cosine or sine kernel from two phase tables, and at d = 3 rho1(v) is 2
+    pi times the tail of int f2 r dr past v, a sum of panel masses and one
+    partial panel.  A profile with h(0) = 0 splines zeros on [0, 1], so
+    every profile has the same kind of table.  The error estimates are
+    computed when read: table_error() is the largest per-node |GL32 - GL16|
+    (the 16-point pass over the table's blocks and panels, kept for it,
+    splitting the panels as the 32-point pass did) plus the largest gap
     between the spline and the fixed-node transform at the node midpoints,
     the interpolation error, taken on its first call; the 16-point line
     table behind the H estimate is built on the first half_line_transform
@@ -466,26 +479,26 @@ class CovarianceProfile:
     def _table(self):
         """(spline, blocks, panels, dx) of the h table: the spline through
         the 32-point values, each block's (index of the last node before it,
-        nodes, values, nodes kept), the radial panels by uniform count and
-        the node spacing, for table_error to rebuild the 16-point pass of
-        each block to the bit."""
+        nodes, values, nodes kept), the radial panels (a, b) of [0,
+        support_radius()], bisected once, and the node spacing, for
+        table_error to rebuild the 16-point pass of each block to the bit."""
         if self.h0 == 0.0:
-            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], {}, None
+            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], None, None
         if not math.isfinite(self.h0):
             raise ValueError(f"h(0) = {self.h0} is not finite: no h table")
         rsup = self.f.support_radius(1e-10)
-        rend = self.f.support_radius()
         dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
         floor = _TABLE_TOL * abs(self.h0)
         quiet_stop = int(4.0 / dx) + 4
         # h of a jump never goes quiet: a zero-temperature table runs to the cap
         if (_X_MAX_CAP / dx if self.f.kind == "zero_temp_fermi" else quiet_stop) > _TABLE_MAX_NODES:
             raise ValueError(f"support radius {rsup:g} needs over {_TABLE_MAX_NODES} h table nodes")
-        xs, hs, blocks, panels = [np.zeros(1)], [np.array([self.h0])], [], {}
+        panels = _radial_panels(self.f, self.d, self.f.support_radius(), 1)
+        xs, hs, blocks = [np.zeros(1)], [np.array([self.h0])], []
         x, m, quiet = 0.0, 0, 0
         while x < _X_MAX_CAP and quiet < quiet_stop:
             grid = _block_nodes(m, dx)
-            vb = _radial_transform(self.f, self.d, grid, rend, panels, _GAUSS_HI)
+            vb = _radial_transform(self.f, self.d, grid, panels, _GAUSS_HI)
             xb = grid.ravel()
             # the quiet run at each node: the nodes since the last loud one,
             # carried over from the blocks before while none has been loud
@@ -514,13 +527,13 @@ class CovarianceProfile:
     @cached_property
     def _table_error(self) -> float:
         sp, blocks, panels, dx = self._table
-        f, d, rend = self.f, self.d, self.f.support_radius()
+        f, d = self.f, self.d
         errs, gap = [[self.h0_err]], 0.0
         for m0, xb, vb, n in blocks:
-            errs.append(np.abs(vb - _radial_transform(f, d, xb, rend, panels, _GAUSS_LO))[:n])
+            errs.append(np.abs(vb - _radial_transform(f, d, xb, panels, _GAUSS_LO))[:n])
             # the points halfway to each node from the one before, in the nodes' form
             mids = _block_nodes(m0 - 0.5, dx)
-            hb = _radial_transform(f, d, mids, rend, panels, _GAUSS_HI)[:n]
+            hb = _radial_transform(f, d, mids, panels, _GAUSS_HI)[:n]
             gap = max(gap, float(np.max(np.abs(sp(mids.ravel()[:n]) - hb))))
         return (float(np.max(np.concatenate(errs))) if blocks else 0.0) + gap
 

@@ -29,11 +29,11 @@ def _oscillation_rate(cov: CovarianceProfile, tau_max: float, xi_abs: float) -> 
 
 def exact_h(cov: CovarianceProfile):
     """h on [0, cov.x_max] by the fixed-node radial transform at each point,
-    without the spline between table nodes; zero beyond, like the table."""
+    on the table's radial panels split at x_max, without the spline between
+    table nodes; zero beyond, like the table."""
     f, d, x_max = cov.f, cov.d, cov.x_max
-    rend = f.support_radius()
-    n = max(1, math.ceil(rend * x_max / (2.0 * math.pi * _PERIODS_PER_PANEL)))
-    r, w = equilibrium._gauss_nodes(*equilibrium._radial_panels(f, d, rend, n), _GAUSS_HI)
+    panels = equilibrium._split_panels(*cov._table[2], x_max)
+    r, w = equilibrium._gauss_nodes(*panels, _GAUSS_HI)
     g = f.f2(r) * w
 
     def h(x):

@@ -32,14 +32,11 @@ def direct_kernel(d, xs, rs):
     return (2 * math.pi) ** 2 * rs * rs * j1(k) / xs[:, None]
 
 
-def direct_transform(f, d, xs, rend, panels, rule):
-    """h at any ascending xs > 0 on the panels of _radial_transform, by the
-    direct kernel in chunks of _RADIAL_CHUNK radial nodes."""
+def direct_transform(f, d, xs, panels, rule):
+    """h at any ascending xs > 0 on the panels (a, b) as _radial_transform
+    splits them, by the direct kernel in chunks of _RADIAL_CHUNK radial nodes."""
     xs = np.ravel(xs)
-    n = max(1, math.ceil(rend * xs[-1] / (2.0 * math.pi * eq._PERIODS_PER_PANEL)))
-    if n not in panels:
-        panels[n] = eq._radial_panels(f, d, rend, n)
-    r, w = eq._gauss_nodes(*panels[n], rule)
+    r, w = eq._gauss_nodes(*eq._split_panels(*panels, xs[-1]), rule)
     g = f.f2(r) * w
     acc = np.zeros(len(xs))
     for s in range(0, len(r), eq._RADIAL_CHUNK):

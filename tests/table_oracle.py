@@ -1,12 +1,12 @@
 """The h table built eagerly, kept as the oracle of CovarianceProfile's table
 and of its error estimate.
 
-Every block runs both Gauss rules at once through the package's transform,
-on panels made afresh for the block, and its stop is found by a scan node by
-node.  CovarianceProfile builds the 32-point values alone, finds the stop
-with numpy, and runs the 16-point pass over the blocks it kept when
-table_error() is first read; its spline and its table_error() must equal
-this oracle's to the bit.
+The radial panels are bisected once, as in CovarianceProfile; every block
+runs both Gauss rules at once through the package's transform on them, and
+its stop is found by a scan node by node.  CovarianceProfile builds the
+32-point values alone, finds the stop with numpy, and runs the 16-point pass
+over the blocks it kept when table_error() is first read; its spline and its
+table_error() must equal this oracle's to the bit.
 """
 
 import math
@@ -18,9 +18,9 @@ from hartorus import equilibrium as eq
 from hartorus.equilibrium import CovarianceProfile
 
 
-def _transform(f, d, xs, rend):
+def _transform(f, d, xs, panels):
     """(GL32 values, |GL32 - GL16|) of h at the block nodes xs."""
-    hi, lo = (eq._radial_transform(f, d, xs, rend, {}, rule) for rule in (eq._GAUSS_HI, eq._GAUSS_LO))
+    hi, lo = (eq._radial_transform(f, d, xs, panels, rule) for rule in (eq._GAUSS_HI, eq._GAUSS_LO))
     return hi, np.abs(hi - lo)
 
 
@@ -33,7 +33,8 @@ def eager_table(cov: CovarianceProfile):
     f, d = cov.f, cov.d
     if cov.h0 == 0.0:
         return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), 0.0
-    rsup, rend = f.support_radius(1e-10), f.support_radius()
+    rsup = f.support_radius(1e-10)
+    panels = eq._radial_panels(f, d, f.support_radius(), 1)
     dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
     floor = eq._TABLE_TOL * abs(cov.h0)
     quiet_stop = int(4.0 / dx) + 4
@@ -42,7 +43,7 @@ def eager_table(cov: CovarianceProfile):
     while x < eq._X_MAX_CAP and quiet < quiet_stop:
         starts.append(sum(map(len, xs)) - 1)
         xb = eq._block_nodes(starts[-1], dx)
-        vb, eb = _transform(f, d, xb, rend)
+        vb, eb = _transform(f, d, xb, panels)
         xb = xb.ravel()
         n = 0
         while n < len(xb) and x < eq._X_MAX_CAP and quiet < quiet_stop:
@@ -57,6 +58,6 @@ def eager_table(cov: CovarianceProfile):
     for m0, xb in zip(starts, xs[1:]):
         n = len(xb)
         grid = eq._block_nodes(m0 - 0.5, dx)
-        mids, hb = grid.ravel()[:n], _transform(f, d, grid, rend)[0][:n]
+        mids, hb = grid.ravel()[:n], _transform(f, d, grid, panels)[0][:n]
         gap = max(gap, float(np.max(np.abs(spline(mids) - hb))))
     return spline, float(np.max(np.concatenate(errs))) + gap

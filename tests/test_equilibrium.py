@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
                       eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
@@ -111,26 +113,107 @@ def test_table_matches_eval_h_oracle(name, d):
 
 
 # sha256 of the spline nodes, the spline coefficients and table_error() of
-# the Bessel-kernel tables (d = 2 and 4): the weighted kernel sum on the grid
-# of exact-sum block nodes, with the midpoints of table_error() in that form
-BESSEL_TABLE_DIGESTS = {
-    ("fermi", 2): "5bc0167554d7c1b3aad09191f8d7c8f5b09b813fc7ef3c807cfa39ea01804def",
-    ("fermi", 4): "82f475561c47a87356e86640a174cc621688784524aad13c4aa44d7625d31bc6",
-    ("bose", 2): "a432a5cfd2e91ad300669d0cfcbdb6d9fba142163e47036ca36561780a548b68",
-    ("bose", 4): "acebe2521c032aea795dba01ec486fae2e9a0860a2bbae93c133f1a5a2ac85a3",
+# the h tables at every d: the weighted kernel sum on the grid of exact-sum
+# block nodes, over the table's bisected radial panels split per block, with
+# the midpoints of table_error() in that form.  A zero-temperature profile
+# has no jump inside [0, R], so its one panel is not bisected and each block
+# splits it as np.linspace(0, R, n + 1).
+DIGEST_PROFILES = {**TABLE_PROFILES, "zero_temp_fermi_1.5": zero_temp_fermi(1.5),
+                   "zero_temp_fermi_4": zero_temp_fermi(4.0)}
+TABLE_DIGESTS = {
+    ("fermi", 1): "1ec987dae91f073757083c3ea57e0ed8c535df78aca7e7d4ed668ebdf7956332",
+    ("fermi", 2): "e58397a0668b7f09f9b3daf86934dee6cfd7cce11366b8a823af31911f5ebf62",
+    ("fermi", 3): "d39a255d93b734a7454556f817c346eb235ed096dff171ba11de72e7469645e6",
+    ("fermi", 4): "bc0558595b0859cb439e251f99b9c6621ff076c76c507655bff09a1768951a0c",
+    ("bose", 1): "5d7a64294b50a6568deb2cafbea8624eb22e4cea71825b58e4f43101ff18f416",
+    ("bose", 2): "8e88891a810163669659d1471c2868ec54557cdf8ad18b51728babdb5785dcef",
+    ("bose", 3): "524212661bb6857ddc9e9f73040cbef9b6afff7aa536d6dc774396cfa66542a6",
+    ("bose", 4): "1f8cd0b493bd7d28e81d96c688fadbc048d0e4bfd43350f13852e10d0db08ce7",
+    ("gaussian_f2", 1): "a86ca22086979e917424734446ec3329f50b68a11233ad203e1e511fed335701",
+    ("gaussian_f2", 2): "6e8120e6d9770ea4b3bee08714b4d200ed554c99e5a7e8f0f9a3a0d93ebf7ecc",
+    ("gaussian_f2", 3): "f64ea88aeafbf7dc7bb633c8d5030e1eb5c7bdeda9f41e4d84e5a33ad3c4a988",
+    ("gaussian_f2", 4): "8a2a01e035eb3821fd1b5b88dfbc90e2e83b4384fd9dab3ab8f61c14495940f1",
+    ("zero_temp_fermi", 1): "ffe110435839bc172dfbd918a7898162eb954be1547651fba38a678226d06393",
     ("zero_temp_fermi", 2): "04a22aa7ecec78a4136da747e5afe79c56b5d29bc7071d8ccb9739df3bb7a9f2",
+    ("zero_temp_fermi", 3): "55b9d87727c6f5d52039e6cc740970db2c43ab478028d6f1831bf814766e5beb",
     ("zero_temp_fermi", 4): "907da1bcc91201e0e1679944c50d4864f1afd03ab70211aa59c8a1d49d43e67d",
-    ("gaussian_f2", 2): "de64dbaf77e9744b15ae56424a00e5ca31f511525a7d4830f627024eabb735c7",
-    ("gaussian_f2", 4): "3ad07c4689b9f42d017952afca59aa482a1ade7ec97f5d59c611967e48cf7f78",
+    ("zero_temp_fermi_1.5", 1): "b451ebf24eae6579ffcdcbd2119cf8bf64013ac2b09cf23cd9e6676719865df8",
+    ("zero_temp_fermi_1.5", 2): "2819b52220909ac271c5f8caeea4f9aac32d4700249b09c19b2892ff5a16843e",
+    ("zero_temp_fermi_1.5", 3): "cc0c3bb15fbd41e1e8d7083104ae6a0574bf4928dce47ed363433332cf22844a",
+    ("zero_temp_fermi_1.5", 4): "7ebc9a743cd2fe8c49e710c1cd4d9d0e53089321d653a3e6217b87047f787fca",
+    ("zero_temp_fermi_4", 1): "a74d47ca131b172999302fa45c1e7b4606136178f9d5e0047d8b341bc76a19d2",
+    ("zero_temp_fermi_4", 2): "aaec9dbe36009f63e1bff9172feb4a0bca835c06478f7f565c8611e5f7dc571f",
+    ("zero_temp_fermi_4", 3): "9ebdf0a75bd33f456145c9ca98b4451a53d799534c4203e77776d75fac15d3b2",
+    ("zero_temp_fermi_4", 4): "efbb6c181b6bc6c49161e6625de0ece30dfe29091678c067f41e9413877eb862",
 }
 
 
-@pytest.mark.parametrize("name, d", sorted(BESSEL_TABLE_DIGESTS))
-def test_bessel_kernel_tables_keep_their_bits(name, d):
-    cov = CovarianceProfile(TABLE_PROFILES[name], d)
+def _table_digest(name, d):
+    cov = CovarianceProfile(DIGEST_PROFILES[name], d)
     sp = cov.spline
     got = sp.x.tobytes() + sp.c.tobytes() + np.float64(cov.table_error()).tobytes()
-    assert hashlib.sha256(got).hexdigest() == BESSEL_TABLE_DIGESTS[name, d]
+    return hashlib.sha256(got).hexdigest()
+
+
+@pytest.mark.parametrize("name, d", sorted(k for k in TABLE_DIGESTS if k[1] in (2, 4)))
+def test_bessel_kernel_tables_keep_their_bits(name, d):
+    assert _table_digest(name, d) == TABLE_DIGESTS[name, d]
+
+
+@pytest.mark.parametrize("name, d", sorted(k for k in TABLE_DIGESTS if k[1] in (1, 3)))
+def test_angle_addition_tables_keep_their_bits(name, d):
+    assert _table_digest(name, d) == TABLE_DIGESTS[name, d]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(start=st.floats(0.0, 100.0),
+       widths=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=8),
+       x=st.floats(1e-3, 500.0))
+def test_split_panels_tile_each_panel_with_the_fewest_parts(start, widths, x):
+    # each base panel splits into k equal parts of at most _PERIODS_PER_PANEL
+    # kernel periods 2 pi / x, where k - 1 parts would hold more; the parts
+    # tile it to the bit, and the split of all panels at once is the splits
+    # of each one in turn
+    edges = start + np.cumsum(np.r_[0.0, widths])
+    a, b = edges[:-1], edges[1:]
+    lo, hi = equilibrium._split_panels(a, b, x)
+    assert np.array_equal(hi[:-1], lo[1:])
+    period = 2.0 * math.pi * equilibrium._PERIODS_PER_PANEL / x
+    at = 0
+    for ai, bi in zip(a, b):
+        pl, ph = equilibrium._split_panels(np.array([ai]), np.array([bi]), x)
+        k = len(pl)
+        assert pl[0] == ai and ph[-1] == bi and np.array_equal(ph[:-1], pl[1:])
+        assert np.array_equal(pl, lo[at:at + k]) and np.array_equal(ph, hi[at:at + k])
+        # the part ends are rounded to the float spacing at bi
+        assert np.all(ph - pl <= period * (1 + 1e-12) + 2 * np.spacing(bi))
+        assert k == 1 or (bi - ai) / (k - 1) > period * (1 - 1e-12)
+        at += k
+    assert at == len(lo)
+    # one panel [0, R] splits as the uniform panels of its parts' count
+    R = edges[-1]
+    n = max(1, math.ceil(R * x / (2.0 * math.pi * equilibrium._PERIODS_PER_PANEL)))
+    lo, hi = equilibrium._split_panels(np.zeros(1), np.array([R]), x)
+    assert np.array_equal(np.r_[lo, hi[-1]], np.linspace(0.0, R, n + 1))
+
+
+@pytest.mark.parametrize("name, d", [("zero_temp_fermi_4", 3), ("zero_temp_fermi_4", 4),
+                                     ("shell", 3)])
+def test_a_profile_bisects_its_radial_panels_twice(name, d, monkeypatch):
+    # once for h(0) and once for the h table, whose blocks and table_error()
+    # passes all split the table's panels
+    calls = []
+    bisect = equilibrium._radial_panels
+
+    def counting(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(equilibrium, "_radial_panels", counting)
+    cov = CovarianceProfile(DIGEST_PROFILES[name], d)
+    cov(np.linspace(0.0, 2.0, 5))
+    cov.table_error()
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -143,10 +226,10 @@ def test_factorised_kernel_matches_the_direct_kernel(name, d):
     # 1.2e-15 h(0) at d = 2 and 4, the shell at d = 4)
     f = TABLE_PROFILES[name]
     cov = CovarianceProfile(f, d)
-    _, blocks, _, _ = cov._table
+    _, blocks, panels, _ = cov._table
     assert blocks
     for _, xb, vb, _ in blocks:
-        direct = direct_transform(f, d, xb, f.support_radius(), {}, equilibrium._GAUSS_HI)
+        direct = direct_transform(f, d, xb, panels, equilibrium._GAUSS_HI)
         assert np.max(np.abs(vb - direct)) <= 1e-14 * cov.h0
 
 

@@ -220,9 +220,9 @@ def test_only_the_reported_estimates_make_16_point_passes(key, tmp_path, monkeyp
     radial, line = equilibrium._radial_transform, equilibrium._line_nodes
     pv = equilibrium._principal_value
 
-    def radial_transform(f, d, xs, rend, panels, rule):
+    def radial_transform(f, d, xs, panels, rule):
         passes.append(("radial", len(rule[0])))
-        return radial(f, d, xs, rend, panels, rule)
+        return radial(f, d, xs, panels, rule)
 
     def line_nodes(f, d, a, b, rule):
         passes.append(("line", len(rule[0])))
