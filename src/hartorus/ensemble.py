@@ -54,9 +54,17 @@ the spectrum of Z from the stream's, with no forward FFT of its own.
 deviation_norms reads those (modes, Z, Z-hat) chunks and nothing else; a
 whole stack is one chunk whose spectrum the caller supplies.  No part of a
 deviation whose Z-hat is all zero is transformed, in the norms or in the
-probe, and no sum changes by a bit for it: at t = 0 the deviation is the
-bump alone, so the norms transform only the bump's half-chunk and the probe
-only its chunk.
+probe, and no sum changes by a bit for it.
+
+The start is the equilibrium plus the bump in one mode, so every start
+chunk without bump.mode is the equilibrium itself: its u is Y(0) and its
+hat y_j's entries, and its deviation is +0.0 exactly.  The stream marks
+those chunks (_Unperturbed), and that one mark serves every reader:
+deviation_chunks does not yield them, so the norms, the probe and
+equilibrium_at never see them, and _summed adds their power at the carrier
+cells alone.  The start's overflow check sums y_j's entries and the bump's
+mode, not the whole buffer.  A skipped chunk would only have added +0.0
+rows, so no sum changes by a bit.
 """
 
 from __future__ import annotations
@@ -120,6 +128,17 @@ def _into(out: np.ndarray, x: np.ndarray) -> None:
     """Leave in x the result of a transform of x run with overwrite_x."""
     if not np.may_share_memory(out, x):
         x[...] = out
+
+
+class _Unperturbed(tuple):
+    """A start chunk (modes, hat, u) of modes that are the equilibrium alone,
+    whose deviation is +0.0; cells indexes y_j's one entry per mode in hat.
+    A chunk a caller builds is a plain tuple, read in full."""
+
+    def __new__(cls, modes: slice, hat: np.ndarray, u: np.ndarray, cells: tuple):
+        chunk = super().__new__(cls, (modes, hat, u))
+        chunk.cells = cells
+        return chunk
 
 
 def _drain(chunks) -> None:
@@ -420,11 +439,15 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
     same modes, both read-only.  Z is u minus eq.equilibrium_at(t), built
     over u; Z-hat is hat minus y_j's one entry per mode, built in one reused
     chunk that first holds Y.  hat is only read, so a reader held across a
-    window changes nothing."""
+    window changes nothing.  A start chunk that is the equilibrium alone
+    (_Unperturbed) is not yielded: its Z and Z-hat are +0.0."""
     cells = eq.carrier_cells()
     y = eq.equilibrium_spectrum(t)
     scratch = None  # one chunk of Y, then of Z-hat, reused: the first chunk is the largest
-    for modes, hat, u in chunks:
+    for chunk in chunks:
+        if isinstance(chunk, _Unperturbed):
+            continue
+        modes, hat, u = chunk
         if scratch is None:
             scratch = np.empty_like(hat)
         Z_hat = eq.equilibrium_at(t, modes, out=scratch[:len(hat)])
@@ -487,7 +510,9 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
     every chunk, which deviation_chunks overwrites with Z.  They are the only
     way to read the run, whose buffer holds the spectrum from the start (y_j's
     one entry per mode, plus the bump's transform) on, written by step only;
-    reading a chunk, leaving it unread or holding it changes nothing.
+    reading a chunk, leaving it unread or holding it changes nothing.  At
+    step 0 a chunk without bump.mode (every chunk for bump None) is the
+    equilibrium alone and comes as an _Unperturbed tuple.
     Before the first observation, ValueError for a T that is not a whole
     number of steps of dt, a bump that targets no mode of eq or a stride
     below 1, and FloatingPointError when the start's mass overflows the sums.
@@ -497,14 +522,15 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
         raise ValueError("obs_stride must be at least 1")
     _check_bump(eq, bump)
     chunks = _mode_chunks(eq.n_modes, eq.grid)
+    cells = eq.carrier_cells()
     buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
-    buf[eq.carrier_cells()] = eq.equilibrium_spectrum(0.0)
+    buf[cells] = y = eq.equilibrium_spectrum(0.0)
+    nonzero = [y]  # the start's nonzero entries: y_j's, and the bump's mode in full
     if bump is not None:
         buf[bump.mode] += fftn(bump.field_values(eq.grid))
-    mass = 0.0
-    for c in chunks:
-        with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
-            mass += np.sum(np.square(buf[c].view(float))) / eq.grid.N ** eq.grid.d
+        nonzero = [np.delete(y, bump.mode), buf[bump.mode]]
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned
+        mass = sum(np.sum(np.square(x.view(float))) / eq.grid.N ** eq.grid.d for x in nonzero)
     if not mass <= _MASS_LIMIT:
         raise FloatingPointError(f"non-finite field values at the start: the mass "
                                  f"sum {mass:.3g} overflows the observations")
@@ -518,8 +544,10 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
             u = scratch[:len(hat)]
             if start:  # the start rebuilt: Y(0), the bump added to its mode
                 eq.equilibrium_at(0.0, c, out=u)
-                if bump is not None and c.start <= bump.mode < c.stop:
-                    u[bump.mode - c.start] += bump.field_values(eq.grid)
+                if bump is None or not c.start <= bump.mode < c.stop:
+                    yield _Unperturbed(c, hat, u, (np.arange(len(hat)),) + tuple(k[c] for k in cells[1:]))
+                    continue
+                u[bump.mode - c.start] += bump.field_values(eq.grid)
             else:
                 np.copyto(u, hat)
                 u = ifftn(u, axes=eq.space_axes, overwrite_x=True)
@@ -550,17 +578,24 @@ class Trajectory:
 
 
 def _summed(chunks, rho, sq_sums=None, power=None):
-    """Pass the (modes, hat, u) chunks on, adding each to the density rho and,
-    when given, writing the per-mode sums of |u|^2 into sq_sums and adding
-    the spectral power."""
-    for modes, hat, u in chunks:
+    """Pass the (modes, hat, u) chunks on as they are, adding each to the
+    density rho and, when given, writing the per-mode sums of |u|^2 into
+    sq_sums and adding the spectral power.  The power of a start chunk that
+    is the equilibrium alone (_Unperturbed) is its |y_j|^2 added at the
+    carrier cells only: a cell's sum over the modes has at most two nonzero
+    terms, its carrier's and the bump mode's, so it keeps its bits."""
+    for chunk in chunks:
+        modes, hat, u = chunk
         if sq_sums is None:
             rho.add(u)
         else:
             sq_sums[modes] = np.sum(rho.add(u), axis=tuple(range(1, u.ndim)))
-        if power is not None:
+        if power is not None and isinstance(chunk, _Unperturbed):
+            sq = np.abs(hat[chunk.cells])
+            power.total[chunk.cells[1:]] += np.square(sq, out=sq)
+        elif power is not None:
             power.add(hat)
-        yield modes, hat, u
+        yield chunk
 
 
 def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> Trajectory:
@@ -571,7 +606,7 @@ def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> T
     Each observation is one pass over the stream's chunks: the masses, the
     density and the spectral power (the energy's kinetic and gauge terms, by
     Parseval) are summed as the chunks go by, and so are the deviation norms,
-    from deviation_chunks.
+    from deviation_chunks: at the start, of the bump's chunk alone.
     """
     g = eq.grid
     times, masses, energies, extrema, norm_rows = [], [], [], [], []
@@ -617,6 +652,18 @@ class ProbeReport:
     window_warning: bool
 
 
+def _squared_gap(old: Optional[np.ndarray], new: Optional[np.ndarray]):
+    """sum |old - new|^2 of two unwound chunks, None for a zero one; old is
+    overwritten, so a gap takes no temporary unless old is None.  A zero
+    side adds exact zeros, so the sum is the one of the two chunks in full."""
+    if old is None:
+        return 0.0 if new is None else np.sum(np.square(new.view(float)))
+    if new is not None:
+        old -= new
+    sq = old.view(float)
+    return np.sum(np.square(sq, out=sq))
+
+
 def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
                      ball_radius: Optional[float] = None) -> ProbeReport:
     """Free-unwound Cauchy differences and local mass of the deviation from
@@ -624,10 +671,12 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
 
     deviations yields (t, chunks), chunks the (modes, Z, Z-hat) mode chunks of
     the deviation at time t, as ((t, deviation_chunks(eq, t, c)) for t, c in
-    observations(...)) does.  The probe holds the previous unwound deviation,
-    chunk by chunk, and nothing else of stack size, so its memory does not
-    grow with the number of observations; a chunk whose Z-hat is all zero
-    unwinds to zeros with no transform.  Decreasing Cauchy differences
+    observations(...)) does; a chunk left out of an observation (at the
+    start, every chunk but the bump's) is zero there.  The probe holds the
+    previous unwound deviation, chunk by chunk, and nothing else of stack
+    size, so its memory does not grow with the number of observations; a
+    chunk whose Z-hat is all zero unwinds to zero with no transform and is
+    not held.  Decreasing Cauchy differences
     signal convergence of S(-t)Z(t); the potential-free control run keeps it
     exactly constant.  A window past the torus recurrence time gets a
     warning flag.
@@ -638,22 +687,21 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius
     times, cauchy, local = [], [], []
-    prev = None  # the unwound deviation of the last observation, per chunk
+    prev = None  # the unwound deviation of the last observation by chunk start, zero ones left out
     for t, chunks in deviations:
         back = np.exp(1j * (t * (m + grid.xi_squared)))
         dens = _ModeSum(grid.shape)
-        unwound, diff = [], 0.0
-        for i, (_, Z, Z_hat) in enumerate(chunks):
+        unwound, diff = {}, 0.0
+        for modes, Z, Z_hat in chunks:
             dens.add(Z)
-            unwound.append(ifftn(Z_hat * back, axes=axes, overwrite_x=True) if Z_hat.any()
-                           else np.zeros_like(Z_hat))  # zero unwinds to zero
-            if prev is not None:
-                prev[i] -= unwound[i]
-                sq = prev[i].view(float)  # squared in place: no temporary
-                diff += np.sum(np.square(sq, out=sq))
-                prev[i] = sq = None  # released chunk by chunk as the new one grows
+            if Z_hat.any():
+                unwound[modes.start] = ifftn(Z_hat * back, axes=axes, overwrite_x=True)
+            if prev is not None:  # released chunk by chunk as the new one grows
+                diff += _squared_gap(prev.pop(modes.start, None), unwound.get(modes.start))
         Z = Z_hat = None  # the next window steps without the last chunk
         if prev is not None:
+            for old in prev.values():  # chunks this observation left out
+                diff += _squared_gap(old, None)
             cauchy.append(np.sqrt(diff * grid.dx))
         prev = unwound
         times.append(t)

@@ -17,8 +17,12 @@ iterates share z0-hat, so the spectrum of Z' - Z at slice s is
 S(t_s) (-i) (I'(s) - I(s)), and the window norms of the difference take no
 forward transform of their own; the dyadic blocks of V' - V are one batched
 inverse transform per slice.  The first pass maps (0, 0) to the source pair
-(S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped.  Two
-(n_t, M, *grid) stacks, Z and I, are live, plus a few slices.
+(S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped, and
+Z0 is zero outside the bump's mode, so its inverse transform, its Y-bar Z'
+product and its difference are made in that mode alone, into the zero
+slices of Z and V.  Every other mode adds exact zeros to the mode sums, so
+the pair and its norms keep their bits.  Two (n_t, M, *grid) stacks, Z and
+I, are live, plus a few slices.
 
 No later slice reads a slice's window norms, so they are tasks of
 field.ordered_map, fed lazily by the chain: with two CPUs the norms of slice
@@ -94,27 +98,24 @@ class PicardOperator:
         V and I and yields (Z' - Z, its spectrum, V' - V) at s."""
         carry = None
         for s in range(self.n_t):
+            if first:
+                yield self._source(s, Z[s], V[s])
+                continue
             Ys = self.eq.equilibrium_at(self.ts[s])
             Zs = Z[s]
             back = np.conj(self.fwd[s])
-            if first:
-                hat = np.zeros_like(Zs)
-                if self.bump is not None:
-                    hat[self.bump.mode] = back * self.b_hat
-                dhat = hat
-            else:
-                F = self.eq.potential(V[s]) * (Ys + Zs)
-                carry = self.duhamel(s, F, carry)
-                integral = carry[0]
-                dhat = integral - I[s]
-                dhat *= -1j
-                np.multiply(back, dhat, out=dhat)
-                I[s] = integral
-                hat = integral * -1j
-                if self.bump is not None:
-                    hat[self.bump.mode] += self.b_hat
-                np.multiply(back, hat, out=hat)
-            Zn = ifftn(hat, axes=self.space_axes, overwrite_x=not first)
+            F = self.eq.potential(V[s]) * (Ys + Zs)
+            carry = self.duhamel(s, F, carry)
+            integral = carry[0]
+            dhat = integral - I[s]
+            dhat *= -1j
+            np.multiply(back, dhat, out=dhat)
+            I[s] = integral
+            hat = integral * -1j
+            if self.bump is not None:
+                hat[self.bump.mode] += self.b_hat
+            np.multiply(back, hat, out=hat)
+            Zn = ifftn(hat, axes=self.space_axes, overwrite_x=True)
             Vn = (np.sum(np.abs(Zs) ** 2, axis=0)
                   + 2.0 * np.sum(np.conj(Ys) * Zn, axis=0).real)
             diff = (Zn - Zs, dhat, Vn - V[s])
@@ -122,6 +123,18 @@ class PicardOperator:
             V[s] = Vn
             Ys = hat = Zn = F = None  # not held while the next slice is computed
             yield diff
+
+    def _source(self, s: int, Zs: np.ndarray, Vs: np.ndarray) -> tuple:
+        """Slice s of the first pass, made in the bump's mode alone: writes
+        S(t_s) Z0 and 2 Re E(Y-bar S(t_s) Z0) into the zero slices Zs and Vs
+        and returns them as (Z' - Z, its spectrum, V' - V)."""
+        hat = np.zeros_like(Zs)
+        if self.bump is not None:
+            b = slice(self.bump.mode, self.bump.mode + 1)
+            np.multiply(np.conj(self.fwd[s]), self.b_hat, out=hat[b])
+            Zs[b] = ifftn(hat[b], axes=self.space_axes)
+            Vs += 2.0 * (np.conj(self.eq.equilibrium_at(self.ts[s], b)) * Zs[b]).real[0]
+        return Zs, hat, Vs
 
     def _ingredients(self, dz: np.ndarray, dz_hat: np.ndarray, dv: np.ndarray) -> dict:
         """Spatial norms of one slice of a pair difference; dz_hat is the
@@ -215,7 +228,8 @@ def reference_trajectory(eq: ModeEnsemble, bump: Optional[BumpSpec], result: Pic
     z_gap, v_gap = np.empty(n_t), np.empty(n_t)
     for s, (t, chunks) in enumerate(observations(eq, bump, T, dt, substeps)):
         rho, gap = _ModeSum(eq.grid.shape), 0.0
-        for modes, Zref, _ in deviation_chunks(eq, t, _summed(chunks, rho)):
+        # each chunk as a plain tuple, read in full: at the start too, Z[0] is compared in every mode
+        for modes, Zref, _ in deviation_chunks(eq, t, map(tuple, _summed(chunks, rho))):
             with np.errstate(over="ignore"):  # a diverged iterate's gap past the largest float: inf
                 gap += np.sum(np.abs(Z[s][modes] - Zref) ** 2)
         Zref = None  # the next window steps without the last chunk

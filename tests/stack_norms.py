@@ -25,9 +25,10 @@ def keeping_fields(eq, stream):
     out = np.empty((eq.n_modes,) + eq.grid.shape, dtype=complex)
 
     def copied(chunks):
-        for modes, hat, u in chunks:
+        for chunk in chunks:  # passed on as they are: a start chunk keeps its mark
+            modes, _, u = chunk
             out[modes] = u
-            yield modes, hat, u
+            yield chunk
 
     return ((t, copied(chunks)) for t, chunks in stream), out
 

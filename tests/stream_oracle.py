@@ -8,16 +8,23 @@ The observations take the energy, the masses, the density and the deviation
 norms of whole stacks: np.abs(stack) ** 2 and the Bessel-weighted and dyadic
 block stacks are made in full.  It shares with the chunked stream in
 hartorus.ensemble only ModeEnsemble, its equilibrium methods, BumpSpec's
-field values, the FFT pair, the LittlewoodPaley symbols and _lebesgue.
+field values, the FFT pair, the LittlewoodPaley symbols, _lebesgue and, for
+the all-chunk start, _mode_chunks.
 equilibrium_fields, the plane waves from one complex exp of the summed
 phase, is the oracle of the factor-built ModeEnsemble.equilibrium_at.
+
+start_chunks and start_mass are the start as the chunked stream once read
+it: every chunk a plain (modes, hat, u) tuple, which its readers take in
+full, and the overflow check one pass over the whole spectrum.  They are
+the oracle of the stream's start, which marks the chunks that are the
+equilibrium alone and sums only the start's nonzero entries.
 """
 
 import math
 
 import numpy as np
 
-from hartorus.ensemble import _lebesgue
+from hartorus.ensemble import _lebesgue, _mode_chunks
 from hartorus.field import fftn, ifftn
 from hartorus.lpaley import LittlewoodPaley, critical_exponents
 
@@ -62,6 +69,32 @@ def start_spectrum(eq, bump=None):
     if bump is not None:
         hat[bump.mode] += fftn(bump.field_values(eq.grid))
     return hat
+
+
+def start_mass(eq, hat):
+    """The start's mass sum, with hat its spectrum: one pass over every mode
+    chunk, each chunk's sum of squares divided by N^d and added."""
+    mass = 0.0
+    for c in _mode_chunks(eq.n_modes, eq.grid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass += np.sum(np.square(hat[c].view(float))) / eq.grid.N ** eq.grid.d
+    return mass
+
+
+def start_chunks(eq, bump=None):
+    """The (modes, hat, u) chunks of the start observation, each a plain
+    tuple: hat a view of start_spectrum(eq, bump), u Y(0) rebuilt per chunk
+    in one reused scratch chunk, the bump added to its mode."""
+    spectrum = start_spectrum(eq, bump)
+    scratch = None
+    for c in _mode_chunks(eq.n_modes, eq.grid):
+        hat = spectrum[c]
+        if scratch is None:
+            scratch = np.empty_like(hat)
+        u = eq.equilibrium_at(0.0, c, out=scratch[:len(hat)])
+        if bump is not None and c.start <= bump.mode < c.stop:
+            u[bump.mode - c.start] += bump.field_values(eq.grid)
+        yield c, hat, u
 
 
 def step(eq, u, dt, n=1, hat=None):

@@ -880,3 +880,166 @@ def test_zero_chunks_unwound_without_transform_keep_the_probe_bits(chunk_modes, 
     monkeypatch.setattr(ens_mod, "ifftn", counting)
     scattering_probe(eq, itertools.islice(_deviation_stream(eq, spec, 0.01, 0.01, 1), 1))
     assert transformed == [chunk_modes]
+
+
+# ---------------------------------------------------------------------------
+# the start: chunks that are the equilibrium alone, against the all-chunk
+# start of tests/stream_oracle.py
+
+
+_START_GRIDS = {1: (64, 1e-8, 2), 2: (16, 1e-8, 5), 3: (8, 1e-8, 7), 4: (8, 1e-4, 16)}  # N, theta, chunk modes
+
+
+def _start_case(d, case):
+    """(eq, bump, modes per chunk) of a start case at dimension d: the bump in
+    the first or the last chunk, in a one-chunk run, no bump, or w zero."""
+    N, theta, chunk_modes = _START_GRIDS[d]
+    w = zero_potential() if case == "zero-w" else delta_potential(1.0)
+    eq, _ = init_equilibrium(TorusGrid(d, 2 * np.pi, N), fermi(1.0, 0.0), w, theta)
+    mode = {"first": 0, "last": eq.n_modes - 1}.get(case, eq.n_modes // 2)
+    bump = None if case == "none" else BumpSpec(0.05, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode)
+    return eq, bump, eq.n_modes if case == "one-chunk" else chunk_modes
+
+
+def _oracle_start(stream, eq, bump):
+    """The (t, chunks) observations of stream with the start's chunks those of
+    the all-chunk start, which its readers take in full."""
+    for i, (t, chunks) in enumerate(stream):
+        yield t, oracle.start_chunks(eq, bump) if i == 0 else chunks
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("case", ["first", "last", "one-chunk", "none", "zero-w"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_start_matches_the_all_chunk_start(d, case, n_cpus, cpus, monkeypatch):
+    # masses, energy, extrema, norms and probe rows keep every bit when the
+    # start's equilibrium chunks are skipped by the deviation and summed at
+    # their carrier cells by the power
+    eq, bump, chunk_modes = _start_case(d, case)
+    _with_chunks(monkeypatch, eq, chunk_modes)
+    assert eq.n_modes > chunk_modes or case == "one-chunk"
+    cpus(n_cpus)
+    lp = LittlewoodPaley(eq.grid)
+    got = ens_mod._record(eq, observations(eq, bump, 0.02, 0.01, 1), lp)
+    want = ens_mod._record(eq, _oracle_start(observations(eq, bump, 0.02, 0.01, 1), eq, bump), lp)
+    for name in ("times", "mode_masses", "energies", "density_extrema", "density"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert set(got.norms) == set(want.norms)
+    for k in want.norms:
+        assert _bits(got.norms[k]) == _bits(want.norms[k]), k
+    if bump is None:
+        assert all(v[0] == 0.0 for v in got.norms.values())
+    got = scattering_probe(eq, _deviation_stream(eq, bump, 0.02, 0.01, 1))
+    want = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in
+                                 _oracle_start(observations(eq, bump, 0.02, 0.01, 1), eq, bump)))
+    for name in ("times", "cauchy", "local_mass"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+
+
+def test_a_start_chunk_built_by_the_caller_is_read_in_full(monkeypatch):
+    # the same start chunks as plain tuples: deviation_chunks yields every
+    # one of them, zero deviations included
+    eq, bump, chunk_modes = _start_case(2, "first")
+    _with_chunks(monkeypatch, eq, chunk_modes)
+    _, chunks = next(iter(observations(eq, bump, 0.01, 0.01)))
+    marked = [modes for modes, _, _ in deviation_chunks(eq, 0.0, chunks)]
+    plain = [(modes, Z.copy(), Z_hat.copy()) for modes, Z, Z_hat in
+             deviation_chunks(eq, 0.0, oracle.start_chunks(eq, bump))]
+    assert marked == [slice(0, chunk_modes)]
+    assert [modes for modes, _, _ in plain] == ens_mod._mode_chunks(eq.n_modes, eq.grid)
+    assert all(not Z.any() and not Z_hat.any() for _, Z, Z_hat in plain[1:])
+    assert plain[0][2][0].any()
+
+
+def _evolve_d3():
+    """The equilibrium of the evolve-d3 bench op, d=3, N=16: 341 modes in 11 chunks."""
+    cfg = parse_config("grid.d = 3\ngrid.N = 16\nf.kind = fermi\nf.T = 1.0\nf.mu = 0.0\n"
+                       "w.kind = delta\ndt = 0.01\nT = 0.05\npert.amplitude = 1e-3\n", "simulate")
+    eq, _ = init_equilibrium(cfg.make_grid(), cfg.make_distribution(), cfg.make_potential(), cfg["theta"])
+    assert eq.n_modes == 341 and len(ens_mod._mode_chunks(eq.n_modes, eq.grid)) == 11
+    return eq
+
+
+def test_start_deviation_reads_the_bump_chunk_alone(monkeypatch):
+    # at the evolve-d3 size, the t = 0 observation builds Y once per chunk for
+    # the fields and once more for the bump's deviation, and squares the
+    # fields once (the density and the masses) and the bump's chunk only
+    eq = _evolve_d3()
+    bump = BumpSpec(1e-3, 0.8, (1.0, 2.0, 3.0), (1.0, -1.0, 0.0), mode=200)
+    chunks = ens_mod._mode_chunks(eq.n_modes, eq.grid)
+    bumped = next(c for c in chunks if c.start <= bump.mode < c.stop)
+    built, squared = [], []
+    equilibrium_at, squares = ens_mod.ModeEnsemble.equilibrium_at, ens_mod._squares
+
+    def counting_y(self, t, modes=slice(None), out=None):
+        built.append(modes)
+        return equilibrium_at(self, t, modes, out)
+
+    def counting_squares(x, rows):
+        squared.append(len(x))
+        return squares(x, rows)
+
+    monkeypatch.setattr(ens_mod.ModeEnsemble, "equilibrium_at", counting_y)
+    monkeypatch.setattr(ens_mod, "_squares", counting_squares)
+    lp = LittlewoodPaley(eq.grid)
+    ens_mod._record(eq, itertools.islice(observations(eq, bump, 0.01, 0.01), 1), lp)
+    assert sorted(built, key=lambda c: c.start) == sorted(chunks + [bumped], key=lambda c: c.start)
+    n = bumped.stop - bumped.start
+    weighted = len(ens_mod._NormSums(lp).weighted)
+    # the density's rows, the bump chunk's power, its |Z|^2 and |Z-hat|^2, and
+    # one weighted transform of its nonzero half per weight
+    assert sum(squared) == eq.n_modes + 3 * n + weighted * -(-n // 2)
+
+
+class _CountingSquares:
+    """numpy, with the sizes of np.square's operands recorded."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def square(self, x, *args, **kwargs):
+        self.sizes.append(np.size(x))
+        return np.square(x, *args, **kwargs)
+
+
+def test_start_overflow_check_makes_no_pass_over_the_buffer(monkeypatch):
+    # the check squares y_j's entries and the bump's mode, not the (M, *grid) buffer
+    eq = _evolve_d3()
+    bump = BumpSpec(1e-3, 0.8, (1.0, 2.0, 3.0), (1.0, -1.0, 0.0), mode=200)
+    sizes = []
+    monkeypatch.setattr(ens_mod, "np", _CountingSquares(sizes))
+    next(iter(observations(eq, bump, 0.01, 0.01)))
+    assert sum(sizes) == 2 * (eq.n_modes - 1) + 2 * eq.grid.N ** 3
+
+
+def _overflowing(case):
+    """(eq, bump) whose start overflows: in the bump alone, in one
+    equilibrium entry alone (inf, or finite past the limit), or a NaN bump."""
+    from dataclasses import replace
+    eq, bump, _ = _start_case(2, "first")
+    if case == "bump":
+        return eq, replace(bump, amplitude=1e200)
+    if case == "nan-bump":
+        return eq, replace(bump, amplitude=np.nan)
+    weights = eq.weights.copy()
+    weights[5] = {"entry-inf": 1e200, "entry-past-limit": 1e60}[case]
+    return replace(eq, weights=weights), bump
+
+
+@pytest.mark.parametrize("case", ["bump", "nan-bump", "entry-inf", "entry-past-limit"])
+def test_overflowing_start_is_refused_with_the_all_chunk_message(case):
+    eq, bump = _overflowing(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = oracle.start_mass(eq, oracle.start_spectrum(eq, bump))
+    assert not mass <= ens_mod._MASS_LIMIT
+    want = f"non-finite field values at the start: the mass sum {mass:.3g} overflows the observations"
+    with pytest.raises(FloatingPointError) as err:
+        next(iter(observations(eq, bump, 0.01, 0.01)))
+    assert str(err.value) == want

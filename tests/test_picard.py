@@ -17,6 +17,7 @@ from hartorus import (BumpSpec, LittlewoodPaley, PicardOperator, PicardResult, T
                       run_experiment)
 from hartorus import ensemble as ens_mod
 from hartorus import field
+from hartorus import picard as picard_mod
 from hartorus.field import fftn, ifftn
 
 
@@ -95,6 +96,49 @@ def test_first_pass_skips_the_integrand(setup, monkeypatch):
     assert calls == []
     op.apply(Z, V, I)
     assert calls == list(range(op.n_t))
+
+
+_SOURCE_GRIDS = {1: (64, 1e-8), 2: (16, 1e-8), 3: (8, 1e-8), 4: (8, 1e-4)}  # N, theta
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("where", ["first", "last", "none"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_source_pass_is_the_source_pair_oracle(d, where, n_cpus, cpus):
+    # the first pass, made in the bump's mode alone, against the batched
+    # source pair over every mode: the pair and its per-slice norms to the bit
+    N, theta = _SOURCE_GRIDS[d]
+    eq, _ = init_equilibrium(TorusGrid(d, 2 * np.pi, N), fermi(1.0, 0.0), delta_potential(1.0), theta)
+    bump = None if where == "none" else BumpSpec(
+        1e-2, 0.8, (np.pi,) * d, (1.0,) + (0.0,) * (d - 1), mode=0 if where == "first" else eq.n_modes - 1)
+    cpus(n_cpus)
+    op = PicardOperator(eq, bump, T=0.1, n_steps=4)
+    Z, V, I, rows = _first_pass(op)
+    Zs, Vs = oracle.source_pair(op)
+    assert np.array_equal(Z, Zs) and np.array_equal(V, Vs)
+    assert not I.any() and Z.any() == (bump is not None)
+    z0_hat = oracle.z0_hat(op)
+    want = [op._ingredients(Zs[s], np.conj(op.fwd[s]) * z0_hat, Vs[s]) for s in range(op.n_t)]
+    for k, v in rows.items():
+        assert v.tobytes() == np.array([row[k] for row in want]).tobytes(), k
+
+
+def test_source_pass_transforms_the_bump_mode_alone(setup, monkeypatch):
+    # one mode per time slice on the first pass, every mode on the next
+    grid, w, ens, spec = setup
+    op = PicardOperator(ens, spec, T=0.5, n_steps=10)
+    sizes = []
+
+    def counting(x, *args, **kwargs):
+        sizes.append(len(x))
+        return ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(picard_mod, "ifftn", counting)
+    Z, V, I, _ = _first_pass(op)
+    assert sizes == [1] * op.n_t
+    sizes.clear()
+    op.apply(Z, V, I)
+    assert sizes == [ens.n_modes] * op.n_t
 
 
 def test_source_pair_is_the_per_slice_free_flow(setup):
