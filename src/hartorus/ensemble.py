@@ -52,9 +52,10 @@ built per chunk where it is read from one table of the N roots of unity
 entry (equilibrium_spectrum at carrier_cells), so deviation_chunks copies
 the spectrum of Z from the stream's, with no forward FFT of its own.
 deviation_norms reads those (modes, Z, Z-hat) chunks and nothing else; a
-whole stack is one chunk whose spectrum the caller supplies.  No part of a
-deviation whose Z-hat is all zero is transformed, in the norms or in the
-probe, and no sum changes by a bit for it.
+whole stack is one chunk whose spectrum the caller supplies.  It adds mode
+sums (_NormSums) and takes lpaley's norms of them.  No part of a deviation
+whose Z-hat is all zero is transformed, in the norms or in the probe, and no
+sum changes by a bit for it.
 
 The start is the equilibrium plus the bump in one mode, so every start
 chunk without bump.mode is the equilibrium itself: its u is Y(0) and its
@@ -79,7 +80,7 @@ import numpy as np
 from .equilibrium import DistributionFunction, InteractionPotential
 from .field import fftn, ifftn, ordered_map
 from .grid import TorusGrid
-from .lpaley import LittlewoodPaley, critical_exponents
+from .lpaley import LittlewoodPaley, critical_exponents, dyadic_norm, lebesgue
 
 _CHUNK_BYTES = 1 << 21  # complex fields per mode chunk: 32 modes at d=3, N=16
 
@@ -196,11 +197,12 @@ class ModeEnsemble:
             y = np.multiply(y[..., None], factor, out=out if a == g.d - 1 else None)
         return y
 
-    def carrier_cells(self) -> tuple:
-        """Index of each mode's carrier in an (M, *grid) spectrum stack: the one
-        cell where the unnormalised spectrum of y_j is nonzero.  ValueError for
-        a carrier off the frequency lattice, whose y_j has no such cell."""
-        return (np.arange(self.n_modes),) + self.grid.lattice_cells(self.carriers)
+    def carrier_cells(self, modes: slice = slice(None)) -> tuple:
+        """Index of the carrier of each mode of the slice modes (all by default)
+        in a spectrum stack of those modes: the one cell where the unnormalised
+        spectrum of y_j is nonzero.  ValueError for a carrier off the frequency
+        lattice, whose y_j has no such cell."""
+        return (np.arange(len(self.weights[modes])),) + self.grid.lattice_cells(self.carriers[modes])
 
     def equilibrium_spectrum(self, t: float) -> np.ndarray:
         """The (M,) entries N^d a_j e^{-i t (m + |xi_j|^2)} of the unnormalised
@@ -350,29 +352,6 @@ def _check_bump(eq: ModeEnsemble, bump: Optional[BumpSpec]) -> None:
 # deviation norms (the solution-space ingredients)
 
 
-def _lebesgue(vals: np.ndarray, p: float, dx: float, axes: tuple):
-    """L^p over the space axes of lattice values; inf past the largest float."""
-    with np.errstate(over="ignore"):
-        return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
-
-
-def _dyadic_norm(block_norms, s: float, t: float):
-    """sqrt(sum_j 2^{2j (s if j < 0 else t)} n_j^2) over the (j, n_j) pairs of
-    block_norms: the two-exponent dyadic block norm from its block norms."""
-    acc = 0.0
-    for j, n in block_norms:
-        acc = acc + 2.0 ** (2 * j * (s if j < 0 else t)) * n ** 2
-    return np.sqrt(acc)
-
-
-def _dyadic_blocks(lp: LittlewoodPaley, hat: np.ndarray) -> np.ndarray:
-    """The resolvable dyadic blocks in space, stacked on a leading axis in the
-    order of lp.symbols, from one batched inverse FFT; hat is an unnormalised
-    FFT on lp's grid."""
-    symbols = np.stack(list(lp.symbols.values()))
-    return ifftn(symbols * hat, axes=tuple(range(1, 1 + lp.grid.d)), overwrite_x=True)
-
-
 class _NormSums:
     """The mode sums behind l2, l_dplus2, w_sp and besov_q of a deviation on
     the grid of lp, fed chunk by chunk in mode order as (M, *grid) (Z, Z-hat)
@@ -422,12 +401,12 @@ class _NormSums:
         pointwise = tuple(range(d))  # space axes once modes are summed
         root = np.sqrt(self.dens.total)
         out = {"l2": np.sqrt(self.l2 * dx),
-               "l_dplus2": _lebesgue(root, float(d + 2), dx, pointwise)}
+               "l_dplus2": lebesgue(root, float(d + 2), dx, pointwise)}
         if self.smooth is not None:
             root = np.sqrt(self.smooth.total)
-        out["w_sp"] = _lebesgue(root, ex["p"], dx, pointwise)
-        out["besov_q"] = _dyadic_norm(
-            ((j, _lebesgue(np.sqrt(b.total), ex["q"], dx, pointwise)) for j, b in self.blocks.items()),
+        out["w_sp"] = lebesgue(root, ex["p"], dx, pointwise)
+        out["besov_q"] = dyadic_norm(
+            ((j, lebesgue(np.sqrt(b.total), ex["q"], dx, pointwise)) for j, b in self.blocks.items()),
             0.0, 0.25)
         return out
 
@@ -441,7 +420,6 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
     chunk that first holds Y.  hat is only read, so a reader held across a
     window changes nothing.  A start chunk that is the equilibrium alone
     (_Unperturbed) is not yielded: its Z and Z-hat are +0.0."""
-    cells = eq.carrier_cells()
     y = eq.equilibrium_spectrum(t)
     scratch = None  # one chunk of Y, then of Z-hat, reused: the first chunk is the largest
     for chunk in chunks:
@@ -453,7 +431,7 @@ def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
         Z_hat = eq.equilibrium_at(t, modes, out=scratch[:len(hat)])
         Z = np.subtract(u, Z_hat, out=u)
         np.copyto(Z_hat, hat)
-        Z_hat[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= y[modes]
+        Z_hat[eq.carrier_cells(modes)] -= y[modes]
         yield modes, Z, Z_hat
 
 
@@ -522,9 +500,8 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
         raise ValueError("obs_stride must be at least 1")
     _check_bump(eq, bump)
     chunks = _mode_chunks(eq.n_modes, eq.grid)
-    cells = eq.carrier_cells()
     buf = np.zeros((eq.n_modes,) + eq.grid.shape, dtype=complex)
-    buf[cells] = y = eq.equilibrium_spectrum(0.0)
+    buf[eq.carrier_cells()] = y = eq.equilibrium_spectrum(0.0)
     nonzero = [y]  # the start's nonzero entries: y_j's, and the bump's mode in full
     if bump is not None:
         buf[bump.mode] += fftn(bump.field_values(eq.grid))
@@ -545,7 +522,7 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
             if start:  # the start rebuilt: Y(0), the bump added to its mode
                 eq.equilibrium_at(0.0, c, out=u)
                 if bump is None or not c.start <= bump.mode < c.stop:
-                    yield _Unperturbed(c, hat, u, (np.arange(len(hat)),) + tuple(k[c] for k in cells[1:]))
+                    yield _Unperturbed(c, hat, u, eq.carrier_cells(c))
                     continue
                 u[bump.mode - c.start] += bump.field_values(eq.grid)
             else:

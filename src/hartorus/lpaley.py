@@ -4,6 +4,9 @@ The block profile is built by telescoping a smooth cutoff chi (equal to 1
 below r=1 and 0 above r=2): eta(r) = chi(r) - chi(2r).  This gives
 eta supported in the open annulus (1/2, 2), eta(1) = 1, and an exact
 partition of unity sum_j eta(2^-j r) = 1 on every covered dyadic range.
+
+The norms of a plain field live here: lebesgue, the resolvable block norms
+(LittlewoodPaley.block_norms) and their dyadic sum (dyadic_norm).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .field import ifftn
 from .grid import TorusGrid
 
 
@@ -40,6 +44,22 @@ def eta(r):
 
 def eta_j(r, j: int):
     return eta(np.asarray(r, dtype=float) * 2.0 ** (-j))
+
+
+def lebesgue(vals: np.ndarray, p: float, dx: float, axes: tuple):
+    """L^p over the space axes of lattice values; inf past the largest float."""
+    with np.errstate(over="ignore"):
+        return (np.sum(vals ** p, axis=axes) * dx) ** (1.0 / p)
+
+
+def dyadic_norm(block_norms, s: float, t: float):
+    """sqrt(sum_j 2^{2j (s if j < 0 else t)} n_j^2) over the (j, n_j) pairs of
+    block_norms, the two-exponent dyadic norm; inf past the largest float."""
+    acc = 0.0
+    with np.errstate(over="ignore"):
+        for j, n in block_norms:
+            acc = acc + 2.0 ** (2 * j * (s if j < 0 else t)) * n ** 2
+        return np.sqrt(acc)
 
 
 def critical_exponents(d: int) -> dict:
@@ -94,3 +114,11 @@ class LittlewoodPaley:
         for j in js:
             out = out + (self.symbols[j] if j in self.symbols else eta_j(self.grid.xi_norm, j))
         return out
+
+    def block_norms(self, hat: np.ndarray, p: float) -> list:
+        """(j, ||u_j||_p) for each resolvable block u_j, in the order of symbols,
+        of the field with unnormalised FFT hat, from one batched inverse FFT."""
+        g = self.grid
+        blocks = ifftn(np.stack(list(self.symbols.values())) * hat, axes=tuple(range(1, g.d + 1)),
+                       overwrite_x=True)
+        return [(j, lebesgue(np.abs(b), p, g.dx, tuple(range(g.d)))) for j, b in zip(self.symbols, blocks)]

@@ -38,10 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _dyadic_blocks, _dyadic_norm, _lebesgue,
-                       _ModeSum, _NormSums, _summed, deviation_chunks, observations)
+from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _ModeSum, _NormSums, _summed,
+                       deviation_chunks, observations)
 from .field import fftn, ifftn, ordered_map
-from .lpaley import LittlewoodPaley, critical_exponents
+from .lpaley import LittlewoodPaley, critical_exponents, dyadic_norm, lebesgue
 
 _TOL = 1e-12  # a difference below this in every window norm counts as converged
 
@@ -67,19 +67,18 @@ class PicardOperator:
         self.eq = eq                                     # Y(t_s) = eq.equilibrium_at(t_s)
         self.lp.symbols, self.lp.bessel  # filled here, so no pool thread fills a cache
 
-    def duhamel(self, s: int, F: np.ndarray, carry=None):
+    def duhamel(self, s: int, F: np.ndarray, I: np.ndarray, G_prev: Optional[np.ndarray]):
         """Slice s of the running integral I(s) = int_0^{t_s} S(-t) F-hat(t) dt.
 
-        F is the integrand (M, *grid) at slice s in space (overwritten); carry
-        is the (I, S(-t) F-hat) pair this call returned at slice s-1, None at
-        s = 0.  Returns that pair at slice s.
+        F is the integrand (M, *grid) at slice s in space (overwritten); I is
+        the integral stack, read at slice s-1, and G_prev the S(-t) F-hat this
+        call returned at s-1, None at s = 0.  Returns (I(s), S(-t_s) F-hat).
         """
         G = fftn(F, axes=self.space_axes, overwrite_x=True)
         np.multiply(self.fwd[s], G, out=G)
-        if carry is None:
+        if G_prev is None:
             return np.zeros_like(G), G
-        I_prev, G_prev = carry
-        return I_prev + 0.5 * self.dt * (G + G_prev), G
+        return I[s - 1] + 0.5 * self.dt * (G + G_prev), G
 
     def apply(self, Z: np.ndarray, V: np.ndarray, I: np.ndarray, first: bool = False) -> dict:
         """One application of the map, in place: (Z, V) becomes (Z', V') and I
@@ -96,7 +95,7 @@ class PicardOperator:
     def _slices(self, Z: np.ndarray, V: np.ndarray, I: np.ndarray, first: bool):
         """The Duhamel chain of apply, slice after slice: writes slice s of Z,
         V and I and yields (Z' - Z, its spectrum, V' - V) at s."""
-        carry = None
+        G = None
         for s in range(self.n_t):
             if first:
                 yield self._source(s, Z[s], V[s])
@@ -105,8 +104,7 @@ class PicardOperator:
             Zs = Z[s]
             back = np.conj(self.fwd[s])
             F = self.eq.potential(V[s]) * (Ys + Zs)
-            carry = self.duhamel(s, F, carry)
-            integral = carry[0]
+            integral, G = self.duhamel(s, F, I, G)
             dhat = integral - I[s]
             dhat *= -1j
             np.multiply(back, dhat, out=dhat)
@@ -121,7 +119,7 @@ class PicardOperator:
             diff = (Zn - Zs, dhat, Vn - V[s])
             Z[s] = Zn
             V[s] = Vn
-            Ys = hat = Zn = F = None  # not held while the next slice is computed
+            Ys = hat = Zn = F = integral = None  # not held while the next slice is computed
             yield diff
 
     def _source(self, s: int, Zs: np.ndarray, Vs: np.ndarray) -> tuple:
@@ -143,11 +141,8 @@ class PicardOperator:
         sums = _NormSums(self.lp)
         sums.add(dz, dz_hat)
         out = sums.ingredients()
-        out["v_l_half"] = _lebesgue(np.abs(dv), (g.d + 2) / 2.0, g.dx, tuple(range(g.d)))
-        blocks = _dyadic_blocks(self.lp, fftn(dv))
-        with np.errstate(over="ignore"):  # a norm past the largest float is inf: a divergence
-            norms = ((j, np.sqrt(np.sum(np.abs(b) ** 2) * g.dx)) for j, b in zip(self.lp.symbols, blocks))
-            out["v_l2_besov"] = _dyadic_norm(norms, -0.5, 0.0)
+        out["v_l_half"] = lebesgue(np.abs(dv), (g.d + 2) / 2.0, g.dx, tuple(range(g.d)))
+        out["v_l2_besov"] = dyadic_norm(self.lp.block_norms(fftn(dv), 2.0), -0.5, 0.0)
         return out
 
     def pair_norms(self, rows: dict) -> dict:

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .ensemble import (BumpSpec, _dyadic_blocks, _dyadic_norm, _lebesgue, _mode_chunks, _record,
-                       _step_count, cell_masses, deviation_chunks, evolve, init_equilibrium,
-                       observations, scattering_probe)
+from .ensemble import (BumpSpec, _mode_chunks, _record, _step_count, cell_masses, deviation_chunks,
+                       evolve, init_equilibrium, observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
 from .field import fftn, ifftn, ordered_map
-from .lpaley import LittlewoodPaley
+from .lpaley import LittlewoodPaley, dyadic_norm, lebesgue
 from .picard import PicardOperator, picard_solve, reference_trajectory
 from .response import (MultiplierTable, decay_bound_check, decay_slope, default_tau_grid,
                        default_xi_grid, epsilon_g, stability_margin)
@@ -466,18 +465,9 @@ def _exp_picard(cfg, seed):
 
 def _parseval_defect(grid, u) -> float:
     """|L^2 norm of the field u - its norm from the spectrum by Parseval|, relative."""
-    physical = _lebesgue(np.abs(u), 2.0, grid.dx, tuple(range(grid.d)))
+    physical = lebesgue(np.abs(u), 2.0, grid.dx, tuple(range(grid.d)))
     frequency = np.sqrt(np.sum(np.abs(fftn(u)) ** 2) * grid.parseval_weight)
     return float(abs(physical - frequency) / max(physical, 1e-300))
-
-
-def _block_norms(lp, u, p) -> list:
-    """(j, ||u_j||_p) for every resolvable dyadic block u_j of the field u on
-    the grid of lp."""
-    grid = lp.grid
-    axes = tuple(range(grid.d))
-    blocks = _dyadic_blocks(lp, fftn(u))
-    return [(j, _lebesgue(np.abs(b), p, grid.dx, axes)) for j, b in zip(lp.symbols, blocks)]
 
 
 def _bernstein_ratio(lp, u, j) -> float:
@@ -486,7 +476,7 @@ def _bernstein_ratio(lp, u, j) -> float:
     grid = lp.grid
     axes = tuple(range(grid.d))
     block = np.abs(ifftn(lp.symbols[j] * fftn(u), axes=axes, overwrite_x=True))
-    l2 = _lebesgue(block, 2.0, grid.dx, axes)
+    l2 = lebesgue(block, 2.0, grid.dx, axes)
     return float(np.max(block) / (2.0 ** (j * grid.d * 0.5) * l2))
 
 
@@ -517,8 +507,8 @@ def _exp_norms(cfg, seed):
         s2 = s1 + rng.uniform(0, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         t2 = t1 - rng.uniform(0, 1.5)
-        blocks = _block_norms(lp, u, float(rng.choice([1.0, 2.0, 4.0])))
-        if _dyadic_norm(blocks, s2, t2) > _dyadic_norm(blocks, s1, t1) * (1 + 1e-12):
+        blocks = lp.block_norms(fftn(u), float(rng.choice([1.0, 2.0, 4.0])))
+        if dyadic_norm(blocks, s2, t2) > dyadic_norm(blocks, s1, t1) * (1 + 1e-12):
             violations += 1
 
     rec = {"parseval_defect": parseval, "partition_defect": part_defect,

@@ -8,8 +8,8 @@ The observations take the energy, the masses, the density and the deviation
 norms of whole stacks: np.abs(stack) ** 2 and the Bessel-weighted and dyadic
 block stacks are made in full.  It shares with the chunked stream in
 hartorus.ensemble only ModeEnsemble, its equilibrium methods, BumpSpec's
-field values, the FFT pair, the LittlewoodPaley symbols, _lebesgue and, for
-the all-chunk start, _mode_chunks.
+field values, the FFT pair, the LittlewoodPaley symbols, lpaley.lebesgue and,
+for the all-chunk start, _mode_chunks.
 equilibrium_fields, the plane waves from one complex exp of the summed
 phase, is the oracle of the factor-built ModeEnsemble.equilibrium_at.
 
@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from hartorus.ensemble import _lebesgue, _mode_chunks
+from hartorus.ensemble import _mode_chunks
 from hartorus.field import fftn, ifftn
-from hartorus.lpaley import LittlewoodPaley, critical_exponents
+from hartorus.lpaley import LittlewoodPaley, critical_exponents, lebesgue
 
 
 def equilibrium_fields(eq, t, modes=slice(None), extended=False):
@@ -147,15 +147,15 @@ def deviation_norms(grid, stack, hat, lp):
     dens = np.abs(stack) ** 2
     root = np.sqrt(np.sum(dens, axis=0))
     out = {"l2": np.sqrt(np.sum(dens, axis=(0,) + space) * dx),
-           "l_dplus2": _lebesgue(root, float(d + 2), dx, pointwise)}
+           "l_dplus2": lebesgue(root, float(d + 2), dx, pointwise)}
     if ex["s"] != 0:
         smooth = ifftn(lp.bessel[None] * hat, axes=space, overwrite_x=True)
         root = np.sqrt(np.sum(np.abs(smooth) ** 2, axis=0))
-    out["w_sp"] = _lebesgue(root, ex["p"], dx, pointwise)
+    out["w_sp"] = lebesgue(root, ex["p"], dx, pointwise)
     acc = 0.0
     for j, sym in lp.symbols.items():
         block = ifftn(sym[None] * hat, axes=space, overwrite_x=True)
-        nq = _lebesgue(np.sqrt(np.sum(np.abs(block) ** 2, axis=0)), ex["q"], dx, pointwise)
+        nq = lebesgue(np.sqrt(np.sum(np.abs(block) ** 2, axis=0)), ex["q"], dx, pointwise)
         acc += (1.0 if j < 0 else 2.0 ** (j / 2.0)) * nq ** 2
     out["besov_q"] = np.sqrt(acc)
     wgt = (2 * math.pi) ** (-d) * grid.dxi * dx ** 2

@@ -598,7 +598,7 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
     # at d = 2 the Bessel weight is 1 and p = d + 2: w_sp is l_dplus2 exactly,
     # with no inverse transform of its own; elsewhere w_sp is still the
     # Bessel-weighted transform pair, to the bit
-    from hartorus.ensemble import _lebesgue
+    from hartorus.lpaley import lebesgue
     g = TorusGrid(d, 2 * np.pi, N)
     rng = np.random.default_rng(d)
     stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
@@ -616,7 +616,7 @@ def test_w_sp_transform_route_only_off_d2(d, N, monkeypatch):
     ex = critical_exponents(d)
     axes = tuple(range(1, 1 + d))
     smooth = ifftn(((1 + g.xi_squared) ** (ex["s"] / 2))[None] * fftn(stack, axes=axes), axes=axes)
-    route = _lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=0)), ex["p"], g.dx, tuple(range(d)))
+    route = lebesgue(np.sqrt(np.sum(np.abs(smooth) ** 2, axis=0)), ex["p"], g.dx, tuple(range(d)))
     if d == 2:
         assert got["w_sp"] == got["l_dplus2"]
         assert got["w_sp"] == pytest.approx(route, rel=1e-14)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from field_oracle import (SpectralField, bernstein_ratio, besov_norm, lebesgue_norm, project,
                           sobolev_norm)
 from hartorus import LittlewoodPaley, TorusGrid, critical_exponents, eta, eta_j
-from hartorus.ensemble import _dyadic_norm
-from hartorus.runner import _bernstein_ratio, _block_norms, _parseval_defect
+from hartorus.field import fftn
+from hartorus.lpaley import dyadic_norm
+from hartorus.runner import _bernstein_ratio, _parseval_defect
 from stack_norms import stack_norms
 
 
@@ -202,7 +205,7 @@ def test_block_norms_evaluate_each_symbol_once(monkeypatch):
     stack = np.random.default_rng(0).standard_normal((3,) + g.shape).astype(complex)
     for _ in range(3):
         stack_norms(lp, stack)
-    _dyadic_norm(_block_norms(lp, stack[0], 2.0), 0.0, 0.0)
+    dyadic_norm(lp.block_norms(fftn(stack[0]), 2.0), 0.0, 0.0)
     lp.partition_values(lp.j_resolvable)
     assert calls == list(lp.j_resolvable)
 
@@ -220,10 +223,10 @@ def test_array_norms_match_the_field_oracle(d, N):
         s1 = rng.uniform(-1.5, 1.5)
         t1 = rng.uniform(-1.5, 1.5)
         s2, t2 = s1 + rng.uniform(0, 1.5), t1 - rng.uniform(0, 1.5)
-        blocks = _block_norms(lp, f.values, p)
+        blocks = lp.block_norms(fftn(f.values), p)
         for s, t in ((s1, t1), (s2, t2)):
             want = besov_norm(f, p, s, t, lp)
-            assert _dyadic_norm(blocks, s, t) == pytest.approx(want, rel=1e-13, abs=0)
+            assert dyadic_norm(blocks, s, t) == pytest.approx(want, rel=1e-13, abs=0)
     for j in lp.j_resolvable:
         f = SpectralField.random(g, rng)
         want = bernstein_ratio(f, j, math.inf, 2, lp)
@@ -235,7 +238,7 @@ def test_array_norms_match_the_field_oracle(d, N):
 
 def test_bernstein_ratio_transforms_its_block_alone(grid, lp, monkeypatch):
     # one inverse transform per ratio, not one per resolvable block
-    from hartorus import ensemble, runner
+    from hartorus import ensemble, lpaley, runner
     from hartorus.field import ifftn
     inverses = []
 
@@ -246,7 +249,41 @@ def test_bernstein_ratio_transforms_its_block_alone(grid, lp, monkeypatch):
     # every namespace of the package that could take the block's transform
     monkeypatch.setattr(runner, "ifftn", counting, raising=False)
     monkeypatch.setattr(ensemble, "ifftn", counting)
+    monkeypatch.setattr(lpaley, "ifftn", counting)
     assert len(lp.j_resolvable) > 1
     _bernstein_ratio(lp, np.random.default_rng(0).standard_normal(grid.shape) + 0j,
                      max(lp.j_resolvable))
     assert inverses == [grid.shape]
+
+
+# what picard and runner import from ensemble: its mode sums and its stream,
+# none of the norms of a plain field, which lpaley owns
+_FROM_ENSEMBLE = {
+    "picard": {"BumpSpec", "ModeEnsemble", "_check_bump", "_ModeSum", "_NormSums", "_summed",
+               "deviation_chunks", "observations"},
+    "runner": {"BumpSpec", "_mode_chunks", "_record", "_step_count", "cell_masses", "deviation_chunks",
+               "evolve", "init_equilibrium", "observations", "scattering_probe"},
+}
+
+
+def _reaches_symbols(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "symbols" for n in ast.walk(node))
+
+
+@pytest.mark.parametrize("module", sorted(_FROM_ENSEMBLE))
+def test_block_norms_of_a_plain_field_come_from_lpaley(module):
+    # picard and runner take lebesgue, dyadic_norm and block_norms from lpaley:
+    # they import no other name from ensemble, define no dyadic block sum of
+    # their own and loop over no block symbols
+    import hartorus
+    tree = ast.parse((Path(hartorus.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "ensemble" and node.level == 1 for a in node.names}
+    assert imported <= _FROM_ENSEMBLE[module], sorted(imported - _FROM_ENSEMBLE[module])
+    defs = [node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert not [name for name in defs if "dyadic" in name or "block" in name], defs
+    loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))
+             and _reaches_symbols(node.iter)]
+    stacks = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr in ("values", "items") and _reaches_symbols(node.value)]
+    assert not loops and not stacks, [ast.unparse(n.iter if hasattr(n, "iter") else n) for n in loops + stacks]

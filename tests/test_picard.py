@@ -87,9 +87,9 @@ def test_first_pass_skips_the_integrand(setup, monkeypatch):
     calls = []
     duhamel = PicardOperator.duhamel
 
-    def counting(self, s, F, carry=None):
+    def counting(self, s, F, I, G_prev):
         calls.append(s)
-        return duhamel(self, s, F, carry)
+        return duhamel(self, s, F, I, G_prev)
 
     monkeypatch.setattr(PicardOperator, "duhamel", counting)
     Z, V, I, _ = _first_pass(op)
