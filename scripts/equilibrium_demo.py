@@ -26,7 +26,8 @@ def main():
     masses, spread = [], 0.0
     for t, chunks in stream:
         rho, mass, residual = np.zeros(grid.shape), np.zeros(ens.n_modes), 0.0
-        for modes, _, u in chunks:
+        for chunk in chunks:
+            modes, u = chunk.modes, chunk.fields(np.empty_like(chunk.hat))
             rho += np.sum(np.abs(u) ** 2, axis=0)
             mass[modes] = np.sum(np.abs(u) ** 2, axis=1) * grid.dx
             residual = max(residual, np.max(np.abs(u - ens.equilibrium_at(t, modes))))

@@ -25,9 +25,7 @@ buffer holds the spectrum, so a step costs one forward and one inverse stack
 FFT.  On two CPUs a chunk's part of a pass is one task of the package's worker
 pool (field.ordered_map), at most one in flight per thread, each reusing
 its thread's |u|^2 rows, and the main thread adds the chunks' |u|^2 into the
-density in mode order; the weighted inverse transforms of the
-deviation norms run there too, half a chunk per task, and none for a half
-whose spectrum is all zero.
+density in mode order.
 Every mode sum (the density, the spectral power, the sums behind the norms)
 is added mode after mode in np.sum's order over a leading axis (_ModeSum),
 so the chunk size changes none of them by a bit.  Two scalar sums are the
@@ -38,34 +36,44 @@ A ModeEnsemble is the equilibrium alone, and that buffer is the only state
 of a run.  observations(eq, bump, ...) is the one stepping loop: it fills
 the buffer with the spectrum of the start, y_j's one entry N^d a_j per mode
 plus the bump's transform in bump.mode (none for bump None), and yields
-(t, chunks) at step 0 and after every window; chunks hands over each mode
-chunk's spectrum and fields as they go by, and evolve, the scattering probe
-and the Picard reference accumulate what they record from them; the chunks
-are the only way to read a run, and only the start fill and step write its
-buffer.  A start whose mass overflows the sums, or a step whose potential is
-not finite, raises FloatingPointError: no consumer sees non-finite values.
+(t, chunks) at step 0 and after every window; chunks hands over a Chunk
+record per mode chunk, its modes, its spectrum and the way to read its
+fields, and evolve (_record), the scattering probe and the Picard reference
+accumulate what they record from them; the chunks are the only way to read
+a run, and only the start fill and step write its buffer.  A start whose
+mass overflows the sums, or a step whose potential is not finite, raises
+FloatingPointError: no consumer sees non-finite values.
+
+Each of those readers makes an observation one field.ordered_map over the
+parts of its chunks, with buffers from the map's factory (_buffers): a
+chunk's read (its fields by an inverse FFT, and what the reader squares or
+unwinds of them and of its deviation) is one task, and with the norms each
+half of the chunk under each weight is one more.  The calling thread only
+adds each part's rows into its mode sums, in mode order, so on two CPUs the
+whole observation runs on the pool and no sum depends on the pool.
 
 The deviation of a state at time t is Z = u - y against the exact
 equilibrium phases of eq.  The carriers are lattice frequencies, so Y(t) is
 built per chunk where it is read from one table of the N roots of unity
 (equilibrium_at), and no copy is stored; the spectrum of y_j has one nonzero
-entry (equilibrium_spectrum at carrier_cells), so deviation_chunks copies
-the spectrum of Z from the stream's, with no forward FFT of its own.
-deviation_norms reads those (modes, Z, Z-hat) chunks and nothing else; a
-whole stack is one chunk whose spectrum the caller supplies.  It adds mode
-sums (_NormSums) and takes lpaley's norms of them.  No part of a deviation
-whose Z-hat is all zero is transformed, in the norms or in the probe, and no
-sum changes by a bit for it.
+entry (equilibrium_spectrum at carrier_cells), so the spectrum of Z is the
+stream's own but at those entries.  No reader makes it: a weighted transform
+takes the weight times hat with those entries made afresh, and |Z-hat|^2 is
+|hat|^2 with those entries made afresh, each to the bit, with no forward
+FFT.  deviation_norms adds the (key, rows) parts of a deviation into its
+mode sums (_NormSums) and takes lpaley's norms of them; a Picard slice is
+one chunk given in full (_NormSums.add).  No mode whose weighted spectrum is
+all zero is transformed in the norms, nor any chunk whose unwound spectrum
+is all zero in the probe, and no sum changes by a bit for it.
 
 The start is the equilibrium plus the bump in one mode, so every start
 chunk without bump.mode is the equilibrium itself: its u is Y(0) and its
 hat y_j's entries, and its deviation is +0.0 exactly.  The stream marks
-those chunks (_Unperturbed), and that one mark serves every reader:
-deviation_chunks does not yield them, so the norms, the probe and
-equilibrium_at never see them, and _summed adds their power at the carrier
-cells alone.  The start's overflow check sums y_j's entries and the bump's
-mode, not the whole buffer.  A skipped chunk would only have added +0.0
-rows, so no sum changes by a bit.
+those chunks (Chunk.cells), and that one mark serves every reader: the
+norms and the probe do not read their deviation, and evolve adds their
+power at the carrier cells alone.  The start's overflow check sums y_j's
+entries and the bump's mode, not the whole buffer.  A skipped chunk would
+only have added +0.0 rows, so no sum changes by a bit.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,16 +110,11 @@ class _ModeSum:
     def __init__(self, shape: tuple):
         self.total = np.zeros(shape)
 
-    def add(self, x: np.ndarray) -> np.ndarray:
-        """Add the chunk x; returns its |x|^2."""
-        return self.add_squares(_squares(x, np.empty((len(x) + 1,) + x.shape[1:])))
-
-    def add_squares(self, work: np.ndarray) -> np.ndarray:
+    def add_squares(self, work: np.ndarray) -> None:
         """Add a chunk's |x|^2 from rows 1.. of work, as _squares leaves
-        them; returns those rows."""
+        them."""
         work[0] = self.total
         np.sum(work, axis=0, out=self.total)
-        return work[1:]
 
 
 def _squares(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -131,21 +134,70 @@ def _into(out: np.ndarray, x: np.ndarray) -> None:
         x[...] = out
 
 
-class _Unperturbed(tuple):
-    """A start chunk (modes, hat, u) of modes that are the equilibrium alone,
-    whose deviation is +0.0; cells indexes y_j's one entry per mode in hat.
-    A chunk a caller builds is a plain tuple, read in full."""
-
-    def __new__(cls, modes: slice, hat: np.ndarray, u: np.ndarray, cells: tuple):
-        chunk = super().__new__(cls, (modes, hat, u))
-        chunk.cells = cells
-        return chunk
+def _as_complex(rows: np.ndarray, n: int) -> np.ndarray:
+    """The first 2n rows of the real buffer rows as n complex rows."""
+    return rows[:2 * n].reshape(-1).view(complex).reshape((n,) + rows.shape[1:])
 
 
-def _drain(chunks) -> None:
-    """Read the rest of a chunk iterator, holding no chunk afterwards."""
-    for _ in chunks:
-        pass
+def _nonzero(x: np.ndarray) -> np.ndarray:
+    """The mask of the modes (leading axis) of x that have a nonzero entry."""
+    return x.reshape(len(x), -1).any(axis=1)
+
+
+def _buffers(eq, spare: bool = False) -> Callable:
+    """The factory of one thread's buffers for the parts of an observation's
+    chunks (field.ordered_map's scratch): (fields, rows) real rows, fields
+    for two chunks' |.|^2 (_squares) whose leading rows hold a complex chunk
+    first (_as_complex), rows for one chunk's, and with spare, spare real
+    rows for another complex chunk."""
+    size = _mode_chunks(eq.n_modes, eq.grid)[0].stop if eq.n_modes else 0  # the first chunk is the largest
+    shape = eq.grid.shape
+    return lambda: (np.empty((2 * size + 2,) + shape), np.empty((size + 1,) + shape)) + (
+        (np.empty((2 * size,) + shape),) if spare else ())
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """A mode chunk of one observation of the stream (observations).
+
+    modes is a slice of mode indices and hat the unnormalised spectrum of
+    those modes, a read-only view of the run's buffer; cells indexes y_j's
+    one entry per mode in hat when the chunk is the equilibrium alone (a
+    start chunk without the bump's mode), whose deviation is +0.0, and is
+    None otherwise.  fields(out) writes the chunk's fields u into out, a
+    complex array of hat's shape, and returns them: at a later observation
+    the inverse transform of hat, at the start Y(0) with the bump added to
+    its mode.  It writes nothing else, so any thread may read a chunk.
+    """
+
+    modes: slice
+    hat: np.ndarray
+    cells: Optional[tuple]
+    fields: Callable[[np.ndarray], np.ndarray]
+
+
+def _inverse(hat: np.ndarray, axes: tuple, out: np.ndarray) -> np.ndarray:
+    """The inverse transform of hat over axes, made in out."""
+    np.copyto(out, hat)
+    return ifftn(out, axes=axes, overwrite_x=True)
+
+
+def _deviation_squares(eq, t: float, modes: slice, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|Z|^2 (_squares) of Z = u - Y(t), u the fields of modes, in rows 1..
+    of the leading len(u) + 1 rows of the real buffer rows, which it returns.
+    Z is made a quarter of the modes at a time beside u, which it only reads,
+    so rows may be u's own memory (_as_complex): each row is written once
+    the modes it overlaps are read."""
+    work = rows[:len(u) + 1]
+    block = -(-len(u) // 4)
+    for i in range(0, len(u), block):
+        part = slice(modes.start + i, min(modes.start + i + block, modes.stop))
+        Z = eq.equilibrium_at(t, part)
+        np.subtract(u[i:i + block], Z, out=Z)
+        sq = np.abs(Z, out=work[1 + i:1 + i + len(Z)])
+        with np.errstate(over="ignore"):  # past the largest float: inf, which the callers judge
+            np.square(sq, out=sq)
+    return work
 
 
 @dataclass(frozen=True)
@@ -353,50 +405,86 @@ def _check_bump(eq: ModeEnsemble, bump: Optional[BumpSpec]) -> None:
 
 
 class _NormSums:
-    """The mode sums behind l2, l_dplus2, w_sp and besov_q of a deviation on
-    the grid of lp, fed chunk by chunk in mode order as (M, *grid) (Z, Z-hat)
-    pairs.  At d = 2 the Bessel weight of w_sp is 1 and p = d + 2, so w_sp is
-    l_dplus2 with no transform pair.
+    """The mode sums behind l2, l_dplus2, w_sp, besov_q and hs of a deviation
+    on the grid of lp, fed in mode order as the |.|^2 rows of its parts
+    (add_part): as (M, *grid) (Z, Z-hat) pairs (add), or as the parts of the
+    stream's chunks (_Observation).  At d = 2 the Bessel weight of w_sp is 1
+    and p = d + 2, so w_sp is l_dplus2 with no transform pair.
     """
 
     def __init__(self, lp: LittlewoodPaley):
         self.grid = grid = lp.grid
         self.l2 = 0.0
         self.dens = _ModeSum(grid.shape)
+        self.power = _ModeSum(grid.shape)  # sum_j |Z-hat_j|^2
         self.smooth = _ModeSum(grid.shape) if critical_exponents(grid.d)["s"] != 0 else None
         self.blocks = {j: _ModeSum(grid.shape) for j in lp.symbols}
         # (sum, spectral weight) of each weighted inverse transform
         self.weighted = ([(self.smooth, lp.bessel)] if self.smooth is not None else []) + [
             (self.blocks[j], sym) for j, sym in lp.symbols.items()]
 
+    def parts(self, n: int) -> list:
+        """The weighted transforms of a chunk of n modes as (k, half): the
+        weight weighted[k] on each half of the chunk, so the two threads'
+        transform buffers together weigh one chunk."""
+        size = max(1, -(-n // 2))
+        return [(k, slice(i, min(i + size, n))) for k in range(len(self.weighted)) for i in range(0, n, size)]
+
     def add(self, Z: np.ndarray, Z_hat: np.ndarray) -> None:
-        """Add a chunk of modes; Z_hat, the unnormalised FFT of Z over space,
-        is only read.  Each weighted transform takes the chunk in two halves,
-        so the two threads' transform buffers together weigh one chunk.  A
-        half whose Z_hat is all zero gets no transform: with finite weights
-        its |.|^2 rows are +0.0, and leaving them out changes no sum."""
-        space = tuple(range(1, Z.ndim))
-        self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
-        size = max(1, -(-len(Z) // 2))
-        halves = [h for h in (slice(i, i + size) for i in range(0, len(Z), size)) if Z_hat[h].any()]
-        parts = [(sums, weight, h) for sums, weight in self.weighted for h in halves]
+        """Add the |Z|^2 and the weighted transforms of a chunk given in full;
+        Z_hat, the unnormalised FFT of Z over space, is only read."""
+        self.add_part("dens", _squares(Z, np.empty((len(Z) + 1,) + Z.shape[1:])))
+        for k, sq in self.weighted_rows(Z_hat):
+            self.add_part(k, sq)
+
+    def weighted_rows(self, Z_hat: np.ndarray):
+        """(k, rows) for each weighted transform of the chunk Z_hat given in
+        full, in mode order, the transforms tasks of field.ordered_map."""
+        parts = self.parts(len(Z_hat))
+        size = parts[0][1].stop if parts else 0
 
         def buffers():  # a thread's half-chunk transform and |.|^2 rows
-            return np.empty((size,) + Z.shape[1:], complex), np.empty((size + 1,) + Z.shape[1:])
-        for sq, (sums, _, _) in zip(ordered_map(partial(self._weighted, Z_hat), parts, buffers), parts):
-            sums.add_squares(sq)  # in mode order: each sum keeps its bits
+            return np.empty((size,) + Z_hat.shape[1:], complex), np.empty((size + 1,) + Z_hat.shape[1:])
 
-    def _weighted(self, Z_hat: np.ndarray, buffers: tuple, part: tuple) -> np.ndarray:
-        """|.|^2 (_squares) of the inverse transform of weight Z_hat[modes],
-        part = (sums, weight, modes), in buffers = (transform, rows)."""
-        _, weight, modes = part
-        hat = Z_hat[modes]
-        scratch, rows = buffers
-        x = np.multiply(weight[None], hat, out=scratch[:len(hat)])
-        return _squares(ifftn(x, axes=tuple(range(1, x.ndim)), overwrite_x=True), rows)
+        def task(bufs, part):
+            return part[0], self._weighted(bufs, part[0], Z_hat[part[1]])
+        return ordered_map(task, parts, buffers)
 
-    def ingredients(self) -> dict:
-        d, dx = self.grid.d, self.grid.dx
+    def _weighted(self, buffers: tuple, k: int, hat: np.ndarray, fix: Optional[tuple] = None):
+        """|.|^2 (_squares) of the inverse transform of weighted[k]'s weight
+        times the chunk hat, in buffers = (transform, rows) or their leading
+        parts; fix = (index, values) gives the values that stand in for hat's
+        entries at index (None: none).  A mode whose weighted spectrum is all
+        zero gets no transform and no row, and None stands for no row: with
+        finite weights its rows are +0.0, and leaving them out changes no sum."""
+        weight = self.weighted[k][1]
+        x = np.multiply(weight[None], hat, out=buffers[0][:len(hat)])
+        if fix is not None:
+            index, values = fix
+            x[index] = weight[index[1:]] * values
+        keep = _nonzero(x)
+        if not keep.all():
+            x = x[keep]
+        if not len(x):
+            return None
+        return _squares(ifftn(x, axes=tuple(range(1, x.ndim)), overwrite_x=True), buffers[1])
+
+    def add_part(self, key, rows: Optional[np.ndarray]) -> None:
+        """Add a part's |.|^2 rows (as _squares leaves them): key "dens" for
+        |Z|^2, with its one np.sum into l2, "power" for |Z-hat|^2, and an
+        index k for weighted[k]'s transform (none for None)."""
+        if key == "dens":
+            self.l2 = self.l2 + np.sum(rows[1:], axis=tuple(range(rows.ndim)))
+            self.dens.add_squares(rows)
+        elif key == "power":
+            self.power.add_squares(rows)
+        elif rows is not None:
+            self.weighted[key][0].add_squares(rows)
+
+    def ingredients(self, hs: bool = False) -> dict:
+        """The norms of the sums, and with hs the H^s norm of the power."""
+        g = self.grid
+        d, dx = g.d, g.dx
         ex = critical_exponents(d)
         pointwise = tuple(range(d))  # space axes once modes are summed
         root = np.sqrt(self.dens.total)
@@ -408,46 +496,20 @@ class _NormSums:
         out["besov_q"] = dyadic_norm(
             ((j, lebesgue(np.sqrt(b.total), ex["q"], dx, pointwise)) for j, b in self.blocks.items()),
             0.0, 0.25)
+        if hs:
+            out["hs"] = np.sqrt(np.sum((1 + g.xi_squared) ** ex["s"] * self.power.total) * g.parseval_weight)
         return out
 
 
-def deviation_chunks(eq: ModeEnsemble, t: float, chunks):
-    """The deviation Z = u - y from the equilibrium eq of a state at time t,
-    chunk by chunk: chunks yields the (modes, hat, u) chunks of an observation
-    of the stream (observations), and this yields (modes, Z, Z-hat) for the
-    same modes, both read-only.  Z is u minus eq.equilibrium_at(t), built
-    over u; Z-hat is hat minus y_j's one entry per mode, built in one reused
-    chunk that first holds Y.  hat is only read, so a reader held across a
-    window changes nothing.  A start chunk that is the equilibrium alone
-    (_Unperturbed) is not yielded: its Z and Z-hat are +0.0."""
-    y = eq.equilibrium_spectrum(t)
-    scratch = None  # one chunk of Y, then of Z-hat, reused: the first chunk is the largest
-    for chunk in chunks:
-        if isinstance(chunk, _Unperturbed):
-            continue
-        modes, hat, u = chunk
-        if scratch is None:
-            scratch = np.empty_like(hat)
-        Z_hat = eq.equilibrium_at(t, modes, out=scratch[:len(hat)])
-        Z = np.subtract(u, Z_hat, out=u)
-        np.copyto(Z_hat, hat)
-        Z_hat[eq.carrier_cells(modes)] -= y[modes]
-        yield modes, Z, Z_hat
-
-
-def deviation_norms(lp: LittlewoodPaley, chunks) -> dict:
+def deviation_norms(lp: LittlewoodPaley, parts) -> dict:
     """Spatial ingredient norms of a deviation at one time, on the grid of the
-    block family lp, from the iterable of its (modes, Z, Z-hat) chunks as
-    deviation_chunks yields them (Z-hat only read)."""
-    grid = lp.grid
-    sums, power = _NormSums(lp), _ModeSum(grid.shape)
-    for _, Z, Z_hat in chunks:
-        power.add(Z_hat)  # its |Z-hat|^2 freed before the norms' buffers are made
-        sums.add(Z, Z_hat)
-    out = sums.ingredients()
-    s = critical_exponents(grid.d)["s"]
-    out["hs"] = np.sqrt(np.sum((1 + grid.xi_squared) ** s * power.total) * grid.parseval_weight)
-    return {k: float(v) for k, v in out.items()}
+    block family lp, from the (key, rows) parts of its chunks in mode order,
+    as _NormSums.add_part takes them (an observation of the stream's, as
+    _Observation.summed passes them on)."""
+    sums = _NormSums(lp)
+    for key, rows in parts:
+        sums.add_part(key, rows)
+    return {k: float(v) for k, v in sums.ingredients(hs=True).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +543,16 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
     obs_stride steps up to time T (the last window shorter when obs_stride
     does not divide T/dt).
 
-    chunks yields (modes, hat, u) for each mode chunk in mode order: modes a
-    slice of mode indices, hat the unnormalised spectrum and u the fields of
-    those modes at time t, both valid until the next chunk: hat a read-only
-    view of the run's (M, *grid) buffer, u the reader's scratch, rebuilt for
-    every chunk, which deviation_chunks overwrites with Z.  They are the only
-    way to read the run, whose buffer holds the spectrum from the start (y_j's
-    one entry per mode, plus the bump's transform) on, written by step only;
-    reading a chunk, leaving it unread or holding it changes nothing.  At
-    step 0 a chunk without bump.mode (every chunk for bump None) is the
-    equilibrium alone and comes as an _Unperturbed tuple.
+    chunks yields a Chunk for each mode chunk in mode order: its modes, hat
+    the unnormalised spectrum of those modes at time t, a read-only view of
+    the run's (M, *grid) buffer, and fields, which reads their fields into a
+    caller's array.  The chunks are the only way to read the run, whose
+    buffer holds the spectrum from the start (y_j's one entry per mode, plus
+    the bump's transform) on, written by step only; reading a chunk, on any
+    thread, leaving it unread or holding it changes nothing, and a chunk is
+    read as it stands until the stream steps on.  At step 0 a chunk without
+    bump.mode (every chunk for bump None) is the equilibrium alone and has
+    its cells set.
     Before the first observation, ValueError for a T that is not a whole
     number of steps of dt, a bump that targets no mode of eq or a stride
     below 1, and FloatingPointError when the start's mass overflows the sums.
@@ -513,22 +575,14 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
                                  f"sum {mass:.3g} overflows the observations")
 
     def read(start):
-        scratch = None  # one chunk of fields, reused: the first chunk is the largest
         for c in chunks:
             hat = buf[c]
-            if scratch is None:
-                scratch = np.empty_like(hat)
-            u = scratch[:len(hat)]
-            if start:  # the start rebuilt: Y(0), the bump added to its mode
-                eq.equilibrium_at(0.0, c, out=u)
-                if bump is None or not c.start <= bump.mode < c.stop:
-                    yield _Unperturbed(c, hat, u, eq.carrier_cells(c))
-                    continue
-                u[bump.mode - c.start] += bump.field_values(eq.grid)
+            if not start:
+                yield Chunk(c, hat, None, partial(_inverse, hat, eq.space_axes))
+            elif bump is None or not c.start <= bump.mode < c.stop:
+                yield Chunk(c, hat, eq.carrier_cells(c), partial(eq.equilibrium_at, 0.0, c))
             else:
-                np.copyto(u, hat)
-                u = ifftn(u, axes=eq.space_axes, overwrite_x=True)
-            yield c, hat, u
+                yield Chunk(c, hat, None, partial(_bumped, eq, bump, c))
 
     t, reader = 0.0, read(start=True)
     yield t, reader
@@ -540,6 +594,14 @@ def observations(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float
             t += dt  # the time of n single steps, to the bit
         reader = read(start=False)
         yield t, reader
+
+
+def _bumped(eq: ModeEnsemble, bump: BumpSpec, modes: slice, out: np.ndarray) -> np.ndarray:
+    """The start's fields of the chunk modes that holds bump.mode, made in
+    out: Y(0), the bump added to its mode."""
+    u = eq.equilibrium_at(0.0, modes, out=out)
+    u[bump.mode - modes.start] += bump.field_values(eq.grid)
+    return u
 
 
 @dataclass
@@ -554,25 +616,89 @@ class Trajectory:
     density: np.ndarray            # (*grid) the density at the last observation
 
 
-def _summed(chunks, rho, sq_sums=None, power=None):
-    """Pass the (modes, hat, u) chunks on as they are, adding each to the
-    density rho and, when given, writing the per-mode sums of |u|^2 into
-    sq_sums and adding the spectral power.  The power of a start chunk that
-    is the equilibrium alone (_Unperturbed) is its |y_j|^2 added at the
-    carrier cells only: a cell's sum over the modes has at most two nonzero
-    terms, its carrier's and the bump mode's, so it keeps its bits."""
-    for chunk in chunks:
-        modes, hat, u = chunk
-        if sq_sums is None:
-            rho.add(u)
-        else:
-            sq_sums[modes] = np.sum(rho.add(u), axis=tuple(range(1, u.ndim)))
-        if power is not None and isinstance(chunk, _Unperturbed):
-            sq = np.abs(hat[chunk.cells])
-            power.total[chunk.cells[1:]] += np.square(sq, out=sq)
-        elif power is not None:
-            power.add(hat)
-        yield chunk
+class _Observation:
+    """What _record sums over one observation at time t of a run around the
+    equilibrium eq, in mode order: the per-mode masses, the density rho and
+    the spectral power, and with the block family lp the parts of the
+    deviation's norms, which it hands on to deviation_norms.
+
+    Each chunk is a read part, and with lp the weighted transforms of its
+    deviation (_NormSums.parts, from a _NormSums of its own); task makes a
+    part's rows on any thread, and summed adds them on the caller's.  The
+    read part makes the fields u, its |u|^2, |hat|^2 and, with lp, Z = u -
+    Y(t) and |Z|^2.  Neither part makes Z-hat: it is hat but at y_j's one
+    entry per mode, so the weighted transforms take the weight times hat
+    with those entries made afresh, and |Z-hat|^2 is |hat|^2 with those
+    entries made afresh, each to the bit.  A chunk that is the equilibrium
+    alone adds its power at its carrier cells only (a cell's sum over the
+    modes has at most two nonzero terms, its carrier's and the bump mode's,
+    so it keeps its bits) and no deviation.
+    """
+
+    def __init__(self, eq: ModeEnsemble, t: float, lp: Optional[LittlewoodPaley]):
+        self.eq, self.t = eq, t
+        self.y = eq.equilibrium_spectrum(t)
+        self.masses = np.zeros(eq.n_modes)
+        self.rho, self.power = _ModeSum(eq.grid.shape), _ModeSum(eq.grid.shape)
+        self.norms = None if lp is None else _NormSums(lp)
+
+    def parts(self, chunks) -> list:
+        """(chunk, None) for the read part of each of chunks, then with lp
+        (chunk, (k, half)) for the weighted transforms of each: parts of like
+        cost side by side, so that neither thread waits long on the other's
+        part, whose result comes first."""
+        chunks = list(chunks)
+        weighted = [] if self.norms is None else [
+            (chunk, part) for chunk in chunks if chunk.cells is None for part in self.norms.parts(len(chunk.hat))]
+        return [(chunk, None) for chunk in chunks] + weighted
+
+    def task(self, buffers: tuple, item: tuple) -> tuple:
+        """(item, the rows of item's part) in buffers (_buffers): the read
+        part makes u in fields, |u|^2 in rows, then |Z|^2 and |hat|^2 over u
+        in fields."""
+        chunk, part = item
+        eq, n = self.eq, len(chunk.hat)
+        fields, rows = buffers
+        if part is not None:
+            k, half = part
+            modes = slice(chunk.modes.start + half.start, chunk.modes.start + half.stop)
+            hat = chunk.hat[half]
+            index = eq.carrier_cells(modes)
+            return item, self.norms._weighted((_as_complex(fields, len(hat)), rows), k, hat,
+                                              (index, hat[index] - self.y[modes]))
+        u = chunk.fields(_as_complex(fields, n))
+        sq = _squares(u, rows)
+        masses = np.sum(sq[1:], axis=eq.space_axes)
+        if chunk.cells is not None:
+            power = np.abs(chunk.hat[chunk.cells])
+            return item, (sq, masses, np.square(power, out=power))
+        if self.norms is None:
+            return item, (sq, masses, _squares(chunk.hat, fields))  # over u, read
+        dev = _deviation_squares(eq, self.t, chunk.modes, u, fields)
+        index = eq.carrier_cells(chunk.modes)
+        at_y = np.abs(chunk.hat[index] - self.y[chunk.modes])
+        np.square(at_y, out=at_y)
+        return item, (sq, masses, _squares(chunk.hat, fields[n + 1:]), dev, index, at_y)
+
+    def summed(self, results):
+        """Add the rows task made, (item, rows) in item order, and pass on
+        the deviation's parts as deviation_norms takes them."""
+        for (chunk, part), rows in results:
+            if part is not None:
+                yield part[0], rows
+                continue
+            sq, masses, power, *deviation = rows
+            self.rho.add_squares(sq)
+            self.masses[chunk.modes] = masses
+            if chunk.cells is not None:
+                self.power.total[chunk.cells[1:]] += power
+                continue
+            self.power.add_squares(power)
+            if deviation:
+                dev, index, at_y = deviation
+                power[1:][index] = at_y  # |Z-hat|^2
+                yield "power", power
+                yield "dens", dev
 
 
 def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> Trajectory:
@@ -580,29 +706,31 @@ def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> T
     the equilibrium eq: the mode masses, the energy and the density extrema,
     and with the block family lp the deviation norms from eq.
 
-    Each observation is one pass over the stream's chunks: the masses, the
-    density and the spectral power (the energy's kinetic and gauge terms, by
-    Parseval) are summed as the chunks go by, and so are the deviation norms,
-    from deviation_chunks: at the start, of the bump's chunk alone.
+    Each observation is one field.ordered_map over the parts of its chunks
+    (_Observation): the masses, the density and the spectral power (the
+    energy's kinetic and gauge terms, by Parseval) are summed as the parts
+    come back, and so are the deviation norms (deviation_norms): at the
+    start, of the bump's chunk alone.
     """
-    g = eq.grid
     times, masses, energies, extrema, norm_rows = [], [], [], [], []
+    buffers = _buffers(eq)
     for t, chunks in stream:
-        sq_sums = np.zeros(eq.n_modes)
-        rho, power = _ModeSum(g.shape), _ModeSum(g.shape)
-        seen = _summed(chunks, rho, sq_sums, power)
+        obs = _Observation(eq, t, lp)
+        seen = obs.summed(ordered_map(obs.task, obs.parts(chunks), buffers))
         if lp is not None:
-            norm_rows.append(deviation_norms(lp, deviation_chunks(eq, t, seen)))
-        _drain(seen)  # what the norms left unread: all of it without lp
+            norm_rows.append(deviation_norms(lp, seen))
+        for _ in seen:  # what the norms left unread: all of it without lp
+            pass
+        rho = obs.rho.total
         times.append(t)
-        masses.append(sq_sums * g.dx)
-        energies.append(conserved_energy(eq, rho=rho.total, power=power.total))
-        extrema.append((float(rho.total.min()), float(rho.total.max())))
+        masses.append(obs.masses * eq.grid.dx)
+        energies.append(conserved_energy(eq, rho=rho, power=obs.power.total))
+        extrema.append((float(rho.min()), float(rho.max())))
 
     norms = {k: np.array([row[k] for row in norm_rows]) for k in norm_rows[0]} if norm_rows else None
     return Trajectory(times=np.array(times), mode_masses=np.array(masses),
                       energies=np.array(energies), norms=norms,
-                      density_extrema=np.array(extrema), density=rho.total)
+                      density_extrema=np.array(extrema), density=rho)
 
 
 def evolve(eq: ModeEnsemble, bump: Optional[BumpSpec], T: float, dt: float,
@@ -641,41 +769,43 @@ def _squared_gap(old: Optional[np.ndarray], new: Optional[np.ndarray]):
     return np.sum(np.square(sq, out=sq))
 
 
-def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
+def scattering_probe(eq: ModeEnsemble, stream, ball_center=None,
                      ball_radius: Optional[float] = None) -> ProbeReport:
     """Free-unwound Cauchy differences and local mass of the deviation from
     the equilibrium eq, unwound by eq's gauge mass on eq's grid.
 
-    deviations yields (t, chunks), chunks the (modes, Z, Z-hat) mode chunks of
-    the deviation at time t, as ((t, deviation_chunks(eq, t, c)) for t, c in
-    observations(...)) does; a chunk left out of an observation (at the
-    start, every chunk but the bump's) is zero there.  The probe holds the
-    previous unwound deviation, chunk by chunk, and nothing else of stack
-    size, so its memory does not grow with the number of observations; a
-    chunk whose Z-hat is all zero unwinds to zero with no transform and is
-    not held.  Decreasing Cauchy differences
-    signal convergence of S(-t)Z(t); the potential-free control run keeps it
-    exactly constant.  A window past the torus recurrence time gets a
-    warning flag.
+    stream yields (t, chunks) as observations(...) does: each observation is
+    one field.ordered_map over its chunks (_unwound), pulled lazily, and its
+    squares and gaps are added in mode order.  A chunk that is the
+    equilibrium alone (at the start, every chunk but the bump's) has a zero
+    deviation and is not read.  The probe holds the previous unwound
+    deviation, chunk by chunk, and nothing else of stack size, so its memory
+    does not grow with the number of observations; a chunk whose deviation
+    spectrum is all zero unwinds to zero with no transform and is not held.
+    Decreasing Cauchy differences signal convergence of S(-t)Z(t); the
+    potential-free control run keeps it exactly constant.  A window past the
+    torus recurrence time gets a warning flag.
     """
     grid, m = eq.grid, eq.m
-    axes = eq.space_axes  # of one (M, *grid) stack
     center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius
+    buffers = _buffers(eq)
     times, cauchy, local = [], [], []
     prev = None  # the unwound deviation of the last observation by chunk start, zero ones left out
-    for t, chunks in deviations:
+    for t, chunks in stream:
         back = np.exp(1j * (t * (m + grid.xi_squared)))
+        task = partial(_unwound, eq, t, eq.equilibrium_spectrum(t), back, prev is not None)
+        held = {} if prev is None else prev  # released chunk by chunk as the new one grows
+        parts = ((c, held.pop(c.modes.start, None)) for c in chunks if c.cells is None)
         dens = _ModeSum(grid.shape)
         unwound, diff = {}, 0.0
-        for modes, Z, Z_hat in chunks:
-            dens.add(Z)
-            if Z_hat.any():
-                unwound[modes.start] = ifftn(Z_hat * back, axes=axes, overwrite_x=True)
-            if prev is not None:  # released chunk by chunk as the new one grows
-                diff += _squared_gap(prev.pop(modes.start, None), unwound.get(modes.start))
-        Z = Z_hat = None  # the next window steps without the last chunk
+        for start, dev, new, gap in ordered_map(task, parts, buffers):
+            dens.add_squares(dev)
+            if new is not None:
+                unwound[start] = new
+            diff += gap
+        dev = new = None  # the next window steps without the last part's buffers
         if prev is not None:
             for old in prev.values():  # chunks this observation left out
                 diff += _squared_gap(old, None)
@@ -694,3 +824,28 @@ def scattering_probe(eq: ModeEnsemble, deviations, ball_center=None,
         recurrence_time=grid.recurrence_time,
         window_warning=bool(ts[-1] > grid.recurrence_time),
     )
+
+
+def _unwound(eq: ModeEnsemble, t: float, y: np.ndarray, back: np.ndarray, gaps: bool,
+             buffers: tuple, part: tuple) -> tuple:
+    """The probe's part of the chunk of part = (chunk, old) at time t, y the
+    equilibrium's spectral entries and back the unwinding symbol, in buffers
+    (_buffers): (modes.start, |Z|^2 rows, the unwound deviation or None for
+    a zero one, and with gaps its squared gap to old, the previous unwound
+    deviation of its modes or None).  The unwound deviation is made in
+    fields and then copied over old, which the gap has used up."""
+    chunk, old = part
+    fields, rows = buffers
+    u = chunk.fields(_as_complex(fields, len(chunk.hat)))
+    dev = _deviation_squares(eq, t, chunk.modes, u, rows)
+    x = np.multiply(chunk.hat, back, out=u)  # S(-t) Z-hat: hat's, but at y_j's one entry per mode
+    index = eq.carrier_cells(chunk.modes)
+    x[index] = (chunk.hat[index] - y[chunk.modes]) * back[index[1:]]
+    new = ifftn(x, axes=eq.space_axes, overwrite_x=True) if _nonzero(x).any() else None
+    gap = _squared_gap(old, new) if gaps else 0.0
+    if new is not None and old is not None:  # held in old's memory, not in this thread's buffer
+        np.copyto(old, new)
+        new = old
+    elif new is not None:
+        new = new.copy()
+    return chunk.modes.start, dev, new, gap

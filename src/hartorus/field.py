@@ -9,9 +9,10 @@ from run to run, while one worker ran steadily at a time that tracks the
 host's single-thread speed.
 
 The parallel work is coarser: the pool takes whole tasks (a mode chunk's
-transforms, one weighted transform of a chunk, the window norms of a Picard
-slice, a whole h table built beside the m_f table) whose results no other
-task reads.  It has min(2, CPUs) threads and is started by the first task
+part of a step pass, a chunk's read in an observation, one weighted
+transform of half a chunk's deviation, the window norms of a Picard slice,
+a whole h table built beside the m_f table) whose results no other task
+reads.  It has min(2, CPUs) threads and is started by the first task
 that uses it; with one CPU there is no pool and no thread.  ordered_map is
 the one way onto it (_pool is private): it hands each task's result back in
 item order, and the caller adds the results in that order on its own

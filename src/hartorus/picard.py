@@ -20,26 +20,30 @@ inverse transform per slice.  The first pass maps (0, 0) to the source pair
 (S(t) Z0, 2 Re E(Y-bar S(t) Z0)); its integrand is zero and is skipped, and
 Z0 is zero outside the bump's mode, so its inverse transform, its Y-bar Z'
 product and its difference are made in that mode alone, into the zero
-slices of Z and V.  Every other mode adds exact zeros to the mode sums, so
-the pair and its norms keep their bits.  Two (n_t, M, *grid) stacks, Z and
-I, are live, plus a few slices.
+slices of Z and V.  Every other mode adds exact zeros to the mode sums and
+gets no weighted transform in the norms, so the pair and its norms keep
+their bits.  Two (n_t, M, *grid) stacks, Z and I, are live, plus a few
+slices.
 
 No later slice reads a slice's window norms, so they are tasks of
 field.ordered_map, fed lazily by the chain: with two CPUs the norms of slice
 s run on the pool beside the chain of slice s+1, each a whole task on one
 thread collected in slice order, so the bits do not depend on the pool.  The
-weighted transforms inside a norm task run inline on its thread.
+weighted transforms inside a norm task run inline on its thread.  The
+split-step reference run reads each chunk of each observation in one task
+of its own map (_reference_part).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .ensemble import (BumpSpec, ModeEnsemble, _check_bump, _ModeSum, _NormSums, _summed,
-                       deviation_chunks, observations)
+from .ensemble import (BumpSpec, ModeEnsemble, _as_complex, _buffers, _check_bump, _ModeSum, _NormSums,
+                       _squares, observations)
 from .field import fftn, ifftn, ordered_map
 from .lpaley import LittlewoodPaley, critical_exponents, dyadic_norm, lebesgue
 
@@ -221,13 +225,28 @@ def reference_trajectory(eq: ModeEnsemble, bump: Optional[BumpSpec], result: Pic
     n_t = len(result.ts)
     dt = T / ((n_t - 1) * substeps)
     z_gap, v_gap = np.empty(n_t), np.empty(n_t)
+    buffers = _buffers(eq, spare=True)
     for s, (t, chunks) in enumerate(observations(eq, bump, T, dt, substeps)):
         rho, gap = _ModeSum(eq.grid.shape), 0.0
-        # each chunk as a plain tuple, read in full: at the start too, Z[0] is compared in every mode
-        for modes, Zref, _ in deviation_chunks(eq, t, map(tuple, _summed(chunks, rho))):
-            with np.errstate(over="ignore"):  # a diverged iterate's gap past the largest float: inf
-                gap += np.sum(np.abs(Z[s][modes] - Zref) ** 2)
-        Zref = None  # the next window steps without the last chunk
+        for sq, chunk_gap in ordered_map(partial(_reference_part, eq, t, Z[s]), chunks, buffers):
+            rho.add_squares(sq)
+            gap += chunk_gap
+        sq = None  # the next window steps without the last part's buffers
         z_gap[s] = np.sqrt(gap * eq.grid.dx)
         v_gap[s] = np.max(np.abs(V[s] - (rho.total - np.sum(eq.weights ** 2))))
     return z_gap, v_gap
+
+
+def _reference_part(eq: ModeEnsemble, t: float, Zs: np.ndarray, buffers: tuple, chunk) -> tuple:
+    """The |u|^2 rows of the stream chunk chunk at time t and the squared L2
+    gap between Zs, a slice of the pair's Z, and Z_ref = u - Y(t) in its
+    modes, in buffers (ensemble._buffers).  Every chunk is read in full: at
+    the start too, Zs is compared in every mode."""
+    fields, rows, spare = buffers
+    n = len(chunk.hat)
+    u = chunk.fields(_as_complex(fields, n))
+    sq = _squares(u, rows)
+    Zref = np.subtract(u, eq.equilibrium_at(t, chunk.modes, out=_as_complex(spare, n)), out=u)
+    gap = np.abs(np.subtract(Zs[chunk.modes], Zref, out=Zref), out=spare[:n])
+    with np.errstate(over="ignore"):  # a diverged iterate's gap past the largest float: inf
+        return sq, np.sum(np.square(gap, out=gap))

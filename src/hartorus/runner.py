@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .ensemble import (BumpSpec, _mode_chunks, _record, _step_count, cell_masses, deviation_chunks,
-                       evolve, init_equilibrium, observations, scattering_probe)
+from .ensemble import (BumpSpec, _mode_chunks, _record, _step_count, cell_masses, evolve,
+                       init_equilibrium, observations, scattering_probe)
 from .equilibrium import CovarianceProfile, equilibrium_mass, hypothesis_check
 from .field import fftn, ifftn, ordered_map
 from .lpaley import LittlewoodPaley, dyadic_norm, lebesgue
@@ -62,6 +63,8 @@ class ResultEnvelope:
     version: str
     seed: int
     wall_clock_s: float
+    cpu_s: float             # the process's CPU time over the run, all threads
+    cpus: int                # the CPUs the process may run on
     payloads: list           # [{"path":..., "sha256":...}]
     verdicts: dict           # name -> bool
 
@@ -79,6 +82,8 @@ class ResultEnvelope:
             "version": self.version,
             "seed": self.seed,
             "wall_clock_s": self.wall_clock_s,
+            "cpu_s": self.cpu_s,
+            "cpus": self.cpus,
             "verdicts": self.verdicts,
             "payloads": self.payloads,
             "config_echo": self.config_echo,
@@ -134,10 +139,11 @@ def _exp_equilibrium_check(cfg, seed):
     def unwound(t, chunks):
         # unwinding the exact phases must reproduce the t=0 state: the last
         # observation's fields, read a chunk of modes at a time as they go by
-        for modes, hat, u in chunks:
+        for chunk in chunks:
+            modes, u = chunk.modes, chunk.fields(np.empty_like(chunk.hat))
             dev[0] = max(dev[0], float(np.max(np.abs(np.abs(u) - a[(modes,) + (None,) * grid.d]))))
             dev[1] = max(dev[1], float(np.max(np.abs(u - ens.equilibrium_at(t, modes)))))
-            yield modes, hat, u
+            yield chunk
 
     stream = observations(ens, None, cfg["T"], cfg["dt"], cfg["obs.stride"])
     traj = _record(ens, ((t, unwound(t, c) if i == last else c) for i, (t, c) in enumerate(stream)))
@@ -526,8 +532,7 @@ def _exp_norms(cfg, seed):
 def _exp_scattering_probe(cfg, seed):
     eq, bump = _perturbed_equilibrium(cfg)
     stream = observations(eq, bump, cfg["T"], cfg["dt"], cfg["obs.stride"])
-    report = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in stream),
-                              ball_center=cfg["pert.center"], ball_radius=cfg["probe.radius"])
+    report = scattering_probe(eq, stream, ball_center=cfg["pert.center"], ball_radius=cfg["probe.radius"])
     records = [{"t": float(t), "local_mass": float(mass)}
                for t, mass in zip(report.times, report.local_mass)]
     for i, c in enumerate(report.cauchy):
@@ -569,7 +574,7 @@ def run_experiment(cfg: RunConfig, out_dir, seed: int | None = None) -> ResultEn
     seed = cfg["seed"] if seed is None else int(seed)
     echo = cfg.to_text()
     checksum = hashlib.sha256(echo.encode("utf-8")).hexdigest()
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     contents, verdicts = _DISPATCH[cfg.kind](cfg, seed)
     for name, content in contents.items():
         path = out / name
@@ -580,9 +585,10 @@ def run_experiment(cfg: RunConfig, out_dir, seed: int | None = None) -> ResultEn
         else:
             series, style = content
             path.write_text(emit_plot(series, {**style, "checksum": checksum}), encoding="utf-8")
-    wall = time.perf_counter() - start
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu_start
     payloads = [{"path": name, "sha256": sha256_file(out / name)} for name in contents]
-    env = ResultEnvelope(kind=cfg.kind, config_echo=echo, version=__version__,
-                         seed=seed, wall_clock_s=wall, payloads=payloads, verdicts=verdicts)
+    env = ResultEnvelope(kind=cfg.kind, config_echo=echo, version=__version__, seed=seed,
+                         wall_clock_s=wall, cpu_s=cpu, cpus=len(os.sched_getaffinity(0)),
+                         payloads=payloads, verdicts=verdicts)
     (out / "envelope.json").write_text(env.to_json(), encoding="utf-8")
     return env

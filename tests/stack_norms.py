@@ -1,12 +1,23 @@
 """Whole (M, *grid) stacks through the package's chunked interfaces: the
 deviation norms of a stack, and the fields of a stream's last observation;
-and the norm sums and the probe with every transform of zero taken."""
+and the norm sums, evolve and the probe with every transform of zero taken."""
 
 import numpy as np
 
 from hartorus import ensemble, picard
-from hartorus.ensemble import _NormSums, deviation_norms
+from hartorus.ensemble import _NormSums, _squares, deviation_norms
 from hartorus.field import fftn, ifftn
+
+
+def chunk_parts(lp, chunks):
+    """The (key, rows) parts that deviation_norms sums, of (modes, Z, Z-hat)
+    chunks given in full: each chunk's |Z-hat|^2, its |Z|^2 and its weighted
+    transforms (_NormSums.weighted_rows)."""
+    sums = ensemble._NormSums(lp)
+    for _, Z, Z_hat in chunks:
+        yield "power", _squares(Z_hat, np.empty((len(Z) + 1,) + Z.shape[1:]))
+        yield "dens", _squares(Z, np.empty((len(Z) + 1,) + Z.shape[1:]))
+        yield from sums.weighted_rows(Z_hat)
 
 
 def stack_norms(lp, stack, hat=None):
@@ -14,7 +25,7 @@ def stack_norms(lp, stack, hat=None):
     unnormalised spectrum over space (transformed here when not given)."""
     if hat is None:
         hat = fftn(stack, axes=tuple(range(1, stack.ndim)))
-    return deviation_norms(lp, [(slice(None), stack, hat)])
+    return deviation_norms(lp, chunk_parts(lp, [(slice(None), stack, hat)]))
 
 
 def keeping_fields(eq, stream):
@@ -26,42 +37,34 @@ def keeping_fields(eq, stream):
 
     def copied(chunks):
         for chunk in chunks:  # passed on as they are: a start chunk keeps its mark
-            modes, _, u = chunk
-            out[modes] = u
+            out[chunk.modes] = chunk.fields(np.empty_like(chunk.hat))
             yield chunk
 
     return ((t, copied(chunks)) for t, chunks in stream), out
 
 
 class UnskippedSums(_NormSums):
-    """_NormSums with every weighted transform taken over the whole chunk on
-    the calling thread, all-zero halves included: the sums that skipping
-    those halves must give to the bit."""
+    """_NormSums with every weighted transform of a chunk given in full
+    taken over the whole chunk on the calling thread, all-zero modes
+    included: the sums that skipping those modes must give to the bit."""
 
-    def add(self, Z, Z_hat):
-        space = tuple(range(1, Z.ndim))
-        self.l2 = self.l2 + np.sum(self.dens.add(Z), axis=(0,) + space)
-        for sums, weight in self.weighted:
-            sums.add(ifftn(weight[None] * Z_hat, axes=space))
+    def weighted_rows(self, Z_hat):
+        space = tuple(range(1, Z_hat.ndim))
+        for k, (_, weight) in enumerate(self.weighted):
+            rows = np.empty((len(Z_hat) + 1,) + Z_hat.shape[1:])
+            yield k, _squares(ifftn(weight[None] * Z_hat, axes=space), rows)
+
+
+def every_mode_transformed(monkeypatch):
+    """Make every mode of a weighted or unwound spectrum count as nonzero
+    from here on, so that evolve's norms and scattering_probe transform
+    every chunk, all-zero modes included."""
+    monkeypatch.setattr(ensemble, "_nonzero", lambda x: np.ones(len(x), dtype=bool))
 
 
 def unskipped(monkeypatch):
-    """Make deviation_norms, evolve and the Picard norms sum with
-    UnskippedSums from here on."""
+    """Make deviation_norms and the Picard norms sum with UnskippedSums, and
+    evolve's norms transform every mode, from here on."""
     monkeypatch.setattr(ensemble, "_NormSums", UnskippedSums)
     monkeypatch.setattr(picard, "_NormSums", UnskippedSums)
-
-
-class _Nonzero(np.ndarray):
-    """An array that says it has a nonzero entry, whatever it holds."""
-
-    def any(self, *args, **kwargs):
-        return True
-
-
-def transforming_every_chunk(deviations):
-    """The (t, chunks) deviations passed on with each chunk's Z-hat claiming a
-    nonzero entry, so that scattering_probe unwinds every chunk by a
-    transform, all-zero chunks included."""
-    for t, chunks in deviations:
-        yield t, ((modes, Z, Z_hat.view(_Nonzero)) for modes, Z, Z_hat in chunks)
+    every_mode_transformed(monkeypatch)

@@ -9,22 +9,23 @@ norms of whole stacks: np.abs(stack) ** 2 and the Bessel-weighted and dyadic
 block stacks are made in full.  It shares with the chunked stream in
 hartorus.ensemble only ModeEnsemble, its equilibrium methods, BumpSpec's
 field values, the FFT pair, the LittlewoodPaley symbols, lpaley.lebesgue and,
-for the all-chunk start, _mode_chunks.
+for the all-chunk start, _mode_chunks and the Chunk record.
 equilibrium_fields, the plane waves from one complex exp of the summed
 phase, is the oracle of the factor-built ModeEnsemble.equilibrium_at.
 
 start_chunks and start_mass are the start as the chunked stream once read
-it: every chunk a plain (modes, hat, u) tuple, which its readers take in
-full, and the overflow check one pass over the whole spectrum.  They are
-the oracle of the stream's start, which marks the chunks that are the
-equilibrium alone and sums only the start's nonzero entries.
+it: no chunk marked as the equilibrium alone, so its readers take every
+chunk in full, and the overflow check one pass over the whole spectrum.
+They are the oracle of the stream's start, which marks the chunks that are
+the equilibrium alone and sums only the start's nonzero entries.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
-from hartorus.ensemble import _mode_chunks
+from hartorus.ensemble import Chunk, _mode_chunks
 from hartorus.field import fftn, ifftn
 from hartorus.lpaley import LittlewoodPaley, critical_exponents, lebesgue
 
@@ -81,20 +82,21 @@ def start_mass(eq, hat):
     return mass
 
 
+def _start_fields(eq, bump, c, out):
+    """Y(0) of the modes c in out, the bump added to its mode."""
+    u = eq.equilibrium_at(0.0, c, out=out)
+    if bump is not None and c.start <= bump.mode < c.stop:
+        u[bump.mode - c.start] += bump.field_values(eq.grid)
+    return u
+
+
 def start_chunks(eq, bump=None):
-    """The (modes, hat, u) chunks of the start observation, each a plain
-    tuple: hat a view of start_spectrum(eq, bump), u Y(0) rebuilt per chunk
-    in one reused scratch chunk, the bump added to its mode."""
+    """The chunks of the start observation, none marked as the equilibrium
+    alone: hat a view of start_spectrum(eq, bump), the fields Y(0) with the
+    bump added to its mode."""
     spectrum = start_spectrum(eq, bump)
-    scratch = None
     for c in _mode_chunks(eq.n_modes, eq.grid):
-        hat = spectrum[c]
-        if scratch is None:
-            scratch = np.empty_like(hat)
-        u = eq.equilibrium_at(0.0, c, out=scratch[:len(hat)])
-        if bump is not None and c.start <= bump.mode < c.stop:
-            u[bump.mode - c.start] += bump.field_values(eq.grid)
-        yield c, hat, u
+        yield Chunk(c, spectrum[c], None, partial(_start_fields, eq, bump, c))
 
 
 def step(eq, u, dt, n=1, hat=None):

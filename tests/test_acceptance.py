@@ -301,13 +301,11 @@ def test_c09_scattering_proxy():
     spec = ht.BumpSpec(1e-2, 2.0, (grid.L / 2, grid.L / 2), (0.5, 0.0), mode=0)
 
     ens, _ = ht.init_equilibrium(grid, f, ht.delta_potential(1.0), 1e-12)
-    rpt = ht.scattering_probe(ens, ((t, ht.deviation_chunks(ens, t, c))
-                                    for t, c in ht.observations(ens, spec, 12.0, 5e-3, 200)),
+    rpt = ht.scattering_probe(ens, ht.observations(ens, spec, 12.0, 5e-3, 200),
                               ball_center=(grid.L / 2, grid.L / 2))
 
     ens0, _ = ht.init_equilibrium(grid, f, ht.zero_potential(), 1e-12)
-    rpt0 = ht.scattering_probe(ens0, ((t, ht.deviation_chunks(ens0, t, c))
-                                      for t, c in ht.observations(ens0, spec, 12.0, 5e-3, 200)),
+    rpt0 = ht.scattering_probe(ens0, ht.observations(ens0, spec, 12.0, 5e-3, 200),
                                ball_center=(grid.L / 2, grid.L / 2))
     control = float(np.max(rpt0.cauchy))
 

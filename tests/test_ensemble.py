@@ -1,16 +1,19 @@
 import itertools
 import math
+from functools import partial
+
 import numpy as np
 import pytest
 
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
-from stack_norms import keeping_fields, stack_norms, transforming_every_chunk, unskipped
+from stack_norms import chunk_parts, every_mode_transformed, keeping_fields, stack_norms, unskipped
 from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, conserved_energy, critical_exponents,
-                      custom_radial, delta_potential, deviation_chunks, evolve,
+                      custom_radial, delta_potential, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
                       scattering_probe, step, zero_distribution, zero_potential)
+from hartorus import Chunk
 from hartorus import ensemble as ens_mod
 from hartorus.field import fftn, ifftn
 
@@ -97,7 +100,8 @@ def test_start_spectrum_has_one_entry_per_unbumped_mode():
     eq, spec = _perturbed(2, 16)
     _, chunks = next(iter(observations(eq, spec, 0.01, 1e-3)))
     cells = eq.carrier_cells()
-    for modes, hat, _ in chunks:
+    for chunk in chunks:
+        modes, hat = chunk.modes, chunk.hat
         for i, j in enumerate(range(modes.start, modes.stop)):
             if j != spec.mode:
                 assert np.count_nonzero(hat[i]) == 1
@@ -256,20 +260,19 @@ def test_bump_off_the_modes_is_refused(eq):
         next(iter(observations(eq, off, 0.01, 1e-3)))
 
 
-def _deviation_stream(eq, bump, T, dt, stride):
-    return ((t, deviation_chunks(eq, t, c)) for t, c in observations(eq, bump, T, dt, stride))
-
-
-def _whole(deviations):
-    # whole (t, Z, Z-hat) stacks as the probe's one-chunk deviation stream
-    return ((t, [(slice(None), Z, Z_hat)]) for t, Z, Z_hat in deviations)
+def _whole(states):
+    # whole (t, u, hat) stacks of the oracle stream as a one-chunk stream
+    def fields(u, out):
+        out[...] = u
+        return out
+    return ((t, [Chunk(slice(0, len(hat)), hat, None, partial(fields, u))]) for t, u, hat in states)
 
 
 def test_scattering_probe_aborts_on_nonfinite(eq):
     # the check is in the step, so a streamed consumer stops at the first
     # window: no record of the NaN state is ever written
     with pytest.raises(FloatingPointError, match="non-finite"):
-        scattering_probe(eq, _deviation_stream(eq, _NAN_BUMP, 0.01, 1e-3, 5))
+        scattering_probe(eq, observations(eq, _NAN_BUMP, 0.01, 1e-3, 5))
 
 
 def test_scattering_probe_free_flow_constant():
@@ -277,7 +280,7 @@ def test_scattering_probe_free_flow_constant():
     f = custom_radial(lambda r: 6.4e-5 * np.exp(-(np.asarray(r) / 1e-2) ** 2), support_hint=0.1)
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     spec = BumpSpec(1e-2, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0)
-    rpt = scattering_probe(ens, _deviation_stream(ens, spec, 4.0, 1e-2, 100))
+    rpt = scattering_probe(ens, observations(ens, spec, 4.0, 1e-2, 100))
     assert np.max(rpt.cauchy) <= 1e-10
     assert not rpt.window_warning
 
@@ -299,7 +302,7 @@ def test_scattering_probe_null_perturbation():
     f = custom_radial(lambda r: 6.4e-5 * np.exp(-(np.asarray(r) / 1e-2) ** 2), support_hint=0.1)
     ens, _ = init_equilibrium(g, f, delta_potential(1.0), 1e-12)
     bump = BumpSpec(0.0, 2.0, (g.L / 2, g.L / 2), (0.5, 0.0), mode=0)
-    rpt = scattering_probe(ens, _deviation_stream(ens, bump, 2.0, 1e-2, 50))
+    rpt = scattering_probe(ens, observations(ens, bump, 2.0, 1e-2, 50))
     assert np.max(rpt.cauchy) <= 1e-14
     assert np.max(rpt.local_mass) <= 1e-14
 
@@ -309,7 +312,7 @@ def test_scattering_probe_warns_past_recurrence():
     f = custom_radial(lambda r: 1e-4 * (np.asarray(r) < 0.5), support_hint=1.0)
     ens, _ = init_equilibrium(g, f, zero_potential(), 1e-12)
     bump = BumpSpec(1e-3, 0.5, (np.pi,), (1.0,), mode=0)
-    rpt = scattering_probe(ens, _deviation_stream(ens, bump, 4.0, 1e-2, 100))
+    rpt = scattering_probe(ens, observations(ens, bump, 4.0, 1e-2, 100))
     assert rpt.window_warning  # recurrence time is pi here
 
 
@@ -486,9 +489,12 @@ def _stack_bytes(eq):
 
 def test_evolve_peak_does_not_grow_with_observations():
     # the equilibrium built inside the run holds no stack: the stream's one
-    # buffer, and the one mode chunk (all 45 modes here) of the observation's
-    # inverse transform and |u|^2 rows, 2.60 stacks measured with one step
-    # per observation (3.62 with eq's stored plane waves)
+    # buffer, and one thread's buffers for the observation's one mode chunk
+    # (all 45 modes here), its fields with room for the |hat|^2 rows and its
+    # |u|^2 rows, 2.99 stacks measured with one step per observation, 0.35 of
+    # them numpy's 256 KiB of broadcast buffers in equilibrium_at at the
+    # start (2.60 with the fields read on the calling thread, 3.62 with eq's
+    # stored plane waves)
     eq, _ = _perturbed(2, 32)
     assert len(ens_mod._mode_chunks(eq.n_modes, eq.grid)) == 1
 
@@ -499,7 +505,7 @@ def test_evolve_peak_does_not_grow_with_observations():
     for T in (0.01, 0.04):
         traj, peak = _traced_peak(lambda: run(T))
         assert len(traj.times) == round(T / 1e-3) + 1
-        assert peak <= 2.75 * _stack_bytes(eq), peak / _stack_bytes(eq)
+        assert peak <= 3.1 * _stack_bytes(eq), peak / _stack_bytes(eq)
 
 
 _D3_RUN = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
@@ -537,7 +543,7 @@ def test_streamed_probe_peak_does_not_grow_with_observations():
     peaks = []
     for T in (0.01, 0.04):
         rpt, peak = _traced_peak(lambda: scattering_probe(
-            eq, _deviation_stream(eq, spec, T, 1e-3, 1)))
+            eq, observations(eq, spec, T, 1e-3, 1)))
         assert len(rpt.times) == round(T / 1e-3) + 1
         peaks.append(peak / size)
     assert abs(peaks[1] - peaks[0]) <= 0.1, peaks
@@ -547,24 +553,14 @@ def test_streamed_probe_peak_does_not_grow_with_observations():
     assert max(peaks) <= 5.4, peaks
 
 
-def _bump_half(M, size, mode):
-    # the number of modes in the half of its mode chunk that holds mode, the
-    # chunks of size modes and their halves cut as _NormSums.add cuts them
-    start = mode - mode % size
-    chunk = min(size, M - start)
-    half = max(1, -(-chunk // 2))
-    first = start + (mode - start) // half * half
-    return min(first + half, start + chunk) - first
-
-
 def test_normed_evolve_stack_transform_budget(monkeypatch):
     # counted in mode transforms: 2n stacks per window of n steps and the
     # inverse stack that gives each later observation its fields; per later
     # observation the w_sp inverse plus one inverse per resolvable block of
     # the whole stack; at t=0 none for the fields (the start spectrum is y_j's
     # one entry per mode plus one grid transform of the bump) and the norms'
-    # inverses of the one half-chunk holding the bump, every other half of
-    # the deviation being zero
+    # inverses of the bump's mode alone, every other mode of the deviation
+    # being zero
     from hartorus import LittlewoodPaley
     eq, spec = _perturbed(3, 8, theta=1e-8)
     M, d = eq.n_modes, eq.grid.d
@@ -587,9 +583,7 @@ def test_normed_evolve_stack_transform_budget(monkeypatch):
         traj = evolve(eq, spec, 0.05, 0.01, obs_stride=2)
         assert len(traj.times) == len(windows) + 1
         later = M * (sum(2 * n + 1 for n in windows) + len(windows) * n_weights)
-        start = _bump_half(M, chunk_modes, spec.mode) * n_weights
-        assert 1 <= start // n_weights < M
-        assert modes["fftn"] + modes["ifftn"] == later + start
+        assert modes["fftn"] + modes["ifftn"] == later + n_weights
         assert modes["fftn"] == M * sum(windows)
 
 
@@ -643,17 +637,20 @@ def _batched_probe(deviations, grid, m, center, radius):
 def test_streamed_probe_matches_batched_formula(d, N):
     eq, spec = _perturbed(d, N)
     deviations = oracle.deviation_stacks(eq, spec, 0.2, 1e-2, 2)
+    states = [(t, u.copy(), hat.copy()) for t, u, hat in oracle.observations(eq, spec, 0.2, 1e-2, 2)]
     center, radius = (np.pi,) * d, 1.0
     rpt, peak = _traced_peak(lambda: scattering_probe(
-        eq, _whole(deviations), ball_center=center, ball_radius=radius))
+        eq, _whole(states), ball_center=center, ball_radius=radius))
     cauchy, local = _batched_probe(deviations, eq.grid, eq.m, center, radius)
     assert np.min(cauchy) > 0
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
     assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
     # the previous and the current unwound deviation, not copies of the
-    # whole list: 3.71 stacks of 7 KiB (d=1) and 2.77 of 180 KiB (d=2)
-    # measured, about 8 KiB of it fixed; one more stack fails both cases
-    assert peak <= 2.85 * _stack_bytes(eq) + 8 * 1024
+    # whole list, beside the probe's own read of the fields and Y(t): 8.95
+    # stacks of 7 KiB (d=1) and 3.76 of 180 KiB (d=2) measured, about 36 KiB
+    # of it fixed; one more stack fails both cases (2.77 of 180 KiB when the
+    # caller made the deviation)
+    assert peak <= 3.9 * _stack_bytes(eq) + 40 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +714,9 @@ def test_chunked_stream_matches_the_whole_stack_oracle(chunk_modes, monkeypatch)
 @pytest.mark.parametrize("chunk_modes", [1, 3])
 def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviations, monkeypatch):
     # every odd observation is read only as far as its first chunk, raw or
-    # through deviation_chunks (which writes only the chunk's fields and its
-    # own scratch); the even ones give the same records and last fields, to
-    # the bit, as a run whose every chunk is read
+    # with its fields and its deviation's squares (which write only the
+    # reader's own arrays); the even ones give the same records and last
+    # fields, to the bit, as a run whose every chunk is read
     eq, spec = _perturbed(3, 8, theta=1e-8)
     _with_chunks(monkeypatch, eq, chunk_modes)
     assert eq.n_modes > chunk_modes
@@ -729,8 +726,10 @@ def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviation
             if i % 2 == 0:
                 yield t, chunks
                 continue
-            for modes, _, _ in deviation_chunks(eq, t, chunks) if deviations else chunks:
-                assert modes == slice(0, chunk_modes)
+            for chunk in chunks:
+                assert chunk.modes == slice(0, chunk_modes)
+                if deviations:
+                    _read_deviation(eq, t, chunk)
                 break
 
     want, u_want = _evolved(eq, spec, 0.06, 1e-2, 1)
@@ -744,11 +743,20 @@ def test_a_reader_of_first_chunks_leaves_the_run_as_it_is(chunk_modes, deviation
         assert np.array_equal(got.norms[k], v[::2]), k
 
 
+def _read_deviation(eq, t, chunk):
+    """The fields of chunk and its deviation's |Z|^2 rows, read into arrays of
+    their own as a task of the stream reads them."""
+    fields = np.empty((2 * len(chunk.hat) + 2,) + eq.grid.shape)
+    u = chunk.fields(ens_mod._as_complex(fields, len(chunk.hat)))
+    return ens_mod._deviation_squares(eq, t, chunk.modes, u, fields)
+
+
 @pytest.mark.parametrize("keep", [False, True], ids=["rebound", "kept"])
 def test_a_deviation_reader_held_across_windows_changes_nothing(keep):
-    # d=1, N=64: one chunk of all 9 modes.  A reader takes the first deviation
-    # chunk at t = 0.01 and at t = 0.02 and is held, bound to a name, while
-    # the stream steps: the reader never writes the stream's buffer.  When it
+    # d=1, N=64: one chunk of all 9 modes.  A reader takes the first chunk at
+    # t = 0.01 and at t = 0.02, reads its fields and its deviation, and is
+    # held, bound to a name, while the stream steps: the reader never writes
+    # the stream's buffer.  When it
     # took y_j's entries out of the buffer and put them back itself, the
     # stream stepped the spectrum with the equilibrium taken out, and a
     # reader dropped after the step wrote the old entries over the new: the
@@ -760,8 +768,8 @@ def test_a_deviation_reader_held_across_windows_changes_nothing(keep):
     def holding(stream):
         for t, chunks in stream:
             if 0.005 < t < 0.025:
-                reader = deviation_chunks(eq, t, chunks)
-                next(reader)
+                reader = next(chunks)
+                _read_deviation(eq, t, reader)
                 held[:] = held + [reader] if keep else [reader]
                 yield t, iter(())
             else:
@@ -778,22 +786,35 @@ def test_a_deviation_reader_held_across_windows_changes_nothing(keep):
 
 @pytest.mark.parametrize("chunk_modes", [1, 3])
 def test_a_deviation_reader_held_at_a_chunk_leaves_its_spectrum_as_it_is(chunk_modes, monkeypatch):
-    # a reader handed one chunk and held there, at the start and after each
-    # window: the chunk's hat, a view of the stream's buffer, reads as it did
-    # before the reader saw it, to the bit, and the reader's Z-hat is hat
-    # minus y_j's one entry per mode
+    # the bump's chunk read by every part of an observation, at the start and
+    # after each window: the chunk's hat, a view of the stream's buffer, reads
+    # as it did before, to the bit, and each weighted transform is the one of
+    # Z-hat, hat minus y_j's one entry per mode, in its nonzero modes
     eq, spec = _perturbed(3, 8, theta=1e-8)
     _with_chunks(monkeypatch, eq, chunk_modes)
     cells = eq.carrier_cells()
+    lp = LittlewoodPaley(eq.grid)
+    buffers = ens_mod._buffers(eq)()
     for t, chunks in observations(eq, spec, 0.02, 1e-2, 1):
-        modes, hat, u = next(chunks)
+        chunk = next(c for c in chunks if c.modes.start <= spec.mode < c.modes.stop)
+        modes, hat = chunk.modes, chunk.hat
         before = hat.copy()
-        reader = deviation_chunks(eq, t, iter([(modes, hat, u)]))
-        _, _, Z_hat = next(reader)
-        assert np.array_equal(hat, before)
-        want = before.copy()
-        want[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= eq.equilibrium_spectrum(t)[modes]
-        assert np.array_equal(Z_hat, want)
+        Z_hat = before.copy()
+        Z_hat[(np.arange(len(hat)),) + tuple(c[modes] for c in cells[1:])] -= eq.equilibrium_spectrum(t)[modes]
+        obs = ens_mod._Observation(eq, t, lp)
+        parts = obs.parts([chunk])
+        assert len(parts) == 1 + len(obs.norms.parts(len(hat)))
+        for item in parts:
+            _, rows = obs.task(buffers, item)
+            assert np.array_equal(hat, before)
+            if item[1] is not None:
+                k, half = item[1]
+                x = obs.norms.weighted[k][1][None] * Z_hat[half]
+                x = x[ens_mod._nonzero(x)]
+                if rows is None:  # a half of the start's bump chunk without the bump
+                    assert t == 0.0 and not len(x)
+                else:
+                    assert np.array_equal(rows[1:], np.abs(ifftn(x, axes=eq.space_axes)) ** 2)
 
 
 @pytest.mark.parametrize("chunk_modes", [None, 1, 3])
@@ -801,7 +822,7 @@ def test_chunked_probe_matches_the_whole_stack_oracle(chunk_modes, monkeypatch):
     eq, spec = _perturbed(2, 16)
     _with_chunks(monkeypatch, eq, chunk_modes or eq.n_modes)
     center, radius = (np.pi, np.pi), 1.0
-    rpt = scattering_probe(eq, _deviation_stream(eq, spec, 0.2, 1e-2, 2),
+    rpt = scattering_probe(eq, observations(eq, spec, 0.2, 1e-2, 2),
                            ball_center=center, ball_radius=radius)
     cauchy, local = oracle.scattering_probe(oracle.deviation_stacks(eq, spec, 0.2, 1e-2, 2),
                                             eq.grid, eq.m, center, radius)
@@ -830,15 +851,16 @@ _ZERO_HALF_CASES = {  # the nonzero modes of each chunk, in feeding order
 @pytest.mark.parametrize("case", sorted(_ZERO_HALF_CASES))
 @pytest.mark.parametrize("d, N", [(2, 16), (3, 8)])
 def test_zero_halves_skipped_match_every_half_transformed(d, N, case, monkeypatch):
-    # a half-chunk whose Z-hat is all zero gets no weighted transform, and
-    # the norms keep their bits against the sums that transform every half
+    # a mode whose weighted Z-hat is all zero gets no weighted transform, and
+    # the norms keep their bits against the sums that transform every mode
+    # of the whole chunk
     g = TorusGrid(d, 2 * np.pi, N)
     rng = np.random.default_rng(d)
     chunks = [_sparse_chunk(g, rng, n, nonzero) for n, nonzero in _ZERO_HALF_CASES[case]]
     lp = LittlewoodPaley(g)
-    got = ens_mod.deviation_norms(lp, chunks)
+    got = ens_mod.deviation_norms(lp, chunk_parts(lp, chunks))
     unskipped(monkeypatch)
-    want = ens_mod.deviation_norms(lp, chunks)
+    want = ens_mod.deviation_norms(lp, chunk_parts(lp, chunks))
     assert got == want
     assert (got["l2"] == 0) == (case == "all_zero")
 
@@ -865,12 +887,7 @@ def test_zero_chunks_unwound_without_transform_keep_the_probe_bits(chunk_modes, 
     # observation transforms only the bump's chunk
     eq, spec = _perturbed(3, 8, theta=1e-8)
     _with_chunks(monkeypatch, eq, chunk_modes)
-    got = scattering_probe(eq, _deviation_stream(eq, spec, 0.03, 0.01, 1))
-    want = scattering_probe(eq, transforming_every_chunk(_deviation_stream(eq, spec, 0.03, 0.01, 1)))
-    for name in ("times", "cauchy", "local_mass"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("cauchy_decreasing", "mass_decreasing", "recurrence_time", "window_warning"):
-        assert getattr(got, name) == getattr(want, name), name
+    got = scattering_probe(eq, observations(eq, spec, 0.03, 0.01, 1))
     transformed = []
 
     def counting(x, *args, **kwargs):
@@ -878,8 +895,15 @@ def test_zero_chunks_unwound_without_transform_keep_the_probe_bits(chunk_modes, 
         return ifftn(x, *args, **kwargs)
 
     monkeypatch.setattr(ens_mod, "ifftn", counting)
-    scattering_probe(eq, itertools.islice(_deviation_stream(eq, spec, 0.01, 0.01, 1), 1))
+    scattering_probe(eq, itertools.islice(observations(eq, spec, 0.01, 0.01, 1), 1))
     assert transformed == [chunk_modes]
+    monkeypatch.setattr(ens_mod, "ifftn", ifftn)
+    every_mode_transformed(monkeypatch)
+    want = scattering_probe(eq, observations(eq, spec, 0.03, 0.01, 1))
+    for name in ("times", "cauchy", "local_mass"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("cauchy_decreasing", "mass_decreasing", "recurrence_time", "window_warning"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -933,26 +957,30 @@ def test_start_matches_the_all_chunk_start(d, case, n_cpus, cpus, monkeypatch):
         assert _bits(got.norms[k]) == _bits(want.norms[k]), k
     if bump is None:
         assert all(v[0] == 0.0 for v in got.norms.values())
-    got = scattering_probe(eq, _deviation_stream(eq, bump, 0.02, 0.01, 1))
-    want = scattering_probe(eq, ((t, deviation_chunks(eq, t, c)) for t, c in
-                                 _oracle_start(observations(eq, bump, 0.02, 0.01, 1), eq, bump)))
+    got = scattering_probe(eq, observations(eq, bump, 0.02, 0.01, 1))
+    want = scattering_probe(eq, _oracle_start(observations(eq, bump, 0.02, 0.01, 1), eq, bump))
     for name in ("times", "cauchy", "local_mass"):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
 
 
 def test_a_start_chunk_built_by_the_caller_is_read_in_full(monkeypatch):
-    # the same start chunks as plain tuples: deviation_chunks yields every
-    # one of them, zero deviations included
+    # the same start chunks unmarked, as the oracle builds them: every one of
+    # them is read, and all but the bump's have zero deviations
     eq, bump, chunk_modes = _start_case(2, "first")
     _with_chunks(monkeypatch, eq, chunk_modes)
     _, chunks = next(iter(observations(eq, bump, 0.01, 0.01)))
-    marked = [modes for modes, _, _ in deviation_chunks(eq, 0.0, chunks)]
-    plain = [(modes, Z.copy(), Z_hat.copy()) for modes, Z, Z_hat in
-             deviation_chunks(eq, 0.0, oracle.start_chunks(eq, bump))]
+    marked = [chunk.modes for chunk in chunks if chunk.cells is None]
+    plain = list(oracle.start_chunks(eq, bump))
     assert marked == [slice(0, chunk_modes)]
-    assert [modes for modes, _, _ in plain] == ens_mod._mode_chunks(eq.n_modes, eq.grid)
-    assert all(not Z.any() and not Z_hat.any() for _, Z, Z_hat in plain[1:])
-    assert plain[0][2][0].any()
+    assert [chunk.modes for chunk in plain] == ens_mod._mode_chunks(eq.n_modes, eq.grid)
+    assert all(chunk.cells is None for chunk in plain)
+    y = eq.equilibrium_spectrum(0.0)
+    for i, chunk in enumerate(plain):
+        Z_hat = chunk.hat.copy()
+        Z_hat[eq.carrier_cells(chunk.modes)] -= y[chunk.modes]
+        Z = _read_deviation(eq, 0.0, chunk)[1:]
+        assert (i == 0) == Z[0].any() == Z_hat[0].any()
+        assert not Z[1:].any() and not Z_hat[1:].any()
 
 
 def _evolve_d3():
@@ -966,14 +994,16 @@ def _evolve_d3():
 
 def test_start_deviation_reads_the_bump_chunk_alone(monkeypatch):
     # at the evolve-d3 size, the t = 0 observation builds Y once per chunk for
-    # the fields and once more for the bump's deviation, and squares the
-    # fields once (the density and the masses) and the bump's chunk only
+    # the fields and once more, a quarter of the chunk at a time, for the
+    # bump's deviation, and squares the fields once (the density and the
+    # masses) and the bump's chunk only, and transforms the bump's mode alone
     eq = _evolve_d3()
     bump = BumpSpec(1e-3, 0.8, (1.0, 2.0, 3.0), (1.0, -1.0, 0.0), mode=200)
     chunks = ens_mod._mode_chunks(eq.n_modes, eq.grid)
     bumped = next(c for c in chunks if c.start <= bump.mode < c.stop)
     built, squared = [], []
     equilibrium_at, squares = ens_mod.ModeEnsemble.equilibrium_at, ens_mod._squares
+    deviation_squares = ens_mod._deviation_squares
 
     def counting_y(self, t, modes=slice(None), out=None):
         built.append(modes)
@@ -983,16 +1013,25 @@ def test_start_deviation_reads_the_bump_chunk_alone(monkeypatch):
         squared.append(len(x))
         return squares(x, rows)
 
+    def counting_deviation(eq, t, modes, u, rows):
+        squared.append(len(u))
+        return deviation_squares(eq, t, modes, u, rows)
+
     monkeypatch.setattr(ens_mod.ModeEnsemble, "equilibrium_at", counting_y)
     monkeypatch.setattr(ens_mod, "_squares", counting_squares)
+    monkeypatch.setattr(ens_mod, "_deviation_squares", counting_deviation)
     lp = LittlewoodPaley(eq.grid)
     ens_mod._record(eq, itertools.islice(observations(eq, bump, 0.01, 0.01), 1), lp)
-    assert sorted(built, key=lambda c: c.start) == sorted(chunks + [bumped], key=lambda c: c.start)
+    quarters = list(built)
+    for c in chunks:
+        quarters.remove(c)
     n = bumped.stop - bumped.start
+    assert [(q.start, q.stop) for q in quarters] == [(i, i + 8) for i in range(bumped.start, bumped.stop, 8)]
     weighted = len(ens_mod._NormSums(lp).weighted)
-    # the density's rows, the bump chunk's power, its |Z|^2 and |Z-hat|^2, and
-    # one weighted transform of its nonzero half per weight
-    assert sum(squared) == eq.n_modes + 3 * n + weighted * -(-n // 2)
+    # the density's rows, the bump chunk's power and its |Z|^2 (|Z-hat|^2 is
+    # that power with y_j's entries made afresh), and one weighted transform
+    # of the bump's mode per weight: the chunk's other modes are zero
+    assert sum(squared) == eq.n_modes + 2 * n + weighted
 
 
 class _CountingSquares:

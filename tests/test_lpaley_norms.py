@@ -259,10 +259,10 @@ def test_bernstein_ratio_transforms_its_block_alone(grid, lp, monkeypatch):
 # what picard and runner import from ensemble: its mode sums and its stream,
 # none of the norms of a plain field, which lpaley owns
 _FROM_ENSEMBLE = {
-    "picard": {"BumpSpec", "ModeEnsemble", "_check_bump", "_ModeSum", "_NormSums", "_summed",
-               "deviation_chunks", "observations"},
-    "runner": {"BumpSpec", "_mode_chunks", "_record", "_step_count", "cell_masses", "deviation_chunks",
-               "evolve", "init_equilibrium", "observations", "scattering_probe"},
+    "picard": {"BumpSpec", "ModeEnsemble", "_as_complex", "_buffers", "_check_bump", "_ModeSum", "_NormSums",
+               "_squares", "observations"},
+    "runner": {"BumpSpec", "_mode_chunks", "_record", "_step_count", "cell_masses", "evolve",
+               "init_equilibrium", "observations", "scattering_probe"},
 }
 
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hartorus import (BumpSpec, PicardOperator, TorusGrid, delta_potential, deviation_chunks,
-                      evolve, fermi, init_equilibrium, observations, parse_config, picard_solve,
-                      run_experiment, runner, scattering_probe)
+from hartorus import (BumpSpec, PicardOperator, TorusGrid, delta_potential, evolve, fermi,
+                      init_equilibrium, observations, parse_config, picard_solve, run_experiment,
+                      runner, scattering_probe)
 from hartorus import ensemble as ens_mod
 from hartorus import field
 from hartorus.field import ordered_map
@@ -31,20 +31,22 @@ def _case(d, N, theta):
     return eq, spec
 
 
-def _deviations(eq, spec, T, dt, stride):
-    return ((t, deviation_chunks(eq, t, c)) for t, c in observations(eq, spec, T, dt, stride))
-
-
 def _runs(eq, spec, d, N, theta, out):
-    """evolve's trajectory, the probe's report and equilibrium-check's payload
-    digests, at windows of 2 and 1 steps."""
+    """evolve's trajectory, the probe's report and the payload digests of
+    equilibrium-check and of simulate with spec's bump, at windows of 2 and
+    1 steps."""
     traj = evolve(eq, spec, 0.03, 0.01, obs_stride=2)
-    probe = scattering_probe(eq, _deviations(eq, spec, 0.03, 0.01, 2))
+    probe = scattering_probe(eq, observations(eq, spec, 0.03, 0.01, 2))
     text = f"grid.d = {d}\ngrid.N = {N}\ntheta = {theta}\nf.kind = fermi\nw.kind = delta\n" \
            "T = 0.03\ndt = 0.01\nobs.stride = 2\n"
-    env = run_experiment(parse_config(text, "equilibrium-check"), out)
+    env = run_experiment(parse_config(text, "equilibrium-check"), out / "equilibrium-check")
     assert env.all_passed
-    return traj, probe, [p["sha256"] for p in env.payloads]
+    bump = (f"pert.amplitude = {spec.amplitude}\npert.width = {spec.width}\npert.mode = {spec.mode}\n"
+            f"pert.center = {','.join(map(str, spec.center))}\n"
+            f"pert.carrier = {','.join(map(str, spec.carrier))}\n")
+    sim = run_experiment(parse_config(text + bump, "simulate"), out / "simulate")
+    assert sim.all_passed
+    return traj, probe, [p["sha256"] for env in (env, sim) for p in env.payloads]
 
 
 @pytest.mark.parametrize("case", list(_CASES))
@@ -69,6 +71,34 @@ def test_stream_runs_keep_their_bits_on_one_cpu_and_on_two(case, cpus, tmp_path)
     assert np.array_equal(probe2.cauchy, probe1.cauchy)
     assert np.array_equal(probe2.local_mass, probe1.local_mass)
     assert shas2 == shas1
+
+
+def test_observation_transforms_run_on_the_pool(cpus, monkeypatch):
+    # on two CPUs the inverse transform of every chunk read and of every
+    # weighted part of evolve's observations is a task of the pool, as are
+    # the step's; on one CPU every one runs on the calling thread, and no
+    # thread starts
+    eq, spec = _case(3, 16, 1e-8)
+    calls = []
+
+    def recording(x, *args, **kwargs):
+        calls.append((threading.current_thread(), np.shape(x)))
+        return field.ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(ens_mod, "ifftn", recording)
+    for n in (2, 1):
+        cpus(n)
+        threads = set(threading.enumerate())
+        calls.clear()
+        evolve(eq, spec, 0.01, 0.01)
+        stacks = [(thread, shape[0]) for thread, shape in calls if len(shape) == 4]
+        on_main = [size for thread, size in stacks if thread is threading.main_thread()]
+        if n == 2:
+            assert on_main == [] and field._POOL is not None
+        else:
+            assert len(on_main) == len(stacks) and field._POOL is None
+            assert set(threading.enumerate()) == threads
+        assert {32, 21, 16, 1} <= {size for _, size in stacks}  # reads and steps, halves, the bump alone
 
 
 _STABILITY = {

@@ -159,6 +159,20 @@ def _payload_digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_envelope_reports_the_run_cpu_time_and_the_cpus(n_cpus, cpus, tmp_path):
+    # cpu_s is the process's CPU time over the run alone, so it stays within
+    # the wall time on the CPUs it may use; cpus is how many those are
+    cpus(n_cpus)
+    text = "grid.d = 3\ngrid.N = 16\nf.kind = fermi\nw.kind = delta\npert.amplitude = 1e-3\nT = 0.02\ndt = 0.01\n"
+    env = run_experiment(parse_config(text, "simulate"), tmp_path)
+    meta = json.loads((tmp_path / "envelope.json").read_text())
+    assert meta["cpus"] == env.cpus == n_cpus
+    assert meta["cpu_s"] == env.cpu_s
+    assert 0.0 < env.cpu_s <= n_cpus * env.wall_clock_s + 0.05
+    assert list(meta)[:6] == ["kind", "version", "seed", "wall_clock_s", "cpu_s", "cpus"]
+
+
 def test_payload_bytes_match_the_recorded_digests(tmp_path):
     want = json.loads(_DIGESTS.read_text())
     got = {}
