@@ -11,8 +11,8 @@ from .equilibrium import (Bullet, CovarianceProfile, DistributionFunction,
                           equilibrium_mass, eval_h, fermi, gaussian_f2, gaussian_potential,
                           hypothesis_check, sphere_area, zero_distribution, zero_potential,
                           zero_temp_fermi)
-from .ensemble import (BumpSpec, Chunk, ModeEnsemble, Trajectory, conserved_energy, deviation_norms,
-                       evolve, init_equilibrium, observations, scattering_probe, step)
+from .ensemble import (BumpSpec, Chunk, ModeEnsemble, Trajectory, conserved_energy, evolve,
+                       init_equilibrium, observations, scattering_probe, step)
 from .picard import PicardOperator, PicardResult, picard_solve, reference_trajectory
 from .response import (DecayReport, EpsilonGReport, MarginReport, MultiplierTable,
                        compute_mf_batch, decay_bound_check, decay_slope, default_tau_grid,

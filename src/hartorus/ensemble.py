@@ -45,7 +45,8 @@ mass overflows the sums, or a step whose potential is not finite, raises
 FloatingPointError: no consumer sees non-finite values.
 
 Each of those readers makes an observation one field.ordered_map over the
-parts of its chunks, with buffers from the map's factory (_buffers): a
+parts of its chunks, evolve and the Picard reference with buffers from the
+map's factory (_buffers), the probe in chunks of its own that it holds: a
 chunk's read (its fields by an inverse FFT, and what the reader squares or
 unwinds of them and of its deviation) is one task, and with the norms each
 half of the chunk under each weight is one more.  The calling thread only
@@ -54,8 +55,8 @@ whole observation runs on the pool and no sum depends on the pool.
 
 The deviation of a state at time t is Z = u - y against the exact
 equilibrium phases of eq.  The carriers are lattice frequencies, so Y(t) is
-built per chunk where it is read from one table of the N roots of unity
-(equilibrium_at), and no copy is stored; the spectrum of y_j has one nonzero
+built per chunk where it is read from the modes' per-axis factors, d tables
+of M x N roots of unity (equilibrium_at), and no copy is stored; the spectrum of y_j has one nonzero
 entry (equilibrium_spectrum at carrier_cells), so the spectrum of Z is the
 stream's own but at those entries.  No reader makes it: a weighted transform
 takes the weight times hat with those entries made afresh, and |Z-hat|^2 is
@@ -119,12 +120,20 @@ class _ModeSum:
 
 def _squares(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|x|^2 of the chunk x in rows 1.. of the leading len(x) + 1 rows of
-    rows, which it returns; row 0 is left for _ModeSum.add_squares."""
-    work = rows[:len(x) + 1]
-    sq = work[1:]
-    np.abs(x, out=sq)
-    with np.errstate(over="ignore"):  # past the largest float: inf, which the callers judge
-        np.square(sq, out=sq)
+    rows, which it returns; row 0 is left for _ModeSum.add_squares.  x may be
+    the complex view of the last 2 len(x) rows of rows, two rows ahead of it
+    at least (_as_complex): the rows are then written a block of modes at a
+    time, each block once the modes its rows overlap are read."""
+    n = len(x)
+    work = rows[:n + 1]
+    ahead = len(rows) - 2 * n if np.may_share_memory(x, rows) else n + 1
+    i = 0
+    while i < n:
+        block = min(n - i, ahead - 1 + i)
+        sq = np.abs(x[i:i + block], out=work[1 + i:1 + i + block])
+        with np.errstate(over="ignore"):  # past the largest float: inf, which the callers judge
+            np.square(sq, out=sq)
+        i += block
     return work
 
 
@@ -144,16 +153,14 @@ def _nonzero(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), -1).any(axis=1)
 
 
-def _buffers(eq, spare: bool = False) -> Callable:
-    """The factory of one thread's buffers for the parts of an observation's
-    chunks (field.ordered_map's scratch): (fields, rows) real rows, fields
-    for two chunks' |.|^2 (_squares) whose leading rows hold a complex chunk
-    first (_as_complex), rows for one chunk's, and with spare, spare real
-    rows for another complex chunk."""
-    size = _mode_chunks(eq.n_modes, eq.grid)[0].stop if eq.n_modes else 0  # the first chunk is the largest
+def _buffers(eq, *sets: int) -> Callable:
+    """The factory of one thread's scratch for the parts of an observation's
+    chunks (field.ordered_map's): for each k of sets a real array of k (n + 1)
+    rows of the grid, n the modes of the largest chunk, room for k chunks of
+    |.|^2 rows (_squares) or for a complex chunk in two of them (_as_complex)."""
+    size = _mode_chunks(eq.n_modes, eq.grid)[0].stop + 1 if eq.n_modes else 1  # the first chunk is the largest
     shape = eq.grid.shape
-    return lambda: (np.empty((2 * size + 2,) + shape), np.empty((size + 1,) + shape)) + (
-        (np.empty((2 * size,) + shape),) if spare else ())
+    return lambda: tuple(np.empty((k * size,) + shape) for k in sets)
 
 
 @dataclass(frozen=True)
@@ -185,14 +192,15 @@ def _inverse(hat: np.ndarray, axes: tuple, out: np.ndarray) -> np.ndarray:
 def _deviation_squares(eq, t: float, modes: slice, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|Z|^2 (_squares) of Z = u - Y(t), u the fields of modes, in rows 1..
     of the leading len(u) + 1 rows of the real buffer rows, which it returns.
-    Z is made a quarter of the modes at a time beside u, which it only reads,
-    so rows may be u's own memory (_as_complex): each row is written once
-    the modes it overlaps are read."""
+    Z is made an eighth of the modes at a time in a scratch of that size,
+    beside u, which it only reads, so rows may hold u from their start on
+    (_as_complex): each row is written once the modes it overlaps are read."""
     work = rows[:len(u) + 1]
-    block = -(-len(u) // 4)
+    block = -(-len(u) // 8)
+    scratch = np.empty((block,) + u.shape[1:], complex)
     for i in range(0, len(u), block):
         part = slice(modes.start + i, min(modes.start + i + block, modes.stop))
-        Z = eq.equilibrium_at(t, part)
+        Z = eq.equilibrium_at(t, part, out=scratch[:part.stop - part.start])
         np.subtract(u[i:i + block], Z, out=Z)
         sq = np.abs(Z, out=work[1 + i:1 + i + len(Z)])
         with np.errstate(over="ignore"):  # past the largest float: inf, which the callers judge
@@ -203,7 +211,8 @@ def _deviation_squares(eq, t: float, modes: slice, u: np.ndarray, rows: np.ndarr
 @dataclass(frozen=True)
 class ModeEnsemble:
     """The equilibrium of a run: grid, lattice carriers (M, d), weights (M,),
-    the gauge mass m and the potential w; its plane waves are never stored."""
+    the gauge mass m and the potential w; its plane waves are never stored,
+    only their per-axis factors, d tables of M x N."""
 
     grid: TorusGrid
     carriers: np.ndarray
@@ -225,6 +234,20 @@ class ModeEnsemble:
         return self.m + np.vecdot(self.carriers, self.carriers)  # a summed square rounds otherwise
 
     @cached_property
+    def _cells(self) -> tuple:
+        """k_{j,a} mod N of every carrier, one (M,) index array per axis
+        (grid.lattice_cells)."""
+        return self.grid.lattice_cells(self.carriers)
+
+    @cached_property
+    def _phases(self) -> tuple:
+        """The per-axis factors omega^{(k_{j,a} n_a) mod N} of every mode, one
+        (M, N) table per axis a, omega = e^{2 pi i/N}."""
+        roots = np.exp(2j * np.pi * np.fft.fftfreq(self.grid.N))  # omega^m, from angles in [-pi, pi)
+        n = np.arange(self.grid.N)
+        return tuple(roots[np.multiply.outer(k, n) % self.grid.N] for k in self._cells)
+
+    @cached_property
     def _what(self) -> np.ndarray:
         """w-hat on the frequency lattice."""
         return self.w.what(self.grid.xi_norm)
@@ -240,13 +263,10 @@ class ModeEnsemble:
         out when given: a_j e^{-i t (m + |xi_j|^2)} times the per-axis factors
         omega^{(k_{j,a} n_a) mod N}, omega = e^{2 pi i/N}, about one complex
         multiply per point.  ValueError for a carrier off the lattice."""
-        g = self.grid
-        roots = np.exp(2j * np.pi * np.fft.fftfreq(g.N))  # omega^m, from angles in [-pi, pi)
         y = self.weights[modes] * np.exp(-1j * (t * self._rates[modes]))
-        n = np.arange(g.N)
-        for a, k in enumerate(g.lattice_cells(self.carriers[modes])):  # k_{j,a} mod N
-            factor = roots[np.multiply.outer(k, n) % g.N].reshape((len(k),) + (1,) * a + (g.N,))
-            y = np.multiply(y[..., None], factor, out=out if a == g.d - 1 else None)
+        for a, phase in enumerate(self._phases):
+            factor = phase[modes].reshape((len(y),) + (1,) * a + (self.grid.N,))
+            y = np.multiply(y[..., None], factor, out=out if a == self.grid.d - 1 else None)
         return y
 
     def carrier_cells(self, modes: slice = slice(None)) -> tuple:
@@ -254,7 +274,7 @@ class ModeEnsemble:
         in a spectrum stack of those modes: the one cell where the unnormalised
         spectrum of y_j is nonzero.  ValueError for a carrier off the frequency
         lattice, whose y_j has no such cell."""
-        return (np.arange(len(self.weights[modes])),) + self.grid.lattice_cells(self.carriers[modes])
+        return (np.arange(len(self.weights[modes])),) + tuple(k[modes] for k in self._cells)
 
     def equilibrium_spectrum(self, t: float) -> np.ndarray:
         """The (M,) entries N^d a_j e^{-i t (m + |xi_j|^2)} of the unnormalised
@@ -503,9 +523,9 @@ class _NormSums:
 
 def deviation_norms(lp: LittlewoodPaley, parts) -> dict:
     """Spatial ingredient norms of a deviation at one time, on the grid of the
-    block family lp, from the (key, rows) parts of its chunks in mode order,
-    as _NormSums.add_part takes them (an observation of the stream's, as
-    _Observation.summed passes them on)."""
+    block family lp, from the (key, rows) parts of an observation's chunks in
+    mode order, as _Observation.summed passes them on to _NormSums.add_part:
+    the span of an observation's norms in _record."""
     sums = _NormSums(lp)
     for key, rows in parts:
         sums.add_part(key, rows)
@@ -616,6 +636,21 @@ class Trajectory:
     density: np.ndarray            # (*grid) the density at the last observation
 
 
+@dataclass(frozen=True)
+class _Read:
+    """What the read part of a chunk makes (_Observation.task): its |u|^2
+    rows, its mode masses and its power, the |hat|^2 rows or, for a chunk
+    that is the equilibrium alone, |hat|^2 at its carrier cells; with the
+    norms also its |Z|^2 rows and fix = (index, values), |Z-hat|^2 at the
+    entries where it is not |hat|^2."""
+
+    sq: np.ndarray
+    masses: np.ndarray
+    power: np.ndarray
+    dev: Optional[np.ndarray] = None
+    fix: Optional[tuple] = None
+
+
 class _Observation:
     """What _record sums over one observation at time t of a run around the
     equilibrium eq, in mode order: the per-mode masses, the density rho and
@@ -642,6 +677,12 @@ class _Observation:
         self.rho, self.power = _ModeSum(eq.grid.shape), _ModeSum(eq.grid.shape)
         self.norms = None if lp is None else _NormSums(lp)
 
+    @staticmethod
+    def sets(lp: Optional[LittlewoodPaley]) -> int:
+        """The chunks of |.|^2 rows that a read part's buffer holds (_buffers):
+        |u|^2 and |hat|^2, and with lp |Z|^2."""
+        return 2 if lp is None else 3
+
     def parts(self, chunks) -> list:
         """(chunk, None) for the read part of each of chunks, then with lp
         (chunk, (k, half)) for the weighted transforms of each: parts of like
@@ -653,52 +694,58 @@ class _Observation:
         return [(chunk, None) for chunk in chunks] + weighted
 
     def task(self, buffers: tuple, item: tuple) -> tuple:
-        """(item, the rows of item's part) in buffers (_buffers): the read
-        part makes u in fields, |u|^2 in rows, then |Z|^2 and |hat|^2 over u
-        in fields."""
+        """(item, what item's part makes) in buffers (_buffers(eq, sets(lp))):
+        a _Read for a read part (_read), the rows of its transform for a
+        weighted part (_NormSums._weighted), None for no row."""
         chunk, part = item
+        fields = buffers[0]
+        if part is None:
+            return item, self._read(fields, chunk)
+        k, half = part
+        modes = slice(chunk.modes.start + half.start, chunk.modes.start + half.stop)
+        hat = chunk.hat[half]
+        index = self.eq.carrier_cells(modes)
+        return item, self.norms._weighted((_as_complex(fields, len(hat)), fields[2 * len(hat):]), k, hat,
+                                          (index, hat[index] - self.y[modes]))
+
+    def _read(self, fields: np.ndarray, chunk: Chunk) -> _Read:
+        """The read part of chunk, of n modes, in the leading sets (n + 1) rows
+        of fields: u in the last 2n of them, then over it |u|^2 in the first n
+        + 1, |Z|^2 in the next n + 1 with lp, and |hat|^2 in the last n + 1."""
         eq, n = self.eq, len(chunk.hat)
-        fields, rows = buffers
-        if part is not None:
-            k, half = part
-            modes = slice(chunk.modes.start + half.start, chunk.modes.start + half.stop)
-            hat = chunk.hat[half]
-            index = eq.carrier_cells(modes)
-            return item, self.norms._weighted((_as_complex(fields, len(hat)), rows), k, hat,
-                                              (index, hat[index] - self.y[modes]))
-        u = chunk.fields(_as_complex(fields, n))
+        rows = fields[:self.sets(self.norms) * (n + 1)]
+        u = chunk.fields(_as_complex(rows[len(rows) - 2 * n:], n))
         sq = _squares(u, rows)
         masses = np.sum(sq[1:], axis=eq.space_axes)
         if chunk.cells is not None:
             power = np.abs(chunk.hat[chunk.cells])
-            return item, (sq, masses, np.square(power, out=power))
+            return _Read(sq, masses, np.square(power, out=power))
         if self.norms is None:
-            return item, (sq, masses, _squares(chunk.hat, fields))  # over u, read
-        dev = _deviation_squares(eq, self.t, chunk.modes, u, fields)
+            return _Read(sq, masses, _squares(chunk.hat, rows[n + 1:]))
+        dev = _deviation_squares(eq, self.t, chunk.modes, u, rows[n + 1:])
         index = eq.carrier_cells(chunk.modes)
         at_y = np.abs(chunk.hat[index] - self.y[chunk.modes])
-        np.square(at_y, out=at_y)
-        return item, (sq, masses, _squares(chunk.hat, fields[n + 1:]), dev, index, at_y)
+        return _Read(sq, masses, _squares(chunk.hat, rows[2 * n + 2:]), dev, (index, np.square(at_y, out=at_y)))
 
     def summed(self, results):
-        """Add the rows task made, (item, rows) in item order, and pass on
-        the deviation's parts as deviation_norms takes them."""
-        for (chunk, part), rows in results:
+        """Add what task made, (item, its part's output) in item order, and
+        pass on the deviation's (key, rows) parts as deviation_norms takes
+        them."""
+        for (chunk, part), out in results:
             if part is not None:
-                yield part[0], rows
+                yield part[0], out
                 continue
-            sq, masses, power, *deviation = rows
-            self.rho.add_squares(sq)
-            self.masses[chunk.modes] = masses
+            self.rho.add_squares(out.sq)
+            self.masses[chunk.modes] = out.masses
             if chunk.cells is not None:
-                self.power.total[chunk.cells[1:]] += power
+                self.power.total[chunk.cells[1:]] += out.power
                 continue
-            self.power.add_squares(power)
-            if deviation:
-                dev, index, at_y = deviation
-                power[1:][index] = at_y  # |Z-hat|^2
-                yield "power", power
-                yield "dens", dev
+            self.power.add_squares(out.power)
+            if out.dev is not None:
+                index, at_y = out.fix
+                out.power[1:][index] = at_y  # |Z-hat|^2
+                yield "power", out.power
+                yield "dens", out.dev
 
 
 def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> Trajectory:
@@ -713,7 +760,7 @@ def _record(eq: ModeEnsemble, stream, lp: Optional[LittlewoodPaley] = None) -> T
     start, of the bump's chunk alone.
     """
     times, masses, energies, extrema, norm_rows = [], [], [], [], []
-    buffers = _buffers(eq)
+    buffers = _buffers(eq, _Observation.sets(lp))
     for t, chunks in stream:
         obs = _Observation(eq, t, lp)
         seen = obs.summed(ordered_map(obs.task, obs.parts(chunks), buffers))
@@ -775,8 +822,8 @@ def scattering_probe(eq: ModeEnsemble, stream, ball_center=None,
     the equilibrium eq, unwound by eq's gauge mass on eq's grid.
 
     stream yields (t, chunks) as observations(...) does: each observation is
-    one field.ordered_map over its chunks (_unwound), pulled lazily, and its
-    squares and gaps are added in mode order.  A chunk that is the
+    one field.ordered_map over its chunks (_unwound), and its squares and
+    gaps are added in mode order.  A chunk that is the
     equilibrium alone (at the start, every chunk but the bump's) has a zero
     deviation and is not read.  The probe holds the previous unwound
     deviation, chunk by chunk, and nothing else of stack size, so its memory
@@ -790,22 +837,19 @@ def scattering_probe(eq: ModeEnsemble, stream, ball_center=None,
     center = np.full(grid.d, grid.L / 2.0) if ball_center is None else ball_center
     radius = grid.L / 8.0 if ball_radius is None else ball_radius
     ball = grid.min_image_dist2(center) <= radius * radius
-    buffers = _buffers(eq)
     times, cauchy, local = [], [], []
     prev = None  # the unwound deviation of the last observation by chunk start, zero ones left out
     for t, chunks in stream:
         back = np.exp(1j * (t * (m + grid.xi_squared)))
-        task = partial(_unwound, eq, t, eq.equilibrium_spectrum(t), back, prev is not None)
-        held = {} if prev is None else prev  # released chunk by chunk as the new one grows
-        parts = ((c, held.pop(c.modes.start, None)) for c in chunks if c.cells is None)
+        task = partial(_unwound, eq, t, eq.equilibrium_spectrum(t), back, prev)
         dens = _ModeSum(grid.shape)
         unwound, diff = {}, 0.0
-        for start, dev, new, gap in ordered_map(task, parts, buffers):
+        for start, dev, new, gap in ordered_map(task, [c for c in chunks if c.cells is None]):
             dens.add_squares(dev)
             if new is not None:
                 unwound[start] = new
             diff += gap
-        dev = new = None  # the next window steps without the last part's buffers
+        dev = new = None  # the next window steps without the last part's chunks
         if prev is not None:
             for old in prev.values():  # chunks this observation left out
                 diff += _squared_gap(old, None)
@@ -826,26 +870,26 @@ def scattering_probe(eq: ModeEnsemble, stream, ball_center=None,
     )
 
 
-def _unwound(eq: ModeEnsemble, t: float, y: np.ndarray, back: np.ndarray, gaps: bool,
-             buffers: tuple, part: tuple) -> tuple:
-    """The probe's part of the chunk of part = (chunk, old) at time t, y the
-    equilibrium's spectral entries and back the unwinding symbol, in buffers
-    (_buffers): (modes.start, |Z|^2 rows, the unwound deviation or None for
-    a zero one, and with gaps its squared gap to old, the previous unwound
-    deviation of its modes or None).  The unwound deviation is made in
-    fields and then copied over old, which the gap has used up."""
-    chunk, old = part
-    fields, rows = buffers
-    u = chunk.fields(_as_complex(fields, len(chunk.hat)))
-    dev = _deviation_squares(eq, t, chunk.modes, u, rows)
-    x = np.multiply(chunk.hat, back, out=u)  # S(-t) Z-hat: hat's, but at y_j's one entry per mode
+def _unwound(eq: ModeEnsemble, t: float, y: np.ndarray, back: np.ndarray, prev: Optional[dict],
+             _, chunk: Chunk) -> tuple:
+    """The probe's part of chunk at time t, y the equilibrium's spectral
+    entries and back the unwinding symbol: (modes.start, |Z|^2 rows, the
+    unwound deviation or None for a zero one, and its squared gap to the
+    previous unwound deviation of its modes, which it pops from prev, None
+    at the first observation).  The unwound deviation is made in a chunk of
+    its own, which the probe holds; then u is read into the memory that the
+    previous one, used up by the gap, leaves (or that a zero deviation
+    leaves), and |Z|^2 made over it."""
+    n = len(chunk.hat)
+    x = np.empty_like(chunk.hat)  # S(-t) Z-hat: hat's, but at y_j's one entry per mode
+    for j in range(n):  # a mode at a time: numpy would buffer back, broadcast over the modes, up to 128 KiB
+        np.multiply(chunk.hat[j], back, out=x[j])
     index = eq.carrier_cells(chunk.modes)
     x[index] = (chunk.hat[index] - y[chunk.modes]) * back[index[1:]]
     new = ifftn(x, axes=eq.space_axes, overwrite_x=True) if _nonzero(x).any() else None
-    gap = _squared_gap(old, new) if gaps else 0.0
-    if new is not None and old is not None:  # held in old's memory, not in this thread's buffer
-        np.copyto(old, new)
-        new = old
-    elif new is not None:
-        new = new.copy()
-    return chunk.modes.start, dev, new, gap
+    old = None if prev is None else prev.pop(chunk.modes.start, None)
+    gap = 0.0 if prev is None else _squared_gap(old, new)
+    fields = old if old is not None else x if new is None else np.empty_like(x)
+    u = chunk.fields(fields)
+    rows = fields.reshape(-1).view(float).reshape((2 * n,) + fields.shape[1:])
+    return chunk.modes.start, _deviation_squares(eq, t, chunk.modes, u, rows), new, gap

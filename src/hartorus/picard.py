@@ -225,7 +225,7 @@ def reference_trajectory(eq: ModeEnsemble, bump: Optional[BumpSpec], result: Pic
     n_t = len(result.ts)
     dt = T / ((n_t - 1) * substeps)
     z_gap, v_gap = np.empty(n_t), np.empty(n_t)
-    buffers = _buffers(eq, spare=True)
+    buffers = _buffers(eq, 2, 1, 2)
     for s, (t, chunks) in enumerate(observations(eq, bump, T, dt, substeps)):
         rho, gap = _ModeSum(eq.grid.shape), 0.0
         for sq, chunk_gap in ordered_map(partial(_reference_part, eq, t, Z[s]), chunks, buffers):

@@ -2,43 +2,50 @@
 deviation norms of a stack, and the fields of a stream's last observation;
 and the norm sums, evolve and the probe with every transform of zero taken."""
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 
 from hartorus import ensemble, picard
-from hartorus.ensemble import _NormSums, _squares, deviation_norms
+from hartorus.ensemble import _NormSums, _squares
 from hartorus.field import fftn, ifftn
 
 
-def chunk_parts(lp, chunks):
-    """The (key, rows) parts that deviation_norms sums, of (modes, Z, Z-hat)
-    chunks given in full: each chunk's |Z-hat|^2, its |Z|^2 and its weighted
-    transforms (_NormSums.weighted_rows)."""
+def chunk_norms(lp, chunks):
+    """The deviation norms of (modes, Z, Z-hat) chunks given in full, in mode
+    order: each chunk through _NormSums.add, as a Picard slice is summed, and
+    its |Z-hat|^2 into the power behind hs."""
     sums = ensemble._NormSums(lp)
     for _, Z, Z_hat in chunks:
-        yield "power", _squares(Z_hat, np.empty((len(Z) + 1,) + Z.shape[1:]))
-        yield "dens", _squares(Z, np.empty((len(Z) + 1,) + Z.shape[1:]))
-        yield from sums.weighted_rows(Z_hat)
+        sums.add(Z, Z_hat)
+        sums.power.add_squares(_squares(Z_hat, np.empty((len(Z_hat) + 1,) + Z_hat.shape[1:])))
+    return {k: float(v) for k, v in sums.ingredients(hs=True).items()}
 
 
 def stack_norms(lp, stack, hat=None):
-    """deviation_norms of the stack passed as one chunk, with hat its
-    unnormalised spectrum over space (transformed here when not given)."""
+    """The deviation norms of the stack passed as one chunk (chunk_norms),
+    with hat its unnormalised spectrum over space (transformed here when not
+    given)."""
     if hat is None:
         hat = fftn(stack, axes=tuple(range(1, stack.ndim)))
-    return deviation_norms(lp, chunk_parts(lp, [(slice(None), stack, hat)]))
+    return chunk_norms(lp, [(slice(None), stack, hat)])
 
 
 def keeping_fields(eq, stream):
     """(observations, fields): the (t, chunks) observations of stream, a run
     of the ensemble eq, passed on, and an (M, *grid) stack into which each
-    chunk's fields are copied as they go by; once the stream ends, it holds
-    the fields of the last observation."""
+    chunk's fields are copied as the part that reads them makes them; once
+    the stream ends, it holds the fields of the last observation."""
     out = np.empty((eq.n_modes,) + eq.grid.shape, dtype=complex)
 
-    def copied(chunks):
-        for chunk in chunks:  # passed on as they are: a start chunk keeps its mark
-            out[chunk.modes] = chunk.fields(np.empty_like(chunk.hat))
-            yield chunk
+    def copying(chunk, into):
+        u = chunk.fields(into)
+        out[chunk.modes] = u
+        return u
+
+    def copied(chunks):  # each chunk as it is but for its fields: a start chunk keeps its mark
+        return (replace(chunk, fields=partial(copying, chunk)) for chunk in chunks)
 
     return ((t, copied(chunks)) for t, chunks in stream), out
 
@@ -63,7 +70,7 @@ def every_mode_transformed(monkeypatch):
 
 
 def unskipped(monkeypatch):
-    """Make deviation_norms and the Picard norms sum with UnskippedSums, and
+    """Make chunk_norms and the Picard norms sum with UnskippedSums, and
     evolve's norms transform every mode, from here on."""
     monkeypatch.setattr(ensemble, "_NormSums", UnskippedSums)
     monkeypatch.setattr(picard, "_NormSums", UnskippedSums)

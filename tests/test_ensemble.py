@@ -8,7 +8,7 @@ import pytest
 import stream_oracle as oracle
 
 from field_oracle import SpectralField, besov_norm, lebesgue_norm, sobolev_norm
-from stack_norms import chunk_parts, every_mode_transformed, keeping_fields, stack_norms, unskipped
+from stack_norms import chunk_norms, every_mode_transformed, keeping_fields, stack_norms, unskipped
 from hartorus import (BumpSpec, LittlewoodPaley, TorusGrid, conserved_energy, critical_exponents,
                       custom_radial, delta_potential, evolve,
                       fermi, init_equilibrium, observations, parse_config, run_experiment,
@@ -44,11 +44,11 @@ def _masses(ens, u):
 
 def _final(eq, bump, T, dt, obs_stride=10 ** 9):
     """(t, fields) at the end of the run: the last time the stream yields and
-    the fields of its last observation, copied from its chunks."""
+    the fields of its last observation, read from its chunks."""
     stream, u = keeping_fields(eq, observations(eq, bump, T, dt, obs_stride))
     for t, chunks in stream:
-        for _ in chunks:
-            pass
+        for chunk in chunks:
+            chunk.fields(np.empty_like(chunk.hat))
     return t, u
 
 
@@ -489,12 +489,11 @@ def _stack_bytes(eq):
 
 def test_evolve_peak_does_not_grow_with_observations():
     # the equilibrium built inside the run holds no stack: the stream's one
-    # buffer, and one thread's buffers for the observation's one mode chunk
-    # (all 45 modes here), its fields with room for the |hat|^2 rows and its
-    # |u|^2 rows, 2.99 stacks measured with one step per observation, 0.35 of
-    # them numpy's 256 KiB of broadcast buffers in equilibrium_at at the
-    # start (2.60 with the fields read on the calling thread, 3.62 with eq's
-    # stored plane waves)
+    # buffer, and one thread's buffer for the observation's one mode chunk
+    # (all 45 modes here), its fields with the |u|^2 and |hat|^2 rows made
+    # over them, 2.51 stacks measured with one step per observation (2.60
+    # with the fields read on the calling thread, 3.62 with eq's stored
+    # plane waves)
     eq, _ = _perturbed(2, 32)
     assert len(ens_mod._mode_chunks(eq.n_modes, eq.grid)) == 1
 
@@ -505,7 +504,7 @@ def test_evolve_peak_does_not_grow_with_observations():
     for T in (0.01, 0.04):
         traj, peak = _traced_peak(lambda: run(T))
         assert len(traj.times) == round(T / 1e-3) + 1
-        assert peak <= 3.1 * _stack_bytes(eq), peak / _stack_bytes(eq)
+        assert peak <= 2.75 * _stack_bytes(eq), peak / _stack_bytes(eq)
 
 
 _D3_RUN = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = delta",
@@ -514,7 +513,7 @@ _D3_RUN = "\n".join(["grid.d = 3", "grid.N = 16", "f.kind = fermi", "w.kind = de
 
 def test_simulate_d3_peak_is_one_stack(tmp_path):
     # d=3, N=16, M=341 in 11 chunks of 32 modes: the stream's buffer, plus
-    # about four chunks of temporaries and a few grids (1.37 stacks measured;
+    # about four chunks of temporaries and a few grids (1.39 stacks measured;
     # 2.40 with eq's stored plane waves)
     env, peak = _traced_peak(lambda: run_experiment(parse_config(_D3_RUN, "simulate"), tmp_path))
     assert env.all_passed
@@ -524,7 +523,7 @@ def test_simulate_d3_peak_is_one_stack(tmp_path):
 
 def test_scattering_probe_d3_peak_is_two_stacks(tmp_path):
     # the stream's buffer and the previous unwound deviation, plus chunk
-    # temporaries (2.31 stacks measured; 3.35 with eq's stored plane waves)
+    # temporaries (2.35 stacks measured; 3.35 with eq's stored plane waves)
     env, peak = _traced_peak(lambda: run_experiment(parse_config(_D3_RUN, "scattering-probe"),
                                                     tmp_path))
     assert set(env.verdicts) == {"cauchy_decreasing", "local_mass_decreasing",
@@ -646,11 +645,11 @@ def test_streamed_probe_matches_batched_formula(d, N):
     assert rpt.cauchy == pytest.approx(cauchy, rel=1e-13, abs=0)
     assert rpt.local_mass == pytest.approx(local, rel=1e-13, abs=0)
     # the previous and the current unwound deviation, not copies of the
-    # whole list, beside the probe's own read of the fields and Y(t): 8.95
-    # stacks of 7 KiB (d=1) and 3.76 of 180 KiB (d=2) measured, about 36 KiB
-    # of it fixed; one more stack fails both cases (2.77 of 180 KiB when the
-    # caller made the deviation)
-    assert peak <= 3.9 * _stack_bytes(eq) + 40 * 1024
+    # whole list, the fields read into the previous one's memory once the
+    # gap has used it: 3.91 stacks of 7 KiB (d=1) and 2.51 of 180 KiB (d=2)
+    # measured, about 8 KiB of it fixed; one more stack fails both cases
+    # (3.71 and 2.77 when the caller made the deviation)
+    assert peak <= 2.85 * _stack_bytes(eq) + 8 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +793,7 @@ def test_a_deviation_reader_held_at_a_chunk_leaves_its_spectrum_as_it_is(chunk_m
     _with_chunks(monkeypatch, eq, chunk_modes)
     cells = eq.carrier_cells()
     lp = LittlewoodPaley(eq.grid)
-    buffers = ens_mod._buffers(eq)()
+    buffers = ens_mod._buffers(eq, 3)()
     for t, chunks in observations(eq, spec, 0.02, 1e-2, 1):
         chunk = next(c for c in chunks if c.modes.start <= spec.mode < c.modes.stop)
         modes, hat = chunk.modes, chunk.hat
@@ -858,9 +857,9 @@ def test_zero_halves_skipped_match_every_half_transformed(d, N, case, monkeypatc
     rng = np.random.default_rng(d)
     chunks = [_sparse_chunk(g, rng, n, nonzero) for n, nonzero in _ZERO_HALF_CASES[case]]
     lp = LittlewoodPaley(g)
-    got = ens_mod.deviation_norms(lp, chunk_parts(lp, chunks))
+    got = chunk_norms(lp, chunks)
     unskipped(monkeypatch)
-    want = ens_mod.deviation_norms(lp, chunk_parts(lp, chunks))
+    want = chunk_norms(lp, chunks)
     assert got == want
     assert (got["l2"] == 0) == (case == "all_zero")
 
@@ -994,7 +993,7 @@ def _evolve_d3():
 
 def test_start_deviation_reads_the_bump_chunk_alone(monkeypatch):
     # at the evolve-d3 size, the t = 0 observation builds Y once per chunk for
-    # the fields and once more, a quarter of the chunk at a time, for the
+    # the fields and once more, an eighth of the chunk at a time, for the
     # bump's deviation, and squares the fields once (the density and the
     # masses) and the bump's chunk only, and transforms the bump's mode alone
     eq = _evolve_d3()
@@ -1022,11 +1021,12 @@ def test_start_deviation_reads_the_bump_chunk_alone(monkeypatch):
     monkeypatch.setattr(ens_mod, "_deviation_squares", counting_deviation)
     lp = LittlewoodPaley(eq.grid)
     ens_mod._record(eq, itertools.islice(observations(eq, bump, 0.01, 0.01), 1), lp)
-    quarters = list(built)
+    eighths = list(built)
     for c in chunks:
-        quarters.remove(c)
+        eighths.remove(c)
     n = bumped.stop - bumped.start
-    assert [(q.start, q.stop) for q in quarters] == [(i, i + 8) for i in range(bumped.start, bumped.stop, 8)]
+    assert n == 32
+    assert [(q.start, q.stop) for q in eighths] == [(i, i + 4) for i in range(bumped.start, bumped.stop, 4)]
     weighted = len(ens_mod._NormSums(lp).weighted)
     # the density's rows, the bump chunk's power and its |Z|^2 (|Z-hat|^2 is
     # that power with y_j's entries made afresh), and one weighted transform

@@ -346,6 +346,25 @@ def test_equilibrium_check_without_modes_writes_positive_zeros(tmp_path):
     assert summary["n_modes"] == 0
 
 
+def test_equilibrium_check_reads_each_observation_once(tmp_path, monkeypatch):
+    # the amplitude and gauge checks take the last observation's fields from
+    # the read that the trajectory's sums make, not from a second read
+    reads = []
+    inverse = ensemble._inverse
+
+    def counting(hat, axes, out):
+        reads.append(len(hat))
+        return inverse(hat, axes, out)
+
+    monkeypatch.setattr(ensemble, "_inverse", counting)
+    env = run_experiment(parse_config(CONFIGS["equilibrium-check"], "equilibrium-check"), tmp_path)
+    assert env.all_passed, env.verdicts
+    summary = json.loads((tmp_path / "summary.ndjson").read_text())
+    records = (tmp_path / "trajectory.ndjson").read_text().splitlines()
+    # every observation after the start, which reads Y(0), reads each mode once
+    assert sum(reads) == summary["n_modes"] * (len(records) - 1)
+
+
 def test_stability_check_builds_one_profile(tmp_path, monkeypatch, table_builds, cpus):
     # the h table task builds it on the pool; hypothesis_check reads it
     cpus(2)
