@@ -5,18 +5,16 @@ WITHOUT the (2*pi)^-d prefactor:
 
     h(x) = integral over R^d of |f(xi)|^2 e^{i xi.x} d xi,
 
-reduced to a radial integral with the exact angular kernel for each
-dimension (cosine for d=1, J0 for d=2, spherical sinc for d=3, J1-type
-for d=4).  One convention is fixed package-wide; the equilibrium residual
-and the response cross-checks validate it operationally.
+reduced by projection-slice to h(x) = 2 int_0^R rho1(v) cos(xv) dv, rho1 the
+line marginal of |f|^2.  One convention is fixed package-wide; the
+equilibrium residual and the response cross-checks validate it operationally.
 
-CovarianceProfile tabulates h with one fixed-node Gauss-Legendre radial
-transform per block of table nodes (the table's radial panels, bisected once,
-split into parts of a few kernel periods, in the spirit of Ogata's
-Bessel-kernel quadrature).  Every d takes the same path: the nodes are a
-grid of exact sums, the kernel's radial weight goes into the Gauss weights,
-and one kernel sum per chunk of radial nodes follows, by angle addition at
-d = 1 and 3 and by the Bessel function at d = 2 and 4.
+CovarianceProfile tabulates h with one fixed-node Gauss-Legendre transform
+per block of table nodes (the table's panels, bisected once, split into
+parts of a few kernel periods).  Every d takes the same path: the nodes are
+a grid of exact sums, the weight goes into the Gauss weights, and one kernel
+sum per chunk of nodes follows by angle addition: cosines on rho1, or at d =
+3 sines on |f|^2, the same integral taken by parts.
 eval_h is the adaptive single-point quadrature kept as its oracle.  No run
 calls eval_h, so it imports scipy.integrate on its first call; it stays in
 this module because the benchmark's response oracle and its tracer read it
@@ -25,6 +23,7 @@ here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,16 +218,12 @@ def eval_h(f: DistributionFunction, d: int, x: float):
     if d == 1:
         val, err = integrate.quad(f2, 0.0, rend, weight="cos", wvar=x, limit=200, **acc)
         return 2.0 * val, 2.0 * err
-    if d == 2:
-        lim = max(200, int(60 * (1 + x * rend / math.pi)))
-        val, err = integrate.quad(lambda r: f2(r) * r * j0(r * x), 0.0, rend, limit=lim, **acc)
-        return 2 * math.pi * val, 2 * math.pi * err
     if d == 3:
         val, err = integrate.quad(lambda r: f2(r) * r, 0.0, rend, weight="sin", wvar=x, limit=200, **acc)
         return 4 * math.pi / x * val, 4 * math.pi / x * err
     lim = max(200, int(60 * (1 + x * rend / math.pi)))
-    val, err = integrate.quad(lambda r: f2(r) * r * r * j1(r * x), 0.0, rend, limit=lim, **acc)
-    c = (2 * math.pi) ** 2 / x
+    bessel, c = (j0, 2 * math.pi) if d == 2 else (j1, (2 * math.pi) ** 2 / x)
+    val, err = integrate.quad(lambda r: f2(r) * r ** (d // 2) * bessel(r * x), 0.0, rend, limit=lim, **acc)
     return c * val, c * err
 
 
@@ -243,11 +238,9 @@ _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
 _LOBATTO = _gauss_lobatto(16)
 _PERIODS_PER_PANEL = 5.0
-_PHASE = 16                 # columns of a block's node grid, rows of a d = 1, 3 phase table
+_PHASE = 16                 # columns of a block's node grid, rows of a phase table
 _TABLE_BLOCK = _PHASE ** 2  # table nodes per radial transform
 _RADIAL_CHUNK = 4096        # radial nodes per kernel matrix (bounds temporaries)
-# (c_d, p) of the radial weight c_d r^p of h's kernel at each d
-_RADIAL_WEIGHT = {1: (2.0, 0), 2: (2 * math.pi, 1), 3: (4 * math.pi, 1), 4: ((2 * math.pi) ** 2, 2)}
 _MAX_BISECTIONS = 60
 _PANEL_MASS_TOL = 1e-12     # relative to the mass on the uniform panels
 _TABLE_TOL = 1e-13          # |h| below this times h(0) counts as zero
@@ -268,49 +261,49 @@ def _gauss_nodes(a, b, rule):
     return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
 
-def _panel_masses(f: DistributionFunction, d: int, a, b, rule):
-    """int f2 r^{d-1} dr on each panel [a_i, b_i] by one Gauss rule."""
+def _radial_density(f: DistributionFunction, d: int):
+    """r -> f2(r) r^{d-1}, whose integral times |S^{d-1}| is a mass of f2."""
+    return lambda r: f.f2(r) * r ** (d - 1)
+
+
+def _panel_masses(density, a, b, rule):
+    """int density dr on each panel [a_i, b_i] by one Gauss rule."""
     r, w = _gauss_nodes(a, b, rule)
-    return (f.f2(r) * r ** (d - 1) * w).reshape(len(a), -1).sum(axis=1)
+    return (density(r) * w).reshape(len(a), -1).sum(axis=1)
 
 
-def _radial_panels(f: DistributionFunction, d: int, rend: float, n: int):
+def _radial_panels(density, rend: float, n: int):
     """n uniform panels on [0, rend], bisected until the 32-point rule agrees
-    on each panel's mass |S^{d-1}| int f2 r^{d-1} dr with the 16-point rule,
-    with the sum of 16-point rules on its first third and its last two
-    thirds, and with the 16-point Lobatto rule, to within _PANEL_MASS_TOL
-    times the mass on the uniform panels.
+    on each panel's int density dr with the 16-point rule, with the sum of
+    16-point rules on its first third and last two thirds, and with the
+    16-point Lobatto rule, to within _PANEL_MASS_TOL times the total.
 
-    Smooth profiles keep the uniform panels; a jump inside the interval is
-    bisected down to a sliver whose mass is below the tolerance, so the
-    panels grade geometrically toward it.  The symmetric rules alone agree
-    on a jump in the gap around the panel midpoint, and the Gauss rules on
-    a jump between a panel end and its outermost node.
+    Smooth densities keep the uniform panels; a jump or an edge singularity
+    inside the interval is bisected down to a sliver whose mass is below the
+    tolerance, so the panels grade geometrically toward it.  The symmetric
+    rules alone agree on a jump in the gap around the panel midpoint, and
+    the Gauss rules on a jump between a panel end and its outermost node.
     """
     edges = np.linspace(0.0, rend, n + 1)
     a, b = edges[:-1], edges[1:]
-    area = sphere_area(d)
-    tol = _PANEL_MASS_TOL * area * abs(float(np.sum(_panel_masses(f, d, a, b, _GAUSS_HI))))
+    tol = _PANEL_MASS_TOL * abs(float(np.sum(_panel_masses(density, a, b, _GAUSS_HI))))
 
-    done_a, done_b = [], []
+    done = []
     for _ in range(_MAX_BISECTIONS):
         third = a + (b - a) / 3.0
-        m32 = _panel_masses(f, d, a, b, _GAUSS_HI)
-        split = area * np.maximum.reduce([
-            np.abs(m32 - _panel_masses(f, d, a, b, _GAUSS_LO)),
-            np.abs(m32 - _panel_masses(f, d, a, third, _GAUSS_LO)
-                   - _panel_masses(f, d, third, b, _GAUSS_LO)),
-            np.abs(m32 - _panel_masses(f, d, a, b, _LOBATTO))]) > tol
-        done_a.append(a[~split])
-        done_b.append(b[~split])
+        m32 = _panel_masses(density, a, b, _GAUSS_HI)
+        split = np.maximum.reduce([
+            np.abs(m32 - _panel_masses(density, a, b, _GAUSS_LO)),
+            np.abs(m32 - _panel_masses(density, a, third, _GAUSS_LO)
+                   - _panel_masses(density, third, b, _GAUSS_LO)),
+            np.abs(m32 - _panel_masses(density, a, b, _LOBATTO))]) > tol
+        done.append((a[~split], b[~split]))
         a, b = a[split], b[split]
         if not len(a):
             break
         mid = 0.5 * (a + b)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    done_a.append(a)
-    done_b.append(b)
-    a, b = np.concatenate(done_a), np.concatenate(done_b)
+    a, b = (np.concatenate(ends) for ends in zip(*done, (a, b)))
     order = np.argsort(a)
     return a[order], b[order]
 
@@ -322,8 +315,8 @@ def _block_nodes(m0: float, dx: float):
     They are a (rows, _PHASE) grid, row-major ascending, of the sums A_i +
     B_j, where A_i = (m0 + _PHASE i + 1) dx and B_j = j dx are each rounded
     to a multiple of the float spacing u at the block's end: every sum is
-    exact, so a node is the very point at which the factorised kernel of d =
-    1 and 3 evaluates h, and it stays within about u of its multiple of dx.
+    exact, so a node is the very point at which the factorised kernel
+    evaluates h, and it stays within about u of its multiple of dx.
     """
     j = np.arange(_PHASE)
     u = math.ldexp(1.0, math.frexp((m0 + _TABLE_BLOCK + 1) * dx)[1] - 52)
@@ -345,39 +338,30 @@ def _split_panels(a, b, x: float):
     return lo, hi
 
 
-def _radial_transform(f: DistributionFunction, d: int, xs, panels, rule):
-    """h at the nodes xs > 0, a grid in the form of _block_nodes, by one
-    fixed-node radial transform with one Gauss rule; flattened.
-
-    Its radial panels are the bisected panels (a, b) of the table, each split
-    by _split_panels at the last node of xs.
-    The kernel of h(x) = int_0^inf K_d(x, r) f2(r) dr is c_d r^p k(xr), over
-    x at d >= 3: 2 cos, 2 pi r J0, 4 pi r sin and 4 pi^2 r^2 J1 at d = 1..4.
-    The weight c_d r^p goes into the Gauss weights, one kernel sum per chunk
-    of radial nodes takes k, and the division by x comes last.  At d = 1 and
-    3, k(xr) at x = A_i + B_j is, by angle addition, a sum of products of the
-    phase tables cos and sin of A_i r and of B_j r: two (_PHASE x R)(R x
-    _PHASE) products in place of _TABLE_BLOCK x R sines.  At d = 2 and 4 the
-    Bessel function is taken on the whole (nodes, R) grid.
+def _radial_transform(density, d: int, xs, panels, rule):
+    """h = 2 int_0^R rho1(v) cos(xv) dv, density rho1, at the nodes xs > 0, a
+    grid in the form of _block_nodes, with one Gauss rule on the table's
+    panels split by _split_panels at the last node of xs; flattened.  At d =
+    3, where rho1' = -2 pi v f2, density is f2 and the integral is taken by
+    parts, (4 pi / x) int_0^R r f2 sin(xr) dr: no rho1 at the nodes, and
+    faster on both profiles of the d = 3 response benchmark.  By angle
+    addition the kernel at x = A_i + B_j is a sum of products of the phase
+    tables of A_i r and B_j r: two (_PHASE x R)(R x _PHASE) products per
+    radial chunk in place of _TABLE_BLOCK x R cosines or sines.
     """
     r, w = _gauss_nodes(*_split_panels(*panels, xs.flat[-1]), rule)
-    c, p = _RADIAL_WEIGHT[d]
-    g = f.f2(r) * w * (c * r ** p)
+    g = density(r) * w * (4 * math.pi * r if d == 3 else 2.0)
     a, b = xs[:, 0], xs[0] - xs[0, 0]
     acc = np.zeros(xs.size)
     for s in range(0, len(r), _RADIAL_CHUNK):
         rc, gc = r[s:s + _RADIAL_CHUNK], g[s:s + _RADIAL_CHUNK]
-        if d in (2, 4):
-            k = np.outer(xs, rc)
-            acc += (j0 if d == 2 else j1)(k, out=k) @ gc
-            continue
         ar, br = np.outer(a, rc), np.outer(b, rc)
         sin_a, cos_a, sin_b, cos_b = np.sin(ar) * gc, np.cos(ar) * gc, np.sin(br), np.cos(br)
-        if d == 1:  # cos(a + b) = cos a cos b - sin a sin b
-            acc += (cos_a @ cos_b.T - sin_a @ sin_b.T).ravel()
-        else:       # sin(a + b) = sin a cos b + cos a sin b
+        if d == 3:  # sin(a + b) = sin a cos b + cos a sin b
             acc += (sin_a @ cos_b.T + cos_a @ sin_b.T).ravel()
-    if d >= 3:
+        else:       # cos(a + b) = cos a cos b - sin a sin b
+            acc += (cos_a @ cos_b.T - sin_a @ sin_b.T).ravel()
+    if d == 3:
         acc /= xs.ravel()
     return acc
 
@@ -398,7 +382,7 @@ def _line_marginal(f: DistributionFunction, d: int, a, b, v):
         return out
     if d == 3:
         # int f2 r dr on each panel (its d = 2 mass), summed from the end
-        tails = np.r_[np.cumsum(_panel_masses(f, 2, a, b, _GAUSS_HI)[::-1])[::-1][1:], 0.0]
+        tails = np.r_[np.cumsum(_panel_masses(_radial_density(f, 2), a, b, _GAUSS_HI)[::-1])[::-1][1:], 0.0]
         k = np.searchsorted(b, v[inside], side="right")
         step = max(1, _CHUNK_ELEMENTS // len(_GAUSS_HI[0]))
         for s in range(0, len(inside), step):
@@ -415,6 +399,20 @@ def _line_marginal(f: DistributionFunction, d: int, a, b, v):
         q, wq = (t.reshape(len(vs), -1) for t in _gauss_nodes(lo.ravel(), hi.ravel(), _GAUSS_HI))
         out[rows] = (f.f2(np.sqrt(vs * vs + q * q)) * q ** (d - 2) * wq).sum(axis=1)
     return sphere_area(d - 1) * out
+
+
+def _memoised(density):
+    """density evaluated only at nodes it has not met: the table's blocks share most."""
+    nodes, values = np.empty(0), np.empty(0)
+
+    def at(r):
+        nonlocal nodes, values
+        new = np.setdiff1d(r, nodes)
+        nodes, i = np.unique(np.r_[nodes, new], return_index=True)
+        values = np.r_[values, density(new)][i]
+        return values[np.searchsorted(nodes, r)]
+
+    return at
 
 
 def _line_nodes(f: DistributionFunction, d: int, a, b, rule):
@@ -449,20 +447,17 @@ class CovarianceProfile:
     The h table, built once on its first read by the 32-point rule alone,
     holds h at nodes spaced dx from 0 until |h| has stayed below _TABLE_TOL *
     |h(0)| over a stretch of 4 in x (at most to _X_MAX_CAP); beyond its last
-    node x_max h is zero.  Its radial panels on [0, support_radius()] are
-    bisected once, and each block of nodes, a grid of exact sums A_i + B_j,
-    splits them at its last node; at d = 1 and 3 angle addition takes its
-    cosine or sine kernel from two phase tables, and at d = 3 rho1(v) is 2
-    pi times the tail of int f2 r dr past v, a sum of panel masses and one
-    partial panel.  A profile with h(0) = 0 splines zeros on [0, 1], so
-    every profile has the same kind of table.  The error estimates are
-    computed when read: table_error() is the largest per-node |GL32 - GL16|
-    (the 16-point pass over the table's blocks and panels, kept for it,
-    splitting the panels as the 32-point pass did) plus the largest gap
-    between the spline and the fixed-node transform at the node midpoints,
-    the interpolation error, taken on its first call; the 16-point line
-    table behind the H estimate is built on the first half_line_transform
-    that asks for errors.
+    node x_max h is zero.  Its panels on [0, support_radius()] are bisected
+    once on f2 and, at d = 2 and 4, once more on rho1, kept by node; each
+    block of nodes, a grid of exact sums A_i + B_j, splits them at its last
+    node.  A profile with h(0) = 0 splines zeros on [0, 1], so every profile
+    has the same kind of table.  The error estimates are computed when read:
+    table_error() is the largest per-node |GL32 - GL16| (the 16-point pass
+    over the table's blocks and panels, kept for it, splitting the panels as
+    the 32-point pass did) plus the largest gap between the spline and the
+    fixed-node transform at the node midpoints, the interpolation error,
+    taken on its first call; the 16-point line table behind the H estimate
+    is built on the first half_line_transform that asks for errors.
     """
 
     def __init__(self, f: DistributionFunction, d: int):
@@ -470,20 +465,21 @@ class CovarianceProfile:
         self.d = d
         rend = f.support_radius() * (1.0 + 0.5 / _MARGINAL_PANELS)
         with np.errstate(over="ignore", invalid="ignore"):  # a mass that overflows is h0 = inf or nan
-            self._panels = _radial_panels(f, d, rend, _MARGINAL_PANELS)
-            m32, m16 = (_panel_masses(f, d, *self._panels, rule) for rule in (_GAUSS_HI, _GAUSS_LO))
+            density = _radial_density(f, d)
+            self._panels = _radial_panels(density, rend, _MARGINAL_PANELS)
+            m32, m16 = (_panel_masses(density, *self._panels, rule) for rule in (_GAUSS_HI, _GAUSS_LO))
             self.h0 = sphere_area(d) * float(np.sum(m32))
             self.h0_err = sphere_area(d) * float(np.sum(np.abs(m32 - m16)))
 
     @cached_property
     def _table(self):
-        """(spline, blocks, panels, dx) of the h table: the spline through
-        the 32-point values, each block's (index of the last node before it,
-        nodes, values, nodes kept), the radial panels (a, b) of [0,
-        support_radius()], bisected once, and the node spacing, for
+        """(spline, blocks, density, panels, dx) of the h table: the spline
+        through the 32-point values, each block's (index of the last node
+        before it, nodes, values, nodes kept), the density and panels of [0,
+        support_radius()] of its transform and the node spacing, for
         table_error to rebuild the 16-point pass of each block to the bit."""
         if self.h0 == 0.0:
-            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], None, None
+            return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), [], None, None, None
         if not math.isfinite(self.h0):
             raise ValueError(f"h(0) = {self.h0} is not finite: no h table")
         rsup = self.f.support_radius(1e-10)
@@ -493,12 +489,16 @@ class CovarianceProfile:
         # h of a jump never goes quiet: a zero-temperature table runs to the cap
         if (_X_MAX_CAP / dx if self.f.kind == "zero_temp_fermi" else quiet_stop) > _TABLE_MAX_NODES:
             raise ValueError(f"support radius {rsup:g} needs over {_TABLE_MAX_NODES} h table nodes")
-        panels = _radial_panels(self.f, self.d, self.f.support_radius(), 1)
+        f, d, R = self.f, self.d, self.f.support_radius()
+        panels, density = _radial_panels(_radial_density(f, d), R, 1), f.f2
+        if d in (2, 4):  # rho1's edge singularity at a jump of f2 needs its own panels
+            density = functools.partial(_line_marginal, f, d, *panels)
+            panels, density = _radial_panels(density, R, 1), _memoised(density)
         xs, hs, blocks = [np.zeros(1)], [np.array([self.h0])], []
         x, m, quiet = 0.0, 0, 0
         while x < _X_MAX_CAP and quiet < quiet_stop:
             grid = _block_nodes(m, dx)
-            vb = _radial_transform(self.f, self.d, grid, panels, _GAUSS_HI)
+            vb = _radial_transform(density, d, grid, panels, _GAUSS_HI)
             xb = grid.ravel()
             # the quiet run at each node: the nodes since the last loud one,
             # carried over from the blocks before while none has been loud
@@ -514,7 +514,7 @@ class CovarianceProfile:
             hs.append(vb[:n])
         # h is even, so h'(0) = 0 clamps the start of the spline
         spline = CubicSpline(np.concatenate(xs), np.concatenate(hs), bc_type=((1, 0.0), "natural"))
-        return spline, blocks, panels, dx
+        return spline, blocks, density, panels, dx
 
     @property
     def spline(self):
@@ -526,14 +526,13 @@ class CovarianceProfile:
 
     @cached_property
     def _table_error(self) -> float:
-        sp, blocks, panels, dx = self._table
-        f, d = self.f, self.d
+        sp, blocks, density, panels, dx = self._table
         errs, gap = [[self.h0_err]], 0.0
         for m0, xb, vb, n in blocks:
-            errs.append(np.abs(vb - _radial_transform(f, d, xb, panels, _GAUSS_LO))[:n])
+            errs.append(np.abs(vb - _radial_transform(density, self.d, xb, panels, _GAUSS_LO))[:n])
             # the points halfway to each node from the one before, in the nodes' form
             mids = _block_nodes(m0 - 0.5, dx)
-            hb = _radial_transform(f, d, mids, panels, _GAUSS_HI)[:n]
+            hb = _radial_transform(density, self.d, mids, panels, _GAUSS_HI)[:n]
             gap = max(gap, float(np.max(np.abs(sp(mids.ravel()[:n]) - hb))))
         return (float(np.max(np.concatenate(errs))) if blocks else 0.0) + gap
 

@@ -6,7 +6,8 @@ by 32-point Gauss panels of a few periods of the total oscillation rate over
 the h table (or over exact_h), with |GL32 - GL16| per panel and a tail bound
 from the <x>^-2 decay of h as the error estimate.  It shares nothing with the
 line-marginal route of hartorus.response but the h table; exact_h shares only
-the radial panels of the table's transform.
+the radial panels of the table's transform at d = 1 and 3, and at d = 2 and 4
+takes the Bessel kernels on f2, a route the table does not take.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from hartorus import equilibrium
 from hartorus.equilibrium import CovarianceProfile
-from radial_oracle import direct_kernel
+from radial_oracle import direct_kernel, f2_panels
 
 _GAUSS_HI = np.polynomial.legendre.leggauss(32)
 _GAUSS_LO = np.polynomial.legendre.leggauss(16)
@@ -28,11 +29,11 @@ def _oscillation_rate(cov: CovarianceProfile, tau_max: float, xi_abs: float) -> 
 
 
 def exact_h(cov: CovarianceProfile):
-    """h on [0, cov.x_max] by the fixed-node radial transform at each point,
-    on the table's radial panels split at x_max, without the spline between
-    table nodes; zero beyond, like the table."""
+    """h on [0, cov.x_max] by the direct kernel on f2 at each point, on the
+    radial panels of f2 split at x_max, without the spline between table
+    nodes; zero beyond, like the table."""
     f, d, x_max = cov.f, cov.d, cov.x_max
-    panels = equilibrium._split_panels(*cov._table[2], x_max)
+    panels = equilibrium._split_panels(*f2_panels(f, d), x_max)
     r, w = equilibrium._gauss_nodes(*panels, _GAUSS_HI)
     g = f.f2(r) * w
 

@@ -1,7 +1,9 @@
 """The h table built eagerly, kept as the oracle of CovarianceProfile's table
 and of its error estimate.
 
-The radial panels are bisected once, as in CovarianceProfile; every block
+The radial panels are bisected on f2 and, at d = 2 and 4, once more on the
+line marginal rho1 on them, as in CovarianceProfile; rho1 is evaluated afresh
+at every node, where CovarianceProfile keeps its values by node.  Every block
 runs both Gauss rules at once through the package's transform on them, and
 its stop is found by a scan node by node.  CovarianceProfile builds the
 32-point values alone, finds the stop with numpy, and runs the 16-point pass
@@ -9,6 +11,7 @@ over the blocks it kept when table_error() is first read; its spline and its
 table_error() must equal this oracle's to the bit.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -16,11 +19,23 @@ from scipy.interpolate import CubicSpline
 
 from hartorus import equilibrium as eq
 from hartorus.equilibrium import CovarianceProfile
+from radial_oracle import f2_panels
 
 
-def _transform(f, d, xs, panels):
+def table_density(f, d):
+    """(density, panels) of the h table's transform: f2 on the f2 panels at d
+    = 1 and 3, and at d = 2 and 4 rho1 on the f2 panels, on panels bisected
+    on rho1."""
+    panels = f2_panels(f, d)
+    if d in (1, 3):
+        return f.f2, panels
+    density = functools.partial(eq._line_marginal, f, d, *panels)
+    return density, eq._radial_panels(density, f.support_radius(), 1)
+
+
+def _transform(density, d, xs, panels):
     """(GL32 values, |GL32 - GL16|) of h at the block nodes xs."""
-    hi, lo = (eq._radial_transform(f, d, xs, panels, rule) for rule in (eq._GAUSS_HI, eq._GAUSS_LO))
+    hi, lo = (eq._radial_transform(density, d, xs, panels, rule) for rule in (eq._GAUSS_HI, eq._GAUSS_LO))
     return hi, np.abs(hi - lo)
 
 
@@ -34,7 +49,7 @@ def eager_table(cov: CovarianceProfile):
     if cov.h0 == 0.0:
         return CubicSpline([0.0, 1.0], [0.0, 0.0], bc_type=((1, 0.0), "natural")), 0.0
     rsup = f.support_radius(1e-10)
-    panels = eq._radial_panels(f, d, f.support_radius(), 1)
+    density, panels = table_density(f, d)
     dx = min(0.05, math.pi / (16.0 * max(rsup, 1e-6)))
     floor = eq._TABLE_TOL * abs(cov.h0)
     quiet_stop = int(4.0 / dx) + 4
@@ -43,7 +58,7 @@ def eager_table(cov: CovarianceProfile):
     while x < eq._X_MAX_CAP and quiet < quiet_stop:
         starts.append(sum(map(len, xs)) - 1)
         xb = eq._block_nodes(starts[-1], dx)
-        vb, eb = _transform(f, d, xb, panels)
+        vb, eb = _transform(density, d, xb, panels)
         xb = xb.ravel()
         n = 0
         while n < len(xb) and x < eq._X_MAX_CAP and quiet < quiet_stop:
@@ -58,6 +73,6 @@ def eager_table(cov: CovarianceProfile):
     for m0, xb in zip(starts, xs[1:]):
         n = len(xb)
         grid = eq._block_nodes(m0 - 0.5, dx)
-        mids, hb = grid.ravel()[:n], _transform(f, d, grid, panels)[0][:n]
+        mids, hb = grid.ravel()[:n], _transform(density, d, grid, panels)[0][:n]
         gap = max(gap, float(np.max(np.abs(spline(mids) - hb))))
     return spline, float(np.max(np.concatenate(errs))) + gap

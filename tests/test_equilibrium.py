@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from hartorus import (CovarianceProfile, bose, custom_radial, delta_potential, equilibrium_mass,
                       eval_h, fermi, gaussian_f2, gaussian_potential, hypothesis_check,
                       sphere_area, zero_distribution, zero_potential, zero_temp_fermi)
 from hartorus import equilibrium
-from radial_oracle import direct_transform, q_marginal
+from radial_oracle import direct_transform, f2_panels, q_marginal
 from table_oracle import eager_table
 
 
@@ -116,35 +117,36 @@ def test_table_matches_eval_h_oracle(name, d):
 # the h tables at every d: the weighted kernel sum on the grid of exact-sum
 # block nodes, over the table's bisected radial panels split per block, with
 # the midpoints of table_error() in that form.  A zero-temperature profile
-# has no jump inside [0, R], so its one panel is not bisected and each block
-# splits it as np.linspace(0, R, n + 1).
+# has no jump inside [0, R], so its one f2 panel is not bisected and, at d =
+# 1 and 3, each block splits it as np.linspace(0, R, n + 1); at d = 2 and 4
+# the table transforms rho1 on panels bisected toward its edge at R.
 DIGEST_PROFILES = {**TABLE_PROFILES, "zero_temp_fermi_1.5": zero_temp_fermi(1.5),
                    "zero_temp_fermi_4": zero_temp_fermi(4.0)}
 TABLE_DIGESTS = {
     ("fermi", 1): "1ec987dae91f073757083c3ea57e0ed8c535df78aca7e7d4ed668ebdf7956332",
-    ("fermi", 2): "e58397a0668b7f09f9b3daf86934dee6cfd7cce11366b8a823af31911f5ebf62",
+    ("fermi", 2): "2c4c1cab6cf345f6cf14b763b185062e60567aeeb8a7055310e5402d9f546ff2",
     ("fermi", 3): "d39a255d93b734a7454556f817c346eb235ed096dff171ba11de72e7469645e6",
-    ("fermi", 4): "bc0558595b0859cb439e251f99b9c6621ff076c76c507655bff09a1768951a0c",
+    ("fermi", 4): "4f72fd5d5f3bf07a5e47fc138e896a0f44d0194b5ab110f7c1003fa8c6ebfd5f",
     ("bose", 1): "5d7a64294b50a6568deb2cafbea8624eb22e4cea71825b58e4f43101ff18f416",
-    ("bose", 2): "8e88891a810163669659d1471c2868ec54557cdf8ad18b51728babdb5785dcef",
+    ("bose", 2): "3585e4d4b777f60ccfcc7f76cfcd74ba4ec82a38013785e4d6f722fee684c3d3",
     ("bose", 3): "524212661bb6857ddc9e9f73040cbef9b6afff7aa536d6dc774396cfa66542a6",
-    ("bose", 4): "1f8cd0b493bd7d28e81d96c688fadbc048d0e4bfd43350f13852e10d0db08ce7",
+    ("bose", 4): "36d92ce46ee03d9b94177c7a5ea0f4c62e90fc81d320e04154bf2990e136ba60",
     ("gaussian_f2", 1): "a86ca22086979e917424734446ec3329f50b68a11233ad203e1e511fed335701",
-    ("gaussian_f2", 2): "6e8120e6d9770ea4b3bee08714b4d200ed554c99e5a7e8f0f9a3a0d93ebf7ecc",
+    ("gaussian_f2", 2): "c0f32ec1b4e59d585b45b410597f581d4cb7de23abf75c8a5b9c77180b7be32b",
     ("gaussian_f2", 3): "f64ea88aeafbf7dc7bb633c8d5030e1eb5c7bdeda9f41e4d84e5a33ad3c4a988",
-    ("gaussian_f2", 4): "8a2a01e035eb3821fd1b5b88dfbc90e2e83b4384fd9dab3ab8f61c14495940f1",
+    ("gaussian_f2", 4): "48c9c2fbc0240c72993d411f48e0d703c7062d5285b0c344763e2bed2bac1ef7",
     ("zero_temp_fermi", 1): "ffe110435839bc172dfbd918a7898162eb954be1547651fba38a678226d06393",
-    ("zero_temp_fermi", 2): "04a22aa7ecec78a4136da747e5afe79c56b5d29bc7071d8ccb9739df3bb7a9f2",
+    ("zero_temp_fermi", 2): "10acea6b58cf0a4847a49d3b830f63fac0a7b09b583706c056d55af6f26722be",
     ("zero_temp_fermi", 3): "55b9d87727c6f5d52039e6cc740970db2c43ab478028d6f1831bf814766e5beb",
-    ("zero_temp_fermi", 4): "907da1bcc91201e0e1679944c50d4864f1afd03ab70211aa59c8a1d49d43e67d",
+    ("zero_temp_fermi", 4): "07693a5eaa562bcbb0833c79c1fad1f86f6d0a784be0f8dc438a79141e9ee8c9",
     ("zero_temp_fermi_1.5", 1): "b451ebf24eae6579ffcdcbd2119cf8bf64013ac2b09cf23cd9e6676719865df8",
-    ("zero_temp_fermi_1.5", 2): "2819b52220909ac271c5f8caeea4f9aac32d4700249b09c19b2892ff5a16843e",
+    ("zero_temp_fermi_1.5", 2): "bccec3dc0efcb99d6fd51d8679ef4789246767fa76a8dc318f9fdbc2a6b2a053",
     ("zero_temp_fermi_1.5", 3): "cc0c3bb15fbd41e1e8d7083104ae6a0574bf4928dce47ed363433332cf22844a",
-    ("zero_temp_fermi_1.5", 4): "7ebc9a743cd2fe8c49e710c1cd4d9d0e53089321d653a3e6217b87047f787fca",
+    ("zero_temp_fermi_1.5", 4): "84999bf6f4dbfb03ff7a05322127255889bfd05902213e0f27f5b3b07461f274",
     ("zero_temp_fermi_4", 1): "a74d47ca131b172999302fa45c1e7b4606136178f9d5e0047d8b341bc76a19d2",
-    ("zero_temp_fermi_4", 2): "aaec9dbe36009f63e1bff9172feb4a0bca835c06478f7f565c8611e5f7dc571f",
+    ("zero_temp_fermi_4", 2): "76f1d695ceeb3a392595e0d47a63bb01ee105aaaca0396fb1d97ad467d9ac443",
     ("zero_temp_fermi_4", 3): "9ebdf0a75bd33f456145c9ca98b4451a53d799534c4203e77776d75fac15d3b2",
-    ("zero_temp_fermi_4", 4): "efbb6c181b6bc6c49161e6625de0ece30dfe29091678c067f41e9413877eb862",
+    ("zero_temp_fermi_4", 4): "2249c06a4731566911bfdc10893f4cfb84ad9fb9eab949646787f7c4fb3c45f2",
 }
 
 
@@ -157,6 +159,8 @@ def _table_digest(name, d):
 
 @pytest.mark.parametrize("name, d", sorted(k for k in TABLE_DIGESTS if k[1] in (2, 4)))
 def test_bessel_kernel_tables_keep_their_bits(name, d):
+    # the tables of d = 2 and 4, now the cosine kernel on rho1; the name,
+    # from the Bessel kernel that built them first, keeps the test ids stable
     assert _table_digest(name, d) == TABLE_DIGESTS[name, d]
 
 
@@ -198,10 +202,11 @@ def test_split_panels_tile_each_panel_with_the_fewest_parts(start, widths, x):
 
 
 @pytest.mark.parametrize("name, d", [("zero_temp_fermi_4", 3), ("zero_temp_fermi_4", 4),
-                                     ("shell", 3)])
-def test_a_profile_bisects_its_radial_panels_twice(name, d, monkeypatch):
-    # once for h(0) and once for the h table, whose blocks and table_error()
-    # passes all split the table's panels
+                                     ("shell", 2), ("shell", 3)])
+def test_a_profile_bisects_its_panels_for_h0_f2_and_rho1(name, d, monkeypatch):
+    # once for h(0), once for the f2 panels of the h table and, at d = 2 and
+    # 4, once more for the panels of its rho1 on them; the table's blocks and
+    # table_error() passes all split the table's panels
     calls = []
     bisect = equilibrium._radial_panels
 
@@ -213,24 +218,88 @@ def test_a_profile_bisects_its_radial_panels_twice(name, d, monkeypatch):
     cov = CovarianceProfile(DIGEST_PROFILES[name], d)
     cov(np.linspace(0.0, 2.0, 5))
     cov.table_error()
-    assert len(calls) == 2
+    assert len(calls) == (3 if d in (2, 4) else 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", sorted(set(TABLE_PROFILES) - {"zero"}))
 def test_factorised_kernel_matches_the_direct_kernel(name, d):
-    # angle addition (d = 1, 3) and the radial weight folded into the Gauss
-    # weights (every d) regroup the rounding of the kernel: each table
-    # block's 32-point values are within 1e-14 h(0) of the direct kernel's
-    # at the same nodes and panels (3.9e-15 h(0) at most, the shell at d = 1;
-    # 1.2e-15 h(0) at d = 2 and 4, the shell at d = 4)
+    # angle addition and the radial weight folded into the Gauss weights
+    # regroup the rounding of the kernel: each table block's 32-point values
+    # are within 1e-14 h(0) of the direct kernel's at the same nodes, panels
+    # and density, the cosine kernel of d = 1 on rho1 at d = 1, 2 and 4 and
+    # the sine kernel on f2 at d = 3 (3.5e-15 h(0) at most, the shell at d =
+    # 1; 2.0e-15 at d = 2 and 4, the shell at d = 2)
     f = TABLE_PROFILES[name]
     cov = CovarianceProfile(f, d)
-    _, blocks, panels, _ = cov._table
+    _, blocks, density, panels, _ = cov._table
     assert blocks
     for _, xb, vb, _ in blocks:
-        direct = direct_transform(f, d, xb, panels, equilibrium._GAUSS_HI)
+        direct = direct_transform(density, 3 if d == 3 else 1, xb, panels, equilibrium._GAUSS_HI)
         assert np.max(np.abs(vb - direct)) <= 1e-14 * cov.h0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("name", sorted(set(TABLE_PROFILES) - {"zero"}))
+def test_line_marginal_table_matches_the_bessel_kernel_on_f2(name, d):
+    # the other route to h at d = 2 and 4: the Bessel kernel on f2 over the
+    # f2 panels, split at the same block nodes.  Within 1e-13 h(0) where f2
+    # is smooth or jumps at the support radius alone (2.8e-15 h(0) smooth,
+    # 1.6e-14 and 1.1e-14 zero-temperature at d = 2 and 4), and within
+    # table_error() for the shell, whose rho1 panels grade toward its two
+    # jumps and their edge singularities (5.9e-13 and 6.7e-14 h(0) at d = 2
+    # and 4, against table_error() of 1.1e-8 and 5.4e-9 h(0))
+    f = TABLE_PROFILES[name]
+    cov = CovarianceProfile(f, d)
+    panels = f2_panels(f, d)
+    bound = cov.table_error() if name == "shell" else 1e-13 * cov.h0
+    for _, xb, vb, _ in cov._table[1]:
+        bessel = direct_transform(f.f2, d, xb, panels, equilibrium._GAUSS_HI)
+        assert np.max(np.abs(vb - bessel)) <= bound
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("mu", [1.5, 4.0])
+def test_zero_temperature_tables_meet_their_closed_forms(mu, d):
+    # h of the indicator of |xi| <= k = sqrt(mu) is (2 pi)^{d/2} k^d
+    # J_{d/2}(kx) / (kx)^{d/2}: every table node past 0 is within 1e-13 h(0)
+    # of it (1.2-1.7e-14 h(0)), and h(0), the mass on the panels of h(0),
+    # within h0_err of the volume of the ball (1.3e-13 against 5.6e-13 of it
+    # at d = 2, 3e-15 against 7.9e-13 at d = 4)
+    f, k = zero_temp_fermi(mu), math.sqrt(mu)
+    cov = CovarianceProfile(f, d)
+    blocks = cov._table[1]
+    x = np.concatenate([xb.ravel()[:n] for _, xb, _, n in blocks])
+    h = np.concatenate([vb[:n] for _, _, vb, n in blocks])
+    exact = (2 * math.pi) ** (d / 2) * k ** d * jv(d / 2, k * x) / (k * x) ** (d / 2)
+    assert np.max(np.abs(h - exact)) <= 1e-13 * cov.h0
+    assert abs(cov.h0 - math.pi ** (d / 2) * k ** d / math.gamma(d / 2 + 1)) <= cov.h0_err
+    # rho1 on the table's f2 panels is the volume of the (d-1)-ball of radius
+    # sqrt(mu - v^2): within 1e-13 of its largest value on a grid and at the
+    # nodes of both rules on the rho1 panels (5.1e-14 at d = 2, mu = 1.5,
+    # and 1.1e-15 at most in the other three), up to 1e-6 k from the edge,
+    # where sqrt(mu - v^2) turns ill-conditioned: the float support radius
+    # is not sqrt(mu) exactly (1.0e-12 at a node 3.2e-9 from it)
+    _, _, _, panels, _ = cov._table
+    v = np.r_[np.linspace(0.0, k, 2001), equilibrium._gauss_nodes(*panels, equilibrium._GAUSS_HI)[0],
+              equilibrium._gauss_nodes(*panels, equilibrium._GAUSS_LO)[0]]
+    v = v[v < k * (1 - 1e-6)]
+    want = 2 * np.sqrt(mu - v * v) if d == 2 else 4 * math.pi / 3 * (mu - v * v) ** 1.5
+    rho1 = equilibrium._line_marginal(f, d, *f2_panels(f, d), v)
+    assert np.max(np.abs(rho1 - want)) <= 1e-13 * np.max(want)
+
+
+def test_no_bessel_function_in_a_table_build(monkeypatch):
+    # at d = 2 and 4 the table and table_error() take the cosine kernel on
+    # rho1; j0 and j1 are left to eval_h, the adaptive oracle
+    def refused(*args, **kwargs):
+        raise AssertionError("a Bessel function in an h table build")
+
+    monkeypatch.setattr(equilibrium, "j0", refused)
+    monkeypatch.setattr(equilibrium, "j1", refused)
+    for f in TABLE_PROFILES.values():
+        for d in (2, 4):
+            CovarianceProfile(f, d).table_error()
 
 
 @pytest.mark.parametrize("name", sorted(set(TABLE_PROFILES) - {"zero"}))

@@ -125,9 +125,11 @@ def test_experiment_passes(kind, tmp_path):
 
 _DIGESTS = Path(__file__).with_name("payload_digests.json")
 
-# zero-temperature fermi at d = 3: f2 jumps at the Fermi edge, so its radial
-# panels are bisected toward the jump (41 panels, where a smooth profile keeps
-# the 8 uniform ones); recorded under their own keys beside CONFIGS
+# zero-temperature fermi at d = 3 and 4: f2 jumps at the Fermi edge, so its
+# radial panels are bisected toward the jump (41 panels at d = 3, where a
+# smooth profile keeps the 8 uniform ones), and at d = 4 the h table's are
+# bisected toward the edge of rho1; recorded under their own keys beside
+# CONFIGS
 JUMP_CONFIGS = {
     "linear-response/zero-temp": ("linear-response", """
 grid.d = 3
@@ -139,6 +141,17 @@ xi.count = 6
 """),
     "stability-check/zero-temp": ("stability-check", """
 grid.d = 3
+grid.N = 8
+f.kind = zero-temp-fermi
+f.mu = 4.0
+w.kind = delta
+w.amplitude = 0.1
+tau.count = 6
+xi.count = 6
+"""),
+    # the paper's regime: the h table of d = 4 from the line marginal
+    "stability-check/zero-temp-d4": ("stability-check", """
+grid.d = 4
 grid.N = 8
 f.kind = zero-temp-fermi
 f.mu = 4.0
@@ -234,9 +247,9 @@ def test_only_the_reported_estimates_make_16_point_passes(key, tmp_path, monkeyp
     radial, line = equilibrium._radial_transform, equilibrium._line_nodes
     pv = equilibrium._principal_value
 
-    def radial_transform(f, d, xs, panels, rule):
+    def radial_transform(density, d, xs, panels, rule):
         passes.append(("radial", len(rule[0])))
-        return radial(f, d, xs, panels, rule)
+        return radial(density, d, xs, panels, rule)
 
     def line_nodes(f, d, a, b, rule):
         passes.append(("line", len(rule[0])))
